@@ -20,9 +20,11 @@ from .conduction import (
     current_ohmic,
     current_pf,
     current_total,
+    current_total_g,
     current_tunneling,
     default_params,
     differential_conductance,
+    differential_conductance_g,
     on_off,
     self_selection_ratio,
     state_multiplier,

@@ -12,6 +12,14 @@ The polarization state scales both channels through a common multiplier
 g(w) = g_lrs**w, so the ON/OFF ratio is bias- and temperature-independent
 by construction. Negative bias is handled by odd symmetry, I(-v) = -I(v).
 
+The current functions come in two forms. The g-level kernels
+(current_ohmic, current_pf, current_total_g, differential_conductance_g)
+take the multiplier g directly and broadcast over arrays of biases and
+multipliers, so a whole crossbar is one call. current_total and
+differential_conductance take one device state and are thin wrappers that
+compute its multiplier first. Every kernel validates its bias and
+temperature on each call, over the whole array at once.
+
 A separate direct-tunneling expression (trapezoidal barrier, low and
 intermediate bias) is provided purely for mechanism discrimination; it is
 not part of the composite current.
@@ -28,7 +36,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import EPS_0, H_PLANCK, K_B, M_E, Q_E
 
@@ -45,7 +52,9 @@ __all__ = [
     "current_pf",
     "current_tunneling",
     "current_total",
+    "current_total_g",
     "differential_conductance",
+    "differential_conductance_g",
     "state_multiplier",
     "on_off",
     "self_selection_ratio",
@@ -178,12 +187,14 @@ class CalibrationTargets:
 DEFAULT_TARGETS = CalibrationTargets()
 
 
-def _check_bias(v) -> None:
+def check_bias(v) -> None:
+    """Reject non-finite bias values (scalar or array)."""
     if not np.all(np.isfinite(v)):
         raise ValueError("bias contains non-finite values")
 
 
-def _check_temperature(t: float) -> None:
+def check_temperature(t: float) -> None:
+    """Reject a non-positive or non-finite temperature."""
     if not (np.isfinite(t) and t > 0):
         raise ValueError(f"temperature must be positive and finite, got {t}")
 
@@ -202,9 +213,9 @@ def _coeffs(p: ConductionParams, t: float) -> tuple[float, float, float]:
     return ohm_c, pf_c, theta
 
 
-def _as_input_kind(v, result):
-    """Return a float for scalar input, ndarray otherwise."""
-    if isinstance(v, np.ndarray):
+def _as_input_kind(result, v, g=1.0):
+    """Return a float when bias and multiplier are scalars, else the ndarray."""
+    if isinstance(v, np.ndarray) or isinstance(g, np.ndarray):
         return result
     return float(result)
 
@@ -218,12 +229,13 @@ def state_multiplier(p: ConductionParams, w: float, d2d_log10: float = 0.0) -> f
 def current_ohmic(v, t: float, p: ConductionParams, g: float = 1.0):
     """Ohmic channel current, A. Odd in v; linear in bias.
 
-    g is the dimensionless state multiplier (1 for the pristine HRS).
+    g is the dimensionless state multiplier (1 for the pristine HRS); v
+    and g broadcast against each other.
     """
-    _check_bias(v)
-    _check_temperature(t)
+    check_bias(v)
+    check_temperature(t)
     ohm_c, _, _ = _coeffs(p, t)
-    return _as_input_kind(v, g * p.area * ohm_c * np.asarray(v, dtype=float))
+    return _as_input_kind(g * p.area * ohm_c * np.asarray(v, dtype=float), v, g)
 
 
 def current_pf(v, t: float, p: ConductionParams, g: float = 1.0):
@@ -233,19 +245,13 @@ def current_pf(v, t: float, p: ConductionParams, g: float = 1.0):
     theta(T) = (q/kT) * sqrt(q/(pi*eps0*eps_r*d_fe)), strictly decreasing
     in temperature.
     """
-    _check_bias(v)
-    _check_temperature(t)
+    check_bias(v)
+    check_temperature(t)
     _, pf_c, theta = _coeffs(p, t)
     va = np.asarray(v, dtype=float)
     mag = np.abs(va)
     j = pf_c * mag * np.exp(theta * np.sqrt(mag))
-    return _as_input_kind(v, g * p.area * np.sign(va) * j)
-
-
-def pf_slope(p: ConductionParams, t: float) -> float:
-    """Slope of ln(J_pf/V) versus sqrt(V) at temperature t, V^-1/2."""
-    _check_temperature(t)
-    return _coeffs(p, t)[2]
+    return _as_input_kind(g * p.area * np.sign(va) * j, v, g)
 
 
 def current_tunneling(v, p: ConductionParams):
@@ -255,7 +261,7 @@ def current_tunneling(v, p: ConductionParams):
     is odd in v, and it is only valid for |v| < phi_bar (in volts); biases
     at or beyond the barrier height are out of regime and rejected.
     """
-    _check_bias(v)
+    check_bias(v)
     va = np.asarray(v, dtype=float)
     if np.any(np.abs(va) >= p.tun.phi_bar):
         raise ValueError(
@@ -268,26 +274,40 @@ def current_tunneling(v, p: ConductionParams):
     lo = phi_j - 0.5 * Q_E * va
     hi = phi_j + 0.5 * Q_E * va
     j = pref * (lo * np.exp(-a_coef * np.sqrt(lo)) - hi * np.exp(-a_coef * np.sqrt(hi)))
-    return _as_input_kind(v, p.area * j)
+    return _as_input_kind(p.area * j, v)
 
 
-def current_total(v, t: float, p: ConductionParams, s: "DeviceState"):
-    """Composite device current: Ohmic + Poole-Frenkel, both scaled by the
-    state multiplier. Exactly the sum of the two channel functions."""
-    g = state_multiplier(p, s.w, s.d2d_log10)
+def current_total_g(v, t: float, p: ConductionParams, g=1.0):
+    """Composite current at state multiplier g: Ohmic + Poole-Frenkel, A.
+
+    The g-level kernel behind current_total. v and g broadcast, so one
+    call evaluates a whole array of devices at their own biases.
+    """
     return current_ohmic(v, t, p, g) + current_pf(v, t, p, g)
 
 
-def differential_conductance(v, t: float, p: ConductionParams, s: "DeviceState"):
-    """dI/dv of the composite current, S. Even in v and strictly positive."""
-    _check_bias(v)
-    _check_temperature(t)
-    g = state_multiplier(p, s.w, s.d2d_log10)
+def differential_conductance_g(v, t: float, p: ConductionParams, g=1.0):
+    """dI/dv of the composite current at state multiplier g, S. Even in v
+    and strictly positive; v and g broadcast."""
+    check_bias(v)
+    check_temperature(t)
     ohm_c, pf_c, theta = _coeffs(p, t)
     mag = np.abs(np.asarray(v, dtype=float))
     rt = np.sqrt(mag)
     dpf = pf_c * np.exp(theta * rt) * (1.0 + 0.5 * theta * rt)
-    return _as_input_kind(v, g * p.area * (ohm_c + dpf))
+    return _as_input_kind(g * p.area * (ohm_c + dpf), v, g)
+
+
+def current_total(v, t: float, p: ConductionParams, s: "DeviceState"):
+    """Composite device current of one device state. Exactly the sum of
+    the two channel functions."""
+    return current_total_g(v, t, p, state_multiplier(p, s.w, s.d2d_log10))
+
+
+def differential_conductance(v, t: float, p: ConductionParams, s: "DeviceState"):
+    """dI/dv of one device state's composite current, S."""
+    return differential_conductance_g(v, t, p,
+                                      state_multiplier(p, s.w, s.d2d_log10))
 
 
 def on_off(p: ConductionParams, t: float = T_REF, v_read: float = V_ONOFF) -> float:
@@ -322,6 +342,59 @@ def _selection_of_eps(eps_r: float, t: float) -> float:
     num = u * V_SELECT + shape(V_SELECT)
     den = u * 0.5 * V_SELECT + shape(0.5 * V_SELECT)
     return num / den
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of f bracketed by [xa, xb] by Brent's method.
+
+    A step-for-step port of the C kernel behind scipy.optimize.brentq, so
+    calibrate returns the same bits without importing scipy.optimize,
+    which costs more to import, in time and memory, than the rest of the
+    package.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"root search did not converge in {maxiter} iterations")
 
 
 def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
@@ -376,7 +449,7 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
         raise CalibrationError(
             "selection target unreachable for eps_r >= 1",
             _target_residuals(attempt, targets, t))
-    eps_r = brentq(f, _EPS_R_MIN, _EPS_R_MAX, xtol=1e-12, rtol=8.9e-16)
+    eps_r = _brentq(f, _EPS_R_MIN, _EPS_R_MAX, xtol=1e-12, rtol=8.9e-16)
     params = _calibrate_at_eps(eps_r, targets, skel, t, shape_pf, shape_ohm)
 
     res = _target_residuals(params, targets, t)

@@ -15,11 +15,12 @@ a single file pins an entire reproducible run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .conduction import (CalibrationTargets, ConductionParams, TunnelBarrier,
                          calibrate)
-from .device import UpdateModel, default_update_model
+from .device import SCHEME_KINDS, UpdateModel, default_update_model
 
 __all__ = [
     "ConfigError",
@@ -30,9 +31,6 @@ __all__ = [
     "ModelBundle",
     "build_model",
 ]
-
-_SCHEME_KINDS = ("amplitude_ramp", "width_ramp", "hybrid")
-
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration, with source position."""
@@ -255,13 +253,23 @@ def _strip_comment(line: str) -> str:
     return line
 
 
+def _require_finite(values: tuple, raw: str, source: str, line_no: int,
+                    col: int) -> None:
+    """inf and nan parse as floats but are never a valid setting."""
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"expected a finite number, got {raw!r}",
+                          source, line_no, col)
+
+
 def _convert(raw: str, kind: str, source: str, line_no: int, col: int):
     if kind == "float":
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"expected a number, got {raw!r}",
                               source, line_no, col) from None
+        _require_finite((value,), raw, source, line_no, col)
+        return value
     if kind == "int":
         try:
             return int(raw)
@@ -285,6 +293,7 @@ def _convert(raw: str, kind: str, source: str, line_no: int, col: int):
         if not values:
             raise ConfigError("expected at least one number",
                               source, line_no, col)
+        _require_finite(values, raw, source, line_no, col)
         return values
     if kind == "str":
         return raw
@@ -389,11 +398,11 @@ def _validate(cfg: SimConfig, source: str) -> None:
         (cfg.hysteresis.v_neg_v > 0, "[hysteresis] v_neg_v must be positive"),
         (cfg.hysteresis.v_pos_v > 0, "[hysteresis] v_pos_v must be positive"),
         (cfg.hysteresis.step_v > 0, "[hysteresis] step_v must be positive"),
-        (cfg.scheme.kind in _SCHEME_KINDS,
-         f"[scheme] kind must be one of {', '.join(_SCHEME_KINDS)}"),
+        (cfg.scheme.kind in SCHEME_KINDS,
+         f"[scheme] kind must be one of {', '.join(SCHEME_KINDS)}"),
         (cfg.scheme.n_cycles >= 1, "[scheme] n_cycles must be >= 1"),
-        (cfg.fit_a.kind in _SCHEME_KINDS,
-         f"[fitA] kind must be one of {', '.join(_SCHEME_KINDS)}"),
+        (cfg.fit_a.kind in SCHEME_KINDS,
+         f"[fitA] kind must be one of {', '.join(SCHEME_KINDS)}"),
         (cfg.cdf.n_cycles >= 2, "[cdf] n_cycles must be >= 2"),
         (cfg.retention.drift_rate_per_s >= 0,
          "[retention] drift_rate_per_s must be >= 0"),

@@ -6,6 +6,16 @@ every line is either driven to a potential or left floating. Floating
 lines settle where Kirchhoff's current law balances the nonlinear device
 currents, which a damped Newton iteration solves to machine precision.
 
+Reads are evaluated on arrays. Each call of solve_network or mvm_read
+builds the per-cell state-multiplier grid g[r, c] once (nothing is cached
+between calls) and hands the whole device-voltage grid
+rv[:, None] - cv[None, :] to the g-level conduction kernels, so one
+Newton iteration is a few array calls rather than a Python loop over
+cells. The results are bit-identical to evaluating each cell with the
+scalar current_total: g is built cell by cell with the scalar
+state_multiplier, and line currents and Jacobian diagonals are summed
+left to right (_line_sums) instead of by numpy's pairwise reduction.
+
 The device nonlinearity is what makes select-free operation possible:
 sneak-path devices sit at a fraction of the read voltage where the
 trap-emission channel is exponentially weaker, so current margins are far
@@ -19,7 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conduction import ConductionParams, T_REF, current_total, differential_conductance
+from .conduction import (ConductionParams, T_REF, check_bias, check_temperature,
+                         current_total, current_total_g,
+                         differential_conductance_g, state_multiplier)
 from .device import DeviceState, PulseSpec, UpdateModel, apply_pulse, sample_device
 
 __all__ = [
@@ -69,6 +81,17 @@ class Crossbar:
 
     def weights(self) -> np.ndarray:
         return np.array([[s.w for s in row] for row in self.states])
+
+    def multipliers(self) -> np.ndarray:
+        """State-multiplier grid g[r, c], computed afresh on every call.
+
+        Built cell by cell with the scalar state_multiplier: numpy's
+        vector power differs from Python's float ** in the last bit for
+        some inputs, and array reads must match the scalar kernel exactly.
+        """
+        p = self.params
+        return np.array([[state_multiplier(p, s.w, s.d2d_log10) for s in row]
+                         for row in self.states])
 
     def with_state(self, row: int, col: int, state: DeviceState) -> "Crossbar":
         rows = list(self.states)
@@ -152,6 +175,18 @@ class NetworkSolution:
     residual: float
 
 
+def _line_sums(a: np.ndarray, axis: int) -> np.ndarray:
+    """Left-to-right sums along one axis, bit-identical to Python's
+    sequential float sum over the same elements; np.sum reduces pairwise
+    and can differ in the last bits. Adding 0.0 turns an all-(-0.0) sum
+    into 0.0, as a sum started from zero does."""
+    return np.cumsum(a, axis=axis).take(-1, axis=axis) + 0.0
+
+
+def _max_abs(f: np.ndarray) -> float:
+    return np.max(np.abs(f), initial=0.0)
+
+
 def solve_network(xbar: Crossbar, scheme: BiasScheme, t: float | None = None,
                   tol: float = NEWTON_TOL) -> NetworkSolution:
     """Solve floating-line potentials by damped Newton on the KCL system.
@@ -160,6 +195,8 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme, t: float | None = None,
     its derivative with respect to any line potential is a sum of strictly
     positive differential conductances, so the Jacobian is well
     conditioned. Steps are halved until the residual norm decreases.
+    Every residual and Jacobian is one kernel call on the full
+    device-voltage grid.
     """
     nr, nc = xbar.n_rows, xbar.n_cols
     if t is None:
@@ -172,90 +209,69 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme, t: float | None = None,
     driven = [float(v) for v in list(scheme.rows) + list(scheme.cols) if v is not None]
     if not driven:
         raise ValueError("at least one line must be driven")
-    free_rows = [r for r, v in enumerate(scheme.rows) if v is None]
-    free_cols = [c for c, v in enumerate(scheme.cols) if v is None]
-    n_free = len(free_rows) + len(free_cols)
+    check_bias(driven)
+    check_temperature(t)
+    free_rows = np.array([r for r, v in enumerate(scheme.rows) if v is None], dtype=int)
+    free_cols = np.array([c for c, v in enumerate(scheme.cols) if v is None], dtype=int)
+    n_fr = free_rows.size
+    n_free = n_fr + free_cols.size
     p = xbar.params
+    g = xbar.multipliers()
 
     row_v = np.array([0.0 if v is None else float(v) for v in scheme.rows])
     col_v = np.array([0.0 if v is None else float(v) for v in scheme.cols])
     x = np.full(n_free, float(np.mean(driven)))
 
-    def assemble(xv):
+    def residual(xv):
         rv = row_v.copy()
         cv = col_v.copy()
-        for k, r in enumerate(free_rows):
-            rv[r] = xv[k]
-        for k, c in enumerate(free_cols):
-            cv[c] = xv[len(free_rows) + k]
-        return rv, cv
+        rv[free_rows] = xv[:n_fr]
+        cv[free_cols] = xv[n_fr:]
+        dv = rv[:, None] - cv[None, :]
+        di = current_total_g(dv, t, p, g)
+        f = np.concatenate([_line_sums(di[free_rows, :], axis=1),
+                            _line_sums(di[:, free_cols], axis=0)])
+        return f, rv, cv, dv, di
 
-    def residual(xv):
-        rv, cv = assemble(xv)
-        f = np.zeros(n_free)
-        for k, r in enumerate(free_rows):
-            f[k] = sum(current_total(rv[r] - cv[c], t, p, xbar.states[r][c])
-                       for c in range(nc))
-        for k, c in enumerate(free_cols):
-            f[len(free_rows) + k] = sum(
-                current_total(rv[r] - cv[c], t, p, xbar.states[r][c])
-                for r in range(nr))
-        return f, rv, cv
+    def jacobian(dv):
+        gd = differential_conductance_g(dv, t, p, g)
+        cross = gd[np.ix_(free_rows, free_cols)]
+        jac = np.zeros((n_free, n_free))
+        diag = np.arange(n_free)
+        jac[diag[:n_fr], diag[:n_fr]] = _line_sums(gd[free_rows, :], axis=1)
+        jac[diag[n_fr:], diag[n_fr:]] = -_line_sums(gd[:, free_cols], axis=0)
+        jac[:n_fr, n_fr:] = -cross
+        jac[n_fr:, :n_fr] = cross.T
+        return jac
 
-    if n_free == 0:
-        rv, cv = assemble(x)
-        dv, di = _device_grid(xbar, rv, cv, t)
-        return NetworkSolution(rv, cv, dv, di, di.sum(axis=1), di.sum(axis=0),
-                               iterations=0, residual=0.0)
-
-    f, rv, cv = residual(x)
+    f, rv, cv, dv, di = residual(x)
     it = 0
-    while np.max(np.abs(f)) > tol:
+    while _max_abs(f) > tol:
         if it >= NEWTON_MAX_ITER:
             raise RuntimeError(
                 f"network solve did not converge in {NEWTON_MAX_ITER} iterations "
-                f"(residual {np.max(np.abs(f)):.3g} A)")
-        jac = np.zeros((n_free, n_free))
-        col_index = {c: len(free_rows) + k for k, c in enumerate(free_cols)}
-        row_index = {r: k for k, r in enumerate(free_rows)}
-        for k, r in enumerate(free_rows):
-            for c in range(nc):
-                gdev = differential_conductance(rv[r] - cv[c], t, p, xbar.states[r][c])
-                jac[k, k] += gdev
-                if c in col_index:
-                    jac[k, col_index[c]] -= gdev
-        for k, c in enumerate(free_cols):
-            kk = len(free_rows) + k
-            for r in range(nr):
-                gdev = differential_conductance(rv[r] - cv[c], t, p, xbar.states[r][c])
-                jac[kk, kk] -= gdev
-                if r in row_index:
-                    jac[kk, row_index[r]] += gdev
+                f"(residual {_max_abs(f):.3g} A)")
         try:
-            step = np.linalg.solve(jac, -f)
+            step = np.linalg.solve(jacobian(dv), -f)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular network Jacobian: {exc}") from exc
-        norm0 = np.max(np.abs(f))
+        norm0 = _max_abs(f)
         lam = 1.0
         for _ in range(40):
-            f_new, rv, cv = residual(x + lam * step)
-            if np.max(np.abs(f_new)) < norm0:
+            x_new = x + lam * step
+            f, rv, cv, dv, di = residual(x_new)
+            if _max_abs(f) < norm0:
                 break
             lam *= 0.5
-        x = x + lam * step
-        f, rv, cv = residual(x)
+        else:
+            # no probe reduced the residual: take the smallest step anyway
+            x_new = x + lam * step
+            f, rv, cv, dv, di = residual(x_new)
+        x = x_new
         it += 1
-    dv, di = _device_grid(xbar, rv, cv, t)
     return NetworkSolution(row_v=rv, col_v=cv, device_v=dv, device_i=di,
                            row_i=di.sum(axis=1), col_i=di.sum(axis=0),
-                           iterations=it, residual=float(np.max(np.abs(f))))
-
-
-def _device_grid(xbar: Crossbar, rv: np.ndarray, cv: np.ndarray, t: float):
-    dv = rv[:, None] - cv[None, :]
-    di = np.array([[current_total(dv[r, c], t, xbar.params, xbar.states[r][c])
-                    for c in range(xbar.n_cols)] for r in range(xbar.n_rows)])
-    return dv, di
+                           iterations=it, residual=float(_max_abs(f)))
 
 
 def mvm_read(xbar: Crossbar, v_in, t: float | None = None,
@@ -271,14 +287,12 @@ def mvm_read(xbar: Crossbar, v_in, t: float | None = None,
         raise ValueError(f"v_in must have shape ({xbar.n_rows},), got {v_in.shape}")
     if np.any(np.abs(v_in) > v_limit):
         raise ValueError(f"read inputs must satisfy |v| <= {v_limit} V")
+    check_bias(v_in)
     if t is None:
         t = xbar.t_kelvin
-    p = xbar.params
-    out = np.zeros(xbar.n_cols)
-    for c in range(xbar.n_cols):
-        out[c] = sum(current_total(v_in[r], t, p, xbar.states[r][c])
-                     for r in range(xbar.n_rows))
-    return out
+    check_temperature(t)
+    di = current_total_g(v_in[:, None], t, xbar.params, xbar.multipliers())
+    return _line_sums(di, axis=0)
 
 
 @dataclass(frozen=True)

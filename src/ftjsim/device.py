@@ -16,11 +16,10 @@ centered on the coercive voltages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import conduction
 from .conduction import ConductionParams, Readout, T_REF, V_READ, current_total
 
 __all__ = [

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .constants import EPS_0, K_B, Q_E
 from .conduction import DEFAULT_D_FE
@@ -318,6 +317,80 @@ class UpdateFit:
     at_bound: bool
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _minimize_bounded(func, a: float, b: float, xatol: float,
+                      maxiter: int = 500) -> float:
+    """Minimizer of func on [a, b] by Brent's bounded method.
+
+    A step-for-step port of scipy.optimize.minimize_scalar(method="bounded"),
+    so fit_update_a returns the same bits without importing scipy.optimize,
+    which costs more to import, in time and memory, than the rest of the
+    package.
+    """
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic step
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = -tol1 if xm - xf < 0 else tol1
+            else:
+                golden = True
+        if golden:  # golden-section step
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return xf
+
+
 def fit_update_a(counts, trace, a_min: float = 0.1,
                  a_max: float | None = None) -> UpdateFit:
     """Fit the update nonlinearity scale A from (pulse count, level) pairs.
@@ -360,9 +433,7 @@ def fit_update_a(counts, trace, a_min: float = 0.1,
     best = int(np.argmin(costs))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    res = minimize_scalar(lambda a: rss_of(a)[0], bounds=(lo, hi),
-                          method="bounded", options={"xatol": 1e-10})
-    a_hat = float(res.x)
+    a_hat = float(_minimize_bounded(lambda a: rss_of(a)[0], lo, hi, xatol=1e-10))
     rss, amp = rss_of(a_hat)
     at_bound = best == 0 or best == grid.size - 1
     return UpdateFit(a=a_hat, amplitude=amp, rss=rss, at_bound=at_bound)

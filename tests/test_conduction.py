@@ -17,9 +17,11 @@ from ftjsim.conduction import (
     current_ohmic,
     current_pf,
     current_total,
+    current_total_g,
     current_tunneling,
     default_params,
     differential_conductance,
+    differential_conductance_g,
     on_off,
     self_selection_ratio,
     state_multiplier,
@@ -102,6 +104,20 @@ def test_array_and_scalar_inputs():
     assert isinstance(out, np.ndarray) and out.shape == v.shape
     assert isinstance(current_total(0.3, T_REF, p, LRS), float)
     assert out[2] == current_total(0.3, T_REF, p, LRS)
+    # g-level kernels broadcast bias against a multiplier grid and agree
+    # bit for bit with the per-state scalar calls
+    states = [DeviceState(w=w, d2d_log10=d) for w, d in
+              [(0.0, 0.1), (0.37, -0.05), (1.0, 0.2)]]
+    g = np.array([[state_multiplier(p, s.w, s.d2d_log10) for s in states]])
+    vcol = np.array([[-0.3], [0.0], [0.45]])
+    for grid_fn, scalar_fn in [(current_total_g, current_total),
+                               (differential_conductance_g,
+                                differential_conductance)]:
+        grid = grid_fn(vcol, T_REF, p, g)
+        assert grid.shape == (3, 3)
+        assert np.array_equal(grid, [[scalar_fn(vr, T_REF, p, s) for s in states]
+                                     for vr in vcol[:, 0]])
+        assert isinstance(grid_fn(0.3, T_REF, p, g), np.ndarray)
 
 
 def test_input_validation():
@@ -147,6 +163,28 @@ def test_default_calibration_frozen_values():
     assert p.c_pf == pytest.approx(C_PF_DEFAULT, rel=1e-10)
     assert p.c_ohm == pytest.approx(C_OHM_DEFAULT, rel=1e-10)
     assert p.g_lrs == 10.0
+
+
+@pytest.mark.parametrize("selection", [2.5, 10.0, 42.0, 150.0])
+@pytest.mark.parametrize("t", [250.0, 300.0, 360.0])
+def test_brentq_port_takes_scipy_steps(selection, t):
+    """calibrate's root finder is a port of SciPy's brentq: on calibrate's
+    own equation it must evaluate the same points and return the same
+    bits, so calibrated parameters do not depend on which one ran."""
+    from scipy.optimize import brentq
+
+    from ftjsim.conduction import _brentq, _selection_of_eps
+
+    def recording(points):
+        def f(eps):
+            points.append(eps)
+            return _selection_of_eps(eps, t) - selection
+        return f
+
+    ours, theirs = [], []
+    root = _brentq(recording(ours), 1.0, 1e4, xtol=1e-12, rtol=8.9e-16)
+    assert root == brentq(recording(theirs), 1.0, 1e4, xtol=1e-12, rtol=8.9e-16)
+    assert ours == theirs
 
 
 def test_calibrate_selection_forty():

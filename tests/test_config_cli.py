@@ -137,6 +137,23 @@ def test_cli_config_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[iv]\nv_max_v = inf\n",
+    "[device]\nt_kelvin = -inf\n",
+    "[variation]\nsigma_d2d = nan\n",
+    "[iv]\nt_list_k = 300, inf\n",
+    "[arrhenius]\nt_list_k = 300, nan, 400\n",
+])
+def test_cli_rejects_non_finite_floats(tmp_path, capsys, text):
+    """inf and nan are config errors (exit 2) at their line and column,
+    never a numerical failure further in."""
+    ini = tmp_path / "nonfinite.ini"
+    ini.write_text(text)
+    assert _run(tmp_path, "iv", "--config", str(ini)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{ini}:2:" in err and "expected a finite number" in err
+
+
 def test_cli_numerical_error(tmp_path, capsys):
     infeasible = tmp_path / "x.ini"
     infeasible.write_text("[device]\nselection = 1e6\n")

@@ -1,9 +1,10 @@
 """Passive-array network solve, bias schemes, sneak margins, disturb."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftjsim.conduction import (ConductionParams, calibrate, CalibrationTargets,
                                current_total, default_params,
@@ -11,6 +12,9 @@ from ftjsim.conduction import (ConductionParams, calibrate, CalibrationTargets,
 from ftjsim.crossbar import (
     BiasScheme,
     MAX_SOLVE_DIM,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    NetworkSolution,
     build_crossbar,
     mvm_read,
     sneak_margin,
@@ -262,3 +266,197 @@ def test_solution_jacobian_consistency(p):
     g = sum(differential_conductance(sol.row_v[i] - sol.col_v[j], T, p,
                                      xbar.states[i][j]) for i in range(2))
     assert net == pytest.approx(-g * dv, rel=1e-3)
+
+
+# --- Bit-identity guard: array reads against the scalar-loop reference -----
+#
+# The reference below is the per-cell implementation the array reads
+# replaced: one scalar kernel call per device, summed left to right. The
+# array path must reproduce it bit for bit, because CLI sidecars hold
+# full-repr floats from these solves.
+
+def _seq_sum(values):
+    """Left-to-right float sum from zero, as sum() computes it up to
+    Python 3.11 (3.12 switched float sum() to compensated summation)."""
+    acc = 0
+    for v in values:
+        acc = acc + v
+    return acc
+
+
+def _reference_solve(xbar, scheme, t=T, tol=NEWTON_TOL):
+    nr, nc = xbar.n_rows, xbar.n_cols
+    p = xbar.params
+    driven = [float(v) for v in list(scheme.rows) + list(scheme.cols)
+              if v is not None]
+    free_rows = [r for r, v in enumerate(scheme.rows) if v is None]
+    free_cols = [c for c, v in enumerate(scheme.cols) if v is None]
+    n_free = len(free_rows) + len(free_cols)
+    row_v = np.array([0.0 if v is None else float(v) for v in scheme.rows])
+    col_v = np.array([0.0 if v is None else float(v) for v in scheme.cols])
+    x = np.full(n_free, float(np.mean(driven)))
+
+    def assemble(xv):
+        rv = row_v.copy()
+        cv = col_v.copy()
+        for k, r in enumerate(free_rows):
+            rv[r] = xv[k]
+        for k, c in enumerate(free_cols):
+            cv[c] = xv[len(free_rows) + k]
+        return rv, cv
+
+    def residual(xv):
+        rv, cv = assemble(xv)
+        f = np.zeros(n_free)
+        for k, r in enumerate(free_rows):
+            f[k] = _seq_sum(current_total(rv[r] - cv[c], t, p, xbar.states[r][c])
+                            for c in range(nc))
+        for k, c in enumerate(free_cols):
+            f[len(free_rows) + k] = _seq_sum(
+                current_total(rv[r] - cv[c], t, p, xbar.states[r][c])
+                for r in range(nr))
+        return f, rv, cv
+
+    def device_grid(rv, cv):
+        dv = rv[:, None] - cv[None, :]
+        di = np.array([[current_total(dv[r, c], t, p, xbar.states[r][c])
+                        for c in range(nc)] for r in range(nr)])
+        return dv, di
+
+    if n_free == 0:
+        rv, cv = assemble(x)
+        dv, di = device_grid(rv, cv)
+        return NetworkSolution(rv, cv, dv, di, di.sum(axis=1), di.sum(axis=0),
+                               iterations=0, residual=0.0)
+
+    f, rv, cv = residual(x)
+    it = 0
+    while np.max(np.abs(f)) > tol:
+        if it >= NEWTON_MAX_ITER:
+            raise RuntimeError("network solve did not converge")
+        jac = np.zeros((n_free, n_free))
+        col_index = {c: len(free_rows) + k for k, c in enumerate(free_cols)}
+        row_index = {r: k for k, r in enumerate(free_rows)}
+        for k, r in enumerate(free_rows):
+            for c in range(nc):
+                gdev = differential_conductance(rv[r] - cv[c], t, p, xbar.states[r][c])
+                jac[k, k] += gdev
+                if c in col_index:
+                    jac[k, col_index[c]] -= gdev
+        for k, c in enumerate(free_cols):
+            kk = len(free_rows) + k
+            for r in range(nr):
+                gdev = differential_conductance(rv[r] - cv[c], t, p, xbar.states[r][c])
+                jac[kk, kk] -= gdev
+                if r in row_index:
+                    jac[kk, row_index[r]] += gdev
+        step = np.linalg.solve(jac, -f)
+        norm0 = np.max(np.abs(f))
+        lam = 1.0
+        for _ in range(40):
+            f_new, rv, cv = residual(x + lam * step)
+            if np.max(np.abs(f_new)) < norm0:
+                break
+            lam *= 0.5
+        x = x + lam * step
+        f, rv, cv = residual(x)
+        it += 1
+    dv, di = device_grid(rv, cv)
+    return NetworkSolution(row_v=rv, col_v=cv, device_v=dv, device_i=di,
+                           row_i=di.sum(axis=1), col_i=di.sum(axis=0),
+                           iterations=it, residual=float(np.max(np.abs(f))))
+
+
+def _reference_mvm_read(xbar, v_in, t=T):
+    out = np.zeros(xbar.n_cols)
+    for c in range(xbar.n_cols):
+        out[c] = _seq_sum(current_total(v_in[r], t, xbar.params, xbar.states[r][c])
+                          for r in range(xbar.n_rows))
+    return out
+
+
+SCHEME_PATTERNS = ("read_select", "v_half_write", "all_driven",
+                   "float_rows", "float_cols", "float_mask")
+
+
+@st.composite
+def _arrays(draw):
+    """A random non-square array with device variation and random weights."""
+    nr = draw(st.integers(1, 12))
+    nc = draw(st.integers(1, 12))
+    sigma = draw(st.floats(0.01, 0.3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    xbar = build_crossbar(nr, nc, default_params(), sigma_d2d=sigma, seed=seed)
+    return xbar.with_weights(rng.uniform(0.0, 1.0, (nr, nc))), rng
+
+
+@st.composite
+def _solve_cases(draw):
+    xbar, rng = draw(_arrays())
+    nr, nc = xbar.n_rows, xbar.n_cols
+    pattern = draw(st.sampled_from(SCHEME_PATTERNS))
+    row, col = int(rng.integers(nr)), int(rng.integers(nc))
+    sign = float(rng.choice([-1.0, 1.0]))
+    if pattern == "read_select":
+        return xbar, BiasScheme.read_select(nr, nc, row, col,
+                                            sign * rng.uniform(0.1, 1.0))
+    if pattern == "v_half_write":
+        return xbar, BiasScheme.v_half_write(nr, nc, row, col,
+                                             sign * rng.uniform(0.5, 2.4))
+    rows = [float(v) for v in rng.uniform(-0.6, 0.6, nr)]
+    cols = [float(v) for v in rng.uniform(-0.6, 0.6, nc)]
+    if pattern == "float_rows":
+        rows = [None if rng.random() < 0.8 else v for v in rows]
+    elif pattern == "float_cols":
+        cols = [None if rng.random() < 0.8 else v for v in cols]
+    elif pattern == "float_mask":
+        rows = [None if rng.random() < 0.5 else v for v in rows]
+        cols = [None if rng.random() < 0.5 else v for v in cols]
+    if all(v is None for v in rows + cols):
+        cols[col] = 0.0
+    return xbar, BiasScheme(rows=tuple(rows), cols=tuple(cols))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc)
+
+
+_GUARD = settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+
+
+@_GUARD
+@given(_solve_cases())
+def test_solve_network_bit_identical_to_scalar_reference(case):
+    xbar, scheme = case
+    new = _outcome(solve_network, xbar, scheme)
+    ref = _outcome(_reference_solve, xbar, scheme)
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    for f in fields(NetworkSolution):
+        assert np.array_equal(getattr(new, f.name), getattr(ref, f.name)), f.name
+
+
+@_GUARD
+@given(_solve_cases())
+def test_solve_network_kcl_on_floating_lines(case):
+    xbar, scheme = case
+    sol = solve_network(xbar, scheme)
+    floating = np.concatenate([
+        sol.row_i[[v is None for v in scheme.rows]],
+        sol.col_i[[v is None for v in scheme.cols]]])
+    assert np.all(np.abs(floating) < 1e-12)
+
+
+@_GUARD
+@given(_arrays(), st.integers(0, 2**32 - 1))
+def test_mvm_read_bit_identical_to_scalar_reference(array, seed):
+    xbar, _ = array
+    v_in = np.random.default_rng(seed).uniform(-0.3, 0.3, xbar.n_rows)
+    v_in[::3] = 0.0  # idle rows, as in the one-hot reads of mvm_charge
+    assert np.array_equal(mvm_read(xbar, v_in), _reference_mvm_read(xbar, v_in))

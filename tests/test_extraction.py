@@ -251,6 +251,36 @@ def test_fit_update_a_deterministic():
     assert fit_update_a(k, g).a == fit_update_a(k, g).a
 
 
+@pytest.mark.parametrize("a_true,noise", [(2.5, 0.0), (11.6, 0.0),
+                                          (11.6, 0.02), (40.0, 0.05)])
+def test_bounded_minimizer_port_takes_scipy_steps(a_true, noise):
+    """fit_update_a's minimizer is a port of SciPy's bounded Brent method:
+    on the fit's own objective it must evaluate the same points and return
+    the same bits, so fitted shapes do not depend on which one ran."""
+    from scipy.optimize import minimize_scalar
+
+    from ftjsim.extraction import _minimize_bounded
+
+    k, g = _clean_trace(a_true)
+    g = g + np.random.default_rng(7).normal(0.0, noise, g.size)
+
+    def recording(points):
+        def rss(a):
+            points.append(float(a))
+            f = 1.0 - np.exp(-k / a)
+            r = g - float(np.sum(g * f)) / float(np.sum(f * f)) * f
+            return float(np.sum(r * r))
+        return rss
+
+    ours, theirs = [], []
+    lo, hi = 0.5 * a_true, 2.0 * a_true
+    x = _minimize_bounded(recording(ours), lo, hi, xatol=1e-10)
+    ref = minimize_scalar(recording(theirs), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-10})
+    assert x == ref.x
+    assert ours == theirs
+
+
 def test_fit_update_a_scale_invariance():
     """Multiplying every level by a common conductance scale must leave
     the recovered shape parameter untouched."""
