@@ -30,8 +30,8 @@ import numpy as np
 
 from . import __version__
 from .conduction import (CalibrationError, V_READ, V_SELECT,
-                         current_total, current_tunneling, on_off,
-                         self_selection_ratio)
+                         current_total, current_total_g, current_tunneling,
+                         on_off, self_selection_ratio, state_multiplier)
 from .config import ConfigError, SimConfig, build_model, emit_config, load_config
 from .constants import K_B, Q_E
 from .crossbar import build_crossbar, sneak_margin, write_v_half
@@ -316,15 +316,18 @@ def cmd_d2d(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
     p = bundle.params
     n_devices = cfg.d2d.n_devices
     sigma = cfg.variation.sigma_d2d
-    children = np.random.SeedSequence(seed).spawn(n_devices)
-    rows = []
-    offsets = []
-    for idx, child in enumerate(children):
-        s = sample_device(p, sigma, child)
-        offsets.append(s.d2d_log10)
-        r_hrs = read_state(s, p, v_read=bundle.v_read).r_ohms
-        r_lrs = read_state(replace(s, w=1.0), p, v_read=bundle.v_read).r_ohms
-        rows.append((idx, s.d2d_log10, r_hrs, r_lrs))
+    states = [sample_device(p, sigma, child)
+              for child in np.random.SeedSequence(seed).spawn(n_devices)]
+    offsets = [s.d2d_log10 for s in states]
+    # Both states of every device in one read at [device] v_read_v and
+    # t_kelvin; each multiplier comes from the scalar state_multiplier, so
+    # every resistance equals read_state's.
+    g = np.array([[state_multiplier(p, w, s.d2d_log10) for s in states]
+                  for w in (0.0, 1.0)])
+    i = current_total_g(bundle.v_read, bundle.t_kelvin, p, g)
+    with np.errstate(divide="ignore"):
+        r_hrs, r_lrs = np.where(i != 0.0, np.abs(bundle.v_read / i), math.inf)
+    rows = zip(range(n_devices), offsets, r_hrs.tolist(), r_lrs.tolist())
     files = [_write_csv(out / "d2d.csv",
                         ["device_index", "d2d_log10", "r_hrs_ohms",
                          "r_lrs_ohms"], rows)]

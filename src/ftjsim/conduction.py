@@ -18,7 +18,9 @@ take the multiplier g directly and broadcast over arrays of biases and
 multipliers, so a whole crossbar is one call. current_total and
 differential_conductance take one device state and are thin wrappers that
 compute its multiplier first. Every kernel validates its bias and
-temperature on each call, over the whole array at once.
+temperature on each call, over the whole array at once. For loops that
+read one device many times at one bias, _float_current validates once and
+returns a plain-float i(g) that equals current_total_g bit for bit.
 
 A separate direct-tunneling expression (trapezoidal barrier, low and
 intermediate bias) is provided purely for mechanism discrimination; it is
@@ -238,6 +240,18 @@ def current_ohmic(v, t: float, p: ConductionParams, g: float = 1.0):
     return _as_input_kind(g * p.area * ohm_c * np.asarray(v, dtype=float), v, g)
 
 
+def _pf_terms(v, t: float, p: ConductionParams):
+    """Per-bias Poole-Frenkel factors (sign(v), j) with J_pf = sign(v) * j.
+
+    Always evaluated with numpy: math.exp and np.exp differ in the last
+    bit for some inputs, so every path takes j from here.
+    """
+    _, pf_c, theta = _coeffs(p, t)
+    va = np.asarray(v, dtype=float)
+    mag = np.abs(va)
+    return np.sign(va), pf_c * mag * np.exp(theta * np.sqrt(mag))
+
+
 def current_pf(v, t: float, p: ConductionParams, g: float = 1.0):
     """Poole-Frenkel trap-emission current, A. Odd in v.
 
@@ -247,11 +261,8 @@ def current_pf(v, t: float, p: ConductionParams, g: float = 1.0):
     """
     check_bias(v)
     check_temperature(t)
-    _, pf_c, theta = _coeffs(p, t)
-    va = np.asarray(v, dtype=float)
-    mag = np.abs(va)
-    j = pf_c * mag * np.exp(theta * np.sqrt(mag))
-    return _as_input_kind(g * p.area * np.sign(va) * j, v, g)
+    sign, j = _pf_terms(v, t, p)
+    return _as_input_kind(g * p.area * sign * j, v, g)
 
 
 def current_tunneling(v, p: ConductionParams):
@@ -284,6 +295,29 @@ def current_total_g(v, t: float, p: ConductionParams, g=1.0):
     call evaluates a whole array of devices at their own biases.
     """
     return current_ohmic(v, t, p, g) + current_pf(v, t, p, g)
+
+
+def _float_current(v: float, t: float, p: ConductionParams):
+    """Float-level current_total_g at one fixed bias: returns i(g), a
+    function of a Python-float multiplier g that gives exactly
+    current_total_g(v, t, p, g).
+
+    Bias and temperature are checked once here and the per-bias channel
+    factors are computed once with numpy; each i(g) call then applies the
+    kernel's operations in the kernel's order in plain float arithmetic,
+    which rounds as numpy does.
+    """
+    check_bias(v)
+    check_temperature(t)
+    v = float(v)
+    ohm_c = _coeffs(p, t)[0]
+    sign, j = (float(x) for x in _pf_terms(v, t, p))
+    area = p.area
+
+    def current(g: float) -> float:
+        return g * area * ohm_c * v + g * area * sign * j
+
+    return current
 
 
 def differential_conductance_g(v, t: float, p: ConductionParams, g=1.0):

@@ -276,12 +276,49 @@ def sample_device(p: ConductionParams, sigma_d2d: float, seed) -> DeviceState:
     return DeviceState(w=0.0, d2d_log10=float(rng.normal(0.0, sigma_d2d)))
 
 
-def _curve_forward(n: float, a: float, n_full: int) -> float:
-    return (1.0 - math.exp(-n / a)) / (1.0 - math.exp(-n_full / a))
+def _pulse_curve(v_write: float, m: UpdateModel, kind: str):
+    """Update curve of a pulse amplitude: (polarity, A, 1 - exp(-n_full/A))
+    for an above-onset pulse, None for a sub-threshold one. The polarity is
+    -1 for potentiation and +1 for depression."""
+    shape = m.shape_for(kind)
+    if v_write < m.v_on_pot:
+        return -1, shape.a_pot, 1.0 - math.exp(-m.n_full / shape.a_pot)
+    if v_write > m.v_on_dep:
+        return +1, shape.a_dep, 1.0 - math.exp(-m.n_full / shape.a_dep)
+    return None
 
-def _curve_invert(x: float, a: float, n_full: int) -> float:
-    d = 1.0 - math.exp(-n_full / a)
-    return -a * math.log(1.0 - x * d)
+
+def _pulse_noise(c2c_rel: float):
+    """(mean, sigma) of the mean-one lognormal step factor, or None
+    without cycle-to-cycle noise."""
+    if not c2c_rel > 0.0:
+        return None
+    s2 = math.log(1.0 + c2c_rel ** 2)
+    return -0.5 * s2, math.sqrt(s2)
+
+
+def _pulse_step(w: float, cycles: int, last_polarity: int, curve, noise,
+                rng: np.random.Generator | None) -> tuple[float, int]:
+    """The pulse update law in plain floats: (w, cycles) after one
+    above-onset pulse on the given curve.
+
+    Inverts the curve at the current progress, advances one equivalent
+    count, scales the step by one lognormal draw when noise is set, and
+    clamps at the rail. A reversal of polarity counts one cycle.
+    """
+    polarity, a, span = curve
+    progress = w if polarity < 0 else 1.0 - w
+    n = -a * math.log(1.0 - progress * span)
+    step = (1.0 - math.exp(-(n + 1.0) / a)) / span - progress
+    if noise is not None:
+        if rng is None:
+            raise ValueError("c2c_rel > 0 requires an explicit generator")
+        step *= rng.lognormal(mean=noise[0], sigma=noise[1])
+    if last_polarity != 0 and polarity != last_polarity:
+        cycles += 1
+    if polarity < 0:
+        return min(w + step, 1.0), cycles
+    return max(w - step, 0.0), cycles
 
 
 def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
@@ -296,37 +333,12 @@ def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
     """
     if s.broken or pulse.t_width == 0.0:
         return s
-    v = pulse.v_write
-    shape = m.shape_for(kind)
-    if v < m.v_on_pot:
-        polarity = -1
-    elif v > m.v_on_dep:
-        polarity = +1
-    else:
+    curve = _pulse_curve(pulse.v_write, m, kind)
+    if curve is None:
         return s
-
-    if polarity < 0:
-        a = shape.a_pot
-        progress = s.w
-    else:
-        a = shape.a_dep
-        progress = 1.0 - s.w
-    n = _curve_invert(progress, a, m.n_full)
-    step = _curve_forward(n + 1.0, a, m.n_full) - progress
-
-    if m.c2c_rel > 0.0:
-        if rng is None:
-            raise ValueError("c2c_rel > 0 requires an explicit generator")
-        s2 = math.log(1.0 + m.c2c_rel ** 2)
-        step *= rng.lognormal(mean=-0.5 * s2, sigma=math.sqrt(s2))
-
-    if polarity < 0:
-        w_new = min(s.w + step, 1.0)
-    else:
-        w_new = max(s.w - step, 0.0)
-
-    cycles = s.cycles + (1 if (s.last_polarity != 0 and polarity != s.last_polarity) else 0)
-    return replace(s, w=w_new, cycles=cycles, last_polarity=polarity)
+    w, cycles = _pulse_step(s.w, s.cycles, s.last_polarity, curve,
+                            _pulse_noise(m.c2c_rel), rng)
+    return replace(s, w=w, cycles=cycles, last_polarity=curve[0])
 
 
 def read_state(s: DeviceState, p: ConductionParams,

@@ -7,13 +7,19 @@ fixed read bias weighted by the input entries, so the read nonlinearity
 never mixes into the result and the ideal product is recovered exactly up
 to weight quantization. A scalar decoder gain, calibrated once per
 programmed pair with an all-ones vector, converts integrated charge back
-to weight units.
+to weight units. The charge MVM is one kernel read of the whole array at
+the read bias, with each column's x-weighted currents summed over rows
+left to right, which is bit-identical to accumulating the one-hot reads.
 
 Programming either writes the target state directly ("ideal") or runs a
 write-verify loop ("write_verify") that trims each device with alternating
 potentiation and depression pulses until its measured conductance lands
 within tolerance of the target. Because verification reads the actual
 current, the loop absorbs device-to-device spread up to the rail limits.
+The loop validates its inputs once at entry and then trims each cell in
+Python floats, with device.apply_pulse's update law and a read equal to
+conduction.current_total, so it matches pulse-by-pulse application and
+reading bit for bit, generator draws included.
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, T_REF, V_ONOFF, V_READ,
-                         current_total, default_params, state_multiplier)
-from .crossbar import Crossbar, build_crossbar, mvm_read
-from .device import (DeviceState, PulseSpec, UpdateModel, T_WIDTH_DEFAULT,
-                     V_DEP_DEFAULT, V_POT_DEFAULT, apply_pulse,
+                         _float_current, check_bias, check_temperature,
+                         current_total, current_total_g, default_params,
+                         state_multiplier)
+from .crossbar import MVM_V_LIMIT, Crossbar, _line_sums, build_crossbar
+from .device import (DeviceState, UpdateModel, V_DEP_DEFAULT, V_POT_DEFAULT,
+                     _pulse_curve, _pulse_noise, _pulse_step,
                      default_update_model)
 
 __all__ = [
@@ -158,36 +166,6 @@ class ProgramReport:
     n_failed: int
 
 
-def _measured_g(s: DeviceState, p: ConductionParams, v_read: float,
-                t: float) -> float:
-    return current_total(v_read, t, p, s) / v_read
-
-
-def _trim_device(s: DeviceState, g_target: float, p: ConductionParams,
-                 m: UpdateModel, v_read: float, t: float, tol_g: float,
-                 rng, max_pulses: int) -> tuple[DeviceState, int, float]:
-    """Alternate potentiation and depression pulses until the measured
-    chordal conductance is within tol_g of the target.
-
-    The two polarities ride different-curvature update curves, so their
-    alternation forms a fine lattice of reachable states; the loop stalls
-    only when the target is beyond a variation-shifted rail.
-    """
-    pot = PulseSpec(V_POT_DEFAULT, T_WIDTH_DEFAULT)
-    dep = PulseSpec(V_DEP_DEFAULT, T_WIDTH_DEFAULT)
-    n = 0
-    g = _measured_g(s, p, v_read, t)
-    while abs(g - g_target) > tol_g and n < max_pulses:
-        pulse = pot if g < g_target else dep
-        s_new = apply_pulse(s, pulse, m, rng=rng, kind="amplitude_ramp")
-        if s_new.w == s.w:
-            break  # pinned at a rail; the target is unreachable
-        s = s_new
-        g = _measured_g(s, p, v_read, t)
-        n += 1
-    return s, n, abs(g - g_target)
-
-
 def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
                          tol_g: float, rng: np.random.Generator,
                          v_read: float = V_READ, t: float | None = None,
@@ -196,33 +174,63 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     """Program every cell to a target conductance with verification reads.
 
     g_targets are chordal conductances (siemens) at the verify bias
-    v_read. Verification measures the actual device current, so each
+    v_read. Each cell, in row-major order, gets alternating potentiation
+    and depression pulses until its measured conductance lands within
+    tol_g of the target. The two polarities ride different-curvature
+    update curves, so their alternation forms a fine lattice of reachable
+    states. Verification measures the actual device current, so each
     cell's variation offset is compensated where its state range allows; a
     target beyond a cell's own rails shows up in the per-cell residuals
-    rather than raising. max_pulses defaults to three times the model's
-    full-switching pulse count.
+    rather than raising. A cell stops early when a pulse would leave it
+    where it was: pinned at a rail, broken, or a write amplitude below its
+    onset. max_pulses defaults to three times the model's full-switching
+    pulse count.
+
+    The inputs are checked once; the loop then runs in Python floats with
+    the update law of apply_pulse and a read equal to current_total, so
+    states, pulse counts, residuals and the generator's draws are those
+    of applying and reading pulse by pulse.
     """
     g_targets = np.asarray(g_targets, dtype=float)
     if g_targets.shape != (xbar.n_rows, xbar.n_cols):
         raise ValueError("target shape does not match the array")
     if not tol_g > 0:
         raise ValueError("tol_g must be positive")
+    if v_read == 0:
+        raise ValueError("verify bias must be nonzero")
     if t is None:
         t = xbar.t_kelvin
     if max_pulses is None:
         max_pulses = 3 * m.n_full
     p = xbar.params
+    current = _float_current(v_read, t, p)
+    pot = _pulse_curve(V_POT_DEFAULT, m, "amplitude_ramp")
+    dep = _pulse_curve(V_DEP_DEFAULT, m, "amplitude_ramp")
+    noise = _pulse_noise(m.c2c_rel)
     counts = np.zeros((xbar.n_rows, xbar.n_cols), dtype=int)
     resid = np.zeros((xbar.n_rows, xbar.n_cols))
     rows = []
-    for r in range(xbar.n_rows):
+    for r, row in enumerate(xbar.states):
         cells = []
-        for c in range(xbar.n_cols):
-            s, n, err = _trim_device(xbar.states[r][c], float(g_targets[r, c]),
-                                     p, m, v_read, t, tol_g, rng, max_pulses)
+        for c, s in enumerate(row):
+            target = float(g_targets[r, c])
+            w, cycles, last = s.w, s.cycles, s.last_polarity
+            g = current(state_multiplier(p, w, s.d2d_log10)) / v_read
+            n = 0
+            while abs(g - target) > tol_g and n < max_pulses and not s.broken:
+                curve = pot if g < target else dep
+                if curve is None:
+                    break  # the write amplitude is below its onset
+                w_new, cycles_new = _pulse_step(w, cycles, last, curve, noise, rng)
+                if w_new == w:
+                    break  # pinned at a rail; the target is unreachable
+                w, cycles, last = w_new, cycles_new, curve[0]
+                g = current(state_multiplier(p, w, s.d2d_log10)) / v_read
+                n += 1
             counts[r, c] = n
-            resid[r, c] = err
-            cells.append(s)
+            resid[r, c] = abs(g - target)
+            cells.append(replace(s, w=w, cycles=cycles, last_polarity=last)
+                         if n else s)
         rows.append(tuple(cells))
     out = replace(xbar, states=tuple(rows))
     report = ProgramReport(pulse_counts=counts, residual_g=resid,
@@ -236,21 +244,24 @@ def mvm_charge(xbar: Crossbar, x, v_read: float = V_ONOFF,
                t: float | None = None) -> np.ndarray:
     """Charge-integration matrix-vector product.
 
-    Accumulates x[r]-weighted one-hot reads at the fixed read bias, so
+    Integrates x[r]-weighted one-hot reads at the fixed read bias, so
     each device contributes x[r] * I(v_read) and the sum is exactly linear
-    in x regardless of the device nonlinearity.
+    in x regardless of the device nonlinearity. The device currents are
+    one kernel call on the whole array, and each column's charge is summed
+    over rows left to right, as one-hot reads accumulated in row order
+    would give. v_read obeys mvm_read's read-regime limit.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (xbar.n_rows,):
         raise ValueError(f"x must have shape ({xbar.n_rows},), got {x.shape}")
+    if abs(v_read) > MVM_V_LIMIT:
+        raise ValueError(f"read inputs must satisfy |v| <= {MVM_V_LIMIT} V")
+    check_bias(v_read)
     if t is None:
         t = xbar.t_kelvin
-    q = np.zeros(xbar.n_cols)
-    for r in range(xbar.n_rows):
-        one_hot = np.zeros(xbar.n_rows)
-        one_hot[r] = v_read
-        q += x[r] * mvm_read(xbar, one_hot, t)
-    return q
+    check_temperature(t)
+    di = current_total_g(v_read, t, xbar.params, xbar.multipliers())
+    return _line_sums(x[:, None] * di, axis=0)
 
 
 def _decoder_gain(q_ones: np.ndarray, y_ones: np.ndarray) -> float:
@@ -262,12 +273,16 @@ def _decoder_gain(q_ones: np.ndarray, y_ones: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class MvmErrorStats:
-    """Relative-error distribution of the analog product."""
+    """Relative-error distribution of the analog product, with each
+    trial's write-verify pulse count and failed-cell count summed over
+    both planes (zeros under ideal programming)."""
 
     median: float
     ci_low: float
     ci_high: float
     rel_errors: np.ndarray
+    pulses: np.ndarray
+    failed_cells: np.ndarray
 
 
 def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
@@ -321,6 +336,8 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     tol_g = VERIFY_TOL_FRACTION * mapping.level_spacing * (gv_max - gv_min)
 
     errors = np.zeros(n_trials)
+    pulses = np.zeros(n_trials, dtype=int)
+    failed = np.zeros(n_trials, dtype=int)
     root = np.random.SeedSequence(seed)
     for trial, child in enumerate(root.spawn(n_trials)):
         s_pos, s_neg, s_prog, s_x = child.spawn(4)
@@ -331,10 +348,12 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
             neg = neg.with_weights(mapping.w_neg)
         else:
             rng = np.random.default_rng(s_prog)
-            pos, _ = program_write_verify(pos, gv_pos, m, tol_g, rng,
-                                          v_read=v_verify, t=t)
-            neg, _ = program_write_verify(neg, gv_neg, m, tol_g, rng,
-                                          v_read=v_verify, t=t)
+            pos, rep_pos = program_write_verify(pos, gv_pos, m, tol_g, rng,
+                                                v_read=v_verify, t=t)
+            neg, rep_neg = program_write_verify(neg, gv_neg, m, tol_g, rng,
+                                                v_read=v_verify, t=t)
+            pulses[trial] = rep_pos.pulses_total + rep_neg.pulses_total
+            failed[trial] = rep_pos.n_failed + rep_neg.n_failed
         if decoder == "exact":
             alpha = 1.0 / (v_read * (mapping.g_max - mapping.g_min))
         else:
@@ -355,4 +374,5 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
         errors[trial] = float(np.linalg.norm(y_hat - y_true)) / denom
     lo, hi = np.percentile(errors, [2.5, 97.5])
     return MvmErrorStats(median=float(np.median(errors)), ci_low=float(lo),
-                         ci_high=float(hi), rel_errors=errors)
+                         ci_high=float(hi), rel_errors=errors,
+                         pulses=pulses, failed_cells=failed)

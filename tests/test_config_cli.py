@@ -2,11 +2,13 @@
 
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ftjsim import cli
 from ftjsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from ftjsim.config import (
     ConfigError,
@@ -15,6 +17,7 @@ from ftjsim.config import (
     emit_config,
     parse_config,
 )
+from ftjsim.device import read_state, sample_device
 
 
 def test_empty_config_is_all_defaults():
@@ -238,3 +241,71 @@ def test_cli_handlers_do_not_mutate_config(tmp_path):
     assert _run(tmp_path, "bench") == EXIT_OK
     assert emit_config(cfg) == snapshot
     assert cfg == SimConfig()
+
+
+# --- d2d: one array read per state, against the per-device loop --------------
+
+D2D_HEADER = ["device_index", "d2d_log10", "r_hrs_ohms", "r_lrs_ohms"]
+
+
+def _d2d_samples(cfg, seed):
+    bundle = build_model(cfg)
+    children = np.random.SeedSequence(seed).spawn(cfg.d2d.n_devices)
+    return bundle, [sample_device(bundle.params, cfg.variation.sigma_d2d, child)
+                    for child in children]
+
+
+def _reference_d2d(cfg, seed, out):
+    """The per-device d2d loop: two read_state calls per sampled device at
+    [device] v_read_v and t_kelvin, written with the CLI's own writers."""
+    bundle, states = _d2d_samples(cfg, seed)
+    p, v, t = bundle.params, bundle.v_read, bundle.t_kelvin
+    rows = [(idx, s.d2d_log10, read_state(s, p, v, t).r_ohms,
+             read_state(replace(s, w=1.0), p, v, t).r_ohms)
+            for idx, s in enumerate(states)]
+    cli._write_csv(out / "d2d.csv", D2D_HEADER, rows)
+    offsets = np.array([s.d2d_log10 for s in states])
+    cli._write_json(out / "d2d.json", cli._meta("d2d", cfg, seed, {
+        "n_devices": len(states),
+        "sigma_target": cfg.variation.sigma_d2d,
+        "sigma_sample": float(np.std(offsets, ddof=1)),
+        "mean_sample": float(np.mean(offsets)),
+    }))
+
+
+@pytest.mark.parametrize("text", [
+    # defaults but a smaller population; the full default run is pinned
+    # by the cli_studies benchmark goldens
+    "[d2d]\nn_devices = 1000\n",
+    "[device]\nv_read_v = 0.2\n[variation]\nsigma_d2d = 0.25\n"
+    "[d2d]\nn_devices = 37\n",
+], ids=["defaults", "sigma_n_vread"])
+def test_cli_d2d_matches_per_device_reference(tmp_path, text):
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    cfg = parse_config(text)
+    for seed in range(4):
+        new, ref = tmp_path / f"new{seed}", tmp_path / f"ref{seed}"
+        ref.mkdir()
+        assert main(["d2d", "--config", str(ini), "--out", str(new),
+                     "--seed", str(seed)]) == EXIT_OK
+        _reference_d2d(cfg, seed, ref)
+        for name in ("d2d.csv", "d2d.json"):
+            assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_cli_d2d_reads_at_config_temperature(tmp_path):
+    text = "[device]\nt_kelvin = 350\n[d2d]\nn_devices = 40\n"
+    ini = tmp_path / "hot.ini"
+    ini.write_text(text)
+    assert _run(tmp_path, "d2d", "--config", str(ini), "--seed", "3") == EXIT_OK
+    with open(tmp_path / "d2d.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    bundle, states = _d2d_samples(parse_config(text), 3)
+    assert len(rows) == len(states) == 40
+    p, v = bundle.params, bundle.v_read
+    for row, s in zip(rows, states):
+        for key, state in (("r_hrs_ohms", s), ("r_lrs_ohms", replace(s, w=1.0))):
+            hot = read_state(state, p, v, 350.0).r_ohms
+            assert float(row[key]) == float(f"{hot:.12g}")
+            assert float(row[key]) != float(f"{read_state(state, p, v).r_ohms:.12g}")

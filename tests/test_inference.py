@@ -1,15 +1,21 @@
 """Differential weight mapping, write-verify programming, analog MVM."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ftjsim.conduction import default_params
-from ftjsim.crossbar import build_crossbar
-from ftjsim.device import DeviceState, default_update_model
+from ftjsim.conduction import (_float_current, current_total, current_total_g,
+                               default_params)
+from ftjsim.crossbar import build_crossbar, mvm_read
+from ftjsim.device import (SCHEME_KINDS, DeviceState, PulseSpec,
+                           T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
+                           apply_pulse, default_update_model)
 from ftjsim.inference import (
     VERIFY_TOL_FRACTION,
+    ProgramReport,
     WeightMapping,
     map_weights,
     mvm_charge,
@@ -252,3 +258,267 @@ def test_mvm_error_mc_reproducible(p):
     b = mvm_error_mc(w, n_levels=5, sigma_d2d=0.05, n_trials=4, seed=42,
                      programming="ideal")
     np.testing.assert_array_equal(a.rel_errors, b.rel_errors)
+
+
+# --- Bit-identity guard: float-level paths against the per-pulse reference ---
+#
+# The references below are the implementations the float-level loops
+# replaced: one apply_pulse (dataclass state, curve helpers) and one scalar
+# current_total read per pulse, and one mvm_read per one-hot row. The new
+# paths must reproduce them bit for bit, generator draws included, because
+# the negative plane of mvm_error_mc programs from the same generator.
+
+def _reference_apply_pulse(s, pulse, m, rng=None, kind="amplitude_ramp"):
+    def forward(n, a, n_full):
+        return (1.0 - math.exp(-n / a)) / (1.0 - math.exp(-n_full / a))
+
+    def invert(x, a, n_full):
+        d = 1.0 - math.exp(-n_full / a)
+        return -a * math.log(1.0 - x * d)
+
+    if s.broken or pulse.t_width == 0.0:
+        return s
+    v = pulse.v_write
+    shape = m.shape_for(kind)
+    if v < m.v_on_pot:
+        polarity = -1
+    elif v > m.v_on_dep:
+        polarity = +1
+    else:
+        return s
+    if polarity < 0:
+        a, progress = shape.a_pot, s.w
+    else:
+        a, progress = shape.a_dep, 1.0 - s.w
+    n = invert(progress, a, m.n_full)
+    step = forward(n + 1.0, a, m.n_full) - progress
+    if m.c2c_rel > 0.0:
+        if rng is None:
+            raise ValueError("c2c_rel > 0 requires an explicit generator")
+        s2 = math.log(1.0 + m.c2c_rel ** 2)
+        step *= rng.lognormal(mean=-0.5 * s2, sigma=math.sqrt(s2))
+    if polarity < 0:
+        w_new = min(s.w + step, 1.0)
+    else:
+        w_new = max(s.w - step, 0.0)
+    cycles = s.cycles + (1 if (s.last_polarity != 0
+                               and polarity != s.last_polarity) else 0)
+    return replace(s, w=w_new, cycles=cycles, last_polarity=polarity)
+
+
+def _reference_trim_device(s, g_target, p, m, v_read, t, tol_g, rng,
+                           max_pulses):
+    pot = PulseSpec(V_POT_DEFAULT, T_WIDTH_DEFAULT)
+    dep = PulseSpec(V_DEP_DEFAULT, T_WIDTH_DEFAULT)
+    n = 0
+    g = current_total(v_read, t, p, s) / v_read
+    while abs(g - g_target) > tol_g and n < max_pulses:
+        pulse = pot if g < g_target else dep
+        s_new = _reference_apply_pulse(s, pulse, m, rng=rng,
+                                       kind="amplitude_ramp")
+        if s_new.w == s.w:
+            break
+        s = s_new
+        g = current_total(v_read, t, p, s) / v_read
+        n += 1
+    return s, n, abs(g - g_target)
+
+
+def _reference_program(xbar, g_targets, m, tol_g, rng, v_read=V_VERIFY,
+                       t=None, max_pulses=None):
+    g_targets = np.asarray(g_targets, dtype=float)
+    t = xbar.t_kelvin if t is None else t
+    max_pulses = 3 * m.n_full if max_pulses is None else max_pulses
+    counts = np.zeros((xbar.n_rows, xbar.n_cols), dtype=int)
+    resid = np.zeros((xbar.n_rows, xbar.n_cols))
+    rows = []
+    for r in range(xbar.n_rows):
+        cells = []
+        for c in range(xbar.n_cols):
+            s, n, err = _reference_trim_device(
+                xbar.states[r][c], float(g_targets[r, c]), xbar.params, m,
+                v_read, t, tol_g, rng, max_pulses)
+            counts[r, c] = n
+            resid[r, c] = err
+            cells.append(s)
+        rows.append(tuple(cells))
+    report = ProgramReport(pulse_counts=counts, residual_g=resid,
+                           pulses_total=int(counts.sum()),
+                           max_residual_g=float(resid.max()),
+                           n_failed=int(np.sum(resid > tol_g)))
+    return replace(xbar, states=tuple(rows)), report
+
+
+def _reference_mvm_charge(xbar, x, v_read=V_READ_MVM, t=None):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (xbar.n_rows,):
+        raise ValueError("x shape")
+    t = xbar.t_kelvin if t is None else t
+    q = np.zeros(xbar.n_cols)
+    for r in range(xbar.n_rows):
+        one_hot = np.zeros(xbar.n_rows)
+        one_hot[r] = v_read
+        q += x[r] * mvm_read(xbar, one_hot, t)
+    return q
+
+
+_GUARD = settings(max_examples=150, deadline=None, derandomize=True,
+                  database=None)
+
+
+@st.composite
+def _program_cases(draw):
+    """A random array with device variation, pulse history and broken
+    cells, targets inside and beyond the conductance range, and a random
+    update model, verify bias, temperature and pulse cap."""
+    nr = draw(st.integers(1, 10))
+    nc = draw(st.integers(1, 10))
+    sigma = draw(st.floats(0.0, 0.5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    c2c = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    n_full = draw(st.sampled_from([10, 25, 50]))
+    v_on_pot = draw(st.sampled_from([-0.6, -0.6, -2.0]))
+    max_pulses = draw(st.one_of(st.none(), st.integers(0, 12)))
+    v_read = draw(st.sampled_from([0.3, 0.3, 0.1, -0.25]))
+    t = draw(st.sampled_from([300.0, 300.0, 250.0, 340.0]))
+    rng = np.random.default_rng(seed)
+    p = default_params()
+    m = replace(default_update_model(n_full=n_full, c2c_rel=c2c),
+                v_on_pot=v_on_pot)
+    xbar = build_crossbar(nr, nc, p, sigma_d2d=sigma, seed=seed, t_kelvin=t)
+    rows = []
+    for row in xbar.states:
+        rows.append(tuple(
+            replace(s, w=float(rng.uniform()), cycles=int(rng.integers(0, 4)),
+                    last_polarity=int(rng.integers(-1, 2)),
+                    broken=bool(rng.random() < 0.1))
+            for s in row))
+    xbar = replace(xbar, states=tuple(rows))
+    g_lo = state_conductance(p, 0.0, v_read=v_read, t=t)
+    g_hi = state_conductance(p, 1.0, v_read=v_read, t=t)
+    targets = g_lo + rng.uniform(-0.2, 1.2, (nr, nc)) * (g_hi - g_lo)
+    tol = float(rng.uniform(0.005, 0.1)) * (g_hi - g_lo)
+    return xbar, targets, m, tol, v_read, max_pulses, seed
+
+
+@_GUARD
+@given(_program_cases())
+def test_program_write_verify_bit_identical_to_per_pulse_reference(case):
+    xbar, targets, m, tol, v_read, max_pulses, seed = case
+    rng_new = np.random.default_rng(seed + 1)
+    rng_ref = np.random.default_rng(seed + 1)
+    new_x, new_r = program_write_verify(xbar, targets, m, tol, rng_new,
+                                        v_read=v_read, max_pulses=max_pulses)
+    ref_x, ref_r = _reference_program(xbar, targets, m, tol, rng_ref,
+                                      v_read=v_read, max_pulses=max_pulses)
+    assert new_x.states == ref_x.states
+    assert np.array_equal(new_r.pulse_counts, ref_r.pulse_counts)
+    assert np.array_equal(new_r.residual_g, ref_r.residual_g)
+    assert new_r.pulses_total == ref_r.pulses_total
+    assert new_r.max_residual_g == ref_r.max_residual_g
+    assert new_r.n_failed == ref_r.n_failed
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@_GUARD
+@given(st.floats(0.0, 1.0), st.integers(0, 3), st.integers(-1, 1),
+       st.booleans(), st.floats(-3.5, 3.5), st.sampled_from(SCHEME_KINDS),
+       st.sampled_from([0.0, 0.1, 0.5]), st.integers(0, 2**32 - 1))
+def test_apply_pulse_bit_identical_to_reference(w, cycles, last, broken, v,
+                                                kind, c2c, seed):
+    s = DeviceState(w=w, d2d_log10=0.1, cycles=cycles, broken=broken,
+                    last_polarity=last)
+    m = default_update_model(c2c_rel=c2c)
+    pulse = PulseSpec(v, 50e-6)
+    rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
+    assert apply_pulse(s, pulse, m, rng_new, kind) \
+        == _reference_apply_pulse(s, pulse, m, rng_ref, kind)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_program_noise_without_generator_raises_at_first_pulse(p, m):
+    xbar = build_crossbar(1, 2, p)
+    g_lo = state_conductance(p, 0.0, v_read=V_VERIFY)
+    g_hi = state_conductance(p, 1.0, v_read=V_VERIFY)
+    tol = 0.01 * (g_hi - g_lo)
+    # on target already: no pulse is needed, so no generator is either
+    _, report = program_write_verify(xbar, np.full((1, 2), g_lo), m, tol,
+                                     rng=None)
+    assert report.pulses_total == 0
+    with pytest.raises(ValueError, match="explicit generator"):
+        program_write_verify(xbar, np.full((1, 2), g_hi), m, tol, rng=None)
+
+
+def test_program_rejects_bad_verify_read(p, m):
+    xbar = build_crossbar(1, 1, p)
+    rng = np.random.default_rng(0)
+    for kwargs in ({"v_read": 0.0}, {"v_read": math.nan}, {"t": -1.0}):
+        with pytest.raises(ValueError):
+            program_write_verify(xbar, np.ones((1, 1)), m, 1e-9, rng, **kwargs)
+
+
+@_GUARD
+@given(st.integers(1, 10), st.integers(1, 10), st.floats(0.0, 0.5),
+       st.integers(0, 2**32 - 1), st.floats(-0.3, 0.3),
+       st.sampled_from([300.0, 250.0, 340.0]))
+def test_mvm_charge_bit_identical_to_one_hot_reference(nr, nc, sigma, seed,
+                                                       v_read, t):
+    rng = np.random.default_rng(seed)
+    xbar = build_crossbar(nr, nc, default_params(), sigma_d2d=sigma,
+                          seed=seed).with_weights(rng.uniform(0, 1, (nr, nc)))
+    x = rng.uniform(-1.0, 1.0, nr)
+    x[::3] = 0.0
+    assert np.array_equal(mvm_charge(xbar, x, v_read, t),
+                          _reference_mvm_charge(xbar, x, v_read, t))
+
+
+def test_mvm_charge_keeps_the_read_checks(p):
+    xbar = build_crossbar(2, 3, p)
+    x = np.ones(2)
+    cases = [((np.ones(3),), "shape"), ((x, 0.31), "read inputs"),
+             ((x, math.nan), "non-finite"), ((x, 0.1, 0.0), "temperature")]
+    for args, fragment in cases:
+        with pytest.raises(ValueError, match=fragment):
+            mvm_charge(xbar, *args)
+        with pytest.raises(ValueError, match=fragment):
+            _reference_mvm_charge(xbar, *args)
+
+
+@_GUARD
+@given(st.floats(-2.0, 2.0), st.floats(200.0, 450.0), st.floats(1e-3, 1e3))
+def test_float_current_matches_kernel_bit_for_bit(v, t, g):
+    p = default_params()
+    assert _float_current(v, t, p)(g) == current_total_g(v, t, p, g)
+
+
+def test_mvm_error_mc_reports_programming(p):
+    """Per-trial pulse and failed-cell counts are the two planes' reports,
+    and ideal programming reports zeros."""
+    w = np.array([[0.5, -0.25, 1.0], [0.75, 0.0, -1.0]])
+    x = np.array([0.4, 0.6])
+    sigma, seed, n_trials = 0.3, 5, 3
+    stats = mvm_error_mc(w, x_inputs=x, sigma_d2d=sigma, n_trials=n_trials,
+                         seed=seed)
+    mapping = map_weights(w, 11, p)
+    gv_min = float(state_conductance(p, 0.0, V_VERIFY))
+    gv_max = float(state_conductance(p, 1.0, V_VERIFY))
+    tol = VERIFY_TOL_FRACTION * mapping.level_spacing * (gv_max - gv_min)
+    m = default_update_model()
+    for trial, child in enumerate(np.random.SeedSequence(seed).spawn(n_trials)):
+        s_pos, s_neg, s_prog, _ = child.spawn(4)
+        rng = np.random.default_rng(s_prog)
+        pulses = failed = 0
+        for s_plane, u in ((s_pos, mapping.u_pos), (s_neg, mapping.u_neg)):
+            xbar = build_crossbar(2, 3, p, sigma, s_plane)
+            _, report = program_write_verify(
+                xbar, gv_min + u * (gv_max - gv_min), m, tol, rng)
+            pulses += report.pulses_total
+            failed += report.n_failed
+        assert stats.pulses[trial] == pulses
+        assert stats.failed_cells[trial] == failed
+    assert stats.pulses.dtype.kind == stats.failed_cells.dtype.kind == "i"
+    assert stats.failed_cells.sum() > 0  # sigma 0.3 pushes targets past rails
+    ideal = mvm_error_mc(w, x_inputs=x, sigma_d2d=sigma, n_trials=n_trials,
+                         seed=seed, programming="ideal")
+    assert np.array_equal(ideal.pulses, np.zeros(n_trials, dtype=int))
+    assert np.array_equal(ideal.failed_cells, np.zeros(n_trials, dtype=int))
