@@ -65,6 +65,7 @@ from .device import (
     read_state,
     retention_evolve,
     run_scheme,
+    sample_d2d_offsets,
     sample_device,
     write_energy,
 )

@@ -37,7 +37,8 @@ from .constants import K_B, Q_E
 from .crossbar import build_crossbar, sneak_margin, write_v_half
 from .device import (DeviceState, PulseSpec, PulseScheme, dc_write_loop,
                      memory_window, preset_scheme, read_state,
-                     retention_evolve, run_scheme, sample_device, write_energy)
+                     retention_evolve, run_scheme, sample_d2d_offsets,
+                     write_energy)
 from .extraction import (OHMIC_WINDOW, PF_WINDOW, Sweep, cdf_levels,
                          discriminate_tunneling, extract_ohmic, extract_pf,
                          fit_update_a)
@@ -61,6 +62,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
+    # Exact-type fast path for the common cells; numpy scalars and bools
+    # take the isinstance chain.
+    if type(x) is float:
+        return f"{x:.12g}"
+    if type(x) is int:
+        return str(x)
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -316,13 +323,13 @@ def cmd_d2d(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
     p = bundle.params
     n_devices = cfg.d2d.n_devices
     sigma = cfg.variation.sigma_d2d
-    states = [sample_device(p, sigma, child)
-              for child in np.random.SeedSequence(seed).spawn(n_devices)]
-    offsets = [s.d2d_log10 for s in states]
-    # Both states of every device in one read at [device] v_read_v and
-    # t_kelvin; each multiplier comes from the scalar state_multiplier, so
+    # Device k's offset is sample_device's on child k of the seed's spawn.
+    # Both states of every device are read in one call at [device]
+    # v_read_v and t_kelvin; each multiplier comes from the scalar
+    # state_multiplier (numpy's vector power differs in the last bit), so
     # every resistance equals read_state's.
-    g = np.array([[state_multiplier(p, w, s.d2d_log10) for s in states]
+    offsets = sample_d2d_offsets(sigma, seed, n_devices)
+    g = np.array([[state_multiplier(p, w, d) for d in offsets]
                   for w in (0.0, 1.0)])
     i = current_total_g(bundle.v_read, bundle.t_kelvin, p, g)
     with np.errstate(divide="ignore"):

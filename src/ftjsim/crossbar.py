@@ -16,6 +16,11 @@ scalar current_total: g is built cell by cell with the scalar
 state_multiplier, and line currents and Jacobian diagonals are summed
 left to right (_line_sums) instead of by numpy's pairwise reduction.
 
+build_crossbar draws every cell's device-to-device offset in one
+sample_d2d_offsets call: cell (r, c) takes the draw of child
+r * n_cols + c of the seed's SeedSequence spawn, bit-identical to a
+sample_device call on that child, without building the children.
+
 The device nonlinearity is what makes select-free operation possible:
 sneak-path devices sit at a fraction of the read voltage where the
 trap-emission channel is exponentially weaker, so current margins are far
@@ -32,7 +37,8 @@ import numpy as np
 from .conduction import (ConductionParams, T_REF, check_bias, check_temperature,
                          current_total, current_total_g,
                          differential_conductance_g, state_multiplier)
-from .device import DeviceState, PulseSpec, UpdateModel, apply_pulse, sample_device
+from .device import (DeviceState, PulseSpec, UpdateModel, apply_pulse,
+                     sample_d2d_offsets)
 
 __all__ = [
     "Crossbar",
@@ -118,17 +124,20 @@ def build_crossbar(n_rows: int, n_cols: int, p: ConductionParams,
                    t_kelvin: float = T_REF) -> Crossbar:
     """Array of pristine devices with independent variation draws.
 
-    Each cell gets its own child seed (seed-sequence spawn), so the array
-    is reproducible and individual cells are statistically independent.
+    Cell (r, c) takes the variation offset of child r * n_cols + c of the
+    seed's SeedSequence spawn (sample_d2d_offsets), so the array is
+    reproducible and individual cells are statistically independent; each
+    offset equals sample_device on that child. The seed is an int or a
+    SeedSequence. A SeedSequence is read from its current spawn count,
+    which is not advanced, so two builds from the same object give the
+    same array.
     """
     if n_rows < 1 or n_cols < 1:
         raise ValueError("array dimensions must be positive")
-    ss = (seed if isinstance(seed, np.random.SeedSequence)
-          else np.random.SeedSequence(seed))
-    children = ss.spawn(n_rows * n_cols)
+    offsets = sample_d2d_offsets(sigma_d2d, seed, n_rows * n_cols)
     states = tuple(
-        tuple(sample_device(p, sigma_d2d, children[r * n_cols + c])
-              for c in range(n_cols))
+        tuple(DeviceState(w=0.0, d2d_log10=d)
+              for d in offsets[r * n_cols:(r + 1) * n_cols])
         for r in range(n_rows))
     return Crossbar(states=states, params=p, t_kelvin=t_kelvin)
 

@@ -32,6 +32,7 @@ __all__ = [
     "LoopPoint",
     "WindowReport",
     "sample_device",
+    "sample_d2d_offsets",
     "apply_pulse",
     "run_scheme",
     "read_state",
@@ -265,15 +266,146 @@ def preset_scheme(kind: str, polarity: str, alt_amplitudes: bool = False) -> Pul
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
+def _check_sigma_d2d(sigma_d2d: float) -> None:
+    if not (math.isfinite(sigma_d2d) and sigma_d2d >= 0):
+        raise ValueError(f"sigma_d2d must be finite and >= 0, got {sigma_d2d}")
+
+
 def sample_device(p: ConductionParams, sigma_d2d: float, seed) -> DeviceState:
     """Draw one pristine device: w = 0, d2d_log10 ~ N(0, sigma_d2d).
 
-    Deterministic per seed (accepts an int or a SeedSequence).
+    Deterministic per seed (accepts an int or a SeedSequence). For a
+    population, sample_d2d_offsets draws the same offsets as this function
+    on each SeedSequence.spawn child, without building the children.
     """
-    if sigma_d2d < 0:
-        raise ValueError(f"sigma_d2d must be >= 0, got {sigma_d2d}")
+    _check_sigma_d2d(sigma_d2d)
     rng = np.random.default_rng(seed)
     return DeviceState(w=0.0, d2d_log10=float(rng.normal(0.0, sigma_d2d)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), in uint32
+# arithmetic. The helpers below take Python ints or uint32 arrays.
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+
+def _hashmix(value, hash_const: int):
+    """(hashed value, next hash constant)."""
+    hash_next = hash_const * _MULT_A & _MASK32
+    value = (value ^ hash_const) * hash_next & _MASK32
+    return value ^ value >> _XSHIFT, hash_next
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+    return r ^ r >> _XSHIFT
+
+
+def _uint32_words(x) -> list[int]:
+    """SeedSequence's coercion of entropy or a spawn key to uint32 words:
+    an int becomes its base-2**32 digits, least significant first (0 is one
+    word); a sequence becomes the concatenation of its items' words."""
+    if isinstance(x, str):
+        x = int(x, 16 if x.startswith("0x") else 10)
+    if isinstance(x, (int, np.integer)):
+        n = int(x)
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words = [n & _MASK32]
+        while n := n >> 32:
+            words.append(n & _MASK32)
+        return words
+    return [word for item in x for word in _uint32_words(item)]
+
+
+def _spawn_state_words(ss: np.random.SeedSequence, n: int) -> np.ndarray:
+    """(n, 4) uint64 array whose row i equals
+    ss.spawn(n)[i].generate_state(4, np.uint64), without spawning.
+
+    Child k's assembled entropy is the run entropy padded to pool_size,
+    then ss.spawn_key, then k. Only the last word differs between children
+    and the hash constant never depends on the data, so the prefix is
+    hashed once in scalars and the last word and the output hash run over
+    all child indices at once. Child indices start at
+    ss.n_children_spawned, as in spawn; ss itself is not changed.
+    """
+    start = ss.n_children_spawned
+    if start + n > 2 ** 32:
+        raise ValueError("child indices must stay below 2**32")
+    size = ss.pool_size
+    run = _uint32_words(ss.entropy)
+    prefix = run + [0] * (size - len(run)) + _uint32_words(ss.spawn_key)
+    # mix_entropy over the prefix: fill the pool, mix it with itself, then
+    # mix in the remaining prefix words.
+    h = _INIT_A
+    pool = []
+    for word in prefix[:size]:
+        word, h = _hashmix(word, h)
+        pool.append(word)
+    for src in range(size):
+        for dst in range(size):
+            if src != dst:
+                hashed, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in prefix[size:]:
+        for dst in range(size):
+            hashed, h = _hashmix(word, h)
+            pool[dst] = _mix(pool[dst], hashed)
+    # The last entropy word, the child index, for every child at once.
+    index = np.arange(start, start + n, dtype=np.uint32)
+    for dst in range(size):
+        hashed, h = _hashmix(index, h)
+        pool[dst] = _mix(pool[dst], hashed)
+    # generate_state(4, np.uint64): eight uint32 words cycled from the pool,
+    # read as little-endian pairs.
+    out = np.empty((n, 8), dtype="<u4")
+    h = _INIT_B
+    for k in range(8):
+        word = pool[k % size] ^ h
+        h = h * _MULT_B & _MASK32
+        word = word * h & _MASK32
+        out[:, k] = word ^ word >> _XSHIFT
+    return out.view("<u8").astype(np.uint64)
+
+
+class _ChildSeed(np.random.bit_generator.ISeedSequence):
+    """The seed sequence of one spawned child, reduced to the state words
+    PCG64 asks it for."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("only PCG64's generate_state(4, np.uint64) is held")
+        return self._words
+
+
+def sample_d2d_offsets(sigma_d2d: float, seed, n: int) -> list[float]:
+    """n device-to-device offsets d2d_log10 ~ N(0, sigma_d2d), one per
+    spawned child of the seed (an int or a SeedSequence).
+
+    Offset i equals sample_device(p, sigma_d2d, children[i]).d2d_log10 for
+    children = SeedSequence(seed).spawn(n), bit for bit: the children's
+    seed words come from one vectorized pass of numpy's SeedSequence hash,
+    and each draw is numpy's own PCG64 seeding and normal on those words.
+    A SeedSequence passed in is read from its current spawn count, which
+    this does not advance.
+    """
+    _check_sigma_d2d(sigma_d2d)
+    ss = (seed if isinstance(seed, np.random.SeedSequence)
+          else np.random.SeedSequence(seed))
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return [float(generator(pcg64(_ChildSeed(words))).normal(0.0, sigma_d2d))
+            for words in _spawn_state_words(ss, n)]
 
 
 def _pulse_curve(v_write: float, m: UpdateModel, kind: str):

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftjsim import cli
 from ftjsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
@@ -309,3 +311,41 @@ def test_cli_d2d_reads_at_config_temperature(tmp_path):
             hot = read_state(state, p, v, 350.0).r_ohms
             assert float(row[key]) == float(f"{hot:.12g}")
             assert float(row[key]) != float(f"{read_state(state, p, v).r_ohms:.12g}")
+
+
+def _reference_fmt(x) -> str:
+    """cli._fmt as a plain isinstance chain, without the exact-type fast
+    path."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.12g}"
+    return str(x)
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(-2**100, 2**100),
+    st.booleans(),
+    st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_CELLS)
+def test_fmt_equals_isinstance_chain(x):
+    assert cli._fmt(x) == _reference_fmt(x)
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+    1 / 3, 10**30, -10**30, True, False, np.float64(-0.0), np.float64(math.nan),
+    np.int64(-7), np.bool_(True), np.bool_(False), "hrs",
+])
+def test_fmt_equals_isinstance_chain_on_edge_values(x):
+    assert cli._fmt(x) == _reference_fmt(x)

@@ -1,5 +1,6 @@
 """Passive-array network solve, bias schemes, sneak margins, disturb."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from ftjsim.conduction import (ConductionParams, calibrate, CalibrationTargets,
                                differential_conductance)
 from ftjsim.crossbar import (
     BiasScheme,
+    Crossbar,
     MAX_SOLVE_DIM,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
@@ -21,7 +23,8 @@ from ftjsim.crossbar import (
     solve_network,
     write_v_half,
 )
-from ftjsim.device import DeviceState, PulseSpec, default_update_model, write_energy
+from ftjsim.device import (DeviceState, PulseSpec, default_update_model,
+                           sample_device, write_energy)
 
 T = 300.0
 
@@ -242,6 +245,65 @@ def test_build_crossbar_reproducible(p):
     assert a.states != c.states
     clean = build_crossbar(2, 2, p, sigma_d2d=0.0, seed=5)
     assert all(s.d2d_log10 == 0.0 for row in clean.states for s in row)
+
+
+def _reference_build_crossbar(n_rows, n_cols, p, sigma_d2d, seed, t_kelvin=T):
+    """build_crossbar as a per-cell loop: one spawned child and one
+    sample_device call per cell, row-major. Spawning advances a
+    SeedSequence passed in."""
+    ss = (seed if isinstance(seed, np.random.SeedSequence)
+          else np.random.SeedSequence(seed))
+    children = ss.spawn(n_rows * n_cols)
+    states = tuple(
+        tuple(sample_device(p, sigma_d2d, children[r * n_cols + c])
+              for c in range(n_cols))
+        for r in range(n_rows))
+    return Crossbar(states=states, params=p, t_kelvin=t_kelvin)
+
+
+def _offset_bits(xbar):
+    return [s.d2d_log10.hex() for row in xbar.states for s in row]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from((0.0, 0.1, 0.5)),
+       st.integers(0, 2**64), st.lists(st.integers(0, 40), max_size=3),
+       st.booleans())
+def test_build_crossbar_equals_per_cell_spawn_loop(nr, nc, sigma, root, path,
+                                                   as_sequence):
+    """Int seeds and SeedSequences nested like mvm_error_mc's children."""
+    p = default_params()
+
+    def make():
+        if as_sequence:
+            return np.random.SeedSequence(root, spawn_key=tuple(path))
+        return root
+    got = build_crossbar(nr, nc, p, sigma, make(), t_kelvin=310.0)
+    ref = _reference_build_crossbar(nr, nc, p, sigma, make(), t_kelvin=310.0)
+    assert got == ref
+    assert _offset_bits(got) == _offset_bits(ref)
+
+
+def test_build_crossbar_does_not_advance_a_seed_sequence(p):
+    def make():
+        return np.random.SeedSequence(17, spawn_key=(2,), n_children_spawned=3)
+    ss = make()
+    first = build_crossbar(3, 4, p, 0.1, ss)
+    assert ss.n_children_spawned == 3
+    # the first build equals the spawning loop on a fresh copy ...
+    assert first == _reference_build_crossbar(3, 4, p, 0.1, make())
+    # ... and, unlike that loop, a second build from the same object
+    # gives the same array
+    assert build_crossbar(3, 4, p, 0.1, ss) == first
+    spent = make()
+    assert (_reference_build_crossbar(3, 4, p, 0.1, spent)
+            != _reference_build_crossbar(3, 4, p, 0.1, spent))
+
+
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+def test_build_crossbar_rejects_bad_sigma(p, sigma):
+    with pytest.raises(ValueError, match="sigma_d2d"):
+        build_crossbar(2, 3, p, sigma_d2d=sigma, seed=4)
 
 
 def test_crossbar_weight_round_trip(p):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftjsim.conduction import default_params
 from ftjsim.device import (
@@ -21,9 +22,11 @@ from ftjsim.device import (
     read_state,
     retention_evolve,
     run_scheme,
+    sample_d2d_offsets,
     sample_device,
     write_energy,
 )
+from ftjsim.device import _spawn_state_words
 
 POT = PulseSpec(-1.6, 50e-6)
 DEP = PulseSpec(2.4, 50e-6)
@@ -281,6 +284,85 @@ def test_sample_device_statistics(p):
     b = sample_device(p, 0.1, 123)
     assert a.d2d_log10 == b.d2d_log10
     assert sample_device(p, 0.0, 7).d2d_log10 == 0.0
+
+
+_GUARD = settings(max_examples=120, deadline=None, derandomize=True,
+                  database=None)
+
+
+@st.composite
+def _seed_sequences(draw):
+    """Arguments of a SeedSequence: every entropy kind, spawn-key depth
+    0-3, both pool sizes and a spawn count that may be nonzero."""
+    kind = draw(st.sampled_from(("small", "big", "list", "u32", "u64")))
+    if kind == "small":
+        entropy = draw(st.integers(0, 2**32 - 1))
+    elif kind == "big":
+        entropy = draw(st.integers(2**64, 2**200))
+    elif kind == "list":
+        entropy = draw(st.lists(st.integers(0, 2**70), max_size=10))
+    else:
+        top = 2**32 - 1 if kind == "u32" else 2**64 - 1
+        entropy = np.array(draw(st.lists(st.integers(0, top), min_size=1,
+                                         max_size=10)),
+                           dtype=np.uint32 if kind == "u32" else np.uint64)
+    return dict(entropy=entropy,
+                spawn_key=tuple(draw(st.lists(st.integers(0, 2**40),
+                                              max_size=3))),
+                pool_size=draw(st.sampled_from((4, 8))),
+                n_children_spawned=draw(st.sampled_from((0, 1, 7, 2**20))))
+
+
+def _hex(xs):
+    return [x.hex() for x in xs]
+
+
+@_GUARD
+@given(_seed_sequences(), st.integers(1, 300))
+def test_spawn_state_words_equal_numpy_children(kwargs, n):
+    ss = np.random.SeedSequence(**kwargs)
+    expect = [c.generate_state(4, np.uint64)
+              for c in np.random.SeedSequence(**kwargs).spawn(n)]
+    words = _spawn_state_words(ss, n)
+    assert words.dtype == np.uint64 and words.shape == (n, 4)
+    np.testing.assert_array_equal(words, expect)
+    assert ss.n_children_spawned == kwargs["n_children_spawned"]
+
+
+@_GUARD
+@given(_seed_sequences(), st.integers(1, 300), st.sampled_from((0.0, 0.1, 0.5)))
+def test_sample_d2d_offsets_equal_spawned_default_rng_draws(kwargs, n, sigma):
+    expect = [float(np.random.default_rng(c).normal(0.0, sigma))
+              for c in np.random.SeedSequence(**kwargs).spawn(n)]
+    got = sample_d2d_offsets(sigma, np.random.SeedSequence(**kwargs), n)
+    assert _hex(got) == _hex(expect)
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**70 + 1, [3, 1, 4],
+                                  ["0x1f", "017", "9", 2**33]])
+def test_sample_d2d_offsets_int_seed_equals_sample_device(p, seed):
+    children = np.random.SeedSequence(seed).spawn(40)
+    expect = [sample_device(p, 0.1, c).d2d_log10 for c in children]
+    assert _hex(sample_d2d_offsets(0.1, seed, 40)) == _hex(expect)
+    assert sample_d2d_offsets(0.1, seed, 0) == []
+
+
+def test_spawn_state_words_child_index_limit():
+    # the last child with a one-word index, built the way spawn builds it
+    expect = np.random.SeedSequence(9, spawn_key=(2**32 - 1,)).generate_state(
+        4, np.uint64)
+    last = np.random.SeedSequence(9, n_children_spawned=2**32 - 1)
+    np.testing.assert_array_equal(_spawn_state_words(last, 1), [expect])
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _spawn_state_words(last, 2)
+
+
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+def test_sigma_d2d_rejected_before_any_draw(p, sigma):
+    with pytest.raises(ValueError, match="sigma_d2d"):
+        sample_device(p, sigma, 3)
+    with pytest.raises(ValueError, match="sigma_d2d"):
+        sample_d2d_offsets(sigma, 3, 5)
 
 
 def test_read_state_consistency(p):
