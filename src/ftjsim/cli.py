@@ -92,12 +92,32 @@ def _jsonable(obj):
     return obj
 
 
+_TEMPLATE_CELLS = {int: "%d", float: "%.12g"}
+
+
 def _write_csv(path: Path, header, rows) -> Path:
+    # Rows stream one at a time. A row of exact ints and floats is one
+    # "%d"/"%.12g" template, rebuilt only when the row's cell types change;
+    # those cells never need quoting, and the template renders them as
+    # _fmt does. Rows with any other cell type go through csv.writer.
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        end = writer.dialect.lineterminator
+        types = template = None
         for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+            row = tuple(row)
+            row_types = tuple(map(type, row))
+            if row_types != types:
+                types = row_types
+                try:
+                    template = ",".join(_TEMPLATE_CELLS[t] for t in types) + end
+                except KeyError:
+                    template = None
+            if template is None:
+                writer.writerow([_fmt(x) for x in row])
+            else:
+                fh.write(template % row)
     return path
 
 
@@ -271,16 +291,16 @@ def cmd_cdf(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
     scheme = preset_scheme("amplitude_ramp", "dep")
     n = scheme.n_pulses
     traces = np.zeros((cycles, n + 1))
+    s0 = DeviceState(w=1.0)
+    # every cycle starts from the same pristine state: one read serves all
+    traces[:, 0] = read_state(s0, p, v_read=TRACE_READ_V,
+                              t=bundle.t_kelvin).r_ohms
     for k in range(cycles):
-        s0 = DeviceState(w=1.0)
-        traces[k, 0] = read_state(s0, p, v_read=TRACE_READ_V,
-                                  t=bundle.t_kelvin).r_ohms
         trace = run_scheme(s0, scheme, m, p, v_read=TRACE_READ_V,
                            t=bundle.t_kelvin, rng=rng)
         traces[k, 1:] = [step.readout.r_ohms for step in trace]
     report = cdf_levels(traces)
-    rows = [(idx, report.medians[idx], report.iqrs[idx])
-            for idx in range(n + 1)]
+    rows = zip(range(n + 1), report.medians.tolist(), report.iqrs.tolist())
     files = [_write_csv(out / "cdf.csv",
                         ["pulse_index", "median_r_ohms", "iqr_r_ohms"], rows)]
     meta = _meta("cdf", cfg, seed, {

@@ -85,6 +85,8 @@ V_CROSSOVER = 0.15
 _EPS_R_MIN = 1.0
 _EPS_R_MAX = 1e4
 
+_NO_RESIDUALS = (math.nan, math.nan, math.nan)
+
 
 class CalibrationError(ValueError):
     """Raised when no parameter set can meet the calibration targets.
@@ -443,7 +445,11 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
 
     Raises CalibrationError when the targets are infeasible (selection
     below the Ohmic limit of 2, or beyond what eps_r >= 1 field lowering
-    can provide).
+    can provide), and when the temperature or the Ohmic activation energy
+    takes a channel shape past float range: the trap-emission field
+    lowering overflows at a few kelvin, and the Ohmic shape underflows to
+    zero once ea_ohm/kT passes about 745. Those carry NaN residuals, since
+    no parameter set could be evaluated.
     """
     skel = skeleton if skeleton is not None else ConductionParams()
     if targets.r_on_ohms <= 0:
@@ -453,15 +459,6 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
                                (0.0, 1.0, 0.0))
     g_lrs = targets.on_off
     sel = targets.selection
-
-    if sel < 2.0 - 1e-9:
-        best = ConductionParams(d_fe=skel.d_fe, area=skel.area, phi_pf=skel.phi_pf,
-                                eps_r=skel.eps_r, ea_ohm=skel.ea_ohm,
-                                c_pf=0.0, c_ohm=1.0, tun=skel.tun, g_lrs=g_lrs)
-        raise CalibrationError(
-            "selection target below the Ohmic limit of 2",
-            _target_residuals(best, targets, t))
-
     kt = K_B * t
 
     def shape_pf(v: float, theta: float) -> float:
@@ -471,13 +468,37 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
     def shape_ohm(v: float) -> float:
         return t ** 1.5 * math.exp(-skel.ea_ohm * Q_E / kt) * (v / skel.d_fe)
 
+    # Float range of the channel shapes. eps_r = 1 is the strongest field
+    # lowering the solve can try, so its selection ratio bounds them all.
+    try:
+        ohm_x = shape_ohm(V_CROSSOVER)
+        sel_max = _selection_of_eps(_EPS_R_MIN, t)
+    except OverflowError:
+        ohm_x = sel_max = math.nan
+    if not math.isfinite(sel_max):
+        raise CalibrationError(
+            f"t_kelvin = {t} K is outside float range: a channel shape "
+            "overflows", _NO_RESIDUALS)
+    if ohm_x == 0.0:
+        raise CalibrationError(
+            f"ea_ohm = {skel.ea_ohm} eV at t_kelvin = {t} K is outside float "
+            "range: the Ohmic channel underflows to zero", _NO_RESIDUALS)
+
+    if sel < 2.0 - 1e-9:
+        best = ConductionParams(d_fe=skel.d_fe, area=skel.area, phi_pf=skel.phi_pf,
+                                eps_r=skel.eps_r, ea_ohm=skel.ea_ohm,
+                                c_pf=0.0, c_ohm=1.0, tun=skel.tun, g_lrs=g_lrs)
+        raise CalibrationError(
+            "selection target below the Ohmic limit of 2",
+            _target_residuals(best, targets, t))
+
     if abs(sel - 2.0) <= 1e-9:
         # Pure-Ohmic limit: the linear channel alone gives exactly 2.
         c_ohm = (V_READ / targets.r_on_ohms) / (g_lrs * skel.area * shape_ohm(V_READ))
         return replace(skel, eps_r=skel.eps_r, c_pf=0.0, c_ohm=c_ohm, g_lrs=g_lrs)
 
     f = lambda e: _selection_of_eps(e, t) - sel
-    if f(_EPS_R_MIN) < 0.0:
+    if sel_max - sel < 0.0:
         # Even the strongest admissible field lowering falls short.
         attempt = _calibrate_at_eps(_EPS_R_MIN, targets, skel, t, shape_pf, shape_ohm)
         raise CalibrationError(
@@ -487,7 +508,7 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
     params = _calibrate_at_eps(eps_r, targets, skel, t, shape_pf, shape_ohm)
 
     res = _target_residuals(params, targets, t)
-    if max(abs(r) for r in res) > 0.01:
+    if not all(abs(r) <= 0.01 for r in res):  # a NaN residual fails too
         raise CalibrationError("calibration post-check failed", res)
     return params
 
@@ -495,7 +516,15 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
 def _calibrate_at_eps(eps_r, targets, skel, t, shape_pf, shape_ohm) -> ConductionParams:
     kt = K_B * t
     theta = (Q_E / kt) * math.sqrt(Q_E / (math.pi * EPS_0 * eps_r * skel.d_fe))
-    ratio = shape_pf(V_CROSSOVER, theta) / shape_ohm(V_CROSSOVER)  # c_ohm/c_pf
+    try:
+        ratio = shape_pf(V_CROSSOVER, theta) / shape_ohm(V_CROSSOVER)  # c_ohm/c_pf
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise CalibrationError(
+            f"ea_ohm = {skel.ea_ohm} eV and phi_pf = {skel.phi_pf} eV at "
+            f"t_kelvin = {t} K are outside float range: the channel split "
+            "at the crossover bias is not a positive float", _NO_RESIDUALS)
     i_read = V_READ / targets.r_on_ohms
     denom = targets.on_off * skel.area * (shape_pf(V_READ, theta)
                                           + ratio * shape_ohm(V_READ))

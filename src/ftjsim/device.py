@@ -11,6 +11,13 @@ one count per above-onset pulse, with the curve shape A chosen per pulse
 scheme and polarity. Cycle-to-cycle noise multiplies each step by a
 mean-one lognormal factor. DC writes switch through a logistic transition
 centered on the coercive voltages.
+
+apply_pulse and read_state act on one DeviceState. The pulse-train and
+sweep studies (run_scheme, dc_write_loop) check their inputs once and then
+step the state in Python floats: each pulse goes through _pulse_curve and
+_pulse_step, the update law apply_pulse uses, and each read through one
+validated reader, so their traces and generator draws equal those of
+applying and reading pulse by pulse.
 """
 
 from __future__ import annotations
@@ -20,7 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conduction import ConductionParams, Readout, T_REF, V_READ, current_total
+from .conduction import (ConductionParams, Readout, T_REF, V_READ, _float_current,
+                         current_total, state_multiplier)
 
 __all__ = [
     "DeviceState",
@@ -473,13 +481,25 @@ def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
     return replace(s, w=w, cycles=cycles, last_polarity=curve[0])
 
 
+def _state_reader(p: ConductionParams, v_read: float, t: float):
+    """read_state at one bias point, checked once: returns read(g), the
+    Readout of a device at state multiplier g, equal to read_state's."""
+    current = _float_current(v_read, t, p)
+    area = p.area
+
+    def read(g: float) -> Readout:
+        i = current(g)
+        r = abs(v_read / i) if i != 0.0 else math.inf
+        return Readout(v_read=v_read, t_kelvin=t, i_amps=i, r_ohms=r,
+                       j_a_per_m2=i / area)
+
+    return read
+
+
 def read_state(s: DeviceState, p: ConductionParams,
                v_read: float = V_READ, t: float = T_REF) -> Readout:
     """Measure the device at a bias point."""
-    i = current_total(v_read, t, p, s)
-    r = abs(v_read / i) if i != 0.0 else math.inf
-    return Readout(v_read=v_read, t_kelvin=t, i_amps=i, r_ohms=r,
-                   j_a_per_m2=i / p.area)
+    return _state_reader(p, v_read, t)(state_multiplier(p, s.w, s.d2d_log10))
 
 
 @dataclass(frozen=True)
@@ -495,13 +515,25 @@ class SchemeStep:
 def run_scheme(s: DeviceState, scheme: PulseScheme, m: UpdateModel,
                p: ConductionParams, v_read: float = V_READ, t: float = T_REF,
                rng: np.random.Generator | None = None) -> list[SchemeStep]:
-    """Apply a pulse train, reading out after every pulse."""
+    """Apply a pulse train, reading out after every pulse.
+
+    The read bias and temperature are checked once, before any pulse. The
+    train then runs in Python floats with apply_pulse's rules and update
+    law and read_state's read, so every step and every generator draw
+    equals applying and reading pulse by pulse.
+    """
+    read = _state_reader(p, v_read, t)
+    noise = _pulse_noise(m.c2c_rel)
+    w, cycles, last, d2d = s.w, s.cycles, s.last_polarity, s.d2d_log10
     trace = []
-    state = s
     for idx, pulse in enumerate(scheme.pulses()):
-        state = apply_pulse(state, pulse, m, rng=rng, kind=scheme.kind)
-        trace.append(SchemeStep(index=idx, pulse=pulse, w=state.w,
-                                readout=read_state(state, p, v_read, t)))
+        if not s.broken and pulse.t_width != 0.0:
+            curve = _pulse_curve(pulse.v_write, m, scheme.kind)
+            if curve is not None:
+                w, cycles = _pulse_step(w, cycles, last, curve, noise, rng)
+                last = curve[0]
+        trace.append(SchemeStep(index=idx, pulse=pulse, w=w,
+                                readout=read(state_multiplier(p, w, d2d))))
     return trace
 
 
@@ -540,19 +572,21 @@ def dc_write_loop(s: DeviceState, v_grid, p: ConductionParams,
 
     Negative voltages past the coercive point raise w toward the logistic
     switching level; positive ones past the other coercive point cap it.
+    The grid, the read bias and the temperature are checked once, before
+    any read; the sweep then runs in Python floats with read_state's read.
     """
-    state = s
+    grid = np.asarray(v_grid, dtype=float)
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("v_grid contains non-finite values")
+    read = _state_reader(p, v_read, t)
+    w, d2d = s.w, s.d2d_log10
     points = []
-    for v in np.asarray(v_grid, dtype=float):
-        if not np.isfinite(v):
-            raise ValueError("v_grid contains non-finite values")
+    for v in grid.tolist():
         pot_level = _switch_level((V_C_NEG - v) / DC_WIDTH)
         dep_level = _switch_level((v - V_C_POS) / DC_WIDTH)
-        w = max(state.w, pot_level)
-        w = min(w, 1.0 - dep_level)
-        state = replace(state, w=w)
-        points.append(LoopPoint(v_write=float(v), w=w,
-                                readout=read_state(state, p, v_read, t)))
+        w = min(max(w, pot_level), 1.0 - dep_level)
+        points.append(LoopPoint(v_write=v, w=w,
+                                readout=read(state_multiplier(p, w, d2d))))
     return points
 
 

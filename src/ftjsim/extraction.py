@@ -428,8 +428,16 @@ def fit_update_a(counts, trace, a_min: float = 0.1,
         r = g - amp * f
         return float(np.sum(r * r)), amp
 
+    # The coarse grid in one broadcast, row i being rss_of(grid[i]): each
+    # row sum runs over the same contiguous values in the same order. The
+    # ufuncs write in place, so at most two (grid, n) arrays are alive.
     grid = np.geomspace(a_min, a_max, 200)
-    costs = np.array([rss_of(a)[0] for a in grid])
+    f = -k / grid[:, None]
+    np.subtract(1.0, np.exp(f, out=f), out=f)
+    amp = np.sum(g * f, axis=1) / np.sum(f * f, axis=1)
+    r = np.multiply(amp[:, None], f)
+    np.subtract(g, r, out=r)
+    costs = np.sum(np.multiply(r, r, out=r), axis=1)
     best = int(np.argmin(costs))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftjsim.conduction import (
     CalibrationError,
@@ -50,6 +51,46 @@ def test_odd_symmetry():
                                -current_tunneling(v_tun, p), rtol=1e-15)
     with pytest.raises(ValueError):
         current_tunneling(1.6, p)
+
+
+@st.composite
+def _valid_params(draw):
+    """ConductionParams across the ranges the constructor accepts, kept
+    where the trap-emission exponent stays inside float range."""
+    return ConductionParams(
+        d_fe=draw(st.floats(1e-9, 2e-8)),
+        area=draw(st.floats(1e-14, 1e-6)),
+        phi_pf=draw(st.floats(0.01, 2.9)),
+        eps_r=draw(st.floats(1.0, 100.0)),
+        ea_ohm=draw(st.floats(0.0, 1.0)),
+        c_pf=draw(st.one_of(st.just(0.0), st.floats(1e-15, 1e3))),
+        c_ohm=draw(st.floats(1e-15, 1e3)),
+        g_lrs=draw(st.floats(1.0, 100.0)),
+    )
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                     database=None)
+_BIASES = st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8).map(np.array)
+
+
+@_PROPERTY
+@given(_valid_params(), _BIASES, st.floats(200.0, 450.0), st.floats(1e-3, 1e3))
+def test_odd_symmetry_over_params(p, v, t, g):
+    """I(-v) = -I(v) exactly, on arrays and on scalars."""
+    np.testing.assert_array_equal(current_total_g(-v, t, p, g),
+                                  -current_total_g(v, t, p, g))
+    for x in v.tolist():
+        assert current_total_g(-x, t, p, g) == -current_total_g(x, t, p, g)
+
+
+@_PROPERTY
+@given(_valid_params(), _BIASES, st.floats(200.0, 450.0), st.floats(1e-3, 1e3))
+def test_differential_conductance_positive_and_even_over_params(p, v, t, g):
+    v = np.concatenate([v, -v])
+    dg = differential_conductance_g(v, t, p, g)
+    assert np.all(np.isfinite(dg)) and np.all(dg > 0.0)
+    np.testing.assert_array_equal(dg, differential_conductance_g(-v, t, p, g))
 
 
 def test_zero_bias_zero_current():
@@ -208,6 +249,24 @@ def test_calibrate_infeasible_selection():
     with pytest.raises(CalibrationError) as err:
         calibrate(CalibrationTargets(selection=1e6))
     assert len(err.value.residuals) == 3
+
+
+@pytest.mark.parametrize("t, ea_ohm, fragment", [
+    (0.001, 0.15, "t_kelvin = 0.001 K"),
+    (7.0, 0.15, "t_kelvin = 7.0 K"),
+    (1e300, 0.15, "t_kelvin = 1e+300 K"),
+    (300.0, 50.0, "ea_ohm = 50.0 eV"),
+    (300.0, 1000.0, "ea_ohm = 1000.0 eV"),
+    (13.0, 1.0, "ea_ohm = 1.0 eV"),
+    # a subnormal Ohmic shape: the channel split overflows instead
+    (300.0, 19.2, "ea_ohm = 19.2 eV and phi_pf = 0.15 eV"),
+])
+def test_calibrate_reports_shapes_past_float_range(t, ea_ohm, fragment):
+    skeleton = ConductionParams(ea_ohm=ea_ohm)
+    with pytest.raises(CalibrationError, match="outside float range") as err:
+        calibrate(skeleton=skeleton, t=t)
+    assert fragment in str(err.value)
+    assert all(math.isnan(r) for r in err.value.residuals)
 
 
 def test_calibrate_rejects_sub_ohmic_selection():

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -164,6 +165,30 @@ def test_cli_numerical_error(tmp_path, capsys):
     infeasible.write_text("[device]\nselection = 1e6\n")
     assert _run(tmp_path, "iv", "--config", str(infeasible)) == EXIT_NUMERICAL
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, names", [
+    ("[device]\nt_kelvin = 0.001\n", "t_kelvin = 0.001 K"),
+    ("[device]\nt_kelvin = 0.05\n", "t_kelvin = 0.05 K"),
+    ("[device]\nt_kelvin = 0.5\n", "t_kelvin = 0.5 K"),
+    ("[device]\nt_kelvin = 2\n", "t_kelvin = 2.0 K"),
+    ("[device]\nt_kelvin = 7\n", "t_kelvin = 7.0 K"),
+    ("[device]\nea_ohm_ev = 50\n", "ea_ohm = 50.0 eV"),
+    ("[device]\nea_ohm_ev = 1000\n", "ea_ohm = 1000.0 eV"),
+])
+def test_cli_calibration_past_float_range_is_a_numerical_error(
+        tmp_path, capsys, text, names):
+    """A temperature or activation energy that takes a calibration shape
+    past float range exits 3 in every command, naming the value, without a
+    traceback."""
+    ini = tmp_path / "limit.ini"
+    ini.write_text(text)
+    for command in cli._HANDLERS:
+        assert _run(tmp_path / command, command, "--config", str(ini)) \
+            == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and names in err
+        assert "Traceback" not in err
 
 
 def test_cli_sidecar_metadata(tmp_path):
@@ -349,3 +374,57 @@ def test_fmt_equals_isinstance_chain(x):
 ])
 def test_fmt_equals_isinstance_chain_on_edge_values(x):
     assert cli._fmt(x) == _reference_fmt(x)
+
+
+# --- Byte-identity guard: the template CSV writer -----------------------------
+
+def _reference_write_csv(path, header, rows):
+    """_write_csv as one _fmt call per cell and one writerow per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(x) for x in row])
+    return path
+
+
+def _assert_same_csv_bytes(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+        # the CLI passes one-shot iterators as well as lists
+        cli._write_csv(new, header, iter(rows))
+        _reference_write_csv(ref, header, rows)
+        assert new.read_bytes() == ref.read_bytes()
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(-2**100, 2**100),
+)
+_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n\r\t;é')), max_size=6)
+_ANY_CELLS = st.one_of(_CELLS, _TEXT)
+_ROWS = st.lists(
+    st.one_of(st.lists(_NUMBERS, max_size=5), st.lists(_ANY_CELLS, max_size=5)),
+    max_size=25)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TEXT, max_size=4), _ROWS)
+def test_write_csv_bytes_equal_per_cell_writer(header, rows):
+    _assert_same_csv_bytes(header, rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [()],
+    [(0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1 / 3)],
+    [(10**30, -10**30, 0, -1), (1, 2.5, True, np.float64(-0.0))],
+    [(np.int64(-7), np.bool_(True), np.bool_(False), np.float64(math.nan))],
+    [("a,b", 'say "hi"', "two\nlines", "cr\r", ""), ("",), (1.5, "x")],
+    # cell types change mid-table and change back
+    [(i, 0.1 * i) for i in range(5)] + [(5, "five"), (6, 0.6), (7.0, 7),
+                                        (8, 0.8, 9), (9, 0.9)],
+], ids=["empty", "empty-row", "floats", "ints-and-bools", "numpy", "strings",
+        "types-change"])
+def test_write_csv_bytes_equal_per_cell_writer_on_edge_tables(rows):
+    _assert_same_csv_bytes(["a", "b,c", 'd"e'], rows)

@@ -1,18 +1,24 @@
 """State dynamics: pulse updates, DC hysteresis, retention, energy."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ftjsim.conduction import default_params
+from ftjsim.conduction import Readout, current_total, default_params
 from ftjsim.device import (
+    DC_WIDTH,
     DeviceState,
     ENDURANCE_LIMIT,
+    LoopPoint,
     PulseScheme,
     PulseSpec,
+    SCHEME_KINDS,
+    SchemeStep,
+    V_C_NEG,
+    V_C_POS,
     apply_pulse,
     dc_write_loop,
     default_update_model,
@@ -26,7 +32,7 @@ from ftjsim.device import (
     sample_device,
     write_energy,
 )
-from ftjsim.device import _spawn_state_words
+from ftjsim.device import _spawn_state_words, _switch_level
 
 POT = PulseSpec(-1.6, 50e-6)
 DEP = PulseSpec(2.4, 50e-6)
@@ -382,3 +388,154 @@ def test_state_validation():
         DeviceState(w=0.5, d2d_log10=float("inf"))
     with pytest.raises(ValueError):
         DeviceState(w=0.5, cycles=-1)
+
+
+# --- Bit-identity guard: float-level pulse trains and sweeps -----------------
+#
+# The references below are the loops run_scheme and dc_write_loop replaced:
+# one apply_pulse or dataclasses.replace and one scalar current_total read
+# per pulse or grid point. The float-level loops must reproduce every
+# SchemeStep and LoopPoint field and every generator draw.
+
+def _reference_read_state(s, p, v_read, t):
+    i = current_total(v_read, t, p, s)
+    r = abs(v_read / i) if i != 0.0 else math.inf
+    return Readout(v_read=v_read, t_kelvin=t, i_amps=i, r_ohms=r,
+                   j_a_per_m2=i / p.area)
+
+
+def _reference_run_scheme(s, scheme, m, p, v_read, t, rng):
+    trace = []
+    state = s
+    for idx, pulse in enumerate(scheme.pulses()):
+        state = apply_pulse(state, pulse, m, rng=rng, kind=scheme.kind)
+        trace.append(SchemeStep(index=idx, pulse=pulse, w=state.w,
+                                readout=_reference_read_state(state, p,
+                                                              v_read, t)))
+    return trace
+
+
+def _reference_dc_write_loop(s, v_grid, p, v_read, t):
+    state = s
+    points = []
+    for v in np.asarray(v_grid, dtype=float):
+        if not np.isfinite(v):
+            raise ValueError("v_grid contains non-finite values")
+        pot_level = _switch_level((V_C_NEG - v) / DC_WIDTH)
+        dep_level = _switch_level((v - V_C_POS) / DC_WIDTH)
+        w = max(state.w, pot_level)
+        w = min(w, 1.0 - dep_level)
+        state = replace(state, w=w)
+        points.append(LoopPoint(v_write=float(v), w=w,
+                                readout=_reference_read_state(state, p,
+                                                              v_read, t)))
+    return points
+
+
+@dataclass(frozen=True)
+class _Train:
+    """A hand-built pulse train: run_scheme reads only kind and pulses(),
+    so this one can mix polarities, zero widths and sub-threshold pulses."""
+
+    kind: str
+    train: tuple
+
+    def pulses(self):
+        return list(self.train)
+
+
+_READ_V = st.sampled_from([0.3, -0.25, 0.0])
+_TEMPS = st.floats(250.0, 340.0)
+
+
+@st.composite
+def _states(draw):
+    return DeviceState(w=draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                        st.floats(0.0, 1.0))),
+                       d2d_log10=draw(st.floats(-0.5, 0.5)),
+                       cycles=draw(st.integers(0, 5)),
+                       broken=draw(st.integers(0, 9)) == 0,
+                       last_polarity=draw(st.integers(-1, 1)))
+
+
+@st.composite
+def _schemes(draw):
+    """A preset, a random ramp that may start below its onset, or a mixed
+    train with zero-width and sub-threshold pulses."""
+    kind = draw(st.sampled_from(SCHEME_KINDS))
+    form = draw(st.sampled_from(("preset", "ramp", "train")))
+    if form == "preset":
+        return preset_scheme(kind, draw(st.sampled_from(("pot", "dep"))),
+                             alt_amplitudes=draw(st.booleans()))
+    if form == "train":
+        pulse = st.builds(PulseSpec,
+                          st.one_of(st.floats(-3.0, 3.0),
+                                    st.sampled_from([-0.6, 0.8, 0.0])),
+                          st.sampled_from([0.0, 1e-6, 50e-6]))
+        return _Train(kind, tuple(draw(st.lists(pulse, min_size=1,
+                                                max_size=40))))
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    v_start = sign * draw(st.floats(0.1, 2.0))
+    n = draw(st.integers(1, 60))
+    if kind == "amplitude_ramp":
+        return PulseScheme(kind, n, v_start,
+                           v_step=sign * draw(st.floats(0.0, 0.1)),
+                           width=draw(st.floats(1e-6, 1e-4)))
+    v_max = v_start + sign * draw(st.floats(0.0, 2.0))
+    return PulseScheme(kind, n, v_start, v_max=v_max,
+                       width_start=draw(st.floats(1e-6, 1e-4)),
+                       width_ratio=draw(st.floats(1.0, 1.2)))
+
+
+@_GUARD
+@given(_states(), _schemes(), st.sampled_from([0.0, 0.1, 0.3]),
+       st.sampled_from([10, 50]), _READ_V, _TEMPS, st.integers(0, 2**32 - 1))
+def test_run_scheme_bit_identical_to_per_pulse_reference(s, scheme, c2c, n_full,
+                                                         v_read, t, seed):
+    p = default_params()
+    m = default_update_model(n_full=n_full, c2c_rel=c2c)
+    rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
+    new = run_scheme(s, scheme, m, p, v_read=v_read, t=t, rng=rng_new)
+    ref = _reference_run_scheme(s, scheme, m, p, v_read, t, rng_ref)
+    assert new == ref
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@_GUARD
+@given(_states(), st.lists(st.one_of(st.floats(-3.0, 3.0),
+                                     st.sampled_from([-0.9, -0.3, 0.5, 1.1])),
+                           min_size=1, max_size=80),
+       _READ_V, _TEMPS)
+def test_dc_write_loop_bit_identical_to_per_point_reference(s, grid, v_read, t):
+    p = default_params()
+    assert dc_write_loop(s, grid, p, v_read=v_read, t=t) \
+        == _reference_dc_write_loop(s, grid, p, v_read, t)
+
+
+def test_run_scheme_noise_without_generator_raises(p):
+    m = default_update_model(c2c_rel=0.1)
+    scheme = preset_scheme("amplitude_ramp", "pot")
+    for run in (run_scheme, _reference_run_scheme):
+        with pytest.raises(ValueError, match="explicit generator"):
+            run(DeviceState(w=0.0), scheme, m, p, 0.3, 300.0, None)
+    # a broken device never pulses, so it needs no generator
+    trace = run_scheme(DeviceState(w=0.4, broken=True), scheme, m, p)
+    assert [step.w for step in trace] == [0.4] * scheme.n_pulses
+
+
+@pytest.mark.parametrize("v_read, t", [(math.nan, 300.0), (math.inf, 300.0),
+                                       (0.3, 0.0), (0.3, math.nan)])
+def test_run_scheme_checks_the_read_before_any_pulse(p, v_read, t):
+    m = default_update_model(c2c_rel=0.1)
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        run_scheme(DeviceState(w=0.0), preset_scheme("hybrid", "pot"), m, p,
+                   v_read=v_read, t=t, rng=rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("v_read, t", [(math.nan, 300.0), (0.3, -1.0)])
+def test_dc_write_loop_checks_the_read(p, v_read, t):
+    with pytest.raises(ValueError):
+        dc_write_loop(DeviceState(w=0.0), [0.0, -1.0], p, v_read=v_read, t=t)

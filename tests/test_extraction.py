@@ -1,7 +1,10 @@
 """Channel extraction, mechanism discrimination, update fits, level counts."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ftjsim.conduction import (current_ohmic, current_pf, current_total,
                                current_tunneling, default_params)
@@ -10,6 +13,7 @@ from ftjsim.extraction import (
     OHMIC_WINDOW,
     PF_WINDOW,
     Sweep,
+    UpdateFit,
     cdf_levels,
     discriminate_tunneling,
     extract_ohmic,
@@ -295,6 +299,61 @@ def test_fit_update_a_linear_trace_hits_bound():
     fit = fit_update_a(k, k / 40.0)
     assert fit.at_bound
     assert fit.a == pytest.approx(10.0 * k[-1], rel=1e-6)
+
+
+def _reference_fit_update_a(counts, trace, a_min=0.1, a_max=None):
+    """fit_update_a with its coarse grid as one rss_of call per grid point,
+    the loop the one-call broadcast replaced."""
+    from ftjsim.extraction import _minimize_bounded
+
+    k = np.asarray(counts, dtype=float)
+    g = np.asarray(trace, dtype=float)
+    if a_max is None:
+        a_max = 10.0 * float(k[-1])
+
+    def rss_of(a):
+        f = 1.0 - np.exp(-k / a)
+        denom = float(np.sum(f * f))
+        amp = float(np.sum(g * f)) / denom
+        r = g - amp * f
+        return float(np.sum(r * r)), amp
+
+    grid = np.geomspace(a_min, a_max, 200)
+    costs = np.array([rss_of(a)[0] for a in grid])
+    best = int(np.argmin(costs))
+    lo = grid[max(best - 1, 0)]
+    hi = grid[min(best + 1, grid.size - 1)]
+    a_hat = float(_minimize_bounded(lambda a: rss_of(a)[0], lo, hi, xatol=1e-10))
+    rss, amp = rss_of(a_hat)
+    return UpdateFit(a=a_hat, amplitude=amp, rss=rss,
+                     at_bound=best == 0 or best == grid.size - 1)
+
+
+@st.composite
+def _update_traces(draw):
+    """Saturating traces with noise, at random count spacings, from 5 to
+    120 points, plus an occasional explicit search range."""
+    n = draw(st.integers(5, 120))
+    steps = draw(st.lists(st.floats(0.05, 4.0), min_size=n, max_size=n))
+    k = np.cumsum(steps)
+    a = draw(st.floats(0.3, 200.0))
+    amp = draw(st.floats(0.01, 3.0))
+    noise = draw(st.sampled_from([0.0, 0.01, 0.2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = amp * (1.0 - np.exp(-k / a)) + rng.normal(0.0, noise, n)
+    bounds = draw(st.sampled_from([{}, {"a_min": 1.0}, {"a_max": 50.0}]))
+    return k, g, bounds
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_update_traces())
+def test_fit_update_a_bit_identical_to_per_a_grid(case):
+    k, g, bounds = case
+    new = fit_update_a(k, g, **bounds)
+    ref = _reference_fit_update_a(k, g, **bounds)
+    assert (new.a, new.amplitude, new.rss, new.at_bound) \
+        == (ref.a, ref.amplitude, ref.rss, ref.at_bound)
+    assert math.isfinite(new.rss)
 
 
 def test_fit_update_a_validation():
