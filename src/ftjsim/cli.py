@@ -563,10 +563,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else SimConfig()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

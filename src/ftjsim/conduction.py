@@ -199,7 +199,7 @@ def check_bias(v) -> None:
 
 def check_temperature(t: float) -> None:
     """Reject a non-positive or non-finite temperature."""
-    if not (np.isfinite(t) and t > 0):
+    if not (math.isfinite(t) and t > 0):
         raise ValueError(f"temperature must be positive and finite, got {t}")
 
 

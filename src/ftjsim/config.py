@@ -11,6 +11,13 @@ reserved for keys that are absent entirely.
 Besides the model sections ([device], [update], [variation]) there is one
 section per analysis command carrying that command's experiment knobs, so
 a single file pins an entire reproducible run.
+
+The schema is read once, at import, off the section dataclasses below: a
+section's keys are its fields, in order, and each key's type is the type
+of its default. A limit that a model record checks (ConductionParams,
+TunnelBarrier, UpdateModel) is checked by building that record at parse
+time, so the record is its one source and its message is the one reported;
+_validate holds only the limits that no record makes.
 """
 
 from __future__ import annotations
@@ -18,9 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .conduction import (CalibrationTargets, ConductionParams, TunnelBarrier,
+from .conduction import (DEFAULT_EA_OHM, DEFAULT_PHI_PF, T_REF, V_READ,
+                         CalibrationTargets, ConductionParams, TunnelBarrier,
                          calibrate)
-from .device import SCHEME_KINDS, UpdateModel, default_update_model
+from .device import (C2C_REL_DEFAULT, N_FULL_DEFAULT, SCHEME_KINDS,
+                     T_WIDTH_DEFAULT, V_C_NEG, V_C_POS, V_DEP_DEFAULT,
+                     V_POT_DEFAULT, UpdateModel, default_update_model)
 
 __all__ = [
     "ConfigError",
@@ -53,30 +63,30 @@ class DeviceConfig:
 
     d_fe_nm: float = 4.9
     area_um2: float = 14400.0
-    phi_pf_ev: float = 0.15
-    ea_ohm_ev: float = 0.15
-    eps_r: float = 5.0
-    c_pf: float = 1.0
-    c_ohm: float = 1.0
-    g_lrs: float = 10.0
-    tun_phi_bar_ev: float = 1.0
-    tun_m_eff: float = 0.4
+    phi_pf_ev: float = DEFAULT_PHI_PF
+    ea_ohm_ev: float = DEFAULT_EA_OHM
+    eps_r: float = ConductionParams.eps_r
+    c_pf: float = ConductionParams.c_pf
+    c_ohm: float = ConductionParams.c_ohm
+    g_lrs: float = ConductionParams.g_lrs
+    tun_phi_bar_ev: float = TunnelBarrier.phi_bar
+    tun_m_eff: float = TunnelBarrier.m_eff
     calibrate: bool = True
-    r_on_ohms: float = 1e8
-    on_off: float = 10.0
-    selection: float = 42.0
-    t_kelvin: float = 300.0
-    v_read_v: float = 0.3
+    r_on_ohms: float = CalibrationTargets.r_on_ohms
+    on_off: float = CalibrationTargets.on_off
+    selection: float = CalibrationTargets.selection
+    t_kelvin: float = T_REF
+    v_read_v: float = V_READ
 
 
 @dataclass(frozen=True)
 class UpdateConfig:
     """[update]: pulse-update dynamics."""
 
-    n_full: int = 50
-    c2c_rel: float = 0.10
-    v_on_pot_v: float = -0.6
-    v_on_dep_v: float = 0.8
+    n_full: int = N_FULL_DEFAULT
+    c2c_rel: float = C2C_REL_DEFAULT
+    v_on_pot_v: float = V_C_NEG
+    v_on_dep_v: float = V_C_POS
 
 
 @dataclass(frozen=True)
@@ -154,8 +164,8 @@ class ScalingConfig:
     """[scaling]: device areas for the homogeneity check."""
 
     areas_um2: tuple = (100.0, 1600.0, 14400.0)
-    v_write_v: float = -1.6
-    t_width_s: float = 50e-6
+    v_write_v: float = V_POT_DEFAULT
+    t_width_s: float = T_WIDTH_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -174,8 +184,8 @@ class XbarConfig:
     n_rows: int = 4
     n_cols: int = 4
     v_read_v: float = 0.5
-    v_write_v: float = 2.4
-    t_width_s: float = 50e-6
+    v_write_v: float = V_DEP_DEFAULT
+    t_width_s: float = T_WIDTH_DEFAULT
 
 
 @dataclass(frozen=True)
@@ -188,7 +198,8 @@ class SimConfig:
     iv: IvConfig = field(default_factory=IvConfig)
     hysteresis: HysteresisConfig = field(default_factory=HysteresisConfig)
     scheme: SchemeConfig = field(default_factory=SchemeConfig)
-    fit_a: FitAConfig = field(default_factory=FitAConfig)
+    fit_a: FitAConfig = field(default_factory=FitAConfig,
+                              metadata={"section": "fitA"})
     cdf: CdfConfig = field(default_factory=CdfConfig)
     retention: RetentionConfig = field(default_factory=RetentionConfig)
     d2d: D2dConfig = field(default_factory=D2dConfig)
@@ -197,43 +208,24 @@ class SimConfig:
     xbar: XbarConfig = field(default_factory=XbarConfig)
 
 
-# section name -> (SimConfig attribute, section dataclass)
-_SECTIONS: dict[str, tuple[str, type]] = {
-    "device": ("device", DeviceConfig),
-    "update": ("update", UpdateConfig),
-    "variation": ("variation", VariationConfig),
-    "iv": ("iv", IvConfig),
-    "hysteresis": ("hysteresis", HysteresisConfig),
-    "scheme": ("scheme", SchemeConfig),
-    "fitA": ("fit_a", FitAConfig),
-    "cdf": ("cdf", CdfConfig),
-    "retention": ("retention", RetentionConfig),
-    "d2d": ("d2d", D2dConfig),
-    "scaling": ("scaling", ScalingConfig),
-    "arrhenius": ("arrhenius", ArrheniusConfig),
-    "xbar": ("xbar", XbarConfig),
+# section name -> (SimConfig attribute, section class, {key: type of its
+# default}); a section is named after its attribute unless its field's
+# metadata says otherwise.
+_SCHEMA: dict[str, tuple[str, type, dict[str, type]]] = {
+    f.metadata.get("section", f.name): (
+        f.name, f.default_factory,
+        {k.name: type(k.default) for k in fields(f.default_factory)})
+    for f in fields(SimConfig)
 }
 
-
-def _kind_of(section_cls: type, key: str) -> str:
-    """Schema type tag for a section field, derived from its default."""
-    for f in fields(section_cls):
-        if f.name == key:
-            default = getattr(section_cls(), key)
-            if isinstance(default, bool):
-                return "bool"
-            if isinstance(default, int):
-                return "int"
-            if isinstance(default, float):
-                return "float"
-            if isinstance(default, tuple):
-                return "floatlist"
-            return "str"
-    raise KeyError(key)
-
-
-def _section_keys(section_cls: type) -> list[str]:
-    return [f.name for f in fields(section_cls)]
+# schema type -> the text of a value, which _convert reads back equal
+_RENDER = {
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: lambda v: repr(float(v)),
+    tuple: lambda v: ", ".join(repr(float(x)) for x in v),
+    str: str,
+}
 
 
 def _strip_comment(line: str) -> str:
@@ -261,8 +253,8 @@ def _require_finite(values: tuple, raw: str, source: str, line_no: int,
                           source, line_no, col)
 
 
-def _convert(raw: str, kind: str, source: str, line_no: int, col: int):
-    if kind == "float":
+def _convert(raw: str, kind: type, source: str, line_no: int, col: int):
+    if kind is float:
         try:
             value = float(raw)
         except ValueError:
@@ -270,13 +262,13 @@ def _convert(raw: str, kind: str, source: str, line_no: int, col: int):
                               source, line_no, col) from None
         _require_finite((value,), raw, source, line_no, col)
         return value
-    if kind == "int":
+    if kind is int:
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"expected an integer, got {raw!r}",
                               source, line_no, col) from None
-    if kind == "bool":
+    if kind is bool:
         low = raw.lower()
         if low in ("true", "yes", "1"):
             return True
@@ -284,7 +276,7 @@ def _convert(raw: str, kind: str, source: str, line_no: int, col: int):
             return False
         raise ConfigError(f"expected true/false, got {raw!r}",
                           source, line_no, col)
-    if kind == "floatlist":
+    if kind is tuple:
         try:
             values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
         except ValueError:
@@ -295,9 +287,7 @@ def _convert(raw: str, kind: str, source: str, line_no: int, col: int):
                               source, line_no, col)
         _require_finite(values, raw, source, line_no, col)
         return values
-    if kind == "str":
-        return raw
-    raise AssertionError(f"unhandled schema type {kind}")
+    return raw
 
 
 def parse_config(text: str, source: str = "<config>") -> SimConfig:
@@ -323,10 +313,10 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
             name = stripped[1:-1].strip()
             if not name:
                 raise ConfigError("empty section name", source, line_no, col0)
-            if name not in _SECTIONS:
+            if name not in _SCHEMA:
                 raise ConfigError(
                     f"unknown section [{name}]; expected one of "
-                    f"{', '.join(sorted(_SECTIONS))}", source, line_no, col0)
+                    f"{', '.join(sorted(_SCHEMA))}", source, line_no, col0)
             if name in seen_sections:
                 raise ConfigError(f"duplicate section [{name}]",
                                   source, line_no, col0)
@@ -343,12 +333,11 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
         value = value_part.strip()
         if not key:
             raise ConfigError("missing key before '='", source, line_no, col0)
-        _, section_cls = _SECTIONS[section]
-        if key not in _section_keys(section_cls):
+        types = _SCHEMA[section][2]
+        if key not in types:
             raise ConfigError(
                 f"unknown key {key!r} in [{section}]; expected one of "
-                f"{', '.join(sorted(_section_keys(section_cls)))}",
-                source, line_no, col0)
+                f"{', '.join(sorted(types))}", source, line_no, col0)
         if (section, key) in seen:
             raise ConfigError(f"duplicate key {key!r} in [{section}]",
                               source, line_no, col0)
@@ -357,37 +346,30 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
             val_col = raw_line.index("=") + 2
             raise ConfigError(f"missing value for {key!r}",
                               source, line_no, val_col)
-        kind = _kind_of(section_cls, key)
         val_col = raw_line.find(value, raw_line.index("=")) + 1
-        staged.setdefault(section, {})[key] = _convert(value, kind, source,
-                                                       line_no, val_col)
-    kwargs = {}
-    for name, (attr, section_cls) in _SECTIONS.items():
-        kwargs[attr] = section_cls(**staged.get(name, {}))
-    cfg = SimConfig(**kwargs)
+        staged.setdefault(section, {})[key] = _convert(
+            value, types[key], source, line_no, val_col)
+    cfg = SimConfig(**{attr: section_cls(**staged.get(name, {}))
+                       for name, (attr, section_cls, _) in _SCHEMA.items()})
     _validate(cfg, source)
+    try:
+        _model_records(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc), source) from exc
     return cfg
 
 
 def _validate(cfg: SimConfig, source: str) -> None:
-    d, u, var = cfg.device, cfg.update, cfg.variation
+    d = cfg.device
     checks = [
-        (d.d_fe_nm > 0, "d_fe_nm must be positive"),
-        (d.area_um2 > 0, "area_um2 must be positive"),
-        (d.eps_r > 0, "eps_r must be positive"),
-        (d.g_lrs >= 1, "g_lrs must be >= 1"),
-        (d.tun_phi_bar_ev > 0, "tun_phi_bar_ev must be positive"),
-        (d.tun_m_eff > 0, "tun_m_eff must be positive"),
         (d.r_on_ohms > 0, "r_on_ohms must be positive"),
         (d.on_off >= 1, "on_off must be >= 1"),
         (d.selection > 0, "selection must be positive"),
         (d.t_kelvin > 0, "t_kelvin must be positive"),
         (d.v_read_v > 0, "v_read_v must be positive"),
-        (u.n_full >= 2, "n_full must be >= 2"),
-        (0.0 <= u.c2c_rel < 1.0, "c2c_rel must be in [0, 1)"),
-        (u.v_on_pot_v < 0 < u.v_on_dep_v,
-         "onsets must satisfy v_on_pot_v < 0 < v_on_dep_v"),
-        (var.sigma_d2d >= 0, "sigma_d2d must be >= 0"),
+        # a record checks n_full too, but n_full <= 0 fails on a shape first
+        (cfg.update.n_full >= 2, "n_full must be >= 2"),
+        (cfg.variation.sigma_d2d >= 0, "sigma_d2d must be >= 0"),
         (cfg.iv.n_points >= 1, "[iv] n_points must be >= 1"),
         (cfg.iv.v_min_v <= cfg.iv.v_max_v,
          "[iv] v_min_v must not exceed v_max_v"),
@@ -438,23 +420,11 @@ def load_config(path: str) -> SimConfig:
 def emit_config(cfg: SimConfig) -> str:
     """Render a SimConfig as text that parses back to an equal value."""
     lines = []
-    for name, (attr, section_cls) in _SECTIONS.items():
+    for name, (attr, _, types) in _SCHEMA.items():
         section = getattr(cfg, attr)
         lines.append(f"[{name}]")
-        for key in _section_keys(section_cls):
-            value = getattr(section, key)
-            kind = _kind_of(section_cls, key)
-            if kind == "bool":
-                text = "true" if value else "false"
-            elif kind == "int":
-                text = str(value)
-            elif kind == "floatlist":
-                text = ", ".join(repr(float(v)) for v in value)
-            elif kind == "str":
-                text = str(value)
-            else:
-                text = repr(float(value))
-            lines.append(f"{key} = {text}")
+        lines.extend(f"{key} = {_RENDER[kind](getattr(section, key))}"
+                     for key, kind in types.items())
         lines.append("")
     return "\n".join(lines)
 
@@ -470,13 +440,10 @@ class ModelBundle:
     t_kelvin: float
 
 
-def build_model(cfg: SimConfig) -> ModelBundle:
-    """Construct the conduction and update models a config describes.
-
-    With calibrate = true the prefactors and permittivity are solved from
-    the figure-of-merit targets; otherwise the raw [device] values are
-    used as-is.
-    """
+def _model_records(cfg: SimConfig) -> tuple[ConductionParams,
+                                            CalibrationTargets, UpdateModel]:
+    """The uncalibrated conduction skeleton, the calibration targets and
+    the update model a config describes; each record checks its limits."""
     d = cfg.device
     skeleton = ConductionParams(
         d_fe=d.d_fe_nm * 1e-9,
@@ -491,11 +458,23 @@ def build_model(cfg: SimConfig) -> ModelBundle:
     )
     targets = CalibrationTargets(r_on_ohms=d.r_on_ohms, on_off=d.on_off,
                                  selection=d.selection)
-    params = calibrate(targets, skeleton, t=d.t_kelvin) if d.calibrate \
-        else skeleton
     update = replace(default_update_model(n_full=cfg.update.n_full,
                                           c2c_rel=cfg.update.c2c_rel),
                      v_on_pot=cfg.update.v_on_pot_v,
                      v_on_dep=cfg.update.v_on_dep_v)
+    return skeleton, targets, update
+
+
+def build_model(cfg: SimConfig) -> ModelBundle:
+    """Construct the conduction and update models a config describes.
+
+    With calibrate = true the prefactors and permittivity are solved from
+    the figure-of-merit targets; otherwise the raw [device] values are
+    used as-is.
+    """
+    skeleton, targets, update = _model_records(cfg)
+    d = cfg.device
+    params = calibrate(targets, skeleton, t=d.t_kelvin) if d.calibrate \
+        else skeleton
     return ModelBundle(params=params, update=update, targets=targets,
                        v_read=d.v_read_v, t_kelvin=d.t_kelvin)

@@ -1,8 +1,8 @@
 """Physical constants used throughout the package.
 
 Everything internal runs in SI units (m, s, A, V, J, K). Barrier energies
-are accepted in eV at the interfaces and converted exactly once, here or at
-the point of entry, via Q_E.
+are accepted in eV at the interfaces and converted exactly once, at the
+point of entry, via Q_E.
 """
 
 Q_E = 1.602176634e-19       # elementary charge, C
@@ -10,13 +10,3 @@ K_B = 1.380649e-23          # Boltzmann constant, J/K
 EPS_0 = 8.8541878128e-12    # vacuum permittivity, F/m
 M_E = 9.1093837015e-31      # electron rest mass, kg
 H_PLANCK = 6.62607015e-34   # Planck constant, J s
-
-
-def ev_to_joule(energy_ev: float) -> float:
-    """Convert an energy from eV to J."""
-    return energy_ev * Q_E
-
-
-def thermal_voltage(t_kelvin: float) -> float:
-    """k_B*T/q in volts."""
-    return K_B * t_kelvin / Q_E

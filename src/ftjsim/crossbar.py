@@ -74,7 +74,7 @@ class Crossbar:
         width = len(self.states[0])
         if any(len(row) != width for row in self.states):
             raise ValueError("all crossbar rows must have equal length")
-        if not (np.isfinite(self.t_kelvin) and self.t_kelvin > 0):
+        if not (math.isfinite(self.t_kelvin) and self.t_kelvin > 0):
             raise ValueError("t_kelvin must be positive")
 
     @property
@@ -98,13 +98,6 @@ class Crossbar:
         p = self.params
         return np.array([[state_multiplier(p, s.w, s.d2d_log10) for s in row]
                          for row in self.states])
-
-    def with_state(self, row: int, col: int, state: DeviceState) -> "Crossbar":
-        rows = list(self.states)
-        cells = list(rows[row])
-        cells[col] = state
-        rows[row] = tuple(cells)
-        return replace(self, states=tuple(rows))
 
     def with_weights(self, w) -> "Crossbar":
         """New array with the given w matrix, keeping each device's

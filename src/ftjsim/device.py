@@ -101,9 +101,9 @@ class DeviceState:
     last_polarity: int = 0
 
     def __post_init__(self):
-        if not (np.isfinite(self.w) and 0.0 <= self.w <= 1.0):
+        if not (math.isfinite(self.w) and 0.0 <= self.w <= 1.0):
             raise ValueError(f"w must be in [0, 1], got {self.w}")
-        if not np.isfinite(self.d2d_log10):
+        if not math.isfinite(self.d2d_log10):
             raise ValueError("d2d_log10 must be finite")
         if self.cycles < 0:
             raise ValueError("cycles must be non-negative")
@@ -121,9 +121,9 @@ class PulseSpec:
     t_width: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.t_width) and self.t_width >= 0):
+        if not (math.isfinite(self.t_width) and self.t_width >= 0):
             raise ValueError(f"t_width must be >= 0, got {self.t_width}")
-        if not np.isfinite(self.v_write):
+        if not math.isfinite(self.v_write):
             raise ValueError("v_write must be finite")
 
 

@@ -126,7 +126,7 @@ class Sweep:
             raise ValueError("sweep voltages must be strictly increasing")
         if not np.all(i > 0):
             raise ValueError("sweep currents must be positive")
-        if not (np.isfinite(self.t_kelvin) and self.t_kelvin > 0):
+        if not (math.isfinite(self.t_kelvin) and self.t_kelvin > 0):
             raise ValueError("t_kelvin must be positive")
 
 

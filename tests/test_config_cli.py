@@ -3,15 +3,16 @@
 import csv
 import json
 import math
+import re
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ftjsim import cli
+from ftjsim import cli, config
 from ftjsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from ftjsim.config import (
     ConfigError,
@@ -20,7 +21,7 @@ from ftjsim.config import (
     emit_config,
     parse_config,
 )
-from ftjsim.device import read_state, sample_device
+from ftjsim.device import SCHEME_KINDS, read_state, sample_device
 
 
 def test_empty_config_is_all_defaults():
@@ -115,6 +116,150 @@ def test_build_model_update_section():
     assert bundle.update.c2c_rel == 0.02
 
 
+# --- schema: emit and parse through one type table ---------------------------
+
+# The emitter as it stood while the schema was stated by hand: an explicit
+# section table and a type tag built per key from a fresh section instance.
+# Kept as the byte-for-byte reference for emit_config, whose text every
+# sidecar's config_sha256 hashes.
+_REF_SECTIONS = {
+    "device": ("device", config.DeviceConfig),
+    "update": ("update", config.UpdateConfig),
+    "variation": ("variation", config.VariationConfig),
+    "iv": ("iv", config.IvConfig),
+    "hysteresis": ("hysteresis", config.HysteresisConfig),
+    "scheme": ("scheme", config.SchemeConfig),
+    "fitA": ("fit_a", config.FitAConfig),
+    "cdf": ("cdf", config.CdfConfig),
+    "retention": ("retention", config.RetentionConfig),
+    "d2d": ("d2d", config.D2dConfig),
+    "scaling": ("scaling", config.ScalingConfig),
+    "arrhenius": ("arrhenius", config.ArrheniusConfig),
+    "xbar": ("xbar", config.XbarConfig),
+}
+
+
+def _ref_kind_of(section_cls, key):
+    for f in fields(section_cls):
+        if f.name == key:
+            default = getattr(section_cls(), key)
+            if isinstance(default, bool):
+                return "bool"
+            if isinstance(default, int):
+                return "int"
+            if isinstance(default, float):
+                return "float"
+            if isinstance(default, tuple):
+                return "floatlist"
+            return "str"
+    raise KeyError(key)
+
+
+def _ref_emit_config(cfg):
+    lines = []
+    for name, (attr, section_cls) in _REF_SECTIONS.items():
+        section = getattr(cfg, attr)
+        lines.append(f"[{name}]")
+        for key in [f.name for f in fields(section_cls)]:
+            value = getattr(section, key)
+            kind = _ref_kind_of(section_cls, key)
+            if kind == "bool":
+                text = "true" if value else "false"
+            elif kind == "int":
+                text = str(value)
+            elif kind == "floatlist":
+                text = ", ".join(repr(float(v)) for v in value)
+            elif kind == "str":
+                text = str(value)
+            else:
+                text = repr(float(value))
+            lines.append(f"{key} = {text}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def _key_values(kind, default):
+    """Valid values for one key, drawn by its schema type. Scaling a float
+    default by [1, 2] and raising an int one keeps every sign, order and
+    range limit of the defaults; tuples are distinct positive floats."""
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        return st.integers(default, 2 * default + 3)
+    if kind is float:
+        return st.floats(1.0, 2.0).map(lambda f: default * f)
+    if kind is tuple:
+        return st.lists(st.floats(1.0, 1e4), min_size=3, max_size=5,
+                        unique=True).map(tuple)
+    return st.sampled_from(SCHEME_KINDS)
+
+
+@st.composite
+def _valid_configs(draw):
+    sections = {}
+    for attr, section_cls, types in config._SCHEMA.values():
+        defaults = section_cls()
+        sections[attr] = section_cls(**{
+            key: draw(_key_values(kind, getattr(defaults, key)))
+            for key, kind in types.items()})
+    return SimConfig(**sections)
+
+
+_SCHEMA_PROPERTY = settings(max_examples=100, deadline=None,
+                            derandomize=True, database=None)
+
+
+def test_section_defaults_have_schema_types():
+    for section in fields(SimConfig):
+        defaults = section.default_factory()
+        for f in fields(defaults):
+            assert type(getattr(defaults, f.name)) in (bool, int, float,
+                                                       tuple, str), f.name
+
+
+@_SCHEMA_PROPERTY
+@given(_valid_configs())
+@example(SimConfig())
+def test_emit_parse_round_trip(cfg):
+    text = emit_config(cfg)
+    assert parse_config(text) == cfg
+    assert emit_config(parse_config(text)) == text
+
+
+@_SCHEMA_PROPERTY
+@given(_valid_configs())
+@example(SimConfig())
+def test_emit_equals_reference_emitter(cfg):
+    assert emit_config(cfg) == _ref_emit_config(cfg)
+
+
+# (config text, the message parse_config reports). The first eight are the
+# limits _validate used to repeat; the next seven used to pass parse and
+# fail only in build_model. Each record's own message is the one reported.
+_RECORD_LIMITS = [
+    ("[device]\nd_fe_nm = -1\n", "d_fe must be positive, got -1e-09"),
+    ("[device]\narea_um2 = 0\n", "area must be positive, got 0.0"),
+    ("[device]\neps_r = 0\n", "eps_r must be >= 1, got 0.0"),
+    ("[device]\ng_lrs = 0.5\n", "g_lrs must be >= 1, got 0.5"),
+    ("[device]\ntun_phi_bar_ev = 0\n",
+     "phi_bar must be in (0, 10) eV, got 0.0"),
+    ("[device]\ntun_m_eff = 0\n", "m_eff must be in (0, 1], got 0.0"),
+    ("[update]\nc2c_rel = 1\n", "c2c_rel must be in [0, 1), got 1.0"),
+    ("[update]\nv_on_pot_v = 0.1\n",
+     "onsets must satisfy v_on_pot < 0 < v_on_dep"),
+    ("[device]\neps_r = 0.5\n", "eps_r must be >= 1, got 0.5"),
+    ("[device]\ntun_phi_bar_ev = 10\n",
+     "phi_bar must be in (0, 10) eV, got 10.0"),
+    ("[device]\ntun_m_eff = 1.5\n", "m_eff must be in (0, 1], got 1.5"),
+    ("[device]\nphi_pf_ev = 3\n", "phi_pf must be in (0, 3) eV, got 3.0"),
+    ("[device]\nea_ohm_ev = -0.1\n", "ea_ohm must be >= 0, got -0.1"),
+    ("[device]\nc_pf = -1\n", "c_pf must be >= 0, got -1.0"),
+    ("[device]\nc_ohm = 0\n", "c_ohm must be positive, got 0.0"),
+    # the one limit _validate keeps from a record: a shape fails first
+    ("[update]\nn_full = 0\n", "n_full must be >= 2"),
+]
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def _run(tmp_path, *argv):
@@ -158,6 +303,19 @@ def test_cli_rejects_non_finite_floats(tmp_path, capsys, text):
     assert _run(tmp_path, "iv", "--config", str(ini)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{ini}:2:" in err and "expected a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "text, message", _RECORD_LIMITS,
+    ids=[text.split("\n")[1].replace(" ", "") for text, _ in _RECORD_LIMITS])
+def test_model_record_limits_are_config_errors_at_parse(tmp_path, capsys,
+                                                        text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    ini = tmp_path / "limit.ini"
+    ini.write_text(text)
+    assert _run(tmp_path, "iv", "--config", str(ini)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {ini}: {message}\n"
 
 
 def test_cli_numerical_error(tmp_path, capsys):

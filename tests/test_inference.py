@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ftjsim.conduction import (_float_current, current_total, current_total_g,
                                default_params)
-from ftjsim.crossbar import build_crossbar, mvm_read
+from ftjsim.crossbar import Crossbar, build_crossbar, mvm_read
 from ftjsim.device import (SCHEME_KINDS, DeviceState, PulseSpec,
                            T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
                            apply_pulse, default_update_model)
@@ -198,14 +198,13 @@ def test_common_d2d_factor_cancels_in_calibrated_decode(p):
 
     def decoded_product(d2d):
         rows, cols = w.shape
-        xb = build_crossbar(rows, cols, p)
-        pos, neg = xb, xb
-        for i in range(rows):
-            for j in range(cols):
-                pos = pos.with_state(i, j, DeviceState(w=wm.w_pos[i, j],
-                                                       d2d_log10=d2d))
-                neg = neg.with_state(i, j, DeviceState(w=wm.w_neg[i, j],
-                                                       d2d_log10=d2d))
+
+        def array(w_cells):
+            return Crossbar(states=tuple(
+                tuple(DeviceState(w=w_cells[i, j], d2d_log10=d2d)
+                      for j in range(cols)) for i in range(rows)), params=p)
+
+        pos, neg = array(wm.w_pos), array(wm.w_neg)
         x = np.array([0.3, 0.9])
         q = mvm_charge(pos, x) - mvm_charge(neg, x)
         ones = np.ones(rows)
