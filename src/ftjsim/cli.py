@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Every analysis command reads one optional INI config, runs a deterministic
-simulation seeded from --seed, and writes CSV tables plus a JSON metadata
-sidecar into --out. Output bytes are reproducible for a given (config,
-seed, version): no timestamps, no machine identifiers, and all floats
-rendered with a fixed format. Experiment knobs live in per-command config
-sections, so the command line carries only the run plumbing:
+simulation seeded from --seed, and writes one CSV table plus a JSON
+metadata sidecar, <command>.json, into --out. Each command's handler maps
+(cfg, bundle, seed) to (csv_name, header, rows, payload) and writes
+nothing; main writes both files, stamping the payload through _meta, so a
+command that fails writes no file. Output bytes are reproducible for a
+given (config, seed, version): no timestamps, no machine identifiers, and
+all floats rendered with a fixed format. Experiment knobs live in
+per-command config sections, so the command line carries only the run
+plumbing:
 
     ftjsim --command iv --config run.ini --out results --seed 7
 
@@ -23,6 +27,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -35,7 +40,8 @@ from .conduction import (CalibrationError, V_READ, V_SELECT,
 from .config import ConfigError, SimConfig, build_model, emit_config, load_config
 from .constants import K_B, Q_E
 from .crossbar import build_crossbar, sneak_margin, write_v_half
-from .device import (DeviceState, PulseSpec, PulseScheme, dc_write_loop,
+from .device import (T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
+                     DeviceState, PulseSpec, PulseScheme, dc_write_loop,
                      memory_window, preset_scheme, read_state,
                      retention_evolve, run_scheme, sample_d2d_offsets,
                      write_energy)
@@ -48,8 +54,7 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# Fixed pulse-trace readout bias; the trace.csv column name encodes it.
-TRACE_READ_V = V_READ
+_Table = tuple[str, list[str], Iterable, dict]  # csv_name, header, rows, payload
 
 
 class _UsageError(Exception):
@@ -95,7 +100,7 @@ def _jsonable(obj):
 _TEMPLATE_CELLS = {int: "%d", float: "%.12g"}
 
 
-def _write_csv(path: Path, header, rows) -> Path:
+def _write_csv(path: Path, header, rows) -> None:
     # Rows stream one at a time. A row of exact ints and floats is one
     # "%d"/"%.12g" template, rebuilt only when the row's cell types change;
     # those cells never need quoting, and the template renders them as
@@ -118,14 +123,12 @@ def _write_csv(path: Path, header, rows) -> Path:
                 writer.writerow([_fmt(x) for x in row])
             else:
                 fh.write(template % row)
-    return path
 
 
-def _write_json(path: Path, payload: dict) -> Path:
+def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _meta(command: str, cfg: SimConfig, seed: int, payload: dict) -> dict:
@@ -156,7 +159,7 @@ def _ramp(a: float, b: float, step: float) -> np.ndarray:
 
 # --- commands ---------------------------------------------------------------
 
-def cmd_iv(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
+def cmd_iv(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     sec = cfg.iv
     if sec.log_grid:
@@ -169,21 +172,17 @@ def cmd_iv(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
         for v in grid:
             i = current_total(float(v), t, p, state)
             rows.append((v, t, sec.state_w, i, i / p.area))
-    files = [_write_csv(out / "iv.csv",
-                        ["v_volts", "t_kelvin", "state_w", "i_amps", "j_a_per_m2"],
-                        rows)]
-    meta = _meta("iv", cfg, seed, {
+    return "iv.csv", ["v_volts", "t_kelvin", "state_w", "i_amps",
+                      "j_a_per_m2"], rows, {
         "temps_kelvin": list(sec.t_list_k),
         "grid": {"v_min_v": sec.v_min_v, "v_max_v": sec.v_max_v,
                  "n_points": sec.n_points, "log_grid": sec.log_grid},
         "params": asdict(p),
         "figures": _figures_of_merit(p, bundle.t_kelvin),
-    })
-    files.append(_write_json(out / "iv.json", meta))
-    return files
+    }
 
 
-def cmd_hysteresis(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
+def cmd_hysteresis(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     sec = cfg.hysteresis
     vn, vp, step = sec.v_neg_v, sec.v_pos_v, sec.step_v
@@ -197,19 +196,14 @@ def cmd_hysteresis(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
                            v_read=bundle.v_read, t=bundle.t_kelvin)
     rows = [(pt.v_write, pt.w, pt.readout.i_amps, pt.readout.r_ohms)
             for pt in points]
-    files = [_write_csv(out / "loop.csv",
-                        ["v_write_volts", "w", "i_amps", "r_ohms"], rows)]
-    window = memory_window(points)
-    meta = _meta("hysteresis", cfg, seed, {
+    return "loop.csv", ["v_write_volts", "w", "i_amps", "r_ohms"], rows, {
         "sweep": {"v_neg_v": vn, "v_pos_v": vp, "step_v": step},
         "read": {"v_read": bundle.v_read, "t_kelvin": bundle.t_kelvin},
-        "window": asdict(window),
-    })
-    files.append(_write_json(out / "hysteresis.json", meta))
-    return files
+        "window": asdict(memory_window(points)),
+    }
 
 
-def cmd_scheme(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
+def cmd_scheme(cfg: SimConfig, bundle, seed: int) -> _Table:
     p, m = bundle.params, bundle.update
     sec = cfg.scheme
     rng = np.random.default_rng(seed)
@@ -220,7 +214,7 @@ def cmd_scheme(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
         for polarity in ("pot", "dep"):
             scheme = preset_scheme(sec.kind, polarity,
                                    alt_amplitudes=sec.alt_amplitudes)
-            trace = run_scheme(state, scheme, m, p, v_read=TRACE_READ_V,
+            trace = run_scheme(state, scheme, m, p, v_read=V_READ,
                                t=bundle.t_kelvin, rng=rng)
             for step in trace:
                 rows.append((cycle, index, step.pulse.v_write,
@@ -229,25 +223,17 @@ def cmd_scheme(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
                 index += 1
             state = replace(state, w=trace[-1].w,
                             last_polarity=-1 if polarity == "pot" else 1)
-    files = [_write_csv(out / "trace.csv",
-                        ["cycle", "pulse_index", "v_write_volts", "t_width_s",
-                         "w", "r_ohms_0p3v"], rows)]
-    meta = _meta("scheme", cfg, seed, {
+    return "trace.csv", ["cycle", "pulse_index", "v_write_volts", "t_width_s",
+                         "w", "r_ohms_0p3v"], rows, {
         "kind": sec.kind,
         "cycles": sec.n_cycles,
         "alt_amplitudes": sec.alt_amplitudes,
         "c2c_rel": m.c2c_rel,
         "final_w": rows[-1][4],
-    })
-    files.append(_write_json(out / "scheme.json", meta))
-    return files
+    }
 
 
-def _constant_train(v: float, n: int) -> PulseScheme:
-    return PulseScheme("amplitude_ramp", n, v, v_step=0.0, width=50e-6)
-
-
-def cmd_fit_a(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
+def cmd_fit_a(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     m = replace(bundle.update, c2c_rel=0.0)
     kind = cfg.fit_a.kind
@@ -255,13 +241,13 @@ def cmd_fit_a(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
     n = m.n_full
     if kind == "amplitude_ramp":
         # constant above-onset train: every pulse advances exactly one count
-        pot_trace = run_scheme(DeviceState(w=0.0), _constant_train(-1.6, n), m, p)
-        dep_trace = run_scheme(DeviceState(w=1.0), _constant_train(2.4, n), m, p)
+        pot, dep = (PulseScheme("amplitude_ramp", n, v, v_step=0.0,
+                                width=T_WIDTH_DEFAULT)
+                    for v in (V_POT_DEFAULT, V_DEP_DEFAULT))
     else:
-        pot_trace = run_scheme(DeviceState(w=0.0),
-                               preset_scheme(kind, "pot"), m, p)
-        dep_trace = run_scheme(DeviceState(w=1.0),
-                               preset_scheme(kind, "dep"), m, p)
+        pot, dep = preset_scheme(kind, "pot"), preset_scheme(kind, "dep")
+    pot_trace = run_scheme(DeviceState(w=0.0), pot, m, p)
+    dep_trace = run_scheme(DeviceState(w=1.0), dep, m, p)
     fit_pot = fit_update_a(np.arange(1, len(pot_trace) + 1),
                            [s.w for s in pot_trace])
     fit_dep = fit_update_a(np.arange(1, len(dep_trace) + 1),
@@ -272,19 +258,16 @@ def cmd_fit_a(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
         ("amplitude_pot", fit_pot.amplitude, math.nan),
         ("amplitude_dep", fit_dep.amplitude, math.nan),
     ]
-    files = [_write_csv(out / "fit.csv", ["param", "value", "stderr"], rows)]
-    meta = _meta("fitA", cfg, seed, {
+    return "fit.csv", ["param", "value", "stderr"], rows, {
         "kind": kind,
         "model_a": {"a_pot": shape.a_pot, "a_dep": shape.a_dep},
         "fit": {"a_pot": fit_pot.a, "a_dep": fit_dep.a,
                 "rss_pot": fit_pot.rss, "rss_dep": fit_dep.rss,
                 "at_bound": fit_pot.at_bound or fit_dep.at_bound},
-    })
-    files.append(_write_json(out / "fitA.json", meta))
-    return files
+    }
 
 
-def cmd_cdf(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
+def cmd_cdf(cfg: SimConfig, bundle, seed: int) -> _Table:
     p, m = bundle.params, bundle.update
     rng = np.random.default_rng(seed)
     cycles = cfg.cdf.n_cycles
@@ -293,29 +276,25 @@ def cmd_cdf(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
     traces = np.zeros((cycles, n + 1))
     s0 = DeviceState(w=1.0)
     # every cycle starts from the same pristine state: one read serves all
-    traces[:, 0] = read_state(s0, p, v_read=TRACE_READ_V,
+    traces[:, 0] = read_state(s0, p, v_read=V_READ,
                               t=bundle.t_kelvin).r_ohms
     for k in range(cycles):
-        trace = run_scheme(s0, scheme, m, p, v_read=TRACE_READ_V,
+        trace = run_scheme(s0, scheme, m, p, v_read=V_READ,
                            t=bundle.t_kelvin, rng=rng)
         traces[k, 1:] = [step.readout.r_ohms for step in trace]
     report = cdf_levels(traces)
     rows = zip(range(n + 1), report.medians.tolist(), report.iqrs.tolist())
-    files = [_write_csv(out / "cdf.csv",
-                        ["pulse_index", "median_r_ohms", "iqr_r_ohms"], rows)]
-    meta = _meta("cdf", cfg, seed, {
+    return "cdf.csv", ["pulse_index", "median_r_ohms", "iqr_r_ohms"], rows, {
         "cycles": cycles,
         "scheme": "amplitude_ramp depression",
-        "read_v": TRACE_READ_V,
+        "read_v": V_READ,
         "c2c_rel": m.c2c_rel,
         "n_levels": report.n_levels,
         "pooled_iqr_ohms": report.pooled_iqr,
-    })
-    files.append(_write_json(out / "cdf.json", meta))
-    return files
+    }
 
 
-def cmd_retention(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
+def cmd_retention(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     sec = cfg.retention
     times = np.geomspace(sec.t_min_s, sec.t_max_s, sec.n_points)
@@ -328,18 +307,15 @@ def cmd_retention(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
             ro = read_state(s, p, v_read=bundle.v_read, t=bundle.t_kelvin)
             rows.append((label, t_s, s.w, ro.r_ohms))
             finals[label] = ro.r_ohms
-    files = [_write_csv(out / "retention.csv",
-                        ["start_state", "t_seconds", "w", "r_ohms"], rows)]
-    meta = _meta("retention", cfg, seed, {
+    return "retention.csv", ["start_state", "t_seconds", "w",
+                             "r_ohms"], rows, {
         "drift_rate_per_s": sec.drift_rate_per_s,
         "horizon_s": sec.t_max_s,
         "final_ratio": finals["hrs"] / finals["lrs"],
-    })
-    files.append(_write_json(out / "retention.json", meta))
-    return files
+    }
 
 
-def cmd_d2d(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
+def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     n_devices = cfg.d2d.n_devices
     sigma = cfg.variation.sigma_d2d
@@ -355,21 +331,17 @@ def cmd_d2d(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
     with np.errstate(divide="ignore"):
         r_hrs, r_lrs = np.where(i != 0.0, np.abs(bundle.v_read / i), math.inf)
     rows = zip(range(n_devices), offsets, r_hrs.tolist(), r_lrs.tolist())
-    files = [_write_csv(out / "d2d.csv",
-                        ["device_index", "d2d_log10", "r_hrs_ohms",
-                         "r_lrs_ohms"], rows)]
     offsets = np.array(offsets)
-    meta = _meta("d2d", cfg, seed, {
+    return "d2d.csv", ["device_index", "d2d_log10", "r_hrs_ohms",
+                       "r_lrs_ohms"], rows, {
         "n_devices": n_devices,
         "sigma_target": sigma,
         "sigma_sample": float(np.std(offsets, ddof=1)) if len(offsets) > 1 else 0.0,
         "mean_sample": float(np.mean(offsets)),
-    })
-    files.append(_write_json(out / "d2d.json", meta))
-    return files
+    }
 
 
-def cmd_scaling(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
+def cmd_scaling(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     sec = cfg.scaling
     pulse = PulseSpec(sec.v_write_v, sec.t_width_s)
@@ -381,19 +353,15 @@ def cmd_scaling(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
         e_j = write_energy(pulse, lrs, pa, t=bundle.t_kelvin)
         rows.append((a_um2, i_read, i_read / pa.area, V_READ / i_read,
                      e_j * 1e12))
-    files = [_write_csv(out / "scaling.csv",
-                        ["area_um2", "i_read_amps", "j_read_a_per_m2",
-                         "r_on_ohms", "write_energy_pj"], rows)]
-    meta = _meta("scaling", cfg, seed, {
+    return "scaling.csv", ["area_um2", "i_read_amps", "j_read_a_per_m2",
+                           "r_on_ohms", "write_energy_pj"], rows, {
         "areas_um2": list(sec.areas_um2),
         "pulse": {"v_write": sec.v_write_v, "t_width_s": sec.t_width_s},
         "r_times_area_const": rows[0][3] * sec.areas_um2[0] if rows else None,
-    })
-    files.append(_write_json(out / "scaling.json", meta))
-    return files
+    }
 
 
-def cmd_arrhenius(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
+def cmd_arrhenius(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     sec = cfg.arrhenius
     temps = list(sec.t_list_k)
@@ -419,8 +387,7 @@ def cmd_arrhenius(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
     for sweep, fit in zip(pf_sweeps, pf.per_temperature):
         rows.append((f"pf_slope_{int(sweep.t_kelvin)}k", fit.slope,
                      fit.stderr_slope))
-    files = [_write_csv(out / "fit.csv", ["param", "value", "stderr"], rows)]
-    meta = _meta("arrhenius", cfg, seed, {
+    return "fit.csv", ["param", "value", "stderr"], rows, {
         "temps_kelvin": temps,
         "windows": {"ohmic_v": list(OHMIC_WINDOW),
                     "trap_emission_v": list(PF_WINDOW)},
@@ -434,12 +401,10 @@ def cmd_arrhenius(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
         },
         "note": "window fits carry cross-channel bias; see loglog slopes",
         "loglog_slopes": list(ohm.loglog_slopes),
-    })
-    files.append(_write_json(out / "arrhenius.json", meta))
-    return files
+    }
 
 
-def cmd_xbar(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
+def cmd_xbar(cfg: SimConfig, bundle, seed: int) -> _Table:
     p, m = bundle.params, bundle.update
     sec = cfg.xbar
     sigma = cfg.variation.sigma_d2d
@@ -452,13 +417,11 @@ def cmd_xbar(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
     sol = report.solution
     rows = [(r, c, xbar.states[r][c].w, sol.device_v[r, c], sol.device_i[r, c])
             for r in range(sec.n_rows) for c in range(sec.n_cols)]
-    files = [_write_csv(out / "xbar.csv",
-                        ["row", "col", "w", "v_device_volts",
-                         "i_device_amps"], rows)]
     rng = np.random.default_rng(seed)
     pulse = PulseSpec(sec.v_write_v, sec.t_width_s)
     _, wrep = write_v_half(xbar, 0, 0, pulse, m, rng=rng)
-    meta = _meta("xbar", cfg, seed, {
+    return "xbar.csv", ["row", "col", "w", "v_device_volts",
+                        "i_device_amps"], rows, {
         "shape": [sec.n_rows, sec.n_cols],
         "sigma_d2d": sigma,
         "read": {"v_read": sec.v_read_v,
@@ -473,19 +436,18 @@ def cmd_xbar(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
                   "n_disturbed": len(wrep.disturbs),
                   "max_disturb": wrep.max_disturb,
                   "energy_pj": wrep.energy_joules * 1e12},
-    })
-    files.append(_write_json(out / "xbar.json", meta))
-    return files
+    }
 
 
-def cmd_bench(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
+def cmd_bench(cfg: SimConfig, bundle, seed: int) -> _Table:
     """Figure-of-merit summary table for the calibrated model."""
     p, m = bundle.params, bundle.update
     t = bundle.t_kelvin
     hrs = DeviceState(w=0.0)
     shape = m.shape_for("amplitude_ramp")
     figures = _figures_of_merit(p, t)
-    energy_j = write_energy(PulseSpec(-1.6, 50e-6), hrs, p, t=t)
+    pulse = PulseSpec(V_POT_DEFAULT, T_WIDTH_DEFAULT)
+    energy_j = write_energy(pulse, hrs, p, t=t)
     rows = [
         ("on_off_0p1v", figures["on_off_0p1v"]),
         ("r_on_ohms_0p3v", figures["r_on_ohms_0p3v"]),
@@ -497,16 +459,14 @@ def cmd_bench(cfg: SimConfig, bundle, out: Path, seed: int) -> list[Path]:
         ("c2c_pct", 100.0 * m.c2c_rel),
         ("energy_per_pulse_pj", energy_j * 1e12),
     ]
-    files = [_write_csv(out / "bench.csv", ["metric", "value"], rows)]
-    meta = _meta("bench", cfg, seed, {
+    return "bench.csv", ["metric", "value"], rows, {
         "t_kelvin": t,
-        "pulse": {"v_write": -1.6, "t_width_s": 50e-6, "start_state": "hrs"},
+        "pulse": {"v_write": pulse.v_write, "t_width_s": pulse.t_width,
+                  "start_state": "hrs"},
         "note": ("energy_per_pulse_pj scales with device area through the "
                  "calibrated R_on; at the default large-area calibration it "
                  "sits far above selector-free sub-pJ figures"),
-    })
-    files.append(_write_json(out / "bench.json", meta))
-    return files
+    }
 
 
 # --- wiring -----------------------------------------------------------------
@@ -576,16 +536,19 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
-        files = _HANDLERS[command](cfg, bundle, out, args.seed)
+        csv_name, header, rows, payload = _HANDLERS[command](cfg, bundle,
+                                                             args.seed)
     except (CalibrationError, RuntimeError, np.linalg.LinAlgError,
             ArithmeticError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    for path in files:
-        print(f"wrote {path}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    csv_path, json_path = out / csv_name, out / f"{command}.json"
+    _write_csv(csv_path, header, rows)
+    _write_json(json_path, _meta(command, cfg, args.seed, payload))
+    print(f"wrote {csv_path}\nwrote {json_path}")
     return EXIT_OK
 
 

@@ -507,7 +507,14 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
     eps_r = _brentq(f, _EPS_R_MIN, _EPS_R_MAX, xtol=1e-12, rtol=8.9e-16)
     params = _calibrate_at_eps(eps_r, targets, skel, t, shape_pf, shape_ohm)
 
-    res = _target_residuals(params, targets, t)
+    try:
+        with np.errstate(over="raise"):
+            res = _target_residuals(params, targets, t)
+    except FloatingPointError:  # eps_r was solved at DEFAULT_D_FE
+        raise CalibrationError(
+            f"d_fe = {skel.d_fe} m at t_kelvin = {t} K is outside float range: "
+            "the trap-emission current overflows at the selection bias",
+            _NO_RESIDUALS) from None
     if not all(abs(r) <= 0.01 for r in res):  # a NaN residual fails too
         raise CalibrationError("calibration post-check failed", res)
     return params

@@ -435,7 +435,6 @@ class ModelBundle:
 
     params: ConductionParams
     update: UpdateModel
-    targets: CalibrationTargets
     v_read: float
     t_kelvin: float
 
@@ -476,5 +475,5 @@ def build_model(cfg: SimConfig) -> ModelBundle:
     d = cfg.device
     params = calibrate(targets, skeleton, t=d.t_kelvin) if d.calibrate \
         else skeleton
-    return ModelBundle(params=params, update=update, targets=targets,
-                       v_read=d.v_read_v, t_kelvin=d.t_kelvin)
+    return ModelBundle(params=params, update=update, v_read=d.v_read_v,
+                       t_kelvin=d.t_kelvin)

@@ -1,8 +1,10 @@
 """Passive crossbar arrays: network solve, read/write schemes, sneak paths.
 
 An array is a grid of independent device states sharing one conduction
-parameter set. Rows and columns are ideal wires (no line resistance);
-every line is either driven to a potential or left floating. Floating
+parameter set and one temperature, t_kelvin, checked once when the array
+is built: every read, solve and write runs at it. Rows and columns are
+ideal wires (no line resistance); every line is either driven to a
+potential or left floating. Floating
 lines settle where Kirchhoff's current law balances the nonlinear device
 currents, which a damped Newton iteration solves to machine precision.
 
@@ -34,9 +36,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conduction import (ConductionParams, T_REF, check_bias, check_temperature,
-                         current_total, current_total_g,
-                         differential_conductance_g, state_multiplier)
+from .conduction import (ConductionParams, T_REF, check_bias, current_total,
+                         current_total_g, differential_conductance_g,
+                         state_multiplier)
 from .device import (DeviceState, PulseSpec, UpdateModel, apply_pulse,
                      sample_d2d_offsets)
 
@@ -189,20 +191,20 @@ def _max_abs(f: np.ndarray) -> float:
     return np.max(np.abs(f), initial=0.0)
 
 
-def solve_network(xbar: Crossbar, scheme: BiasScheme, t: float | None = None,
+def solve_network(xbar: Crossbar, scheme: BiasScheme,
                   tol: float = NEWTON_TOL) -> NetworkSolution:
     """Solve floating-line potentials by damped Newton on the KCL system.
 
     The residual of a floating line is the net device current into it;
     its derivative with respect to any line potential is a sum of strictly
     positive differential conductances, so the Jacobian is well
-    conditioned. Steps are halved until the residual norm decreases.
+    conditioned. Steps are halved until the residual norm decreases; if
+    40 halvings do not make it decrease, RuntimeError is raised.
     Every residual and Jacobian is one kernel call on the full
     device-voltage grid.
     """
     nr, nc = xbar.n_rows, xbar.n_cols
-    if t is None:
-        t = xbar.t_kelvin
+    t = xbar.t_kelvin
     if nr > MAX_SOLVE_DIM or nc > MAX_SOLVE_DIM:
         raise ValueError(
             f"dense network solve is capped at {MAX_SOLVE_DIM} lines per side")
@@ -212,7 +214,6 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme, t: float | None = None,
     if not driven:
         raise ValueError("at least one line must be driven")
     check_bias(driven)
-    check_temperature(t)
     free_rows = np.array([r for r, v in enumerate(scheme.rows) if v is None], dtype=int)
     free_cols = np.array([c for c, v in enumerate(scheme.cols) if v is None], dtype=int)
     n_fr = free_rows.size
@@ -266,9 +267,9 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme, t: float | None = None,
                 break
             lam *= 0.5
         else:
-            # no probe reduced the residual: take the smallest step anyway
-            x_new = x + lam * step
-            f, rv, cv, dv, di = residual(x_new)
+            raise RuntimeError(
+                f"network solve line search failed at iteration {it + 1}: "
+                f"no step reduced the residual {norm0:.3g} A")
         x = x_new
         it += 1
     return NetworkSolution(row_v=rv, col_v=cv, device_v=dv, device_i=di,
@@ -276,24 +277,21 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme, t: float | None = None,
                            iterations=it, residual=float(_max_abs(f)))
 
 
-def mvm_read(xbar: Crossbar, v_in, t: float | None = None,
-             v_limit: float = MVM_V_LIMIT) -> np.ndarray:
+def mvm_read(xbar: Crossbar, v_in) -> np.ndarray:
     """Column currents with rows driven at v_in and columns at virtual
     ground. This is the analog matrix-vector product primitive.
 
-    Inputs are restricted to the read regime (|v| <= v_limit) so the
+    Inputs are restricted to the read regime (|v| <= MVM_V_LIMIT) so the
     encoding never crosses a write onset.
     """
     v_in = np.asarray(v_in, dtype=float)
     if v_in.shape != (xbar.n_rows,):
         raise ValueError(f"v_in must have shape ({xbar.n_rows},), got {v_in.shape}")
-    if np.any(np.abs(v_in) > v_limit):
-        raise ValueError(f"read inputs must satisfy |v| <= {v_limit} V")
+    if np.any(np.abs(v_in) > MVM_V_LIMIT):
+        raise ValueError(f"read inputs must satisfy |v| <= {MVM_V_LIMIT} V")
     check_bias(v_in)
-    if t is None:
-        t = xbar.t_kelvin
-    check_temperature(t)
-    di = current_total_g(v_in[:, None], t, xbar.params, xbar.multipliers())
+    di = current_total_g(v_in[:, None], xbar.t_kelvin, xbar.params,
+                         xbar.multipliers())
     return _line_sums(di, axis=0)
 
 
@@ -308,19 +306,18 @@ class WriteReport:
 
 
 def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
-                 m: UpdateModel, kind: str = "amplitude_ramp",
-                 rng: np.random.Generator | None = None,
-                 t: float | None = None) -> tuple[Crossbar, WriteReport]:
+                 m: UpdateModel, rng: np.random.Generator | None = None
+                 ) -> tuple[Crossbar, WriteReport]:
     """Write one cell under the V/2 bias scheme and account for disturbs.
 
     Half-selected cells see v_write/2; they only move when that still
-    crosses an update onset. The energy is the rectangular-pulse sum over
-    every biased cell at its pre-pulse state.
+    crosses an update onset. Every biased cell takes an amplitude_ramp
+    pulse. The energy is the rectangular-pulse sum over every biased cell
+    at its pre-pulse state.
     """
     if not (0 <= row < xbar.n_rows and 0 <= col < xbar.n_cols):
         raise ValueError("selected cell is outside the array")
-    if t is None:
-        t = xbar.t_kelvin
+    t = xbar.t_kelvin
     scheme = BiasScheme.v_half_write(xbar.n_rows, xbar.n_cols, row, col,
                                      pulse.v_write)
     rows = []
@@ -336,7 +333,7 @@ def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
                 energy += (abs(current_total(v_dev, t, xbar.params, s))
                            * abs(v_dev) * pulse.t_width)
                 s_new = apply_pulse(s, PulseSpec(v_dev, pulse.t_width), m,
-                                    rng=rng, kind=kind)
+                                    rng=rng)
             else:
                 s_new = s
             dw = s_new.w - s.w
@@ -367,8 +364,8 @@ class SneakReport:
     solution: NetworkSolution
 
 
-def sneak_margin(xbar: Crossbar, row: int, col: int, v_read: float,
-                 t: float | None = None) -> SneakReport:
+def sneak_margin(xbar: Crossbar, row: int, col: int,
+                 v_read: float) -> SneakReport:
     """Margins of a floating-line selected read.
 
     The selected cell is read with every unselected line floating;
@@ -380,7 +377,7 @@ def sneak_margin(xbar: Crossbar, row: int, col: int, v_read: float,
     if v_read == 0:
         raise ValueError("v_read must be nonzero")
     scheme = BiasScheme.read_select(xbar.n_rows, xbar.n_cols, row, col, v_read)
-    sol = solve_network(xbar, scheme, t)
+    sol = solve_network(xbar, scheme)
     v_sel = abs(sol.device_v[row, col])
     i_sel = abs(sol.device_i[row, col])
     mask = np.ones_like(sol.device_v, dtype=bool)

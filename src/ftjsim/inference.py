@@ -19,7 +19,8 @@ current, the loop absorbs device-to-device spread up to the rail limits.
 The loop validates its inputs once at entry and then trims each cell in
 Python floats, with device.apply_pulse's update law and a read equal to
 conduction.current_total, so it matches pulse-by-pulse application and
-reading bit for bit, generator draws included.
+reading bit for bit, generator draws included. Programming and reads run
+at the array's own t_kelvin.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, T_REF, V_ONOFF, V_READ,
-                         _float_current, check_bias, check_temperature,
-                         current_total, current_total_g, default_params,
-                         state_multiplier)
+                         _float_current, check_bias, current_total,
+                         current_total_g, default_params, state_multiplier)
 from .crossbar import MVM_V_LIMIT, Crossbar, _line_sums, build_crossbar
 from .device import (DeviceState, UpdateModel, V_DEP_DEFAULT, V_POT_DEFAULT,
                      _pulse_curve, _pulse_noise, _pulse_step,
@@ -168,8 +168,7 @@ class ProgramReport:
 
 def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
                          tol_g: float, rng: np.random.Generator,
-                         v_read: float = V_READ, t: float | None = None,
-                         max_pulses: int | None = None
+                         v_read: float = V_READ, max_pulses: int | None = None
                          ) -> tuple[Crossbar, ProgramReport]:
     """Program every cell to a target conductance with verification reads.
 
@@ -198,12 +197,10 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
         raise ValueError("tol_g must be positive")
     if v_read == 0:
         raise ValueError("verify bias must be nonzero")
-    if t is None:
-        t = xbar.t_kelvin
     if max_pulses is None:
         max_pulses = 3 * m.n_full
     p = xbar.params
-    current = _float_current(v_read, t, p)
+    current = _float_current(v_read, xbar.t_kelvin, p)
     pot = _pulse_curve(V_POT_DEFAULT, m, "amplitude_ramp")
     dep = _pulse_curve(V_DEP_DEFAULT, m, "amplitude_ramp")
     noise = _pulse_noise(m.c2c_rel)
@@ -240,8 +237,7 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     return out, report
 
 
-def mvm_charge(xbar: Crossbar, x, v_read: float = V_ONOFF,
-               t: float | None = None) -> np.ndarray:
+def mvm_charge(xbar: Crossbar, x, v_read: float = V_ONOFF) -> np.ndarray:
     """Charge-integration matrix-vector product.
 
     Integrates x[r]-weighted one-hot reads at the fixed read bias, so
@@ -257,10 +253,7 @@ def mvm_charge(xbar: Crossbar, x, v_read: float = V_ONOFF,
     if abs(v_read) > MVM_V_LIMIT:
         raise ValueError(f"read inputs must satisfy |v| <= {MVM_V_LIMIT} V")
     check_bias(v_read)
-    if t is None:
-        t = xbar.t_kelvin
-    check_temperature(t)
-    di = current_total_g(v_read, t, xbar.params, xbar.multipliers())
+    di = current_total_g(v_read, xbar.t_kelvin, xbar.params, xbar.multipliers())
     return _line_sums(x[:, None] * di, axis=0)
 
 
@@ -295,13 +288,13 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
                  v_verify: float = V_READ, t: float = T_REF) -> MvmErrorStats:
     """Monte Carlo relative error of the full analog pipeline.
 
-    Each trial builds a fresh differential pair with independent variation
-    draws, programs the mapped weights ("write_verify" trims against
-    measured conductance; "ideal" writes the exact state), then scores one
-    input vector by the relative RMS error of the decoded product against
-    the float product. x_inputs fixes the input vector; None draws a fresh
-    uniform [0, 1] vector per trial. c2c_rel overrides the update model's
-    pulse noise during programming.
+    Each trial builds a fresh differential pair at t with independent
+    variation draws, programs the mapped weights ("write_verify" trims
+    against measured conductance; "ideal" writes the exact state), then
+    scores one input vector by the relative RMS error of the decoded
+    product against the float product. x_inputs fixes the input vector;
+    None draws a fresh uniform [0, 1] vector per trial. c2c_rel overrides
+    the update model's pulse noise during programming.
 
     The decoder gain is least-squares calibrated per pair from an
     all-ones read ("calibrated"); "exact" uses the analytic gain
@@ -349,23 +342,23 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
         else:
             rng = np.random.default_rng(s_prog)
             pos, rep_pos = program_write_verify(pos, gv_pos, m, tol_g, rng,
-                                                v_read=v_verify, t=t)
+                                                v_read=v_verify)
             neg, rep_neg = program_write_verify(neg, gv_neg, m, tol_g, rng,
-                                                v_read=v_verify, t=t)
+                                                v_read=v_verify)
             pulses[trial] = rep_pos.pulses_total + rep_neg.pulses_total
             failed[trial] = rep_pos.n_failed + rep_neg.n_failed
         if decoder == "exact":
             alpha = 1.0 / (v_read * (mapping.g_max - mapping.g_min))
         else:
             ones = np.ones(n_rows)
-            q_ones = (mvm_charge(pos, ones, v_read, t)
-                      - mvm_charge(neg, ones, v_read, t))
+            q_ones = (mvm_charge(pos, ones, v_read)
+                      - mvm_charge(neg, ones, v_read))
             alpha = _decoder_gain(q_ones, ones @ w)
 
         x = (x_inputs if x_inputs is not None
              else np.random.default_rng(s_x).uniform(0.0, 1.0, n_rows))
         y_true = x @ w
-        q = mvm_charge(pos, x, v_read, t) - mvm_charge(neg, x, v_read, t)
+        q = mvm_charge(pos, x, v_read) - mvm_charge(neg, x, v_read)
         y_hat = alpha * q
         denom = float(np.linalg.norm(y_true))
         if denom == 0.0:

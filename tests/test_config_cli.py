@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ftjsim import cli, config
+from ftjsim import cli, config, crossbar
 from ftjsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from ftjsim.config import (
     ConfigError,
@@ -333,20 +334,45 @@ def test_cli_numerical_error(tmp_path, capsys):
     ("[device]\nt_kelvin = 7\n", "t_kelvin = 7.0 K"),
     ("[device]\nea_ohm_ev = 50\n", "ea_ohm = 50.0 eV"),
     ("[device]\nea_ohm_ev = 1000\n", "ea_ohm = 1000.0 eV"),
+    ("[device]\nd_fe_nm = 0.001\n", "d_fe = 1.0000000000000002e-12 m"),
 ])
 def test_cli_calibration_past_float_range_is_a_numerical_error(
         tmp_path, capsys, text, names):
-    """A temperature or activation energy that takes a calibration shape
-    past float range exits 3 in every command, naming the value, without a
-    traceback."""
+    """A temperature, activation energy or film thickness that takes a
+    calibration shape past float range exits 3 in every command, naming
+    the value, without a traceback, a warning or an output file."""
     ini = tmp_path / "limit.ini"
     ini.write_text(text)
-    for command in cli._HANDLERS:
-        assert _run(tmp_path / command, command, "--config", str(ini)) \
-            == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert err.startswith("numerical error: ") and names in err
-        assert "Traceback" not in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in cli._HANDLERS:
+            assert _run(tmp_path / command, command, "--config", str(ini)) \
+                == EXIT_NUMERICAL
+            err = capsys.readouterr().err
+            assert err.startswith("numerical error: ") and names in err
+            assert "Traceback" not in err
+            assert not (tmp_path / command).exists()
+
+
+def test_cli_failing_command_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A command that fails after computing its table leaves no CSV: a
+    sweep that opens no memory window, and a network solve whose line
+    search cannot reduce the residual."""
+    ini = tmp_path / "narrow.ini"
+    ini.write_text("[hysteresis]\nv_neg_v = 0.2\nv_pos_v = 0.2\n")
+    out = tmp_path / "hysteresis"
+    assert main(["hysteresis", "--config", str(ini), "--out", str(out)]) \
+        == EXIT_NUMERICAL
+    assert "resistance window" in capsys.readouterr().err
+    assert not out.exists()
+
+    g_d = crossbar.differential_conductance_g
+    monkeypatch.setattr(crossbar, "differential_conductance_g",
+                        lambda *args: -g_d(*args))
+    out = tmp_path / "xbar"
+    assert main(["xbar", "--out", str(out)]) == EXIT_NUMERICAL
+    assert "line search failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sidecar_metadata(tmp_path):
@@ -370,16 +396,21 @@ def test_cli_sha_tracks_config(tmp_path):
     assert sha_a != sha_b
 
 
-def test_cli_outputs_are_deterministic(tmp_path):
-    """Same (config, seed) must give byte-identical tables; the scheme
-    command is the most noise-exposed path."""
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    for out in (a, b):
-        assert main(["scheme", "--out", str(out), "--seed", "5"]) == EXIT_OK
-    assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
-    assert (a / "scheme.json").read_bytes() == (b / "scheme.json").read_bytes()
-    assert main(["scheme", "--out", str(c), "--seed", "6"]) == EXIT_OK
-    assert (a / "trace.csv").read_bytes() != (c / "trace.csv").read_bytes()
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_cli_outputs_are_deterministic(tmp_path, command):
+    """Same (config, seed) must give byte-identical files; the commands
+    that draw from the seed give a different table at another seed."""
+    runs = {}
+    for name, seed in (("a", "5"), ("b", "5"), ("c", "6")):
+        out = tmp_path / name
+        assert main([command, "--out", str(out), "--seed", seed]) == EXIT_OK
+        runs[name] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert runs["a"] == runs["b"]
+    assert sorted(runs["a"]) == sorted(runs["c"])
+    assert f"{command}.json" in runs["a"] and len(runs["a"]) == 2
+    (table,) = (name for name in runs["a"] if name.endswith(".csv"))
+    if command in ("scheme", "cdf", "d2d", "xbar"):
+        assert runs["a"][table] != runs["c"][table]
 
 
 def test_cli_iv_zero_grid_gives_zero_current(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ftjsim import crossbar
 from ftjsim.conduction import (ConductionParams, calibrate, CalibrationTargets,
                                current_total, default_params,
                                differential_conductance)
@@ -154,6 +155,18 @@ def test_current_conservation(p):
     assert sol.row_i[2] != 0.0
     for i in (0, 1, 3):
         assert abs(sol.row_i[i]) < 1e-12
+
+
+def test_line_search_that_cannot_descend_raises(p, monkeypatch):
+    """A negated Jacobian points every Newton step uphill: no halving
+    reduces the residual, and the solve raises rather than stepping."""
+    g_d = crossbar.differential_conductance_g
+    monkeypatch.setattr(crossbar, "differential_conductance_g",
+                        lambda *args: -g_d(*args))
+    xbar = build_crossbar(3, 3, p, sigma_d2d=0.1, seed=11)
+    with pytest.raises(RuntimeError,
+                       match=r"at iteration 1: no step reduced the residual"):
+        sneak_margin(xbar, 1, 1, 0.5)
 
 
 def test_solver_dimension_cap(p):
