@@ -415,7 +415,8 @@ def cmd_xbar(cfg: SimConfig, bundle, seed: int) -> _Table:
     xbar = xbar.with_weights(w)
     report = sneak_margin(xbar, 0, 0, sec.v_read_v)
     sol = report.solution
-    rows = [(r, c, xbar.states[r][c].w, sol.device_v[r, c], sol.device_i[r, c])
+    w = xbar.w.tolist()
+    rows = [(r, c, w[r][c], sol.device_v[r, c], sol.device_i[r, c])
             for r in range(sec.n_rows) for c in range(sec.n_cols)]
     rng = np.random.default_rng(seed)
     pulse = PulseSpec(sec.v_write_v, sec.t_width_s)
@@ -517,6 +518,9 @@ def main(argv=None) -> int:
             raise _UsageError(
                 f"unknown command {command!r}; expected one of "
                 f"{', '.join(_HANDLERS)}")
+        out = Path(args.out)
+        if out.exists() and not out.is_dir():
+            raise _UsageError(f"--out {out} is not a directory")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -537,14 +541,20 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        csv_name, header, rows, payload = _HANDLERS[command](cfg, bundle,
-                                                             args.seed)
+        # a float overflow, invalid operation or division by zero inside a
+        # command is a numerical failure, not a warning beside a bad table
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            csv_name, header, rows, payload = _HANDLERS[command](
+                cfg, bundle, args.seed)
     except (CalibrationError, RuntimeError, np.linalg.LinAlgError,
             ArithmeticError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"usage error: --out {out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     csv_path, json_path = out / csv_name, out / f"{command}.json"
     _write_csv(csv_path, header, rows)
     _write_json(json_path, _meta(command, cfg, args.seed, payload))

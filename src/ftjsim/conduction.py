@@ -17,10 +17,15 @@ The current functions come in two forms. The g-level kernels
 take the multiplier g directly and broadcast over arrays of biases and
 multipliers, so a whole crossbar is one call. current_total and
 differential_conductance take one device state and are thin wrappers that
-compute its multiplier first. Every kernel validates its bias and
-temperature on each call, over the whole array at once. For loops that
-read one device many times at one bias, _float_current validates once and
-returns a plain-float i(g) that equals current_total_g bit for bit.
+compute its multiplier first. Every public kernel validates its bias and
+temperature on each call, over the whole array at once, and then composes
+the private channel terms (_bias_terms, _ohmic, _pf, _total,
+_conductance), the one place each formula is written. Callers that
+validate once and evaluate many times compose those terms directly: the
+crossbar Newton solve evaluates the bias terms once per point and reuses
+them for the Jacobian, and _float_current returns a plain-float i(g) for
+loops that read one device many times at one bias. Both equal the public
+kernels bit for bit.
 
 A separate direct-tunneling expression (trapezoidal barrier, low and
 intermediate bias) is provided purely for mechanism discrimination; it is
@@ -226,8 +231,58 @@ def _as_input_kind(result, v, g=1.0):
 
 def state_multiplier(p: ConductionParams, w: float, d2d_log10: float = 0.0) -> float:
     """Common channel multiplier: g_lrs**w shifted by the device's log10
-    resistance offset."""
-    return p.g_lrs ** w * 10.0 ** (-d2d_log10)
+    resistance offset. An offset whose shift 10**(-d2d_log10) is past
+    float range raises OverflowError naming it."""
+    try:
+        shift = 10.0 ** (-d2d_log10)
+    except OverflowError:
+        raise OverflowError(
+            f"d2d_log10 = {d2d_log10} is outside float range: the state "
+            "multiplier 10**(-d2d_log10) overflows") from None
+    return p.g_lrs ** w * shift
+
+
+def _bias_terms(va: np.ndarray, theta: float):
+    """Per-bias factors shared by the current and its derivative:
+    (sign(v), |v|, sqrt|v|, exp(theta * sqrt|v|)).
+
+    Always evaluated with numpy: math.exp and np.exp differ in the last
+    bit for some inputs, so every path takes the exponential from here.
+    """
+    mag = np.abs(va)
+    rt = np.sqrt(mag)
+    return np.sign(va), mag, rt, np.exp(theta * rt)
+
+
+def _ohmic(ga, va, ohm_c):
+    """Ohmic channel current at ga = g * area: J_ohm = ohm_c * v."""
+    return ga * ohm_c * va
+
+
+def _pf(ga, terms, pf_c):
+    """Poole-Frenkel current at ga = g * area:
+    J_pf = sign(v) * pf_c * |v| * exp(theta * sqrt|v|)."""
+    sign, mag, _, e = terms
+    return ga * sign * (pf_c * mag * e)
+
+
+def _total(ga, va, terms, ohm_c, pf_c):
+    """Composite current, Ohmic + Poole-Frenkel, from the bias terms."""
+    return _ohmic(ga, va, ohm_c) + _pf(ga, terms, pf_c)
+
+
+def _conductance(ga, terms, ohm_c, pf_c, theta):
+    """dI/dv of the composite current from the same bias terms, so a
+    Newton Jacobian reuses what its residual evaluated."""
+    _, _, rt, e = terms
+    return ga * (ohm_c + pf_c * e * (1.0 + 0.5 * theta * rt))
+
+
+def _checked(v, t: float, p: ConductionParams):
+    """Check bias and temperature; return (v as floats, coefficients)."""
+    check_bias(v)
+    check_temperature(t)
+    return np.asarray(v, dtype=float), _coeffs(p, t)
 
 
 def current_ohmic(v, t: float, p: ConductionParams, g: float = 1.0):
@@ -236,22 +291,8 @@ def current_ohmic(v, t: float, p: ConductionParams, g: float = 1.0):
     g is the dimensionless state multiplier (1 for the pristine HRS); v
     and g broadcast against each other.
     """
-    check_bias(v)
-    check_temperature(t)
-    ohm_c, _, _ = _coeffs(p, t)
-    return _as_input_kind(g * p.area * ohm_c * np.asarray(v, dtype=float), v, g)
-
-
-def _pf_terms(v, t: float, p: ConductionParams):
-    """Per-bias Poole-Frenkel factors (sign(v), j) with J_pf = sign(v) * j.
-
-    Always evaluated with numpy: math.exp and np.exp differ in the last
-    bit for some inputs, so every path takes j from here.
-    """
-    _, pf_c, theta = _coeffs(p, t)
-    va = np.asarray(v, dtype=float)
-    mag = np.abs(va)
-    return np.sign(va), pf_c * mag * np.exp(theta * np.sqrt(mag))
+    va, (ohm_c, _, _) = _checked(v, t, p)
+    return _as_input_kind(_ohmic(g * p.area, va, ohm_c), v, g)
 
 
 def current_pf(v, t: float, p: ConductionParams, g: float = 1.0):
@@ -261,10 +302,8 @@ def current_pf(v, t: float, p: ConductionParams, g: float = 1.0):
     theta(T) = (q/kT) * sqrt(q/(pi*eps0*eps_r*d_fe)), strictly decreasing
     in temperature.
     """
-    check_bias(v)
-    check_temperature(t)
-    sign, j = _pf_terms(v, t, p)
-    return _as_input_kind(g * p.area * sign * j, v, g)
+    va, (_, pf_c, theta) = _checked(v, t, p)
+    return _as_input_kind(_pf(g * p.area, _bias_terms(va, theta), pf_c), v, g)
 
 
 def current_tunneling(v, p: ConductionParams):
@@ -296,7 +335,9 @@ def current_total_g(v, t: float, p: ConductionParams, g=1.0):
     The g-level kernel behind current_total. v and g broadcast, so one
     call evaluates a whole array of devices at their own biases.
     """
-    return current_ohmic(v, t, p, g) + current_pf(v, t, p, g)
+    va, (ohm_c, pf_c, theta) = _checked(v, t, p)
+    return _as_input_kind(
+        _total(g * p.area, va, _bias_terms(va, theta), ohm_c, pf_c), v, g)
 
 
 def _float_current(v: float, t: float, p: ConductionParams):
@@ -304,20 +345,17 @@ def _float_current(v: float, t: float, p: ConductionParams):
     function of a Python-float multiplier g that gives exactly
     current_total_g(v, t, p, g).
 
-    Bias and temperature are checked once here and the per-bias channel
-    factors are computed once with numpy; each i(g) call then applies the
-    kernel's operations in the kernel's order in plain float arithmetic,
-    which rounds as numpy does.
+    Bias and temperature are checked once here and the per-bias terms are
+    computed once with numpy; each i(g) call then composes the kernel's
+    terms in plain float arithmetic, which rounds as numpy does.
     """
-    check_bias(v)
-    check_temperature(t)
-    v = float(v)
-    ohm_c = _coeffs(p, t)[0]
-    sign, j = (float(x) for x in _pf_terms(v, t, p))
+    va, (ohm_c, pf_c, theta) = _checked(v, t, p)
+    terms = tuple(float(x) for x in _bias_terms(va, theta))
+    v = float(va)
     area = p.area
 
     def current(g: float) -> float:
-        return g * area * ohm_c * v + g * area * sign * j
+        return _total(g * area, v, terms, ohm_c, pf_c)
 
     return current
 
@@ -325,13 +363,10 @@ def _float_current(v: float, t: float, p: ConductionParams):
 def differential_conductance_g(v, t: float, p: ConductionParams, g=1.0):
     """dI/dv of the composite current at state multiplier g, S. Even in v
     and strictly positive; v and g broadcast."""
-    check_bias(v)
-    check_temperature(t)
-    ohm_c, pf_c, theta = _coeffs(p, t)
-    mag = np.abs(np.asarray(v, dtype=float))
-    rt = np.sqrt(mag)
-    dpf = pf_c * np.exp(theta * rt) * (1.0 + 0.5 * theta * rt)
-    return _as_input_kind(g * p.area * (ohm_c + dpf), v, g)
+    va, (ohm_c, pf_c, theta) = _checked(v, t, p)
+    return _as_input_kind(
+        _conductance(g * p.area, _bias_terms(va, theta), ohm_c, pf_c, theta),
+        v, g)
 
 
 def current_total(v, t: float, p: ConductionParams, s: "DeviceState"):

@@ -1,27 +1,37 @@
 """Passive crossbar arrays: network solve, read/write schemes, sneak paths.
 
 An array is a grid of independent device states sharing one conduction
-parameter set and one temperature, t_kelvin, checked once when the array
-is built: every read, solve and write runs at it. Rows and columns are
-ideal wires (no line resistance); every line is either driven to a
-potential or left floating. Floating
-lines settle where Kirchhoff's current law balances the nonlinear device
-currents, which a damped Newton iteration solves to machine precision.
+parameter set and one temperature, t_kelvin. Crossbar stores each
+DeviceState field (w, d2d_log10, cycles, broken, last_polarity) as one
+read-only n_rows x n_cols ndarray, and checks the fields and the
+temperature once, as array checks, when the array is built; state(r, c)
+returns one cell as a DeviceState. Every read, solve and write runs at
+the array's temperature. Rows and columns are ideal wires (no line
+resistance); every line is either driven to a potential or left floating.
+Floating lines settle where Kirchhoff's current law balances the
+nonlinear device currents, which a damped Newton iteration solves to
+machine precision.
 
-Reads are evaluated on arrays. Each call of solve_network or mvm_read
-builds the per-cell state-multiplier grid g[r, c] once (nothing is cached
-between calls) and hands the whole device-voltage grid
-rv[:, None] - cv[None, :] to the g-level conduction kernels, so one
-Newton iteration is a few array calls rather than a Python loop over
-cells. The results are bit-identical to evaluating each cell with the
-scalar current_total: g is built cell by cell with the scalar
-state_multiplier, and line currents and Jacobian diagonals are summed
-left to right (_line_sums) instead of by numpy's pairwise reduction.
+Reads are evaluated on arrays. Each call of solve_network, mvm_read or
+mvm_charge builds the per-cell state-multiplier grid g[r, c] once
+(nothing is cached between calls) and composes conduction's private
+channel terms on the whole device-voltage grid rv[:, None] - cv[None, :].
+solve_network checks its driven potentials once per call; each Newton
+point then evaluates |v|, sqrt|v| and exp(theta * sqrt|v|) once, for the
+residual, and the Jacobian at that point reuses them. The results are
+bit-identical to evaluating each cell with the scalar current_total: g is
+built cell by cell with the scalar state_multiplier, the terms keep the
+kernels' order of operations, and line currents and Jacobian diagonals
+are summed left to right (_line_sums) instead of by numpy's pairwise
+reduction.
 
 build_crossbar draws every cell's device-to-device offset in one
 sample_d2d_offsets call: cell (r, c) takes the draw of child
 r * n_cols + c of the seed's SeedSequence spawn, bit-identical to a
 sample_device call on that child, without building the children.
+with_weights, write_v_half and inference.program_write_verify return a
+new array with the changed fields; write_v_half pulses only the
+n_rows + n_cols - 1 biased cells.
 
 The device nonlinearity is what makes select-free operation possible:
 sneak-path devices sit at a fraction of the read voltage where the
@@ -36,8 +46,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conduction import (ConductionParams, T_REF, check_bias, current_total,
-                         current_total_g, differential_conductance_g,
+from .conduction import (ConductionParams, T_REF, _bias_terms, _coeffs,
+                         _conductance, _total, check_bias, current_total,
                          state_multiplier)
 from .device import (DeviceState, PulseSpec, UpdateModel, apply_pulse,
                      sample_d2d_offsets)
@@ -60,35 +70,82 @@ NEWTON_MAX_ITER = 200
 MAX_SOLVE_DIM = 64      # dense Newton solve cap per side
 MVM_V_LIMIT = 0.3       # read-regime bias range, V
 
+# per-cell storage fields and their dtypes
+_CELLS = (("w", float), ("d2d_log10", float), ("cycles", int),
+          ("broken", bool), ("last_polarity", int))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Crossbar:
     """Array of device states over shared conduction parameters at one
-    operating temperature."""
+    operating temperature.
 
-    states: tuple[tuple[DeviceState, ...], ...]
+    Each cell field of DeviceState is stored as one read-only n_rows x
+    n_cols array: w and d2d_log10 are required, the pulse history
+    (cycles, broken, last_polarity) defaults to pristine. The arrays are
+    copied and checked once, here, with DeviceState's limits; state(r, c)
+    returns one cell as a DeviceState.
+    """
+
+    w: np.ndarray
+    d2d_log10: np.ndarray
     params: ConductionParams
     t_kelvin: float = T_REF
+    cycles: np.ndarray | None = None
+    broken: np.ndarray | None = None
+    last_polarity: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.states or not self.states[0]:
-            raise ValueError("crossbar must have at least one row and column")
-        width = len(self.states[0])
-        if any(len(row) != width for row in self.states):
-            raise ValueError("all crossbar rows must have equal length")
+        shape = np.shape(self.w)
+        if len(shape) != 2 or 0 in shape:
+            raise ValueError("crossbar must be a 2-D grid with at least one "
+                             f"row and column, got shape {shape}")
+        for name, dtype in _CELLS:
+            value = getattr(self, name)
+            a = (np.zeros(shape, dtype) if value is None
+                 else np.array(value, dtype=dtype))
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, "
+                                 f"got {a.shape}")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        outside = ~((self.w >= 0.0) & (self.w <= 1.0))
+        if outside.any():
+            raise ValueError(f"w must be in [0, 1], got {self.w[outside][0]}")
+        if not np.all(np.isfinite(self.d2d_log10)):
+            raise ValueError("d2d_log10 must be finite")
+        if np.any(self.cycles < 0):
+            raise ValueError("cycles must be non-negative")
         if not (math.isfinite(self.t_kelvin) and self.t_kelvin > 0):
             raise ValueError("t_kelvin must be positive")
 
+    def __eq__(self, other):
+        if not isinstance(other, Crossbar):
+            return NotImplemented
+        return (self.params == other.params
+                and self.t_kelvin == other.t_kelvin
+                and all(np.array_equal(getattr(self, name),
+                                       getattr(other, name))
+                        for name, _ in _CELLS))
+
     @property
     def n_rows(self) -> int:
-        return len(self.states)
+        return self.w.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return len(self.states[0])
+        return self.w.shape[1]
+
+    def state(self, r: int, c: int) -> DeviceState:
+        """Cell (r, c) as a single-device DeviceState."""
+        return DeviceState(w=float(self.w[r, c]),
+                           d2d_log10=float(self.d2d_log10[r, c]),
+                           cycles=int(self.cycles[r, c]),
+                           broken=bool(self.broken[r, c]),
+                           last_polarity=int(self.last_polarity[r, c]))
 
     def weights(self) -> np.ndarray:
-        return np.array([[s.w for s in row] for row in self.states])
+        return self.w.copy()
 
     def multipliers(self) -> np.ndarray:
         """State-multiplier grid g[r, c], computed afresh on every call.
@@ -98,20 +155,18 @@ class Crossbar:
         some inputs, and array reads must match the scalar kernel exactly.
         """
         p = self.params
-        return np.array([[state_multiplier(p, s.w, s.d2d_log10) for s in row]
-                         for row in self.states])
+        g = [state_multiplier(p, w, d) for w, d in
+             zip(self.w.ravel().tolist(), self.d2d_log10.ravel().tolist())]
+        return np.array(g).reshape(self.w.shape)
 
     def with_weights(self, w) -> "Crossbar":
         """New array with the given w matrix, keeping each device's
         variation offset and history."""
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.n_rows, self.n_cols):
+        if w.shape != self.w.shape:
             raise ValueError(f"weight matrix must have shape "
-                             f"{(self.n_rows, self.n_cols)}, got {w.shape}")
-        rows = tuple(
-            tuple(replace(s, w=float(w[r, c])) for c, s in enumerate(row))
-            for r, row in enumerate(self.states))
-        return replace(self, states=rows)
+                             f"{self.w.shape}, got {w.shape}")
+        return replace(self, w=w)
 
 
 def build_crossbar(n_rows: int, n_cols: int, p: ConductionParams,
@@ -130,11 +185,9 @@ def build_crossbar(n_rows: int, n_cols: int, p: ConductionParams,
     if n_rows < 1 or n_cols < 1:
         raise ValueError("array dimensions must be positive")
     offsets = sample_d2d_offsets(sigma_d2d, seed, n_rows * n_cols)
-    states = tuple(
-        tuple(DeviceState(w=0.0, d2d_log10=d)
-              for d in offsets[r * n_cols:(r + 1) * n_cols])
-        for r in range(n_rows))
-    return Crossbar(states=states, params=p, t_kelvin=t_kelvin)
+    return Crossbar(w=np.zeros((n_rows, n_cols)),
+                    d2d_log10=np.reshape(offsets, (n_rows, n_cols)),
+                    params=p, t_kelvin=t_kelvin)
 
 
 @dataclass(frozen=True)
@@ -199,12 +252,15 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
     its derivative with respect to any line potential is a sum of strictly
     positive differential conductances, so the Jacobian is well
     conditioned. Steps are halved until the residual norm decreases; if
-    40 halvings do not make it decrease, RuntimeError is raised.
-    Every residual and Jacobian is one kernel call on the full
-    device-voltage grid.
+    40 halvings do not make it decrease, or a trial iterate is not finite,
+    RuntimeError is raised.
+
+    The driven potentials are checked once per call; the temperature was
+    checked when the array was built. Each residual evaluates the channel
+    terms of the full device-voltage grid once, and the Jacobian at that
+    point reuses them.
     """
     nr, nc = xbar.n_rows, xbar.n_cols
-    t = xbar.t_kelvin
     if nr > MAX_SOLVE_DIM or nc > MAX_SOLVE_DIM:
         raise ValueError(
             f"dense network solve is capped at {MAX_SOLVE_DIM} lines per side")
@@ -218,8 +274,8 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
     free_cols = np.array([c for c, v in enumerate(scheme.cols) if v is None], dtype=int)
     n_fr = free_rows.size
     n_free = n_fr + free_cols.size
-    p = xbar.params
-    g = xbar.multipliers()
+    ohm_c, pf_c, theta = _coeffs(xbar.params, xbar.t_kelvin)
+    ga = xbar.multipliers() * xbar.params.area
 
     row_v = np.array([0.0 if v is None else float(v) for v in scheme.rows])
     col_v = np.array([0.0 if v is None else float(v) for v in scheme.cols])
@@ -231,39 +287,44 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
         rv[free_rows] = xv[:n_fr]
         cv[free_cols] = xv[n_fr:]
         dv = rv[:, None] - cv[None, :]
-        di = current_total_g(dv, t, p, g)
-        f = np.concatenate([_line_sums(di[free_rows, :], axis=1),
-                            _line_sums(di[:, free_cols], axis=0)])
-        return f, rv, cv, dv, di
+        terms = _bias_terms(dv, theta)
+        di = _total(ga, dv, terms, ohm_c, pf_c)
+        f = np.concatenate([_line_sums(di, axis=1)[free_rows],
+                            _line_sums(di, axis=0)[free_cols]])
+        return f, _max_abs(f), rv, cv, dv, di, terms
 
-    def jacobian(dv):
-        gd = differential_conductance_g(dv, t, p, g)
+    def jacobian(terms):
+        gd = _conductance(ga, terms, ohm_c, pf_c, theta)
         cross = gd[np.ix_(free_rows, free_cols)]
         jac = np.zeros((n_free, n_free))
         diag = np.arange(n_free)
-        jac[diag[:n_fr], diag[:n_fr]] = _line_sums(gd[free_rows, :], axis=1)
-        jac[diag[n_fr:], diag[n_fr:]] = -_line_sums(gd[:, free_cols], axis=0)
+        jac[diag[:n_fr], diag[:n_fr]] = _line_sums(gd, axis=1)[free_rows]
+        jac[diag[n_fr:], diag[n_fr:]] = -_line_sums(gd, axis=0)[free_cols]
         jac[:n_fr, n_fr:] = -cross
         jac[n_fr:, :n_fr] = cross.T
         return jac
 
-    f, rv, cv, dv, di = residual(x)
+    f, norm, rv, cv, dv, di, terms = residual(x)
     it = 0
-    while _max_abs(f) > tol:
+    while norm > tol:
         if it >= NEWTON_MAX_ITER:
             raise RuntimeError(
                 f"network solve did not converge in {NEWTON_MAX_ITER} iterations "
-                f"(residual {_max_abs(f):.3g} A)")
+                f"(residual {norm:.3g} A)")
         try:
-            step = np.linalg.solve(jacobian(dv), -f)
+            step = np.linalg.solve(jacobian(terms), -f)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular network Jacobian: {exc}") from exc
-        norm0 = _max_abs(f)
+        norm0 = norm
         lam = 1.0
         for _ in range(40):
             x_new = x + lam * step
-            f, rv, cv, dv, di = residual(x_new)
-            if _max_abs(f) < norm0:
+            if not np.all(np.isfinite(x_new)):
+                raise RuntimeError(
+                    f"network solve produced a non-finite iterate at "
+                    f"iteration {it + 1}")
+            f, norm, rv, cv, dv, di, terms = residual(x_new)
+            if norm < norm0:
                 break
             lam *= 0.5
         else:
@@ -274,7 +335,7 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
         it += 1
     return NetworkSolution(row_v=rv, col_v=cv, device_v=dv, device_i=di,
                            row_i=di.sum(axis=1), col_i=di.sum(axis=0),
-                           iterations=it, residual=float(_max_abs(f)))
+                           iterations=it, residual=float(norm))
 
 
 def mvm_read(xbar: Crossbar, v_in) -> np.ndarray:
@@ -290,9 +351,17 @@ def mvm_read(xbar: Crossbar, v_in) -> np.ndarray:
     if np.any(np.abs(v_in) > MVM_V_LIMIT):
         raise ValueError(f"read inputs must satisfy |v| <= {MVM_V_LIMIT} V")
     check_bias(v_in)
-    di = current_total_g(v_in[:, None], xbar.t_kelvin, xbar.params,
-                         xbar.multipliers())
-    return _line_sums(di, axis=0)
+    return _line_sums(_array_current(xbar, v_in[:, None]), axis=0)
+
+
+def _array_current(xbar: Crossbar, v) -> np.ndarray:
+    """Device currents of the whole array at bias v (broadcast against
+    the grid), composed from the channel terms without re-checking: the
+    caller checked v, and the array its temperature."""
+    ohm_c, pf_c, theta = _coeffs(xbar.params, xbar.t_kelvin)
+    v = np.asarray(v, dtype=float)
+    return _total(xbar.multipliers() * xbar.params.area, v,
+                  _bias_terms(v, theta), ohm_c, pf_c)
 
 
 @dataclass(frozen=True)
@@ -313,42 +382,44 @@ def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
     Half-selected cells see v_write/2; they only move when that still
     crosses an update onset. Every biased cell takes an amplitude_ramp
     pulse. The energy is the rectangular-pulse sum over every biased cell
-    at its pre-pulse state.
+    at its pre-pulse state. Only the n_rows + n_cols - 1 cells on the
+    selected row and column are biased; they are pulsed in row-major
+    order on the shared generator, and every other cell sees 0 V and
+    keeps its state.
     """
     if not (0 <= row < xbar.n_rows and 0 <= col < xbar.n_cols):
         raise ValueError("selected cell is outside the array")
     t = xbar.t_kelvin
     scheme = BiasScheme.v_half_write(xbar.n_rows, xbar.n_cols, row, col,
                                      pulse.v_write)
-    rows = []
+    w, cycles, last = (xbar.w.copy(), xbar.cycles.copy(),
+                       xbar.last_polarity.copy())
     disturbs = []
     energy = 0.0
     dw_sel = 0.0
-    for r in range(xbar.n_rows):
-        cells = []
-        for c in range(xbar.n_cols):
-            s = xbar.states[r][c]
-            v_dev = scheme.rows[r] - scheme.cols[c]
-            if v_dev != 0.0:
-                energy += (abs(current_total(v_dev, t, xbar.params, s))
-                           * abs(v_dev) * pulse.t_width)
-                s_new = apply_pulse(s, PulseSpec(v_dev, pulse.t_width), m,
-                                    rng=rng)
-            else:
-                s_new = s
-            dw = s_new.w - s.w
-            if r == row and c == col:
-                dw_sel = dw
-            elif dw != 0.0:
-                disturbs.append((r, c, dw))
-            cells.append(s_new)
-        rows.append(tuple(cells))
+    biased = [(r, c) for r in range(xbar.n_rows)
+              for c in (range(xbar.n_cols) if r == row else (col,))]
+    for r, c in biased:
+        v_dev = scheme.rows[r] - scheme.cols[c]
+        if v_dev == 0.0:
+            continue
+        s = xbar.state(r, c)
+        energy += (abs(current_total(v_dev, t, xbar.params, s))
+                   * abs(v_dev) * pulse.t_width)
+        s_new = apply_pulse(s, PulseSpec(v_dev, pulse.t_width), m, rng=rng)
+        w[r, c], cycles[r, c], last[r, c] = (s_new.w, s_new.cycles,
+                                             s_new.last_polarity)
+        dw = s_new.w - s.w
+        if r == row and c == col:
+            dw_sel = dw
+        elif dw != 0.0:
+            disturbs.append((r, c, dw))
     report = WriteReport(
         delta_w_selected=dw_sel,
         disturbs=tuple(disturbs),
         max_disturb=max((abs(d[2]) for d in disturbs), default=0.0),
         energy_joules=energy)
-    return replace(xbar, states=tuple(rows)), report
+    return replace(xbar, w=w, cycles=cycles, last_polarity=last), report
 
 
 @dataclass(frozen=True)

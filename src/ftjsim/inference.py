@@ -32,8 +32,9 @@ import numpy as np
 
 from .conduction import (ConductionParams, T_REF, V_ONOFF, V_READ,
                          _float_current, check_bias, current_total,
-                         current_total_g, default_params, state_multiplier)
-from .crossbar import MVM_V_LIMIT, Crossbar, _line_sums, build_crossbar
+                         default_params, state_multiplier)
+from .crossbar import (MVM_V_LIMIT, Crossbar, _array_current, _line_sums,
+                       build_crossbar)
 from .device import (DeviceState, UpdateModel, V_DEP_DEFAULT, V_POT_DEFAULT,
                      _pulse_curve, _pulse_noise, _pulse_step,
                      default_update_model)
@@ -206,30 +207,31 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     noise = _pulse_noise(m.c2c_rel)
     counts = np.zeros((xbar.n_rows, xbar.n_cols), dtype=int)
     resid = np.zeros((xbar.n_rows, xbar.n_cols))
-    rows = []
-    for r, row in enumerate(xbar.states):
-        cells = []
-        for c, s in enumerate(row):
-            target = float(g_targets[r, c])
-            w, cycles, last = s.w, s.cycles, s.last_polarity
-            g = current(state_multiplier(p, w, s.d2d_log10)) / v_read
-            n = 0
-            while abs(g - target) > tol_g and n < max_pulses and not s.broken:
-                curve = pot if g < target else dep
-                if curve is None:
-                    break  # the write amplitude is below its onset
-                w_new, cycles_new = _pulse_step(w, cycles, last, curve, noise, rng)
-                if w_new == w:
-                    break  # pinned at a rail; the target is unreachable
-                w, cycles, last = w_new, cycles_new, curve[0]
-                g = current(state_multiplier(p, w, s.d2d_log10)) / v_read
-                n += 1
-            counts[r, c] = n
-            resid[r, c] = abs(g - target)
-            cells.append(replace(s, w=w, cycles=cycles, last_polarity=last)
-                         if n else s)
-        rows.append(tuple(cells))
-    out = replace(xbar, states=tuple(rows))
+    w_out, cycles_out, last_out = (xbar.w.copy(), xbar.cycles.copy(),
+                                   xbar.last_polarity.copy())
+    cells = zip(np.ndindex(xbar.w.shape), xbar.w.ravel().tolist(),
+                xbar.d2d_log10.ravel().tolist(),
+                xbar.cycles.ravel().tolist(), xbar.broken.ravel().tolist(),
+                xbar.last_polarity.ravel().tolist(),
+                g_targets.ravel().tolist())
+    for rc, w, d2d, cycles, broken, last, target in cells:
+        g = current(state_multiplier(p, w, d2d)) / v_read
+        n = 0
+        while abs(g - target) > tol_g and n < max_pulses and not broken:
+            curve = pot if g < target else dep
+            if curve is None:
+                break  # the write amplitude is below its onset
+            w_new, cycles_new = _pulse_step(w, cycles, last, curve, noise, rng)
+            if w_new == w:
+                break  # pinned at a rail; the target is unreachable
+            w, cycles, last = w_new, cycles_new, curve[0]
+            g = current(state_multiplier(p, w, d2d)) / v_read
+            n += 1
+        counts[rc] = n
+        resid[rc] = abs(g - target)
+        if n:
+            w_out[rc], cycles_out[rc], last_out[rc] = w, cycles, last
+    out = replace(xbar, w=w_out, cycles=cycles_out, last_polarity=last_out)
     report = ProgramReport(pulse_counts=counts, residual_g=resid,
                            pulses_total=int(counts.sum()),
                            max_residual_g=float(resid.max()),
@@ -253,8 +255,7 @@ def mvm_charge(xbar: Crossbar, x, v_read: float = V_ONOFF) -> np.ndarray:
     if abs(v_read) > MVM_V_LIMIT:
         raise ValueError(f"read inputs must satisfy |v| <= {MVM_V_LIMIT} V")
     check_bias(v_read)
-    di = current_total_g(v_read, xbar.t_kelvin, xbar.params, xbar.multipliers())
-    return _line_sums(x[:, None] * di, axis=0)
+    return _line_sums(x[:, None] * _array_current(xbar, v_read), axis=0)
 
 
 def _decoder_gain(q_ones: np.ndarray, y_ones: np.ndarray) -> float:

@@ -260,12 +260,12 @@ def _gauss_seidel_oracle(xbar, scheme, t=T, max_sweeps=200):
     def row_net(i, v):
         row_v[i] = v
         return sum(current_total(row_v[i] - col_v[j], t, xbar.params,
-                                 xbar.states[i][j]) for j in range(nc))
+                                 xbar.state(i, j)) for j in range(nc))
 
     def col_net(j, v):
         col_v[j] = v
         return sum(current_total(row_v[i] - col_v[j], t, xbar.params,
-                                 xbar.states[i][j]) for i in range(nr))
+                                 xbar.state(i, j)) for i in range(nr))
 
     for _ in range(max_sweeps):
         before = np.concatenate([row_v, col_v]).copy()

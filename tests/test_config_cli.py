@@ -1,11 +1,13 @@
 """INI config parsing, model building, CLI exit codes, output determinism."""
 
 import csv
+import io
 import json
 import math
 import re
 import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -366,13 +368,106 @@ def test_cli_failing_command_writes_nothing(tmp_path, capsys, monkeypatch):
     assert "resistance window" in capsys.readouterr().err
     assert not out.exists()
 
-    g_d = crossbar.differential_conductance_g
-    monkeypatch.setattr(crossbar, "differential_conductance_g",
-                        lambda *args: -g_d(*args))
+    g_d = crossbar._conductance
+    monkeypatch.setattr(crossbar, "_conductance", lambda *args: -g_d(*args))
     out = tmp_path / "xbar"
     assert main(["xbar", "--out", str(out)]) == EXIT_NUMERICAL
     assert "line search failed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_out_naming_a_file_is_a_usage_error(tmp_path, capsys,
+                                                monkeypatch):
+    """--out naming an existing file exits 1 before the command runs, and
+    an --out that cannot be created (a path under a file) exits 1 too:
+    both name the path, print no traceback and write nothing."""
+    blocker = tmp_path / "results.txt"
+    blocker.write_text("keep\n")
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._HANDLERS, "iv",
+                      lambda *args: pytest.fail("the handler ran"))
+        assert main(["iv", "--out", str(blocker)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"usage error: --out {blocker} is not a directory\n"
+    under = blocker / "sub"
+    assert main(["iv", "--out", str(under)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: --out {under}: ")
+    assert "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+@pytest.mark.parametrize("command", ["d2d", "xbar"])
+def test_cli_d2d_offset_past_float_range_is_a_numerical_error(
+        tmp_path, capsys, command):
+    """sigma_d2d = 1000 draws offsets whose shift 10**(-d2d_log10)
+    overflows: exit 3 naming d2d_log10 and its value."""
+    ini = tmp_path / "wide.ini"
+    ini.write_text("[variation]\nsigma_d2d = 1000\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(ini), "--out", str(out)]) \
+            == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"numerical error: d2d_log10 = -\d+\.\d+ is outside "
+                        r"float range: .*\n", err), err
+    assert not out.exists()
+
+
+# --- config contract: every parsed config runs or exits 2 or 3 -------------
+
+# The commands a config section feeds: a model section every command that
+# reads it, a command section its own command.
+_FEEDS = {"device": tuple(cli._HANDLERS),
+          "update": ("scheme", "fitA", "cdf", "xbar", "bench"),
+          "variation": ("d2d", "xbar")}
+_KEYS = [(name, key, kind, getattr(section_cls(), key))
+         for name, (_, section_cls, types) in config._SCHEMA.items()
+         for key, kind in types.items()]
+_EXTREMES = (0.0, -1.0, 1e-300, 1e300, -1e300)
+
+
+def _any_value(kind, default):
+    """A value of the key's schema type, valid or not: float-range
+    extremes, and either sign of 0.1 to 10 times the default. Ints stop
+    at 40 so that a draw runs in milliseconds."""
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        return st.integers(-2, 40)
+    if kind is float:
+        scaled = st.tuples(st.floats(0.1, 10.0), st.sampled_from((1.0, -1.0)))
+        return st.one_of(st.sampled_from(_EXTREMES), scaled.map(
+            lambda fs: fs[0] * fs[1] * (default or 1.0)))
+    if kind is tuple:
+        return st.lists(st.one_of(st.sampled_from(_EXTREMES),
+                                  st.floats(1e-3, 1e4)), max_size=5).map(tuple)
+    return st.one_of(st.sampled_from(SCHEME_KINDS),
+                     st.text("abcxyz_", min_size=1, max_size=8))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_KEYS).flatmap(
+    lambda k: st.tuples(st.just(k), _any_value(k[2], k[3]))))
+def test_every_parsed_config_runs_or_exits_2_or_3(drawn):
+    """One key at a time, drawn by its schema type: every command that
+    key feeds exits 0, 2 or 3, with no traceback and no warning."""
+    (section, key, kind, _), value = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "one.ini"
+        ini.write_text(f"[{section}]\n{key} = {config._RENDER[kind](value)}\n")
+        for command in _FEEDS.get(section, (section,)):
+            err = io.StringIO()
+            with warnings.catch_warnings(), redirect_stderr(err), \
+                    redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = main([command, "--config", str(ini),
+                             "--out", str(Path(tmp) / command)])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL), \
+                (command, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 def test_cli_sidecar_metadata(tmp_path):

@@ -1,7 +1,7 @@
 """Differential weight mapping, write-verify programming, analog MVM."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -109,7 +109,7 @@ def test_weight_mapping_invariants(p):
 
 def test_program_already_on_target_is_free(p, m):
     xbar = build_crossbar(2, 2, p).with_weights(0.5 * np.ones((2, 2)))
-    g_now = np.array([[state_conductance(p, xbar.states[i][j].w,
+    g_now = np.array([[state_conductance(p, xbar.state(i, j).w,
                                          v_read=V_VERIFY)
                        for j in range(2)] for i in range(2)])
     m0 = replace(m, c2c_rel=0.0)
@@ -144,7 +144,7 @@ def test_program_never_leaves_conductance_range(p, m):
     after, report = program_write_verify(xbar, targets, m, tol_g=tol, rng=rng)
     for i in range(4):
         for j in range(4):
-            g = state_conductance(p, after.states[i][j].w, v_read=V_VERIFY)
+            g = state_conductance(p, after.state(i, j).w, v_read=V_VERIFY)
             assert g_lo - 1e-18 <= g <= g_hi + 1e-18
 
 
@@ -225,9 +225,8 @@ def test_common_d2d_factor_cancels_in_calibrated_decode(p):
         rows, cols = w.shape
 
         def array(w_cells):
-            return Crossbar(states=tuple(
-                tuple(DeviceState(w=w_cells[i, j], d2d_log10=d2d)
-                      for j in range(cols)) for i in range(rows)), params=p)
+            return Crossbar(w=w_cells, d2d_log10=np.full((rows, cols), d2d),
+                            params=p)
 
         pos, neg = array(wm.w_pos), array(wm.w_neg)
         x = np.array([0.3, 0.9])
@@ -348,6 +347,13 @@ def _reference_trim_device(s, g_target, p, m, v_read, t, tol_g, rng,
     return s, n, abs(g - g_target)
 
 
+def _crossbar_of(states, p, t_kelvin):
+    """A Crossbar holding a nested grid of DeviceStates."""
+    return Crossbar(params=p, t_kelvin=t_kelvin, **{
+        f.name: [[getattr(s, f.name) for s in row] for row in states]
+        for f in fields(DeviceState)})
+
+
 def _reference_program(xbar, g_targets, m, tol_g, rng, v_read=V_VERIFY,
                        max_pulses=None):
     g_targets = np.asarray(g_targets, dtype=float)
@@ -360,7 +366,7 @@ def _reference_program(xbar, g_targets, m, tol_g, rng, v_read=V_VERIFY,
         cells = []
         for c in range(xbar.n_cols):
             s, n, err = _reference_trim_device(
-                xbar.states[r][c], float(g_targets[r, c]), xbar.params, m,
+                xbar.state(r, c), float(g_targets[r, c]), xbar.params, m,
                 v_read, t, tol_g, rng, max_pulses)
             counts[r, c] = n
             resid[r, c] = err
@@ -370,7 +376,7 @@ def _reference_program(xbar, g_targets, m, tol_g, rng, v_read=V_VERIFY,
                            pulses_total=int(counts.sum()),
                            max_residual_g=float(resid.max()),
                            n_failed=int(np.sum(resid > tol_g)))
-    return replace(xbar, states=tuple(rows)), report
+    return _crossbar_of(rows, xbar.params, t), report
 
 
 def _reference_mvm_charge(xbar, x, v_read=V_READ_MVM):
@@ -410,13 +416,14 @@ def _program_cases(draw):
                 v_on_pot=v_on_pot)
     xbar = build_crossbar(nr, nc, p, sigma_d2d=sigma, seed=seed, t_kelvin=t)
     rows = []
-    for row in xbar.states:
+    for r in range(nr):
         rows.append(tuple(
-            replace(s, w=float(rng.uniform()), cycles=int(rng.integers(0, 4)),
+            replace(xbar.state(r, c), w=float(rng.uniform()),
+                    cycles=int(rng.integers(0, 4)),
                     last_polarity=int(rng.integers(-1, 2)),
                     broken=bool(rng.random() < 0.1))
-            for s in row))
-    xbar = replace(xbar, states=tuple(rows))
+            for c in range(nc)))
+    xbar = _crossbar_of(rows, p, t)
     g_lo = state_conductance(p, 0.0, v_read=v_read, t=t)
     g_hi = state_conductance(p, 1.0, v_read=v_read, t=t)
     targets = g_lo + rng.uniform(-0.2, 1.2, (nr, nc)) * (g_hi - g_lo)
@@ -434,7 +441,7 @@ def test_program_write_verify_bit_identical_to_per_pulse_reference(case):
                                         v_read=v_read, max_pulses=max_pulses)
     ref_x, ref_r = _reference_program(xbar, targets, m, tol, rng_ref,
                                       v_read=v_read, max_pulses=max_pulses)
-    assert new_x.states == ref_x.states
+    assert new_x == ref_x
     assert np.array_equal(new_r.pulse_counts, ref_r.pulse_counts)
     assert np.array_equal(new_r.residual_g, ref_r.residual_g)
     assert new_r.pulses_total == ref_r.pulses_total
