@@ -37,7 +37,8 @@ from . import __version__
 from .conduction import (CalibrationError, V_READ, V_SELECT,
                          current_total, current_total_g, current_tunneling,
                          on_off, self_selection_ratio, state_multiplier)
-from .config import ConfigError, SimConfig, build_model, emit_config, load_config
+from .config import (ConfigError, SimConfig, _loop_legs, build_model, emit_config,
+                     load_config)
 from .constants import K_B, Q_E
 from .crossbar import build_crossbar, sneak_margin, write_v_half
 from .device import (T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
@@ -152,11 +153,6 @@ def _figures_of_merit(p, t: float) -> dict:
     }
 
 
-def _ramp(a: float, b: float, step: float) -> np.ndarray:
-    n = max(int(round(abs(b - a) / step)), 1)
-    return np.linspace(a, b, n + 1)
-
-
 # --- commands ---------------------------------------------------------------
 
 def cmd_iv(cfg: SimConfig, bundle, seed: int) -> _Table:
@@ -185,19 +181,14 @@ def cmd_iv(cfg: SimConfig, bundle, seed: int) -> _Table:
 def cmd_hysteresis(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     sec = cfg.hysteresis
-    vn, vp, step = sec.v_neg_v, sec.v_pos_v, sec.step_v
-    grid = np.concatenate([
-        _ramp(0.0, -vn, step),
-        _ramp(-vn, vp, step)[1:],
-        _ramp(vp, -vn, step)[1:],
-        _ramp(-vn, 0.0, step)[1:],
-    ])
+    grid = np.concatenate([[0.0]] + [np.linspace(a, b, n + 1)[1:]
+                                     for a, b, n in _loop_legs(sec)])
     points = dc_write_loop(DeviceState(w=0.0), grid, p,
                            v_read=bundle.v_read, t=bundle.t_kelvin)
     rows = [(pt.v_write, pt.w, pt.readout.i_amps, pt.readout.r_ohms)
             for pt in points]
     return "loop.csv", ["v_write_volts", "w", "i_amps", "r_ohms"], rows, {
-        "sweep": {"v_neg_v": vn, "v_pos_v": vp, "step_v": step},
+        "sweep": asdict(sec),
         "read": {"v_read": bundle.v_read, "t_kelvin": bundle.t_kelvin},
         "window": asdict(memory_window(points)),
     }

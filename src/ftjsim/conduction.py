@@ -218,8 +218,12 @@ def _coeffs(p: ConductionParams, t: float) -> tuple[float, float, float]:
     kt = K_B * t
     ohm_c = p.c_ohm * t ** 1.5 * math.exp(-p.ea_ohm * Q_E / kt) / p.d_fe
     pf_c = p.c_pf * math.exp(-p.phi_pf * Q_E / kt) / p.d_fe
-    theta = (Q_E / kt) * math.sqrt(Q_E / (math.pi * EPS_0 * p.eps_r * p.d_fe))
-    return ohm_c, pf_c, theta
+    return ohm_c, pf_c, _theta(p.eps_r, p.d_fe, t)
+
+
+def _theta(eps_r: float, d_fe: float, t: float) -> float:
+    """PF field-lowering slope (q/kT) * sqrt(q/(pi*eps0*eps_r*d_fe))."""
+    return (Q_E / (K_B * t)) * math.sqrt(Q_E / (math.pi * EPS_0 * eps_r * d_fe))
 
 
 def _as_input_kind(result, v, g=1.0):
@@ -403,8 +407,7 @@ def self_selection_ratio(v: float, t: float, p: ConductionParams, s: "DeviceStat
 
 def _selection_of_eps(eps_r: float, t: float) -> float:
     """Selection ratio I(0.5)/I(0.25) of a crossover-pinned channel mix."""
-    kt = K_B * t
-    theta = (Q_E / kt) * math.sqrt(Q_E / (math.pi * EPS_0 * eps_r * DEFAULT_D_FE))
+    theta = _theta(eps_r, DEFAULT_D_FE, t)
 
     def shape(v: float) -> float:
         return v * math.exp(theta * math.sqrt(v))
@@ -556,8 +559,7 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
 
 
 def _calibrate_at_eps(eps_r, targets, skel, t, shape_pf, shape_ohm) -> ConductionParams:
-    kt = K_B * t
-    theta = (Q_E / kt) * math.sqrt(Q_E / (math.pi * EPS_0 * eps_r * skel.d_fe))
+    theta = _theta(eps_r, skel.d_fe, t)
     try:
         ratio = shape_pf(V_CROSSOVER, theta) / shape_ohm(V_CROSSOVER)  # c_ohm/c_pf
     except OverflowError:

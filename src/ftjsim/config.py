@@ -117,6 +117,22 @@ class HysteresisConfig:
     step_v: float = 0.025
 
 
+# Loop grid point limit; the hysteresis command reads each point, ~12 us.
+_LOOP_POINT_LIMIT = 100_000
+
+
+def _loop_legs(sec: HysteresisConfig) -> list[tuple[float, float, int]]:
+    """The loop's ramps 0 -> -v_neg_v -> v_pos_v -> -v_neg_v -> 0 as
+    (start, stop, n): n is |stop - start| / step_v rounded, one at least,
+    or inf past float range. The grid is 0 V, then each ramp's n points
+    after its start."""
+    lo, hi = -sec.v_neg_v, sec.v_pos_v
+    ramps = [(a, b, abs(b - a) / sec.step_v)
+             for a, b in ((0.0, lo), (lo, hi), (hi, lo), (lo, 0.0))]
+    return [(a, b, max(round(x), 1) if math.isfinite(x) else math.inf)
+            for a, b, x in ramps]
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """[scheme]: pulse-train experiment."""
@@ -410,6 +426,10 @@ def _validate(cfg: SimConfig, source: str) -> None:
     for ok, message in checks:
         if not ok:
             raise ConfigError(message, source)
+    points = 1 + sum(n for _, _, n in _loop_legs(cfg.hysteresis))
+    if points > _LOOP_POINT_LIMIT:
+        raise ConfigError(f"[hysteresis] the loop grid would hold {points} "
+                          f"points, over the limit of {_LOOP_POINT_LIMIT}", source)
 
 
 def load_config(path: str) -> SimConfig:

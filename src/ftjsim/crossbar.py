@@ -30,8 +30,9 @@ sample_d2d_offsets call: cell (r, c) takes the draw of child
 r * n_cols + c of the seed's SeedSequence spawn, bit-identical to a
 sample_device call on that child, without building the children.
 with_weights, write_v_half and inference.program_write_verify return a
-new array with the changed fields; write_v_half pulses only the
-n_rows + n_cols - 1 biased cells.
+new array with the changed fields; write_v_half steps only the
+n_rows + n_cols - 1 biased cells, in floats with device._pulser's step,
+the one pulse update law.
 
 The device nonlinearity is what makes select-free operation possible:
 sneak-path devices sit at a fraction of the read voltage where the
@@ -47,10 +48,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, T_REF, _bias_terms, _coeffs,
-                         _conductance, _total, check_bias, current_total,
+                         _conductance, _float_current, _total, check_bias,
                          state_multiplier)
-from .device import (DeviceState, PulseSpec, UpdateModel, apply_pulse,
-                     sample_d2d_offsets)
+from .device import (DeviceState, PulseSpec, UpdateModel, _check_cells,
+                     _pulser, sample_d2d_offsets)
 
 __all__ = [
     "Crossbar",
@@ -109,13 +110,7 @@ class Crossbar:
                                  f"got {a.shape}")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        outside = ~((self.w >= 0.0) & (self.w <= 1.0))
-        if outside.any():
-            raise ValueError(f"w must be in [0, 1], got {self.w[outside][0]}")
-        if not np.all(np.isfinite(self.d2d_log10)):
-            raise ValueError("d2d_log10 must be finite")
-        if np.any(self.cycles < 0):
-            raise ValueError("cycles must be non-negative")
+        _check_cells(self.w, self.d2d_log10, self.cycles)
         if not (math.isfinite(self.t_kelvin) and self.t_kelvin > 0):
             raise ValueError("t_kelvin must be positive")
 
@@ -389,37 +384,36 @@ def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
     """
     if not (0 <= row < xbar.n_rows and 0 <= col < xbar.n_cols):
         raise ValueError("selected cell is outside the array")
-    t = xbar.t_kelvin
+    p, t, t_width = xbar.params, xbar.t_kelvin, pulse.t_width
     scheme = BiasScheme.v_half_write(xbar.n_rows, xbar.n_cols, row, col,
                                      pulse.v_write)
+    step = _pulser(m, "amplitude_ramp", rng)
     w, cycles, last = (xbar.w.copy(), xbar.cycles.copy(),
                        xbar.last_polarity.copy())
-    disturbs = []
-    energy = 0.0
-    dw_sel = 0.0
-    biased = [(r, c) for r in range(xbar.n_rows)
-              for c in (range(xbar.n_cols) if r == row else (col,))]
-    for r, c in biased:
+    currents = {}  # one float current per distinct device bias
+    disturbs, energy, dw_sel = [], 0.0, 0.0
+    for r, c in [(r, c) for r in range(xbar.n_rows)
+                 for c in (range(xbar.n_cols) if r == row else (col,))]:
         v_dev = scheme.rows[r] - scheme.cols[c]
         if v_dev == 0.0:
             continue
-        s = xbar.state(r, c)
-        energy += (abs(current_total(v_dev, t, xbar.params, s))
-                   * abs(v_dev) * pulse.t_width)
-        s_new = apply_pulse(s, PulseSpec(v_dev, pulse.t_width), m, rng=rng)
-        w[r, c], cycles[r, c], last[r, c] = (s_new.w, s_new.cycles,
-                                             s_new.last_polarity)
-        dw = s_new.w - s.w
+        if v_dev not in currents:
+            currents[v_dev] = _float_current(v_dev, t, p)
+        w0 = float(w[r, c])
+        g = state_multiplier(p, w0, float(xbar.d2d_log10[r, c]))
+        energy += abs(currents[v_dev](g)) * abs(v_dev) * t_width
+        w[r, c], cycles[r, c], last[r, c] = step(
+            w0, int(cycles[r, c]), int(last[r, c]), bool(xbar.broken[r, c]),
+            v_dev, t_width)
+        dw = float(w[r, c]) - w0
         if r == row and c == col:
             dw_sel = dw
         elif dw != 0.0:
             disturbs.append((r, c, dw))
-    report = WriteReport(
-        delta_w_selected=dw_sel,
-        disturbs=tuple(disturbs),
+    return replace(xbar, w=w, cycles=cycles, last_polarity=last), WriteReport(
+        delta_w_selected=dw_sel, disturbs=tuple(disturbs),
         max_disturb=max((abs(d[2]) for d in disturbs), default=0.0),
         energy_joules=energy)
-    return replace(xbar, w=w, cycles=cycles, last_polarity=last), report
 
 
 @dataclass(frozen=True)

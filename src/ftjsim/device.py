@@ -12,12 +12,12 @@ scheme and polarity. Cycle-to-cycle noise multiplies each step by a
 mean-one lognormal factor. DC writes switch through a logistic transition
 centered on the coercive voltages.
 
-apply_pulse and read_state act on one DeviceState. The pulse-train and
-sweep studies (run_scheme, dc_write_loop) check their inputs once and then
-step the state in Python floats: each pulse goes through _pulse_curve and
-_pulse_step, the update law apply_pulse uses, and each read through one
-validated reader, so their traces and generator draws equal those of
-applying and reading pulse by pulse.
+_pulser owns the pulse update law: its float-level step holds every
+rule. apply_pulse is one step on a DeviceState; run_scheme,
+inference.program_write_verify and crossbar.write_v_half check their
+inputs once and take the same step in plain floats, and run_scheme and
+dc_write_loop read through one validated reader, so states, reads and
+generator draws equal applying and reading pulse by pulse.
 """
 
 from __future__ import annotations
@@ -101,12 +101,21 @@ class DeviceState:
     last_polarity: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.w) and 0.0 <= self.w <= 1.0):
-            raise ValueError(f"w must be in [0, 1], got {self.w}")
-        if not math.isfinite(self.d2d_log10):
-            raise ValueError("d2d_log10 must be finite")
-        if self.cycles < 0:
-            raise ValueError("cycles must be non-negative")
+        _check_cells(self.w, self.d2d_log10, self.cycles)
+
+
+def _check_cells(w, d2d_log10, cycles) -> None:
+    """DeviceState's limits on one device's numbers or a Crossbar's arrays."""
+    def every(test) -> bool:
+        return test if isinstance(test, bool) else bool(test.all())
+    inside = (w >= 0.0) & (w <= 1.0)  # a NaN is outside
+    if not every(inside):
+        raise ValueError("w must be in [0, 1], got "
+                         f"{np.asarray(w)[np.logical_not(inside)][0]}")
+    if not every(abs(d2d_log10) < math.inf):
+        raise ValueError("d2d_log10 must be finite")
+    if not every(cycles >= 0):
+        raise ValueError("cycles must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -416,49 +425,43 @@ def sample_d2d_offsets(sigma_d2d: float, seed, n: int) -> list[float]:
             for words in _spawn_state_words(ss, n)]
 
 
-def _pulse_curve(v_write: float, m: UpdateModel, kind: str):
-    """Update curve of a pulse amplitude: (polarity, A, 1 - exp(-n_full/A))
-    for an above-onset pulse, None for a sub-threshold one. The polarity is
-    -1 for potentiation and +1 for depression."""
+def _pulser(m: UpdateModel, kind: str, rng: np.random.Generator | None):
+    """The pulse update law of one scheme kind: step(w, cycles, last,
+    broken, v_write, t_width) -> (w, cycles, last) in plain floats.
+
+    A broken device, a zero-width pulse and an amplitude between the onsets
+    are no-ops. Otherwise step inverts the polarity's curve at the current
+    progress, advances one count times one lognormal draw (c2c_rel > 0),
+    clamps at the rail, counts a reversal as a cycle, and sets last to -1
+    after potentiation, +1 after depression."""
     shape = m.shape_for(kind)
-    if v_write < m.v_on_pot:
-        return -1, shape.a_pot, 1.0 - math.exp(-m.n_full / shape.a_pot)
-    if v_write > m.v_on_dep:
-        return +1, shape.a_dep, 1.0 - math.exp(-m.n_full / shape.a_dep)
-    return None
+    pot = (-1, shape.a_pot, 1.0 - math.exp(-m.n_full / shape.a_pot))
+    dep = (+1, shape.a_dep, 1.0 - math.exp(-m.n_full / shape.a_dep))
+    v_on_pot, v_on_dep, noisy = m.v_on_pot, m.v_on_dep, m.c2c_rel > 0.0
+    s2 = math.log(1.0 + m.c2c_rel ** 2)
+    mean, sigma = -0.5 * s2, math.sqrt(s2)
 
+    def step(w, cycles, last, broken, v_write, t_width):
+        if broken or t_width == 0.0:
+            return w, cycles, last
+        if v_write < v_on_pot:
+            (polarity, a, span), progress = pot, w
+        elif v_write > v_on_dep:
+            (polarity, a, span), progress = dep, 1.0 - w
+        else:
+            return w, cycles, last
+        n = -a * math.log(1.0 - progress * span)
+        dw = (1.0 - math.exp(-(n + 1.0) / a)) / span - progress
+        if noisy:
+            if rng is None:
+                raise ValueError("c2c_rel > 0 requires an explicit generator")
+            dw *= rng.lognormal(mean=mean, sigma=sigma)
+        if last != 0 and polarity != last:
+            cycles += 1
+        w = min(w + dw, 1.0) if polarity < 0 else max(w - dw, 0.0)
+        return w, cycles, polarity
 
-def _pulse_noise(c2c_rel: float):
-    """(mean, sigma) of the mean-one lognormal step factor, or None
-    without cycle-to-cycle noise."""
-    if not c2c_rel > 0.0:
-        return None
-    s2 = math.log(1.0 + c2c_rel ** 2)
-    return -0.5 * s2, math.sqrt(s2)
-
-
-def _pulse_step(w: float, cycles: int, last_polarity: int, curve, noise,
-                rng: np.random.Generator | None) -> tuple[float, int]:
-    """The pulse update law in plain floats: (w, cycles) after one
-    above-onset pulse on the given curve.
-
-    Inverts the curve at the current progress, advances one equivalent
-    count, scales the step by one lognormal draw when noise is set, and
-    clamps at the rail. A reversal of polarity counts one cycle.
-    """
-    polarity, a, span = curve
-    progress = w if polarity < 0 else 1.0 - w
-    n = -a * math.log(1.0 - progress * span)
-    step = (1.0 - math.exp(-(n + 1.0) / a)) / span - progress
-    if noise is not None:
-        if rng is None:
-            raise ValueError("c2c_rel > 0 requires an explicit generator")
-        step *= rng.lognormal(mean=noise[0], sigma=noise[1])
-    if last_polarity != 0 and polarity != last_polarity:
-        cycles += 1
-    if polarity < 0:
-        return min(w + step, 1.0), cycles
-    return max(w - step, 0.0), cycles
+    return step
 
 
 def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
@@ -469,16 +472,13 @@ def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
     Above-onset pulses advance the state by one equivalent count along the
     potentiation or depression curve for the given scheme kind; the step is
     multiplied by mean-one lognormal noise with relative spread c2c_rel.
-    Sub-threshold pulses and broken devices return the state unchanged.
+    Sub-threshold pulses and broken devices return s itself.
     """
-    if s.broken or pulse.t_width == 0.0:
+    w, cycles, last = _pulser(m, kind, rng)(
+        s.w, s.cycles, s.last_polarity, s.broken, pulse.v_write, pulse.t_width)
+    if (w, cycles, last) == (s.w, s.cycles, s.last_polarity):
         return s
-    curve = _pulse_curve(pulse.v_write, m, kind)
-    if curve is None:
-        return s
-    w, cycles = _pulse_step(s.w, s.cycles, s.last_polarity, curve,
-                            _pulse_noise(m.c2c_rel), rng)
-    return replace(s, w=w, cycles=cycles, last_polarity=curve[0])
+    return replace(s, w=w, cycles=cycles, last_polarity=last)
 
 
 def _state_reader(p: ConductionParams, v_read: float, t: float):
@@ -518,20 +518,17 @@ def run_scheme(s: DeviceState, scheme: PulseScheme, m: UpdateModel,
     """Apply a pulse train, reading out after every pulse.
 
     The read bias and temperature are checked once, before any pulse. The
-    train then runs in Python floats with apply_pulse's rules and update
-    law and read_state's read, so every step and every generator draw
-    equals applying and reading pulse by pulse.
+    train then runs in Python floats with _pulser's step and read_state's
+    read, so every step and every generator draw equals applying and
+    reading pulse by pulse.
     """
     read = _state_reader(p, v_read, t)
-    noise = _pulse_noise(m.c2c_rel)
+    step = _pulser(m, scheme.kind, rng)
     w, cycles, last, d2d = s.w, s.cycles, s.last_polarity, s.d2d_log10
     trace = []
     for idx, pulse in enumerate(scheme.pulses()):
-        if not s.broken and pulse.t_width != 0.0:
-            curve = _pulse_curve(pulse.v_write, m, scheme.kind)
-            if curve is not None:
-                w, cycles = _pulse_step(w, cycles, last, curve, noise, rng)
-                last = curve[0]
+        w, cycles, last = step(w, cycles, last, s.broken, pulse.v_write,
+                               pulse.t_width)
         trace.append(SchemeStep(index=idx, pulse=pulse, w=w,
                                 readout=read(state_multiplier(p, w, d2d))))
     return trace

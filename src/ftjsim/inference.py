@@ -17,10 +17,10 @@ potentiation and depression pulses until its measured conductance lands
 within tolerance of the target. Because verification reads the actual
 current, the loop absorbs device-to-device spread up to the rail limits.
 The loop validates its inputs once at entry and then trims each cell in
-Python floats, with device.apply_pulse's update law and a read equal to
-conduction.current_total, so it matches pulse-by-pulse application and
-reading bit for bit, generator draws included. Programming and reads run
-at the array's own t_kelvin.
+Python floats, with the pulse step of device._pulser (the update law
+apply_pulse also takes) and a read equal to conduction.current_total, so
+it matches pulse-by-pulse application and reading bit for bit, generator
+draws included. Programming and reads run at the array's own t_kelvin.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ from .conduction import (ConductionParams, T_REF, V_ONOFF, V_READ,
                          default_params, state_multiplier)
 from .crossbar import (MVM_V_LIMIT, Crossbar, _array_current, _line_sums,
                        build_crossbar)
-from .device import (DeviceState, UpdateModel, V_DEP_DEFAULT, V_POT_DEFAULT,
-                     _pulse_curve, _pulse_noise, _pulse_step,
-                     default_update_model)
+from .device import (DeviceState, UpdateModel, T_WIDTH_DEFAULT, V_DEP_DEFAULT,
+                     V_POT_DEFAULT, _pulser, default_update_model)
 
 __all__ = [
     "WeightMapping",
@@ -187,9 +186,9 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     pulse count.
 
     The inputs are checked once; the loop then runs in Python floats with
-    the update law of apply_pulse and a read equal to current_total, so
-    states, pulse counts, residuals and the generator's draws are those
-    of applying and reading pulse by pulse.
+    _pulser's step and a read equal to current_total, so states, pulse
+    counts, residuals and the generator's draws are those of applying and
+    reading pulse by pulse.
     """
     g_targets = np.asarray(g_targets, dtype=float)
     if g_targets.shape != (xbar.n_rows, xbar.n_cols):
@@ -202,9 +201,7 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
         max_pulses = 3 * m.n_full
     p = xbar.params
     current = _float_current(v_read, xbar.t_kelvin, p)
-    pot = _pulse_curve(V_POT_DEFAULT, m, "amplitude_ramp")
-    dep = _pulse_curve(V_DEP_DEFAULT, m, "amplitude_ramp")
-    noise = _pulse_noise(m.c2c_rel)
+    step = _pulser(m, "amplitude_ramp", rng)
     counts = np.zeros((xbar.n_rows, xbar.n_cols), dtype=int)
     resid = np.zeros((xbar.n_rows, xbar.n_cols))
     w_out, cycles_out, last_out = (xbar.w.copy(), xbar.cycles.copy(),
@@ -217,14 +214,12 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     for rc, w, d2d, cycles, broken, last, target in cells:
         g = current(state_multiplier(p, w, d2d)) / v_read
         n = 0
-        while abs(g - target) > tol_g and n < max_pulses and not broken:
-            curve = pot if g < target else dep
-            if curve is None:
-                break  # the write amplitude is below its onset
-            w_new, cycles_new = _pulse_step(w, cycles, last, curve, noise, rng)
-            if w_new == w:
-                break  # pinned at a rail; the target is unreachable
-            w, cycles, last = w_new, cycles_new, curve[0]
+        while abs(g - target) > tol_g and n < max_pulses:
+            v_write = V_POT_DEFAULT if g < target else V_DEP_DEFAULT
+            moved = step(w, cycles, last, broken, v_write, T_WIDTH_DEFAULT)
+            if moved[0] == w:
+                break  # broken, below its onset or pinned at a rail
+            w, cycles, last = moved
             g = current(state_multiplier(p, w, d2d)) / v_read
             n += 1
         counts[rc] = n

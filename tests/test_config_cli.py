@@ -398,6 +398,51 @@ def test_cli_out_naming_a_file_is_a_usage_error(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == [blocker]
 
 
+@pytest.mark.parametrize("text, points", [
+    ("[hysteresis]\nstep_v = 1e-7\n", 112000001),
+    ("[hysteresis]\nv_neg_v = 1e6\n", 160000193),
+    ("[hysteresis]\nstep_v = 1e-320\n", math.inf),  # past float range
+])
+def test_hysteresis_grid_past_its_limit_is_a_config_error(
+        tmp_path, capsys, monkeypatch, text, points):
+    """A loop grid over the point limit exits 2 at parse, naming its point
+    count, before the handler builds the grid or creates --out."""
+    message = (f"[hysteresis] the loop grid would hold {points} points, "
+               f"over the limit of {config._LOOP_POINT_LIMIT}")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    ini = tmp_path / "grid.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    monkeypatch.setitem(cli._HANDLERS, "hysteresis",
+                        lambda *args: pytest.fail("the handler ran"))
+    assert main(["hysteresis", "--config", str(ini), "--out", str(out)]) \
+        == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {ini}: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "", "[hysteresis]\nstep_v = 0.0123\n",
+    "[hysteresis]\nv_neg_v = 0.7\nv_pos_v = 3.1\nstep_v = 0.3\n"])
+def test_hysteresis_grid_limit_counts_the_built_grid(text):
+    """The parse-time count is the length of the grid the command sweeps."""
+    cfg = parse_config(text)
+    _, _, rows, _ = cli.cmd_hysteresis(cfg, build_model(cfg), 0)
+    assert len(rows) == 1 + sum(n for _, _, n in
+                                config._loop_legs(cfg.hysteresis))
+
+
+def test_hysteresis_grid_limit_edge():
+    """With 2**-10 V steps, legs of 16383 and 33616 steps make a loop of
+    99999 points, which parses; one more step on v_pos_v makes 100001."""
+    text = "[hysteresis]\nv_neg_v = 15.9990234375\nstep_v = 0.0009765625\n"
+    parse_config(text + "v_pos_v = 16.8291015625\n")
+    with pytest.raises(ConfigError, match="would hold 100001 points"):
+        parse_config(text + "v_pos_v = 16.830078125\n")
+
+
 @pytest.mark.parametrize("command", ["d2d", "xbar"])
 def test_cli_d2d_offset_past_float_range_is_a_numerical_error(
         tmp_path, capsys, command):

@@ -21,11 +21,12 @@ from ftjsim.crossbar import (
     build_crossbar,
     mvm_read,
     sneak_margin,
+    WriteReport,
     solve_network,
     write_v_half,
 )
-from ftjsim.device import (DeviceState, PulseSpec, default_update_model,
-                           sample_device, write_energy)
+from ftjsim.device import (DeviceState, PulseSpec, apply_pulse,
+                           default_update_model, sample_device, write_energy)
 
 T = 300.0
 
@@ -555,3 +556,91 @@ def test_mvm_read_bit_identical_to_scalar_reference(array, seed):
     v_in = np.random.default_rng(seed).uniform(-0.3, 0.3, xbar.n_rows)
     v_in[::3] = 0.0  # idle rows, as in the one-hot reads of mvm_charge
     assert np.array_equal(mvm_read(xbar, v_in), _reference_mvm_read(xbar, v_in))
+
+
+# --- Bit-identity guard: write_v_half against the per-cell loop ------------
+#
+# The reference is the object path write_v_half used to take: one
+# DeviceState per biased cell, its energy from the validated scalar
+# current_total, then apply_pulse, in row-major order on the shared
+# generator.
+
+def _reference_write_v_half(xbar, row, col, pulse, m, rng=None):
+    nr, nc, t = xbar.n_rows, xbar.n_cols, xbar.t_kelvin
+    scheme = BiasScheme.v_half_write(nr, nc, row, col, pulse.v_write)
+    states = [[xbar.state(r, c) for c in range(nc)] for r in range(nr)]
+    disturbs = []
+    energy = 0.0
+    dw_sel = 0.0
+    for r in range(nr):
+        for c in range(nc):
+            if r != row and c != col:
+                continue
+            v_dev = scheme.rows[r] - scheme.cols[c]
+            if v_dev == 0.0:
+                continue
+            s = states[r][c]
+            energy += (abs(current_total(v_dev, t, xbar.params, s))
+                       * abs(v_dev) * pulse.t_width)
+            s_new = apply_pulse(s, PulseSpec(v_dev, pulse.t_width), m, rng=rng)
+            states[r][c] = s_new
+            dw = s_new.w - s.w
+            if r == row and c == col:
+                dw_sel = dw
+            elif dw != 0.0:
+                disturbs.append((r, c, dw))
+    report = WriteReport(
+        delta_w_selected=dw_sel, disturbs=tuple(disturbs),
+        max_disturb=max((abs(d[2]) for d in disturbs), default=0.0),
+        energy_joules=energy)
+    return _crossbar_of(states, xbar.params, t), report
+
+
+# Write amplitudes around the default onsets (-0.6 V, +0.8 V): sub-onset,
+# disturb-free (only the selected cell crosses), half-select disturbing
+# (half the amplitude crosses too), and exact onset and half-onset values.
+_WRITE_AMPLITUDES = st.one_of(
+    st.floats(-0.6, 0.8), st.floats(-1.2, -0.6), st.floats(0.8, 1.6),
+    st.floats(-3.5, -1.2), st.floats(1.6, 3.5),
+    st.sampled_from((0.0, -0.6, 0.8, -1.2, 1.6, -1.6, 2.4)))
+
+
+@st.composite
+def _write_cases(draw):
+    """A random array with device variation, pulse history and broken
+    cells at a random temperature, a selected cell, a write pulse and an
+    update model with or without cycle-to-cycle noise."""
+    nr = draw(st.integers(1, 10))
+    nc = draw(st.integers(1, 10))
+    sigma = draw(st.floats(0.0, 0.3))
+    t = draw(st.floats(200.0, 450.0))
+    c2c = draw(st.sampled_from((0.0, 0.1, 0.3)))
+    v_write = draw(_WRITE_AMPLITUDES)
+    t_width = draw(st.sampled_from((50e-6, 50e-6, 1e-6, 0.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    xbar = build_crossbar(nr, nc, default_params(), sigma_d2d=sigma,
+                          seed=seed, t_kelvin=t)
+    xbar = Crossbar(
+        w=rng.uniform(0.0, 1.0, (nr, nc)), d2d_log10=xbar.d2d_log10,
+        params=xbar.params, t_kelvin=t,
+        cycles=rng.integers(0, 4, (nr, nc)),
+        broken=rng.random((nr, nc)) < 0.1,
+        last_polarity=rng.integers(-1, 2, (nr, nc)))
+    row, col = int(rng.integers(nr)), int(rng.integers(nc))
+    return (xbar, row, col, PulseSpec(v_write, t_width),
+            default_update_model(c2c_rel=c2c), seed)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_write_cases())
+def test_write_v_half_bit_identical_to_per_cell_reference(case):
+    xbar, row, col, pulse, m, seed = case
+    rng_new = np.random.default_rng(seed + 1)
+    rng_ref = np.random.default_rng(seed + 1)
+    new_x, new_r = write_v_half(xbar, row, col, pulse, m, rng=rng_new)
+    ref_x, ref_r = _reference_write_v_half(xbar, row, col, pulse, m,
+                                           rng=rng_ref)
+    assert new_x == ref_x
+    assert new_r == ref_r
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
