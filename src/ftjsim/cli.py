@@ -310,7 +310,11 @@ def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     n_devices = cfg.d2d.n_devices
     sigma = cfg.variation.sigma_d2d
-    # Device k's offset is sample_device's on child k of the seed's spawn.
+    # Device k's offset is sample_device's on child k of the seed's spawn,
+    # bit for bit. sample_d2d_offsets draws the population in one array
+    # pass of PCG64 seeding and the ziggurat's first draw; the ~2 % of
+    # draws that pass cannot show exact (strips 0 and 1, draws near a
+    # strip's acceptance bound) take numpy's own per-device Generator.
     # Both states of every device are read in one call at [device]
     # v_read_v and t_kelvin; each multiplier comes from the scalar
     # state_multiplier (numpy's vector power differs in the last bit), so
@@ -406,8 +410,8 @@ def cmd_xbar(cfg: SimConfig, bundle, seed: int) -> _Table:
     xbar = xbar.with_weights(w)
     report = sneak_margin(xbar, 0, 0, sec.v_read_v)
     sol = report.solution
-    w = xbar.w.tolist()
-    rows = [(r, c, w[r][c], sol.device_v[r, c], sol.device_i[r, c])
+    w, v, i = xbar.w.tolist(), sol.device_v.tolist(), sol.device_i.tolist()
+    rows = [(r, c, w[r][c], v[r][c], i[r][c])
             for r in range(sec.n_rows) for c in range(sec.n_cols)]
     rng = np.random.default_rng(seed)
     pulse = PulseSpec(sec.v_write_v, sec.t_width_s)

@@ -25,10 +25,12 @@ kernels' order of operations, and line currents and Jacobian diagonals
 are summed left to right (_line_sums) instead of by numpy's pairwise
 reduction.
 
-build_crossbar draws every cell's device-to-device offset in one
-sample_d2d_offsets call: cell (r, c) takes the draw of child
+build_crossbar draws every cell's device-to-device offset in one call of
+sample_d2d_offsets's array form: cell (r, c) takes the draw of child
 r * n_cols + c of the seed's SeedSequence spawn, bit-identical to a
-sample_device call on that child, without building the children.
+sample_device call on that child, without building the children; above
+a small private size, one array pass of PCG64 seeding and the ziggurat's
+first draw serves about 98 % of cells.
 with_weights, write_v_half and inference.program_write_verify return a
 new array with the changed fields; write_v_half steps only the
 n_rows + n_cols - 1 biased cells, in floats with device._pulser's step,
@@ -51,7 +53,7 @@ from .conduction import (ConductionParams, T_REF, _bias_terms, _coeffs,
                          _conductance, _float_current, _total, check_bias,
                          state_multiplier)
 from .device import (DeviceState, PulseSpec, UpdateModel, _check_cells,
-                     _pulser, sample_d2d_offsets)
+                     _d2d_offsets, _pulser)
 
 __all__ = [
     "Crossbar",
@@ -170,18 +172,21 @@ def build_crossbar(n_rows: int, n_cols: int, p: ConductionParams,
     """Array of pristine devices with independent variation draws.
 
     Cell (r, c) takes the variation offset of child r * n_cols + c of the
-    seed's SeedSequence spawn (sample_d2d_offsets), so the array is
-    reproducible and individual cells are statistically independent; each
-    offset equals sample_device on that child. The seed is an int or a
-    SeedSequence. A SeedSequence is read from its current spawn count,
-    which is not advanced, so two builds from the same object give the
-    same array.
+    seed's SeedSequence spawn, so the array is reproducible and individual
+    cells are statistically independent; each offset equals sample_device
+    on that child, bit for bit. All offsets come from one call of
+    sample_d2d_offsets's array form: above a small private size it seeds
+    every child's PCG64 and takes the ziggurat's first draw in one array
+    pass, and sends the draws it cannot show exact, about 2 %, to numpy's
+    own per-device Generator. The seed is an int or a SeedSequence. A
+    SeedSequence is read from its current spawn count, which is not
+    advanced, so two builds from the same object give the same array.
     """
     if n_rows < 1 or n_cols < 1:
         raise ValueError("array dimensions must be positive")
-    offsets = sample_d2d_offsets(sigma_d2d, seed, n_rows * n_cols)
+    offsets = _d2d_offsets(sigma_d2d, seed, n_rows * n_cols)
     return Crossbar(w=np.zeros((n_rows, n_cols)),
-                    d2d_log10=np.reshape(offsets, (n_rows, n_cols)),
+                    d2d_log10=offsets.reshape(n_rows, n_cols),
                     params=p, t_kelvin=t_kelvin)
 
 

@@ -22,6 +22,7 @@ generator draws equal applying and reading pulse by pulse.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -406,23 +407,163 @@ class _ChildSeed(np.random.bit_generator.ISeedSequence):
         return self._words
 
 
+# PCG64 (O'Neill, HMC-CS-2014-0905) as numpy seeds it from state words
+# (init high, init low, seq high, seq low): inc = 2 seq + 1, state = inc,
+# state += init, one LCG step; the first output takes one more step and is
+# the XSL-RR of that state. Folded together, the first output's state is
+# init * M**2 + seq * 2 (M**2 + M + 1) + (M**2 + M + 1) mod 2**128.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_U128 = (1 << 128) - 1
+_PCG_SUM = (_PCG_MULT * _PCG_MULT + _PCG_MULT + 1) & _U128
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 1 << 128)
+
+
+def _limbs32(x: int) -> np.ndarray:
+    return np.array([x >> 32 * k & _MASK32 for k in range(4)], dtype=np.uint64)
+
+
+_PCG_INIT_FACTOR = _limbs32(_PCG_MULT * _PCG_MULT & _U128)
+_PCG_SEQ_FACTOR = _limbs32(2 * _PCG_SUM & _U128)
+_PCG_ADDEND = _limbs32(_PCG_SUM)
+
+
+def _pcg64_first_outputs(words: np.ndarray) -> np.ndarray:
+    """uint64 array whose item i equals
+    PCG64(_ChildSeed(words[i])).random_raw(), for (n, 4) uint64 words.
+
+    The 128-bit states are four 32-bit limbs held in uint64 arrays, least
+    significant first. A limb times a factor limb is below 2**64, and a
+    column gathers at most 15 words below 2**32 before the one carry pass,
+    so nothing wraps. Every operation is on arrays: a numpy scalar uint64
+    warns where an array wraps silently.
+    """
+    m32 = np.uint64(_MASK32)
+    cols = np.repeat(_PCG_ADDEND[:, None], len(words), axis=1)
+    # (word column, the limb its low half fills, factor)
+    for col, low, factor in ((1, 0, _PCG_INIT_FACTOR),
+                             (0, 2, _PCG_INIT_FACTOR),
+                             (3, 0, _PCG_SEQ_FACTOR),
+                             (2, 2, _PCG_SEQ_FACTOR)):
+        word = words[:, col]
+        for limb, value in ((low, word & m32), (low + 1, word >> 32)):
+            product = value * factor[:4 - limb, None]
+            cols[limb:] += product & m32
+            cols[limb + 1:] += product[:3 - limb] >> 32
+    for k in range(3):
+        cols[k + 1] += cols[k] >> 32
+    s = cols & m32
+    x = (s[3] ^ s[1]) << 32 | (s[2] ^ s[0])
+    rot = s[3] >> 26
+    return (x >> rot) | (x << ((64 - rot) & 63))
+
+
+def _ziggurat_fast_path(raw: np.ndarray, wi: np.ndarray, limit: np.ndarray):
+    """(x, exact) for first outputs raw: x is the standard normal that
+    numpy's 256-strip ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8),
+    2000) returns when it accepts its first draw, and exact marks the draws
+    whose 52-bit magnitude is below limit, so that it does."""
+    idx = (raw & 0xFF).astype(np.intp)
+    rabs = (raw >> 9) & ((1 << 52) - 1)
+    x = rabs.astype(np.float64) * wi[idx]
+    np.negative(x, out=x, where=(raw & 0x100) != 0)
+    return x, rabs < limit[idx]
+
+
+def _forced_draw(bitgen: np.random.PCG64, gen: np.random.Generator, r: int):
+    """(standard normal, accepted) of a draw whose first output is r <
+    2**64. The state is set one LCG step (increment 1) before the state r,
+    whose high half and rotation are 0, so XSL-RR outputs r itself.
+    accepted is whether the draw used that one output alone."""
+    bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                    "state": {"state": (r - 1) * _PCG_MULT_INV & _U128,
+                              "inc": 1}}
+    x = gen.standard_normal()
+    return x, bitgen.state["state"]["state"] == r
+
+
+@functools.cache
+def _ziggurat_tables():
+    """(wi, limit) for _ziggurat_fast_path, or None when the installed
+    numpy does not draw as modelled here. Built on first use.
+
+    wi[i] is read exactly from a forced draw of magnitude 1 in strip i.
+    numpy accepts a first draw in strip i >= 2 when its magnitude is below
+    ki[i] ~ 2**52 wi[i-1] / wi[i]; limit sits 1e-9 below that estimate,
+    and two forced draws per strip check that the one just below limit is
+    accepted and the one 1e-9 above the estimate is not. Strips 0 and 1
+    (limit 0) and draws at or above limit take the per-device path.
+    """
+    sample = _spawn_state_words(np.random.SeedSequence(0), 8)
+    if not all(int(raw) == np.random.PCG64(_ChildSeed(words)).random_raw()
+               for raw, words in zip(_pcg64_first_outputs(sample), sample)):
+        return None
+    bitgen = np.random.PCG64()
+    gen = np.random.Generator(bitgen)
+    wi = np.array([_forced_draw(bitgen, gen, 1 << 9 | i)[0] for i in range(256)])
+    ki = [0.0] + (2.0 ** 52 * wi[:-1] / wi[1:]).tolist()
+    limit = [0, 0] + [math.floor(k * (1 - 1e-9)) for k in ki[2:]]
+    for i in range(2, 256):
+        above = math.ceil(ki[i] * (1 + 1e-9))
+        if not (0 < limit[i] < above < 2 ** 52
+                and _forced_draw(bitgen, gen, limit[i] - 1 << 9 | i)[1]
+                and not _forced_draw(bitgen, gen, above << 9 | i)[1]):
+            return None
+    return wi, np.array(limit, dtype=np.uint64)
+
+
+# Below this population the per-device Generator is faster than the vector
+# pass, whose fixed cost is about that of 40 per-device draws. Medians of
+# 200 calls on a 2-CPU x86_64 box, per-device against vector: 0.32 against
+# 0.33 ms at n = 32, 0.35 against 0.34 ms at n = 40, 0.46 against 0.35 ms
+# at n = 64.
+_VECTOR_MIN_N = 40
+_BLOCK = 8192
+
+
+def _child_normal(words: np.ndarray, sigma_d2d: float) -> float:
+    return float(np.random.Generator(np.random.PCG64(_ChildSeed(words)))
+                 .normal(0.0, sigma_d2d))
+
+
 def sample_d2d_offsets(sigma_d2d: float, seed, n: int) -> list[float]:
     """n device-to-device offsets d2d_log10 ~ N(0, sigma_d2d), one per
     spawned child of the seed (an int or a SeedSequence).
 
     Offset i equals sample_device(p, sigma_d2d, children[i]).d2d_log10 for
-    children = SeedSequence(seed).spawn(n), bit for bit: the children's
-    seed words come from one vectorized pass of numpy's SeedSequence hash,
-    and each draw is numpy's own PCG64 seeding and normal on those words.
-    A SeedSequence passed in is read from its current spawn count, which
-    this does not advance.
+    children = SeedSequence(seed).spawn(n), bit for bit. The children's
+    seed words come from one vectorized pass of numpy's SeedSequence hash.
+    From a private, measured population size up, one array pass then
+    seeds every child's PCG64 and takes its first output, and applies the
+    ziggurat's first-draw acceptance, as numpy's Generator.normal does:
+    offset = 0.0 + sigma_d2d * x. A draw the pass cannot show exact (in
+    strips 0 and 1, at or above the strip's acceptance estimate, or one
+    the ziggurat would reject) takes numpy's own PCG64 and normal on its
+    child's words, about 2 % of draws, as does every draw of a smaller
+    population or of a numpy whose draws fail the checks of
+    _ziggurat_tables. A SeedSequence passed in is read from its current
+    spawn count, which this does not advance.
     """
+    return _d2d_offsets(sigma_d2d, seed, n).tolist()
+
+
+def _d2d_offsets(sigma_d2d: float, seed, n: int) -> np.ndarray:
+    """sample_d2d_offsets as a float64 array."""
     _check_sigma_d2d(sigma_d2d)
     ss = (seed if isinstance(seed, np.random.SeedSequence)
           else np.random.SeedSequence(seed))
-    generator, pcg64 = np.random.Generator, np.random.PCG64
-    return [float(generator(pcg64(_ChildSeed(words))).normal(0.0, sigma_d2d))
-            for words in _spawn_state_words(ss, n)]
+    words = _spawn_state_words(ss, n)
+    tables = _ziggurat_tables() if n >= _VECTOR_MIN_N else None
+    if tables is None:
+        return np.array([_child_normal(row, sigma_d2d) for row in words],
+                        dtype=float)
+    # Blocks keep the limb temporaries small enough to stay in cache.
+    raw = np.concatenate([_pcg64_first_outputs(words[k:k + _BLOCK])
+                          for k in range(0, n, _BLOCK)])
+    x, exact = _ziggurat_fast_path(raw, *tables)
+    offsets = 0.0 + sigma_d2d * x
+    for i in np.flatnonzero(~exact).tolist():
+        offsets[i] = _child_normal(words[i], sigma_d2d)
+    return offsets
 
 
 def _pulser(m: UpdateModel, kind: str, rng: np.random.Generator | None):

@@ -650,6 +650,16 @@ def test_cli_d2d_matches_per_device_reference(tmp_path, text):
             assert (new / name).read_bytes() == (ref / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("text", ["", "[xbar]\nn_rows = 3\nn_cols = 5\n"])
+def test_cmd_xbar_rows_hold_exact_ints_and_floats(text):
+    """Every xbar.csv cell is an exact int or float, so each row takes
+    _write_csv's template path."""
+    cfg = parse_config(text)
+    _, _, rows, _ = cli.cmd_xbar(cfg, build_model(cfg), 0)
+    assert len(rows) == cfg.xbar.n_rows * cfg.xbar.n_cols
+    assert {type(x) for row in rows for x in row} == {int, float}
+
+
 def test_cli_d2d_reads_at_config_temperature(tmp_path):
     text = "[device]\nt_kelvin = 350\n[d2d]\nn_devices = 40\n"
     ini = tmp_path / "hot.ini"

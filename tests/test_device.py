@@ -1,12 +1,15 @@
 """State dynamics: pulse updates, DC hysteresis, retention, energy."""
 
 import math
+import warnings
 from dataclasses import dataclass, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ftjsim import device
 from ftjsim.conduction import Readout, current_total, default_params
 from ftjsim.device import (
     DC_WIDTH,
@@ -32,7 +35,7 @@ from ftjsim.device import (
     sample_device,
     write_energy,
 )
-from ftjsim.device import _spawn_state_words, _switch_level
+from ftjsim.device import _ChildSeed, _spawn_state_words, _switch_level
 
 POT = PulseSpec(-1.6, 50e-6)
 DEP = PulseSpec(2.4, 50e-6)
@@ -336,12 +339,139 @@ def test_spawn_state_words_equal_numpy_children(kwargs, n):
 
 
 @_GUARD
-@given(_seed_sequences(), st.integers(1, 300), st.sampled_from((0.0, 0.1, 0.5)))
+@given(_seed_sequences(), st.integers(1, 1024), st.sampled_from((0.0, 0.1, 0.5)))
 def test_sample_d2d_offsets_equal_spawned_default_rng_draws(kwargs, n, sigma):
     expect = [float(np.random.default_rng(c).normal(0.0, sigma))
               for c in np.random.SeedSequence(**kwargs).spawn(n)]
     got = sample_d2d_offsets(sigma, np.random.SeedSequence(**kwargs), n)
     assert _hex(got) == _hex(expect)
+
+
+# Forced draws. A PCG64 whose state after one LCG step is r < 2**64 (high
+# half 0, rotation 0) outputs r first, so setting the state before that
+# step through the public setter forces any first 64-bit output.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_INV = pow(_PCG_MULT, -1, 2**128)
+_U128 = 2**128 - 1
+
+
+def _forced_generator(r, inc):
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                    "state": {"state": (r - inc) * _PCG_MULT_INV & _U128,
+                              "inc": inc}}
+    return np.random.Generator(bitgen)
+
+
+def _forced_words(r, seq):
+    """Seed words (init high, init low, seq high, seq low) of a child whose
+    first PCG64 output is r, with the sequence word seq; and the child's
+    increment."""
+    inc = 2 * seq + 1 & _U128
+    state = (r - inc) * _PCG_MULT_INV & _U128
+    init = ((state - inc) * _PCG_MULT_INV - inc) & _U128
+    return [init >> 64, init & 2**64 - 1, seq >> 64, seq & 2**64 - 1], inc
+
+
+@pytest.fixture(scope="module")
+def ziggurat_wi():
+    # numpy's strip widths, read exactly: rabs = 1 in strip i draws wi[i]
+    return [float(_forced_generator(1 << 9 | i, 1).standard_normal())
+            for i in range(256)]
+
+
+def _forced_raw(wi, strip, place, delta, sign):
+    """A first output in the given strip whose 52-bit magnitude sits at
+    place (an edge of the strip, or an edge of the band 1e-9 wide around
+    ki ~ 2**52 wi[strip - 1] / wi[strip]) plus delta."""
+    ki = 2.0**52 * wi[strip - 1] / wi[strip] if strip >= 2 else 2.0**51
+    rabs = {"low": 0, "high": 2**52 - 1,
+            "band_low": math.floor(ki * (1 - 1e-9)),
+            "ki": round(ki),
+            "band_high": math.ceil(ki * (1 + 1e-9))}[place] + delta
+    return min(max(rabs, 0), 2**52 - 1) << 9 | sign << 8 | strip
+
+
+@settings(_GUARD, max_examples=60)
+@given(_seed_sequences(), st.integers(1, 4096), st.sampled_from((0.0, 0.1, 0.5)),
+       st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, 255),
+                          st.sampled_from(("low", "high", "band_low", "ki",
+                                           "band_high")),
+                          st.integers(-2, 2), st.integers(0, 1)),
+                max_size=24),
+       st.data())
+def test_sample_d2d_offsets_equal_forced_and_spawned_draws(
+        ziggurat_wi, kwargs, n, sigma, forced, data):
+    """Natural children compare with default_rng on the spawned child;
+    forced ones, at the edges of strips 0 and 1 and on both sides of the
+    ki band of any strip, with a Generator on the forced state."""
+    words = _spawn_state_words(np.random.SeedSequence(**kwargs), n)
+    expect = [float(np.random.default_rng(c).normal(0.0, sigma))
+              for c in np.random.SeedSequence(**kwargs).spawn(n)]
+    strips = data.draw(st.lists(st.integers(2, 255), min_size=2, max_size=2))
+    forced += [(k / 8, strip, place, delta, k % 2)
+               for k, (strip, place, delta) in enumerate(
+                   [(0, "low", 0), (0, "high", 0), (1, "low", 0),
+                    (1, "high", 0)]
+                   + [(strip, place, delta) for strip in strips
+                      for place, delta in (("band_low", -1),
+                                           ("band_high", 0))])]
+    for frac, strip, place, delta, sign in forced:
+        i = min(int(frac * n), n - 1)
+        r = _forced_raw(ziggurat_wi, strip, place, delta, sign)
+        seq = int(words[i, 2]) << 64 | int(words[i, 3])
+        row, inc = _forced_words(r, seq)
+        words[i] = row
+        assert np.random.PCG64(_ChildSeed(words[i])).random_raw() == r
+        expect[i] = float(_forced_generator(r, inc).normal(0.0, sigma))
+    with mock.patch("ftjsim.device._spawn_state_words",
+                    lambda ss, count: words[:count].copy()):
+        got = sample_d2d_offsets(sigma, np.random.SeedSequence(**kwargs), n)
+    assert _hex(got) == _hex(expect)
+
+
+def test_vector_pass_is_on_and_runs_clean():
+    """On the installed numpy the vector pass is on and under 5 % of a 10k
+    population falls back. Building its tables and drawing raise no
+    floating-point error and no warning, as cli.main runs handlers."""
+    device._ziggurat_tables.cache_clear()
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        tables = device._ziggurat_tables()
+        assert tables is not None
+        words = _spawn_state_words(np.random.SeedSequence(7), 10000)
+        _, exact = device._ziggurat_fast_path(
+            device._pcg64_first_outputs(words), *tables)
+        assert 0 < np.count_nonzero(~exact) < 500
+        assert len(sample_d2d_offsets(0.1, 7, 10000)) == 10000
+
+
+_FIRST_OUTPUTS, _FORCED_DRAW = device._pcg64_first_outputs, device._forced_draw
+
+
+def _misread_first_outputs(words):
+    return _FIRST_OUTPUTS(words) ^ 1
+
+
+def _accepts_every_draw(bitgen, gen, r):
+    return _FORCED_DRAW(bitgen, gen, r)[0], True
+
+
+@pytest.mark.parametrize("name, fake", [
+    ("_pcg64_first_outputs", _misread_first_outputs),
+    ("_forced_draw", _accepts_every_draw)], ids=["seeding", "ki_band"])
+def test_vector_pass_switches_off_when_numpy_draws_otherwise(name, fake):
+    """A numpy whose PCG64 seeding or ziggurat acceptance differs from the
+    model fails a table check, and every draw takes the per-device path."""
+    expect = [float(np.random.default_rng(c).normal(0.0, 0.1))
+              for c in np.random.SeedSequence(3).spawn(500)]
+    device._ziggurat_tables.cache_clear()
+    try:
+        with mock.patch.object(device, name, fake):
+            assert device._ziggurat_tables() is None
+            assert _hex(sample_d2d_offsets(0.1, 3, 500)) == _hex(expect)
+    finally:
+        device._ziggurat_tables.cache_clear()
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**70 + 1, [3, 1, 4],
