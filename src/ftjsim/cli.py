@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -99,31 +100,42 @@ def _jsonable(obj):
 
 
 _TEMPLATE_CELLS = {int: "%d", float: "%.12g"}
+_CSV_BLOCK = 4096  # rows checked, rendered and written together
+
+
+def _block_template(block: list[tuple], end: str) -> str | None:
+    """The "%d"/"%.12g" line template of a block of rows, or None unless
+    every row has the same length and each column holds one cell type,
+    exactly int or exactly float."""
+    if len(set(map(len, block))) != 1:
+        return None
+    cells = []
+    for column in zip(*block):
+        kinds = set(map(type, column))
+        cell = _TEMPLATE_CELLS.get(kinds.pop()) if len(kinds) == 1 else None
+        if cell is None:
+            return None
+        cells.append(cell)
+    return ",".join(cells) + end
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    # Rows stream one at a time. A row of exact ints and floats is one
-    # "%d"/"%.12g" template, rebuilt only when the row's cell types change;
-    # those cells never need quoting, and the template renders them as
-    # _fmt does. Rows with any other cell type go through csv.writer.
+    # Rows stream in blocks of _CSV_BLOCK. Every cell's type is checked: a
+    # block whose columns each hold exact ints or exact floats is rendered
+    # with one "%d"/"%.12g" template and written at once; those cells never
+    # need quoting, and the template renders them as _fmt does. Any other
+    # block goes through csv.writer.
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         end = writer.dialect.lineterminator
-        types = template = None
-        for row in rows:
-            row = tuple(row)
-            row_types = tuple(map(type, row))
-            if row_types != types:
-                types = row_types
-                try:
-                    template = ",".join(_TEMPLATE_CELLS[t] for t in types) + end
-                except KeyError:
-                    template = None
+        rows = iter(rows)
+        while block := [tuple(row) for row in itertools.islice(rows, _CSV_BLOCK)]:
+            template = _block_template(block, end)
             if template is None:
-                writer.writerow([_fmt(x) for x in row])
+                writer.writerows([_fmt(x) for x in row] for row in block)
             else:
-                fh.write(template % row)
+                fh.write("".join([template % row for row in block]))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -312,9 +324,9 @@ def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
     sigma = cfg.variation.sigma_d2d
     # Device k's offset is sample_device's on child k of the seed's spawn,
     # bit for bit. sample_d2d_offsets draws the population in one array
-    # pass of PCG64 seeding and the ziggurat's first draw; the ~2 % of
-    # draws that pass cannot show exact (strips 0 and 1, draws near a
-    # strip's acceptance bound) take numpy's own per-device Generator.
+    # pass of PCG64 seeding and the ziggurat's first draw; the ~1.5 % of
+    # draws that pass cannot show exact (strip 1, draws near a strip's
+    # acceptance bound) take numpy's own per-device Generator.
     # Both states of every device are read in one call at [device]
     # v_read_v and t_kelvin; each multiplier comes from the scalar
     # state_multiplier (numpy's vector power differs in the last bit), so

@@ -12,16 +12,20 @@ scheme and polarity. Cycle-to-cycle noise multiplies each step by a
 mean-one lognormal factor. DC writes switch through a logistic transition
 centered on the coercive voltages.
 
-_pulser owns the pulse update law: its float-level step holds every
-rule. apply_pulse is one step on a DeviceState; run_scheme,
-inference.program_write_verify and crossbar.write_v_half check their
-inputs once and take the same step in plain floats, and run_scheme and
-dc_write_loop read through one validated reader, so states, reads and
-generator draws equal applying and reading pulse by pulse.
+_pulser owns the pulse update law: a context manager whose float-level
+step holds every rule. apply_pulse is one step on a DeviceState;
+run_scheme, inference.program_write_verify and crossbar.write_v_half
+check their inputs once and take the same step in plain floats, and
+run_scheme and dc_write_loop read through one validated reader. The
+step's lognormal factors are drawn in blocks (_lognormal_stream), and on
+exit the generator is re-synced to where one scalar draw per noisy pulse
+leaves it. So states, reads and generator draws equal applying and
+reading pulse by pulse.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -487,11 +491,12 @@ def _ziggurat_tables():
     numpy does not draw as modelled here. Built on first use.
 
     wi[i] is read exactly from a forced draw of magnitude 1 in strip i.
-    numpy accepts a first draw in strip i >= 2 when its magnitude is below
-    ki[i] ~ 2**52 wi[i-1] / wi[i]; limit sits 1e-9 below that estimate,
-    and two forced draws per strip check that the one just below limit is
-    accepted and the one 1e-9 above the estimate is not. Strips 0 and 1
-    (limit 0) and draws at or above limit take the per-device path.
+    numpy accepts a first draw in strip i != 1 when its magnitude is below
+    ki[i] ~ 2**52 wi[i-1] / wi[i], cyclically: strip 0, the base strip
+    with the tail, takes wi[255]. limit sits 1e-9 below that estimate, and
+    two forced draws per strip check that the one just below limit is
+    accepted and the one 1e-9 above the estimate is not. Strip 1 (limit 0)
+    and draws at or above limit take the per-device path.
     """
     sample = _spawn_state_words(np.random.SeedSequence(0), 8)
     if not all(int(raw) == np.random.PCG64(_ChildSeed(words)).random_raw()
@@ -499,16 +504,17 @@ def _ziggurat_tables():
         return None
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
-    wi = np.array([_forced_draw(bitgen, gen, 1 << 9 | i)[0] for i in range(256)])
-    ki = [0.0] + (2.0 ** 52 * wi[:-1] / wi[1:]).tolist()
-    limit = [0, 0] + [math.floor(k * (1 - 1e-9)) for k in ki[2:]]
-    for i in range(2, 256):
-        above = math.ceil(ki[i] * (1 + 1e-9))
-        if not (0 < limit[i] < above < 2 ** 52
-                and _forced_draw(bitgen, gen, limit[i] - 1 << 9 | i)[1]
+    wi = [_forced_draw(bitgen, gen, 1 << 9 | i)[0] for i in range(256)]
+    limit = [0] * 256
+    for i in (0, *range(2, 256)):
+        ki = 2.0 ** 52 * wi[i - 1] / wi[i]
+        below, above = math.floor(ki * (1 - 1e-9)), math.ceil(ki * (1 + 1e-9))
+        if not (0 < below < above < 2 ** 52
+                and _forced_draw(bitgen, gen, below - 1 << 9 | i)[1]
                 and not _forced_draw(bitgen, gen, above << 9 | i)[1]):
             return None
-    return wi, np.array(limit, dtype=np.uint64)
+        limit[i] = below
+    return np.array(wi), np.array(limit, dtype=np.uint64)
 
 
 # Below this population the per-device Generator is faster than the vector
@@ -536,9 +542,9 @@ def sample_d2d_offsets(sigma_d2d: float, seed, n: int) -> list[float]:
     seeds every child's PCG64 and takes its first output, and applies the
     ziggurat's first-draw acceptance, as numpy's Generator.normal does:
     offset = 0.0 + sigma_d2d * x. A draw the pass cannot show exact (in
-    strips 0 and 1, at or above the strip's acceptance estimate, or one
-    the ziggurat would reject) takes numpy's own PCG64 and normal on its
-    child's words, about 2 % of draws, as does every draw of a smaller
+    strip 1, at or above the strip's acceptance estimate, or one the
+    ziggurat would reject) takes numpy's own PCG64 and normal on its
+    child's words, about 1.5 % of draws, as does every draw of a smaller
     population or of a numpy whose draws fail the checks of
     _ziggurat_tables. A SeedSequence passed in is read from its current
     spawn count, which this does not advance.
@@ -566,21 +572,68 @@ def _d2d_offsets(sigma_d2d: float, seed, n: int) -> np.ndarray:
     return offsets
 
 
+# The lognormal factors come in blocks of 1, 2, 4, ... up to this size.
+_NOISE_BLOCK_MAX = 4096
+
+
+@contextlib.contextmanager
+def _lognormal_stream(rng: np.random.Generator | None, mean: float,
+                      sigma: float):
+    """Yields draw() -> the next lognormal factor, equal to the next
+    rng.lognormal(mean=mean, sigma=sigma) scalar call.
+
+    The factors come in blocks, one rng.lognormal(mean, sigma, k) call
+    each, which numpy's Generator makes equal to k scalar calls, end state
+    included. Blocks start at one draw and double, so a single draw takes
+    one value. On exit, by exception or not, a block that was not used up
+    is undone: the state saved before it is restored and only its used
+    draws are drawn again, so the generator ends where one scalar call per
+    draw() leaves it. Nothing else may draw from rng inside the block. With
+    no generator, draw() raises ValueError.
+    """
+    pending = []  # the current block's unused factors, the next one last
+    size, saved = 0, None  # the current block's size and the state before it
+
+    def draw() -> float:
+        nonlocal size, saved
+        if not pending:
+            if rng is None:
+                raise ValueError("c2c_rel > 0 requires an explicit generator")
+            size = min(2 * size, _NOISE_BLOCK_MAX) or 1
+            # a block of one is used up as soon as it is drawn
+            saved = rng.bit_generator.state if size > 1 else None
+            pending[:] = rng.lognormal(mean, sigma, size)[::-1].tolist()
+        return pending.pop()
+
+    try:
+        yield draw
+    finally:
+        if pending:
+            rng.bit_generator.state = saved
+            rng.lognormal(mean, sigma, size - len(pending))
+
+
+@contextlib.contextmanager
 def _pulser(m: UpdateModel, kind: str, rng: np.random.Generator | None):
-    """The pulse update law of one scheme kind: step(w, cycles, last,
-    broken, v_write, t_width) -> (w, cycles, last) in plain floats.
+    """The pulse update law of one scheme kind. Entered as
+    `with _pulser(m, kind, rng) as step:`, it yields
+    step(w, cycles, last, broken, v_write, t_width) -> (w, cycles, last)
+    in plain floats.
 
     A broken device, a zero-width pulse and an amplitude between the onsets
     are no-ops. Otherwise step inverts the polarity's curve at the current
-    progress, advances one count times one lognormal draw (c2c_rel > 0),
-    clamps at the rail, counts a reversal as a cycle, and sets last to -1
-    after potentiation, +1 after depression."""
+    progress, advances one count times one mean-one lognormal factor
+    (c2c_rel > 0), clamps at the rail, counts a reversal as a cycle, and
+    sets last to -1 after potentiation, +1 after depression. The factors
+    come from _lognormal_stream, so the generator ends where one scalar
+    rng.lognormal call per noisy pulse leaves it, however the block exits.
+    A noisy pulse without a generator raises ValueError when it is taken.
+    """
     shape = m.shape_for(kind)
     pot = (-1, shape.a_pot, 1.0 - math.exp(-m.n_full / shape.a_pot))
     dep = (+1, shape.a_dep, 1.0 - math.exp(-m.n_full / shape.a_dep))
     v_on_pot, v_on_dep, noisy = m.v_on_pot, m.v_on_dep, m.c2c_rel > 0.0
     s2 = math.log(1.0 + m.c2c_rel ** 2)
-    mean, sigma = -0.5 * s2, math.sqrt(s2)
 
     def step(w, cycles, last, broken, v_write, t_width):
         if broken or t_width == 0.0:
@@ -594,15 +647,14 @@ def _pulser(m: UpdateModel, kind: str, rng: np.random.Generator | None):
         n = -a * math.log(1.0 - progress * span)
         dw = (1.0 - math.exp(-(n + 1.0) / a)) / span - progress
         if noisy:
-            if rng is None:
-                raise ValueError("c2c_rel > 0 requires an explicit generator")
-            dw *= rng.lognormal(mean=mean, sigma=sigma)
+            dw *= factor()
         if last != 0 and polarity != last:
             cycles += 1
         w = min(w + dw, 1.0) if polarity < 0 else max(w - dw, 0.0)
         return w, cycles, polarity
 
-    return step
+    with _lognormal_stream(rng, -0.5 * s2, math.sqrt(s2)) as factor:
+        yield step
 
 
 def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
@@ -615,8 +667,9 @@ def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
     multiplied by mean-one lognormal noise with relative spread c2c_rel.
     Sub-threshold pulses and broken devices return s itself.
     """
-    w, cycles, last = _pulser(m, kind, rng)(
-        s.w, s.cycles, s.last_polarity, s.broken, pulse.v_write, pulse.t_width)
+    with _pulser(m, kind, rng) as step:
+        w, cycles, last = step(s.w, s.cycles, s.last_polarity, s.broken,
+                               pulse.v_write, pulse.t_width)
     if (w, cycles, last) == (s.w, s.cycles, s.last_polarity):
         return s
     return replace(s, w=w, cycles=cycles, last_polarity=last)
@@ -664,14 +717,14 @@ def run_scheme(s: DeviceState, scheme: PulseScheme, m: UpdateModel,
     reading pulse by pulse.
     """
     read = _state_reader(p, v_read, t)
-    step = _pulser(m, scheme.kind, rng)
     w, cycles, last, d2d = s.w, s.cycles, s.last_polarity, s.d2d_log10
     trace = []
-    for idx, pulse in enumerate(scheme.pulses()):
-        w, cycles, last = step(w, cycles, last, s.broken, pulse.v_write,
-                               pulse.t_width)
-        trace.append(SchemeStep(index=idx, pulse=pulse, w=w,
-                                readout=read(state_multiplier(p, w, d2d))))
+    with _pulser(m, scheme.kind, rng) as step:
+        for idx, pulse in enumerate(scheme.pulses()):
+            w, cycles, last = step(w, cycles, last, s.broken, pulse.v_write,
+                                   pulse.t_width)
+            trace.append(SchemeStep(index=idx, pulse=pulse, w=w,
+                                    readout=read(state_multiplier(p, w, d2d))))
     return trace
 
 

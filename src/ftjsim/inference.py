@@ -18,9 +18,14 @@ within tolerance of the target. Because verification reads the actual
 current, the loop absorbs device-to-device spread up to the rail limits.
 The loop validates its inputs once at entry and then trims each cell in
 Python floats, with the pulse step of device._pulser (the update law
-apply_pulse also takes) and a read equal to conduction.current_total, so
-it matches pulse-by-pulse application and reading bit for bit, generator
-draws included. Programming and reads run at the array's own t_kelvin.
+apply_pulse also takes) and a read equal to conduction.current_total.
+One _pulser block covers the whole array: its noise factors are drawn
+in blocks and the generator is re-synced exactly on exit, so the loop
+matches pulse-by-pulse application and reading bit for bit, generator
+draws and end state included. Programming and reads run at the array's
+own t_kelvin. mvm_error_mc reads each programmed plane once per trial
+and takes both the decoder-calibration and the input charge from that
+one current grid.
 """
 
 from __future__ import annotations
@@ -201,7 +206,6 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
         max_pulses = 3 * m.n_full
     p = xbar.params
     current = _float_current(v_read, xbar.t_kelvin, p)
-    step = _pulser(m, "amplitude_ramp", rng)
     counts = np.zeros((xbar.n_rows, xbar.n_cols), dtype=int)
     resid = np.zeros((xbar.n_rows, xbar.n_cols))
     w_out, cycles_out, last_out = (xbar.w.copy(), xbar.cycles.copy(),
@@ -211,21 +215,22 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
                 xbar.cycles.ravel().tolist(), xbar.broken.ravel().tolist(),
                 xbar.last_polarity.ravel().tolist(),
                 g_targets.ravel().tolist())
-    for rc, w, d2d, cycles, broken, last, target in cells:
-        g = current(state_multiplier(p, w, d2d)) / v_read
-        n = 0
-        while abs(g - target) > tol_g and n < max_pulses:
-            v_write = V_POT_DEFAULT if g < target else V_DEP_DEFAULT
-            moved = step(w, cycles, last, broken, v_write, T_WIDTH_DEFAULT)
-            if moved[0] == w:
-                break  # broken, below its onset or pinned at a rail
-            w, cycles, last = moved
+    with _pulser(m, "amplitude_ramp", rng) as step:
+        for rc, w, d2d, cycles, broken, last, target in cells:
             g = current(state_multiplier(p, w, d2d)) / v_read
-            n += 1
-        counts[rc] = n
-        resid[rc] = abs(g - target)
-        if n:
-            w_out[rc], cycles_out[rc], last_out[rc] = w, cycles, last
+            n = 0
+            while abs(g - target) > tol_g and n < max_pulses:
+                v_write = V_POT_DEFAULT if g < target else V_DEP_DEFAULT
+                moved = step(w, cycles, last, broken, v_write, T_WIDTH_DEFAULT)
+                if moved[0] == w:
+                    break  # broken, below its onset or pinned at a rail
+                w, cycles, last = moved
+                g = current(state_multiplier(p, w, d2d)) / v_read
+                n += 1
+            counts[rc] = n
+            resid[rc] = abs(g - target)
+            if n:
+                w_out[rc], cycles_out[rc], last_out[rc] = w, cycles, last
     out = replace(xbar, w=w_out, cycles=cycles_out, last_polarity=last_out)
     report = ProgramReport(pulse_counts=counts, residual_g=resid,
                            pulses_total=int(counts.sum()),
@@ -247,10 +252,19 @@ def mvm_charge(xbar: Crossbar, x, v_read: float = V_ONOFF) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (xbar.n_rows,):
         raise ValueError(f"x must have shape ({xbar.n_rows},), got {x.shape}")
+    _check_mvm_bias(v_read)
+    return _charge(_array_current(xbar, v_read), x)
+
+
+def _check_mvm_bias(v_read: float) -> None:
     if abs(v_read) > MVM_V_LIMIT:
         raise ValueError(f"read inputs must satisfy |v| <= {MVM_V_LIMIT} V")
     check_bias(v_read)
-    return _line_sums(x[:, None] * _array_current(xbar, v_read), axis=0)
+
+
+def _charge(currents: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """mvm_charge on an array's device currents at the read bias."""
+    return _line_sums(x[:, None] * currents, axis=0)
 
 
 def _decoder_gain(q_ones: np.ndarray, y_ones: np.ndarray) -> float:
@@ -296,6 +310,11 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     all-ones read ("calibrated"); "exact" uses the analytic gain
     1 / (v_read * (g_max - g_min)), which isolates quantization and
     variation effects from calibration error.
+
+    v_read obeys mvm_charge's limits and is checked before any draw. Each
+    programmed plane is read once per trial: both the all-ones and the
+    input charge come from that one current grid, bit-identical to
+    mvm_charge calls.
     """
     if programming not in ("write_verify", "ideal"):
         raise ValueError(f"unknown programming mode {programming!r}")
@@ -303,6 +322,7 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
         raise ValueError(f"unknown decoder mode {decoder!r}")
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    _check_mvm_bias(v_read)
     p = p if p is not None else default_params()
     m = m if m is not None else default_update_model()
     if c2c_rel is not None:
@@ -343,18 +363,19 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
                                                 v_read=v_verify)
             pulses[trial] = rep_pos.pulses_total + rep_neg.pulses_total
             failed[trial] = rep_pos.n_failed + rep_neg.n_failed
+        i_pos = _array_current(pos, v_read)
+        i_neg = _array_current(neg, v_read)
         if decoder == "exact":
             alpha = 1.0 / (v_read * (mapping.g_max - mapping.g_min))
         else:
             ones = np.ones(n_rows)
-            q_ones = (mvm_charge(pos, ones, v_read)
-                      - mvm_charge(neg, ones, v_read))
+            q_ones = _charge(i_pos, ones) - _charge(i_neg, ones)
             alpha = _decoder_gain(q_ones, ones @ w)
 
         x = (x_inputs if x_inputs is not None
              else np.random.default_rng(s_x).uniform(0.0, 1.0, n_rows))
         y_true = x @ w
-        q = mvm_charge(pos, x, v_read) - mvm_charge(neg, x, v_read)
+        q = _charge(i_pos, x) - _charge(i_neg, x)
         y_hat = alpha * q
         denom = float(np.linalg.norm(y_true))
         if denom == 0.0:

@@ -10,6 +10,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -767,3 +768,13 @@ def test_write_csv_bytes_equal_per_cell_writer(header, rows):
         "types-change"])
 def test_write_csv_bytes_equal_per_cell_writer_on_edge_tables(rows):
     _assert_same_csv_bytes(["a", "b,c", 'd"e'], rows)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TEXT, max_size=4), _ROWS)
+def test_write_csv_bytes_equal_per_cell_writer_across_blocks(block, header, rows):
+    """Small blocks split the tables where cell types change, so templated
+    and csv.writer blocks interleave."""
+    with mock.patch.object(cli, "_CSV_BLOCK", block):
+        _assert_same_csv_bytes(header, rows)

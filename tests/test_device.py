@@ -146,6 +146,41 @@ def test_c2c_requires_generator():
         apply_pulse(DeviceState(w=0.4), POT, m)
 
 
+# Draw counts around every block boundary of the noise stream (blocks of
+# 1, 2, 4, ... up to _NOISE_BLOCK_MAX, then full blocks) and several full
+# blocks in.
+_BLOCK_ENDS = [2**j - 1 for j in range(1, 13)] + [4095 + 4096 * j for j in (1, 2)]
+_DRAW_COUNTS = sorted({0, 1} | {end + d for end in _BLOCK_ENDS for d in (-1, 0, 1)})
+
+
+class _Interrupt(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k", _DRAW_COUNTS)
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([0.05, 0.1, 0.3]), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_lognormal_stream_equals_scalar_draws(k, c2c, seed, interrupt):
+    """k block-drawn factors equal k scalar rng.lognormal calls, and the
+    generator ends in the same state, also when the with block raises."""
+    assert device._NOISE_BLOCK_MAX == 4096  # _BLOCK_ENDS assume it
+    s2 = math.log(1.0 + c2c**2)
+    mean, sigma = -0.5 * s2, math.sqrt(s2)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = []
+    try:
+        with device._lognormal_stream(rng, mean, sigma) as draw:
+            got += [draw() for _ in range(k)]
+            if interrupt:
+                raise _Interrupt
+    except _Interrupt:
+        pass
+    expect = [ref.lognormal(mean=mean, sigma=sigma) for _ in range(k)]
+    assert _hex(got) == _hex(expect)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_scheme_validation():
     with pytest.raises(ValueError):
         PulseScheme("bogus", 10, -1.6, v_step=-0.1, width=50e-6)
@@ -383,8 +418,9 @@ def ziggurat_wi():
 def _forced_raw(wi, strip, place, delta, sign):
     """A first output in the given strip whose 52-bit magnitude sits at
     place (an edge of the strip, or an edge of the band 1e-9 wide around
-    ki ~ 2**52 wi[strip - 1] / wi[strip]) plus delta."""
-    ki = 2.0**52 * wi[strip - 1] / wi[strip] if strip >= 2 else 2.0**51
+    ki ~ 2**52 wi[strip - 1] / wi[strip], where strip 0 takes wi[255])
+    plus delta."""
+    ki = 2.0**52 * wi[strip - 1] / wi[strip] if strip != 1 else 2.0**51
     rabs = {"low": 0, "high": 2**52 - 1,
             "band_low": math.floor(ki * (1 - 1e-9)),
             "ki": round(ki),
@@ -404,12 +440,14 @@ def test_sample_d2d_offsets_equal_forced_and_spawned_draws(
         ziggurat_wi, kwargs, n, sigma, forced, data):
     """Natural children compare with default_rng on the spawned child;
     forced ones, at the edges of strips 0 and 1 and on both sides of the
-    ki band of any strip, with a Generator on the forced state."""
+    ki band of strip 0 and of any other strip, with a Generator on the
+    forced state."""
     words = _spawn_state_words(np.random.SeedSequence(**kwargs), n)
     expect = [float(np.random.default_rng(c).normal(0.0, sigma))
               for c in np.random.SeedSequence(**kwargs).spawn(n)]
-    strips = data.draw(st.lists(st.integers(2, 255), min_size=2, max_size=2))
-    forced += [(k / 8, strip, place, delta, k % 2)
+    strips = [0] + data.draw(st.lists(st.integers(2, 255), min_size=2,
+                                      max_size=2))
+    forced += [(k / 10, strip, place, delta, k % 2)
                for k, (strip, place, delta) in enumerate(
                    [(0, "low", 0), (0, "high", 0), (1, "low", 0),
                     (1, "high", 0)]

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -553,3 +554,76 @@ def test_mvm_error_mc_reports_programming(p):
                          seed=seed, programming="ideal")
     assert np.array_equal(ideal.pulses, np.zeros(n_trials, dtype=int))
     assert np.array_equal(ideal.failed_cells, np.zeros(n_trials, dtype=int))
+
+
+def _reference_mvm_error_mc(w, x_inputs, sigma_d2d, n_trials, seed,
+                            programming, decoder, p, m, v_read, v_verify, t):
+    """mvm_error_mc's trial loop on the public mvm_charge: two charge
+    reads per plane with the calibrated decoder, one with the exact one."""
+    mapping = map_weights(w, 11, p, v_read=v_read, t=t)
+    gv_min = float(state_conductance(p, 0.0, v_verify, t))
+    gv_max = float(state_conductance(p, 1.0, v_verify, t))
+    tol = VERIFY_TOL_FRACTION * mapping.level_spacing * (gv_max - gv_min)
+    n_rows, n_cols = w.shape
+    errors = []
+    for child in np.random.SeedSequence(seed).spawn(n_trials):
+        s_pos, s_neg, s_prog, s_x = child.spawn(4)
+        pos = build_crossbar(n_rows, n_cols, p, sigma_d2d, s_pos, t_kelvin=t)
+        neg = build_crossbar(n_rows, n_cols, p, sigma_d2d, s_neg, t_kelvin=t)
+        if programming == "ideal":
+            pos, neg = pos.with_weights(mapping.w_pos), neg.with_weights(mapping.w_neg)
+        else:
+            rng = np.random.default_rng(s_prog)
+            pos, _ = program_write_verify(
+                pos, gv_min + mapping.u_pos * (gv_max - gv_min), m, tol, rng,
+                v_read=v_verify)
+            neg, _ = program_write_verify(
+                neg, gv_min + mapping.u_neg * (gv_max - gv_min), m, tol, rng,
+                v_read=v_verify)
+        if decoder == "exact":
+            alpha = 1.0 / (v_read * (mapping.g_max - mapping.g_min))
+        else:
+            ones = np.ones(n_rows)
+            q_ones = mvm_charge(pos, ones, v_read) - mvm_charge(neg, ones, v_read)
+            denom = float(np.dot(q_ones, q_ones))
+            alpha = 0.0 if denom == 0.0 else float(np.dot(ones @ w, q_ones)) / denom
+        x = (x_inputs if x_inputs is not None
+             else np.random.default_rng(s_x).uniform(0.0, 1.0, n_rows))
+        y_true = x @ w
+        q = mvm_charge(pos, x, v_read) - mvm_charge(neg, x, v_read)
+        errors.append(float(np.linalg.norm(alpha * q - y_true))
+                      / float(np.linalg.norm(y_true)))
+    return errors
+
+
+@pytest.mark.parametrize("decoder", ["calibrated", "exact"])
+@pytest.mark.parametrize("programming", ["write_verify", "ideal"])
+@pytest.mark.parametrize("seed, v_read, t, fixed_x", [
+    (0, 0.1, 300.0, False), (7, -0.25, 330.0, True), (2**40 + 3, 0.3, 280.0, False)])
+def test_mvm_error_mc_equals_reference_on_mvm_charge(p, m, decoder, programming,
+                                                     seed, v_read, t, fixed_x):
+    """One current grid per programmed plane gives the bits of the four
+    mvm_charge reads it replaces."""
+    w = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 4))
+    x = np.array([0.2, 0.9, 0.5]) if fixed_x else None
+    stats = mvm_error_mc(w, x_inputs=x, sigma_d2d=0.1, n_trials=3, seed=seed,
+                         programming=programming, decoder=decoder, p=p, m=m,
+                         v_read=v_read, t=t)
+    expect = _reference_mvm_error_mc(w, x, 0.1, 3, seed, programming, decoder,
+                                     p, m, v_read, V_VERIFY, t)
+    assert [e.hex() for e in stats.rel_errors.tolist()] == [e.hex() for e in expect]
+
+
+@pytest.mark.parametrize("v_read, fragment", [
+    (0.31, "read inputs"), (-0.5, "read inputs"), (math.nan, "non-finite")])
+def test_mvm_error_mc_checks_the_read_before_any_draw(v_read, fragment):
+    """An out-of-range read bias raises before any array is built, any
+    pulse is applied or any generator is made."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called before the read bias was checked")
+    with mock.patch("ftjsim.inference.build_crossbar", forbidden), \
+            mock.patch("ftjsim.inference.program_write_verify", forbidden), \
+            mock.patch("numpy.random.default_rng", forbidden), \
+            mock.patch("numpy.random.SeedSequence", forbidden):
+        with pytest.raises(ValueError, match=fragment):
+            mvm_error_mc(np.array([[0.5, -0.5]]), v_read=v_read)
