@@ -36,8 +36,8 @@ import numpy as np
 
 from . import __version__
 from .conduction import (CalibrationError, V_READ, V_SELECT,
-                         current_total, current_total_g, current_tunneling,
-                         on_off, self_selection_ratio, state_multiplier)
+                         _state_multipliers, current_total, current_total_g,
+                         current_tunneling, on_off, self_selection_ratio)
 from .config import (ConfigError, SimConfig, _loop_legs, build_model, emit_config,
                      load_config)
 from .constants import K_B, Q_E
@@ -328,12 +328,11 @@ def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
     # draws that pass cannot show exact (strip 1, draws near a strip's
     # acceptance bound) take numpy's own per-device Generator.
     # Both states of every device are read in one call at [device]
-    # v_read_v and t_kelvin; each multiplier comes from the scalar
-    # state_multiplier (numpy's vector power differs in the last bit), so
-    # every resistance equals read_state's.
+    # v_read_v and t_kelvin, with their multipliers from one call of the
+    # array form of state_multiplier, so every resistance equals
+    # read_state's.
     offsets = sample_d2d_offsets(sigma, seed, n_devices)
-    g = np.array([[state_multiplier(p, w, d) for d in offsets]
-                  for w in (0.0, 1.0)])
+    g = _state_multipliers(p, [[0.0], [1.0]], offsets)
     i = current_total_g(bundle.v_read, bundle.t_kelvin, p, g)
     with np.errstate(divide="ignore"):
         r_hrs, r_lrs = np.where(i != 0.0, np.abs(bundle.v_read / i), math.inf)

@@ -27,6 +27,13 @@ them for the Jacobian, and _float_current returns a plain-float i(g) for
 loops that read one device many times at one bias. Both equal the public
 kernels bit for bit.
 
+The multiplier comes in two forms: state_multiplier is the scalar
+form, in Python floats, for the per-pulse loops, and _state_multipliers
+is the array form behind the crossbar grids, the d2d study and the
+conductance helpers. The array form uses np.float_power, which calls the C
+library's pow() per element as float ** does, so both give the same
+bits.
+
 A separate direct-tunneling expression (trapezoidal barrier, low and
 intermediate bias) is provided purely for mechanism discrimination; it is
 not part of the composite current.
@@ -233,17 +240,50 @@ def _as_input_kind(result, v, g=1.0):
     return float(result)
 
 
+def _shift_overflow(d2d_log10: float) -> OverflowError:
+    return OverflowError(
+        f"d2d_log10 = {d2d_log10} is outside float range: the state "
+        "multiplier 10**(-d2d_log10) overflows")
+
+
 def state_multiplier(p: ConductionParams, w: float, d2d_log10: float = 0.0) -> float:
     """Common channel multiplier: g_lrs**w shifted by the device's log10
     resistance offset. An offset whose shift 10**(-d2d_log10) is past
-    float range raises OverflowError naming it."""
+    float range raises OverflowError naming it.
+
+    This is the scalar form: w and d2d_log10 are Python floats, as in the
+    per-pulse loops, which call it once per read. Arrays take the array
+    form, _state_multipliers, which gives the same bits; numpy's own
+    power on an array can differ in the last bit and returns inf on
+    overflow.
+    """
     try:
         shift = 10.0 ** (-d2d_log10)
     except OverflowError:
-        raise OverflowError(
-            f"d2d_log10 = {d2d_log10} is outside float range: the state "
-            "multiplier 10**(-d2d_log10) overflows") from None
+        raise _shift_overflow(d2d_log10) from None
     return p.g_lrs ** w * shift
+
+
+def _state_multipliers(p: ConductionParams, w, d2d_log10) -> np.ndarray:
+    """Array form of state_multiplier: w and d2d_log10 broadcast, and
+    every element equals the scalar form bit for bit.
+
+    np.float_power's float64 loop calls the C library's pow() per
+    element, the function float ** calls; np.power may take a SIMD
+    approximation instead. Negating the offset is exact, and the product
+    is the same single multiply. The powers run with every floating-point
+    error ignored, as float ** ignores them, whatever errstate the caller
+    set; the first offset in flattened order whose shift is past float
+    range then raises state_multiplier's OverflowError. A finite shift
+    whose product overflows gives inf, as the scalar form does.
+    """
+    d = np.asarray(d2d_log10, dtype=float)
+    with np.errstate(all="ignore"):
+        shift = np.float_power(10.0, -d)
+        over = np.isinf(shift) & np.isfinite(d)
+        if over.any():
+            raise _shift_overflow(float(d.ravel()[np.argmax(over.ravel())]))
+        return np.float_power(p.g_lrs, w) * shift
 
 
 def _bias_terms(va: np.ndarray, theta: float):

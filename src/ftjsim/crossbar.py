@@ -13,17 +13,21 @@ nonlinear device currents, which a damped Newton iteration solves to
 machine precision.
 
 Reads are evaluated on arrays. Each call of solve_network, mvm_read or
-mvm_charge builds the per-cell state-multiplier grid g[r, c] once
-(nothing is cached between calls) and composes conduction's private
-channel terms on the whole device-voltage grid rv[:, None] - cv[None, :].
-solve_network checks its driven potentials once per call; each Newton
-point then evaluates |v|, sqrt|v| and exp(theta * sqrt|v|) once, for the
-residual, and the Jacobian at that point reuses them. The results are
-bit-identical to evaluating each cell with the scalar current_total: g is
-built cell by cell with the scalar state_multiplier, the terms keep the
-kernels' order of operations, and line currents and Jacobian diagonals
-are summed left to right (_line_sums) instead of by numpy's pairwise
-reduction.
+mvm_charge builds the per-cell state-multiplier grid g[r, c] once, in one
+call of conduction's array form of state_multiplier (nothing is cached
+between calls), and composes conduction's private channel terms on the
+whole device-voltage grid rv[:, None] - cv[None, :]. solve_network checks
+its driven potentials and lays out the Jacobian (free-line index, the
+free-row x free-column block, diagonal and sign) once per call; each
+Newton point then evaluates |v|, sqrt|v| and exp(theta * sqrt|v|) once,
+writes the currents and conductances into one stacked grid, and takes
+the residual and the Jacobian diagonals from one left-to-right line sum
+per axis of that stack. The results are bit-identical to evaluating each
+cell with the scalar current_total: the array form of the multiplier
+calls the C library's pow() per element, as float ** does, the terms
+keep the kernels' order of operations, and line currents and Jacobian
+diagonals are summed left to right (_line_sums) instead of by numpy's
+pairwise reduction.
 
 build_crossbar draws every cell's device-to-device offset in one call of
 sample_d2d_offsets's array form: cell (r, c) takes the draw of child
@@ -50,8 +54,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, T_REF, _bias_terms, _coeffs,
-                         _conductance, _float_current, _total, check_bias,
-                         state_multiplier)
+                         _conductance, _float_current, _state_multipliers,
+                         _total, check_bias, state_multiplier)
 from .device import (DeviceState, PulseSpec, UpdateModel, _check_cells,
                      _d2d_offsets, _pulser)
 
@@ -147,14 +151,10 @@ class Crossbar:
     def multipliers(self) -> np.ndarray:
         """State-multiplier grid g[r, c], computed afresh on every call.
 
-        Built cell by cell with the scalar state_multiplier: numpy's
-        vector power differs from Python's float ** in the last bit for
-        some inputs, and array reads must match the scalar kernel exactly.
+        One call of conduction's array form, _state_multipliers, which
+        equals the scalar state_multiplier cell by cell, bit for bit.
         """
-        p = self.params
-        g = [state_multiplier(p, w, d) for w, d in
-             zip(self.w.ravel().tolist(), self.d2d_log10.ravel().tolist())]
-        return np.array(g).reshape(self.w.shape)
+        return _state_multipliers(self.params, self.w, self.d2d_log10)
 
     def with_weights(self, w) -> "Crossbar":
         """New array with the given w matrix, keeping each device's
@@ -237,11 +237,11 @@ def _line_sums(a: np.ndarray, axis: int) -> np.ndarray:
     sequential float sum over the same elements; np.sum reduces pairwise
     and can differ in the last bits. Adding 0.0 turns an all-(-0.0) sum
     into 0.0, as a sum started from zero does."""
-    return np.cumsum(a, axis=axis).take(-1, axis=axis) + 0.0
+    return a.cumsum(axis=axis).take(-1, axis=axis) + 0.0
 
 
 def _max_abs(f: np.ndarray) -> float:
-    return np.max(np.abs(f), initial=0.0)
+    return np.abs(f).max(initial=0.0)
 
 
 def solve_network(xbar: Crossbar, scheme: BiasScheme,
@@ -256,9 +256,11 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
     RuntimeError is raised.
 
     The driven potentials are checked once per call; the temperature was
-    checked when the array was built. Each residual evaluates the channel
-    terms of the full device-voltage grid once, and the Jacobian at that
-    point reuses them.
+    checked when the array was built. Each Newton point evaluates the
+    channel terms of the full device-voltage grid once and stacks the
+    currents and conductances in one grid; the residual and the Jacobian
+    diagonals at that point are its left-to-right line sums, and the
+    Jacobian of an accepted point is assembled from them.
     """
     nr, nc = xbar.n_rows, xbar.n_cols
     if nr > MAX_SOLVE_DIM or nc > MAX_SOLVE_DIM:
@@ -266,45 +268,53 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
             f"dense network solve is capped at {MAX_SOLVE_DIM} lines per side")
     if len(scheme.rows) != nr or len(scheme.cols) != nc:
         raise ValueError("bias scheme shape does not match the array")
-    driven = [float(v) for v in list(scheme.rows) + list(scheme.cols) if v is not None]
+    potentials = list(scheme.rows) + list(scheme.cols)
+    driven = [float(v) for v in potentials if v is not None]
     if not driven:
         raise ValueError("at least one line must be driven")
     check_bias(driven)
-    free_rows = np.array([r for r, v in enumerate(scheme.rows) if v is None], dtype=int)
-    free_cols = np.array([c for c, v in enumerate(scheme.cols) if v is None], dtype=int)
-    n_fr = free_rows.size
-    n_free = n_fr + free_cols.size
+    # lines holds the row potentials, then the column ones; free indexes
+    # its floating lines, rows first
+    lines = np.array([0.0 if v is None else float(v) for v in potentials])
+    free = np.array([k for k, v in enumerate(potentials) if v is None],
+                    dtype=int)
+    n_free = free.size
+    n_fr = sum(v is None for v in scheme.rows)
     ohm_c, pf_c, theta = _coeffs(xbar.params, xbar.t_kelvin)
     ga = xbar.multipliers() * xbar.params.area
-
-    row_v = np.array([0.0 if v is None else float(v) for v in scheme.rows])
-    col_v = np.array([0.0 if v is None else float(v) for v in scheme.cols])
     x = np.full(n_free, float(np.mean(driven)))
+    # per-solve Jacobian layout: the free-row x free-column block of the
+    # conductance grid, the diagonal, and its sign (+ rows, - columns)
+    cross = np.ix_(free[:n_fr], free[n_fr:] - nr)
+    diag = np.arange(n_free)
+    sign = np.where(diag < n_fr, 1.0, -1.0)
 
-    def residual(xv):
-        rv = row_v.copy()
-        cv = col_v.copy()
-        rv[free_rows] = xv[:n_fr]
-        cv[free_cols] = xv[n_fr:]
+    def point(xv):
+        """Line potentials, device voltages, the stacked current and
+        conductance grids, the residual and the Jacobian diagonal sums
+        at one iterate."""
+        v = lines.copy()
+        v[free] = xv
+        rv, cv = v[:nr], v[nr:]
         dv = rv[:, None] - cv[None, :]
         terms = _bias_terms(dv, theta)
-        di = _total(ga, dv, terms, ohm_c, pf_c)
-        f = np.concatenate([_line_sums(di, axis=1)[free_rows],
-                            _line_sums(di, axis=0)[free_cols]])
-        return f, _max_abs(f), rv, cv, dv, di, terms
+        grids = np.empty((2, nr, nc))
+        grids[0] = _total(ga, dv, terms, ohm_c, pf_c)
+        grids[1] = _conductance(ga, terms, ohm_c, pf_c, theta)
+        sums = np.concatenate([_line_sums(grids, axis=2),
+                               _line_sums(grids, axis=1)], axis=1)[:, free]
+        f = sums[0]
+        return f, _max_abs(f), rv, cv, dv, grids, sums[1]
 
-    def jacobian(terms):
-        gd = _conductance(ga, terms, ohm_c, pf_c, theta)
-        cross = gd[np.ix_(free_rows, free_cols)]
+    def jacobian(grids, gsum):
         jac = np.zeros((n_free, n_free))
-        diag = np.arange(n_free)
-        jac[diag[:n_fr], diag[:n_fr]] = _line_sums(gd, axis=1)[free_rows]
-        jac[diag[n_fr:], diag[n_fr:]] = -_line_sums(gd, axis=0)[free_cols]
-        jac[:n_fr, n_fr:] = -cross
-        jac[n_fr:, :n_fr] = cross.T
+        jac[diag, diag] = sign * gsum
+        block = grids[1][cross]
+        jac[:n_fr, n_fr:] = -block
+        jac[n_fr:, :n_fr] = block.T
         return jac
 
-    f, norm, rv, cv, dv, di, terms = residual(x)
+    f, norm, rv, cv, dv, grids, gsum = point(x)
     it = 0
     while norm > tol:
         if it >= NEWTON_MAX_ITER:
@@ -312,18 +322,18 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
                 f"network solve did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(residual {norm:.3g} A)")
         try:
-            step = np.linalg.solve(jacobian(terms), -f)
+            step = np.linalg.solve(jacobian(grids, gsum), -f)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular network Jacobian: {exc}") from exc
         norm0 = norm
         lam = 1.0
         for _ in range(40):
             x_new = x + lam * step
-            if not np.all(np.isfinite(x_new)):
+            if not np.isfinite(x_new).all():
                 raise RuntimeError(
                     f"network solve produced a non-finite iterate at "
                     f"iteration {it + 1}")
-            f, norm, rv, cv, dv, di, terms = residual(x_new)
+            f, norm, rv, cv, dv, grids, gsum = point(x_new)
             if norm < norm0:
                 break
             lam *= 0.5
@@ -333,6 +343,7 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
                 f"no step reduced the residual {norm0:.3g} A")
         x = x_new
         it += 1
+    di = grids[0]
     return NetworkSolution(row_v=rv, col_v=cv, device_v=dv, device_i=di,
                            row_i=di.sum(axis=1), col_i=di.sum(axis=0),
                            iterations=it, residual=float(norm))

@@ -36,8 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, T_REF, V_ONOFF, V_READ,
-                         _float_current, check_bias, current_total,
-                         default_params, state_multiplier)
+                         _float_current, _state_multipliers, check_bias,
+                         current_total, default_params, state_multiplier)
 from .crossbar import (MVM_V_LIMIT, Crossbar, _array_current, _line_sums,
                        build_crossbar)
 from .device import (DeviceState, UpdateModel, T_WIDTH_DEFAULT, V_DEP_DEFAULT,
@@ -59,12 +59,20 @@ __all__ = [
 VERIFY_TOL_FRACTION = 0.25   # verify tolerance as a fraction of level spacing
 
 
+def _multiplier(p: ConductionParams, w, d2d_log10):
+    """State multiplier of scalar or array inputs: the scalar form gives a
+    float for scalar w and d2d_log10, and the array form, which equals it
+    element by element, an ndarray for any other."""
+    if np.ndim(w) or np.ndim(d2d_log10):
+        return _state_multipliers(p, w, d2d_log10)
+    return state_multiplier(p, float(w), float(d2d_log10))
+
+
 def normalized_conductance(p: ConductionParams, w, d2d_log10=0.0):
     """Device conductance on a 0..1 scale: 0 at the pristine HRS, 1 at the
     full LRS. Bias-independent because the state multiplier is common to
-    both channels."""
-    return (p.g_lrs ** np.asarray(w) * 10.0 ** (-np.asarray(d2d_log10)) - 1.0) \
-        / (p.g_lrs - 1.0)
+    both channels. w and d2d_log10 broadcast; a float for scalar input."""
+    return (_multiplier(p, w, d2d_log10) - 1.0) / (p.g_lrs - 1.0)
 
 
 def weight_for_conductance(p: ConductionParams, u):
@@ -81,10 +89,10 @@ def state_conductance(p: ConductionParams, w, v_read: float = V_ONOFF,
 
     The state enters the model as a common multiplier on both channels,
     so this is the pristine-state chordal conductance scaled by that
-    multiplier; w may be an array.
+    multiplier. w and d2d_log10 broadcast; a float for scalar input.
     """
     base = current_total(v_read, t, p, DeviceState(w=0.0)) / v_read
-    return base * state_multiplier(p, w, d2d_log10)
+    return base * _multiplier(p, w, d2d_log10)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
 """Static conduction model: channel formulas, symmetry, calibration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ftjsim.conduction import (
+    _state_multipliers,
     CalibrationError,
     CalibrationTargets,
     ConductionParams,
@@ -119,6 +121,68 @@ def test_state_multiplier():
     assert state_multiplier(p, 1.0, d2d_log10=0.2) < state_multiplier(p, 1.0)
     assert state_multiplier(p, 0.5, 0.1) == pytest.approx(
         p.g_lrs ** 0.5 * 10.0 ** -0.1, rel=1e-15)
+
+
+# --- Exactness guard: the multiplier's array form against its scalar form --
+
+# (w shape, d2d_log10 shape) pairs that broadcast, scalars included
+_BROADCAST_SHAPES = (((), ()), ((5,), ()), ((), (4,)), ((3, 1), (4,)),
+                     ((2, 3), (2, 3)), ((4, 1), (1, 3)))
+_W = st.one_of(st.sampled_from((0.0, 1.0, 5e-324)), st.floats(0.0, 1.0))
+# finite shifts only; offsets near -308 overflow the product to inf
+_D2D = st.one_of(st.sampled_from((0.0, -0.0, -308.2, -308.0, -307.5, 308.0)),
+                 st.floats(-308.2, 308.0))
+
+
+@st.composite
+def _multiplier_cases(draw):
+    w_shape, d_shape = draw(st.sampled_from(_BROADCAST_SHAPES))
+
+    def grid(shape, elements):
+        n = math.prod(shape)
+        values = draw(st.lists(elements, min_size=n, max_size=n))
+        return np.array(values).reshape(shape)
+
+    g_lrs = draw(st.one_of(st.sampled_from((1.0, 10.0, 1e6)),
+                           st.floats(1.0, 1e6)))
+    return ConductionParams(g_lrs=g_lrs), grid(w_shape, _W), grid(d_shape, _D2D)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_multiplier_cases())
+def test_state_multipliers_equal_scalar_form_bit_for_bit(case):
+    p, w, d = case
+    got = _state_multipliers(p, w, d)
+    ws, ds = np.broadcast_arrays(w, d)
+    assert np.shape(got) == ws.shape
+    ref = [state_multiplier(p, wi, di).hex()
+           for wi, di in zip(ws.ravel().tolist(), ds.ravel().tolist())]
+    assert [float(x).hex() for x in np.ravel(got)] == ref
+
+
+def test_state_multipliers_name_the_first_offset_past_float_range():
+    """An offset whose shift overflows raises the scalar form's exact
+    OverflowError, naming the first such offset in flattened order,
+    whatever errstate or warning filter the caller set."""
+    p = default_params()
+    d = np.array([[0.1, -400.0], [-500.0, 0.2]])
+    with pytest.raises(OverflowError) as scalar:
+        state_multiplier(p, 0.5, -400.0)
+    for errstate in (np.errstate(), np.errstate(over="raise"),
+                     np.errstate(all="raise")):
+        with errstate, pytest.raises(OverflowError) as array:
+            _state_multipliers(p, 0.5, d)
+        assert str(array.value) == str(scalar.value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as array:
+            _state_multipliers(p, [[0.0], [1.0]], d.ravel())
+    assert str(array.value) == str(scalar.value)
+    # a finite shift whose product overflows gives inf, as the scalar does
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _state_multipliers(p, [0.0, 1.0], -308.0).tolist() == [
+            state_multiplier(p, 0.0, -308.0), math.inf]
 
 
 def test_current_monotone_in_bias():

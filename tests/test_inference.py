@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ftjsim.conduction import (_float_current, current_total, current_total_g,
-                               default_params)
+                               default_params, state_multiplier)
 from ftjsim.crossbar import Crossbar, build_crossbar, mvm_read
 from ftjsim.device import (SCHEME_KINDS, DeviceState, PulseSpec,
                            T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
@@ -47,6 +47,39 @@ def test_normalized_conductance_round_trip(p):
     np.testing.assert_allclose(normalized_conductance(p, w), u, atol=1e-12)
     assert normalized_conductance(p, 0.0) == 0.0
     assert normalized_conductance(p, 1.0) == 1.0
+
+
+def test_conductance_helpers_array_equals_scalar_bit_for_bit(p):
+    """Array inputs of normalized_conductance and state_conductance equal
+    per-element calls of the scalar state_multiplier, bit for bit, and a
+    scalar input gives a float."""
+    rng = np.random.default_rng(13)
+    w = np.concatenate([[0.0, 1.0, 5e-324], rng.uniform(0.0, 1.0, 1021)])
+    d = rng.normal(0.0, 0.3, 1024)
+    w_grid, d_grid = w.reshape(32, 32), d.reshape(32, 32)
+    base = current_total(V_READ_MVM, 300.0, p, DeviceState(w=0.0)) / V_READ_MVM
+    g = [state_multiplier(p, wi, di) for wi, di in zip(w.tolist(), d.tolist())]
+    u_ref = [((gi - 1.0) / (p.g_lrs - 1.0)).hex() for gi in g]
+    c_ref = [(base * gi).hex() for gi in g]
+    u = normalized_conductance(p, w_grid, d_grid)
+    c = state_conductance(p, w_grid, v_read=V_READ_MVM, d2d_log10=d_grid)
+    assert u.shape == c.shape == (32, 32)
+    assert [x.hex() for x in u.ravel().tolist()] == u_ref
+    assert [x.hex() for x in c.ravel().tolist()] == c_ref
+    for k in (0, 1, 2, 517):
+        u_k = normalized_conductance(p, float(w[k]), float(d[k]))
+        c_k = state_conductance(p, float(w[k]), v_read=V_READ_MVM,
+                                d2d_log10=float(d[k]))
+        assert type(u_k) is float and u_k.hex() == u_ref[k]
+        assert type(c_k) is float and c_k.hex() == c_ref[k]
+
+
+def test_conductance_helpers_name_an_offset_past_float_range(p):
+    d = np.array([0.1, -400.0])
+    for fn in (normalized_conductance, state_conductance):
+        with pytest.raises(OverflowError, match=r"d2d_log10 = -400\.0 is "
+                           r"outside float range"):
+            fn(p, np.array([0.5, 0.5]), d2d_log10=d)
 
 
 def test_state_conductance_ratio_is_on_off(p):
