@@ -35,9 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conduction import (CalibrationError, V_READ, V_SELECT,
-                         _state_multipliers, current_total, current_total_g,
-                         current_tunneling, on_off, self_selection_ratio)
+from .conduction import (CalibrationError, V_READ, _figures_of_merit,
+                         current_total, current_total_g, current_tunneling,
+                         state_multiplier)
 from .config import (ConfigError, SimConfig, _loop_legs, build_model, emit_config,
                      load_config)
 from .constants import K_B, Q_E
@@ -156,13 +156,10 @@ def _meta(command: str, cfg: SimConfig, seed: int, payload: dict) -> dict:
     return base
 
 
-def _figures_of_merit(p, t: float) -> dict:
-    lrs = DeviceState(w=1.0)
-    return {
-        "on_off_0p1v": on_off(p, t=t),
-        "r_on_ohms_0p3v": V_READ / current_total(V_READ, t, p, lrs),
-        "selection_0p5v": self_selection_ratio(V_SELECT, t, p, lrs),
-    }
+def _figures(p, t: float) -> dict:
+    r_on, ratio, selection = _figures_of_merit(p, t)
+    return {"on_off_0p1v": ratio, "r_on_ohms_0p3v": r_on,
+            "selection_0p5v": selection}
 
 
 # --- commands ---------------------------------------------------------------
@@ -186,7 +183,7 @@ def cmd_iv(cfg: SimConfig, bundle, seed: int) -> _Table:
         "grid": {"v_min_v": sec.v_min_v, "v_max_v": sec.v_max_v,
                  "n_points": sec.n_points, "log_grid": sec.log_grid},
         "params": asdict(p),
-        "figures": _figures_of_merit(p, bundle.t_kelvin),
+        "figures": _figures(p, bundle.t_kelvin),
     }
 
 
@@ -328,11 +325,10 @@ def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
     # draws that pass cannot show exact (strip 1, draws near a strip's
     # acceptance bound) take numpy's own per-device Generator.
     # Both states of every device are read in one call at [device]
-    # v_read_v and t_kelvin, with their multipliers from one call of the
-    # array form of state_multiplier, so every resistance equals
-    # read_state's.
+    # v_read_v and t_kelvin, with their multipliers from one broadcast
+    # state_multiplier call, so every resistance equals read_state's.
     offsets = sample_d2d_offsets(sigma, seed, n_devices)
-    g = _state_multipliers(p, [[0.0], [1.0]], offsets)
+    g = state_multiplier(p, [[0.0], [1.0]], offsets)
     i = current_total_g(bundle.v_read, bundle.t_kelvin, p, g)
     with np.errstate(divide="ignore"):
         r_hrs, r_lrs = np.where(i != 0.0, np.abs(bundle.v_read / i), math.inf)
@@ -452,13 +448,10 @@ def cmd_bench(cfg: SimConfig, bundle, seed: int) -> _Table:
     t = bundle.t_kelvin
     hrs = DeviceState(w=0.0)
     shape = m.shape_for("amplitude_ramp")
-    figures = _figures_of_merit(p, t)
     pulse = PulseSpec(V_POT_DEFAULT, T_WIDTH_DEFAULT)
     energy_j = write_energy(pulse, hrs, p, t=t)
     rows = [
-        ("on_off_0p1v", figures["on_off_0p1v"]),
-        ("r_on_ohms_0p3v", figures["r_on_ohms_0p3v"]),
-        ("selection_0p5v", figures["selection_0p5v"]),
+        *_figures(p, t).items(),
         ("a_pot", shape.a_pot),
         ("a_dep", shape.a_dep),
         ("nl_pot", -m.n_full / shape.a_pot),

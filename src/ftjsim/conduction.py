@@ -20,19 +20,20 @@ differential_conductance take one device state and are thin wrappers that
 compute its multiplier first. Every public kernel validates its bias and
 temperature on each call, over the whole array at once, and then composes
 the private channel terms (_bias_terms, _ohmic, _pf, _total,
-_conductance), the one place each formula is written. Callers that
-validate once and evaluate many times compose those terms directly: the
-crossbar Newton solve evaluates the bias terms once per point and reuses
-them for the Jacobian, and _float_current returns a plain-float i(g) for
-loops that read one device many times at one bias. Both equal the public
+_conductance), the one place each formula is written. One input-kind rule
+holds for every public function: an ndarray, list or tuple input gives an
+ndarray, and all-scalar input gives a float. Callers that validate once and
+evaluate many times compose those terms directly: the crossbar Newton
+solve evaluates the bias terms once per point and reuses them for the
+Jacobian, and _float_reader returns a plain-float i(w, d2d_log10), the
+one read of a device state in the per-pulse loops. Both equal the public
 kernels bit for bit.
 
-The multiplier comes in two forms: state_multiplier is the scalar
-form, in Python floats, for the per-pulse loops, and _state_multipliers
-is the array form behind the crossbar grids, the d2d study and the
-conductance helpers. The array form uses np.float_power, which calls the C
-library's pow() per element as float ** does, so both give the same
-bits.
+state_multiplier is the one multiplier of the public API: float ** on
+scalars, and on arrays a broadcast np.float_power, which calls the C
+library's pow() per element as float ** does. _float_reader folds the
+same float ** form into each read. All three give the same bits and raise
+the same OverflowError for an offset past float range.
 
 A separate direct-tunneling expression (trapezoidal barrier, low and
 intermediate bias) is provided purely for mechanism discrimination; it is
@@ -233,9 +234,13 @@ def _theta(eps_r: float, d_fe: float, t: float) -> float:
     return (Q_E / (K_B * t)) * math.sqrt(Q_E / (math.pi * EPS_0 * eps_r * d_fe))
 
 
+_ARRAY_KINDS = (np.ndarray, list, tuple)
+
+
 def _as_input_kind(result, v, g=1.0):
-    """Return a float when bias and multiplier are scalars, else the ndarray."""
-    if isinstance(v, np.ndarray) or isinstance(g, np.ndarray):
+    """Return the ndarray result when bias or multiplier is an ndarray,
+    list or tuple, else a float."""
+    if isinstance(v, _ARRAY_KINDS) or isinstance(g, _ARRAY_KINDS):
         return result
     return float(result)
 
@@ -246,44 +251,32 @@ def _shift_overflow(d2d_log10: float) -> OverflowError:
         "multiplier 10**(-d2d_log10) overflows")
 
 
-def state_multiplier(p: ConductionParams, w: float, d2d_log10: float = 0.0) -> float:
+def state_multiplier(p: ConductionParams, w, d2d_log10=0.0):
     """Common channel multiplier: g_lrs**w shifted by the device's log10
-    resistance offset. An offset whose shift 10**(-d2d_log10) is past
-    float range raises OverflowError naming it.
+    resistance offset, 10**(-d2d_log10). w and d2d_log10 broadcast; a
+    float for scalar input. An offset whose shift is past float range
+    raises OverflowError naming it, the first in flattened order.
 
-    This is the scalar form: w and d2d_log10 are Python floats, as in the
-    per-pulse loops, which call it once per read. Arrays take the array
-    form, _state_multipliers, which gives the same bits; numpy's own
-    power on an array can differ in the last bit and returns inf on
-    overflow.
+    Scalars take float **. Arrays take np.float_power, whose float64 loop
+    calls the C library's pow() per element, the function float ** calls,
+    so every element has the scalar form's bits; np.power may take a SIMD
+    approximation instead. The powers run with every floating-point error
+    ignored, as float ** ignores them, whatever errstate the caller set,
+    and a finite shift whose product overflows gives inf, as float ** does.
     """
+    if isinstance(w, _ARRAY_KINDS) or isinstance(d2d_log10, _ARRAY_KINDS):
+        d = np.asarray(d2d_log10, dtype=float)
+        with np.errstate(all="ignore"):
+            shift = np.float_power(10.0, -d)
+            over = np.isinf(shift) & np.isfinite(d)
+            if over.any():
+                raise _shift_overflow(float(d.ravel()[np.argmax(over.ravel())]))
+            return np.float_power(p.g_lrs, w) * shift
     try:
-        shift = 10.0 ** (-d2d_log10)
+        shift = 10.0 ** (-float(d2d_log10))
     except OverflowError:
         raise _shift_overflow(d2d_log10) from None
-    return p.g_lrs ** w * shift
-
-
-def _state_multipliers(p: ConductionParams, w, d2d_log10) -> np.ndarray:
-    """Array form of state_multiplier: w and d2d_log10 broadcast, and
-    every element equals the scalar form bit for bit.
-
-    np.float_power's float64 loop calls the C library's pow() per
-    element, the function float ** calls; np.power may take a SIMD
-    approximation instead. Negating the offset is exact, and the product
-    is the same single multiply. The powers run with every floating-point
-    error ignored, as float ** ignores them, whatever errstate the caller
-    set; the first offset in flattened order whose shift is past float
-    range then raises state_multiplier's OverflowError. A finite shift
-    whose product overflows gives inf, as the scalar form does.
-    """
-    d = np.asarray(d2d_log10, dtype=float)
-    with np.errstate(all="ignore"):
-        shift = np.float_power(10.0, -d)
-        over = np.isinf(shift) & np.isfinite(d)
-        if over.any():
-            raise _shift_overflow(float(d.ravel()[np.argmax(over.ravel())]))
-        return np.float_power(p.g_lrs, w) * shift
+    return p.g_lrs ** float(w) * shift
 
 
 def _bias_terms(va: np.ndarray, theta: float):
@@ -322,11 +315,14 @@ def _conductance(ga, terms, ohm_c, pf_c, theta):
     return ga * (ohm_c + pf_c * e * (1.0 + 0.5 * theta * rt))
 
 
-def _checked(v, t: float, p: ConductionParams):
-    """Check bias and temperature; return (v as floats, coefficients)."""
+def _checked(v, t: float, p: ConductionParams, g=1.0):
+    """Check bias and temperature; return (v as floats, g * area,
+    coefficients), with lists and tuples taken as arrays."""
     check_bias(v)
     check_temperature(t)
-    return np.asarray(v, dtype=float), _coeffs(p, t)
+    if isinstance(g, _ARRAY_KINDS):
+        g = np.asarray(g, dtype=float)
+    return np.asarray(v, dtype=float), g * p.area, _coeffs(p, t)
 
 
 def current_ohmic(v, t: float, p: ConductionParams, g: float = 1.0):
@@ -335,8 +331,8 @@ def current_ohmic(v, t: float, p: ConductionParams, g: float = 1.0):
     g is the dimensionless state multiplier (1 for the pristine HRS); v
     and g broadcast against each other.
     """
-    va, (ohm_c, _, _) = _checked(v, t, p)
-    return _as_input_kind(_ohmic(g * p.area, va, ohm_c), v, g)
+    va, ga, (ohm_c, _, _) = _checked(v, t, p, g)
+    return _as_input_kind(_ohmic(ga, va, ohm_c), v, g)
 
 
 def current_pf(v, t: float, p: ConductionParams, g: float = 1.0):
@@ -346,8 +342,8 @@ def current_pf(v, t: float, p: ConductionParams, g: float = 1.0):
     theta(T) = (q/kT) * sqrt(q/(pi*eps0*eps_r*d_fe)), strictly decreasing
     in temperature.
     """
-    va, (_, pf_c, theta) = _checked(v, t, p)
-    return _as_input_kind(_pf(g * p.area, _bias_terms(va, theta), pf_c), v, g)
+    va, ga, (_, pf_c, theta) = _checked(v, t, p, g)
+    return _as_input_kind(_pf(ga, _bias_terms(va, theta), pf_c), v, g)
 
 
 def current_tunneling(v, p: ConductionParams):
@@ -379,27 +375,33 @@ def current_total_g(v, t: float, p: ConductionParams, g=1.0):
     The g-level kernel behind current_total. v and g broadcast, so one
     call evaluates a whole array of devices at their own biases.
     """
-    va, (ohm_c, pf_c, theta) = _checked(v, t, p)
+    va, ga, (ohm_c, pf_c, theta) = _checked(v, t, p, g)
     return _as_input_kind(
-        _total(g * p.area, va, _bias_terms(va, theta), ohm_c, pf_c), v, g)
+        _total(ga, va, _bias_terms(va, theta), ohm_c, pf_c), v, g)
 
 
-def _float_current(v: float, t: float, p: ConductionParams):
-    """Float-level current_total_g at one fixed bias: returns i(g), a
-    function of a Python-float multiplier g that gives exactly
-    current_total_g(v, t, p, g).
+def _float_reader(v: float, t: float, p: ConductionParams):
+    """Float-level read at one fixed bias: returns i(w, d2d_log10), the
+    current of a device state in Python floats, exactly
+    current_total_g(v, t, p, state_multiplier(p, w, d2d_log10)).
 
     Bias and temperature are checked once here and the per-bias terms are
-    computed once with numpy; each i(g) call then composes the kernel's
-    terms in plain float arithmetic, which rounds as numpy does.
+    computed once with numpy; each call then forms the multiplier with
+    float ** and composes the kernel's terms in plain float arithmetic,
+    which rounds as numpy does. An offset past float range raises
+    state_multiplier's OverflowError.
     """
-    va, (ohm_c, pf_c, theta) = _checked(v, t, p)
+    va, _, (ohm_c, pf_c, theta) = _checked(v, t, p)
     terms = tuple(float(x) for x in _bias_terms(va, theta))
     v = float(va)
-    area = p.area
+    g_lrs, area = p.g_lrs, p.area
 
-    def current(g: float) -> float:
-        return _total(g * area, v, terms, ohm_c, pf_c)
+    def current(w: float, d2d_log10: float) -> float:
+        try:
+            shift = 10.0 ** (-d2d_log10)
+        except OverflowError:
+            raise _shift_overflow(d2d_log10) from None
+        return _total(g_lrs ** w * shift * area, v, terms, ohm_c, pf_c)
 
     return current
 
@@ -407,10 +409,9 @@ def _float_current(v: float, t: float, p: ConductionParams):
 def differential_conductance_g(v, t: float, p: ConductionParams, g=1.0):
     """dI/dv of the composite current at state multiplier g, S. Even in v
     and strictly positive; v and g broadcast."""
-    va, (ohm_c, pf_c, theta) = _checked(v, t, p)
+    va, ga, (ohm_c, pf_c, theta) = _checked(v, t, p, g)
     return _as_input_kind(
-        _conductance(g * p.area, _bias_terms(va, theta), ohm_c, pf_c, theta),
-        v, g)
+        _conductance(ga, _bias_terms(va, theta), ohm_c, pf_c, theta), v, g)
 
 
 def current_total(v, t: float, p: ConductionParams, s: "DeviceState"):
@@ -617,16 +618,20 @@ def _calibrate_at_eps(eps_r, targets, skel, t, shape_pf, shape_ohm) -> Conductio
                    g_lrs=targets.on_off)
 
 
-def _target_residuals(p: ConductionParams, targets: CalibrationTargets,
-                      t: float) -> tuple[float, float, float]:
+def _figures_of_merit(p: ConductionParams, t: float) -> tuple[float, float, float]:
+    """The LRS figures calibrate matches to its targets: (r_on at V_READ,
+    on/off at V_ONOFF, selection at V_SELECT)."""
     from .device import DeviceState
 
     lrs = DeviceState(w=1.0)
-    r_on = V_READ / current_total(V_READ, t, p, lrs)
-    sel = self_selection_ratio(V_SELECT, t, p, lrs)
-    return (r_on / targets.r_on_ohms - 1.0,
-            on_off(p, t) / targets.on_off - 1.0,
-            sel / targets.selection - 1.0)
+    return (V_READ / current_total(V_READ, t, p, lrs), on_off(p, t),
+            self_selection_ratio(V_SELECT, t, p, lrs))
+
+
+def _target_residuals(p: ConductionParams, targets: CalibrationTargets,
+                      t: float) -> tuple[float, float, float]:
+    goals = (targets.r_on_ohms, targets.on_off, targets.selection)
+    return tuple(x / goal - 1.0 for x, goal in zip(_figures_of_merit(p, t), goals))
 
 
 _DEFAULT_PARAMS: ConductionParams | None = None

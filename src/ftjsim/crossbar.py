@@ -14,20 +14,21 @@ machine precision.
 
 Reads are evaluated on arrays. Each call of solve_network, mvm_read or
 mvm_charge builds the per-cell state-multiplier grid g[r, c] once, in one
-call of conduction's array form of state_multiplier (nothing is cached
-between calls), and composes conduction's private channel terms on the
-whole device-voltage grid rv[:, None] - cv[None, :]. solve_network checks
-its driven potentials and lays out the Jacobian (free-line index, the
+broadcast call of conduction.state_multiplier (nothing is cached between
+calls), and composes conduction's private channel terms on the whole
+device-voltage grid rv[:, None] - cv[None, :]. solve_network checks its
+driven potentials and lays out the Jacobian (free-line index, the
 free-row x free-column block, diagonal and sign) once per call; each
-Newton point then evaluates |v|, sqrt|v| and exp(theta * sqrt|v|) once,
-writes the currents and conductances into one stacked grid, and takes
-the residual and the Jacobian diagonals from one left-to-right line sum
-per axis of that stack. The results are bit-identical to evaluating each
-cell with the scalar current_total: the array form of the multiplier
-calls the C library's pow() per element, as float ** does, the terms
-keep the kernels' order of operations, and line currents and Jacobian
-diagonals are summed left to right (_line_sums) instead of by numpy's
-pairwise reduction.
+Newton point then evaluates |v|, sqrt|v| and exp(theta * sqrt|v|) once
+and takes the residual from the currents' left-to-right line sums, and
+each iteration builds the conductance grid from the accepted point's
+terms for its Jacobian only. The results are bit-identical to evaluating
+each cell with the scalar current_total: state_multiplier calls the C
+library's pow() per element, as float ** does, the terms keep the
+kernels' order of operations, and line currents and Jacobian diagonals
+are summed left to right (_line_sums) instead of by numpy's pairwise
+reduction. mvm_read and inference's MVM reads share one read-regime
+check, _check_mvm_bias.
 
 build_crossbar draws every cell's device-to-device offset in one call of
 sample_d2d_offsets's array form: cell (r, c) takes the draw of child
@@ -38,7 +39,8 @@ first draw serves about 98.5 % of cells.
 with_weights, write_v_half and inference.program_write_verify return a
 new array with the changed fields; write_v_half steps only the
 n_rows + n_cols - 1 biased cells, in floats with device._pulser's step,
-the one pulse update law.
+the one pulse update law, and takes its energy from conduction's float
+reader.
 
 The device nonlinearity is what makes select-free operation possible:
 sneak-path devices sit at a fraction of the read voltage where the
@@ -54,8 +56,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, T_REF, _bias_terms, _coeffs,
-                         _conductance, _float_current, _state_multipliers,
-                         _total, check_bias, state_multiplier)
+                         _conductance, _float_reader, _total, check_bias,
+                         state_multiplier)
 from .device import (DeviceState, PulseSpec, UpdateModel, _check_cells,
                      _d2d_offsets, _pulser)
 
@@ -76,6 +78,14 @@ NEWTON_TOL = 1e-12      # KCL residual, A
 NEWTON_MAX_ITER = 200
 MAX_SOLVE_DIM = 64      # dense Newton solve cap per side
 MVM_V_LIMIT = 0.3       # read-regime bias range, V
+
+
+def _check_mvm_bias(v) -> None:
+    """Keep MVM read biases (scalar or array) in the read regime."""
+    if np.any(np.abs(v) > MVM_V_LIMIT):
+        raise ValueError(f"read inputs must satisfy |v| <= {MVM_V_LIMIT} V")
+    check_bias(v)
+
 
 # per-cell storage fields and their dtypes
 _CELLS = (("w", float), ("d2d_log10", float), ("cycles", int),
@@ -149,12 +159,9 @@ class Crossbar:
         return self.w.copy()
 
     def multipliers(self) -> np.ndarray:
-        """State-multiplier grid g[r, c], computed afresh on every call.
-
-        One call of conduction's array form, _state_multipliers, which
-        equals the scalar state_multiplier cell by cell, bit for bit.
-        """
-        return _state_multipliers(self.params, self.w, self.d2d_log10)
+        """State-multiplier grid g[r, c], computed afresh on every call
+        by one broadcast state_multiplier call."""
+        return state_multiplier(self.params, self.w, self.d2d_log10)
 
     def with_weights(self, w) -> "Crossbar":
         """New array with the given w matrix, keeping each device's
@@ -257,10 +264,10 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
 
     The driven potentials are checked once per call; the temperature was
     checked when the array was built. Each Newton point evaluates the
-    channel terms of the full device-voltage grid once and stacks the
-    currents and conductances in one grid; the residual and the Jacobian
-    diagonals at that point are its left-to-right line sums, and the
-    Jacobian of an accepted point is assembled from them.
+    channel terms of the full device-voltage grid once; the residual is
+    the currents' left-to-right line sums. Only an accepted point that has
+    not converged builds a Jacobian: its conductance grid comes from that
+    point's terms, and its diagonals are the grid's line sums.
     """
     nr, nc = xbar.n_rows, xbar.n_cols
     if nr > MAX_SOLVE_DIM or nc > MAX_SOLVE_DIM:
@@ -289,32 +296,36 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
     diag = np.arange(n_free)
     sign = np.where(diag < n_fr, 1.0, -1.0)
 
+    def free_sums(grid):
+        """Left-to-right line sums of a device grid on the free lines:
+        the free rows' sums over columns, then the free columns' over
+        rows."""
+        return np.concatenate([_line_sums(grid, axis=1),
+                               _line_sums(grid, axis=0)])[free]
+
     def point(xv):
-        """Line potentials, device voltages, the stacked current and
-        conductance grids, the residual and the Jacobian diagonal sums
-        at one iterate."""
+        """Line potentials, device voltages, the channel bias terms, the
+        device currents and the residual at one iterate."""
         v = lines.copy()
         v[free] = xv
         rv, cv = v[:nr], v[nr:]
         dv = rv[:, None] - cv[None, :]
         terms = _bias_terms(dv, theta)
-        grids = np.empty((2, nr, nc))
-        grids[0] = _total(ga, dv, terms, ohm_c, pf_c)
-        grids[1] = _conductance(ga, terms, ohm_c, pf_c, theta)
-        sums = np.concatenate([_line_sums(grids, axis=2),
-                               _line_sums(grids, axis=1)], axis=1)[:, free]
-        f = sums[0]
-        return f, _max_abs(f), rv, cv, dv, grids, sums[1]
+        di = _total(ga, dv, terms, ohm_c, pf_c)
+        f = free_sums(di)
+        return f, _max_abs(f), rv, cv, dv, terms, di
 
-    def jacobian(grids, gsum):
+    def jacobian(terms):
+        """KCL Jacobian at an accepted point, from its bias terms."""
+        gd = _conductance(ga, terms, ohm_c, pf_c, theta)
         jac = np.zeros((n_free, n_free))
-        jac[diag, diag] = sign * gsum
-        block = grids[1][cross]
+        jac[diag, diag] = sign * free_sums(gd)
+        block = gd[cross]
         jac[:n_fr, n_fr:] = -block
         jac[n_fr:, :n_fr] = block.T
         return jac
 
-    f, norm, rv, cv, dv, grids, gsum = point(x)
+    f, norm, rv, cv, dv, terms, di = point(x)
     it = 0
     while norm > tol:
         if it >= NEWTON_MAX_ITER:
@@ -322,7 +333,7 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
                 f"network solve did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(residual {norm:.3g} A)")
         try:
-            step = np.linalg.solve(jacobian(grids, gsum), -f)
+            step = np.linalg.solve(jacobian(terms), -f)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular network Jacobian: {exc}") from exc
         norm0 = norm
@@ -333,7 +344,7 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
                 raise RuntimeError(
                     f"network solve produced a non-finite iterate at "
                     f"iteration {it + 1}")
-            f, norm, rv, cv, dv, grids, gsum = point(x_new)
+            f, norm, rv, cv, dv, terms, di = point(x_new)
             if norm < norm0:
                 break
             lam *= 0.5
@@ -343,7 +354,6 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
                 f"no step reduced the residual {norm0:.3g} A")
         x = x_new
         it += 1
-    di = grids[0]
     return NetworkSolution(row_v=rv, col_v=cv, device_v=dv, device_i=di,
                            row_i=di.sum(axis=1), col_i=di.sum(axis=0),
                            iterations=it, residual=float(norm))
@@ -359,9 +369,7 @@ def mvm_read(xbar: Crossbar, v_in) -> np.ndarray:
     v_in = np.asarray(v_in, dtype=float)
     if v_in.shape != (xbar.n_rows,):
         raise ValueError(f"v_in must have shape ({xbar.n_rows},), got {v_in.shape}")
-    if np.any(np.abs(v_in) > MVM_V_LIMIT):
-        raise ValueError(f"read inputs must satisfy |v| <= {MVM_V_LIMIT} V")
-    check_bias(v_in)
+    _check_mvm_bias(v_in)
     return _line_sums(_array_current(xbar, v_in[:, None]), axis=0)
 
 
@@ -405,7 +413,7 @@ def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
                                      pulse.v_write)
     w, cycles, last = (xbar.w.copy(), xbar.cycles.copy(),
                        xbar.last_polarity.copy())
-    currents = {}  # one float current per distinct device bias
+    readers = {}  # one float reader per distinct device bias
     disturbs, energy, dw_sel = [], 0.0, 0.0
     with _pulser(m, "amplitude_ramp", rng) as step:
         for r, c in [(r, c) for r in range(xbar.n_rows)
@@ -413,11 +421,11 @@ def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
             v_dev = scheme.rows[r] - scheme.cols[c]
             if v_dev == 0.0:
                 continue
-            if v_dev not in currents:
-                currents[v_dev] = _float_current(v_dev, t, p)
+            if v_dev not in readers:
+                readers[v_dev] = _float_reader(v_dev, t, p)
             w0 = float(w[r, c])
-            g = state_multiplier(p, w0, float(xbar.d2d_log10[r, c]))
-            energy += abs(currents[v_dev](g)) * abs(v_dev) * t_width
+            i = readers[v_dev](w0, float(xbar.d2d_log10[r, c]))
+            energy += abs(i) * abs(v_dev) * t_width
             w[r, c], cycles[r, c], last[r, c] = step(
                 w0, int(cycles[r, c]), int(last[r, c]),
                 bool(xbar.broken[r, c]), v_dev, t_width)

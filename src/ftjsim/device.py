@@ -15,12 +15,14 @@ centered on the coercive voltages.
 _pulser owns the pulse update law: a context manager whose float-level
 step holds every rule. apply_pulse is one step on a DeviceState;
 run_scheme, inference.program_write_verify and crossbar.write_v_half
-check their inputs once and take the same step in plain floats, and
-run_scheme and dc_write_loop read through one validated reader. The
+check their inputs once and take the same step in plain floats. The
 step's lognormal factors are drawn in blocks (_lognormal_stream), and on
 exit the generator is re-synced to where one scalar draw per noisy pulse
-leaves it. So states, reads and generator draws equal applying and
-reading pulse by pulse.
+leaves it. read_state, run_scheme and dc_write_loop read a state
+(w, d2d_log10) through _state_reader, which wraps conduction's float
+reader, the one float-level read of a device state, in a Readout. So
+states, reads and generator draws equal applying and reading pulse by
+pulse.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conduction import (ConductionParams, Readout, T_REF, V_READ, _float_current,
-                         current_total, state_multiplier)
+from .conduction import (ConductionParams, Readout, T_REF, V_READ, _float_reader,
+                         current_total)
 
 __all__ = [
     "DeviceState",
@@ -676,13 +678,13 @@ def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
 
 
 def _state_reader(p: ConductionParams, v_read: float, t: float):
-    """read_state at one bias point, checked once: returns read(g), the
-    Readout of a device at state multiplier g, equal to read_state's."""
-    current = _float_current(v_read, t, p)
+    """read_state at one bias point, checked once: returns
+    read(w, d2d_log10), the Readout of a device in that state."""
+    current = _float_reader(v_read, t, p)
     area = p.area
 
-    def read(g: float) -> Readout:
-        i = current(g)
+    def read(w: float, d2d_log10: float) -> Readout:
+        i = current(w, d2d_log10)
         r = abs(v_read / i) if i != 0.0 else math.inf
         return Readout(v_read=v_read, t_kelvin=t, i_amps=i, r_ohms=r,
                        j_a_per_m2=i / area)
@@ -693,7 +695,7 @@ def _state_reader(p: ConductionParams, v_read: float, t: float):
 def read_state(s: DeviceState, p: ConductionParams,
                v_read: float = V_READ, t: float = T_REF) -> Readout:
     """Measure the device at a bias point."""
-    return _state_reader(p, v_read, t)(state_multiplier(p, s.w, s.d2d_log10))
+    return _state_reader(p, v_read, t)(s.w, s.d2d_log10)
 
 
 @dataclass(frozen=True)
@@ -724,7 +726,7 @@ def run_scheme(s: DeviceState, scheme: PulseScheme, m: UpdateModel,
             w, cycles, last = step(w, cycles, last, s.broken, pulse.v_write,
                                    pulse.t_width)
             trace.append(SchemeStep(index=idx, pulse=pulse, w=w,
-                                    readout=read(state_multiplier(p, w, d2d))))
+                                    readout=read(w, d2d)))
     return trace
 
 
@@ -777,7 +779,7 @@ def dc_write_loop(s: DeviceState, v_grid, p: ConductionParams,
         dep_level = _switch_level((v - V_C_POS) / DC_WIDTH)
         w = min(max(w, pot_level), 1.0 - dep_level)
         points.append(LoopPoint(v_write=v, w=w,
-                                readout=read(state_multiplier(p, w, d2d))))
+                                readout=read(w, d2d)))
     return points
 
 

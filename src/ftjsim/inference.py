@@ -18,14 +18,17 @@ within tolerance of the target. Because verification reads the actual
 current, the loop absorbs device-to-device spread up to the rail limits.
 The loop validates its inputs once at entry and then trims each cell in
 Python floats, with the pulse step of device._pulser (the update law
-apply_pulse also takes) and a read equal to conduction.current_total.
+apply_pulse also takes) and conduction's float reader, the one
+float-level read of a device state, equal to conduction.current_total.
 One _pulser block covers the whole array: its noise factors are drawn
 in blocks and the generator is re-synced exactly on exit, so the loop
 matches pulse-by-pulse application and reading bit for bit, generator
 draws and end state included. Programming and reads run at the array's
 own t_kelvin. mvm_error_mc reads each programmed plane once per trial
 and takes both the decoder-calibration and the input charge from that
-one current grid.
+one current grid. The conductance helpers take their multipliers from
+one broadcast conduction.state_multiplier call, and every MVM read bias
+passes crossbar's read-regime check.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, T_REF, V_ONOFF, V_READ,
-                         _float_current, _state_multipliers, check_bias,
-                         current_total, default_params, state_multiplier)
-from .crossbar import (MVM_V_LIMIT, Crossbar, _array_current, _line_sums,
+                         _float_reader, current_total, default_params,
+                         state_multiplier)
+from .crossbar import (Crossbar, _array_current, _check_mvm_bias, _line_sums,
                        build_crossbar)
 from .device import (DeviceState, UpdateModel, T_WIDTH_DEFAULT, V_DEP_DEFAULT,
                      V_POT_DEFAULT, _pulser, default_update_model)
@@ -59,20 +62,11 @@ __all__ = [
 VERIFY_TOL_FRACTION = 0.25   # verify tolerance as a fraction of level spacing
 
 
-def _multiplier(p: ConductionParams, w, d2d_log10):
-    """State multiplier of scalar or array inputs: the scalar form gives a
-    float for scalar w and d2d_log10, and the array form, which equals it
-    element by element, an ndarray for any other."""
-    if np.ndim(w) or np.ndim(d2d_log10):
-        return _state_multipliers(p, w, d2d_log10)
-    return state_multiplier(p, float(w), float(d2d_log10))
-
-
 def normalized_conductance(p: ConductionParams, w, d2d_log10=0.0):
     """Device conductance on a 0..1 scale: 0 at the pristine HRS, 1 at the
     full LRS. Bias-independent because the state multiplier is common to
     both channels. w and d2d_log10 broadcast; a float for scalar input."""
-    return (_multiplier(p, w, d2d_log10) - 1.0) / (p.g_lrs - 1.0)
+    return (state_multiplier(p, w, d2d_log10) - 1.0) / (p.g_lrs - 1.0)
 
 
 def weight_for_conductance(p: ConductionParams, u):
@@ -92,7 +86,7 @@ def state_conductance(p: ConductionParams, w, v_read: float = V_ONOFF,
     multiplier. w and d2d_log10 broadcast; a float for scalar input.
     """
     base = current_total(v_read, t, p, DeviceState(w=0.0)) / v_read
-    return base * _multiplier(p, w, d2d_log10)
+    return base * state_multiplier(p, w, d2d_log10)
 
 
 @dataclass(frozen=True)
@@ -199,7 +193,7 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     pulse count.
 
     The inputs are checked once; the loop then runs in Python floats with
-    _pulser's step and a read equal to current_total, so states, pulse
+    _pulser's step and conduction's float reader, so states, pulse
     counts, residuals and the generator's draws are those of applying and
     reading pulse by pulse.
     """
@@ -212,8 +206,7 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
         raise ValueError("verify bias must be nonzero")
     if max_pulses is None:
         max_pulses = 3 * m.n_full
-    p = xbar.params
-    current = _float_current(v_read, xbar.t_kelvin, p)
+    read = _float_reader(v_read, xbar.t_kelvin, xbar.params)
     counts = np.zeros((xbar.n_rows, xbar.n_cols), dtype=int)
     resid = np.zeros((xbar.n_rows, xbar.n_cols))
     w_out, cycles_out, last_out = (xbar.w.copy(), xbar.cycles.copy(),
@@ -225,7 +218,7 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
                 g_targets.ravel().tolist())
     with _pulser(m, "amplitude_ramp", rng) as step:
         for rc, w, d2d, cycles, broken, last, target in cells:
-            g = current(state_multiplier(p, w, d2d)) / v_read
+            g = read(w, d2d) / v_read
             n = 0
             while abs(g - target) > tol_g and n < max_pulses:
                 v_write = V_POT_DEFAULT if g < target else V_DEP_DEFAULT
@@ -233,7 +226,7 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
                 if moved[0] == w:
                     break  # broken, below its onset or pinned at a rail
                 w, cycles, last = moved
-                g = current(state_multiplier(p, w, d2d)) / v_read
+                g = read(w, d2d) / v_read
                 n += 1
             counts[rc] = n
             resid[rc] = abs(g - target)
@@ -262,12 +255,6 @@ def mvm_charge(xbar: Crossbar, x, v_read: float = V_ONOFF) -> np.ndarray:
         raise ValueError(f"x must have shape ({xbar.n_rows},), got {x.shape}")
     _check_mvm_bias(v_read)
     return _charge(_array_current(xbar, v_read), x)
-
-
-def _check_mvm_bias(v_read: float) -> None:
-    if abs(v_read) > MVM_V_LIMIT:
-        raise ValueError(f"read inputs must satisfy |v| <= {MVM_V_LIMIT} V")
-    check_bias(v_read)
 
 
 def _charge(currents: np.ndarray, x: np.ndarray) -> np.ndarray:

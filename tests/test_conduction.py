@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ftjsim.conduction import (
-    _state_multipliers,
+    _figures_of_merit,
+    _float_reader,
     CalibrationError,
     CalibrationTargets,
     ConductionParams,
@@ -123,7 +124,12 @@ def test_state_multiplier():
         p.g_lrs ** 0.5 * 10.0 ** -0.1, rel=1e-15)
 
 
-# --- Exactness guard: the multiplier's array form against its scalar form --
+# --- Exactness guard: the broadcasting multiplier against float ** ---------
+
+def _float_multiplier(p, w, d):
+    """Python-float reference: g_lrs ** w * 10.0 ** (-d)."""
+    return p.g_lrs ** w * 10.0 ** (-d)
+
 
 # (w shape, d2d_log10 shape) pairs that broadcast, scalars included
 _BROADCAST_SHAPES = (((), ()), ((5,), ()), ((), (4,)), ((3, 1), (4,)),
@@ -150,39 +156,105 @@ def _multiplier_cases(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_multiplier_cases())
-def test_state_multipliers_equal_scalar_form_bit_for_bit(case):
+def test_state_multiplier_equals_float_arithmetic_bit_for_bit(case):
+    """The broadcasting form equals g_lrs ** w * 10.0 ** (-d) in Python
+    floats element by element, and scalar input gives a float."""
     p, w, d = case
-    got = _state_multipliers(p, w, d)
+    got = state_multiplier(p, w, d)
     ws, ds = np.broadcast_arrays(w, d)
     assert np.shape(got) == ws.shape
-    ref = [state_multiplier(p, wi, di).hex()
-           for wi, di in zip(ws.ravel().tolist(), ds.ravel().tolist())]
-    assert [float(x).hex() for x in np.ravel(got)] == ref
+    pairs = list(zip(ws.ravel().tolist(), ds.ravel().tolist()))
+    ref = [_float_multiplier(p, wi, di).hex() for wi, di in pairs]
+    assert [x.hex() for x in np.ravel(got).tolist()] == ref
+    scalar = [state_multiplier(p, wi, di) for wi, di in pairs]
+    assert all(type(x) is float for x in scalar)
+    assert [x.hex() for x in scalar] == ref
 
 
-def test_state_multipliers_name_the_first_offset_past_float_range():
-    """An offset whose shift overflows raises the scalar form's exact
-    OverflowError, naming the first such offset in flattened order,
+def test_state_multiplier_names_the_first_offset_past_float_range():
+    """An offset whose shift overflows raises float **'s overflow as a
+    named OverflowError, the first such offset in flattened order,
     whatever errstate or warning filter the caller set."""
     p = default_params()
     d = np.array([[0.1, -400.0], [-500.0, 0.2]])
-    with pytest.raises(OverflowError) as scalar:
-        state_multiplier(p, 0.5, -400.0)
-    for errstate in (np.errstate(), np.errstate(over="raise"),
-                     np.errstate(all="raise")):
-        with errstate, pytest.raises(OverflowError) as array:
-            _state_multipliers(p, 0.5, d)
-        assert str(array.value) == str(scalar.value)
+    message = ("d2d_log10 = -400.0 is outside float range: the state "
+               "multiplier 10**(-d2d_log10) overflows")
+    with pytest.raises(OverflowError):
+        _float_multiplier(p, 0.5, -400.0)
+    cases = ((0.5, -400.0), (0.5, d), ([[0.0], [1.0]], d.ravel()))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(OverflowError) as array:
-            _state_multipliers(p, [[0.0], [1.0]], d.ravel())
-    assert str(array.value) == str(scalar.value)
-    # a finite shift whose product overflows gives inf, as the scalar does
+        for errstate in ({}, {"over": "raise"}, {"all": "raise"}):
+            for w, offsets in cases:
+                with np.errstate(**errstate), \
+                        pytest.raises(OverflowError) as err:
+                    state_multiplier(p, w, offsets)
+                assert str(err.value) == message
+    # a finite shift whose product overflows gives inf, as float ** does
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _state_multipliers(p, [0.0, 1.0], -308.0).tolist() == [
-            state_multiplier(p, 0.0, -308.0), math.inf]
+        assert state_multiplier(p, [0.0, 1.0], -308.0).tolist() == [
+            _float_multiplier(p, 0.0, -308.0), math.inf]
+
+
+def test_state_multiplier_array_overflow_is_named_under_warnings_as_errors():
+    """Regression: array input once took numpy's np.power path, which
+    returned inf with an overflow RuntimeWarning instead of raising."""
+    p = default_params()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"d2d_log10 = -400\.0 is "
+                           r"outside float range"):
+            state_multiplier(p, np.array([0.5, 0.5]), np.array([0.1, -400.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(-2.0, 2.0), st.floats(200.0, 450.0), _W, _D2D)
+def test_float_reader_matches_kernel_bit_for_bit(v, t, w, d):
+    p = default_params()
+    with np.errstate(all="ignore"):
+        ref = float(current_total_g(v, t, p, state_multiplier(p, w, d)))
+    assert _float_reader(v, t, p)(w, d).hex() == ref.hex()
+
+
+def test_float_reader_names_an_offset_past_float_range():
+    p = default_params()
+    with pytest.raises(OverflowError) as kernel:
+        state_multiplier(p, 0.5, -400.0)
+    with pytest.raises(OverflowError) as reader:
+        _float_reader(0.3, T_REF, p)(0.5, -400.0)
+    assert str(reader.value) == str(kernel.value)
+
+
+def test_list_and_tuple_inputs_equal_ndarray_inputs():
+    """Lists and tuples are arrays to every public kernel: the result
+    equals the ndarray input's by float.hex; scalars still give floats."""
+    p = default_params()
+    v = [0.05, -0.2, 0.3, 0.45]
+    g = [1.0, 2.5, 10.0, 0.5]
+    va, ga = np.array(v), np.array(g)
+
+    def same(got, ref):
+        assert isinstance(got, np.ndarray)
+        assert [x.hex() for x in np.ravel(got).tolist()] == \
+            [x.hex() for x in np.ravel(ref).tolist()]
+
+    for seq in (list, tuple):
+        for fn in (current_ohmic, current_pf, current_total_g,
+                   differential_conductance_g):
+            same(fn(seq(v), T_REF, p), fn(va, T_REF, p))
+            same(fn(0.1, T_REF, p, seq(g)), fn(0.1, T_REF, p, ga))
+            same(fn(seq(v), T_REF, p, seq(g)), fn(va, T_REF, p, ga))
+        same(current_tunneling(seq(v), p), current_tunneling(va, p))
+        same(current_total(seq(v), T_REF, p, LRS), current_total(va, T_REF, p, LRS))
+        same(state_multiplier(p, seq([0.0, 0.5, 1.0]), seq([0.1, -0.2, 0.0])),
+             state_multiplier(p, np.array([0.0, 0.5, 1.0]),
+                              np.array([0.1, -0.2, 0.0])))
+    for fn in (current_ohmic, current_pf, current_total_g,
+               differential_conductance_g):
+        assert type(fn(0.1, T_REF, p, 2.0)) is float
+    assert type(current_tunneling(0.1, p)) is float
+    assert type(state_multiplier(p, 0.5, 0.1)) is float
 
 
 def test_current_monotone_in_bias():
@@ -297,6 +369,16 @@ def test_calibrate_selection_forty():
     assert self_selection_ratio(0.5, T_REF, p, LRS) == pytest.approx(40.0, rel=0.01)
     assert V_READ / current_total(V_READ, T_REF, p, LRS) == pytest.approx(1e8, rel=0.01)
     assert on_off(p) == pytest.approx(10.0, rel=0.01)
+
+
+def test_figures_of_merit_meet_the_calibration_targets():
+    """The one figures helper gives (r_on at 0.3 V, on/off at 0.1 V,
+    selection at 0.5 V) of the LRS, and calibrate matches them."""
+    p = calibrate(CalibrationTargets(r_on_ohms=1e8, on_off=10.0, selection=40.0))
+    figures = _figures_of_merit(p, T_REF)
+    assert figures == (V_READ / current_total(V_READ, T_REF, p, LRS), on_off(p),
+                       self_selection_ratio(0.5, T_REF, p, LRS))
+    assert figures == pytest.approx((1e8, 10.0, 40.0), rel=0.01)
 
 
 def test_calibrate_pure_ohmic_limit():

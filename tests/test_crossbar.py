@@ -176,6 +176,25 @@ def test_line_search_that_cannot_descend_raises(p, monkeypatch):
         sneak_margin(xbar, 1, 1, 0.5)
 
 
+def test_conductance_is_evaluated_once_per_newton_iteration(p, monkeypatch):
+    """The conductance grid is built only for a Jacobian: once per
+    iteration, never at the converged point or a rejected trial."""
+    calls = []
+    g_d = crossbar._conductance
+    monkeypatch.setattr(crossbar, "_conductance",
+                        lambda *args: calls.append(1) or g_d(*args))
+    rng = np.random.default_rng(5)
+    iterations = 0
+    for n, sigma in ((8, 0.1), (16, 0.1), (16, 0.5), (32, 0.1), (5, 0.0)):
+        xbar = build_crossbar(n, n, p, sigma_d2d=sigma, seed=n)
+        xbar = xbar.with_weights(rng.uniform(0.0, 1.0, (n, n)))
+        for row, col in rng.integers(0, n, (2, 2)):
+            iterations += sneak_margin(xbar, int(row), int(col),
+                                       0.5).solution.iterations
+    assert iterations > 10
+    assert len(calls) == iterations
+
+
 def test_non_finite_newton_iterate_raises(p, monkeypatch):
     """A linear solve that returns a NaN step is caught at the trial
     iterate, which names the iteration, before any current is evaluated."""

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ftjsim.conduction import (_float_current, current_total, current_total_g,
-                               default_params, state_multiplier)
+from ftjsim.conduction import current_total, default_params
 from ftjsim.crossbar import Crossbar, build_crossbar, mvm_read
 from ftjsim.device import (SCHEME_KINDS, DeviceState, PulseSpec,
                            T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
@@ -51,14 +50,14 @@ def test_normalized_conductance_round_trip(p):
 
 def test_conductance_helpers_array_equals_scalar_bit_for_bit(p):
     """Array inputs of normalized_conductance and state_conductance equal
-    per-element calls of the scalar state_multiplier, bit for bit, and a
-    scalar input gives a float."""
+    the per-element multiplier g_lrs ** w * 10.0 ** (-d) in Python floats,
+    bit for bit, and a scalar input gives a float."""
     rng = np.random.default_rng(13)
     w = np.concatenate([[0.0, 1.0, 5e-324], rng.uniform(0.0, 1.0, 1021)])
     d = rng.normal(0.0, 0.3, 1024)
     w_grid, d_grid = w.reshape(32, 32), d.reshape(32, 32)
     base = current_total(V_READ_MVM, 300.0, p, DeviceState(w=0.0)) / V_READ_MVM
-    g = [state_multiplier(p, wi, di) for wi, di in zip(w.tolist(), d.tolist())]
+    g = [p.g_lrs ** wi * 10.0 ** (-di) for wi, di in zip(w.tolist(), d.tolist())]
     u_ref = [((gi - 1.0) / (p.g_lrs - 1.0)).hex() for gi in g]
     c_ref = [(base * gi).hex() for gi in g]
     u = normalized_conductance(p, w_grid, d_grid)
@@ -547,13 +546,6 @@ def test_mvm_charge_keeps_the_read_checks(p):
             mvm_charge(xbar, *args)
         with pytest.raises(ValueError, match=fragment):
             _reference_mvm_charge(xbar, *args)
-
-
-@_GUARD
-@given(st.floats(-2.0, 2.0), st.floats(200.0, 450.0), st.floats(1e-3, 1e3))
-def test_float_current_matches_kernel_bit_for_bit(v, t, g):
-    p = default_params()
-    assert _float_current(v, t, p)(g) == current_total_g(v, t, p, g)
 
 
 def test_mvm_error_mc_reports_programming(p):
