@@ -5,11 +5,14 @@ simulation seeded from --seed, and writes one CSV table plus a JSON
 metadata sidecar, <command>.json, into --out. Each command's handler maps
 (cfg, bundle, seed) to (csv_name, header, rows, payload) and writes
 nothing; main writes both files, stamping the payload through _meta, so a
-command that fails writes no file. Output bytes are reproducible for a
-given (config, seed, version): no timestamps, no machine identifiers, and
-all floats rendered with a fixed format. Experiment knobs live in
-per-command config sections, so the command line carries only the run
-plumbing:
+command that fails writes no file. Handlers return exact int, float or
+str cells, one type per column, and plain Python payloads; _csv_text
+renders each table with one "%d"/"%.12g"/"%s" line template and rejects
+any other cell before main opens either file. Output bytes are
+reproducible for a given (config, seed, version): no timestamps, no
+machine identifiers, and all floats rendered with a fixed format.
+Experiment knobs live in per-command config sections, so the command line
+carries only the run plumbing:
 
     ftjsim --command iv --config run.ini --out results --seed 7
 
@@ -22,7 +25,6 @@ failure (calibration or network solve).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import itertools
 import json
@@ -68,80 +70,65 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x) -> str:
-    # Exact-type fast path for the common cells; numpy scalars and bools
-    # take the isinstance chain.
-    if type(x) is float:
-        return f"{x:.12g}"
-    if type(x) is int:
-        return str(x)
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.12g}"
-    return str(x)
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else repr(v)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+    if type(obj) is float and not math.isfinite(obj):
+        return repr(obj)  # JSON has no inf or nan
     return obj
 
 
-_TEMPLATE_CELLS = {int: "%d", float: "%.12g"}
+_CELL_FORMATS = {int: "%d", float: "%.12g", str: "%s"}
+_QUOTED = frozenset(',"\r\n')  # a label holding one would need CSV quoting
 _CSV_BLOCK = 4096  # rows checked, rendered and written together
 
 
-def _block_template(block: list[tuple], end: str) -> str | None:
-    """The "%d"/"%.12g" line template of a block of rows, or None unless
-    every row has the same length and each column holds one cell type,
-    exactly int or exactly float."""
-    if len(set(map(len, block))) != 1:
-        return None
+def _line_template(block: list[tuple], width: int) -> str:
+    """The "%d"/"%.12g"/"%s" line template of a block of rows of `width`
+    cells, each column exactly int, float or str. Raises ValueError for a
+    row of another width or a label that is empty or needs quoting, and
+    TypeError for a column of mixed or other types."""
+    if any(len(row) != width for row in block):
+        raise ValueError(f"every CSV row must have {width} cells")
     cells = []
-    for column in zip(*block):
+    for j, column in enumerate(zip(*block)):
         kinds = set(map(type, column))
-        cell = _TEMPLATE_CELLS.get(kinds.pop()) if len(kinds) == 1 else None
-        if cell is None:
-            return None
-        cells.append(cell)
-    return ",".join(cells) + end
+        if len(kinds) != 1 or not kinds <= _CELL_FORMATS.keys():
+            names = sorted(k.__name__ for k in kinds)
+            raise TypeError(f"CSV column {j} must hold exactly one of int, "
+                            f"float or str, got {names}")
+        if str in kinds and not all(s and _QUOTED.isdisjoint(s)
+                                    for s in column):
+            raise ValueError(f"CSV column {j} holds a label that needs quoting")
+        cells.append(_CELL_FORMATS[kinds.pop()])
+    return ",".join(cells) + "\r\n"
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    # Rows stream in blocks of _CSV_BLOCK. Every cell's type is checked: a
-    # block whose columns each hold exact ints or exact floats is rendered
-    # with one "%d"/"%.12g" template and written at once; those cells never
-    # need quoting, and the template renders them as _fmt does. Any other
-    # block goes through csv.writer.
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        end = writer.dialect.lineterminator
-        rows = iter(rows)
-        while block := [tuple(row) for row in itertools.islice(rows, _CSV_BLOCK)]:
-            template = _block_template(block, end)
-            if template is None:
-                writer.writerows([_fmt(x) for x in row] for row in block)
-            else:
-                fh.write("".join([template % row for row in block]))
+def _csv_text(header, rows) -> str:
+    """The CSV text of a table. The header is one row of labels. Rows are
+    checked and rendered in blocks of _CSV_BLOCK; the first block's
+    template is the table's, and every block must match."""
+    header = tuple(header)
+    if not all(type(label) is str for label in header):
+        raise TypeError("every CSV header cell must be a str")
+    parts = [_line_template([header], len(header)) % header]
+    template = None
+    rows = iter(rows)
+    while block := [tuple(row) for row in itertools.islice(rows, _CSV_BLOCK)]:
+        line = _line_template(block, len(header))
+        template = template or line
+        if line != template:
+            raise TypeError("a CSV column's cell type changed between rows")
+        parts.append("".join([template % row for row in block]))
+    return "".join(parts)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json_text(payload: dict) -> str:
+    # allow_nan=False: a non-finite value that is not an exact float raises
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def _meta(command: str, cfg: SimConfig, seed: int, payload: dict) -> dict:
@@ -174,8 +161,8 @@ def cmd_iv(cfg: SimConfig, bundle, seed: int) -> _Table:
     state = DeviceState(w=sec.state_w)
     rows = []
     for t in sec.t_list_k:
-        for v in grid:
-            i = current_total(float(v), t, p, state)
+        for v in grid.tolist():
+            i = current_total(v, t, p, state)
             rows.append((v, t, sec.state_w, i, i / p.area))
     return "iv.csv", ["v_volts", "t_kelvin", "state_w", "i_amps",
                       "j_a_per_m2"], rows, {
@@ -302,8 +289,8 @@ def cmd_retention(cfg: SimConfig, bundle, seed: int) -> _Table:
     finals = {}
     for label, w0 in (("lrs", 1.0), ("hrs", 0.0)):
         s0 = DeviceState(w=w0)
-        for t_s in times:
-            s = retention_evolve(s0, float(t_s), sec.drift_rate_per_s)
+        for t_s in times.tolist():
+            s = retention_evolve(s0, t_s, sec.drift_rate_per_s)
             ro = read_state(s, p, v_read=bundle.v_read, t=bundle.t_kelvin)
             rows.append((label, t_s, s.w, ro.r_ohms))
             finals[label] = ro.r_ohms
@@ -549,14 +536,19 @@ def main(argv=None) -> int:
             ArithmeticError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    # both files are rendered before either is written, so a cell outside
+    # the writers' domain leaves no file behind
+    csv_path, json_path = out / csv_name, out / f"{command}.json"
+    csv_text = _csv_text(header, rows)
+    json_text = _json_text(_meta(command, cfg, args.seed, payload))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"usage error: --out {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    csv_path, json_path = out / csv_name, out / f"{command}.json"
-    _write_csv(csv_path, header, rows)
-    _write_json(json_path, _meta(command, cfg, args.seed, payload))
+    for path, text in ((csv_path, csv_text), (json_path, json_text)):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
     print(f"wrote {csv_path}\nwrote {json_path}")
     return EXIT_OK
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from .conduction import (ConductionParams, T_REF, _bias_terms, _coeffs,
                          _conductance, _float_reader, _total, check_bias,
-                         state_multiplier)
+                         check_temperature, state_multiplier)
 from .device import (DeviceState, PulseSpec, UpdateModel, _check_cells,
                      _d2d_offsets, _pulser)
 
@@ -127,8 +127,7 @@ class Crossbar:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
         _check_cells(self.w, self.d2d_log10, self.cycles)
-        if not (math.isfinite(self.t_kelvin) and self.t_kelvin > 0):
-            raise ValueError("t_kelvin must be positive")
+        check_temperature(self.t_kelvin)
 
     def __eq__(self, other):
         if not isinstance(other, Crossbar):
@@ -467,8 +466,8 @@ def sneak_margin(xbar: Crossbar, row: int, col: int,
         raise ValueError("v_read must be nonzero")
     scheme = BiasScheme.read_select(xbar.n_rows, xbar.n_cols, row, col, v_read)
     sol = solve_network(xbar, scheme)
-    v_sel = abs(sol.device_v[row, col])
-    i_sel = abs(sol.device_i[row, col])
+    v_sel = abs(float(sol.device_v[row, col]))
+    i_sel = abs(float(sol.device_i[row, col]))
     mask = np.ones_like(sol.device_v, dtype=bool)
     mask[row, col] = False
     if xbar.n_rows == 1 or xbar.n_cols == 1:

@@ -18,11 +18,12 @@ run_scheme, inference.program_write_verify and crossbar.write_v_half
 check their inputs once and take the same step in plain floats. The
 step's lognormal factors are drawn in blocks (_lognormal_stream), and on
 exit the generator is re-synced to where one scalar draw per noisy pulse
-leaves it. read_state, run_scheme and dc_write_loop read a state
-(w, d2d_log10) through _state_reader, which wraps conduction's float
-reader, the one float-level read of a device state, in a Readout. So
-states, reads and generator draws equal applying and reading pulse by
-pulse.
+leaves it. read_state, run_scheme and dc_write_loop take d2d_log10 as a
+Python float once per call, so an offset past float range raises the
+named OverflowError, and read a state (w, d2d_log10) through
+_state_reader, which wraps conduction's float reader, the one
+float-level read of a device state, in a Readout. So states, reads and
+generator draws equal applying and reading pulse by pulse.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ class PulseScheme:
     amplitude_ramp: amplitude steps by v_step at constant width.
     width_ramp: constant amplitude, width grows geometrically.
     hybrid: amplitude ramps linearly to v_max while width grows.
-    Ramps must be monotone in pulse strength.
+    Ramps must be monotone in pulse strength. The train is built and its
+    pulses checked once, here; pulses() returns it.
     """
 
     kind: str
@@ -242,8 +244,6 @@ class PulseScheme:
                     raise ValueError("hybrid needs v_max")
                 if self.v_max * self.v_start < 0 or abs(self.v_max) < abs(self.v_start):
                     raise ValueError("hybrid amplitude ramp must grow in magnitude")
-
-    def pulses(self) -> list[PulseSpec]:
         out = []
         for k in range(self.n_pulses):
             if self.kind == "amplitude_ramp":
@@ -257,7 +257,10 @@ class PulseScheme:
                 else:
                     v = self.v_start + k * (self.v_max - self.v_start) / (self.n_pulses - 1)
                 out.append(PulseSpec(v, self.width_start * self.width_ratio ** k))
-        return out
+        object.__setattr__(self, "_train", tuple(out))
+
+    def pulses(self) -> tuple[PulseSpec, ...]:
+        return self._train
 
 
 def preset_scheme(kind: str, polarity: str, alt_amplitudes: bool = False) -> PulseScheme:
@@ -695,7 +698,7 @@ def _state_reader(p: ConductionParams, v_read: float, t: float):
 def read_state(s: DeviceState, p: ConductionParams,
                v_read: float = V_READ, t: float = T_REF) -> Readout:
     """Measure the device at a bias point."""
-    return _state_reader(p, v_read, t)(s.w, s.d2d_log10)
+    return _state_reader(p, v_read, t)(s.w, float(s.d2d_log10))
 
 
 @dataclass(frozen=True)
@@ -719,7 +722,7 @@ def run_scheme(s: DeviceState, scheme: PulseScheme, m: UpdateModel,
     reading pulse by pulse.
     """
     read = _state_reader(p, v_read, t)
-    w, cycles, last, d2d = s.w, s.cycles, s.last_polarity, s.d2d_log10
+    w, cycles, last, d2d = s.w, s.cycles, s.last_polarity, float(s.d2d_log10)
     trace = []
     with _pulser(m, scheme.kind, rng) as step:
         for idx, pulse in enumerate(scheme.pulses()):
@@ -772,7 +775,7 @@ def dc_write_loop(s: DeviceState, v_grid, p: ConductionParams,
     if not np.all(np.isfinite(grid)):
         raise ValueError("v_grid contains non-finite values")
     read = _state_reader(p, v_read, t)
-    w, d2d = s.w, s.d2d_log10
+    w, d2d = s.w, float(s.d2d_log10)
     points = []
     for v in grid.tolist():
         pot_level = _switch_level((V_C_NEG - v) / DC_WIDTH)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import EPS_0, K_B, Q_E
-from .conduction import DEFAULT_D_FE
+from .conduction import DEFAULT_D_FE, check_temperature
 
 __all__ = [
     "PF_WINDOW",
@@ -126,8 +126,7 @@ class Sweep:
             raise ValueError("sweep voltages must be strictly increasing")
         if not np.all(i > 0):
             raise ValueError("sweep currents must be positive")
-        if not (math.isfinite(self.t_kelvin) and self.t_kelvin > 0):
-            raise ValueError("t_kelvin must be positive")
+        check_temperature(self.t_kelvin)
 
 
 def _window_sweeps(sweeps, window) -> list[Sweep]:

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ftjsim import cli, config, crossbar
 from ftjsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from ftjsim.conduction import CalibrationError
 from ftjsim.config import (
     ConfigError,
     SimConfig,
@@ -620,14 +621,14 @@ def _reference_d2d(cfg, seed, out):
     rows = [(idx, s.d2d_log10, read_state(s, p, v, t).r_ohms,
              read_state(replace(s, w=1.0), p, v, t).r_ohms)
             for idx, s in enumerate(states)]
-    cli._write_csv(out / "d2d.csv", D2D_HEADER, rows)
+    (out / "d2d.csv").write_bytes(cli._csv_text(D2D_HEADER, rows).encode())
     offsets = np.array([s.d2d_log10 for s in states])
-    cli._write_json(out / "d2d.json", cli._meta("d2d", cfg, seed, {
+    (out / "d2d.json").write_bytes(cli._json_text(cli._meta("d2d", cfg, seed, {
         "n_devices": len(states),
         "sigma_target": cfg.variation.sigma_d2d,
         "sigma_sample": float(np.std(offsets, ddof=1)),
         "mean_sample": float(np.mean(offsets)),
-    }))
+    })).encode())
 
 
 @pytest.mark.parametrize("text", [
@@ -651,14 +652,70 @@ def test_cli_d2d_matches_per_device_reference(tmp_path, text):
             assert (new / name).read_bytes() == (ref / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("text", ["", "[xbar]\nn_rows = 3\nn_cols = 5\n"])
-def test_cmd_xbar_rows_hold_exact_ints_and_floats(text):
-    """Every xbar.csv cell is an exact int or float, so each row takes
-    _write_csv's template path."""
-    cfg = parse_config(text)
-    _, _, rows, _ = cli.cmd_xbar(cfg, build_model(cfg), 0)
-    assert len(rows) == cfg.xbar.n_rows * cfg.xbar.n_cols
-    assert {type(x) for row in rows for x in row} == {int, float}
+def _needs_no_quoting(label) -> bool:
+    """True when csv.writer writes the label, alone on its row, as is: it
+    quotes an empty label there, and any label holding a comma, a quote or
+    a line break."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([label])
+    return buf.getvalue() == f"{label}\r\n"
+
+
+def _plain(obj) -> bool:
+    """True when obj holds only plain Python values: dicts keyed by str,
+    lists and tuples of plain values, and exact int, float, str, bool or
+    None leaves."""
+    if type(obj) is dict:
+        return all(type(k) is str and _plain(v) for k, v in obj.items())
+    if type(obj) in (list, tuple):
+        return all(map(_plain, obj))
+    return type(obj) in (int, float, str, bool, type(None))
+
+
+# what main reports as exit 2 or 3 when building the model or running a
+# handler: a drawn config may hand main no table
+_NO_TABLE = (CalibrationError, RuntimeError, np.linalg.LinAlgError,
+             ArithmeticError, ValueError)
+_XBAR_3X5 = parse_config("[xbar]\nn_rows = 3\nn_cols = 5\n")
+_RICH = parse_config("[device]\nt_kelvin = 340\n[xbar]\nn_rows = 3\n"
+                     "n_cols = 5\n[iv]\nlog_grid = true\n"
+                     "[scheme]\nkind = hybrid\n[fitA]\nkind = width_ramp\n"
+                     "[retention]\ndrift_rate_per_s = 1e-6\n")
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(cfg=_valid_configs())
+@example(cfg=SimConfig())
+@example(cfg=_XBAR_3X5)
+@example(cfg=_RICH)
+def test_handlers_hand_main_exact_python_cells(command, cfg):
+    """Every table a handler hands main is rectangular, with exact int,
+    float or str cells, one type per column, and labels that need no
+    quoting; its payload holds plain Python values. So _csv_text renders
+    each table with one line template and _json_text writes the payload
+    as it is. xbar.csv has one row per cell, all ints and floats."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _, header, rows, payload = cli._HANDLERS[command](
+                cfg, build_model(cfg), 0)
+            rows = [tuple(row) for row in rows]
+    except _NO_TABLE:
+        # the explicit examples must each produce a table
+        assert cfg not in (SimConfig(), _XBAR_3X5, _RICH)
+        return
+    assert rows
+    assert all(type(h) is str and _needs_no_quoting(h) for h in header)
+    assert {len(row) for row in rows} == {len(header)}
+    for column in zip(*rows):
+        kinds = {type(x) for x in column}
+        assert len(kinds) == 1 and kinds <= {int, float, str}, kinds
+        if str in kinds:
+            assert all(map(_needs_no_quoting, column)), column
+    assert _plain(payload)
+    if command == "xbar":
+        assert len(rows) == cfg.xbar.n_rows * cfg.xbar.n_cols
+        assert {type(x) for row in rows for x in row} == {int, float}
 
 
 def test_cli_d2d_reads_at_config_temperature(tmp_path):
@@ -678,103 +735,120 @@ def test_cli_d2d_reads_at_config_temperature(tmp_path):
             assert float(row[key]) != float(f"{read_state(state, p, v).r_ohms:.12g}")
 
 
-def _reference_fmt(x) -> str:
-    """cli._fmt as a plain isinstance chain, without the exact-type fast
-    path."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.12g}"
-    return str(x)
-
-
-_CELLS = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.integers(-2**100, 2**100),
-    st.booleans(),
-    st.floats().map(np.float64),
-    st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.booleans().map(np.bool_),
-    st.text(max_size=8),
-)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(_CELLS)
-def test_fmt_equals_isinstance_chain(x):
-    assert cli._fmt(x) == _reference_fmt(x)
-
-
-@pytest.mark.parametrize("x", [
-    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
-    1 / 3, 10**30, -10**30, True, False, np.float64(-0.0), np.float64(math.nan),
-    np.int64(-7), np.bool_(True), np.bool_(False), "hrs",
-])
-def test_fmt_equals_isinstance_chain_on_edge_values(x):
-    assert cli._fmt(x) == _reference_fmt(x)
-
-
 # --- Byte-identity guard: the template CSV writer -----------------------------
 
+def _reference_fmt(x) -> str:
+    """A cell as a plain csv.writer table would hold it: "%.12g" text for
+    a float, str() for an int or a label."""
+    return f"{x:.12g}" if type(x) is float else str(x)
+
+
 def _reference_write_csv(path, header, rows):
-    """_write_csv as one _fmt call per cell and one writerow per row."""
+    """_csv_text as one csv.writer row per table row, each cell through
+    _reference_fmt."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([cli._fmt(x) for x in row])
+            writer.writerow([_reference_fmt(x) for x in row])
     return path
 
 
 def _assert_same_csv_bytes(header, rows):
     with tempfile.TemporaryDirectory() as tmp:
-        new, ref = Path(tmp) / "new.csv", Path(tmp) / "ref.csv"
+        ref = _reference_write_csv(Path(tmp) / "ref.csv", header, rows)
         # the CLI passes one-shot iterators as well as lists
-        cli._write_csv(new, header, iter(rows))
-        _reference_write_csv(ref, header, rows)
-        assert new.read_bytes() == ref.read_bytes()
+        assert cli._csv_text(header, iter(rows)).encode() == ref.read_bytes()
 
 
-_NUMBERS = st.one_of(
+_LABELS = st.text(st.characters(blacklist_characters=',"\r\n',
+                                blacklist_categories=("Cs",)),
+                  min_size=1, max_size=6)
+_COLUMNS = (
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
     st.integers(-2**100, 2**100),
+    _LABELS,
 )
-_TEXT = st.text(alphabet=st.sampled_from(list('ab ,"\n\r\t;é')), max_size=6)
-_ANY_CELLS = st.one_of(_CELLS, _TEXT)
-_ROWS = st.lists(
-    st.one_of(st.lists(_NUMBERS, max_size=5), st.lists(_ANY_CELLS, max_size=5)),
-    max_size=25)
+
+
+@st.composite
+def _tables(draw):
+    """A table in _csv_text's domain: labels free of the characters
+    csv.writer quotes, and one cell strategy per column."""
+    header = draw(st.lists(_LABELS, max_size=5))
+    cells = [draw(st.sampled_from(_COLUMNS)) for _ in header]
+    return header, draw(st.lists(st.tuples(*cells), max_size=25))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(_TEXT, max_size=4), _ROWS)
-def test_write_csv_bytes_equal_per_cell_writer(header, rows):
+@given(_tables())
+def test_write_csv_bytes_equal_per_cell_writer(table):
+    _assert_same_csv_bytes(*table)
+
+
+@pytest.mark.parametrize("header, rows", [
+    (["a"], []),
+    ([], [(), ()]),
+    (list("abcdefg"), [(0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                        1 / 3)]),
+    (list("abcd"), [(10**30, -10**30, 0, -1)]),
+    ([" a b", "%s", "\u00e9\t;"], [("lrs", "%d", " x"), ("hrs", "%%", "y ")]),
+], ids=["empty", "no-columns", "floats", "ints", "labels"])
+def test_write_csv_bytes_equal_per_cell_writer_on_edge_tables(header, rows):
     _assert_same_csv_bytes(header, rows)
-
-
-@pytest.mark.parametrize("rows", [
-    [],
-    [()],
-    [(0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1 / 3)],
-    [(10**30, -10**30, 0, -1), (1, 2.5, True, np.float64(-0.0))],
-    [(np.int64(-7), np.bool_(True), np.bool_(False), np.float64(math.nan))],
-    [("a,b", 'say "hi"', "two\nlines", "cr\r", ""), ("",), (1.5, "x")],
-    # cell types change mid-table and change back
-    [(i, 0.1 * i) for i in range(5)] + [(5, "five"), (6, 0.6), (7.0, 7),
-                                        (8, 0.8, 9), (9, 0.9)],
-], ids=["empty", "empty-row", "floats", "ints-and-bools", "numpy", "strings",
-        "types-change"])
-def test_write_csv_bytes_equal_per_cell_writer_on_edge_tables(rows):
-    _assert_same_csv_bytes(["a", "b,c", 'd"e'], rows)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.lists(_TEXT, max_size=4), _ROWS)
-def test_write_csv_bytes_equal_per_cell_writer_across_blocks(block, header, rows):
-    """Small blocks split the tables where cell types change, so templated
-    and csv.writer blocks interleave."""
+@given(_tables())
+def test_write_csv_bytes_equal_per_cell_writer_across_blocks(block, table):
+    """Small blocks split each table into many templated writes."""
     with mock.patch.object(cli, "_CSV_BLOCK", block):
-        _assert_same_csv_bytes(header, rows)
+        _assert_same_csv_bytes(*table)
+
+
+@pytest.mark.parametrize("header, rows, error", [
+    (["x"], [(np.float64(1.5),)], TypeError),
+    (["x"], [(np.int64(7),)], TypeError),
+    (["x"], [(True,)], TypeError),
+    (["x"], [(np.bool_(False),)], TypeError),
+    (["x"], [(1,), (1.0,)], TypeError),
+    (["x"], [(0.5,), ("half",)], TypeError),
+    (["x", "y"], [(1.0, 2.0), (3.0,)], ValueError),
+    (["x"], [(1.0, 2.0)], ValueError),
+    (["x"], [()], ValueError),
+    (["x"], [("a,b",)], ValueError),
+    (["x"], [('say "hi"',)], ValueError),
+    (["x"], [("two\nlines",)], ValueError),
+    (["x"], [("cr\r",)], ValueError),
+    (["x", "y"], [("", 1.0)], ValueError),
+    (["a,b"], [], ValueError),
+    ([""], [], ValueError),
+    ([1], [], TypeError),
+    ([np.str_("x")], [], TypeError),
+], ids=["np-float64", "np-int64", "bool", "np-bool", "int-then-float",
+        "float-then-str", "ragged", "wider-than-header", "empty-row",
+        "comma", "quote", "newline", "carriage-return", "empty-label",
+        "header-comma", "header-empty", "header-int", "header-np-str"])
+def test_write_csv_rejects_cells_outside_its_domain(header, rows, error):
+    for block in (1, 4096):
+        with mock.patch.object(cli, "_CSV_BLOCK", block), \
+                pytest.raises(error):
+            cli._csv_text(header, iter(rows))
+
+
+@pytest.mark.parametrize("rows, payload, error", [
+    (iter([(1.0,), (np.float64(2.0),)]), {}, TypeError),
+    ([(1.0,)], {"x": np.float64(math.inf)}, ValueError),
+    ([(1.0,)], {"x": np.int64(7)}, TypeError),
+], ids=["csv-cell", "json-non-finite", "json-np-int"])
+def test_main_writes_no_file_for_a_cell_outside_the_writers_domain(
+        tmp_path, rows, payload, error):
+    """main renders the CSV and the JSON before it opens either file, so a
+    handler that hands over a cell the writers reject leaves nothing."""
+    def handler(cfg, bundle, seed):
+        return "t.csv", ["x"], rows, payload
+    out = tmp_path / "out"
+    with mock.patch.dict(cli._HANDLERS, iv=handler), pytest.raises(error):
+        main(["iv", "--out", str(out)])
+    assert not out.exists()

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from ftjsim import crossbar
 from ftjsim.conduction import (ConductionParams, calibrate, CalibrationTargets,
-                               current_total, default_params,
-                               differential_conductance)
+                               check_temperature, current_total,
+                               default_params, differential_conductance)
 from ftjsim.crossbar import (
     BiasScheme,
     Crossbar,
@@ -27,6 +27,7 @@ from ftjsim.crossbar import (
 )
 from ftjsim.device import (DeviceState, PulseSpec, apply_pulse,
                            default_update_model, sample_device, write_energy)
+from ftjsim.extraction import Sweep
 
 T = 300.0
 
@@ -361,6 +362,19 @@ def test_crossbar_weight_round_trip(p):
     np.testing.assert_array_equal(xbar.weights(), w)
     with pytest.raises(ValueError):
         build_crossbar(2, 2, p, t_kelvin=-1.0)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_temperature_limit_has_one_message(p, t):
+    """Crossbar and extraction's Sweep reject a temperature through
+    conduction.check_temperature, with its message."""
+    with pytest.raises(ValueError) as kernel:
+        check_temperature(t)
+    with pytest.raises(ValueError) as xbar:
+        build_crossbar(2, 2, p, t_kelvin=t)
+    with pytest.raises(ValueError) as sweep:
+        Sweep([0.1, 0.2, 0.3], [1.0, 2.0, 3.0], t)
+    assert str(xbar.value) == str(sweep.value) == str(kernel.value)
 
 
 def test_solution_jacobian_consistency(p):

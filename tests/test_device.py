@@ -680,6 +680,66 @@ def test_dc_write_loop_bit_identical_to_per_point_reference(s, grid, v_read, t):
         == _reference_dc_write_loop(s, grid, p, v_read, t)
 
 
+def _reference_pulses(scheme):
+    """A scheme's train built pulse by pulse from its fields, on every call."""
+    out = []
+    for k in range(scheme.n_pulses):
+        if scheme.kind == "amplitude_ramp":
+            out.append(PulseSpec(scheme.v_start + k * scheme.v_step, scheme.width))
+        elif scheme.kind == "width_ramp":
+            out.append(PulseSpec(scheme.v_start,
+                                 scheme.width_start * scheme.width_ratio ** k))
+        else:
+            if scheme.n_pulses == 1:
+                v = scheme.v_start
+            else:
+                v = scheme.v_start + k * (scheme.v_max - scheme.v_start) \
+                    / (scheme.n_pulses - 1)
+            out.append(PulseSpec(v, scheme.width_start * scheme.width_ratio ** k))
+    return out
+
+
+@pytest.mark.parametrize("alt", [False, True])
+@pytest.mark.parametrize("polarity", ["pot", "dep"])
+@pytest.mark.parametrize("kind", SCHEME_KINDS)
+def test_preset_pulses_equal_per_call_construction(kind, polarity, alt):
+    scheme = preset_scheme(kind, polarity, alt_amplitudes=alt)
+    assert list(scheme.pulses()) == _reference_pulses(scheme)
+    assert scheme.pulses() is scheme.pulses()
+
+
+@_GUARD
+@given(_schemes().filter(lambda s: isinstance(s, PulseScheme)))
+def test_drawn_pulses_equal_per_call_construction(scheme):
+    """The train is built once, at construction; it is no field, so a
+    scheme's equality, hash, repr and replace() ignore it."""
+    assert list(scheme.pulses()) == _reference_pulses(scheme)
+    twin = replace(scheme)
+    assert twin == scheme and hash(twin) == hash(scheme)
+    assert twin.pulses() == scheme.pulses() and "_train" not in repr(scheme)
+    shorter = replace(scheme, n_pulses=max(1, scheme.n_pulses // 2))
+    assert list(shorter.pulses()) == _reference_pulses(shorter)
+
+
+@pytest.mark.parametrize("run", [
+    lambda s, p: read_state(s, p),
+    lambda s, p: run_scheme(s, preset_scheme("amplitude_ramp", "pot"),
+                            default_update_model(c2c_rel=0.0), p),
+    lambda s, p: dc_write_loop(s, [0.0, -1.0, 1.0], p),
+], ids=["read_state", "run_scheme", "dc_write_loop"])
+def test_numpy_offset_past_float_range_is_named(p, run):
+    """Regression: an np.float64 d2d_log10 took numpy's scalar power, which
+    returned an infinite read with an overflow RuntimeWarning instead of
+    the named OverflowError; a finite one reads as its float does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match=r"d2d_log10 = -400\.0 is "
+                           r"outside float range"):
+            run(DeviceState(w=0.5, d2d_log10=np.float64(-400.0)), p)
+        assert run(DeviceState(w=0.5, d2d_log10=np.float64(0.1)), p) \
+            == run(DeviceState(w=0.5, d2d_log10=0.1), p)
+
+
 def test_run_scheme_noise_without_generator_raises(p):
     m = default_update_model(c2c_rel=0.1)
     scheme = preset_scheme("amplitude_ramp", "pot")
