@@ -18,8 +18,10 @@ carries only the run plumbing:
 
 (the command may also be given positionally: `ftjsim iv ...`).
 
-Exit codes: 0 success, 1 usage error, 2 configuration error, 3 numerical
-failure (calibration or network solve).
+Exit codes: 0 success, 1 usage error, 2 configuration error (a malformed
+file or a value outside a limit, all found when the config is parsed), 3
+numerical failure (calibration, a network solve, or any float error,
+RuntimeError or ValueError while the model is built or a command runs).
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ import json
 import math
 import sys
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .conduction import (CalibrationError, V_READ, _figures_of_merit,
-                         current_total, current_total_g, current_tunneling,
-                         state_multiplier)
+from .conduction import (V_READ, _figures_of_merit, current_total,
+                         current_total_g, current_tunneling, state_multiplier)
 from .config import (ConfigError, SimConfig, _loop_legs, build_model, emit_config,
                      load_config)
 from .constants import K_B, Q_E
@@ -149,6 +151,15 @@ def _figures(p, t: float) -> dict:
             "selection_0p5v": selection}
 
 
+@contextmanager
+def _t_list_entry(t: float):
+    """Name the t_list_k entry a float error was raised at."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        raise type(exc)(f"t_list_k entry {t} K: {exc}") from exc
+
+
 # --- commands ---------------------------------------------------------------
 
 def cmd_iv(cfg: SimConfig, bundle, seed: int) -> _Table:
@@ -161,9 +172,10 @@ def cmd_iv(cfg: SimConfig, bundle, seed: int) -> _Table:
     state = DeviceState(w=sec.state_w)
     rows = []
     for t in sec.t_list_k:
-        for v in grid.tolist():
-            i = current_total(v, t, p, state)
-            rows.append((v, t, sec.state_w, i, i / p.area))
+        with _t_list_entry(t):
+            for v in grid.tolist():
+                i = current_total(v, t, p, state)
+                rows.append((v, t, sec.state_w, i, i / p.area))
     return "iv.csv", ["v_volts", "t_kelvin", "state_w", "i_amps",
                       "j_a_per_m2"], rows, {
         "temps_kelvin": list(sec.t_list_k),
@@ -357,8 +369,11 @@ def cmd_arrhenius(cfg: SimConfig, bundle, seed: int) -> _Table:
     lrs = DeviceState(w=1.0)
     ohm_v = np.linspace(*OHMIC_WINDOW, sec.n_points)
     pf_v = np.linspace(*PF_WINDOW, sec.n_points)
-    ohm_sweeps = [Sweep(ohm_v, current_total(ohm_v, t, p, lrs), t) for t in temps]
-    pf_sweeps = [Sweep(pf_v, current_total(pf_v, t, p, lrs), t) for t in temps]
+    ohm_sweeps, pf_sweeps = [], []
+    for v, sweeps in ((ohm_v, ohm_sweeps), (pf_v, pf_sweeps)):
+        for t in temps:
+            with _t_list_entry(t):
+                sweeps.append(Sweep(v, current_total(v, t, p, lrs), t))
     pf = extract_pf(pf_sweeps, d_fe=p.d_fe)
     ohm = extract_ohmic(ohm_sweeps)
     verdict_dev = discriminate_tunneling(pf_sweeps)
@@ -517,23 +532,15 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # parse owns every config limit, so what fails from here on is numerical
     try:
         bundle = build_model(cfg)
-    except CalibrationError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         # a float overflow, invalid operation or division by zero inside a
         # command is a numerical failure, not a warning beside a bad table
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             csv_name, header, rows, payload = _HANDLERS[command](
                 cfg, bundle, args.seed)
-    except (CalibrationError, RuntimeError, np.linalg.LinAlgError,
-            ArithmeticError, ValueError) as exc:
+    except (RuntimeError, ArithmeticError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     # both files are rendered before either is written, so a cell outside

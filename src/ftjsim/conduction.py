@@ -523,8 +523,9 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
     returned parameters satisfy all three targets within 1%.
 
     Raises CalibrationError when the targets are infeasible (selection
-    below the Ohmic limit of 2, or beyond what eps_r >= 1 field lowering
-    can provide), and when the temperature or the Ohmic activation energy
+    below the Ohmic limit of 2, beyond what eps_r >= 1 field lowering can
+    provide, or above 2 but below the ratio at eps_r = 1e4, about 2.093 at
+    300 K), and when the temperature or the Ohmic activation energy
     takes a channel shape past float range: the trap-emission field
     lowering overflows at a few kelvin, and the Ohmic shape underflows to
     zero once ea_ohm/kT passes about 745. Those carry NaN residuals, since
@@ -582,6 +583,12 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
         attempt = _calibrate_at_eps(_EPS_R_MIN, targets, skel, t, shape_pf, shape_ohm)
         raise CalibrationError(
             "selection target unreachable for eps_r >= 1",
+            _target_residuals(attempt, targets, t))
+    if f(_EPS_R_MAX) > 0.0:
+        # Even the weakest field lowering in the bracket overshoots.
+        attempt = _calibrate_at_eps(_EPS_R_MAX, targets, skel, t, shape_pf, shape_ohm)
+        raise CalibrationError(
+            "selection target unreachable for eps_r <= 1e4",
             _target_residuals(attempt, targets, t))
     eps_r = _brentq(f, _EPS_R_MIN, _EPS_R_MAX, xtol=1e-12, rtol=8.9e-16)
     params = _calibrate_at_eps(eps_r, targets, skel, t, shape_pf, shape_ohm)

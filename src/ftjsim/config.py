@@ -14,10 +14,10 @@ a single file pins an entire reproducible run.
 
 The schema is read once, at import, off the section dataclasses below: a
 section's keys are its fields, in order, and each key's type is the type
-of its default. A limit that a model record checks (ConductionParams,
-TunnelBarrier, UpdateModel) is checked by building that record at parse
-time, so the record is its one source and its message is the one reported;
-_validate holds only the limits that no record makes.
+of its default. Every limit that a record or an owner's check makes is
+checked at parse time by building that record, or calling that check, on
+the value a command will hand it; its message is the one reported, and
+_validate holds only the limits no record makes and the count bounds.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ from dataclasses import dataclass, field, fields, replace
 
 from .conduction import (DEFAULT_EA_OHM, DEFAULT_PHI_PF, T_REF, V_READ,
                          CalibrationTargets, ConductionParams, TunnelBarrier,
-                         calibrate)
-from .device import (C2C_REL_DEFAULT, N_FULL_DEFAULT, SCHEME_KINDS,
-                     T_WIDTH_DEFAULT, V_C_NEG, V_C_POS, V_DEP_DEFAULT,
-                     V_POT_DEFAULT, UpdateModel, default_update_model)
+                         calibrate, check_temperature)
+from .crossbar import _check_solve_lines
+from .device import (C2C_REL_DEFAULT, N_FULL_DEFAULT, T_WIDTH_DEFAULT,
+                     V_C_NEG, V_C_POS, V_DEP_DEFAULT, V_POT_DEFAULT,
+                     DeviceState, PulseSpec, UpdateModel, _check_sigma_d2d,
+                     default_update_model)
 
 __all__ = [
     "ConfigError",
@@ -119,6 +121,22 @@ class HysteresisConfig:
 
 # Loop grid point limit; the hysteresis command reads each point, ~12 us.
 _LOOP_POINT_LIMIT = 100_000
+
+# (section, what is counted, the count, its bound) for each count key, each
+# bound far above its default. A run at a bound takes about 5 s (iv,
+# retention, d2d at 270 MiB peak), 6 s (cdf) or under 3 s (the others) on
+# a 2-vCPU x86_64 machine.
+_COUNT_LIMITS = (
+    ("iv", "n_points * len(t_list_k)",
+     lambda c: c.iv.n_points * len(c.iv.t_list_k), 200_000),
+    ("retention", "n_points", lambda c: c.retention.n_points, 100_000),
+    ("arrhenius", "n_points * len(t_list_k)",
+     lambda c: c.arrhenius.n_points * len(c.arrhenius.t_list_k), 1_000_000),
+    ("d2d", "n_devices", lambda c: c.d2d.n_devices, 1_000_000),
+    ("cdf", "n_cycles", lambda c: c.cdf.n_cycles, 10_000),
+    ("scheme", "n_cycles", lambda c: c.scheme.n_cycles, 1_000),
+    ("update", "n_full", lambda c: c.update.n_full, 10_000),
+)
 
 
 def _loop_legs(sec: HysteresisConfig) -> list[tuple[float, float, int]]:
@@ -369,9 +387,30 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
                        for name, (attr, section_cls, _) in _SCHEMA.items()})
     _validate(cfg, source)
     try:
-        _model_records(cfg)
+        skeleton, _, update = _model_records(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc), source) from exc
+    # the records and checks each command will apply to these values
+    iv, sc, xb, temps = cfg.iv, cfg.scaling, cfg.xbar, cfg.arrhenius.t_list_k
+    scaled = lambda a: replace(skeleton, area=a * 1e-12)  # as cmd_scaling
+    for section, key, check, *args in [
+        ("device", "t_kelvin", check_temperature, cfg.device.t_kelvin),
+        ("variation", "sigma_d2d", _check_sigma_d2d, cfg.variation.sigma_d2d),
+        ("iv", "state_w", DeviceState, iv.state_w),
+        *(("iv", "t_list_k", check_temperature, t) for t in iv.t_list_k),
+        ("scheme", "kind", update.shape_for, cfg.scheme.kind),
+        ("fitA", "kind", update.shape_for, cfg.fit_a.kind),
+        *(("scaling", "areas_um2", scaled, a) for a in sc.areas_um2),
+        ("scaling", "t_width_s", PulseSpec, sc.v_write_v, sc.t_width_s),
+        *(("arrhenius", "t_list_k", check_temperature, t) for t in temps),
+        ("xbar", "n_rows", _check_solve_lines, xb.n_rows),
+        ("xbar", "n_cols", _check_solve_lines, xb.n_cols),
+        ("xbar", "t_width_s", PulseSpec, xb.v_write_v, xb.t_width_s),
+    ]:
+        try:
+            check(*args)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}", source) from exc
     return cfg
 
 
@@ -381,26 +420,18 @@ def _validate(cfg: SimConfig, source: str) -> None:
         (d.r_on_ohms > 0, "r_on_ohms must be positive"),
         (d.on_off >= 1, "on_off must be >= 1"),
         (d.selection > 0, "selection must be positive"),
-        (d.t_kelvin > 0, "t_kelvin must be positive"),
         (d.v_read_v > 0, "v_read_v must be positive"),
         # a record checks n_full too, but n_full <= 0 fails on a shape first
         (cfg.update.n_full >= 2, "n_full must be >= 2"),
-        (cfg.variation.sigma_d2d >= 0, "sigma_d2d must be >= 0"),
         (cfg.iv.n_points >= 1, "[iv] n_points must be >= 1"),
         (cfg.iv.v_min_v <= cfg.iv.v_max_v,
          "[iv] v_min_v must not exceed v_max_v"),
         (not cfg.iv.log_grid or cfg.iv.v_min_v > 0,
          "[iv] log_grid needs a positive v_min_v"),
-        (len(cfg.iv.t_list_k) >= 1 and all(t > 0 for t in cfg.iv.t_list_k),
-         "[iv] t_list_k entries must be positive"),
         (cfg.hysteresis.v_neg_v > 0, "[hysteresis] v_neg_v must be positive"),
         (cfg.hysteresis.v_pos_v > 0, "[hysteresis] v_pos_v must be positive"),
         (cfg.hysteresis.step_v > 0, "[hysteresis] step_v must be positive"),
-        (cfg.scheme.kind in SCHEME_KINDS,
-         f"[scheme] kind must be one of {', '.join(SCHEME_KINDS)}"),
         (cfg.scheme.n_cycles >= 1, "[scheme] n_cycles must be >= 1"),
-        (cfg.fit_a.kind in SCHEME_KINDS,
-         f"[fitA] kind must be one of {', '.join(SCHEME_KINDS)}"),
         (cfg.cdf.n_cycles >= 2, "[cdf] n_cycles must be >= 2"),
         (cfg.retention.drift_rate_per_s >= 0,
          "[retention] drift_rate_per_s must be >= 0"),
@@ -409,23 +440,20 @@ def _validate(cfg: SimConfig, source: str) -> None:
          "[retention] t_max_s must be >= t_min_s"),
         (cfg.retention.n_points >= 2, "[retention] n_points must be >= 2"),
         (cfg.d2d.n_devices >= 2, "[d2d] n_devices must be >= 2"),
-        (len(cfg.scaling.areas_um2) >= 1
-         and all(a > 0 for a in cfg.scaling.areas_um2),
-         "[scaling] areas_um2 entries must be positive"),
-        (cfg.scaling.t_width_s >= 0, "[scaling] t_width_s must be >= 0"),
         (len(cfg.arrhenius.t_list_k) >= 3
-         and len(set(cfg.arrhenius.t_list_k)) == len(cfg.arrhenius.t_list_k)
-         and all(t > 0 for t in cfg.arrhenius.t_list_k),
-         "[arrhenius] t_list_k needs >= 3 distinct positive temperatures"),
+         and len(set(cfg.arrhenius.t_list_k)) == len(cfg.arrhenius.t_list_k),
+         "[arrhenius] t_list_k needs >= 3 distinct temperatures"),
         (cfg.arrhenius.n_points >= 4, "[arrhenius] n_points must be >= 4"),
-        (cfg.xbar.n_rows >= 1, "[xbar] n_rows must be >= 1"),
-        (cfg.xbar.n_cols >= 1, "[xbar] n_cols must be >= 1"),
         (cfg.xbar.v_read_v != 0, "[xbar] v_read_v must be nonzero"),
-        (cfg.xbar.t_width_s >= 0, "[xbar] t_width_s must be >= 0"),
     ]
     for ok, message in checks:
         if not ok:
             raise ConfigError(message, source)
+    for section, what, count, limit in _COUNT_LIMITS:
+        n = count(cfg)
+        if n > limit:
+            raise ConfigError(f"[{section}] {what} = {n} is over the limit "
+                              f"of {limit}", source)
     points = 1 + sum(n for _, _, n in _loop_legs(cfg.hysteresis))
     if points > _LOOP_POINT_LIMIT:
         raise ConfigError(f"[hysteresis] the loop grid would hold {points} "

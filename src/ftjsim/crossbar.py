@@ -80,6 +80,13 @@ MAX_SOLVE_DIM = 64      # dense Newton solve cap per side
 MVM_V_LIMIT = 0.3       # read-regime bias range, V
 
 
+def _check_solve_lines(n: int) -> None:
+    """The line count per side a dense network solve accepts."""
+    if not 1 <= n <= MAX_SOLVE_DIM:
+        raise ValueError(f"a dense network solve takes 1 to {MAX_SOLVE_DIM} "
+                         f"lines per side, got {n}")
+
+
 def _check_mvm_bias(v) -> None:
     """Keep MVM read biases (scalar or array) in the read regime."""
     if np.any(np.abs(v) > MVM_V_LIMIT):
@@ -269,9 +276,8 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
     point's terms, and its diagonals are the grid's line sums.
     """
     nr, nc = xbar.n_rows, xbar.n_cols
-    if nr > MAX_SOLVE_DIM or nc > MAX_SOLVE_DIM:
-        raise ValueError(
-            f"dense network solve is capped at {MAX_SOLVE_DIM} lines per side")
+    _check_solve_lines(nr)
+    _check_solve_lines(nc)
     if len(scheme.rows) != nr or len(scheme.cols) != nc:
         raise ValueError("bias scheme shape does not match the array")
     potentials = list(scheme.rows) + list(scheme.cols)

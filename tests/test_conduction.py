@@ -415,6 +415,21 @@ def test_calibrate_reports_shapes_past_float_range(t, ea_ohm, fragment):
     assert all(math.isnan(r) for r in err.value.residuals)
 
 
+@pytest.mark.parametrize("selection", [2.0001, 2.05, 2.09])
+def test_calibrate_rejects_selection_below_the_bracket_end(selection):
+    """Targets above 2 but below the ratio at eps_r = 1e4 (about 2.093 at
+    300 K) have no root in the permittivity bracket: a CalibrationError
+    with the residuals of the eps_r = 1e4 attempt, not the root search's
+    bare ValueError."""
+    with pytest.raises(CalibrationError,
+                       match=r"^selection target unreachable for eps_r <= 1e4 "
+                             r"\(relative residuals ") as err:
+        calibrate(CalibrationTargets(selection=selection))
+    r_on, ratio, sel = err.value.residuals
+    assert abs(r_on) < 1e-12 and abs(ratio) < 1e-12
+    assert sel == pytest.approx(2.092885460450529 / selection - 1.0, rel=1e-6)
+
+
 def test_calibrate_rejects_sub_ohmic_selection():
     with pytest.raises(CalibrationError):
         calibrate(CalibrationTargets(selection=1.5))

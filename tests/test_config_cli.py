@@ -183,10 +183,13 @@ def _ref_emit_config(cfg):
     return "\n".join(lines)
 
 
-def _key_values(kind, default):
+def _key_values(key, kind, default):
     """Valid values for one key, drawn by its schema type. Scaling a float
     default by [1, 2] and raising an int one keeps every sign, order and
-    range limit of the defaults; tuples are distinct positive floats."""
+    range limit of the defaults, except for [iv] state_w, a polarization in
+    [0, 1] whose default is 1; tuples are distinct positive floats."""
+    if key == "state_w":
+        return st.floats(0.0, 1.0)
     if kind is bool:
         return st.booleans()
     if kind is int:
@@ -205,7 +208,7 @@ def _valid_configs(draw):
     for attr, section_cls, types in config._SCHEMA.values():
         defaults = section_cls()
         sections[attr] = section_cls(**{
-            key: draw(_key_values(kind, getattr(defaults, key)))
+            key: draw(_key_values(key, kind, getattr(defaults, key)))
             for key, kind in types.items()})
     return SimConfig(**sections)
 
@@ -262,6 +265,38 @@ _RECORD_LIMITS = [
     ("[device]\nc_ohm = 0\n", "c_ohm must be positive, got 0.0"),
     # the one limit _validate keeps from a record: a shape fails first
     ("[update]\nn_full = 0\n", "n_full must be >= 2"),
+]
+
+# (config text, the message parse_config reports) for the values a command
+# hands to a record or an owner's check: each is built or called at parse
+# and named by its [section] key. state_w, n_rows/n_cols and areas_um2 used
+# to pass parse and fail only in their command (exit 3).
+_COMMAND_LIMITS = [
+    ("[iv]\nstate_w = 2\n", "[iv] state_w: w must be in [0, 1], got 2.0"),
+    ("[iv]\nstate_w = -0.5\n", "[iv] state_w: w must be in [0, 1], got -0.5"),
+    ("[xbar]\nn_rows = 100\n", "[xbar] n_rows: a dense network solve takes "
+                             "1 to 64 lines per side, got 100"),
+    ("[xbar]\nn_cols = 65\n", "[xbar] n_cols: a dense network solve takes "
+                            "1 to 64 lines per side, got 65"),
+    ("[xbar]\nn_rows = 0\n", "[xbar] n_rows: a dense network solve takes "
+                           "1 to 64 lines per side, got 0"),
+    ("[scaling]\nt_width_s = -1\n",
+     "[scaling] t_width_s: t_width must be >= 0, got -1.0"),
+    ("[xbar]\nt_width_s = -1\n",
+     "[xbar] t_width_s: t_width must be >= 0, got -1.0"),
+    ("[scheme]\nkind = bogus\n", "[scheme] kind: unknown scheme kind 'bogus'"),
+    ("[fitA]\nkind = bogus\n", "[fitA] kind: unknown scheme kind 'bogus'"),
+    ("[variation]\nsigma_d2d = -1\n",
+     "[variation] sigma_d2d: sigma_d2d must be finite and >= 0, got -1.0"),
+    ("[iv]\nt_list_k = 300, -5\n",
+     "[iv] t_list_k: temperature must be positive and finite, got -5.0"),
+    ("[arrhenius]\nt_list_k = 300, -5, 400\n",
+     "[arrhenius] t_list_k: temperature must be positive and finite, got -5.0"),
+    # 1e-320 um^2 is 0.0 m^2 once scaled, as cmd_scaling scales it
+    ("[scaling]\nareas_um2 = 100, 1e-320\n",
+     "[scaling] areas_um2: area must be positive, got 0.0"),
+    ("[device]\nt_kelvin = -1\n",
+     "[device] t_kelvin: temperature must be positive and finite, got -1.0"),
 ]
 
 
@@ -321,6 +356,94 @@ def test_model_record_limits_are_config_errors_at_parse(tmp_path, capsys,
     ini.write_text(text)
     assert _run(tmp_path, "iv", "--config", str(ini)) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {ini}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message", _COMMAND_LIMITS,
+    ids=[text.replace("\n", "").replace(" ", "") for text, _ in _COMMAND_LIMITS])
+def test_command_limits_are_config_errors_at_parse(tmp_path, capsys,
+                                                   monkeypatch, text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+    ini = tmp_path / "limit.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    command = text[1:text.index("]")]
+    command = {"device": "bench", "variation": "d2d"}.get(command, command)
+    monkeypatch.setitem(cli._HANDLERS, command,
+                        lambda *args: pytest.fail("the handler ran"))
+    assert main([command, "--config", str(ini), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {ini}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, what, count, limit", config._COUNT_LIMITS,
+                         ids=[f"{s}.{w}" for s, w, _, _ in config._COUNT_LIMITS])
+def test_count_keys_are_bounded_at_parse(tmp_path, capsys, monkeypatch,
+                                         section, what, count, limit):
+    """Each count key's work is bounded above its default: a config at the
+    bound parses, and one past it exits 2 at parse naming the count,
+    before the command runs. No command runs at such a size."""
+    assert count(SimConfig()) < limit
+    key = what.split(" ")[0]
+    temps = ("t_list_k = 300, 310, 320, 330\n"
+             if "t_list_k" in what else "")
+    per = 4 if temps else 1
+    at = limit // per
+    assert count(parse_config(f"[{section}]\n{temps}{key} = {at}\n")) \
+        == at * per == limit
+    ini = tmp_path / "big.ini"
+    ini.write_text(f"[{section}]\n{temps}{key} = {at + 1}\n")
+    message = f"[{section}] {what} = {(at + 1) * per} is over the limit of {limit}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(ini.read_text())
+    command = {"update": "fitA"}.get(section, section)
+    monkeypatch.setitem(cli._HANDLERS, command,
+                        lambda *args: pytest.fail("the handler ran"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(ini), "--out", str(out)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {ini}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("selection", ["2.0001", "2.00000001"])
+def test_cli_selection_below_the_bracket_end_is_a_numerical_error(
+        tmp_path, capsys, selection):
+    """A selection target just above 2 that no eps_r <= 1e4 reaches exits
+    3 with calibrate's CalibrationError, not 2 with the root search's
+    bare ValueError."""
+    ini = tmp_path / "sel.ini"
+    ini.write_text(f"[device]\nselection = {selection}\n")
+    out = tmp_path / "out"
+    assert main(["bench", "--config", str(ini), "--out", str(out)]) \
+        == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: selection target unreachable "
+                          "for eps_r <= 1e4 (relative residuals ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("iv", "[iv]\nt_list_k = 300, 1\n"),
+    ("arrhenius", "[arrhenius]\nt_list_k = 1, 2, 3\n"),
+])
+def test_cli_temperature_overflow_names_its_t_list_k_entry(
+        tmp_path, capsys, command, text):
+    """A t_list_k entry cold enough to overflow the trap-emission exponent
+    exits 3 naming that entry."""
+    ini = tmp_path / "cold.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(ini), "--out", str(out)]) \
+            == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical error: t_list_k entry 1.0 K: overflow encountered in exp\n")
+    assert not out.exists()
 
 
 def test_cli_numerical_error(tmp_path, capsys):
