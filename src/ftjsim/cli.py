@@ -173,9 +173,9 @@ def cmd_iv(cfg: SimConfig, bundle, seed: int) -> _Table:
     rows = []
     for t in sec.t_list_k:
         with _t_list_entry(t):
-            for v in grid.tolist():
-                i = current_total(v, t, p, state)
-                rows.append((v, t, sec.state_w, i, i / p.area))
+            currents = current_total(grid, t, p, state).tolist()
+        rows.extend((v, t, sec.state_w, i, i / p.area)
+                    for v, i in zip(grid.tolist(), currents))
     return "iv.csv", ["v_volts", "t_kelvin", "state_w", "i_amps",
                       "j_a_per_m2"], rows, {
         "temps_kelvin": list(sec.t_list_k),

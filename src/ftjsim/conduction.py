@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -216,9 +215,8 @@ def check_temperature(t: float) -> None:
         raise ValueError(f"temperature must be positive and finite, got {t}")
 
 
-@lru_cache(maxsize=256)
 def _coeffs(p: ConductionParams, t: float) -> tuple[float, float, float]:
-    """Precompute per-(params, temperature) channel coefficients.
+    """Per-(params, temperature) channel coefficients.
 
     Returns (ohm_c, pf_c, theta) such that
     J_ohm = ohm_c * v, J_pf = pf_c * v * exp(theta * sqrt(v)).

@@ -1,7 +1,9 @@
 """INI-style run configuration: parse, validate, emit, build models.
 
 The format is a small, strict subset of INI: `[section]` headers,
-`key = value` pairs, blank lines, and comments starting with `#` or `;`.
+`key = value` pairs, blank lines, and comments. A comment runs from the
+first `#` or `;` that begins a line's text or follows a space or tab to
+the end of the line; elsewhere both marks are part of the value.
 Keys carry their unit in the name (d_fe_nm, area_um2, v_read_v) so a
 config file is unambiguous without a manual. Unknown sections or keys,
 duplicate assignments, and malformed values are all hard errors that
@@ -23,6 +25,7 @@ _validate holds only the limits no record makes and the count bounds.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 
 from .conduction import (DEFAULT_EA_OHM, DEFAULT_PHI_PF, T_REF, V_READ,
@@ -261,67 +264,39 @@ _RENDER = {
     str: str,
 }
 
+_BOOLS = {"true": True, "yes": True, "1": True,
+          "false": False, "no": False, "0": False}
 
-def _strip_comment(line: str) -> str:
-    """Drop a trailing comment. Comments start a line or follow whitespace."""
-    stripped = line.lstrip()
-    if stripped.startswith(("#", ";")):
-        return ""
-    for mark in ("#", ";"):
-        pos = 0
-        while True:
-            pos = line.find(mark, pos)
-            if pos < 0:
-                break
-            if pos > 0 and line[pos - 1] in " \t":
-                return line[:pos]
-            pos += 1
-    return line
+# schema type -> (reader of a value's text, what that text must be); the
+# inverse of _RENDER
+_PARSE = {
+    bool: (lambda s: _BOOLS[s.lower()], "true/false"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    tuple: (lambda s: tuple(float(tok) for tok in s.split(",") if tok.strip()),
+            "comma-separated numbers"),
+    str: (str, "text"),
+}
 
-
-def _require_finite(values: tuple, raw: str, source: str, line_no: int,
-                    col: int) -> None:
-    """inf and nan parse as floats but are never a valid setting."""
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"expected a finite number, got {raw!r}",
-                          source, line_no, col)
+# where a comment starts, by the rule in the module docstring
+_COMMENT = re.compile(r"(?:^\s*|(?<=[ \t]))[#;]")
 
 
 def _convert(raw: str, kind: type, source: str, line_no: int, col: int):
-    if kind is float:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"expected a number, got {raw!r}",
-                              source, line_no, col) from None
-        _require_finite((value,), raw, source, line_no, col)
-        return value
-    if kind is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"expected an integer, got {raw!r}",
-                              source, line_no, col) from None
-    if kind is bool:
-        low = raw.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"expected true/false, got {raw!r}",
+    read, what = _PARSE[kind]
+    try:
+        value = read(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"expected {what}, got {raw!r}",
+                          source, line_no, col) from None
+    if kind is tuple and not value:
+        raise ConfigError("expected at least one number", source, line_no, col)
+    # inf and nan read as floats but are never a valid setting
+    if kind in (float, tuple) and not all(
+            map(math.isfinite, value if kind is tuple else (value,))):
+        raise ConfigError(f"expected a finite number, got {raw!r}",
                           source, line_no, col)
-    if kind is tuple:
-        try:
-            values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError:
-            raise ConfigError(f"expected comma-separated numbers, got {raw!r}",
-                              source, line_no, col) from None
-        if not values:
-            raise ConfigError("expected at least one number",
-                              source, line_no, col)
-        _require_finite(values, raw, source, line_no, col)
-        return values
-    return raw
+    return value
 
 
 def parse_config(text: str, source: str = "<config>") -> SimConfig:
@@ -331,14 +306,11 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
     content. Keys not present keep their defaults.
     """
     staged: dict[str, dict[str, object]] = {}
-    seen: set[tuple[str, str]] = set()
-    seen_sections: set[str] = set()
     section: str | None = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw_line)
-        if not line.strip():
+        stripped = _COMMENT.split(raw_line, 1)[0].strip()
+        if not stripped:
             continue
-        stripped = line.strip()
         col0 = raw_line.index(stripped[0]) + 1
         if stripped.startswith("["):
             if not stripped.endswith("]"):
@@ -351,10 +323,10 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
                 raise ConfigError(
                     f"unknown section [{name}]; expected one of "
                     f"{', '.join(sorted(_SCHEMA))}", source, line_no, col0)
-            if name in seen_sections:
+            if name in staged:
                 raise ConfigError(f"duplicate section [{name}]",
                                   source, line_no, col0)
-            seen_sections.add(name)
+            staged[name] = {}
             section = name
             continue
         if "=" not in stripped:
@@ -372,17 +344,16 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
             raise ConfigError(
                 f"unknown key {key!r} in [{section}]; expected one of "
                 f"{', '.join(sorted(types))}", source, line_no, col0)
-        if (section, key) in seen:
+        if key in staged[section]:
             raise ConfigError(f"duplicate key {key!r} in [{section}]",
                               source, line_no, col0)
-        seen.add((section, key))
         if not value:
             val_col = raw_line.index("=") + 2
             raise ConfigError(f"missing value for {key!r}",
                               source, line_no, val_col)
         val_col = raw_line.find(value, raw_line.index("=")) + 1
-        staged.setdefault(section, {})[key] = _convert(
-            value, types[key], source, line_no, val_col)
+        staged[section][key] = _convert(value, types[key], source, line_no,
+                                        val_col)
     cfg = SimConfig(**{attr: section_cls(**staged.get(name, {}))
                        for name, (attr, section_cls, _) in _SCHEMA.items()})
     _validate(cfg, source)

@@ -338,7 +338,7 @@ def _uint32_words(x) -> list[int]:
     """SeedSequence's coercion of entropy or a spawn key to uint32 words:
     an int becomes its base-2**32 digits, least significant first (0 is one
     word); a sequence becomes the concatenation of its items' words."""
-    if isinstance(x, str):
+    if isinstance(x, str):  # an item of sequence entropy, e.g. ["0x1f", 9]
         x = int(x, 16 if x.startswith("0x") else 10)
     if isinstance(x, (int, np.integer)):
         n = int(x)

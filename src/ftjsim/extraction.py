@@ -390,6 +390,31 @@ def _minimize_bounded(func, a: float, b: float, xatol: float,
     return xf
 
 
+# Elements per row chunk of fit_update_a's coarse A grid: a trace of up to
+# 1310 points is one chunk, and a longer one keeps a few MiB alive.
+_GRID_CHUNK = 2 ** 18
+
+
+def _coarse_costs(k: np.ndarray, g: np.ndarray,
+                  grid: np.ndarray) -> np.ndarray:
+    """fit_update_a's residual sum of squares at each A of grid: entry i
+    equals its rss_of(grid[i]), as each row sum runs over the same
+    contiguous values in the same order. Rows are independent, so they
+    run in chunks of about _GRID_CHUNK elements; the ufuncs write in
+    place, so at most two chunk-sized arrays are alive."""
+    costs = np.empty_like(grid)
+    step = max(_GRID_CHUNK // k.size, 1)
+    for i in range(0, grid.size, step):
+        f = -k / grid[i:i + step, None]
+        np.subtract(1.0, np.exp(f, out=f), out=f)
+        amp = np.sum(g * f, axis=1) / np.sum(f * f, axis=1)
+        r = np.multiply(amp[:, None], f)
+        np.subtract(g, r, out=r)
+        costs[i:i + step] = np.sum(np.multiply(r, r, out=r), axis=1)
+        del f, r  # before the next chunk's f is made
+    return costs
+
+
 def fit_update_a(counts, trace, a_min: float = 0.1,
                  a_max: float | None = None) -> UpdateFit:
     """Fit the update nonlinearity scale A from (pulse count, level) pairs.
@@ -427,16 +452,8 @@ def fit_update_a(counts, trace, a_min: float = 0.1,
         r = g - amp * f
         return float(np.sum(r * r)), amp
 
-    # The coarse grid in one broadcast, row i being rss_of(grid[i]): each
-    # row sum runs over the same contiguous values in the same order. The
-    # ufuncs write in place, so at most two (grid, n) arrays are alive.
     grid = np.geomspace(a_min, a_max, 200)
-    f = -k / grid[:, None]
-    np.subtract(1.0, np.exp(f, out=f), out=f)
-    amp = np.sum(g * f, axis=1) / np.sum(f * f, axis=1)
-    r = np.multiply(amp[:, None], f)
-    np.subtract(g, r, out=r)
-    costs = np.sum(np.multiply(r, r, out=r), axis=1)
+    costs = _coarse_costs(k, g, grid)
     best = int(np.argmin(costs))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]

@@ -50,11 +50,19 @@ def test_parse_values_and_comments():
         "[iv]\n"
         "t_list_k = 300, 340, 380\n"
         "n_points = 12\n"
-        "log_grid = false\n")
+        "log_grid = false\n"
+        "[arrhenius]\n"
+        "n_points = 5 ; five # points\n")
     assert cfg.device.on_off == 8.5
     assert cfg.iv.t_list_k == (300.0, 340.0, 380.0)
     assert cfg.iv.n_points == 12
     assert cfg.iv.log_grid is False
+    assert cfg.arrhenius.n_points == 5
+    # a mark with no space or tab before it is part of the value
+    for text, value in [("[iv]\nn_points = 12;x\n", "12;x"),
+                        ("[iv]\nt_list_k = 300,#1\n", "300,#1")]:
+        with pytest.raises(ConfigError, match=re.escape(repr(value))):
+            parse_config(text)
 
 
 @pytest.mark.parametrize("text,fragment,line", [
@@ -686,6 +694,25 @@ def test_cli_iv_zero_grid_gives_zero_current(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert all(float(r["i_amps"]) == 0.0 for r in rows)
+
+
+def test_cli_iv_rows_equal_scalar_reads():
+    """The iv table reads each temperature's grid in one kernel call; every
+    row's current must equal a scalar current_total read bit for bit."""
+    from ftjsim.conduction import current_total
+    from ftjsim.device import DeviceState
+
+    cfg = parse_config("[iv]\nt_list_k = 280, 300, 355.5\nv_min_v = 0.001\n"
+                       "v_max_v = 0.9\nn_points = 400\nstate_w = 0.37\n"
+                       "log_grid = true\n")
+    bundle = build_model(cfg)
+    p, state = bundle.params, DeviceState(w=0.37)
+    _, _, rows, _ = cli.cmd_iv(cfg, bundle, 0)
+    assert len(rows) == 3 * 400
+    for v, t, w, i, j in rows:
+        ref = current_total(v, t, p, state)
+        assert (w, i.hex(), j.hex()) == (0.37, ref.hex(), (ref / p.area).hex())
+    assert [t for _, t, *_ in rows[::400]] == [280.0, 300.0, 355.5]
 
 
 def test_cli_scaling_current_density_invariant(tmp_path):

@@ -285,6 +285,38 @@ def test_bounded_minimizer_port_takes_scipy_steps(a_true, noise):
     assert ours == theirs
 
 
+@pytest.mark.parametrize("n", [5, 50, 1310, 1311, 5000, 20000])
+def test_fit_update_a_chunked_grid_costs_equal_full_grid(n):
+    """The coarse A grid runs in row chunks; its costs must equal the one
+    full (200, n) broadcast bit for bit."""
+    from ftjsim.extraction import _coarse_costs
+
+    k = np.arange(1.0, n + 1)
+    g = 1 - np.exp(-k / (0.3 * n)) + np.random.default_rng(n).normal(
+        0.0, 0.02, n)
+    grid = np.geomspace(0.1, 10.0 * n, 200)
+    f = 1.0 - np.exp(-k / grid[:, None])
+    amp = np.sum(g * f, axis=1) / np.sum(f * f, axis=1)
+    r = g - amp[:, None] * f
+    full = np.sum(r * r, axis=1)
+    assert _coarse_costs(k, g, grid).tobytes() == full.tobytes()
+
+
+def test_fit_update_a_memory_stays_flat_in_trace_length():
+    """A 20000-point trace peaks at a few MiB, not two (200, n) arrays."""
+    import tracemalloc
+
+    k = np.arange(1.0, 20001.0)
+    g = 1 - np.exp(-k / 3000.0)
+    tracemalloc.start()
+    try:
+        fit_update_a(k, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
 def test_fit_update_a_scale_invariance():
     """Multiplying every level by a common conductance scale must leave
     the recovered shape parameter untouched."""
