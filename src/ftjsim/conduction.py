@@ -26,14 +26,17 @@ ndarray, and all-scalar input gives a float. Callers that validate once and
 evaluate many times compose those terms directly: the crossbar Newton
 solve evaluates the bias terms once per point and reuses them for the
 Jacobian, and _float_reader returns a plain-float i(w, d2d_log10), the
-one read of a device state in the per-pulse loops. Both equal the public
-kernels bit for bit.
+read of a device state in the per-pulse loops. _read_terms gives a
+float-level read its checked per-bias terms: _float_reader takes them,
+and so does device._trimmer, whose write-verify loop composes the read
+inline. All of these equal the public kernels bit for bit.
 
 state_multiplier is the one multiplier of the public API: float ** on
 scalars, and on arrays a broadcast np.float_power, which calls the C
-library's pow() per element as float ** does. _float_reader folds the
-same float ** form into each read. All three give the same bits and raise
-the same OverflowError for an offset past float range.
+library's pow() per element as float ** does. The float-level reads fold
+the same float ** form into each read. All of them give the same bits
+and raise the same OverflowError (_shift_overflow) for an offset past
+float range.
 
 A separate direct-tunneling expression (trapezoidal barrier, low and
 intermediate bias) is provided purely for mechanism discrimination; it is
@@ -378,20 +381,27 @@ def current_total_g(v, t: float, p: ConductionParams, g=1.0):
         _total(ga, va, _bias_terms(va, theta), ohm_c, pf_c), v, g)
 
 
+def _read_terms(v: float, t: float, p: ConductionParams):
+    """A float-level read's per-bias terms at one fixed bias, checked once:
+    (v, (sign, |v|, sqrt|v|, exp(theta * sqrt|v|)), ohm_c, pf_c) in
+    Python floats. The bias terms come from _bias_terms, so they carry
+    numpy's exponential."""
+    va, _, (ohm_c, pf_c, theta) = _checked(v, t, p)
+    return (float(va), tuple(float(x) for x in _bias_terms(va, theta)),
+            ohm_c, pf_c)
+
+
 def _float_reader(v: float, t: float, p: ConductionParams):
     """Float-level read at one fixed bias: returns i(w, d2d_log10), the
     current of a device state in Python floats, exactly
     current_total_g(v, t, p, state_multiplier(p, w, d2d_log10)).
 
-    Bias and temperature are checked once here and the per-bias terms are
-    computed once with numpy; each call then forms the multiplier with
-    float ** and composes the kernel's terms in plain float arithmetic,
-    which rounds as numpy does. An offset past float range raises
-    state_multiplier's OverflowError.
+    The per-bias terms come from _read_terms; each call then forms the
+    multiplier with float ** and composes the kernel's terms in plain
+    float arithmetic, which rounds as numpy does. An offset past float
+    range raises state_multiplier's OverflowError.
     """
-    va, _, (ohm_c, pf_c, theta) = _checked(v, t, p)
-    terms = tuple(float(x) for x in _bias_terms(va, theta))
-    v = float(va)
+    v, terms, ohm_c, pf_c = _read_terms(v, t, p)
     g_lrs, area = p.g_lrs, p.area
 
     def current(w: float, d2d_log10: float) -> float:

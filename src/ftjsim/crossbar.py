@@ -39,8 +39,8 @@ first draw serves about 98.5 % of cells.
 with_weights, write_v_half and inference.program_write_verify return a
 new array with the changed fields; write_v_half steps only the
 n_rows + n_cols - 1 biased cells, in floats with device._pulser's step,
-the one pulse update law, and takes its energy from conduction's float
-reader.
+the general form of the pulse update law, and takes its energy from
+conduction's float reader.
 
 The device nonlinearity is what makes select-free operation possible:
 sneak-path devices sit at a fraction of the read voltage where the

@@ -12,18 +12,23 @@ scheme and polarity. Cycle-to-cycle noise multiplies each step by a
 mean-one lognormal factor. DC writes switch through a logistic transition
 centered on the coercive voltages.
 
-_pulser owns the pulse update law: a context manager whose float-level
-step holds every rule. apply_pulse is one step on a DeviceState;
-run_scheme, inference.program_write_verify and crossbar.write_v_half
-check their inputs once and take the same step in plain floats. The
-step's lognormal factors are drawn in blocks (_lognormal_stream), and on
-exit the generator is re-synced to where one scalar draw per noisy pulse
-leaves it. read_state, run_scheme and dc_write_loop take d2d_log10 as a
-Python float once per call, so an offset past float range raises the
-named OverflowError, and read a state (w, d2d_log10) through
-_state_reader, which wraps conduction's float reader, the one
-float-level read of a device state, in a Readout. So states, reads and
-generator draws equal applying and reading pulse by pulse.
+_update_law owns the pulse update law's constants: each polarity's curve
+shape and normalization, and the noise factor's mean and sigma. The law
+has two forms built from them, each pinned bit for bit, generator end
+state included, to an independent per-pulse reference in the tests.
+_pulser is a context manager whose float-level step holds every rule:
+apply_pulse is one step on a DeviceState, and run_scheme and
+crossbar.write_v_half check their inputs once and take the same step in
+plain floats. _trimmer is inference.program_write_verify's per-cell
+loop, with the amplitude_ramp law, the noise factor and the verify read
+inline. Both draw their lognormal factors in blocks (_lognormal_stream),
+and on exit the generator is re-synced to where one scalar draw per
+noisy pulse leaves it. read_state, run_scheme and dc_write_loop take
+d2d_log10 as a Python float once per call, so an offset past float range
+raises the named OverflowError, and read a state (w, d2d_log10) through
+_state_reader, which wraps conduction's float reader in a Readout. So
+states, reads and generator draws equal applying and reading pulse by
+pulse.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, Readout, T_REF, V_READ, _float_reader,
-                         current_total)
+                         _read_terms, _shift_overflow, current_total)
 
 __all__ = [
     "DeviceState",
@@ -584,38 +589,52 @@ _NOISE_BLOCK_MAX = 4096
 @contextlib.contextmanager
 def _lognormal_stream(rng: np.random.Generator | None, mean: float,
                       sigma: float):
-    """Yields draw() -> the next lognormal factor, equal to the next
+    """Yields (block, refill): the next lognormal factor is
+    (block or refill()).pop(), equal to the next
     rng.lognormal(mean=mean, sigma=sigma) scalar call.
 
-    The factors come in blocks, one rng.lognormal(mean, sigma, k) call
-    each, which numpy's Generator makes equal to k scalar calls, end state
-    included. Blocks start at one draw and double, so a single draw takes
-    one value. On exit, by exception or not, a block that was not used up
-    is undone: the state saved before it is restored and only its used
-    draws are drawn again, so the generator ends where one scalar call per
-    draw() leaves it. Nothing else may draw from rng inside the block. With
-    no generator, draw() raises ValueError.
+    block holds the current block's unused factors, the next one last.
+    refill() draws the next block into it and returns it, one
+    rng.lognormal(mean, sigma, k) call, which numpy's Generator makes
+    equal to k scalar calls, end state included. Blocks start at one draw
+    and double, so a single draw takes one value. On exit, by exception
+    or not, a block that was not used up is undone: the state saved
+    before it is restored and only its used draws are drawn again, so the
+    generator ends where one scalar call per factor leaves it. Nothing
+    else may draw from rng inside the block. With no generator, refill()
+    raises ValueError.
     """
-    pending = []  # the current block's unused factors, the next one last
+    block = []
     size, saved = 0, None  # the current block's size and the state before it
 
-    def draw() -> float:
+    def refill() -> list:
         nonlocal size, saved
-        if not pending:
-            if rng is None:
-                raise ValueError("c2c_rel > 0 requires an explicit generator")
-            size = min(2 * size, _NOISE_BLOCK_MAX) or 1
-            # a block of one is used up as soon as it is drawn
-            saved = rng.bit_generator.state if size > 1 else None
-            pending[:] = rng.lognormal(mean, sigma, size)[::-1].tolist()
-        return pending.pop()
+        if rng is None:
+            raise ValueError("c2c_rel > 0 requires an explicit generator")
+        size = min(2 * size, _NOISE_BLOCK_MAX) or 1
+        # a block of one is used up as soon as it is drawn
+        saved = rng.bit_generator.state if size > 1 else None
+        block[:] = rng.lognormal(mean, sigma, size)[::-1].tolist()
+        return block
 
     try:
-        yield draw
+        yield block, refill
     finally:
-        if pending:
+        if block:
             rng.bit_generator.state = saved
-            rng.lognormal(mean, sigma, size - len(pending))
+            rng.lognormal(mean, sigma, size - len(block))
+
+
+def _update_law(m: UpdateModel, kind: str):
+    """The constants of one scheme kind's pulse update law, their one
+    owner: (polarity, a, span) for potentiation and for depression, where
+    span = 1 - exp(-n_full/a) normalizes the curve, and the (mean, sigma)
+    of the mean-one lognormal noise factor."""
+    shape = m.shape_for(kind)
+    pot = (-1, shape.a_pot, 1.0 - math.exp(-m.n_full / shape.a_pot))
+    dep = (+1, shape.a_dep, 1.0 - math.exp(-m.n_full / shape.a_dep))
+    s2 = math.log(1.0 + m.c2c_rel ** 2)
+    return pot, dep, (-0.5 * s2, math.sqrt(s2))
 
 
 @contextlib.contextmanager
@@ -634,11 +653,8 @@ def _pulser(m: UpdateModel, kind: str, rng: np.random.Generator | None):
     rng.lognormal call per noisy pulse leaves it, however the block exits.
     A noisy pulse without a generator raises ValueError when it is taken.
     """
-    shape = m.shape_for(kind)
-    pot = (-1, shape.a_pot, 1.0 - math.exp(-m.n_full / shape.a_pot))
-    dep = (+1, shape.a_dep, 1.0 - math.exp(-m.n_full / shape.a_dep))
+    pot, dep, noise = _update_law(m, kind)
     v_on_pot, v_on_dep, noisy = m.v_on_pot, m.v_on_dep, m.c2c_rel > 0.0
-    s2 = math.log(1.0 + m.c2c_rel ** 2)
 
     def step(w, cycles, last, broken, v_write, t_width):
         if broken or t_width == 0.0:
@@ -652,14 +668,93 @@ def _pulser(m: UpdateModel, kind: str, rng: np.random.Generator | None):
         n = -a * math.log(1.0 - progress * span)
         dw = (1.0 - math.exp(-(n + 1.0) / a)) / span - progress
         if noisy:
-            dw *= factor()
+            dw *= (block or refill()).pop()
         if last != 0 and polarity != last:
             cycles += 1
         w = min(w + dw, 1.0) if polarity < 0 else max(w - dw, 0.0)
         return w, cycles, polarity
 
-    with _lognormal_stream(rng, -0.5 * s2, math.sqrt(s2)) as factor:
+    with _lognormal_stream(rng, *noise) as (block, refill):
         yield step
+
+
+@contextlib.contextmanager
+def _trimmer(m: UpdateModel, rng: np.random.Generator | None,
+             p: ConductionParams, t: float, v_read: float, tol_g: float,
+             max_pulses: int):
+    """Write-verify of one cell at a time. Entered as
+    `with _trimmer(m, rng, p, t, v_read, tol_g, max_pulses) as trim:`,
+    it yields trim(w, d2d_log10, cycles, last, broken, target) ->
+    (w, cycles, last, pulses, residual) in plain floats, where target and
+    residual are chordal conductances at the verify bias v_read.
+
+    trim reads the cell and, while the reading is more than tol_g from
+    target and fewer than max_pulses pulses were taken, applies one
+    amplitude_ramp pulse of _pulser's law, V_POT_DEFAULT below the target
+    and V_DEP_DEFAULT above it, both T_WIDTH_DEFAULT wide (so no pulse is
+    a zero-width no-op), and reads again. It stops early without a draw
+    on a broken cell or an amplitude below its onset, and after the draw
+    on a pulse that leaves w where it was, which is not counted and keeps
+    cycles and last.
+
+    The law's constants come from _update_law and the read's per-bias
+    terms from conduction._read_terms. The pulse law, the noise factor
+    and the read run inline in the same float operations as _pulser's
+    step and conduction._float_reader, so each trim equals stepping and
+    reading pulse by pulse bit for bit, generator draws included. The
+    bias and temperature are checked on entry, before any draw.
+    """
+    (_, a_pot, span_pot), (_, a_dep, span_dep), noise = _update_law(
+        m, "amplitude_ramp")
+    pot_on, dep_on = V_POT_DEFAULT < m.v_on_pot, V_DEP_DEFAULT > m.v_on_dep
+    noisy = m.c2c_rel > 0.0
+    v, (sign, mag, _, e), ohm_c, pf_c = _read_terms(v_read, t, p)
+    # ga * sign * (pf_c * mag * e) with sign = +-1 is exactly ga * pf_k
+    pf_k = sign * (pf_c * mag * e)
+    g_lrs, area, log, exp = p.g_lrs, p.area, math.log, math.exp
+
+    def trim(w, d2d_log10, cycles, last, broken, target):
+        try:
+            shift = 10.0 ** (-d2d_log10)
+        except OverflowError:
+            raise _shift_overflow(d2d_log10) from None
+        ga = g_lrs ** w * shift * area
+        g = (ga * ohm_c * v + ga * pf_k) / v
+        n = 0
+        while abs(g - target) > tol_g and n < max_pulses and not broken:
+            if g < target:
+                if not pot_on:
+                    break
+                x = -a_pot * log(1.0 - w * span_pot)
+                dw = (1.0 - exp(-(x + 1.0) / a_pot)) / span_pot - w
+                if noisy:
+                    dw *= (block or refill()).pop()
+                moved, polarity = w + dw, -1
+                if moved > 1.0:  # min(w + dw, 1.0), as step clamps
+                    moved = 1.0
+            else:
+                if not dep_on:
+                    break
+                progress = 1.0 - w
+                x = -a_dep * log(1.0 - progress * span_dep)
+                dw = (1.0 - exp(-(x + 1.0) / a_dep)) / span_dep - progress
+                if noisy:
+                    dw *= (block or refill()).pop()
+                moved, polarity = w - dw, +1
+                if moved < 0.0:  # max(w - dw, 0.0)
+                    moved = 0.0
+            if moved == w:
+                break  # pinned at a rail
+            if last != 0 and polarity != last:
+                cycles += 1
+            w, last = moved, polarity
+            ga = g_lrs ** w * shift * area
+            g = (ga * ohm_c * v + ga * pf_k) / v
+            n += 1
+        return w, cycles, last, n, abs(g - target)
+
+    with _lognormal_stream(rng, *noise) as (block, refill):
+        yield trim
 
 
 def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,

@@ -12,23 +12,25 @@ the read bias, with each column's x-weighted currents summed over rows
 left to right, which is bit-identical to accumulating the one-hot reads.
 
 Programming either writes the target state directly ("ideal") or runs a
-write-verify loop ("write_verify") that trims each device with alternating
-potentiation and depression pulses until its measured conductance lands
-within tolerance of the target. Because verification reads the actual
-current, the loop absorbs device-to-device spread up to the rail limits.
-The loop validates its inputs once at entry and then trims each cell in
-Python floats, with the pulse step of device._pulser (the update law
-apply_pulse also takes) and conduction's float reader, the one
-float-level read of a device state, equal to conduction.current_total.
-One _pulser block covers the whole array: its noise factors are drawn
-in blocks and the generator is re-synced exactly on exit, so the loop
-matches pulse-by-pulse application and reading bit for bit, generator
-draws and end state included. Programming and reads run at the array's
-own t_kelvin. mvm_error_mc reads each programmed plane once per trial
-and takes both the decoder-calibration and the input charge from that
-one current grid. The conductance helpers take their multipliers from
-one broadcast conduction.state_multiplier call, and every MVM read bias
-passes crossbar's read-regime check.
+write-verify loop ("write_verify") that trims each device with
+alternating potentiation and depression pulses until its measured
+conductance lands within tolerance of the target. Because verification
+reads the actual current, the loop absorbs device-to-device spread up to
+the rail limits. The loop validates its inputs once at entry and then
+trims each cell in Python floats with device._trimmer, one loop that
+holds the pulse law, the noise factor and the verify read inline. The
+update law's constants have one owner, device._update_law, and two
+pinned forms: _pulser's step (which apply_pulse takes) and the trim. The
+read's per-bias terms come from conduction._read_terms, as the float
+reader's do. One _trimmer block covers the whole array: its noise
+factors are drawn in blocks and the generator is re-synced exactly on
+exit, so the loop matches pulse-by-pulse application and current_total
+reads bit for bit, generator draws and end state included. Programming
+and reads run at the array's own t_kelvin. mvm_error_mc reads each
+programmed plane once per trial and takes both the decoder-calibration
+and the input charge from that one current grid. The conductance helpers
+take their multipliers from one broadcast conduction.state_multiplier
+call, and every MVM read bias passes crossbar's read-regime check.
 """
 
 from __future__ import annotations
@@ -39,12 +41,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, T_REF, V_ONOFF, V_READ,
-                         _float_reader, current_total, default_params,
-                         state_multiplier)
+                         current_total, default_params, state_multiplier)
 from .crossbar import (Crossbar, _array_current, _check_mvm_bias, _line_sums,
                        build_crossbar)
-from .device import (DeviceState, UpdateModel, T_WIDTH_DEFAULT, V_DEP_DEFAULT,
-                     V_POT_DEFAULT, _pulser, default_update_model)
+from .device import (DeviceState, UpdateModel, _trimmer,
+                     default_update_model)
 
 __all__ = [
     "WeightMapping",
@@ -189,50 +190,43 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     target beyond a cell's own rails shows up in the per-cell residuals
     rather than raising. A cell stops early when a pulse would leave it
     where it was: pinned at a rail, broken, or a write amplitude below its
-    onset. max_pulses defaults to three times the model's full-switching
-    pulse count.
+    onset; such a pulse is not counted. max_pulses defaults to three times
+    the model's full-switching pulse count.
 
-    The inputs are checked once; the loop then runs in Python floats with
-    _pulser's step and conduction's float reader, so states, pulse
+    The targets must be finite and max_pulses a non-negative integer;
+    the inputs are checked once, before any draw. The loop then runs in
+    Python floats in device._trimmer, which holds the update law of
+    device._pulser's step (the same constants, from device._update_law),
+    the noise factor and conduction's float read inline. States, pulse
     counts, residuals and the generator's draws are those of applying and
     reading pulse by pulse.
     """
     g_targets = np.asarray(g_targets, dtype=float)
-    if g_targets.shape != (xbar.n_rows, xbar.n_cols):
+    shape = (xbar.n_rows, xbar.n_cols)
+    if g_targets.shape != shape:
         raise ValueError("target shape does not match the array")
+    if not np.all(np.isfinite(g_targets)):
+        raise ValueError("conductance targets must be finite")
     if not tol_g > 0:
         raise ValueError("tol_g must be positive")
     if v_read == 0:
         raise ValueError("verify bias must be nonzero")
     if max_pulses is None:
         max_pulses = 3 * m.n_full
-    read = _float_reader(v_read, xbar.t_kelvin, xbar.params)
-    counts = np.zeros((xbar.n_rows, xbar.n_cols), dtype=int)
-    resid = np.zeros((xbar.n_rows, xbar.n_cols))
-    w_out, cycles_out, last_out = (xbar.w.copy(), xbar.cycles.copy(),
-                                   xbar.last_polarity.copy())
-    cells = zip(np.ndindex(xbar.w.shape), xbar.w.ravel().tolist(),
-                xbar.d2d_log10.ravel().tolist(),
-                xbar.cycles.ravel().tolist(), xbar.broken.ravel().tolist(),
+    elif (isinstance(max_pulses, bool)
+          or not isinstance(max_pulses, (int, np.integer)) or max_pulses < 0):
+        raise ValueError("max_pulses must be a non-negative integer, got "
+                         f"{max_pulses!r}")
+    cells = zip(xbar.w.ravel().tolist(), xbar.d2d_log10.ravel().tolist(),
+                xbar.cycles.ravel().tolist(),
                 xbar.last_polarity.ravel().tolist(),
-                g_targets.ravel().tolist())
-    with _pulser(m, "amplitude_ramp", rng) as step:
-        for rc, w, d2d, cycles, broken, last, target in cells:
-            g = read(w, d2d) / v_read
-            n = 0
-            while abs(g - target) > tol_g and n < max_pulses:
-                v_write = V_POT_DEFAULT if g < target else V_DEP_DEFAULT
-                moved = step(w, cycles, last, broken, v_write, T_WIDTH_DEFAULT)
-                if moved[0] == w:
-                    break  # broken, below its onset or pinned at a rail
-                w, cycles, last = moved
-                g = read(w, d2d) / v_read
-                n += 1
-            counts[rc] = n
-            resid[rc] = abs(g - target)
-            if n:
-                w_out[rc], cycles_out[rc], last_out[rc] = w, cycles, last
-    out = replace(xbar, w=w_out, cycles=cycles_out, last_polarity=last_out)
+                xbar.broken.ravel().tolist(), g_targets.ravel().tolist())
+    with _trimmer(m, rng, xbar.params, xbar.t_kelvin, v_read, tol_g,
+                  int(max_pulses)) as trim:
+        trimmed = [trim(*cell) for cell in cells]
+    w, cycles, last, counts, resid = (np.reshape(column, shape)
+                                      for column in zip(*trimmed))
+    out = replace(xbar, w=w, cycles=cycles, last_polarity=last)
     report = ProgramReport(pulse_counts=counts, residual_g=resid,
                            pulses_total=int(counts.sum()),
                            max_residual_g=float(resid.max()),

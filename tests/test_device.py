@@ -170,8 +170,8 @@ def test_lognormal_stream_equals_scalar_draws(k, c2c, seed, interrupt):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     got = []
     try:
-        with device._lognormal_stream(rng, mean, sigma) as draw:
-            got += [draw() for _ in range(k)]
+        with device._lognormal_stream(rng, mean, sigma) as (block, refill):
+            got += [(block or refill()).pop() for _ in range(k)]
             if interrupt:
                 raise _Interrupt
     except _Interrupt:

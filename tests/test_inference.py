@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ftjsim.conduction import current_total, default_params
+from ftjsim.conduction import (current_total, default_params,
+                               state_multiplier)
 from ftjsim.crossbar import Crossbar, build_crossbar, mvm_read
 from ftjsim.device import (SCHEME_KINDS, DeviceState, PulseSpec,
                            T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
@@ -430,9 +431,13 @@ _GUARD = settings(max_examples=150, deadline=None, derandomize=True,
 
 @st.composite
 def _program_cases(draw):
-    """A random array with device variation, pulse history and broken
-    cells, targets inside and beyond the conductance range, and a random
-    update model, verify bias, temperature and pulse cap."""
+    """A random array with device variation, pulse history, broken cells
+    and cells at either rail, targets inside and beyond the conductance
+    range, and a random update model, verify bias, temperature and pulse
+    cap. An onset past a write amplitude (v_on_pot = -2.0 or
+    v_on_dep = 3.0) puts that polarity's pulses below their onset, so
+    every early exit of the trim is drawn: a broken cell, a pulse below
+    its onset and a pulse that leaves a cell at its rail."""
     nr = draw(st.integers(1, 10))
     nc = draw(st.integers(1, 10))
     sigma = draw(st.floats(0.0, 0.5))
@@ -440,18 +445,20 @@ def _program_cases(draw):
     c2c = draw(st.sampled_from([0.0, 0.1, 0.3]))
     n_full = draw(st.sampled_from([10, 25, 50]))
     v_on_pot = draw(st.sampled_from([-0.6, -0.6, -2.0]))
+    v_on_dep = draw(st.sampled_from([0.8, 0.8, 3.0]))
     max_pulses = draw(st.one_of(st.none(), st.integers(0, 12)))
     v_read = draw(st.sampled_from([0.3, 0.3, 0.1, -0.25]))
     t = draw(st.sampled_from([300.0, 300.0, 250.0, 340.0]))
     rng = np.random.default_rng(seed)
     p = default_params()
     m = replace(default_update_model(n_full=n_full, c2c_rel=c2c),
-                v_on_pot=v_on_pot)
+                v_on_pot=v_on_pot, v_on_dep=v_on_dep)
     xbar = build_crossbar(nr, nc, p, sigma_d2d=sigma, seed=seed, t_kelvin=t)
     rows = []
     for r in range(nr):
         rows.append(tuple(
-            replace(xbar.state(r, c), w=float(rng.uniform()),
+            replace(xbar.state(r, c), w=float(rng.choice(
+                        [0.0, 1.0, rng.uniform()], p=[0.15, 0.15, 0.7])),
                     cycles=int(rng.integers(0, 4)),
                     last_polarity=int(rng.integers(-1, 2)),
                     broken=bool(rng.random() < 0.1))
@@ -464,23 +471,118 @@ def _program_cases(draw):
     return xbar, targets, m, tol, v_read, max_pulses, seed
 
 
+def _hex(a):
+    return [x.hex() for x in np.ravel(a).tolist()]
+
+
+def _assert_same_programming(new, ref, rng_new, rng_ref):
+    """Two (Crossbar, ProgramReport) results and their generators agree:
+    floats by float.hex, counts and flags exactly, and the generators'
+    end states."""
+    (new_x, new_r), (ref_x, ref_r) = new, ref
+    assert _hex(new_x.w) == _hex(ref_x.w)
+    assert new_x == ref_x
+    assert np.array_equal(new_r.pulse_counts, ref_r.pulse_counts)
+    assert new_r.pulse_counts.dtype == ref_r.pulse_counts.dtype
+    assert _hex(new_r.residual_g) == _hex(ref_r.residual_g)
+    assert new_r.pulses_total == ref_r.pulses_total
+    assert new_r.max_residual_g.hex() == ref_r.max_residual_g.hex()
+    assert new_r.n_failed == ref_r.n_failed
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
 @_GUARD
 @given(_program_cases())
 def test_program_write_verify_bit_identical_to_per_pulse_reference(case):
     xbar, targets, m, tol, v_read, max_pulses, seed = case
     rng_new = np.random.default_rng(seed + 1)
     rng_ref = np.random.default_rng(seed + 1)
-    new_x, new_r = program_write_verify(xbar, targets, m, tol, rng_new,
-                                        v_read=v_read, max_pulses=max_pulses)
-    ref_x, ref_r = _reference_program(xbar, targets, m, tol, rng_ref,
-                                      v_read=v_read, max_pulses=max_pulses)
-    assert new_x == ref_x
-    assert np.array_equal(new_r.pulse_counts, ref_r.pulse_counts)
-    assert np.array_equal(new_r.residual_g, ref_r.residual_g)
-    assert new_r.pulses_total == ref_r.pulses_total
-    assert new_r.max_residual_g == ref_r.max_residual_g
-    assert new_r.n_failed == ref_r.n_failed
-    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    new = program_write_verify(xbar, targets, m, tol, rng_new,
+                               v_read=v_read, max_pulses=max_pulses)
+    ref = _reference_program(xbar, targets, m, tol, rng_ref,
+                             v_read=v_read, max_pulses=max_pulses)
+    _assert_same_programming(new, ref, rng_new, rng_ref)
+
+
+def _benchmark_planes(seed, p):
+    """The two 8x8 planes of one mvm_error_mc trial at sigma_d2d = 0.1,
+    with their verify targets and tol_g built as mvm_error_mc builds them,
+    and the trial's programming generator seed."""
+    w = np.random.default_rng(seed).uniform(-1.0, 1.0, (8, 8))
+    mapping = map_weights(w, 11, p)
+    gv_min = float(state_conductance(p, 0.0, V_VERIFY))
+    gv_max = float(state_conductance(p, 1.0, V_VERIFY))
+    tol = VERIFY_TOL_FRACTION * mapping.level_spacing * (gv_max - gv_min)
+    (child,) = np.random.SeedSequence(seed).spawn(1)
+    s_pos, s_neg, s_prog, _ = child.spawn(4)
+    planes = [(build_crossbar(8, 8, p, 0.1, s_plane),
+               gv_min + u * (gv_max - gv_min))
+              for s_plane, u in ((s_pos, mapping.u_pos),
+                                 (s_neg, mapping.u_neg))]
+    return planes, tol, s_prog
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_program_write_verify_equals_reference_on_benchmark_planes(p, m, seed):
+    """Twenty benchmark-shaped planes (ten trials of two) trim to the
+    per-pulse reference's bits, the shared generator included."""
+    planes, tol, s_prog = _benchmark_planes(seed, p)
+    rng_new, rng_ref = np.random.default_rng(s_prog), np.random.default_rng(s_prog)
+    for xbar, targets in planes:
+        new = program_write_verify(xbar, targets, m, tol, rng_new)
+        ref = _reference_program(xbar, targets, m, tol, rng_ref)
+        _assert_same_programming(new, ref, rng_new, rng_ref)
+        assert new[1].pulses_total > 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_program_rejects_non_finite_targets_before_any_draw(p, m, bad):
+    """A non-finite target raises at entry: no cell is trimmed and the
+    generator is not drawn, though the first cell is far from its target."""
+    xbar = build_crossbar(2, 2, p)
+    g_hi = state_conductance(p, 1.0, v_read=V_VERIFY)
+    targets = np.array([[g_hi, g_hi], [g_hi, bad]])
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="targets must be finite"):
+        program_write_verify(xbar, targets, m, 1e-12, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_program_names_an_offset_past_float_range(p, m):
+    """The trim's read raises state_multiplier's OverflowError, as the
+    float reader does."""
+    xbar = Crossbar(w=[[0.5]], d2d_log10=[[-400.0]], params=p)
+    with pytest.raises(OverflowError) as kernel:
+        state_multiplier(p, 0.5, -400.0)
+    with pytest.raises(OverflowError) as trim:
+        program_write_verify(xbar, np.ones((1, 1)), m, 1e-9,
+                             np.random.default_rng(0))
+    assert str(trim.value) == str(kernel.value)
+
+
+@pytest.mark.parametrize("bad", [-1, 2.0, 3.5, True, "3"])
+def test_program_rejects_a_bad_pulse_cap_before_any_draw(p, m, bad):
+    xbar = build_crossbar(1, 2, p)
+    g_hi = state_conductance(p, 1.0, v_read=V_VERIFY)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="max_pulses must be a non-negative "
+                       "integer"):
+        program_write_verify(xbar, np.full((1, 2), g_hi), m, 1e-12, rng,
+                             max_pulses=bad)
+    assert rng.bit_generator.state == before
+
+
+def test_program_takes_a_numpy_integer_pulse_cap(p, m):
+    xbar = build_crossbar(1, 2, p)
+    g_hi = state_conductance(p, 1.0, v_read=V_VERIFY)
+    results = [program_write_verify(xbar, np.full((1, 2), g_hi), m, 1e-12,
+                                    np.random.default_rng(0), max_pulses=cap)
+               for cap in (3, np.int64(3))]
+    (x_int, r_int), (x_np, r_np) = results
+    assert x_int == x_np
+    assert r_int.pulse_counts.tolist() == r_np.pulse_counts.tolist() == [[3, 3]]
 
 
 @_GUARD
@@ -637,6 +739,30 @@ def test_mvm_error_mc_equals_reference_on_mvm_charge(p, m, decoder, programming,
     expect = _reference_mvm_error_mc(w, x, 0.1, 3, seed, programming, decoder,
                                      p, m, v_read, V_VERIFY, t)
     assert [e.hex() for e in stats.rel_errors.tolist()] == [e.hex() for e in expect]
+
+
+# mvm_error_mc(w, sigma_d2d=0.1, n_trials=3, seed=seed) with write-verify
+# programming and the calibrated decoder, w = default_rng(seed).uniform(-1,
+# 1, (8, 8)): per-trial relative errors by float.hex, pulses and failed
+# cells, as the per-pulse trim gave them. Any bit drift in programming
+# moves these.
+_PINNED_MVM_MC = {
+    0: (["0x1.0e0d94891bcd5p-3", "0x1.bcc7bac82d41ap-4", "0x1.2c6a183077dfep-4"],
+        [1193, 1296, 1178], [13, 17, 13]),
+    1: (["0x1.1a3a28ac44377p-4", "0x1.35e3c3480cacdp-4", "0x1.4e9c39f82d2c0p-4"],
+        [1039, 1150, 1126], [14, 21, 19]),
+    2: (["0x1.9d35781af2249p-4", "0x1.c29ea22b61335p-4", "0x1.a0b17e20dfc29p-4"],
+        [978, 1050, 1068], [16, 18, 13]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_MVM_MC))
+def test_mvm_error_mc_write_verify_pinned(seed):
+    w = np.random.default_rng(seed).uniform(-1.0, 1.0, (8, 8))
+    stats = mvm_error_mc(w, sigma_d2d=0.1, n_trials=3, seed=seed,
+                         programming="write_verify", decoder="calibrated")
+    assert (_hex(stats.rel_errors), stats.pulses.tolist(),
+            stats.failed_cells.tolist()) == _PINNED_MVM_MC[seed]
 
 
 @pytest.mark.parametrize("v_read, fragment", [
