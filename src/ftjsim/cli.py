@@ -8,9 +8,13 @@ nothing; main writes both files, stamping the payload through _meta, so a
 command that fails writes no file. Handlers return exact int, float or
 str cells, one type per column, and plain Python payloads; _csv_text
 renders each table with one "%d"/"%.12g"/"%s" line template and rejects
-any other cell before main opens either file. Output bytes are
-reproducible for a given (config, seed, version): no timestamps, no
-machine identifiers, and all floats rendered with a fixed format.
+any other cell before main opens either file. The pulse-train commands
+(scheme, cdf, fitA) open one device._pulser per command and run each
+train through device._train in floats, building only the cells they
+write; one noise stream per command draws what one per train would.
+Output bytes are reproducible for a given (config, seed, version): no
+timestamps, no machine identifiers, and all floats rendered with a fixed
+format.
 Experiment knobs live in per-command config sections, so the command line
 carries only the run plumbing:
 
@@ -40,16 +44,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conduction import (V_READ, _figures_of_merit, current_total,
-                         current_total_g, current_tunneling, state_multiplier)
+from .conduction import (T_REF, V_READ, _figures_of_merit, _float_reader,
+                         current_total, current_total_g, current_tunneling,
+                         state_multiplier)
 from .config import (ConfigError, SimConfig, _loop_legs, build_model, emit_config,
                      load_config)
 from .constants import K_B, Q_E
 from .crossbar import build_crossbar, sneak_margin, write_v_half
 from .device import (T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
-                     DeviceState, PulseSpec, PulseScheme, dc_write_loop,
-                     memory_window, preset_scheme, read_state,
-                     retention_evolve, run_scheme, sample_d2d_offsets,
+                     DeviceState, PulseSpec, PulseScheme, _pulser, _read_ohms,
+                     _train, dc_write_loop, memory_window, preset_scheme,
+                     read_state, retention_evolve, sample_d2d_offsets,
                      write_energy)
 from .extraction import (OHMIC_WINDOW, PF_WINDOW, Sweep, cdf_levels,
                          discriminate_tunneling, extract_ohmic, extract_pf,
@@ -205,23 +210,24 @@ def cmd_hysteresis(cfg: SimConfig, bundle, seed: int) -> _Table:
 def cmd_scheme(cfg: SimConfig, bundle, seed: int) -> _Table:
     p, m = bundle.params, bundle.update
     sec = cfg.scheme
-    rng = np.random.default_rng(seed)
+    current = _float_reader(V_READ, bundle.t_kelvin, p)
+    trains = [(last, preset_scheme(sec.kind, polarity,
+                                   alt_amplitudes=sec.alt_amplitudes).pulses())
+              for last, polarity in ((-1, "pot"), (1, "dep"))]
     state = DeviceState(w=0.0)
     rows = []
-    for cycle in range(1, sec.n_cycles + 1):
-        index = 0
-        for polarity in ("pot", "dep"):
-            scheme = preset_scheme(sec.kind, polarity,
-                                   alt_amplitudes=sec.alt_amplitudes)
-            trace = run_scheme(state, scheme, m, p, v_read=V_READ,
-                               t=bundle.t_kelvin, rng=rng)
-            for step in trace:
-                rows.append((cycle, index, step.pulse.v_write,
-                             step.pulse.t_width, step.w,
-                             step.readout.r_ohms))
-                index += 1
-            state = replace(state, w=trace[-1].w,
-                            last_polarity=-1 if polarity == "pot" else 1)
+    with _pulser(m, sec.kind, np.random.default_rng(seed)) as step:
+        for cycle in range(1, sec.n_cycles + 1):
+            index = 0
+            for last, train in trains:
+                ws, currents = _train(step, current, state, train)
+                rows.extend((cycle, index + k, pulse.v_write, pulse.t_width, w,
+                             _read_ohms(V_READ, i))
+                            for k, (pulse, w, i)
+                            in enumerate(zip(train, ws, currents)))
+                index += len(train)
+                # each train restarts from the start state's cycles
+                state = replace(state, w=ws[-1], last_polarity=last)
     return "trace.csv", ["cycle", "pulse_index", "v_write_volts", "t_width_s",
                          "w", "r_ohms_0p3v"], rows, {
         "kind": sec.kind,
@@ -245,12 +251,13 @@ def cmd_fit_a(cfg: SimConfig, bundle, seed: int) -> _Table:
                     for v in (V_POT_DEFAULT, V_DEP_DEFAULT))
     else:
         pot, dep = preset_scheme(kind, "pot"), preset_scheme(kind, "dep")
-    pot_trace = run_scheme(DeviceState(w=0.0), pot, m, p)
-    dep_trace = run_scheme(DeviceState(w=1.0), dep, m, p)
-    fit_pot = fit_update_a(np.arange(1, len(pot_trace) + 1),
-                           [s.w for s in pot_trace])
-    fit_dep = fit_update_a(np.arange(1, len(dep_trace) + 1),
-                           [1.0 - s.w for s in dep_trace])
+    current = _float_reader(V_READ, T_REF, p)
+    with _pulser(m, kind, None) as step:
+        pot_w, _ = _train(step, current, DeviceState(w=0.0), pot.pulses())
+        dep_w, _ = _train(step, current, DeviceState(w=1.0), dep.pulses())
+    fit_pot = fit_update_a(np.arange(1, len(pot_w) + 1), pot_w)
+    fit_dep = fit_update_a(np.arange(1, len(dep_w) + 1),
+                           [1.0 - w for w in dep_w])
     rows = [
         ("a_pot", fit_pot.a, math.nan),
         ("a_dep", fit_dep.a, math.nan),
@@ -268,19 +275,18 @@ def cmd_fit_a(cfg: SimConfig, bundle, seed: int) -> _Table:
 
 def cmd_cdf(cfg: SimConfig, bundle, seed: int) -> _Table:
     p, m = bundle.params, bundle.update
-    rng = np.random.default_rng(seed)
     cycles = cfg.cdf.n_cycles
-    scheme = preset_scheme("amplitude_ramp", "dep")
-    n = scheme.n_pulses
-    traces = np.zeros((cycles, n + 1))
+    train = preset_scheme("amplitude_ramp", "dep").pulses()
+    n = len(train)
+    current = _float_reader(V_READ, bundle.t_kelvin, p)
     s0 = DeviceState(w=1.0)
+    traces = np.zeros((cycles, n + 1))
     # every cycle starts from the same pristine state: one read serves all
-    traces[:, 0] = read_state(s0, p, v_read=V_READ,
-                              t=bundle.t_kelvin).r_ohms
-    for k in range(cycles):
-        trace = run_scheme(s0, scheme, m, p, v_read=V_READ,
-                           t=bundle.t_kelvin, rng=rng)
-        traces[k, 1:] = [step.readout.r_ohms for step in trace]
+    traces[:, 0] = _read_ohms(V_READ, current(s0.w, s0.d2d_log10))
+    with _pulser(m, "amplitude_ramp", np.random.default_rng(seed)) as step:
+        for k in range(cycles):
+            _, currents = _train(step, current, s0, train)
+            traces[k, 1:] = [_read_ohms(V_READ, i) for i in currents]
     report = cdf_levels(traces)
     rows = zip(range(n + 1), report.medians.tolist(), report.iqrs.tolist())
     return "cdf.csv", ["pulse_index", "median_r_ohms", "iqr_r_ohms"], rows, {

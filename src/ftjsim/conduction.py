@@ -27,9 +27,10 @@ evaluate many times compose those terms directly: the crossbar Newton
 solve evaluates the bias terms once per point and reuses them for the
 Jacobian, and _float_reader returns a plain-float i(w, d2d_log10), the
 read of a device state in the per-pulse loops. _read_terms gives a
-float-level read its checked per-bias terms: _float_reader takes them,
-and so does device._trimmer, whose write-verify loop composes the read
-inline. All of these equal the public kernels bit for bit.
+float-level read its checked per-bias terms, with the Poole-Frenkel ones
+folded into one factor: _float_reader takes them, and so does
+device._trimmer, whose write-verify loop composes the read inline. All
+of these equal the public kernels bit for bit.
 
 state_multiplier is the one multiplier of the public API: float ** on
 scalars, and on arrays a broadcast np.float_power, which calls the C
@@ -383,12 +384,15 @@ def current_total_g(v, t: float, p: ConductionParams, g=1.0):
 
 def _read_terms(v: float, t: float, p: ConductionParams):
     """A float-level read's per-bias terms at one fixed bias, checked once:
-    (v, (sign, |v|, sqrt|v|, exp(theta * sqrt|v|)), ohm_c, pf_c) in
-    Python floats. The bias terms come from _bias_terms, so they carry
-    numpy's exponential."""
+    (v, ohm_c, pf_k) in Python floats, so that the current at
+    ga = g * area is ga * ohm_c * v + ga * pf_k. pf_k = sign(v) * (pf_c *
+    |v| * exp(theta * sqrt|v|)) folds the Poole-Frenkel bias terms, which
+    come from _bias_terms and so carry numpy's exponential; ga * pf_k
+    equals _pf's ga * sign * (pf_c * |v| * e) bit for bit, as sign is +-1
+    or a zero."""
     va, _, (ohm_c, pf_c, theta) = _checked(v, t, p)
-    return (float(va), tuple(float(x) for x in _bias_terms(va, theta)),
-            ohm_c, pf_c)
+    sign, mag, _, e = (float(x) for x in _bias_terms(va, theta))
+    return float(va), ohm_c, sign * (pf_c * mag * e)
 
 
 def _float_reader(v: float, t: float, p: ConductionParams):
@@ -396,12 +400,12 @@ def _float_reader(v: float, t: float, p: ConductionParams):
     current of a device state in Python floats, exactly
     current_total_g(v, t, p, state_multiplier(p, w, d2d_log10)).
 
-    The per-bias terms come from _read_terms; each call then forms the
-    multiplier with float ** and composes the kernel's terms in plain
-    float arithmetic, which rounds as numpy does. An offset past float
-    range raises state_multiplier's OverflowError.
+    The per-bias terms come from _read_terms, once per reader; each call
+    then forms the multiplier with float ** and the current in one
+    expression of plain float arithmetic, which rounds as _total does. An
+    offset past float range raises state_multiplier's OverflowError.
     """
-    v, terms, ohm_c, pf_c = _read_terms(v, t, p)
+    v, ohm_c, pf_k = _read_terms(v, t, p)
     g_lrs, area = p.g_lrs, p.area
 
     def current(w: float, d2d_log10: float) -> float:
@@ -409,7 +413,8 @@ def _float_reader(v: float, t: float, p: ConductionParams):
             shift = 10.0 ** (-d2d_log10)
         except OverflowError:
             raise _shift_overflow(d2d_log10) from None
-        return _total(g_lrs ** w * shift * area, v, terms, ohm_c, pf_c)
+        ga = g_lrs ** w * shift * area
+        return ga * ohm_c * v + ga * pf_k
 
     return current
 

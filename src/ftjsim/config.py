@@ -127,8 +127,8 @@ _LOOP_POINT_LIMIT = 100_000
 
 # (section, what is counted, the count, its bound) for each count key, each
 # bound far above its default. A run at a bound takes about 5 s (iv,
-# retention, d2d at 270 MiB peak), 6 s (cdf) or under 3 s (the others) on
-# a 2-vCPU x86_64 machine.
+# retention, d2d at 270 MiB peak) or under 3 s (the others; cdf about
+# 1.3 s) on a 2-vCPU x86_64 machine.
 _COUNT_LIMITS = (
     ("iv", "n_points * len(t_list_k)",
      lambda c: c.iv.n_points * len(c.iv.t_list_k), 200_000),

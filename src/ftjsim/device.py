@@ -17,18 +17,21 @@ shape and normalization, and the noise factor's mean and sigma. The law
 has two forms built from them, each pinned bit for bit, generator end
 state included, to an independent per-pulse reference in the tests.
 _pulser is a context manager whose float-level step holds every rule:
-apply_pulse is one step on a DeviceState, and run_scheme and
-crossbar.write_v_half check their inputs once and take the same step in
-plain floats. _trimmer is inference.program_write_verify's per-cell
-loop, with the amplitude_ramp law, the noise factor and the verify read
+apply_pulse is one step on a DeviceState, and crossbar.write_v_half
+checks its inputs once and takes the same step in plain floats. _train
+is the one pulse-train loop: with an open step and conduction's float
+reader it returns each pulse's w and current as floats. run_scheme is
+_train plus its SchemeStep and Readout records, and the CLI's scheme,
+cdf and fitA commands call it once per train inside one _pulser block
+per command. _trimmer is the per-cell write-verify loop of inference,
+with the amplitude_ramp law, the noise factor and the verify read
 inline. Both draw their lognormal factors in blocks (_lognormal_stream),
 and on exit the generator is re-synced to where one scalar draw per
-noisy pulse leaves it. read_state, run_scheme and dc_write_loop take
+noisy pulse leaves it, so one block over many trains or cells draws
+what one block each would. read_state, run_scheme and dc_write_loop take
 d2d_log10 as a Python float once per call, so an offset past float range
-raises the named OverflowError, and read a state (w, d2d_log10) through
-_state_reader, which wraps conduction's float reader in a Readout. So
-states, reads and generator draws equal applying and reading pulse by
-pulse.
+raises the named OverflowError. So states, reads and generator draws
+equal applying and reading pulse by pulse.
 """
 
 from __future__ import annotations
@@ -708,9 +711,7 @@ def _trimmer(m: UpdateModel, rng: np.random.Generator | None,
         m, "amplitude_ramp")
     pot_on, dep_on = V_POT_DEFAULT < m.v_on_pot, V_DEP_DEFAULT > m.v_on_dep
     noisy = m.c2c_rel > 0.0
-    v, (sign, mag, _, e), ohm_c, pf_c = _read_terms(v_read, t, p)
-    # ga * sign * (pf_c * mag * e) with sign = +-1 is exactly ga * pf_k
-    pf_k = sign * (pf_c * mag * e)
+    v, ohm_c, pf_k = _read_terms(v_read, t, p)
     g_lrs, area, log, exp = p.g_lrs, p.area, math.log, math.exp
 
     def trim(w, d2d_log10, cycles, last, broken, target):
@@ -775,25 +776,39 @@ def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
     return replace(s, w=w, cycles=cycles, last_polarity=last)
 
 
-def _state_reader(p: ConductionParams, v_read: float, t: float):
-    """read_state at one bias point, checked once: returns
-    read(w, d2d_log10), the Readout of a device in that state."""
-    current = _float_reader(v_read, t, p)
-    area = p.area
+def _read_ohms(v_read: float, i: float) -> float:
+    """The resistance |v_read / i| a read reports, inf at zero current."""
+    return abs(v_read / i) if i != 0.0 else math.inf
 
-    def read(w: float, d2d_log10: float) -> Readout:
-        i = current(w, d2d_log10)
-        r = abs(v_read / i) if i != 0.0 else math.inf
-        return Readout(v_read=v_read, t_kelvin=t, i_amps=i, r_ohms=r,
-                       j_a_per_m2=i / area)
 
-    return read
+def _readout(v_read: float, t: float, area: float, i: float) -> Readout:
+    """The Readout of a current i read at (v_read, t) on that area."""
+    return Readout(v_read=v_read, t_kelvin=t, i_amps=i,
+                   r_ohms=_read_ohms(v_read, i), j_a_per_m2=i / area)
 
 
 def read_state(s: DeviceState, p: ConductionParams,
                v_read: float = V_READ, t: float = T_REF) -> Readout:
     """Measure the device at a bias point."""
-    return _state_reader(p, v_read, t)(s.w, float(s.d2d_log10))
+    current = _float_reader(v_read, t, p)
+    return _readout(v_read, t, p.area, current(s.w, float(s.d2d_log10)))
+
+
+def _train(step, current, s: DeviceState, pulses) -> tuple[list, list]:
+    """One pulse train at float level: from state s, take step (an open
+    _pulser's) for each PulseSpec and read current(w, d2d_log10)
+    (conduction._float_reader's) after each. Returns each pulse's w and
+    current as lists of Python floats. Trains that share one step draw
+    their noise from one stream."""
+    w, cycles, last, broken = s.w, s.cycles, s.last_polarity, s.broken
+    d2d = float(s.d2d_log10)
+    ws, currents = [], []
+    for pulse in pulses:
+        w, cycles, last = step(w, cycles, last, broken, pulse.v_write,
+                               pulse.t_width)
+        ws.append(w)
+        currents.append(current(w, d2d))
+    return ws, currents
 
 
 @dataclass(frozen=True)
@@ -812,20 +827,17 @@ def run_scheme(s: DeviceState, scheme: PulseScheme, m: UpdateModel,
     """Apply a pulse train, reading out after every pulse.
 
     The read bias and temperature are checked once, before any pulse. The
-    train then runs in Python floats with _pulser's step and read_state's
-    read, so every step and every generator draw equals applying and
-    reading pulse by pulse.
+    train then runs in Python floats through _train, with _pulser's step
+    and conduction's float reader, so every step and every generator draw
+    equals applying and reading pulse by pulse.
     """
-    read = _state_reader(p, v_read, t)
-    w, cycles, last, d2d = s.w, s.cycles, s.last_polarity, float(s.d2d_log10)
-    trace = []
+    current = _float_reader(v_read, t, p)
+    train = scheme.pulses()
     with _pulser(m, scheme.kind, rng) as step:
-        for idx, pulse in enumerate(scheme.pulses()):
-            w, cycles, last = step(w, cycles, last, s.broken, pulse.v_write,
-                                   pulse.t_width)
-            trace.append(SchemeStep(index=idx, pulse=pulse, w=w,
-                                    readout=read(w, d2d)))
-    return trace
+        ws, currents = _train(step, current, s, train)
+    return [SchemeStep(index=idx, pulse=pulse, w=w,
+                       readout=_readout(v_read, t, p.area, i))
+            for idx, (pulse, w, i) in enumerate(zip(train, ws, currents))]
 
 
 # --- DC hysteresis ---------------------------------------------------------
@@ -864,20 +876,21 @@ def dc_write_loop(s: DeviceState, v_grid, p: ConductionParams,
     Negative voltages past the coercive point raise w toward the logistic
     switching level; positive ones past the other coercive point cap it.
     The grid, the read bias and the temperature are checked once, before
-    any read; the sweep then runs in Python floats with read_state's read.
+    any read; the sweep then runs in Python floats with conduction's float
+    reader, each point's Readout built as read_state builds its one.
     """
     grid = np.asarray(v_grid, dtype=float)
     if not np.all(np.isfinite(grid)):
         raise ValueError("v_grid contains non-finite values")
-    read = _state_reader(p, v_read, t)
-    w, d2d = s.w, float(s.d2d_log10)
+    current = _float_reader(v_read, t, p)
+    w, d2d, area = s.w, float(s.d2d_log10), p.area
     points = []
     for v in grid.tolist():
         pot_level = _switch_level((V_C_NEG - v) / DC_WIDTH)
         dep_level = _switch_level((v - V_C_POS) / DC_WIDTH)
         w = min(max(w, pot_level), 1.0 - dep_level)
-        points.append(LoopPoint(v_write=v, w=w,
-                                readout=read(w, d2d)))
+        points.append(LoopPoint(v_write=v, w=w, readout=_readout(
+            v_read, t, area, current(w, d2d))))
     return points
 
 

@@ -22,15 +22,18 @@ holds the pulse law, the noise factor and the verify read inline. The
 update law's constants have one owner, device._update_law, and two
 pinned forms: _pulser's step (which apply_pulse takes) and the trim. The
 read's per-bias terms come from conduction._read_terms, as the float
-reader's do. One _trimmer block covers the whole array: its noise
-factors are drawn in blocks and the generator is re-synced exactly on
-exit, so the loop matches pulse-by-pulse application and current_total
-reads bit for bit, generator draws and end state included. Programming
-and reads run at the array's own t_kelvin. mvm_error_mc reads each
-programmed plane once per trial and takes both the decoder-calibration
-and the input charge from that one current grid. The conductance helpers
-take their multipliers from one broadcast conduction.state_multiplier
-call, and every MVM read bias passes crossbar's read-regime check.
+reader's do. One _trimmer block covers the whole array, and in
+mvm_error_mc both planes of a trial: its noise factors are drawn in
+blocks and the generator is re-synced exactly on exit, so the loop
+matches pulse-by-pulse application and current_total reads bit for bit,
+generator draws and end state included. program_write_verify and
+mvm_error_mc share the input checks (_check_program) and the per-array
+body (_program). Programming and reads run at the array's own t_kelvin.
+mvm_error_mc reads each programmed plane once per trial and takes both
+the decoder-calibration and the input charge from that one current grid.
+The conductance helpers take their multipliers from one broadcast
+conduction.state_multiplier call, and every MVM read bias passes
+crossbar's read-regime check.
 """
 
 from __future__ import annotations
@@ -201,8 +204,21 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     counts, residuals and the generator's draws are those of applying and
     reading pulse by pulse.
     """
+    g_targets, max_pulses = _check_program((xbar.n_rows, xbar.n_cols),
+                                           g_targets, m, tol_g, v_read,
+                                           max_pulses)
+    with _trimmer(m, rng, xbar.params, xbar.t_kelvin, v_read, tol_g,
+                  max_pulses) as trim:
+        return _program(trim, xbar, g_targets, tol_g)
+
+
+def _check_program(shape: tuple, g_targets, m: UpdateModel, tol_g: float,
+                   v_read: float, max_pulses: int | None
+                   ) -> tuple[np.ndarray, int]:
+    """program_write_verify's input checks for an array of that shape:
+    (the targets as a float array, max_pulses as an int, its default
+    filled in)."""
     g_targets = np.asarray(g_targets, dtype=float)
-    shape = (xbar.n_rows, xbar.n_cols)
     if g_targets.shape != shape:
         raise ValueError("target shape does not match the array")
     if not np.all(np.isfinite(g_targets)):
@@ -212,18 +228,24 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     if v_read == 0:
         raise ValueError("verify bias must be nonzero")
     if max_pulses is None:
-        max_pulses = 3 * m.n_full
-    elif (isinstance(max_pulses, bool)
-          or not isinstance(max_pulses, (int, np.integer)) or max_pulses < 0):
+        return g_targets, 3 * m.n_full
+    if (isinstance(max_pulses, bool)
+            or not isinstance(max_pulses, (int, np.integer)) or max_pulses < 0):
         raise ValueError("max_pulses must be a non-negative integer, got "
                          f"{max_pulses!r}")
+    return g_targets, int(max_pulses)
+
+
+def _program(trim, xbar: Crossbar, g_targets: np.ndarray, tol_g: float
+             ) -> tuple[Crossbar, ProgramReport]:
+    """program_write_verify's body on checked inputs, with an open
+    _trimmer's trim: one array's cells trimmed in row-major order."""
+    shape = g_targets.shape
     cells = zip(xbar.w.ravel().tolist(), xbar.d2d_log10.ravel().tolist(),
                 xbar.cycles.ravel().tolist(),
                 xbar.last_polarity.ravel().tolist(),
                 xbar.broken.ravel().tolist(), g_targets.ravel().tolist())
-    with _trimmer(m, rng, xbar.params, xbar.t_kelvin, v_read, tol_g,
-                  int(max_pulses)) as trim:
-        trimmed = [trim(*cell) for cell in cells]
+    trimmed = [trim(*cell) for cell in cells]
     w, cycles, last, counts, resid = (np.reshape(column, shape)
                                       for column in zip(*trimmed))
     out = replace(xbar, w=w, cycles=cycles, last_polarity=last)
@@ -332,6 +354,10 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     gv_pos = gv_min + mapping.u_pos * (gv_max - gv_min)
     gv_neg = gv_min + mapping.u_neg * (gv_max - gv_min)
     tol_g = VERIFY_TOL_FRACTION * mapping.level_spacing * (gv_max - gv_min)
+    if programming == "write_verify":
+        gv_pos, max_pulses = _check_program(w.shape, gv_pos, m, tol_g,
+                                            v_verify, None)
+        gv_neg, _ = _check_program(w.shape, gv_neg, m, tol_g, v_verify, None)
 
     errors = np.zeros(n_trials)
     pulses = np.zeros(n_trials, dtype=int)
@@ -345,11 +371,11 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
             pos = pos.with_weights(mapping.w_pos)
             neg = neg.with_weights(mapping.w_neg)
         else:
-            rng = np.random.default_rng(s_prog)
-            pos, rep_pos = program_write_verify(pos, gv_pos, m, tol_g, rng,
-                                                v_read=v_verify)
-            neg, rep_neg = program_write_verify(neg, gv_neg, m, tol_g, rng,
-                                                v_read=v_verify)
+            # both planes in one _trimmer block: one noise stream per trial
+            with _trimmer(m, np.random.default_rng(s_prog), p, t, v_verify,
+                          tol_g, max_pulses) as trim:
+                pos, rep_pos = _program(trim, pos, gv_pos, tol_g)
+                neg, rep_neg = _program(trim, neg, gv_neg, tol_g)
             pulses[trial] = rep_pos.pulses_total + rep_neg.pulses_total
             failed[trial] = rep_pos.n_failed + rep_neg.n_failed
         i_pos = _array_current(pos, v_read)

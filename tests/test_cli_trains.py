@@ -1,0 +1,196 @@
+"""The CLI's pulse-train commands against their per-train reference.
+
+cmd_scheme, cmd_cdf and cmd_fit_a open one device._pulser per command and
+run every train of it through device._train on that one noise stream. The
+references below are the same commands with each train one run_scheme call
+on its own stream. Rows and payloads must agree by float.hex, cell type
+included, and the generators must end in the same state.
+"""
+
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from ftjsim import cli
+from ftjsim.conduction import V_READ
+from ftjsim.config import build_model, parse_config
+from ftjsim.device import (SCHEME_KINDS, T_WIDTH_DEFAULT, V_DEP_DEFAULT,
+                           V_POT_DEFAULT, DeviceState, PulseScheme,
+                           preset_scheme, read_state, run_scheme)
+from ftjsim.extraction import cdf_levels, fit_update_a
+
+
+def _reference_scheme(cfg, bundle, rng):
+    p, m = bundle.params, bundle.update
+    sec = cfg.scheme
+    state = DeviceState(w=0.0)
+    rows = []
+    for cycle in range(1, sec.n_cycles + 1):
+        index = 0
+        for polarity in ("pot", "dep"):
+            scheme = preset_scheme(sec.kind, polarity,
+                                   alt_amplitudes=sec.alt_amplitudes)
+            trace = run_scheme(state, scheme, m, p, v_read=V_READ,
+                               t=bundle.t_kelvin, rng=rng)
+            for step in trace:
+                rows.append((cycle, index, step.pulse.v_write,
+                             step.pulse.t_width, step.w,
+                             step.readout.r_ohms))
+                index += 1
+            state = replace(state, w=trace[-1].w,
+                            last_polarity=-1 if polarity == "pot" else 1)
+    return "trace.csv", ["cycle", "pulse_index", "v_write_volts", "t_width_s",
+                         "w", "r_ohms_0p3v"], rows, {
+        "kind": sec.kind,
+        "cycles": sec.n_cycles,
+        "alt_amplitudes": sec.alt_amplitudes,
+        "c2c_rel": m.c2c_rel,
+        "final_w": rows[-1][4],
+    }
+
+
+def _reference_cdf(cfg, bundle, rng):
+    p, m = bundle.params, bundle.update
+    cycles = cfg.cdf.n_cycles
+    scheme = preset_scheme("amplitude_ramp", "dep")
+    n = scheme.n_pulses
+    traces = np.zeros((cycles, n + 1))
+    s0 = DeviceState(w=1.0)
+    traces[:, 0] = read_state(s0, p, v_read=V_READ,
+                              t=bundle.t_kelvin).r_ohms
+    for k in range(cycles):
+        trace = run_scheme(s0, scheme, m, p, v_read=V_READ,
+                           t=bundle.t_kelvin, rng=rng)
+        traces[k, 1:] = [step.readout.r_ohms for step in trace]
+    report = cdf_levels(traces)
+    rows = zip(range(n + 1), report.medians.tolist(), report.iqrs.tolist())
+    return "cdf.csv", ["pulse_index", "median_r_ohms", "iqr_r_ohms"], rows, {
+        "cycles": cycles,
+        "scheme": "amplitude_ramp depression",
+        "read_v": V_READ,
+        "c2c_rel": m.c2c_rel,
+        "n_levels": report.n_levels,
+        "pooled_iqr_ohms": report.pooled_iqr,
+    }
+
+
+def _reference_fit_a(cfg, bundle, rng):
+    p = bundle.params
+    m = replace(bundle.update, c2c_rel=0.0)
+    kind = cfg.fit_a.kind
+    shape = m.shape_for(kind)
+    n = m.n_full
+    if kind == "amplitude_ramp":
+        pot, dep = (PulseScheme("amplitude_ramp", n, v, v_step=0.0,
+                                width=T_WIDTH_DEFAULT)
+                    for v in (V_POT_DEFAULT, V_DEP_DEFAULT))
+    else:
+        pot, dep = preset_scheme(kind, "pot"), preset_scheme(kind, "dep")
+    pot_trace = run_scheme(DeviceState(w=0.0), pot, m, p)
+    dep_trace = run_scheme(DeviceState(w=1.0), dep, m, p)
+    fit_pot = fit_update_a(np.arange(1, len(pot_trace) + 1),
+                           [s.w for s in pot_trace])
+    fit_dep = fit_update_a(np.arange(1, len(dep_trace) + 1),
+                           [1.0 - s.w for s in dep_trace])
+    rows = [
+        ("a_pot", fit_pot.a, float("nan")),
+        ("a_dep", fit_dep.a, float("nan")),
+        ("amplitude_pot", fit_pot.amplitude, float("nan")),
+        ("amplitude_dep", fit_dep.amplitude, float("nan")),
+    ]
+    return "fit.csv", ["param", "value", "stderr"], rows, {
+        "kind": kind,
+        "model_a": {"a_pot": shape.a_pot, "a_dep": shape.a_dep},
+        "fit": {"a_pot": fit_pot.a, "a_dep": fit_dep.a,
+                "rss_pot": fit_pot.rss, "rss_dep": fit_dep.rss,
+                "at_bound": fit_pot.at_bound or fit_dep.at_bound},
+    }
+
+
+_REFERENCES = {"scheme": _reference_scheme, "cdf": _reference_cdf,
+               "fitA": _reference_fit_a}
+
+
+def _exact(obj):
+    """A table or payload with every float as its hex and every scalar
+    tagged with its type, so equality is bit for bit."""
+    if isinstance(obj, dict):
+        return {k: _exact(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, zip)):
+        return [_exact(v) for v in obj]
+    if type(obj) is float:
+        return "float", obj.hex()
+    return type(obj).__name__, obj
+
+
+def _command_run(command, cfg, bundle, seed):
+    """(exact table, end states of every generator it made) of the CLI
+    handler."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def spy(*args, **kwargs):
+        made.append(default_rng(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", spy):
+        table = _exact(cli._HANDLERS[command](cfg, bundle, seed))
+    return table, [g.bit_generator.state for g in made]
+
+
+def _reference_run(command, cfg, bundle, seed):
+    """(exact table, generator end states) of the per-train reference; the
+    handlers that draw make one generator, default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    table = _exact(_REFERENCES[command](cfg, bundle, rng))
+    return table, ([] if command == "fitA" else [rng.bit_generator.state])
+
+
+_CONFIGS = {
+    "scheme": [f"[scheme]\nkind = {kind}\nalt_amplitudes = {alt}\n"
+               f"n_cycles = {n}\n[update]\nc2c_rel = {c2c}\n"
+               for kind in SCHEME_KINDS for alt in ("false", "true")
+               for n, c2c in ((3, 0.1), (2, 0.0))]
+    + ["[scheme]\nn_cycles = 4\n[update]\nv_on_pot_v = -3.0\n",
+       "[scheme]\nkind = width_ramp\n[update]\nc2c_rel = 0.3\nn_full = 12\n"],
+    "cdf": ["", "[cdf]\nn_cycles = 2\n", "[update]\nc2c_rel = 0.0\n",
+            "[update]\nc2c_rel = 0.3\nv_on_dep_v = 1.5\n[cdf]\nn_cycles = 40\n"],
+    "fitA": [f"[fitA]\nkind = {kind}\n[update]\nc2c_rel = {c2c}\nn_full = {n}\n"
+             for kind in SCHEME_KINDS for c2c, n in ((0.1, 50), (0.0, 20))],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5])
+@pytest.mark.parametrize("command, text", [
+    (command, text) for command, texts in _CONFIGS.items() for text in texts])
+def test_train_commands_equal_the_per_train_reference(command, text, seed):
+    cfg = parse_config(text)
+    bundle = build_model(cfg)
+    assert _command_run(command, cfg, bundle, seed) \
+        == _reference_run(command, cfg, bundle, seed)
+
+
+@pytest.mark.parametrize("text", ["", "[update]\nv_on_pot_v = -3.0\n"])
+def test_scheme_trains_restart_from_the_start_state(monkeypatch, text):
+    """Each train after the first starts where the one before it ended in
+    w, with cycles back at the start state's 0 and last_polarity forced to
+    -1 after potentiation and +1 after depression, as the per-train form
+    does, also when no pulse of the train moved the state (v_on_pot_v =
+    -3.0 puts every potentiation pulse below its onset)."""
+    starts, ends = [], []
+    train = cli._train
+
+    def spy(step, current, s, pulses):
+        starts.append((s.w, s.cycles, s.last_polarity))
+        ws, currents = train(step, current, s, pulses)
+        ends.append(ws[-1])
+        return ws, currents
+
+    monkeypatch.setattr(cli, "_train", spy)
+    cfg = parse_config("[scheme]\nn_cycles = 3\n" + text)
+    cli.cmd_scheme(cfg, build_model(cfg), 0)
+    assert [(cycles, last) for _, cycles, last in starts] \
+        == [(0, 0)] + [(0, -1), (0, 1)] * 2 + [(0, -1)]
+    assert [w for w, _, _ in starts] == [0.0] + ends[:-1]
