@@ -12,6 +12,9 @@ any other cell before main opens either file. The pulse-train commands
 (scheme, cdf, fitA) open one device._pulser per command and run each
 train through device._train in floats, building only the cells they
 write; one noise stream per command draws what one per train would.
+No read decides a pulse: scheme and cdf read all their traces, retention
+each start state's hold and d2d its population in one device._trace_read
+call each; fitA reads nothing.
 Output bytes are reproducible for a given (config, seed, version): no
 timestamps, no machine identifiers, and all floats rendered with a fixed
 format.
@@ -44,17 +47,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .conduction import (T_REF, V_READ, _figures_of_merit, _float_reader,
-                         current_total, current_total_g, current_tunneling,
-                         state_multiplier)
+from .conduction import (V_READ, _figures_of_merit, current_total,
+                         current_tunneling)
 from .config import (ConfigError, SimConfig, _loop_legs, build_model, emit_config,
                      load_config)
 from .constants import K_B, Q_E
 from .crossbar import build_crossbar, sneak_margin, write_v_half
 from .device import (T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
-                     DeviceState, PulseSpec, PulseScheme, _pulser, _read_ohms,
-                     _train, dc_write_loop, memory_window, preset_scheme,
-                     read_state, retention_evolve, sample_d2d_offsets,
+                     DeviceState, PulseSpec, PulseScheme, _pulser,
+                     _trace_read, _train, dc_write_loop, memory_window,
+                     preset_scheme, retention_evolve, sample_d2d_offsets,
                      write_energy)
 from .extraction import (OHMIC_WINDOW, PF_WINDOW, Sweep, cdf_levels,
                          discriminate_tunneling, extract_ohmic, extract_pf,
@@ -210,24 +212,22 @@ def cmd_hysteresis(cfg: SimConfig, bundle, seed: int) -> _Table:
 def cmd_scheme(cfg: SimConfig, bundle, seed: int) -> _Table:
     p, m = bundle.params, bundle.update
     sec = cfg.scheme
-    current = _float_reader(V_READ, bundle.t_kelvin, p)
     trains = [(last, preset_scheme(sec.kind, polarity,
                                    alt_amplitudes=sec.alt_amplitudes).pulses())
               for last, polarity in ((-1, "pot"), (1, "dep"))]
+    cycle_pulses = list(enumerate(trains[0][1] + trains[1][1]))
     state = DeviceState(w=0.0)
-    rows = []
+    cells, ws = [], []
     with _pulser(m, sec.kind, np.random.default_rng(seed)) as step:
         for cycle in range(1, sec.n_cycles + 1):
-            index = 0
             for last, train in trains:
-                ws, currents = _train(step, current, state, train)
-                rows.extend((cycle, index + k, pulse.v_write, pulse.t_width, w,
-                             _read_ohms(V_READ, i))
-                            for k, (pulse, w, i)
-                            in enumerate(zip(train, ws, currents)))
-                index += len(train)
+                ws += _train(step, state, train)
                 # each train restarts from the start state's cycles
                 state = replace(state, w=ws[-1], last_polarity=last)
+            cells.extend((cycle, index, pulse.v_write, pulse.t_width)
+                         for index, pulse in cycle_pulses)
+    _, r = _trace_read(V_READ, bundle.t_kelvin, p, ws)
+    rows = [(*cell, w, r_ohms) for cell, w, r_ohms in zip(cells, ws, r.tolist())]
     return "trace.csv", ["cycle", "pulse_index", "v_write_volts", "t_width_s",
                          "w", "r_ohms_0p3v"], rows, {
         "kind": sec.kind,
@@ -239,7 +239,6 @@ def cmd_scheme(cfg: SimConfig, bundle, seed: int) -> _Table:
 
 
 def cmd_fit_a(cfg: SimConfig, bundle, seed: int) -> _Table:
-    p = bundle.params
     m = replace(bundle.update, c2c_rel=0.0)
     kind = cfg.fit_a.kind
     shape = m.shape_for(kind)
@@ -251,10 +250,9 @@ def cmd_fit_a(cfg: SimConfig, bundle, seed: int) -> _Table:
                     for v in (V_POT_DEFAULT, V_DEP_DEFAULT))
     else:
         pot, dep = preset_scheme(kind, "pot"), preset_scheme(kind, "dep")
-    current = _float_reader(V_READ, T_REF, p)
     with _pulser(m, kind, None) as step:
-        pot_w, _ = _train(step, current, DeviceState(w=0.0), pot.pulses())
-        dep_w, _ = _train(step, current, DeviceState(w=1.0), dep.pulses())
+        pot_w = _train(step, DeviceState(w=0.0), pot.pulses())
+        dep_w = _train(step, DeviceState(w=1.0), dep.pulses())
     fit_pot = fit_update_a(np.arange(1, len(pot_w) + 1), pot_w)
     fit_dep = fit_update_a(np.arange(1, len(dep_w) + 1),
                            [1.0 - w for w in dep_w])
@@ -278,15 +276,11 @@ def cmd_cdf(cfg: SimConfig, bundle, seed: int) -> _Table:
     cycles = cfg.cdf.n_cycles
     train = preset_scheme("amplitude_ramp", "dep").pulses()
     n = len(train)
-    current = _float_reader(V_READ, bundle.t_kelvin, p)
     s0 = DeviceState(w=1.0)
-    traces = np.zeros((cycles, n + 1))
-    # every cycle starts from the same pristine state: one read serves all
-    traces[:, 0] = _read_ohms(V_READ, current(s0.w, s0.d2d_log10))
+    # every cycle starts from the same pristine state, read as column 0
     with _pulser(m, "amplitude_ramp", np.random.default_rng(seed)) as step:
-        for k in range(cycles):
-            _, currents = _train(step, current, s0, train)
-            traces[k, 1:] = [_read_ohms(V_READ, i) for i in currents]
+        ws = [[s0.w, *_train(step, s0, train)] for _ in range(cycles)]
+    _, traces = _trace_read(V_READ, bundle.t_kelvin, p, ws)
     report = cdf_levels(traces)
     rows = zip(range(n + 1), report.medians.tolist(), report.iqrs.tolist())
     return "cdf.csv", ["pulse_index", "median_r_ohms", "iqr_r_ohms"], rows, {
@@ -302,16 +296,16 @@ def cmd_cdf(cfg: SimConfig, bundle, seed: int) -> _Table:
 def cmd_retention(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     sec = cfg.retention
-    times = np.geomspace(sec.t_min_s, sec.t_max_s, sec.n_points)
+    times = np.geomspace(sec.t_min_s, sec.t_max_s, sec.n_points).tolist()
     rows = []
     finals = {}
     for label, w0 in (("lrs", 1.0), ("hrs", 0.0)):
         s0 = DeviceState(w=w0)
-        for t_s in times.tolist():
-            s = retention_evolve(s0, t_s, sec.drift_rate_per_s)
-            ro = read_state(s, p, v_read=bundle.v_read, t=bundle.t_kelvin)
-            rows.append((label, t_s, s.w, ro.r_ohms))
-            finals[label] = ro.r_ohms
+        ws = [retention_evolve(s0, t_s, sec.drift_rate_per_s).w
+              for t_s in times]
+        _, r = _trace_read(bundle.v_read, bundle.t_kelvin, p, ws)
+        rows.extend(zip(itertools.repeat(label), times, ws, r.tolist()))
+        finals[label] = rows[-1][3]
     return "retention.csv", ["start_state", "t_seconds", "w",
                              "r_ohms"], rows, {
         "drift_rate_per_s": sec.drift_rate_per_s,
@@ -330,13 +324,10 @@ def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
     # draws that pass cannot show exact (strip 1, draws near a strip's
     # acceptance bound) take numpy's own per-device Generator.
     # Both states of every device are read in one call at [device]
-    # v_read_v and t_kelvin, with their multipliers from one broadcast
-    # state_multiplier call, so every resistance equals read_state's.
+    # v_read_v and t_kelvin, so every resistance equals read_state's.
     offsets = sample_d2d_offsets(sigma, seed, n_devices)
-    g = state_multiplier(p, [[0.0], [1.0]], offsets)
-    i = current_total_g(bundle.v_read, bundle.t_kelvin, p, g)
-    with np.errstate(divide="ignore"):
-        r_hrs, r_lrs = np.where(i != 0.0, np.abs(bundle.v_read / i), math.inf)
+    _, (r_hrs, r_lrs) = _trace_read(bundle.v_read, bundle.t_kelvin, p,
+                                    [[0.0], [1.0]], offsets)
     rows = zip(range(n_devices), offsets, r_hrs.tolist(), r_lrs.tolist())
     offsets = np.array(offsets)
     return "d2d.csv", ["device_index", "d2d_log10", "r_hrs_ohms",

@@ -25,19 +25,18 @@ holds for every public function: an ndarray, list or tuple input gives an
 ndarray, and all-scalar input gives a float. Callers that validate once and
 evaluate many times compose those terms directly: the crossbar Newton
 solve evaluates the bias terms once per point and reuses them for the
-Jacobian, and _float_reader returns a plain-float i(w, d2d_log10), the
-read of a device state in the per-pulse loops. _read_terms gives a
-float-level read its checked per-bias terms, with the Poole-Frenkel ones
-folded into one factor: _float_reader takes them, and so does
-device._trimmer, whose write-verify loop composes the read inline. All
-of these equal the public kernels bit for bit.
+Jacobian. Every read of a device state goes through the public kernels,
+a trace of many states in one current_total_g call, with one exception:
+device._trimmer's write-verify loop, whose every read decides its next
+pulse, composes the read inline in Python floats. _read_terms gives it
+the checked per-bias terms, with the Poole-Frenkel ones folded into one
+factor, and it equals the public kernels bit for bit.
 
 state_multiplier is the one multiplier of the public API: float ** on
 scalars, and on arrays a broadcast np.float_power, which calls the C
-library's pow() per element as float ** does. The float-level reads fold
-the same float ** form into each read. All of them give the same bits
-and raise the same OverflowError (_shift_overflow) for an offset past
-float range.
+library's pow() per element as float ** does. The trim folds the same
+float ** form into each read. All of them give the same bits and raise
+the same OverflowError (_shift_overflow) for an offset past float range.
 
 A separate direct-tunneling expression (trapezoidal barrier, low and
 intermediate bias) is provided purely for mechanism discrimination; it is
@@ -274,8 +273,9 @@ def state_multiplier(p: ConductionParams, w, d2d_log10=0.0):
             if over.any():
                 raise _shift_overflow(float(d.ravel()[np.argmax(over.ravel())]))
             return np.float_power(p.g_lrs, w) * shift
+    d2d_log10 = float(d2d_log10)
     try:
-        shift = 10.0 ** (-float(d2d_log10))
+        shift = 10.0 ** (-d2d_log10)
     except OverflowError:
         raise _shift_overflow(d2d_log10) from None
     return p.g_lrs ** float(w) * shift
@@ -383,7 +383,7 @@ def current_total_g(v, t: float, p: ConductionParams, g=1.0):
 
 
 def _read_terms(v: float, t: float, p: ConductionParams):
-    """A float-level read's per-bias terms at one fixed bias, checked once:
+    """The write-verify read's per-bias terms at one fixed bias, checked once:
     (v, ohm_c, pf_k) in Python floats, so that the current at
     ga = g * area is ga * ohm_c * v + ga * pf_k. pf_k = sign(v) * (pf_c *
     |v| * exp(theta * sqrt|v|)) folds the Poole-Frenkel bias terms, which
@@ -393,30 +393,6 @@ def _read_terms(v: float, t: float, p: ConductionParams):
     va, _, (ohm_c, pf_c, theta) = _checked(v, t, p)
     sign, mag, _, e = (float(x) for x in _bias_terms(va, theta))
     return float(va), ohm_c, sign * (pf_c * mag * e)
-
-
-def _float_reader(v: float, t: float, p: ConductionParams):
-    """Float-level read at one fixed bias: returns i(w, d2d_log10), the
-    current of a device state in Python floats, exactly
-    current_total_g(v, t, p, state_multiplier(p, w, d2d_log10)).
-
-    The per-bias terms come from _read_terms, once per reader; each call
-    then forms the multiplier with float ** and the current in one
-    expression of plain float arithmetic, which rounds as _total does. An
-    offset past float range raises state_multiplier's OverflowError.
-    """
-    v, ohm_c, pf_k = _read_terms(v, t, p)
-    g_lrs, area = p.g_lrs, p.area
-
-    def current(w: float, d2d_log10: float) -> float:
-        try:
-            shift = 10.0 ** (-d2d_log10)
-        except OverflowError:
-            raise _shift_overflow(d2d_log10) from None
-        ga = g_lrs ** w * shift * area
-        return ga * ohm_c * v + ga * pf_k
-
-    return current
 
 
 def differential_conductance_g(v, t: float, p: ConductionParams, g=1.0):

@@ -12,10 +12,10 @@ Floating lines settle where Kirchhoff's current law balances the
 nonlinear device currents, which a damped Newton iteration solves to
 machine precision.
 
-Reads are evaluated on arrays. Each call of solve_network, mvm_read or
-mvm_charge builds the per-cell state-multiplier grid g[r, c] once, in one
-broadcast call of conduction.state_multiplier (nothing is cached between
-calls), and composes conduction's private channel terms on the whole
+Reads are evaluated on arrays. Each call of solve_network, mvm_read,
+mvm_charge or write_v_half builds the per-cell state-multiplier grid
+g[r, c] once, in one broadcast call of conduction.state_multiplier
+(nothing is cached between calls), and composes conduction's private channel terms on the whole
 device-voltage grid rv[:, None] - cv[None, :]. solve_network checks its
 driven potentials and lays out the Jacobian (free-line index, the
 free-row x free-column block, diagonal and sign) once per call; each
@@ -39,8 +39,10 @@ first draw serves about 98.5 % of cells.
 with_weights, write_v_half and inference.program_write_verify return a
 new array with the changed fields; write_v_half steps only the
 n_rows + n_cols - 1 biased cells, in floats with device._pulser's step,
-the general form of the pulse update law, and takes its energy from
-conduction's float reader.
+the general form of the pulse update law, and takes their pre-pulse
+currents from one _array_current call on the V/2 device-voltage grid.
+The only read outside these array calls is inference's write-verify
+trim, whose every reading decides its next pulse.
 
 The device nonlinearity is what makes select-free operation possible:
 sneak-path devices sit at a fraction of the read voltage where the
@@ -56,8 +58,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, T_REF, _bias_terms, _coeffs,
-                         _conductance, _float_reader, _total, check_bias,
-                         check_temperature, state_multiplier)
+                         _conductance, _total, check_bias, check_temperature,
+                         state_multiplier)
 from .device import (DeviceState, PulseSpec, UpdateModel, _check_cells,
                      _d2d_offsets, _pulser)
 
@@ -405,32 +407,33 @@ def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
 
     Half-selected cells see v_write/2; they only move when that still
     crosses an update onset. Every biased cell takes an amplitude_ramp
-    pulse. The energy is the rectangular-pulse sum over every biased cell
-    at its pre-pulse state. Only the n_rows + n_cols - 1 cells on the
-    selected row and column are biased; they are pulsed in row-major
-    order on the shared generator, and every other cell sees 0 V and
-    keeps its state.
+    pulse. Only the n_rows + n_cols - 1 cells on the selected row and
+    column are biased; they are pulsed in row-major order on the shared
+    generator, and every other cell sees 0 V and keeps its state. The
+    energy is the rectangular-pulse sum |i| |v| t_width over every biased
+    cell at its pre-pulse state, summed left to right in row-major order:
+    the currents come from one _array_current call on the whole
+    device-voltage grid, where the unbiased cells add exact zeros.
     """
     if not (0 <= row < xbar.n_rows and 0 <= col < xbar.n_cols):
         raise ValueError("selected cell is outside the array")
-    p, t, t_width = xbar.params, xbar.t_kelvin, pulse.t_width
+    t_width = pulse.t_width
     scheme = BiasScheme.v_half_write(xbar.n_rows, xbar.n_cols, row, col,
                                      pulse.v_write)
+    v = np.subtract.outer(scheme.rows, scheme.cols)
+    energy = float(_line_sums(
+        (np.abs(_array_current(xbar, v)) * np.abs(v) * t_width).ravel(), 0))
+    v = v.tolist()
     w, cycles, last = (xbar.w.copy(), xbar.cycles.copy(),
                        xbar.last_polarity.copy())
-    readers = {}  # one float reader per distinct device bias
-    disturbs, energy, dw_sel = [], 0.0, 0.0
+    disturbs, dw_sel = [], 0.0
     with _pulser(m, "amplitude_ramp", rng) as step:
         for r, c in [(r, c) for r in range(xbar.n_rows)
                      for c in (range(xbar.n_cols) if r == row else (col,))]:
-            v_dev = scheme.rows[r] - scheme.cols[c]
+            v_dev = v[r][c]
             if v_dev == 0.0:
                 continue
-            if v_dev not in readers:
-                readers[v_dev] = _float_reader(v_dev, t, p)
             w0 = float(w[r, c])
-            i = readers[v_dev](w0, float(xbar.d2d_log10[r, c]))
-            energy += abs(i) * abs(v_dev) * t_width
             w[r, c], cycles[r, c], last[r, c] = step(
                 w0, int(cycles[r, c]), int(last[r, c]),
                 bool(xbar.broken[r, c]), v_dev, t_width)

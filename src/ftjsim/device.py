@@ -19,18 +19,22 @@ state included, to an independent per-pulse reference in the tests.
 _pulser is a context manager whose float-level step holds every rule:
 apply_pulse is one step on a DeviceState, and crossbar.write_v_half
 checks its inputs once and takes the same step in plain floats. _train
-is the one pulse-train loop: with an open step and conduction's float
-reader it returns each pulse's w and current as floats. run_scheme is
-_train plus its SchemeStep and Readout records, and the CLI's scheme,
-cdf and fitA commands call it once per train inside one _pulser block
-per command. _trimmer is the per-cell write-verify loop of inference,
-with the amplitude_ramp law, the noise factor and the verify read
-inline. Both draw their lognormal factors in blocks (_lognormal_stream),
-and on exit the generator is re-synced to where one scalar draw per
-noisy pulse leaves it, so one block over many trains or cells draws
-what one block each would. read_state, run_scheme and dc_write_loop take
-d2d_log10 as a Python float once per call, so an offset past float range
-raises the named OverflowError. So states, reads and generator draws
+is the one pulse-train loop: with an open step it returns each pulse's w
+as floats. run_scheme is _train, one trace read and its SchemeStep
+records; the CLI's scheme, cdf and fitA commands call _train once per
+train inside one _pulser block per command. _trimmer is the per-cell
+write-verify loop of inference, with the amplitude_ramp law, the noise
+factor and the verify read inline. Both draw their lognormal factors in
+blocks (_lognormal_stream), and on exit the generator is re-synced to
+where one scalar draw per noisy pulse leaves it, so one block over many
+trains or cells draws what one block each would.
+
+conduction.current_total_g is the one read kernel. No read of a train, a
+DC sweep or a retention hold decides a pulse, so each trace is read
+after its loop in one _trace_read call, which also owns the resistance
+|v/i|, inf at zero current; read_state reads one state with
+current_total. Only the trim, whose every reading decides its next
+pulse, reads inline in floats. So states, reads and generator draws
 equal applying and reading pulse by pulse.
 """
 
@@ -43,8 +47,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conduction import (ConductionParams, Readout, T_REF, V_READ, _float_reader,
-                         _read_terms, _shift_overflow, current_total)
+from .conduction import (ConductionParams, Readout, T_REF, V_READ, _checked,
+                         _read_terms, _shift_overflow, current_total,
+                         current_total_g, state_multiplier)
 
 __all__ = [
     "DeviceState",
@@ -701,11 +706,13 @@ def _trimmer(m: UpdateModel, rng: np.random.Generator | None,
     cycles and last.
 
     The law's constants come from _update_law and the read's per-bias
-    terms from conduction._read_terms. The pulse law, the noise factor
-    and the read run inline in the same float operations as _pulser's
-    step and conduction._float_reader, so each trim equals stepping and
-    reading pulse by pulse bit for bit, generator draws included. The
-    bias and temperature are checked on entry, before any draw.
+    terms from conduction._read_terms. The pulse law and the noise factor
+    run inline in the same float operations as _pulser's step, and the
+    read in those of conduction.current_total, so each trim equals
+    stepping and reading pulse by pulse bit for bit, generator draws
+    included. This is the one read outside the array kernel: each reading
+    decides the next pulse. The bias and temperature are checked on
+    entry, before any draw.
     """
     (_, a_pot, span_pot), (_, a_dep, span_dep), noise = _update_law(
         m, "amplitude_ramp")
@@ -776,39 +783,58 @@ def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
     return replace(s, w=w, cycles=cycles, last_polarity=last)
 
 
-def _read_ohms(v_read: float, i: float) -> float:
-    """The resistance |v_read / i| a read reports, inf at zero current."""
-    return abs(v_read / i) if i != 0.0 else math.inf
-
-
-def _readout(v_read: float, t: float, area: float, i: float) -> Readout:
-    """The Readout of a current i read at (v_read, t) on that area."""
-    return Readout(v_read=v_read, t_kelvin=t, i_amps=i,
-                   r_ohms=_read_ohms(v_read, i), j_a_per_m2=i / area)
-
-
 def read_state(s: DeviceState, p: ConductionParams,
                v_read: float = V_READ, t: float = T_REF) -> Readout:
     """Measure the device at a bias point."""
-    current = _float_reader(v_read, t, p)
-    return _readout(v_read, t, p.area, current(s.w, float(s.d2d_log10)))
+    i = current_total(v_read, t, p, s)
+    return Readout(v_read=v_read, t_kelvin=t, i_amps=i,
+                   r_ohms=abs(v_read / i) if i != 0.0 else math.inf,
+                   j_a_per_m2=i / p.area)
 
 
-def _train(step, current, s: DeviceState, pulses) -> tuple[list, list]:
+def _check_read(v_read: float, t: float, p: ConductionParams,
+                d2d_log10: float) -> None:
+    """A trace read's checks, made before its loop so that a bad read
+    leaves the generator untouched: bias, temperature, and the offset's
+    float range (state_multiplier's named OverflowError)."""
+    _checked(v_read, t, p)
+    state_multiplier(p, 0.0, d2d_log10)
+
+
+def _trace_read(v_read: float, t: float, p: ConductionParams, ws,
+                d2d_log10=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Read states at one bias in one kernel call: the currents
+    current_total_g(v_read, t, p, state_multiplier(p, ws, d2d_log10)) and
+    the resistances |v_read / i|, inf at zero current, as ndarrays, each
+    element equal to read_state's. The division ignores every float error
+    whatever errstate the caller set, as float division does."""
+    i = current_total_g(v_read, t, p, state_multiplier(p, ws, d2d_log10))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.where(i != 0.0, np.abs(v_read / i), math.inf)
+    return i, r
+
+
+def _readouts(v_read: float, t: float, p: ConductionParams, ws,
+              d2d_log10: float) -> list[Readout]:
+    """The Readout of each state w in ws, from one _trace_read."""
+    i, r = _trace_read(v_read, t, p, ws, d2d_log10)
+    return [Readout(v_read=v_read, t_kelvin=t, i_amps=x, r_ohms=y,
+                    j_a_per_m2=x / p.area)
+            for x, y in zip(i.tolist(), r.tolist())]
+
+
+def _train(step, s: DeviceState, pulses) -> list:
     """One pulse train at float level: from state s, take step (an open
-    _pulser's) for each PulseSpec and read current(w, d2d_log10)
-    (conduction._float_reader's) after each. Returns each pulse's w and
-    current as lists of Python floats. Trains that share one step draw
-    their noise from one stream."""
+    _pulser's) for each PulseSpec. Returns each pulse's w as a list of
+    Python floats. Trains that share one step draw their noise from one
+    stream."""
     w, cycles, last, broken = s.w, s.cycles, s.last_polarity, s.broken
-    d2d = float(s.d2d_log10)
-    ws, currents = [], []
+    ws = []
     for pulse in pulses:
         w, cycles, last = step(w, cycles, last, broken, pulse.v_write,
                                pulse.t_width)
         ws.append(w)
-        currents.append(current(w, d2d))
-    return ws, currents
+    return ws
 
 
 @dataclass(frozen=True)
@@ -826,18 +852,17 @@ def run_scheme(s: DeviceState, scheme: PulseScheme, m: UpdateModel,
                rng: np.random.Generator | None = None) -> list[SchemeStep]:
     """Apply a pulse train, reading out after every pulse.
 
-    The read bias and temperature are checked once, before any pulse. The
-    train then runs in Python floats through _train, with _pulser's step
-    and conduction's float reader, so every step and every generator draw
-    equals applying and reading pulse by pulse.
+    The read is checked before any pulse or generator draw. The train runs
+    in floats through _train and is read in one _trace_read call, so every
+    step, read and draw equals applying and reading pulse by pulse.
     """
-    current = _float_reader(v_read, t, p)
+    _check_read(v_read, t, p, s.d2d_log10)
     train = scheme.pulses()
     with _pulser(m, scheme.kind, rng) as step:
-        ws, currents = _train(step, current, s, train)
-    return [SchemeStep(index=idx, pulse=pulse, w=w,
-                       readout=_readout(v_read, t, p.area, i))
-            for idx, (pulse, w, i) in enumerate(zip(train, ws, currents))]
+        ws = _train(step, s, train)
+    readouts = _readouts(v_read, t, p, ws, s.d2d_log10)
+    return [SchemeStep(index=idx, pulse=pulse, w=w, readout=ro)
+            for idx, (pulse, w, ro) in enumerate(zip(train, ws, readouts))]
 
 
 # --- DC hysteresis ---------------------------------------------------------
@@ -875,23 +900,24 @@ def dc_write_loop(s: DeviceState, v_grid, p: ConductionParams,
 
     Negative voltages past the coercive point raise w toward the logistic
     switching level; positive ones past the other coercive point cap it.
-    The grid, the read bias and the temperature are checked once, before
-    any read; the sweep then runs in Python floats with conduction's float
-    reader, each point's Readout built as read_state builds its one.
+    The grid, then the read bias, the temperature and the offset are
+    checked once, before any point. The sweep runs in Python floats, and
+    the trace is read in one _trace_read call, each point's Readout equal
+    to read_state's.
     """
     grid = np.asarray(v_grid, dtype=float)
     if not np.all(np.isfinite(grid)):
         raise ValueError("v_grid contains non-finite values")
-    current = _float_reader(v_read, t, p)
-    w, d2d, area = s.w, float(s.d2d_log10), p.area
-    points = []
-    for v in grid.tolist():
+    _check_read(v_read, t, p, s.d2d_log10)
+    vs, w, ws = grid.tolist(), s.w, []
+    for v in vs:
         pot_level = _switch_level((V_C_NEG - v) / DC_WIDTH)
         dep_level = _switch_level((v - V_C_POS) / DC_WIDTH)
         w = min(max(w, pot_level), 1.0 - dep_level)
-        points.append(LoopPoint(v_write=v, w=w, readout=_readout(
-            v_read, t, area, current(w, d2d))))
-    return points
+        ws.append(w)
+    readouts = _readouts(v_read, t, p, ws, s.d2d_log10)
+    return [LoopPoint(v_write=v, w=w, readout=ro)
+            for v, w, ro in zip(vs, ws, readouts)]
 
 
 @dataclass(frozen=True)

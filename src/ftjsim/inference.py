@@ -21,8 +21,10 @@ trims each cell in Python floats with device._trimmer, one loop that
 holds the pulse law, the noise factor and the verify read inline. The
 update law's constants have one owner, device._update_law, and two
 pinned forms: _pulser's step (which apply_pulse takes) and the trim. The
-read's per-bias terms come from conduction._read_terms, as the float
-reader's do. One _trimmer block covers the whole array, and in
+verify read is the one float-level read of the package, since each
+reading decides the next pulse; every other read is an array call of
+the one current kernel. Its per-bias terms come from
+conduction._read_terms. One _trimmer block covers the whole array, and in
 mvm_error_mc both planes of a trial: its noise factors are drawn in
 blocks and the generator is re-synced exactly on exit, so the loop
 matches pulse-by-pulse application and current_total reads bit for bit,

@@ -1,10 +1,11 @@
 """The CLI's pulse-train commands against their per-train reference.
 
 cmd_scheme, cmd_cdf and cmd_fit_a open one device._pulser per command and
-run every train of it through device._train on that one noise stream. The
-references below are the same commands with each train one run_scheme call
-on its own stream. Rows and payloads must agree by float.hex, cell type
-included, and the generators must end in the same state.
+run every train of it through device._train on that one noise stream;
+scheme and cdf then read all their traces in one device._trace_read call.
+The references below are the same commands with each train one run_scheme
+call on its own stream. Rows and payloads must agree by float.hex, cell
+type included, and the generators must end in the same state.
 """
 
 from dataclasses import replace
@@ -182,11 +183,11 @@ def test_scheme_trains_restart_from_the_start_state(monkeypatch, text):
     starts, ends = [], []
     train = cli._train
 
-    def spy(step, current, s, pulses):
+    def spy(step, s, pulses):
         starts.append((s.w, s.cycles, s.last_polarity))
-        ws, currents = train(step, current, s, pulses)
+        ws = train(step, s, pulses)
         ends.append(ws[-1])
-        return ws, currents
+        return ws
 
     monkeypatch.setattr(cli, "_train", spy)
     cfg = parse_config("[scheme]\nn_cycles = 3\n" + text)

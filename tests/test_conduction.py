@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from ftjsim.conduction import (
     _figures_of_merit,
-    _float_reader,
     CalibrationError,
     CalibrationTargets,
     ConductionParams,
@@ -206,24 +205,6 @@ def test_state_multiplier_array_overflow_is_named_under_warnings_as_errors():
         with pytest.raises(OverflowError, match=r"d2d_log10 = -400\.0 is "
                            r"outside float range"):
             state_multiplier(p, np.array([0.5, 0.5]), np.array([0.1, -400.0]))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.floats(-2.0, 2.0), st.floats(200.0, 450.0), _W, _D2D)
-def test_float_reader_matches_kernel_bit_for_bit(v, t, w, d):
-    p = default_params()
-    with np.errstate(all="ignore"):
-        ref = float(current_total_g(v, t, p, state_multiplier(p, w, d)))
-    assert _float_reader(v, t, p)(w, d).hex() == ref.hex()
-
-
-def test_float_reader_names_an_offset_past_float_range():
-    p = default_params()
-    with pytest.raises(OverflowError) as kernel:
-        state_multiplier(p, 0.5, -400.0)
-    with pytest.raises(OverflowError) as reader:
-        _float_reader(0.3, T_REF, p)(0.5, -400.0)
-    assert str(reader.value) == str(kernel.value)
 
 
 def test_list_and_tuple_inputs_equal_ndarray_inputs():

@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -489,6 +492,21 @@ def test_cli_calibration_past_float_range_is_a_numerical_error(
             assert not (tmp_path / command).exists()
 
 
+def test_cli_current_past_float_range_is_a_numerical_error(tmp_path, capsys):
+    """Prefactors whose read current overflows fail every command that
+    reads a trace, as iv and d2d do, instead of writing the resistance of
+    an infinite current; fitA reads nothing and still runs."""
+    ini = tmp_path / "huge.ini"
+    ini.write_text("[device]\ncalibrate = false\nc_ohm = 1e300\nc_pf = 1e300\n")
+    for command in ("hysteresis", "scheme", "cdf", "retention", "d2d"):
+        assert _run(tmp_path / command, command, "--config", str(ini)) \
+            == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and "Traceback" not in err
+        assert not (tmp_path / command).exists()
+    assert _run(tmp_path / "fitA", "fitA", "--config", str(ini)) == EXIT_OK
+
+
 def test_cli_failing_command_writes_nothing(tmp_path, capsys, monkeypatch):
     """A command that fails after computing its table leaves no CSV: a
     sweep that opens no memory window, and a network solve whose line
@@ -686,6 +704,23 @@ def test_cli_outputs_are_deterministic(tmp_path, command):
         assert runs["a"][table] != runs["c"][table]
 
 
+def test_cli_commands_load_no_scipy(tmp_path):
+    """scipy is a test-only dependency: all 11 commands, run in a fresh
+    interpreter, load no scipy module."""
+    script = (
+        "import sys\n"
+        "from ftjsim import cli\n"
+        "for command in cli._HANDLERS:\n"
+        f"    assert cli.main([command, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env={
+                             **os.environ,
+                             "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
 def test_cli_iv_zero_grid_gives_zero_current(tmp_path):
     ini = tmp_path / "zero.ini"
     ini.write_text("[iv]\nv_min_v = 0\nv_max_v = 0\nn_points = 4\n")
@@ -787,7 +822,9 @@ def _reference_d2d(cfg, seed, out):
     "[d2d]\nn_devices = 1000\n",
     "[device]\nv_read_v = 0.2\n[variation]\nsigma_d2d = 0.25\n"
     "[d2d]\nn_devices = 37\n",
-], ids=["defaults", "sigma_n_vread"])
+    # HRS resistances past float range read inf, as read_state reads them
+    "[device]\non_off = 1e300\n[d2d]\nn_devices = 40\n",
+], ids=["defaults", "sigma_n_vread", "r_past_float_range"])
 def test_cli_d2d_matches_per_device_reference(tmp_path, text):
     ini = tmp_path / "run.ini"
     ini.write_text(text)

@@ -287,6 +287,21 @@ def test_write_v_half_single_cell_energy_matches_device(p):
         write_energy(pulse, DeviceState(w=0.0), p), rel=1e-12)
 
 
+def test_write_v_half_checks_every_offset_before_any_pulse(p):
+    """An offset past float range anywhere in the array, on an unbiased
+    cell too, raises the named OverflowError before any noise draw."""
+    d2d = np.zeros((3, 3))
+    d2d[2, 2] = -400.0
+    xbar = Crossbar(w=np.zeros((3, 3)), d2d_log10=d2d, params=p)
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    with pytest.raises(OverflowError, match=r"d2d_log10 = -400\.0 is "
+                       r"outside float range"):
+        write_v_half(xbar, 0, 0, PulseSpec(-1.6, 50e-6),
+                     default_update_model(c2c_rel=0.1), rng=rng)
+    assert rng.bit_generator.state == before
+
+
 def test_build_crossbar_reproducible(p):
     a = build_crossbar(3, 3, p, sigma_d2d=0.1, seed=5)
     b = build_crossbar(3, 3, p, sigma_d2d=0.1, seed=5)

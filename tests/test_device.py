@@ -763,6 +763,50 @@ def test_run_scheme_checks_the_read_before_any_pulse(p, v_read, t):
     assert rng.bit_generator.state == before
 
 
+def test_run_scheme_checks_the_offset_before_any_pulse(p):
+    """An offset past float range raises the named OverflowError before
+    the first pulse takes its noise draw from the caller's generator."""
+    m = default_update_model(c2c_rel=0.1)
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(OverflowError, match=r"d2d_log10 = -400\.0 is "
+                       r"outside float range"):
+        run_scheme(DeviceState(w=0, d2d_log10=-400),
+                   preset_scheme("amplitude_ramp", "pot"), m, p, rng=rng)
+    assert rng.bit_generator.state == before
+
+
+_TRACE_BIASES = st.one_of(st.sampled_from([0.0, -0.0, 0.3, -0.25]),
+                          st.floats(0.01, 2.0), st.floats(-2.0, -0.01))
+
+
+@_GUARD
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 1.0]),
+                                    st.floats(0.0, 1.0)),
+                          st.floats(-3.0, 3.0)), max_size=40),
+       st.booleans(), _TRACE_BIASES, _TEMPS)
+def test_trace_read_equals_per_state_reads(states, one_offset, v, t):
+    """One _trace_read call over a list of w, with one scalar offset
+    broadcast over it or one offset per state, gives each state's scalar
+    current_total and |v / i| (inf at zero current) by float.hex, under
+    np.errstate(all="raise") with warnings as errors."""
+    p = default_params()
+    ws = [w for w, _ in states]
+    if one_offset:
+        d2d = states[0][1] if states else 0.0
+        offsets = [d2d] * len(states)
+    else:
+        d2d = offsets = [d for _, d in states]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        i, r = device._trace_read(v, t, p, ws, d2d)
+    ref = [current_total(v, t, p, DeviceState(w=w, d2d_log10=d))
+           for w, d in zip(ws, offsets)]
+    assert [x.hex() for x in i.tolist()] == [x.hex() for x in ref]
+    assert [x.hex() for x in r.tolist()] \
+        == [(abs(v / x) if x != 0.0 else math.inf).hex() for x in ref]
+
+
 @pytest.mark.parametrize("v_read, t", [(math.nan, 300.0), (0.3, -1.0)])
 def test_dc_write_loop_checks_the_read(p, v_read, t):
     with pytest.raises(ValueError):

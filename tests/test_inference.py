@@ -550,8 +550,7 @@ def test_program_rejects_non_finite_targets_before_any_draw(p, m, bad):
 
 
 def test_program_names_an_offset_past_float_range(p, m):
-    """The trim's read raises state_multiplier's OverflowError, as the
-    float reader does."""
+    """The trim's read raises state_multiplier's OverflowError."""
     xbar = Crossbar(w=[[0.5]], d2d_log10=[[-400.0]], params=p)
     with pytest.raises(OverflowError) as kernel:
         state_multiplier(p, 0.5, -400.0)
