@@ -54,6 +54,7 @@ from .device import (
     DeviceState,
     PulseScheme,
     PulseSpec,
+    Trace,
     UpdateModel,
     UpdateShape,
     apply_pulse,

@@ -198,14 +198,14 @@ def cmd_hysteresis(cfg: SimConfig, bundle, seed: int) -> _Table:
     sec = cfg.hysteresis
     grid = np.concatenate([[0.0]] + [np.linspace(a, b, n + 1)[1:]
                                      for a, b, n in _loop_legs(sec)])
-    points = dc_write_loop(DeviceState(w=0.0), grid, p,
-                           v_read=bundle.v_read, t=bundle.t_kelvin)
-    rows = [(pt.v_write, pt.w, pt.readout.i_amps, pt.readout.r_ohms)
-            for pt in points]
+    trace = dc_write_loop(DeviceState(w=0.0), grid, p,
+                          v_read=bundle.v_read, t=bundle.t_kelvin)
+    rows = list(zip(grid.tolist(), trace.w.tolist(), trace.i_amps.tolist(),
+                    trace.r_ohms.tolist()))
     return "loop.csv", ["v_write_volts", "w", "i_amps", "r_ohms"], rows, {
         "sweep": asdict(sec),
         "read": {"v_read": bundle.v_read, "t_kelvin": bundle.t_kelvin},
-        "window": asdict(memory_window(points)),
+        "window": asdict(memory_window(grid, trace.r_ohms)),
     }
 
 

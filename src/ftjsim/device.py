@@ -20,9 +20,9 @@ _pulser is a context manager whose float-level step holds every rule:
 apply_pulse is one step on a DeviceState, and crossbar.write_v_half
 checks its inputs once and takes the same step in plain floats. _train
 is the one pulse-train loop: with an open step it returns each pulse's w
-as floats. run_scheme is _train, one trace read and its SchemeStep
-records; the CLI's scheme, cdf and fitA commands call _train once per
-train inside one _pulser block per command. _trimmer is the per-cell
+as floats. run_scheme is _train and one trace read, returned as one
+Trace of arrays; the CLI's scheme, cdf and fitA commands call _train once
+per train inside one _pulser block per command. _trimmer is the per-cell
 write-verify loop of inference, with the amplitude_ramp law, the noise
 factor and the verify read inline. Both draw their lognormal factors in
 blocks (_lognormal_stream), and on exit the generator is re-synced to
@@ -57,8 +57,7 @@ __all__ = [
     "PulseScheme",
     "UpdateShape",
     "UpdateModel",
-    "SchemeStep",
-    "LoopPoint",
+    "Trace",
     "WindowReport",
     "sample_device",
     "sample_d2d_offsets",
@@ -814,15 +813,6 @@ def _trace_read(v_read: float, t: float, p: ConductionParams, ws,
     return i, r
 
 
-def _readouts(v_read: float, t: float, p: ConductionParams, ws,
-              d2d_log10: float) -> list[Readout]:
-    """The Readout of each state w in ws, from one _trace_read."""
-    i, r = _trace_read(v_read, t, p, ws, d2d_log10)
-    return [Readout(v_read=v_read, t_kelvin=t, i_amps=x, r_ohms=y,
-                    j_a_per_m2=x / p.area)
-            for x, y in zip(i.tolist(), r.tolist())]
-
-
 def _train(step, s: DeviceState, pulses) -> list:
     """One pulse train at float level: from state s, take step (an open
     _pulser's) for each PulseSpec. Returns each pulse's w as a list of
@@ -837,32 +827,32 @@ def _train(step, s: DeviceState, pulses) -> list:
     return ws
 
 
-@dataclass(frozen=True)
-class SchemeStep:
-    """One row of a pulse-train trace."""
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """A pulse-train or DC-sweep trace as float64 arrays of one length:
+    each point's state w and its read's current and resistance |v/i|
+    (inf at zero current). The caller holds the pulses or the grid."""
 
-    index: int
-    pulse: PulseSpec
-    w: float
-    readout: Readout
+    w: np.ndarray
+    i_amps: np.ndarray
+    r_ohms: np.ndarray
 
 
 def run_scheme(s: DeviceState, scheme: PulseScheme, m: UpdateModel,
                p: ConductionParams, v_read: float = V_READ, t: float = T_REF,
-               rng: np.random.Generator | None = None) -> list[SchemeStep]:
-    """Apply a pulse train, reading out after every pulse.
+               rng: np.random.Generator | None = None) -> Trace:
+    """Apply a pulse train, reading out after every pulse: one Trace point
+    per pulse of scheme.pulses().
 
     The read is checked before any pulse or generator draw. The train runs
     in floats through _train and is read in one _trace_read call, so every
     step, read and draw equals applying and reading pulse by pulse.
     """
     _check_read(v_read, t, p, s.d2d_log10)
-    train = scheme.pulses()
     with _pulser(m, scheme.kind, rng) as step:
-        ws = _train(step, s, train)
-    readouts = _readouts(v_read, t, p, ws, s.d2d_log10)
-    return [SchemeStep(index=idx, pulse=pulse, w=w, readout=ro)
-            for idx, (pulse, w, ro) in enumerate(zip(train, ws, readouts))]
+        ws = _train(step, s, scheme.pulses())
+    return Trace(np.array(ws, dtype=float),
+                 *_trace_read(v_read, t, p, ws, s.d2d_log10))
 
 
 # --- DC hysteresis ---------------------------------------------------------
@@ -887,37 +877,30 @@ def _switch_level(x: float) -> float:
     return (raw - _LOGISTIC_LO) / (_LOGISTIC_HI - _LOGISTIC_LO)
 
 
-@dataclass(frozen=True)
-class LoopPoint:
-    v_write: float
-    w: float
-    readout: Readout
-
-
 def dc_write_loop(s: DeviceState, v_grid, p: ConductionParams,
-                  v_read: float = V_READ, t: float = T_REF) -> list[LoopPoint]:
-    """Quasi-static DC sweep: write at each grid voltage, then read.
+                  v_read: float = V_READ, t: float = T_REF) -> Trace:
+    """Quasi-static DC sweep: write at each grid voltage, then read; one
+    Trace point per grid voltage.
 
     Negative voltages past the coercive point raise w toward the logistic
     switching level; positive ones past the other coercive point cap it.
     The grid, then the read bias, the temperature and the offset are
     checked once, before any point. The sweep runs in Python floats, and
-    the trace is read in one _trace_read call, each point's Readout equal
-    to read_state's.
+    the trace is read in one _trace_read call, each read equal to
+    read_state's.
     """
     grid = np.asarray(v_grid, dtype=float)
     if not np.all(np.isfinite(grid)):
         raise ValueError("v_grid contains non-finite values")
     _check_read(v_read, t, p, s.d2d_log10)
-    vs, w, ws = grid.tolist(), s.w, []
-    for v in vs:
+    w, ws = s.w, []
+    for v in grid.tolist():
         pot_level = _switch_level((V_C_NEG - v) / DC_WIDTH)
         dep_level = _switch_level((v - V_C_POS) / DC_WIDTH)
         w = min(max(w, pot_level), 1.0 - dep_level)
         ws.append(w)
-    readouts = _readouts(v_read, t, p, ws, s.d2d_log10)
-    return [LoopPoint(v_write=v, w=w, readout=ro)
-            for v, w, ro in zip(vs, ws, readouts)]
+    return Trace(np.array(ws, dtype=float),
+                 *_trace_read(v_read, t, p, ws, s.d2d_log10))
 
 
 @dataclass(frozen=True)
@@ -927,22 +910,29 @@ class WindowReport:
     window_volts: float
 
 
-def memory_window(points: list[LoopPoint]) -> WindowReport:
-    """Coercive voltages from a hysteresis loop trace.
+def memory_window(v_write, r_ohms) -> WindowReport:
+    """Coercive voltages from a hysteresis loop trace: the sweep's write
+    voltages and the resistance read after each (dc_write_loop's r_ohms).
 
     Finds where log10(R) crosses the midpoint between the loop's rails:
     the rising-R crossing is the positive coercive voltage, the falling-R
     crossing the negative one. The last crossing of each kind wins, so a
     loop that starts pristine settles onto its steady branches first.
     """
-    logr = np.array([math.log10(pt.readout.r_ohms) for pt in points])
-    vs = np.array([pt.v_write for pt in points])
+    vs = np.asarray(v_write, dtype=float)
+    rs = np.asarray(r_ohms, dtype=float)
+    if vs.ndim != 1 or vs.shape != rs.shape:
+        raise ValueError("v_write and r_ohms must be 1-D of equal length, "
+                         f"got shapes {vs.shape} and {rs.shape}")
+    if len(vs) < 2:
+        raise ValueError(f"a trace needs at least 2 points, got {len(vs)}")
+    logr = np.array([math.log10(r) for r in rs.tolist()])
     mid = 0.5 * (logr.max() + logr.min())
     if logr.max() - logr.min() < 0.1:
         raise ValueError("trace does not open a resistance window")
     v_plus = None
     v_minus = None
-    for k in range(len(points) - 1):
+    for k in range(len(vs) - 1):
         lo, hi = logr[k], logr[k + 1]
         if lo == hi or (lo - mid) * (hi - mid) > 0:
             continue

@@ -112,8 +112,8 @@ def test_criterion_04_memory_window(capfd):
         np.linspace(2.4, -1.6, 81)[1:],
         np.linspace(-1.6, 0.0, 33)[1:],
     ])
-    points = dc_write_loop(DeviceState(w=1.0), grid, default_params())
-    win = memory_window(points)
+    trace = dc_write_loop(DeviceState(w=1.0), grid, default_params())
+    win = memory_window(grid, trace.r_ohms)
     ok = (abs(win.window_volts - 1.4) <= 0.1
           and abs(win.v_c_minus - (-0.6)) <= 0.05)
     _verdict(capfd, 4, ok, t0, 1.0,
@@ -166,14 +166,14 @@ def test_criterion_07_update_fit_recovery(capfd):
 
     clean = run_scheme(DeviceState(w=0.0), train,
                        replace(m, c2c_rel=0.0), p)
-    fit = fit_update_a(counts, [s.w for s in clean])
+    fit = fit_update_a(counts, clean.w)
     err_clean = abs(fit.a - A_POT_TRUE) / A_POT_TRUE
 
     errs = []
     for seed in range(100):
         noisy = run_scheme(DeviceState(w=0.0), train, m, p,
                            rng=np.random.default_rng(seed))
-        f = fit_update_a(counts, [s.w for s in noisy])
+        f = fit_update_a(counts, noisy.w)
         errs.append(abs(f.a - A_POT_TRUE) / A_POT_TRUE)
     err_noisy = float(np.median(errs))
 
@@ -196,8 +196,8 @@ def test_criterion_08_multilevel_depression(capfd):
     for k in range(cycles):
         s0 = DeviceState(w=1.0)
         traces[k, 0] = read_state(s0, p, v_read=0.3, t=T).r_ohms
-        steps = run_scheme(s0, scheme, m, p, v_read=0.3, t=T, rng=rng)
-        traces[k, 1:] = [step.readout.r_ohms for step in steps]
+        trace = run_scheme(s0, scheme, m, p, v_read=0.3, t=T, rng=rng)
+        traces[k, 1:] = trace.r_ohms
     report = cdf_levels(traces)
     ok = report.n_levels >= 10
     _verdict(capfd, 8, ok, t0, 30.0,

@@ -1,14 +1,17 @@
-"""The CLI's pulse-train commands against their per-train reference.
+"""The CLI's trace commands against their per-train or per-point reference.
 
 cmd_scheme, cmd_cdf and cmd_fit_a open one device._pulser per command and
 run every train of it through device._train on that one noise stream;
 scheme and cdf then read all their traces in one device._trace_read call.
 The references below are the same commands with each train one run_scheme
-call on its own stream. Rows and payloads must agree by float.hex, cell
-type included, and the generators must end in the same state.
+call on its own stream. cmd_hysteresis is checked against the per-point
+loop of the device tests, one replace and one scalar read per grid point,
+with memory_window run over Python floats. Rows and payloads must agree by
+float.hex, cell type included, and the generators must end in the same
+state.
 """
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -16,11 +19,13 @@ import pytest
 
 from ftjsim import cli
 from ftjsim.conduction import V_READ
-from ftjsim.config import build_model, parse_config
+from ftjsim.config import _loop_legs, build_model, parse_config
 from ftjsim.device import (SCHEME_KINDS, T_WIDTH_DEFAULT, V_DEP_DEFAULT,
                            V_POT_DEFAULT, DeviceState, PulseScheme,
-                           preset_scheme, read_state, run_scheme)
+                           memory_window, preset_scheme, read_state,
+                           run_scheme)
 from ftjsim.extraction import cdf_levels, fit_update_a
+from test_device import _reference_dc_write_loop
 
 
 def _reference_scheme(cfg, bundle, rng):
@@ -35,12 +40,11 @@ def _reference_scheme(cfg, bundle, rng):
                                    alt_amplitudes=sec.alt_amplitudes)
             trace = run_scheme(state, scheme, m, p, v_read=V_READ,
                                t=bundle.t_kelvin, rng=rng)
-            for step in trace:
-                rows.append((cycle, index, step.pulse.v_write,
-                             step.pulse.t_width, step.w,
-                             step.readout.r_ohms))
+            for pulse, w, r in zip(scheme.pulses(), trace.w.tolist(),
+                                   trace.r_ohms.tolist()):
+                rows.append((cycle, index, pulse.v_write, pulse.t_width, w, r))
                 index += 1
-            state = replace(state, w=trace[-1].w,
+            state = replace(state, w=float(trace.w[-1]),
                             last_polarity=-1 if polarity == "pot" else 1)
     return "trace.csv", ["cycle", "pulse_index", "v_write_volts", "t_width_s",
                          "w", "r_ohms_0p3v"], rows, {
@@ -64,7 +68,7 @@ def _reference_cdf(cfg, bundle, rng):
     for k in range(cycles):
         trace = run_scheme(s0, scheme, m, p, v_read=V_READ,
                            t=bundle.t_kelvin, rng=rng)
-        traces[k, 1:] = [step.readout.r_ohms for step in trace]
+        traces[k, 1:] = trace.r_ohms
     report = cdf_levels(traces)
     rows = zip(range(n + 1), report.medians.tolist(), report.iqrs.tolist())
     return "cdf.csv", ["pulse_index", "median_r_ohms", "iqr_r_ohms"], rows, {
@@ -89,12 +93,11 @@ def _reference_fit_a(cfg, bundle, rng):
                     for v in (V_POT_DEFAULT, V_DEP_DEFAULT))
     else:
         pot, dep = preset_scheme(kind, "pot"), preset_scheme(kind, "dep")
-    pot_trace = run_scheme(DeviceState(w=0.0), pot, m, p)
-    dep_trace = run_scheme(DeviceState(w=1.0), dep, m, p)
-    fit_pot = fit_update_a(np.arange(1, len(pot_trace) + 1),
-                           [s.w for s in pot_trace])
-    fit_dep = fit_update_a(np.arange(1, len(dep_trace) + 1),
-                           [1.0 - s.w for s in dep_trace])
+    pot_w = run_scheme(DeviceState(w=0.0), pot, m, p).w.tolist()
+    dep_w = run_scheme(DeviceState(w=1.0), dep, m, p).w.tolist()
+    fit_pot = fit_update_a(np.arange(1, len(pot_w) + 1), pot_w)
+    fit_dep = fit_update_a(np.arange(1, len(dep_w) + 1),
+                           [1.0 - w for w in dep_w])
     rows = [
         ("a_pot", fit_pot.a, float("nan")),
         ("a_dep", fit_dep.a, float("nan")),
@@ -110,8 +113,24 @@ def _reference_fit_a(cfg, bundle, rng):
     }
 
 
+def _reference_hysteresis(cfg, bundle, rng):
+    sec = cfg.hysteresis
+    grid = [0.0]
+    for a, b, n in _loop_legs(sec):
+        grid += np.linspace(a, b, n + 1)[1:].tolist()
+    w, i, r = _reference_dc_write_loop(DeviceState(w=0.0), grid,
+                                       bundle.params, bundle.v_read,
+                                       bundle.t_kelvin)
+    rows = list(zip(grid, w, i, r))
+    return "loop.csv", ["v_write_volts", "w", "i_amps", "r_ohms"], rows, {
+        "sweep": asdict(sec),
+        "read": {"v_read": bundle.v_read, "t_kelvin": bundle.t_kelvin},
+        "window": asdict(memory_window(grid, r)),
+    }
+
+
 _REFERENCES = {"scheme": _reference_scheme, "cdf": _reference_cdf,
-               "fitA": _reference_fit_a}
+               "fitA": _reference_fit_a, "hysteresis": _reference_hysteresis}
 
 
 def _exact(obj):
@@ -142,11 +161,12 @@ def _command_run(command, cfg, bundle, seed):
 
 
 def _reference_run(command, cfg, bundle, seed):
-    """(exact table, generator end states) of the per-train reference; the
-    handlers that draw make one generator, default_rng(seed)."""
+    """(exact table, generator end states) of the reference; the handlers
+    that draw make one generator, default_rng(seed)."""
     rng = np.random.default_rng(seed)
     table = _exact(_REFERENCES[command](cfg, bundle, rng))
-    return table, ([] if command == "fitA" else [rng.bit_generator.state])
+    draws = command in ("scheme", "cdf")
+    return table, [rng.bit_generator.state] if draws else []
 
 
 _CONFIGS = {
@@ -171,6 +191,27 @@ def test_train_commands_equal_the_per_train_reference(command, text, seed):
     bundle = build_model(cfg)
     assert _command_run(command, cfg, bundle, seed) \
         == _reference_run(command, cfg, bundle, seed)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "[hysteresis]\nv_neg_v = 1.2\nv_pos_v = 1.7\nstep_v = 0.01\n",
+    "[hysteresis]\nv_neg_v = 3.0\nv_pos_v = 3.5\nstep_v = 0.07\n"
+    "[device]\nv_read_v = 0.1\nt_kelvin = 350\n",
+    "[hysteresis]\nstep_v = 0.013\n[device]\nv_read_v = 0.45\n"
+    "t_kelvin = 220\n",
+    "[hysteresis]\nv_neg_v = 0.95\nv_pos_v = 1.2\nstep_v = 0.2\n"
+    "[device]\nt_kelvin = 310\n"])
+def test_hysteresis_equals_the_per_point_reference(text):
+    """cmd_hysteresis's rows and payload, window included, equal the
+    per-point loop and memory_window over Python floats by float.hex and
+    cell type, over non-default legs, steps, read biases and
+    temperatures; it draws nothing."""
+    cfg = parse_config(text)
+    bundle = build_model(cfg)
+    run = _command_run("hysteresis", cfg, bundle, 0)
+    assert run == _reference_run("hysteresis", cfg, bundle, 0)
+    assert run[1] == []
 
 
 @pytest.mark.parametrize("text", ["", "[update]\nv_on_pot_v = -3.0\n"])

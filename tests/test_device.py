@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -10,16 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ftjsim import device
-from ftjsim.conduction import Readout, current_total, default_params
+from ftjsim.conduction import current_total, default_params
 from ftjsim.device import (
     DC_WIDTH,
     DeviceState,
     ENDURANCE_LIMIT,
-    LoopPoint,
     PulseScheme,
     PulseSpec,
     SCHEME_KINDS,
-    SchemeStep,
+    Trace,
     V_C_NEG,
     V_C_POS,
     apply_pulse,
@@ -204,22 +203,22 @@ def test_amplitude_preset_covers_onset_to_write():
 def test_amplitude_preset_full_swing(p, m0):
     trace = run_scheme(DeviceState(w=0.0), preset_scheme("amplitude_ramp", "pot"),
                        m0, p)
-    assert trace[-1].w == 1.0
+    assert trace.w[-1] == 1.0
     trace = run_scheme(DeviceState(w=1.0), preset_scheme("amplitude_ramp", "dep"),
                        m0, p)
-    assert trace[-1].w == 0.0
+    assert trace.w[-1] == 0.0
 
 
 def test_width_preset_reaches_full_set(p, m0):
     trace = run_scheme(DeviceState(w=0.0), preset_scheme("width_ramp", "pot"),
                        m0, p)
-    assert trace[-1].w >= 0.99
+    assert trace.w[-1] >= 0.99
 
 
 def test_run_scheme_readout_tracks_state(p, m0):
     trace = run_scheme(DeviceState(w=0.0), preset_scheme("amplitude_ramp", "pot"),
                        m0, p)
-    r = [step.readout.r_ohms for step in trace]
+    r = trace.r_ohms.tolist()
     # potentiation lowers resistance monotonically (noiseless)
     assert all(b <= a for a, b in zip(r, r[1:]))
     assert r[-1] == pytest.approx(1e8, rel=1e-6)
@@ -238,13 +237,14 @@ def _loop_grid(v_neg=1.6, v_pos=2.4, step=0.025):
 def test_confined_sweep_leaves_state_alone(p):
     grid = np.linspace(-0.3, 0.3, 25)
     for w0 in (0.0, 0.5, 1.0):
-        points = dc_write_loop(DeviceState(w=w0), grid, p)
-        assert all(pt.w == w0 for pt in points)
+        trace = dc_write_loop(DeviceState(w=w0), grid, p)
+        assert trace.w.tolist() == [w0] * len(grid)
 
 
 def test_memory_window_default_loop(p):
-    points = dc_write_loop(DeviceState(w=0.0), _loop_grid(), p)
-    win = memory_window(points)
+    grid = _loop_grid()
+    trace = dc_write_loop(DeviceState(w=0.0), grid, p)
+    win = memory_window(grid, trace.r_ohms)
     assert win.window_volts == pytest.approx(1.4, abs=0.05)
     assert win.v_c_minus == pytest.approx(-0.6, abs=0.05)
     assert win.v_c_plus == pytest.approx(0.8, abs=0.05)
@@ -257,21 +257,49 @@ def test_loop_closes(p):
     write twice; both visits must leave the device in the same (LRS)
     state, so the trailing leg retraces the leading one.
     """
-    points = dc_write_loop(DeviceState(w=0.0), _loop_grid(), p)
     grid = _loop_grid()
+    trace = dc_write_loop(DeviceState(w=0.0), grid, p)
     visits = np.flatnonzero(np.isclose(grid, -1.6))
     assert len(visits) == 2
-    w_first, w_second = points[visits[0]].w, points[visits[1]].w
+    w_first, w_second = trace.w[visits].tolist()
     assert w_second == pytest.approx(w_first, abs=1e-12)
-    r_first = points[visits[0]].readout.r_ohms
-    r_last = points[-1].readout.r_ohms
+    r_first = float(trace.r_ohms[visits[0]])
+    r_last = float(trace.r_ohms[-1])
     assert r_last == pytest.approx(r_first, rel=0.05)
-    assert points[-1].w == 1.0
+    assert trace.w[-1] == 1.0
 
 
 def test_loop_rejects_non_finite_grid(p):
     with pytest.raises(ValueError):
         dc_write_loop(DeviceState(w=0.0), [0.0, float("nan")], p)
+
+
+def test_traces_are_float64_arrays_of_one_length(p, m0):
+    """Both trace functions return one Trace of float64 arrays, one
+    element per pulse or grid point; a Trace compares by identity only."""
+    grid = _loop_grid()
+    loop = dc_write_loop(DeviceState(w=0.0), grid, p)
+    train = run_scheme(DeviceState(w=0.0), preset_scheme("hybrid", "pot"),
+                       m0, p)
+    for trace, n in ((loop, len(grid)), (train, 50)):
+        assert type(trace) is Trace
+        for f in fields(Trace):
+            arr = getattr(trace, f.name)
+            assert type(arr) is np.ndarray and arr.dtype == np.float64
+            assert arr.shape == (n,)
+    assert loop != dc_write_loop(DeviceState(w=0.0), grid, p)
+
+
+@pytest.mark.parametrize("v_write, r_ohms, message", [
+    ([], [], "at least 2 points, got 0"),
+    ([0.0], [1e8], "at least 2 points, got 1"),
+    ([0.0, 1.0, 2.0], [1e8, 1e9], r"equal length, got shapes \(3,\) and \(2,\)"),
+    ([0.0, 1.0], [1e8, 1e9, 1e8], r"equal length, got shapes \(2,\) and \(3,\)"),
+    ([[0.0, 1.0]], [[1e8, 1e9]], "1-D of equal length"),
+])
+def test_memory_window_checks_its_trace(v_write, r_ohms, message):
+    with pytest.raises(ValueError, match=message):
+        memory_window(v_write, r_ohms)
 
 
 # --- retention / endurance / energy -----------------------------------------
@@ -562,30 +590,30 @@ def test_state_validation():
 #
 # The references below are the loops run_scheme and dc_write_loop replaced:
 # one apply_pulse or dataclasses.replace and one scalar current_total read
-# per pulse or grid point. The float-level loops must reproduce every
-# SchemeStep and LoopPoint field and every generator draw.
+# per pulse or grid point, collected as plain float lists in Trace's field
+# order. The float-level loops must reproduce every element of every field
+# by float.hex, and every generator draw.
 
-def _reference_read_state(s, p, v_read, t):
-    i = current_total(v_read, t, p, s)
+def _reference_read(state, p, v_read, t, trace):
+    """Append one state's w, current and resistance to trace's lists."""
+    i = current_total(v_read, t, p, state)
     r = abs(v_read / i) if i != 0.0 else math.inf
-    return Readout(v_read=v_read, t_kelvin=t, i_amps=i, r_ohms=r,
-                   j_a_per_m2=i / p.area)
+    for column, x in zip(trace, (state.w, i, r)):
+        column.append(x)
 
 
 def _reference_run_scheme(s, scheme, m, p, v_read, t, rng):
-    trace = []
+    trace = ([], [], [])
     state = s
-    for idx, pulse in enumerate(scheme.pulses()):
+    for pulse in scheme.pulses():
         state = apply_pulse(state, pulse, m, rng=rng, kind=scheme.kind)
-        trace.append(SchemeStep(index=idx, pulse=pulse, w=state.w,
-                                readout=_reference_read_state(state, p,
-                                                              v_read, t)))
+        _reference_read(state, p, v_read, t, trace)
     return trace
 
 
 def _reference_dc_write_loop(s, v_grid, p, v_read, t):
+    trace = ([], [], [])
     state = s
-    points = []
     for v in np.asarray(v_grid, dtype=float):
         if not np.isfinite(v):
             raise ValueError("v_grid contains non-finite values")
@@ -594,10 +622,20 @@ def _reference_dc_write_loop(s, v_grid, p, v_read, t):
         w = max(state.w, pot_level)
         w = min(w, 1.0 - dep_level)
         state = replace(state, w=w)
-        points.append(LoopPoint(v_write=float(v), w=w,
-                                readout=_reference_read_state(state, p,
-                                                              v_read, t)))
-    return points
+        _reference_read(state, p, v_read, t, trace)
+    return trace
+
+
+def _hexes(columns):
+    """Each column of Python floats as its float.hex list."""
+    return [[x.hex() for x in column] for column in columns]
+
+
+def _bits(result):
+    """Every field of a Readout or a Trace, in order, element by element by
+    float.hex; a Trace has no ==."""
+    return _hexes(np.atleast_1d(getattr(result, f.name)).tolist()
+                  for f in fields(result))
 
 
 @dataclass(frozen=True)
@@ -612,7 +650,7 @@ class _Train:
         return list(self.train)
 
 
-_READ_V = st.sampled_from([0.3, -0.25, 0.0])
+_READ_V = st.sampled_from([0.3, -0.25, 0.0, -0.0])
 _TEMPS = st.floats(250.0, 340.0)
 
 
@@ -665,7 +703,7 @@ def test_run_scheme_bit_identical_to_per_pulse_reference(s, scheme, c2c, n_full,
     rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
     new = run_scheme(s, scheme, m, p, v_read=v_read, t=t, rng=rng_new)
     ref = _reference_run_scheme(s, scheme, m, p, v_read, t, rng_ref)
-    assert new == ref
+    assert _bits(new) == _hexes(ref)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -676,8 +714,8 @@ def test_run_scheme_bit_identical_to_per_pulse_reference(s, scheme, c2c, n_full,
        _READ_V, _TEMPS)
 def test_dc_write_loop_bit_identical_to_per_point_reference(s, grid, v_read, t):
     p = default_params()
-    assert dc_write_loop(s, grid, p, v_read=v_read, t=t) \
-        == _reference_dc_write_loop(s, grid, p, v_read, t)
+    assert _bits(dc_write_loop(s, grid, p, v_read=v_read, t=t)) \
+        == _hexes(_reference_dc_write_loop(s, grid, p, v_read, t))
 
 
 def _reference_pulses(scheme):
@@ -736,8 +774,8 @@ def test_numpy_offset_past_float_range_is_named(p, run):
         with pytest.raises(OverflowError, match=r"d2d_log10 = -400\.0 is "
                            r"outside float range"):
             run(DeviceState(w=0.5, d2d_log10=np.float64(-400.0)), p)
-        assert run(DeviceState(w=0.5, d2d_log10=np.float64(0.1)), p) \
-            == run(DeviceState(w=0.5, d2d_log10=0.1), p)
+        assert _bits(run(DeviceState(w=0.5, d2d_log10=np.float64(0.1)), p)) \
+            == _bits(run(DeviceState(w=0.5, d2d_log10=0.1), p))
 
 
 def test_run_scheme_noise_without_generator_raises(p):
@@ -748,7 +786,7 @@ def test_run_scheme_noise_without_generator_raises(p):
             run(DeviceState(w=0.0), scheme, m, p, 0.3, 300.0, None)
     # a broken device never pulses, so it needs no generator
     trace = run_scheme(DeviceState(w=0.4, broken=True), scheme, m, p)
-    assert [step.w for step in trace] == [0.4] * scheme.n_pulses
+    assert trace.w.tolist() == [0.4] * scheme.n_pulses
 
 
 @pytest.mark.parametrize("v_read, t", [(math.nan, 300.0), (math.inf, 300.0),
