@@ -15,27 +15,31 @@ machine precision.
 Reads are evaluated on arrays. Each call of solve_network, mvm_read,
 mvm_charge or write_v_half builds the per-cell state-multiplier grid
 g[r, c] once, in one broadcast call of conduction.state_multiplier
-(nothing is cached between calls), and composes conduction's private channel terms on the whole
-device-voltage grid rv[:, None] - cv[None, :]. solve_network checks its
-driven potentials and lays out the Jacobian (free-line index, the
-free-row x free-column block, diagonal and sign) once per call; each
-Newton point then evaluates |v|, sqrt|v| and exp(theta * sqrt|v|) once
-and takes the residual from the currents' left-to-right line sums, and
-each iteration builds the conductance grid from the accepted point's
-terms for its Jacobian only. The results are bit-identical to evaluating
-each cell with the scalar current_total: state_multiplier calls the C
-library's pow() per element, as float ** does, the terms keep the
-kernels' order of operations, and line currents and Jacobian diagonals
-are summed left to right (_line_sums) instead of by numpy's pairwise
-reduction. mvm_read and inference's MVM reads share one read-regime
-check, _check_mvm_bias.
+(nothing is cached between calls), and composes conduction's private
+channel terms on the whole device-voltage grid rv[:, None] - cv[None, :].
+mvm_read, write_v_half, inference.mvm_charge and inference.mvm_error_mc
+share one read kernel, _array_current, which takes the cell arrays (w,
+d2d_log10) of any shape, so mvm_error_mc reads a trial's two planes as
+one stacked array. solve_network checks its driven potentials and lays
+out the Jacobian (free-line index, the free-row x free-column block,
+diagonal and sign) once per call; each Newton point then evaluates |v|,
+sqrt|v| and exp(theta * sqrt|v|) once and takes the residual from the
+currents' left-to-right line sums, and each iteration builds the
+conductance grid from the accepted point's terms for its Jacobian only.
+The results are bit-identical to evaluating each cell with the scalar
+current_total: state_multiplier calls the C library's pow() per element,
+as float ** does, the terms keep the kernels' order of operations, and
+line currents and Jacobian diagonals are summed left to right
+(_line_sums) instead of by numpy's pairwise reduction. mvm_read and
+inference's MVM reads share one read-regime check, _check_mvm_bias.
 
 build_crossbar draws every cell's device-to-device offset in one call of
-sample_d2d_offsets's array form: cell (r, c) takes the draw of child
-r * n_cols + c of the seed's SeedSequence spawn, bit-identical to a
-sample_device call on that child, without building the children; above
-a small private size, one array pass of PCG64 seeding and the ziggurat's
-first draw serves about 98.5 % of cells.
+sample_d2d_offsets's array form, device._d2d_offsets, with one seed:
+cell (r, c) takes the draw of child r * n_cols + c of the seed's
+SeedSequence spawn, bit-identical to a sample_device call on that child,
+without building the children; above a small private size, one array
+pass of PCG64 seeding and the ziggurat's first draw serves about 98.5 %
+of cells.
 with_weights, write_v_half and inference.program_write_verify return a
 new array with the changed fields; write_v_half steps only the
 n_rows + n_cols - 1 biased cells, in floats with device._pulser's step,
@@ -190,16 +194,17 @@ def build_crossbar(n_rows: int, n_cols: int, p: ConductionParams,
     seed's SeedSequence spawn, so the array is reproducible and individual
     cells are statistically independent; each offset equals sample_device
     on that child, bit for bit. All offsets come from one call of
-    sample_d2d_offsets's array form: above a small private size it seeds
-    every child's PCG64 and takes the ziggurat's first draw in one array
-    pass, and sends the draws it cannot show exact, about 1.5 %, to numpy's
-    own per-device Generator. The seed is an int or a SeedSequence. A
-    SeedSequence is read from its current spawn count, which is not
-    advanced, so two builds from the same object give the same array.
+    sample_d2d_offsets's array form, with one seed: above a small private
+    size it seeds every child's PCG64 and takes the ziggurat's first draw
+    in one array pass, and sends the draws it cannot show exact, about
+    1.5 %, to numpy's own per-device Generator. The seed is an int or a
+    SeedSequence. A SeedSequence is read from its current spawn count,
+    which is not advanced, so two builds from the same object give the
+    same array.
     """
     if n_rows < 1 or n_cols < 1:
         raise ValueError("array dimensions must be positive")
-    offsets = _d2d_offsets(sigma_d2d, seed, n_rows * n_cols)
+    offsets = _d2d_offsets(sigma_d2d, [seed], n_rows * n_cols)
     return Crossbar(w=np.zeros((n_rows, n_cols)),
                     d2d_log10=offsets.reshape(n_rows, n_cols),
                     params=p, t_kelvin=t_kelvin)
@@ -377,16 +382,19 @@ def mvm_read(xbar: Crossbar, v_in) -> np.ndarray:
     if v_in.shape != (xbar.n_rows,):
         raise ValueError(f"v_in must have shape ({xbar.n_rows},), got {v_in.shape}")
     _check_mvm_bias(v_in)
-    return _line_sums(_array_current(xbar, v_in[:, None]), axis=0)
+    return _line_sums(_array_current(xbar.params, xbar.t_kelvin, xbar.w,
+                                     xbar.d2d_log10, v_in[:, None]), axis=0)
 
 
-def _array_current(xbar: Crossbar, v) -> np.ndarray:
-    """Device currents of the whole array at bias v (broadcast against
-    the grid), composed from the channel terms without re-checking: the
-    caller checked v, and the array its temperature."""
-    ohm_c, pf_c, theta = _coeffs(xbar.params, xbar.t_kelvin)
+def _array_current(p: ConductionParams, t: float, w: np.ndarray,
+                   d2d_log10: np.ndarray, v) -> np.ndarray:
+    """Device currents of the cells (w, d2d_log10), any shape, at bias v
+    (broadcast against them) and temperature t, composed from the channel
+    terms without re-checking: the caller checked v and t. The
+    multipliers raise state_multiplier's named OverflowError."""
+    ohm_c, pf_c, theta = _coeffs(p, t)
     v = np.asarray(v, dtype=float)
-    return _total(xbar.multipliers() * xbar.params.area, v,
+    return _total(state_multiplier(p, w, d2d_log10) * p.area, v,
                   _bias_terms(v, theta), ohm_c, pf_c)
 
 
@@ -421,8 +429,8 @@ def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
     scheme = BiasScheme.v_half_write(xbar.n_rows, xbar.n_cols, row, col,
                                      pulse.v_write)
     v = np.subtract.outer(scheme.rows, scheme.cols)
-    energy = float(_line_sums(
-        (np.abs(_array_current(xbar, v)) * np.abs(v) * t_width).ravel(), 0))
+    i = _array_current(xbar.params, xbar.t_kelvin, xbar.w, xbar.d2d_log10, v)
+    energy = float(_line_sums((np.abs(i) * np.abs(v) * t_width).ravel(), 0))
     v = v.tolist()
     w, cycles, last = (xbar.w.copy(), xbar.cycles.copy(),
                        xbar.last_polarity.copy())

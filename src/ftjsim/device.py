@@ -334,6 +334,12 @@ _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 
 
+# The output hash's constants: word k of generate_state is XORed with item
+# k and multiplied by item k + 1, as a (9, 1) uint32 column.
+_OUT_HASH = np.array([[_INIT_B * _MULT_B ** k & _MASK32] for k in range(9)],
+                     dtype=np.uint32)
+
+
 def _hashmix(value, hash_const: int):
     """(hashed value, next hash constant)."""
     hash_next = hash_const * _MULT_A & _MASK32
@@ -363,54 +369,72 @@ def _uint32_words(x) -> list[int]:
     return [word for item in x for word in _uint32_words(item)]
 
 
-def _spawn_state_words(ss: np.random.SeedSequence, n: int) -> np.ndarray:
-    """(n, 4) uint64 array whose row i equals
-    ss.spawn(n)[i].generate_state(4, np.uint64), without spawning.
+def _spawn_state_words(seeds, n: int) -> np.ndarray:
+    """(len(seeds) * n, 4) uint64 array of one row block per SeedSequence
+    in seeds: row k * n + i equals
+    seeds[k].spawn(n)[i].generate_state(4, np.uint64), without spawning.
 
-    Child k's assembled entropy is the run entropy padded to pool_size,
-    then ss.spawn_key, then k. Only the last word differs between children
-    and the hash constant never depends on the data, so the prefix is
-    hashed once in scalars and the last word and the output hash run over
-    all child indices at once. Child indices start at
-    ss.n_children_spawned, as in spawn; ss itself is not changed.
+    Child i's assembled entropy is its parent's run entropy padded to
+    pool_size, then the parent's spawn_key, then i. Only the last word
+    differs between a parent's children, and the hash constants depend
+    only on how many words were hashed, not on their values. So each
+    parent's prefix is hashed once in scalars, and the last word and the
+    output hash run over every pool word of every child of every parent
+    at once. Child indices start at each parent's n_children_spawned, as
+    in spawn; the parents are not changed. Parents of different pool
+    sizes take one pass each.
     """
-    start = ss.n_children_spawned
-    if start + n > 2 ** 32:
-        raise ValueError("child indices must stay below 2**32")
-    size = ss.pool_size
-    run = _uint32_words(ss.entropy)
-    prefix = run + [0] * (size - len(run)) + _uint32_words(ss.spawn_key)
-    # mix_entropy over the prefix: fill the pool, mix it with itself, then
-    # mix in the remaining prefix words.
-    h = _INIT_A
-    pool = []
-    for word in prefix[:size]:
-        word, h = _hashmix(word, h)
-        pool.append(word)
-    for src in range(size):
-        for dst in range(size):
-            if src != dst:
-                hashed, h = _hashmix(pool[src], h)
+    if len({ss.pool_size for ss in seeds}) > 1:
+        return np.concatenate([_spawn_state_words([ss], n) for ss in seeds])
+    size = seeds[0].pool_size
+    pools, consts, index = [], [], []
+    for ss in seeds:
+        start = ss.n_children_spawned
+        if start + n > 2 ** 32:
+            raise ValueError("child indices must stay below 2**32")
+        run = _uint32_words(ss.entropy)
+        prefix = run + [0] * (size - len(run)) + _uint32_words(ss.spawn_key)
+        # mix_entropy over the prefix: fill the pool, mix it with itself,
+        # then mix in the remaining prefix words.
+        h = _INIT_A
+        pool = []
+        for word in prefix[:size]:
+            word, h = _hashmix(word, h)
+            pool.append(word)
+        for src in range(size):
+            for dst in range(size):
+                if src != dst:
+                    hashed, h = _hashmix(pool[src], h)
+                    pool[dst] = _mix(pool[dst], hashed)
+        for word in prefix[size:]:
+            for dst in range(size):
+                hashed, h = _hashmix(word, h)
                 pool[dst] = _mix(pool[dst], hashed)
-    for word in prefix[size:]:
-        for dst in range(size):
-            hashed, h = _hashmix(word, h)
-            pool[dst] = _mix(pool[dst], hashed)
-    # The last entropy word, the child index, for every child at once.
-    index = np.arange(start, start + n, dtype=np.uint32)
-    for dst in range(size):
-        hashed, h = _hashmix(index, h)
-        pool[dst] = _mix(pool[dst], hashed)
+        pools.append(pool)
+        # the hash constant each pool word mixes the last word in with
+        consts.append([h * _MULT_A ** k & _MASK32 for k in range(size)])
+        index.append(np.arange(start, start + n, dtype=np.uint32))
+
+    def per_pool_word(columns):
+        """Parent k's size values over its n children, as a (size, rows)
+        uint32 array, or (size, 1) when the parents share them."""
+        if all(column == columns[0] for column in columns):
+            return np.array(columns[0], dtype=np.uint32)[:, None]
+        return np.repeat(np.array(columns, dtype=np.uint32).T, n, axis=1)
+
+    # The last entropy word, the child index, mixed into every pool word of
+    # every child at once: one row per pool word, one column per child.
+    hashed, _ = _hashmix(np.concatenate(index), per_pool_word(consts))
+    pool = _mix(per_pool_word(pools), hashed)
     # generate_state(4, np.uint64): eight uint32 words cycled from the pool,
-    # read as little-endian pairs.
-    out = np.empty((n, 8), dtype="<u4")
-    h = _INIT_B
-    for k in range(8):
-        word = pool[k % size] ^ h
-        h = h * _MULT_B & _MASK32
-        word = word * h & _MASK32
-        out[:, k] = word ^ word >> _XSHIFT
-    return out.view("<u8").astype(np.uint64)
+    # each hashed with the next of the fixed output constants, read as
+    # little-endian pairs.
+    word = pool.take(np.arange(8) % size, axis=0)
+    word ^= _OUT_HASH[:-1]
+    word *= _OUT_HASH[1:]
+    word = word ^ word >> _XSHIFT
+    out = np.ascontiguousarray(word.T, dtype="<u4").view("<u8")
+    return out.astype(np.uint64, copy=False)
 
 
 class _ChildSeed(np.random.bit_generator.ISeedSequence):
@@ -515,7 +539,7 @@ def _ziggurat_tables():
     accepted and the one 1e-9 above the estimate is not. Strip 1 (limit 0)
     and draws at or above limit take the per-device path.
     """
-    sample = _spawn_state_words(np.random.SeedSequence(0), 8)
+    sample = _spawn_state_words([np.random.SeedSequence(0)], 8)
     if not all(int(raw) == np.random.PCG64(_ChildSeed(words)).random_raw()
                for raw, words in zip(_pcg64_first_outputs(sample), sample)):
         return None
@@ -534,11 +558,11 @@ def _ziggurat_tables():
     return np.array(wi), np.array(limit, dtype=np.uint64)
 
 
-# Below this population the per-device Generator is faster than the vector
-# pass, whose fixed cost is about that of 40 per-device draws. Medians of
-# 200 calls on a 2-CPU x86_64 box, per-device against vector: 0.32 against
-# 0.33 ms at n = 32, 0.35 against 0.34 ms at n = 40, 0.46 against 0.35 ms
-# at n = 64.
+# Below this population, summed over the seeds of one pass, the per-device
+# Generator is about as fast as the vector pass. Medians of 200 calls on
+# one mvm_error_mc trial's two sibling seeds, 2-CPU x86_64 box, per-device
+# against vector: 0.31 against 0.32 ms at n = 32, 0.37 against 0.33 ms at
+# n = 40, 0.54 against 0.40 ms at n = 64, 0.91 against 0.45 ms at n = 128.
 _VECTOR_MIN_N = 40
 _BLOCK = 8192
 
@@ -554,7 +578,8 @@ def sample_d2d_offsets(sigma_d2d: float, seed, n: int) -> list[float]:
 
     Offset i equals sample_device(p, sigma_d2d, children[i]).d2d_log10 for
     children = SeedSequence(seed).spawn(n), bit for bit. The children's
-    seed words come from one vectorized pass of numpy's SeedSequence hash.
+    seed words come from one vectorized pass of numpy's SeedSequence hash;
+    _d2d_offsets draws the children of several sibling seeds in one pass.
     From a private, measured population size up, one array pass then
     seeds every child's PCG64 and takes its first output, and applies the
     ziggurat's first-draw acceptance, as numpy's Generator.normal does:
@@ -566,27 +591,31 @@ def sample_d2d_offsets(sigma_d2d: float, seed, n: int) -> list[float]:
     _ziggurat_tables. A SeedSequence passed in is read from its current
     spawn count, which this does not advance.
     """
-    return _d2d_offsets(sigma_d2d, seed, n).tolist()
+    return _d2d_offsets(sigma_d2d, [seed], n)[0].tolist()
 
 
-def _d2d_offsets(sigma_d2d: float, seed, n: int) -> np.ndarray:
-    """sample_d2d_offsets as a float64 array."""
+def _d2d_offsets(sigma_d2d: float, seeds, n: int) -> np.ndarray:
+    """sample_d2d_offsets for each seed of seeds at once: a (len(seeds),
+    n) float64 array whose row k is seed k's offsets, from one pass over
+    the summed population."""
     _check_sigma_d2d(sigma_d2d)
-    ss = (seed if isinstance(seed, np.random.SeedSequence)
-          else np.random.SeedSequence(seed))
-    words = _spawn_state_words(ss, n)
-    tables = _ziggurat_tables() if n >= _VECTOR_MIN_N else None
+    words = _spawn_state_words(
+        [seed if isinstance(seed, np.random.SeedSequence)
+         else np.random.SeedSequence(seed) for seed in seeds], n)
+    total = len(words)
+    tables = _ziggurat_tables() if total >= _VECTOR_MIN_N else None
     if tables is None:
-        return np.array([_child_normal(row, sigma_d2d) for row in words],
-                        dtype=float)
-    # Blocks keep the limb temporaries small enough to stay in cache.
-    raw = np.concatenate([_pcg64_first_outputs(words[k:k + _BLOCK])
-                          for k in range(0, n, _BLOCK)])
-    x, exact = _ziggurat_fast_path(raw, *tables)
-    offsets = 0.0 + sigma_d2d * x
-    for i in np.flatnonzero(~exact).tolist():
-        offsets[i] = _child_normal(words[i], sigma_d2d)
-    return offsets
+        offsets = np.array([_child_normal(row, sigma_d2d) for row in words],
+                           dtype=float)
+    else:
+        # Blocks keep the limb temporaries small enough to stay in cache.
+        raw = np.concatenate([_pcg64_first_outputs(words[k:k + _BLOCK])
+                              for k in range(0, total, _BLOCK)])
+        x, exact = _ziggurat_fast_path(raw, *tables)
+        offsets = 0.0 + sigma_d2d * x
+        for i in np.flatnonzero(~exact).tolist():
+            offsets[i] = _child_normal(words[i], sigma_d2d)
+    return offsets.reshape(len(seeds), n)
 
 
 # The lognormal factors come in blocks of 1, 2, 4, ... up to this size.

@@ -29,10 +29,18 @@ mvm_error_mc both planes of a trial: its noise factors are drawn in
 blocks and the generator is re-synced exactly on exit, so the loop
 matches pulse-by-pulse application and current_total reads bit for bit,
 generator draws and end state included. program_write_verify and
-mvm_error_mc share the input checks (_check_program) and the per-array
-body (_program). Programming and reads run at the array's own t_kelvin.
-mvm_error_mc reads each programmed plane once per trial and takes both
-the decoder-calibration and the input charge from that one current grid.
+mvm_error_mc share the input checks (_check_program) and the per-cell
+body on cell arrays (_program). Programming and reads run at the array's
+own t_kelvin.
+
+mvm_error_mc validates once, at entry, and builds no Crossbar. Each
+trial holds its differential pair as one stacked (2, n_rows, n_cols)
+state, the positive plane first: one device._d2d_offsets pass draws
+both planes' offsets from the trial's two sibling seeds, one _trimmer
+block programs them, one crossbar._array_current call reads them, and
+one _line_sums call gives the decoder-calibration (all-ones) and the
+input charge of both planes.
+
 The conductance helpers take their multipliers from one broadcast
 conduction.state_multiplier call, and every MVM read bias passes
 crossbar's read-regime check.
@@ -46,11 +54,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, T_REF, V_ONOFF, V_READ,
-                         current_total, default_params, state_multiplier)
-from .crossbar import (Crossbar, _array_current, _check_mvm_bias, _line_sums,
-                       build_crossbar)
-from .device import (DeviceState, UpdateModel, _trimmer,
-                     default_update_model)
+                         check_temperature, current_total, default_params,
+                         state_multiplier)
+from .crossbar import Crossbar, _array_current, _check_mvm_bias, _line_sums
+from .device import (DeviceState, UpdateModel, _check_cells, _check_sigma_d2d,
+                     _d2d_offsets, _trimmer, default_update_model)
 
 __all__ = [
     "WeightMapping",
@@ -211,7 +219,10 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
                                            max_pulses)
     with _trimmer(m, rng, xbar.params, xbar.t_kelvin, v_read, tol_g,
                   max_pulses) as trim:
-        return _program(trim, xbar, g_targets, tol_g)
+        w, cycles, last, report = _program(
+            trim, xbar.w, xbar.d2d_log10, xbar.cycles, xbar.last_polarity,
+            xbar.broken, g_targets, tol_g)
+    return replace(xbar, w=w, cycles=cycles, last_polarity=last), report
 
 
 def _check_program(shape: tuple, g_targets, m: UpdateModel, tol_g: float,
@@ -238,24 +249,25 @@ def _check_program(shape: tuple, g_targets, m: UpdateModel, tol_g: float,
     return g_targets, int(max_pulses)
 
 
-def _program(trim, xbar: Crossbar, g_targets: np.ndarray, tol_g: float
-             ) -> tuple[Crossbar, ProgramReport]:
-    """program_write_verify's body on checked inputs, with an open
-    _trimmer's trim: one array's cells trimmed in row-major order."""
+def _program(trim, w: np.ndarray, d2d_log10: np.ndarray, cycles: np.ndarray,
+             last: np.ndarray, broken: np.ndarray, g_targets: np.ndarray,
+             tol_g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    ProgramReport]:
+    """program_write_verify's body on checked cell arrays of the targets'
+    shape, with an open _trimmer's trim: the cells trimmed in row-major
+    order, as (w, cycles, last_polarity, report)."""
     shape = g_targets.shape
-    cells = zip(xbar.w.ravel().tolist(), xbar.d2d_log10.ravel().tolist(),
-                xbar.cycles.ravel().tolist(),
-                xbar.last_polarity.ravel().tolist(),
-                xbar.broken.ravel().tolist(), g_targets.ravel().tolist())
+    cells = zip(w.ravel().tolist(), d2d_log10.ravel().tolist(),
+                cycles.ravel().tolist(), last.ravel().tolist(),
+                broken.ravel().tolist(), g_targets.ravel().tolist())
     trimmed = [trim(*cell) for cell in cells]
     w, cycles, last, counts, resid = (np.reshape(column, shape)
                                       for column in zip(*trimmed))
-    out = replace(xbar, w=w, cycles=cycles, last_polarity=last)
     report = ProgramReport(pulse_counts=counts, residual_g=resid,
                            pulses_total=int(counts.sum()),
                            max_residual_g=float(resid.max()),
                            n_failed=int(np.sum(resid > tol_g)))
-    return out, report
+    return w, cycles, last, report
 
 
 def mvm_charge(xbar: Crossbar, x, v_read: float = V_ONOFF) -> np.ndarray:
@@ -272,11 +284,8 @@ def mvm_charge(xbar: Crossbar, x, v_read: float = V_ONOFF) -> np.ndarray:
     if x.shape != (xbar.n_rows,):
         raise ValueError(f"x must have shape ({xbar.n_rows},), got {x.shape}")
     _check_mvm_bias(v_read)
-    return _charge(_array_current(xbar, v_read), x)
-
-
-def _charge(currents: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """mvm_charge on an array's device currents at the read bias."""
+    currents = _array_current(xbar.params, xbar.t_kelvin, xbar.w,
+                              xbar.d2d_log10, v_read)
     return _line_sums(x[:, None] * currents, axis=0)
 
 
@@ -324,17 +333,27 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     1 / (v_read * (g_max - g_min)), which isolates quantization and
     variation effects from calibration error.
 
-    v_read obeys mvm_charge's limits and is checked before any draw. Each
-    programmed plane is read once per trial: both the all-ones and the
-    input charge come from that one current grid, bit-identical to
-    mvm_charge calls.
+    n_trials must be a positive integer. It, sigma_d2d, t and v_read
+    (which obeys mvm_charge's limits) are checked before any draw. Each
+    trial holds its pair as one stacked (2, n_rows, n_cols) state, the
+    positive plane first: one _d2d_offsets pass draws both planes'
+    offsets, which must be finite and inside float range, as a Crossbar
+    checks them; one _trimmer block programs both; one _array_current
+    call reads both; and one _line_sums call gives the all-ones and the
+    input charge of both planes. Every value is bit-identical to two
+    build_crossbar, two program_write_verify and four mvm_charge calls.
+    With one trial, median, ci_low and ci_high are its error.
     """
     if programming not in ("write_verify", "ideal"):
         raise ValueError(f"unknown programming mode {programming!r}")
     if decoder not in ("calibrated", "exact"):
         raise ValueError(f"unknown decoder mode {decoder!r}")
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    if (isinstance(n_trials, bool)
+            or not isinstance(n_trials, (int, np.integer)) or n_trials < 1):
+        raise ValueError(f"n_trials must be a positive integer, got "
+                         f"{n_trials!r}")
+    _check_sigma_d2d(sigma_d2d)
+    check_temperature(t)
     _check_mvm_bias(v_read)
     p = p if p is not None else default_params()
     m = m if m is not None else default_update_model()
@@ -343,6 +362,7 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     w = np.asarray(wmat, dtype=float)
     mapping = map_weights(w, n_levels, p, v_read=v_read, t=t)
     n_rows, n_cols = w.shape
+    shape = (2, n_rows, n_cols)
     if x_inputs is not None:
         x_inputs = np.asarray(x_inputs, dtype=float)
         if x_inputs.shape != (n_rows,):
@@ -353,13 +373,18 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     # Write-verify targets live at the verify bias, not the read bias.
     gv_min = float(state_conductance(p, 0.0, v_verify, t))
     gv_max = float(state_conductance(p, 1.0, v_verify, t))
-    gv_pos = gv_min + mapping.u_pos * (gv_max - gv_min)
-    gv_neg = gv_min + mapping.u_neg * (gv_max - gv_min)
+    gv = gv_min + np.stack([mapping.u_pos, mapping.u_neg]) * (gv_max - gv_min)
     tol_g = VERIFY_TOL_FRACTION * mapping.level_spacing * (gv_max - gv_min)
     if programming == "write_verify":
-        gv_pos, max_pulses = _check_program(w.shape, gv_pos, m, tol_g,
-                                            v_verify, None)
-        gv_neg, _ = _check_program(w.shape, gv_neg, m, tol_g, v_verify, None)
+        gv, max_pulses = _check_program(shape, gv, m, tol_g, v_verify, None)
+        # the pristine cells' w, cycles and last_polarity, and broken
+        w_0, count_0, unbroken = (np.zeros(shape), np.zeros(shape, int),
+                                  np.zeros(shape, bool))
+    else:
+        w_ideal = np.stack([mapping.w_pos, mapping.w_neg])
+    ones = np.ones(n_rows)
+    y_ones = ones @ w
+    alpha_exact = 1.0 / (v_read * (mapping.g_max - mapping.g_min))
 
     errors = np.zeros(n_trials)
     pulses = np.zeros(n_trials, dtype=int)
@@ -367,39 +392,42 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     root = np.random.SeedSequence(seed)
     for trial, child in enumerate(root.spawn(n_trials)):
         s_pos, s_neg, s_prog, s_x = child.spawn(4)
-        pos = build_crossbar(n_rows, n_cols, p, sigma_d2d, s_pos, t_kelvin=t)
-        neg = build_crossbar(n_rows, n_cols, p, sigma_d2d, s_neg, t_kelvin=t)
+        d2d = _d2d_offsets(sigma_d2d, (s_pos, s_neg),
+                           n_rows * n_cols).reshape(shape)
+        # a Crossbar's offset checks on both planes, before any pulse,
+        # then the float range of each offset's shift
+        _check_cells(0.0, d2d, 0)
+        state_multiplier(p, 0.0, d2d)
         if programming == "ideal":
-            pos = pos.with_weights(mapping.w_pos)
-            neg = neg.with_weights(mapping.w_neg)
+            w_planes = w_ideal
         else:
             # both planes in one _trimmer block: one noise stream per trial
             with _trimmer(m, np.random.default_rng(s_prog), p, t, v_verify,
                           tol_g, max_pulses) as trim:
-                pos, rep_pos = _program(trim, pos, gv_pos, tol_g)
-                neg, rep_neg = _program(trim, neg, gv_neg, tol_g)
-            pulses[trial] = rep_pos.pulses_total + rep_neg.pulses_total
-            failed[trial] = rep_pos.n_failed + rep_neg.n_failed
-        i_pos = _array_current(pos, v_read)
-        i_neg = _array_current(neg, v_read)
-        if decoder == "exact":
-            alpha = 1.0 / (v_read * (mapping.g_max - mapping.g_min))
-        else:
-            ones = np.ones(n_rows)
-            q_ones = _charge(i_pos, ones) - _charge(i_neg, ones)
-            alpha = _decoder_gain(q_ones, ones @ w)
-
+                w_planes, _, _, report = _program(
+                    trim, w_0, d2d, count_0, count_0, unbroken, gv, tol_g)
+            pulses[trial] = report.pulses_total
+            failed[trial] = report.n_failed
+        currents = _array_current(p, t, w_planes, d2d, v_read)
         x = (x_inputs if x_inputs is not None
              else np.random.default_rng(s_x).uniform(0.0, 1.0, n_rows))
+        # charges as (input, plane, column), all-ones input first
+        q = _line_sums(np.stack([ones, x])[:, None, :, None] * currents,
+                       axis=2)
+        q_ones, q_x = q[:, 0] - q[:, 1]
+        alpha = (alpha_exact if decoder == "exact"
+                 else _decoder_gain(q_ones, y_ones))
         y_true = x @ w
-        q = _charge(i_pos, x) - _charge(i_neg, x)
-        y_hat = alpha * q
+        y_hat = alpha * q_x
         denom = float(np.linalg.norm(y_true))
         if denom == 0.0:
             raise ValueError("test vector produced a zero product; "
                              "relative error is undefined")
         errors[trial] = float(np.linalg.norm(y_hat - y_true)) / denom
-    lo, hi = np.percentile(errors, [2.5, 97.5])
-    return MvmErrorStats(median=float(np.median(errors)), ci_low=float(lo),
-                         ci_high=float(hi), rel_errors=errors,
-                         pulses=pulses, failed_cells=failed)
+    if n_trials == 1:
+        median = lo = hi = float(errors[0])
+    else:
+        median = float(np.median(errors))
+        lo, hi = (float(e) for e in np.percentile(errors, [2.5, 97.5]))
+    return MvmErrorStats(median=median, ci_low=lo, ci_high=hi,
+                         rel_errors=errors, pulses=pulses, failed_cells=failed)

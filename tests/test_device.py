@@ -395,10 +395,42 @@ def test_spawn_state_words_equal_numpy_children(kwargs, n):
     ss = np.random.SeedSequence(**kwargs)
     expect = [c.generate_state(4, np.uint64)
               for c in np.random.SeedSequence(**kwargs).spawn(n)]
-    words = _spawn_state_words(ss, n)
+    words = _spawn_state_words([ss], n)
     assert words.dtype == np.uint64 and words.shape == (n, 4)
     np.testing.assert_array_equal(words, expect)
     assert ss.n_children_spawned == kwargs["n_children_spawned"]
+
+
+@_GUARD
+@given(st.lists(_seed_sequences(), min_size=1, max_size=4), st.integers(0, 80))
+def test_spawn_state_words_of_several_seeds_in_one_pass(seeds, n):
+    """One pass over several parents, of any entropy, spawn key, spawn
+    count and pool size, gives each parent's children as one row block."""
+    parents = [np.random.SeedSequence(**kwargs) for kwargs in seeds]
+    expect = [c.generate_state(4, np.uint64)
+              for kwargs in seeds
+              for c in np.random.SeedSequence(**kwargs).spawn(n)]
+    words = _spawn_state_words(parents, n)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds) * n, 4)
+    np.testing.assert_array_equal(words, np.reshape(expect, (-1, 4)))
+    assert [ss.n_children_spawned for ss in parents] == [
+        kwargs["n_children_spawned"] for kwargs in seeds]
+
+
+@pytest.mark.parametrize("n", [12, 25, 64])
+@pytest.mark.parametrize("sigma", [0.0, 0.1])
+def test_d2d_offsets_of_sibling_seeds_equal_default_rng(n, sigma):
+    """The s_pos, s_neg pair of an mvm_error_mc trial in one pass: each
+    row equals default_rng on its seed's spawned children, on both sides
+    of the vector cut-over of the summed population."""
+    for trial in np.random.SeedSequence(2**40 + 5).spawn(3):
+        siblings = trial.spawn(4)[:2]
+        got = device._d2d_offsets(sigma, siblings, n)
+        assert got.shape == (2, n)
+        for row, ss in zip(got, siblings):
+            expect = [float(np.random.default_rng(c).normal(0.0, sigma))
+                      for c in ss.spawn(n)]
+            assert _hex(row.tolist()) == _hex(expect)
 
 
 @_GUARD
@@ -470,7 +502,7 @@ def test_sample_d2d_offsets_equal_forced_and_spawned_draws(
     forced ones, at the edges of strips 0 and 1 and on both sides of the
     ki band of strip 0 and of any other strip, with a Generator on the
     forced state."""
-    words = _spawn_state_words(np.random.SeedSequence(**kwargs), n)
+    words = _spawn_state_words([np.random.SeedSequence(**kwargs)], n)
     expect = [float(np.random.default_rng(c).normal(0.0, sigma))
               for c in np.random.SeedSequence(**kwargs).spawn(n)]
     strips = [0] + data.draw(st.lists(st.integers(2, 255), min_size=2,
@@ -491,7 +523,7 @@ def test_sample_d2d_offsets_equal_forced_and_spawned_draws(
         assert np.random.PCG64(_ChildSeed(words[i])).random_raw() == r
         expect[i] = float(_forced_generator(r, inc).normal(0.0, sigma))
     with mock.patch("ftjsim.device._spawn_state_words",
-                    lambda ss, count: words[:count].copy()):
+                    lambda seeds, count: words[:count].copy()):
         got = sample_d2d_offsets(sigma, np.random.SeedSequence(**kwargs), n)
     assert _hex(got) == _hex(expect)
 
@@ -505,7 +537,7 @@ def test_vector_pass_is_on_and_runs_clean():
         warnings.simplefilter("error")
         tables = device._ziggurat_tables()
         assert tables is not None
-        words = _spawn_state_words(np.random.SeedSequence(7), 10000)
+        words = _spawn_state_words([np.random.SeedSequence(7)], 10000)
         _, exact = device._ziggurat_fast_path(
             device._pcg64_first_outputs(words), *tables)
         assert 0 < np.count_nonzero(~exact) < 500
@@ -554,9 +586,9 @@ def test_spawn_state_words_child_index_limit():
     expect = np.random.SeedSequence(9, spawn_key=(2**32 - 1,)).generate_state(
         4, np.uint64)
     last = np.random.SeedSequence(9, n_children_spawned=2**32 - 1)
-    np.testing.assert_array_equal(_spawn_state_words(last, 1), [expect])
+    np.testing.assert_array_equal(_spawn_state_words([last], 1), [expect])
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        _spawn_state_words(last, 2)
+        _spawn_state_words([last], 2)
 
 
 @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])

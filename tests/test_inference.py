@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ftjsim import device
 from ftjsim.conduction import (current_total, default_params,
                                state_multiplier)
 from ftjsim.crossbar import Crossbar, build_crossbar, mvm_read
@@ -684,28 +685,35 @@ def test_mvm_error_mc_reports_programming(p):
 
 def _reference_mvm_error_mc(w, x_inputs, sigma_d2d, n_trials, seed,
                             programming, decoder, p, m, v_read, v_verify, t):
-    """mvm_error_mc's trial loop on the public mvm_charge: two charge
-    reads per plane with the calibrated decoder, one with the exact one."""
+    """mvm_error_mc on the public per-plane API: per trial two
+    build_crossbar calls, two program_write_verify calls on one generator,
+    and mvm_charge reads, two per plane with the calibrated decoder and one
+    with the exact one; then np.median and np.percentile. Returns
+    (rel_errors, pulses, failed_cells, median, ci_low, ci_high)."""
     mapping = map_weights(w, 11, p, v_read=v_read, t=t)
     gv_min = float(state_conductance(p, 0.0, v_verify, t))
     gv_max = float(state_conductance(p, 1.0, v_verify, t))
     tol = VERIFY_TOL_FRACTION * mapping.level_spacing * (gv_max - gv_min)
     n_rows, n_cols = w.shape
-    errors = []
+    errors, pulses, failed = [], [], []
     for child in np.random.SeedSequence(seed).spawn(n_trials):
         s_pos, s_neg, s_prog, s_x = child.spawn(4)
         pos = build_crossbar(n_rows, n_cols, p, sigma_d2d, s_pos, t_kelvin=t)
         neg = build_crossbar(n_rows, n_cols, p, sigma_d2d, s_neg, t_kelvin=t)
         if programming == "ideal":
             pos, neg = pos.with_weights(mapping.w_pos), neg.with_weights(mapping.w_neg)
+            pulses.append(0)
+            failed.append(0)
         else:
             rng = np.random.default_rng(s_prog)
-            pos, _ = program_write_verify(
+            pos, rep_pos = program_write_verify(
                 pos, gv_min + mapping.u_pos * (gv_max - gv_min), m, tol, rng,
                 v_read=v_verify)
-            neg, _ = program_write_verify(
+            neg, rep_neg = program_write_verify(
                 neg, gv_min + mapping.u_neg * (gv_max - gv_min), m, tol, rng,
                 v_read=v_verify)
+            pulses.append(rep_pos.pulses_total + rep_neg.pulses_total)
+            failed.append(rep_pos.n_failed + rep_neg.n_failed)
         if decoder == "exact":
             alpha = 1.0 / (v_read * (mapping.g_max - mapping.g_min))
         else:
@@ -719,7 +727,20 @@ def _reference_mvm_error_mc(w, x_inputs, sigma_d2d, n_trials, seed,
         q = mvm_charge(pos, x, v_read) - mvm_charge(neg, x, v_read)
         errors.append(float(np.linalg.norm(alpha * q - y_true))
                       / float(np.linalg.norm(y_true)))
-    return errors
+    lo, hi = np.percentile(errors, [2.5, 97.5])
+    return (errors, pulses, failed, float(np.median(errors)), float(lo),
+            float(hi))
+
+
+def _assert_equals_reference(stats, expect):
+    """Every field of an MvmErrorStats against the reference's, floats by
+    float.hex."""
+    errors, pulses, failed, median, lo, hi = expect
+    assert _hex(stats.rel_errors) == [e.hex() for e in errors]
+    assert stats.pulses.tolist() == pulses
+    assert stats.failed_cells.tolist() == failed
+    assert [stats.median.hex(), stats.ci_low.hex(), stats.ci_high.hex()] == [
+        median.hex(), lo.hex(), hi.hex()]
 
 
 @pytest.mark.parametrize("decoder", ["calibrated", "exact"])
@@ -728,16 +749,90 @@ def _reference_mvm_error_mc(w, x_inputs, sigma_d2d, n_trials, seed,
     (0, 0.1, 300.0, False), (7, -0.25, 330.0, True), (2**40 + 3, 0.3, 280.0, False)])
 def test_mvm_error_mc_equals_reference_on_mvm_charge(p, m, decoder, programming,
                                                      seed, v_read, t, fixed_x):
-    """One current grid per programmed plane gives the bits of the four
-    mvm_charge reads it replaces."""
+    """One stacked pass per trial (offsets, trim, read and charges) gives
+    the bits of the per-plane builds, programs and mvm_charge reads it
+    replaces, in every field."""
     w = np.random.default_rng(seed).uniform(-1.0, 1.0, (3, 4))
     x = np.array([0.2, 0.9, 0.5]) if fixed_x else None
     stats = mvm_error_mc(w, x_inputs=x, sigma_d2d=0.1, n_trials=3, seed=seed,
                          programming=programming, decoder=decoder, p=p, m=m,
                          v_read=v_read, t=t)
-    expect = _reference_mvm_error_mc(w, x, 0.1, 3, seed, programming, decoder,
-                                     p, m, v_read, V_VERIFY, t)
-    assert [e.hex() for e in stats.rel_errors.tolist()] == [e.hex() for e in expect]
+    _assert_equals_reference(stats, _reference_mvm_error_mc(
+        w, x, 0.1, 3, seed, programming, decoder, p, m, v_read, V_VERIFY, t))
+
+
+@pytest.mark.parametrize("decoder", ["calibrated", "exact"])
+@pytest.mark.parametrize("programming", ["write_verify", "ideal"])
+@pytest.mark.parametrize("seed, shape, sigma, n_trials, fixed_x", [
+    (3, (3, 4), 0.1, 1, False), (11, (8, 8), 0.1, 1, True),
+    (5, (5, 5), 0.1, 3, False), (9, (3, 4), 0.0, 3, True)],
+    ids=["one_trial", "benchmark_8x8", "5x5", "sigma_0"])
+def test_mvm_error_mc_equals_reference_across_shapes(
+        p, m, decoder, programming, seed, shape, sigma, n_trials, fixed_x):
+    """The reference comparison with one trial (no percentile pass), on a
+    benchmark-shaped 8x8 pair, without variation, and on both sides of the
+    mirror's vector cut-over: a 3x4 pair draws 24 offsets in one pass, a
+    5x5 pair 50."""
+    assert 2 * 3 * 4 < device._VECTOR_MIN_N <= 2 * 5 * 5
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.0, 1.0, shape)
+    x = rng.uniform(0.0, 1.0, shape[0]) if fixed_x else None
+    stats = mvm_error_mc(w, x_inputs=x, sigma_d2d=sigma, n_trials=n_trials,
+                         seed=seed, programming=programming, decoder=decoder,
+                         p=p, m=m)
+    _assert_equals_reference(stats, _reference_mvm_error_mc(
+        w, x, sigma, n_trials, seed, programming, decoder, p, m, V_READ_MVM,
+        V_VERIFY, 300.0))
+
+
+def test_mvm_error_mc_trial_is_one_mirror_pass_and_no_crossbar():
+    """Each trial draws both planes' offsets in one mirror pass (one
+    _d2d_offsets call, one seed-word pass) and builds no Crossbar."""
+    offsets, words = [], []
+    real_offsets, real_words = device._d2d_offsets, device._spawn_state_words
+
+    def count(calls, fn):
+        return lambda *args: calls.append(args) or fn(*args)
+    w = np.random.default_rng(1).uniform(-1.0, 1.0, (8, 8))
+    with mock.patch("ftjsim.inference._d2d_offsets",
+                    count(offsets, real_offsets)), \
+            mock.patch("ftjsim.device._spawn_state_words",
+                       count(words, real_words)), \
+            mock.patch.object(Crossbar, "__post_init__",
+                              side_effect=AssertionError("Crossbar built")):
+        for programming in ("write_verify", "ideal"):
+            mvm_error_mc(w, sigma_d2d=0.1, n_trials=3, seed=4,
+                         programming=programming)
+    assert len(offsets) == len(words) == 6
+    assert [len(args[1]) for args in offsets] == [2] * 6  # (s_pos, s_neg)
+    assert [len(args[0]) for args in words] == [2] * 6
+
+
+@pytest.mark.parametrize("programming", ["write_verify", "ideal"])
+@pytest.mark.parametrize("sigma, error, fragment", [
+    (1e3, OverflowError, r"d2d_log10 = -\d.* is outside float range"),
+    (1e308, ValueError, "d2d_log10 must be finite")])
+def test_mvm_error_mc_keeps_the_offset_checks(p, m, programming, sigma, error,
+                                              fragment):
+    """An offset past float range raises the OverflowError that names it,
+    and a non-finite one the Crossbar's ValueError, with the per-plane
+    reference's message."""
+    w = np.random.default_rng(2).uniform(-1.0, 1.0, (3, 4))
+    with pytest.raises(error, match=fragment) as got:
+        mvm_error_mc(w, sigma_d2d=sigma, n_trials=2, seed=2,
+                     programming=programming, p=p, m=m)
+    with pytest.raises(error) as expect:
+        _reference_mvm_error_mc(w, None, sigma, 2, 2, programming,
+                                "calibrated", p, m, V_READ_MVM, V_VERIFY,
+                                300.0)
+    assert str(got.value) == str(expect.value)
+
+
+def test_mvm_error_mc_takes_numpy_integer_trials():
+    w = np.array([[0.5, -0.25], [0.75, 0.0]])
+    a = mvm_error_mc(w, sigma_d2d=0.1, n_trials=np.int64(2), seed=3)
+    b = mvm_error_mc(w, sigma_d2d=0.1, n_trials=2, seed=3)
+    assert _hex(a.rel_errors) == _hex(b.rel_errors)
 
 
 # mvm_error_mc(w, sigma_d2d=0.1, n_trials=3, seed=seed) with write-verify
@@ -764,16 +859,27 @@ def test_mvm_error_mc_write_verify_pinned(seed):
             stats.failed_cells.tolist()) == _PINNED_MVM_MC[seed]
 
 
-@pytest.mark.parametrize("v_read, fragment", [
-    (0.31, "read inputs"), (-0.5, "read inputs"), (math.nan, "non-finite")])
-def test_mvm_error_mc_checks_the_read_before_any_draw(v_read, fragment):
-    """An out-of-range read bias raises before any array is built, any
-    pulse is applied or any generator is made."""
+@pytest.mark.parametrize("kwargs, fragment", [
+    pytest.param({"v_read": 0.31}, "read inputs", id="0.31-read inputs"),
+    pytest.param({"v_read": -0.5}, "read inputs", id="-0.5-read inputs"),
+    pytest.param({"v_read": math.nan}, "non-finite", id="nan-non-finite"),
+    pytest.param({"n_trials": 2.5}, "n_trials", id="n_trials-float"),
+    pytest.param({"n_trials": True}, "n_trials", id="n_trials-bool"),
+    pytest.param({"n_trials": np.float64(2.0)}, "n_trials",
+                 id="n_trials-numpy-float"),
+    pytest.param({"n_trials": 0}, "n_trials", id="n_trials-zero"),
+    pytest.param({"sigma_d2d": -0.1}, "sigma_d2d", id="sigma-negative"),
+    pytest.param({"sigma_d2d": math.nan}, "sigma_d2d", id="sigma-nan"),
+    pytest.param({"sigma_d2d": math.inf}, "sigma_d2d", id="sigma-inf")])
+def test_mvm_error_mc_checks_the_read_before_any_draw(kwargs, fragment):
+    """A bad read bias, trial count or sigma_d2d raises before any offset
+    is drawn, any pulse is applied or any seed sequence or generator is
+    made."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("called before the read bias was checked")
-    with mock.patch("ftjsim.inference.build_crossbar", forbidden), \
-            mock.patch("ftjsim.inference.program_write_verify", forbidden), \
+        raise AssertionError("called before the inputs were checked")
+    with mock.patch("ftjsim.inference._d2d_offsets", forbidden), \
+            mock.patch("ftjsim.inference._trimmer", forbidden), \
             mock.patch("numpy.random.default_rng", forbidden), \
             mock.patch("numpy.random.SeedSequence", forbidden):
         with pytest.raises(ValueError, match=fragment):
-            mvm_error_mc(np.array([[0.5, -0.5]]), v_read=v_read)
+            mvm_error_mc(np.array([[0.5, -0.5]]), **kwargs)
