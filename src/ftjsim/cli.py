@@ -23,7 +23,10 @@ carries only the run plumbing:
 
     ftjsim --command iv --config run.ini --out results --seed 7
 
-(the command may also be given positionally: `ftjsim iv ...`).
+(the command may also be given positionally: `ftjsim iv ...`). --seed
+takes a non-negative integer. The argument parser is built once per
+process, on the first main call, and reused by every later call; importing
+the module builds none.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error (a malformed
 file or a value outside a limit, all found when the config is parsed), 3
@@ -34,6 +37,7 @@ RuntimeError or ValueError while the model is built or a command runs).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -485,7 +489,23 @@ _HANDLERS = {
 }
 
 
+def _seed(text: str) -> int:
+    """--seed's type: a non-negative integer, the seeds numpy's
+    SeedSequence takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {seed}")
+    return seed
+
+
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process, built on the first main call."""
     parser = _Parser(prog="ftjsim",
                      description="Ferroelectric memristor compact-model toolkit")
     parser.add_argument("command_pos", nargs="?", metavar="COMMAND",
@@ -495,8 +515,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--config", help="INI config file (defaults baked in)")
     parser.add_argument("--out", default="ftjsim-out",
                         help="output directory (created if missing)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="root seed for every random draw")
+    parser.add_argument("--seed", type=_seed, default=0,
+                        help="root seed for every random draw "
+                             "(a non-negative integer)")
     return parser
 
 
@@ -545,11 +566,12 @@ def main(argv=None) -> int:
     csv_path, json_path = out / csv_name, out / f"{command}.json"
     csv_text = _csv_text(header, rows)
     json_text = _json_text(_meta(command, cfg, args.seed, payload))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"usage error: --out {out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if not out.is_dir():
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"usage error: --out {out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     for path, text in ((csv_path, csv_text), (json_path, json_text)):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)

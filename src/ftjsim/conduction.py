@@ -614,14 +614,30 @@ def _calibrate_at_eps(eps_r, targets, skel, t, shape_pf, shape_ohm) -> Conductio
                    g_lrs=targets.on_off)
 
 
+# The five reads behind the figures of merit, as (bias, state w): r_on at
+# V_READ, on/off at V_ONOFF for w = 1 and w = 0, and selection at V_SELECT
+# and V_SELECT / 2.
+_FIGURE_BIASES = np.array([V_READ, V_ONOFF, V_ONOFF, V_SELECT, 0.5 * V_SELECT])
+_FIGURE_STATES = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+_FIGURE_BIASES.flags.writeable = _FIGURE_STATES.flags.writeable = False
+
+
 def _figures_of_merit(p: ConductionParams, t: float) -> tuple[float, float, float]:
     """The LRS figures calibrate matches to its targets: (r_on at V_READ,
-    on/off at V_ONOFF, selection at V_SELECT)."""
-    from .device import DeviceState
+    on/off at V_ONOFF, selection at V_SELECT).
 
-    lrs = DeviceState(w=1.0)
-    return (V_READ / current_total(V_READ, t, p, lrs), on_off(p, t),
-            self_selection_ratio(V_SELECT, t, p, lrs))
+    The five currents come from one current_total_g call on a 5-element
+    bias array, with one state_multiplier array call. Each current has the
+    bits of the scalar current_total call of its bias and state, and the
+    ratios are taken in Python floats, as on_off and self_selection_ratio
+    take them. The multiplier times area is an array product here, so
+    under the caller's errstate its overflow raises, where the scalar
+    form's float product read inf.
+    """
+    g = state_multiplier(p, _FIGURE_STATES)
+    i_read, i_on, i_off, i_sel, i_half = current_total_g(
+        _FIGURE_BIASES, t, p, g).tolist()
+    return V_READ / i_read, i_on / i_off, i_sel / i_half
 
 
 def _target_residuals(p: ConductionParams, targets: CalibrationTargets,

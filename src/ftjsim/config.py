@@ -283,20 +283,20 @@ _PARSE = {
 _COMMENT = re.compile(r"(?:^\s*|(?<=[ \t]))[#;]")
 
 
-def _convert(raw: str, kind: type, source: str, line_no: int, col: int):
+def _convert(raw: str, kind: type):
+    """The value of a non-empty value text under its schema type. Raises
+    ValueError with the message parse_config reports at its column."""
     read, what = _PARSE[kind]
     try:
         value = read(raw)
     except (KeyError, ValueError):
-        raise ConfigError(f"expected {what}, got {raw!r}",
-                          source, line_no, col) from None
+        raise ValueError(f"expected {what}, got {raw!r}") from None
     if kind is tuple and not value:
-        raise ConfigError("expected at least one number", source, line_no, col)
+        raise ValueError("expected at least one number")
     # inf and nan read as floats but are never a valid setting
     if kind in (float, tuple) and not all(
             map(math.isfinite, value if kind is tuple else (value,))):
-        raise ConfigError(f"expected a finite number, got {raw!r}",
-                          source, line_no, col)
+        raise ValueError(f"expected a finite number, got {raw!r}")
     return value
 
 
@@ -304,57 +304,68 @@ def parse_config(text: str, source: str = "<config>") -> SimConfig:
     """Parse configuration text into a SimConfig.
 
     Raises ConfigError with line and column on any malformed or unknown
-    content. Keys not present keep their defaults.
+    content. Keys not present keep their defaults. Only a line holding a
+    '#' or ';' is searched for a comment, and a column is computed only
+    for the error that reports it: a line that parses costs no column
+    arithmetic.
     """
+
+    def error(message: str, value: str | None = None) -> ConfigError:
+        """The error on the current line, at its value when one is given
+        ("" for a missing one) and else at its first character of content."""
+        if value is None:
+            col = raw_line.index(stripped[0]) + 1
+        elif value:
+            col = raw_line.find(value, raw_line.index("=")) + 1
+        else:
+            col = raw_line.index("=") + 2
+        return ConfigError(message, source, line_no, col)
+
     staged: dict[str, dict[str, object]] = {}
-    section: str | None = None
+    section = types = values = None
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        stripped = _COMMENT.split(raw_line, 1)[0].strip()
+        line = raw_line
+        if "#" in line or ";" in line:
+            line = _COMMENT.split(line, 1)[0]
+        stripped = line.strip()
         if not stripped:
             continue
-        col0 = raw_line.index(stripped[0]) + 1
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
+        if stripped[0] == "[":
+            if stripped[-1] != "]":
                 raise ConfigError("section header is missing its closing ']'",
-                                  source, line_no, col0 + len(stripped) - 1)
+                                  source, line_no,
+                                  raw_line.index(stripped[0]) + len(stripped))
             name = stripped[1:-1].strip()
             if not name:
-                raise ConfigError("empty section name", source, line_no, col0)
+                raise error("empty section name")
             if name not in _SCHEMA:
-                raise ConfigError(
-                    f"unknown section [{name}]; expected one of "
-                    f"{', '.join(sorted(_SCHEMA))}", source, line_no, col0)
+                raise error(f"unknown section [{name}]; expected one of "
+                            f"{', '.join(sorted(_SCHEMA))}")
             if name in staged:
-                raise ConfigError(f"duplicate section [{name}]",
-                                  source, line_no, col0)
-            staged[name] = {}
-            section = name
+                raise error(f"duplicate section [{name}]")
+            section, types = name, _SCHEMA[name][2]
+            values = staged[name] = {}
             continue
-        if "=" not in stripped:
-            raise ConfigError("expected 'key = value'", source, line_no, col0)
+        key_part, eq, value_part = stripped.partition("=")
+        if not eq:
+            raise error("expected 'key = value'")
         if section is None:
-            raise ConfigError("assignment before any [section] header",
-                              source, line_no, col0)
-        key_part, _, value_part = stripped.partition("=")
+            raise error("assignment before any [section] header")
         key = key_part.strip()
         value = value_part.strip()
         if not key:
-            raise ConfigError("missing key before '='", source, line_no, col0)
-        types = _SCHEMA[section][2]
+            raise error("missing key before '='")
         if key not in types:
-            raise ConfigError(
-                f"unknown key {key!r} in [{section}]; expected one of "
-                f"{', '.join(sorted(types))}", source, line_no, col0)
-        if key in staged[section]:
-            raise ConfigError(f"duplicate key {key!r} in [{section}]",
-                              source, line_no, col0)
+            raise error(f"unknown key {key!r} in [{section}]; expected one of "
+                        f"{', '.join(sorted(types))}")
+        if key in values:
+            raise error(f"duplicate key {key!r} in [{section}]")
         if not value:
-            val_col = raw_line.index("=") + 2
-            raise ConfigError(f"missing value for {key!r}",
-                              source, line_no, val_col)
-        val_col = raw_line.find(value, raw_line.index("=")) + 1
-        staged[section][key] = _convert(value, types[key], source, line_no,
-                                        val_col)
+            raise error(f"missing value for {key!r}", value)
+        try:
+            values[key] = _convert(value, types[key])
+        except ValueError as exc:
+            raise error(str(exc), value) from None
     cfg = SimConfig(**{attr: section_cls(**staged.get(name, {}))
                        for name, (attr, section_cls, _) in _SCHEMA.items()})
     _validate(cfg, source)
@@ -433,8 +444,16 @@ def _validate(cfg: SimConfig, source: str) -> None:
 
 
 def load_config(path: str) -> SimConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), source=path)
+    """Read and parse a config file. A file that is not UTF-8 text is a
+    ConfigError naming the byte offset of its first undecodable byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text: byte 0x{data[exc.start]:02x} at "
+                          f"offset {exc.start} ({exc.reason})", path) from None
+    return parse_config(text, source=path)
 
 
 def emit_config(cfg: SimConfig) -> str:

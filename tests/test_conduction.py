@@ -5,17 +5,21 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ftjsim import conduction
 from ftjsim.conduction import (
     _figures_of_merit,
+    _selection_of_eps,
     CalibrationError,
     CalibrationTargets,
     ConductionParams,
     T_REF,
     TunnelBarrier,
     V_CROSSOVER,
+    V_ONOFF,
     V_READ,
+    V_SELECT,
     calibrate,
     current_ohmic,
     current_pf,
@@ -360,6 +364,74 @@ def test_figures_of_merit_meet_the_calibration_targets():
     assert figures == (V_READ / current_total(V_READ, T_REF, p, LRS), on_off(p),
                        self_selection_ratio(0.5, T_REF, p, LRS))
     assert figures == pytest.approx((1e8, 10.0, 40.0), rel=0.01)
+
+
+def _five_call_figures(p, t):
+    """The figures of merit through five scalar current_total calls."""
+    return (V_READ / current_total(V_READ, t, p, LRS),
+            current_total(V_ONOFF, t, p, LRS) / current_total(V_ONOFF, t, p, HRS),
+            current_total(V_SELECT, t, p, LRS)
+            / current_total(0.5 * V_SELECT, t, p, LRS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(r_on=st.floats(1e3, 1e12), ratio=st.floats(1.0, 1e3),
+       reach=st.floats(0.0, 1.0), t=st.floats(100.0, 600.0),
+       area=st.floats(1e-14, 1e-6))
+@example(r_on=1e8, ratio=10.0, reach=1.0, t=T_REF, area=1.44e-8)
+@example(r_on=1e8, ratio=1.0, reach=0.0, t=T_REF, area=1.44e-8)
+def test_figures_of_merit_equal_the_five_scalar_calls(r_on, ratio, reach, t,
+                                                      area):
+    """The one-call figures have the bits of the five scalar current_total
+    calls they replace, for parameters calibrate returns at drawn targets
+    and temperatures. reach places the selection target inside what
+    eps_r in [1, 1e4] reaches at t; 0 is the pure-Ohmic limit of 2."""
+    low, high = _selection_of_eps(1e4, t), _selection_of_eps(1.0, t)
+    selection = min(low + reach * (high - low), high) if reach else 2.0
+    targets = CalibrationTargets(r_on_ohms=r_on, on_off=ratio,
+                                 selection=selection)
+    p = calibrate(targets, ConductionParams(area=area), t=t)
+    got = _figures_of_merit(p, t)
+    assert [x.hex() for x in got] == [x.hex() for x in _five_call_figures(p, t)]
+
+
+def test_figures_of_merit_is_one_kernel_call(monkeypatch):
+    """One state_multiplier and one current_total_g call give all five
+    currents."""
+    p = default_params()
+    want = _five_call_figures(p, T_REF)
+    calls = {"state_multiplier": 0, "current_total_g": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(conduction, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(conduction, name, counted)
+    assert _figures_of_merit(p, T_REF) == want
+    assert calls == {"state_multiplier": 1, "current_total_g": 1}
+
+
+def test_thin_film_figures_overflow_and_calibrate_names_it(monkeypatch):
+    """At d_fe = 0.001 nm the parameters calibrate post-checks take the
+    trap-emission current past float range: the one-call figures raise
+    FloatingPointError under over="raise", as the scalar calls do, so
+    calibrate still raises its named CalibrationError."""
+    skeleton = ConductionParams(d_fe=0.001 * 1e-9)
+    checked = []
+
+    def recording(p, t):
+        checked.append((p, t))
+        return _figures_of_merit(p, t)
+
+    monkeypatch.setattr(conduction, "_figures_of_merit", recording)
+    with pytest.raises(CalibrationError,
+                       match="trap-emission current overflows"):
+        calibrate(CalibrationTargets(), skeleton)
+    (p, t), = checked
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            _figures_of_merit(p, t)
+        with pytest.raises(FloatingPointError):
+            _five_call_figures(p, t)
 
 
 def test_calibrate_pure_ohmic_limit():

@@ -68,22 +68,64 @@ def test_parse_values_and_comments():
             parse_config(text)
 
 
-@pytest.mark.parametrize("text,fragment,line", [
-    ("[bogus]\nx = 1\n", "unknown section", 1),
-    ("[device]\nbadkey = 1\n", "unknown key", 2),
-    ("[device]\non_off = 9\n[device]\n", "duplicate section", 3),
-    ("[device]\non_off = 9\non_off = 10\n", "duplicate key", 3),
-    ("on_off = 9\n", "before any [section]", 1),
-    ("[device]\non_off\n", "expected 'key = value'", 2),
-    ("[device]\non_off = notanumber\n", "expected a number", 2),
-    ("[device]\ncalibrate = maybe\n", "expected true/false", 2),
-    ("[iv]\nn_points = 2.5\n", "expected an integer", 2),
+_SECTIONS = ", ".join(sorted(config._SCHEMA))
+_IV_KEYS = ", ".join(sorted(config._SCHEMA["iv"][2]))
+_DEVICE_KEYS = ", ".join(sorted(config._SCHEMA["device"][2]))
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    # the line-level raise sites, each with and without a comment
+    ("[device\n", 1, 7, "section header is missing its closing ']'"),
+    ("  [device   # note\n", 1, 9, "section header is missing its closing ']'"),
+    ("[ ]\n", 1, 1, "empty section name"),
+    ("\t[  ] ; none\n", 1, 2, "empty section name"),
+    ("[bogus]\nx = 1\n", 1, 1,
+     f"unknown section [bogus]; expected one of {_SECTIONS}"),
+    ("[device]\non_off = 9\n[device]\n", 3, 1, "duplicate section [device]"),
+    ("[iv]\n  [iv] # again\n", 2, 3, "duplicate section [iv]"),
+    ("[iv]\nn_points\n", 2, 1, "expected 'key = value'"),
+    ("[iv]\n   n_points ; no value\n", 2, 4, "expected 'key = value'"),
+    ("n_points = 5\n", 1, 1, "assignment before any [section] header"),
+    ("# header\n  n_points = 5\n", 2, 3,
+     "assignment before any [section] header"),
+    ("[iv]\n = 5\n", 2, 2, "missing key before '='"),
+    ("[device]\nbadkey = 1\n", 2, 1,
+     f"unknown key 'badkey' in [device]; expected one of {_DEVICE_KEYS}"),
+    ("[iv]\nbogus = 1 # what\n", 2, 1,
+     f"unknown key 'bogus' in [iv]; expected one of {_IV_KEYS}"),
+    ("[iv]\nn_points = 5\n n_points = 6 # again\n", 3, 2,
+     "duplicate key 'n_points' in [iv]"),
+    ("[iv]\nn_points =\n", 2, 11, "missing value for 'n_points'"),
+    ("[iv]\nn_points =   ; none\n", 2, 11, "missing value for 'n_points'"),
+    ("[iv]\nn_points = abc\n", 2, 12, "expected an integer, got 'abc'"),
+    ("[iv]\nn_points = 2.5\n", 2, 12, "expected an integer, got '2.5'"),
+    ("[device]\non_off = notanumber\n", 2, 10,
+     "expected a number, got 'notanumber'"),
+    ("[iv]\r\n\tn_points = abc ; x\r\n", 2, 13,
+     "expected an integer, got 'abc'"),
+    # a '#' with no space before it is part of the value
+    ("[iv]\nn_points = 12#x  # note\n", 2, 12,
+     "expected an integer, got '12#x'"),
+    # the value's column is found after the '=', not in the key
+    ("[xbar]\nv_read_v = v\n", 2, 12, "expected a number, got 'v'"),
+    ("[iv]\nlog_grid = maybe\n", 2, 12, "expected true/false, got 'maybe'"),
+    ("[iv]\nt_list_k = ,\n", 2, 12, "expected at least one number"),
+    ("[iv]\nv_max_v = inf ; never\n", 2, 11,
+     "expected a finite number, got 'inf'"),
+    # the whole-config raise sites carry no line or column
+    ("[iv]\nn_points = 0\n", 0, 0, "[iv] n_points must be >= 1"),
+    ("[device]\neps_r = 0.5\n", 0, 0, "eps_r must be >= 1, got 0.5"),
+    ("[iv]\nstate_w = 2\n", 0, 0,
+     "[iv] state_w: w must be in [0, 1], got 2.0"),
 ])
-def test_parse_errors_carry_position(text, fragment, line):
+def test_parse_errors_carry_position(text, line, col, message):
+    """Every raise site of parse_config gives its message at its line and
+    column, which are computed only when the error is raised."""
     with pytest.raises(ConfigError) as err:
         parse_config(text, source="test.ini")
-    assert fragment in str(err.value)
-    assert f"test.ini:{line}:" in str(err.value)
+    assert (err.value.line, err.value.col) == (line, col)
+    where = f"test.ini:{line}:{col}" if line else "test.ini"
+    assert str(err.value) == f"{where}: {message}"
 
 
 def test_validation_errors():
@@ -339,6 +381,103 @@ def test_cli_config_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, offset, byte, reason", [
+    (b"[device]\nr_on_ohms = 1e8 \xff\n", 25, "ff", "invalid start byte"),
+    (b"[iv]\nn_points = 5 # caf\xe9\n", 23, "e9",
+     "invalid continuation byte"),
+    (b"[iv]\nn_points = 5 # \xe2\x82", 20, "e2", "unexpected end of data"),
+])
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys,
+                                                       data, offset, byte,
+                                                       reason):
+    """A config file that is not UTF-8 exits 2 naming the offset of its
+    first undecodable byte, with no traceback and no output directory."""
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["iv", "--config", str(ini), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {ini}: not UTF-8 text: byte 0x{byte} at offset "
+        f"{offset} ({reason})\n")
+    assert not out.exists()
+    # the same comment in UTF-8 parses
+    ini.write_bytes("[iv]\nn_points = 5 # caf\u00e9\n".encode())
+    assert config.load_config(str(ini)).iv.n_points == 5
+
+
+@pytest.mark.parametrize("command", list(cli._HANDLERS))
+def test_cli_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                            command):
+    """--seed takes a non-negative integer: -1 exits 1 at parse, for every
+    command, before the handler runs or --out is made."""
+    monkeypatch.setitem(cli._HANDLERS, command,
+                        lambda *args: pytest.fail("the handler ran"))
+    out = tmp_path / "out"
+    for argv in (["--seed", "-1"], ["--seed=-1"]):
+        assert main([command, *argv, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: argument --seed: expected a non-negative integer, "
+            "got -1\n")
+    assert main([command, "--seed", "x", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "usage error: argument --seed: invalid int value: 'x'\n"
+    assert not out.exists()
+
+
+def test_main_reuses_one_parser_with_the_same_bytes(tmp_path, capsys):
+    """In one process: all 11 commands, then a usage error, an unknown
+    command and a config error, then all 11 again. The second round
+    writes the first round's bytes, the parser is one object, and --help
+    still exits 0 listing every command."""
+    bad = tmp_path / "bad.ini"
+    bad.write_text("[device]\nbadkey = 1\n")
+
+    def run_all(name):
+        files = {}
+        for command in cli._HANDLERS:
+            out = tmp_path / name / command
+            assert main([command, "--out", str(out), "--seed", "4"]) == EXIT_OK
+            files.update({f"{command}/{f.name}": f.read_bytes()
+                          for f in out.iterdir()})
+        return files
+
+    first = run_all("first")
+    failed = tmp_path / "failed"
+    assert main(["iv", "--seed", "x", "--out", str(failed)]) == EXIT_USAGE
+    assert main(["bogus", "--out", str(failed)]) == EXIT_USAGE
+    assert main(["iv", "--config", str(bad), "--out", str(failed)]) \
+        == EXIT_CONFIG
+    assert not failed.exists()
+    second = run_all("second")
+    assert len(first) == 2 * len(cli._HANDLERS) and second == first
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: ftjsim ")
+    assert all(re.search(rf"\b{command}\b", text) for command in cli._HANDLERS)
+
+
+def test_cli_parser_is_built_on_first_use_only():
+    """Importing the CLI builds no parser; the first main call builds the
+    one the process keeps."""
+    script = (
+        "from ftjsim import cli\n"
+        "before = cli._build_parser.cache_info().currsize\n"
+        "cli.main(['bogus'])\n"
+        "cli.main(['bogus'])\n"
+        "info = cli._build_parser.cache_info()\n"
+        "print(before, info.currsize, info.misses)\n")
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True, env={
+                             **os.environ,
+                             "PYTHONPATH": os.pathsep.join(filter(None, path))})
+    assert run.stdout.split() == ["0", "1", "1"]
+
+
 @pytest.mark.parametrize("text", [
     "[iv]\nv_max_v = inf\n",
     "[device]\nt_kelvin = -inf\n",
@@ -505,6 +644,21 @@ def test_cli_current_past_float_range_is_a_numerical_error(tmp_path, capsys):
         assert err.startswith("numerical error: ") and "Traceback" not in err
         assert not (tmp_path / command).exists()
     assert _run(tmp_path / "fitA", "fitA", "--config", str(ini)) == EXIT_OK
+
+
+def test_cli_figures_past_float_range_are_a_numerical_error(tmp_path, capsys):
+    """An LRS multiplier times area past float range (uncalibrated g_lrs =
+    1e308 at 1e13 um^2) fails the two commands that report the figures of
+    merit, instead of writing on/off = inf, r_on = 0 and selection = nan."""
+    ini = tmp_path / "wide.ini"
+    ini.write_text("[device]\ncalibrate = false\ng_lrs = 1e308\n"
+                   "area_um2 = 1e13\n")
+    for command in ("iv", "bench"):
+        assert _run(tmp_path / command, command, "--config", str(ini)) \
+            == EXIT_NUMERICAL
+        assert capsys.readouterr().err == \
+            "numerical error: overflow encountered in multiply\n"
+        assert not (tmp_path / command).exists()
 
 
 def test_cli_failing_command_writes_nothing(tmp_path, capsys, monkeypatch):
