@@ -19,18 +19,20 @@ multipliers, so a whole crossbar is one call. current_total and
 differential_conductance take one device state and are thin wrappers that
 compute its multiplier first. Every public kernel validates its bias and
 temperature on each call, over the whole array at once, and then composes
-the private channel terms (_bias_terms, _ohmic, _pf, _total,
-_conductance), the one place each formula is written. One input-kind rule
-holds for every public function: an ndarray, list or tuple input gives an
-ndarray, and all-scalar input gives a float. Callers that validate once and
-evaluate many times compose those terms directly: the crossbar Newton
-solve evaluates the bias terms once per point and reuses them for the
-Jacobian. Every read of a device state goes through the public kernels,
-a trace of many states in one current_total_g call, with one exception:
-device._trimmer's write-verify loop, whose every read decides its next
-pulse, composes the read inline in Python floats. _read_terms gives it
-the checked per-bias terms, with the Poole-Frenkel ones folded into one
-factor, and it equals the public kernels bit for bit.
+the private channel terms (_bias_terms, _ohmic, _pf, _total, _conductance),
+where each formula is written. One input-kind rule holds for every public
+function: an ndarray, list or tuple input gives an ndarray, and all-scalar
+input gives a float. Callers that validate once and evaluate many times
+compose those terms directly: the crossbar Newton solve repeats _bias_terms
+and _total op for op into buffers it allocates once per solve, with
+ga * ohm_c taken once, and passes each accepted point's terms to
+_conductance for the Jacobian; its test against the scalar kernels holds it
+to their bits. Every read of a device state goes through the public
+kernels, a trace of many states in one current_total_g call, with one
+exception: device._trimmer's write-verify loop, whose every read decides
+its next pulse, composes the read inline in Python floats. _read_terms
+gives it the checked per-bias terms, with the Poole-Frenkel ones folded
+into one factor, and it equals the public kernels bit for bit.
 
 state_multiplier is the one multiplier of the public API: float ** on
 scalars, and on arrays a broadcast np.float_power, which calls the C
@@ -269,9 +271,11 @@ def state_multiplier(p: ConductionParams, w, d2d_log10=0.0):
         d = np.asarray(d2d_log10, dtype=float)
         with np.errstate(all="ignore"):
             shift = np.float_power(10.0, -d)
-            over = np.isinf(shift) & np.isfinite(d)
-            if over.any():
-                raise _shift_overflow(float(d.ravel()[np.argmax(over.ravel())]))
+            if np.isinf(shift).any():
+                over = np.isinf(shift) & np.isfinite(d)
+                if over.any():
+                    raise _shift_overflow(
+                        float(d.ravel()[np.argmax(over.ravel())]))
             return np.float_power(p.g_lrs, w) * shift
     d2d_log10 = float(d2d_log10)
     try:

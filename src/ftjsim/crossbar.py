@@ -20,18 +20,22 @@ channel terms on the whole device-voltage grid rv[:, None] - cv[None, :].
 mvm_read, write_v_half, inference.mvm_charge and inference.mvm_error_mc
 share one read kernel, _array_current, which takes the cell arrays (w,
 d2d_log10) of any shape, so mvm_error_mc reads a trial's two planes as
-one stacked array. solve_network checks its driven potentials and lays
-out the Jacobian (free-line index, the free-row x free-column block,
-diagonal and sign) once per call; each Newton point then evaluates |v|,
-sqrt|v| and exp(theta * sqrt|v|) once and takes the residual from the
-currents' left-to-right line sums, and each iteration builds the
+one stacked array. solve_network checks its driven potentials and builds,
+once per call, everything a Newton point repeats: the free-line index
+arrays, the potential, grid and residual buffers, one Jacobian whose
+diagonal is a strided view, and the product ga * ohm_c. Each point then
+writes its iterate into the potential buffer, evaluates the channel
+terms and currents of the device-voltage grid into the grid buffers, op
+for op as conduction's _bias_terms and _total do, and takes the residual
+from the currents' left-to-right line sums; each iteration builds the
 conductance grid from the accepted point's terms for its Jacobian only.
 The results are bit-identical to evaluating each cell with the scalar
 current_total: state_multiplier calls the C library's pow() per element,
 as float ** does, the terms keep the kernels' order of operations, and
 line currents and Jacobian diagonals are summed left to right
-(_line_sums) instead of by numpy's pairwise reduction. mvm_read and
-inference's MVM reads share one read-regime check, _check_mvm_bias.
+(_line_sums, _sums_into) instead of by numpy's pairwise reduction.
+mvm_read and inference's MVM reads share one read-regime check,
+_check_mvm_bias.
 
 build_crossbar draws every cell's device-to-device offset in one call of
 sample_d2d_offsets's array form, device._d2d_offsets, with one seed:
@@ -210,6 +214,12 @@ def build_crossbar(n_rows: int, n_cols: int, p: ConductionParams,
                     params=p, t_kelvin=t_kelvin)
 
 
+def _check_cell(n_rows: int, n_cols: int, row: int, col: int) -> None:
+    """The selected cell of a bias scheme lies inside the array."""
+    if not (0 <= row < n_rows and 0 <= col < n_cols):
+        raise ValueError("selected cell is outside the array")
+
+
 @dataclass(frozen=True)
 class BiasScheme:
     """Line potentials; None marks a floating line."""
@@ -221,6 +231,7 @@ class BiasScheme:
     def read_select(n_rows: int, n_cols: int, row: int, col: int,
                     v_read: float) -> "BiasScheme":
         """Selected row driven, selected column grounded, all else floating."""
+        _check_cell(n_rows, n_cols, row, col)
         rows = tuple(v_read if r == row else None for r in range(n_rows))
         cols = tuple(0.0 if c == col else None for c in range(n_cols))
         return BiasScheme(rows=rows, cols=cols)
@@ -230,6 +241,7 @@ class BiasScheme:
                      v_write: float) -> "BiasScheme":
         """V/2 scheme: full bias on the selected cell, half bias on every
         half-selected cell, zero elsewhere."""
+        _check_cell(n_rows, n_cols, row, col)
         rows = tuple(v_write if r == row else 0.5 * v_write for r in range(n_rows))
         cols = tuple(0.0 if c == col else 0.5 * v_write for c in range(n_cols))
         return BiasScheme(rows=rows, cols=cols)
@@ -260,8 +272,19 @@ def _line_sums(a: np.ndarray, axis: int) -> np.ndarray:
     return a.cumsum(axis=axis).take(-1, axis=axis) + 0.0
 
 
-def _max_abs(f: np.ndarray) -> float:
-    return np.abs(f).max(initial=0.0)
+def _sums_into(grid: np.ndarray, running: np.ndarray,
+               col_sums: np.ndarray) -> None:
+    """Left-to-right sums of a C-contiguous 2-D grid along both axes,
+    written into buffers: running[:, -1] holds the row sums (a running
+    sum along each row), col_sums the column sums (np.add.reduce over
+    axis 0 adds whole rows in order, where a reduction along the last
+    axis would go pairwise). Each sum starts from its first element, so
+    an all-(-0.0) line gives -0.0 where Python's sum gives 0.0."""
+    np.add.accumulate(grid, axis=1, out=running)
+    if grid.shape[1] > 1:
+        np.add.reduce(grid, axis=0, out=col_sums)
+    else:  # numpy reduces a lone column pairwise, as it does a 1-D array
+        col_sums[:] = np.add.accumulate(grid, axis=0)[-1]
 
 
 def solve_network(xbar: Crossbar, scheme: BiasScheme,
@@ -276,11 +299,16 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
     RuntimeError is raised.
 
     The driven potentials are checked once per call; the temperature was
-    checked when the array was built. Each Newton point evaluates the
-    channel terms of the full device-voltage grid once; the residual is
-    the currents' left-to-right line sums. Only an accepted point that has
-    not converged builds a Jacobian: its conductance grid comes from that
-    point's terms, and its diagonals are the grid's line sums.
+    checked when the array was built. Each call lays out, once, the
+    free-line indexes, the potential and grid buffers, the Jacobian and
+    its diagonal view, and the product ga * ohm_c. Each Newton point then
+    writes its iterate into the potential buffer, evaluates the channel
+    terms of the device-voltage grid into the grid buffers, and takes the
+    residual from the currents' left-to-right line sums; the buffers end
+    up holding the accepted point, which the solution returns. Only an
+    accepted point that has not converged builds a Jacobian: its
+    conductance grid comes from that point's terms, and its diagonals are
+    the grid's line sums.
     """
     nr, nc = xbar.n_rows, xbar.n_cols
     _check_solve_lines(nr)
@@ -292,52 +320,82 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
     if not driven:
         raise ValueError("at least one line must be driven")
     check_bias(driven)
-    # lines holds the row potentials, then the column ones; free indexes
-    # its floating lines, rows first
+    # lines holds the row potentials, then the column ones; rv and cv view
+    # it, and each point writes its iterate into the floating lines
     lines = np.array([0.0 if v is None else float(v) for v in potentials])
+    rv, cv = lines[:nr], lines[nr:]
+    rv_col = rv[:, None]
     free = np.array([k for k, v in enumerate(potentials) if v is None],
-                    dtype=int)
+                    dtype=np.intp)
     n_free = free.size
     n_fr = sum(v is None for v in scheme.rows)
+    fr, fc = free[:n_fr], free[n_fr:] - nr
     ohm_c, pf_c, theta = _coeffs(xbar.params, xbar.t_kelvin)
     ga = xbar.multipliers() * xbar.params.area
+    ga_ohm = ga * ohm_c  # _total's ga * ohm_c
     x = np.full(n_free, float(np.mean(driven)))
-    # per-solve Jacobian layout: the free-row x free-column block of the
-    # conductance grid, the diagonal, and its sign (+ rows, - columns)
-    cross = np.ix_(free[:n_fr], free[n_fr:] - nr)
-    diag = np.arange(n_free)
-    sign = np.where(diag < n_fr, 1.0, -1.0)
-
-    def free_sums(grid):
-        """Left-to-right line sums of a device grid on the free lines:
-        the free rows' sums over columns, then the free columns' over
-        rows."""
-        return np.concatenate([_line_sums(grid, axis=1),
-                               _line_sums(grid, axis=0)])[free]
+    # per-solve buffers: every point overwrites them, so after the loop
+    # they hold the accepted point; the solution keeps dv and di alone
+    dv, di = np.empty((2, nr, nc))
+    mag, rt, sign, e, pf, ga_sign, running = np.empty((7, nr, nc))
+    terms = (sign, mag, rt, e)
+    col_sums = np.empty(nc)
+    f = np.empty(n_free)
+    f_rows, f_cols = f[:n_fr], f[n_fr:]
+    # flat indexes into a grid: the free rows' running-sum ends, and the
+    # free-row x free-column block and its transpose. Every take uses
+    # mode="clip": the indexes are in range, and the default "raise"
+    # copies through a buffer.
+    row_ends = fr * nc + (nc - 1)
+    cross = fr[:, None] * nc + fc
+    cross_t = cross.T.copy()
+    # the Jacobian: its diagonal (+ row sums, - column sums) is a strided
+    # view, and only it and the two cross blocks are ever written
+    jac = np.zeros((n_free, n_free))
+    diag = jac.reshape(-1)[::n_free + 1]
+    diag_rows, diag_cols = diag[:n_fr], diag[n_fr:]
+    jac_rc, jac_cr = jac[:n_fr, n_fr:], jac[n_fr:, :n_fr]
 
     def point(xv):
-        """Line potentials, device voltages, the channel bias terms, the
-        device currents and the residual at one iterate."""
-        v = lines.copy()
-        v[free] = xv
-        rv, cv = v[:nr], v[nr:]
-        dv = rv[:, None] - cv[None, :]
-        terms = _bias_terms(dv, theta)
-        di = _total(ga, dv, terms, ohm_c, pf_c)
-        f = free_sums(di)
-        return f, _max_abs(f), rv, cv, dv, terms, di
+        """The residual norm at one iterate, with the potentials, device
+        voltages, bias terms, currents and residual left in the
+        buffers. The terms and currents are conduction._bias_terms and
+        _total op for op."""
+        lines[free] = xv
+        np.subtract(rv_col, cv, out=dv)
+        np.abs(dv, out=mag)
+        np.sqrt(mag, out=rt)
+        np.sign(dv, out=sign)
+        np.exp(np.multiply(theta, rt, out=e), out=e)
+        np.multiply(ga_ohm, dv, out=di)
+        np.multiply(pf_c, mag, out=pf)
+        np.multiply(pf, e, out=pf)
+        np.multiply(ga, sign, out=ga_sign)
+        np.multiply(ga_sign, pf, out=pf)
+        np.add(di, pf, out=di)
+        _sums_into(di, running, col_sums)
+        running.take(row_ends, out=f_rows, mode="clip")
+        col_sums.take(fc, out=f_cols, mode="clip")
+        np.add(f, 0.0, out=f)  # an all-(-0.0) line sums to 0.0, as from zero
+        return np.abs(f).max(initial=0.0)
 
-    def jacobian(terms):
-        """KCL Jacobian at an accepted point, from its bias terms."""
-        gd = _conductance(ga, terms, ohm_c, pf_c, theta)
-        jac = np.zeros((n_free, n_free))
-        jac[diag, diag] = sign * free_sums(gd)
-        block = gd[cross]
-        jac[:n_fr, n_fr:] = -block
-        jac[n_fr:, :n_fr] = block.T
+    def jacobian():
+        """KCL Jacobian at the accepted point, from its bias terms. The
+        conductances are positive or +0.0, so their line sums need no
+        +0.0."""
+        g = _conductance(ga, terms, ohm_c, pf_c, theta)
+        _sums_into(g, running, col_sums)
+        running.take(row_ends, out=diag_rows, mode="clip")
+        np.negative(col_sums, out=col_sums)
+        col_sums.take(fc, out=diag_cols, mode="clip")
+        g.take(cross_t, out=jac_cr, mode="clip")
+        # negated whole, not as the block: numpy 2.4.6 negates a (k, 1)
+        # view of an 8 x 8 Jacobian in place from the wrong elements
+        np.negative(g, out=g)
+        g.take(cross, out=jac_rc, mode="clip")
         return jac
 
-    f, norm, rv, cv, dv, terms, di = point(x)
+    norm = point(x)
     it = 0
     while norm > tol:
         if it >= NEWTON_MAX_ITER:
@@ -345,7 +403,7 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
                 f"network solve did not converge in {NEWTON_MAX_ITER} iterations "
                 f"(residual {norm:.3g} A)")
         try:
-            step = np.linalg.solve(jacobian(terms), -f)
+            step = np.linalg.solve(jacobian(), -f)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular network Jacobian: {exc}") from exc
         norm0 = norm
@@ -356,7 +414,7 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
                 raise RuntimeError(
                     f"network solve produced a non-finite iterate at "
                     f"iteration {it + 1}")
-            f, norm, rv, cv, dv, terms, di = point(x_new)
+            norm = point(x_new)
             if norm < norm0:
                 break
             lam *= 0.5
@@ -423,8 +481,6 @@ def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
     the currents come from one _array_current call on the whole
     device-voltage grid, where the unbiased cells add exact zeros.
     """
-    if not (0 <= row < xbar.n_rows and 0 <= col < xbar.n_cols):
-        raise ValueError("selected cell is outside the array")
     t_width = pulse.t_width
     scheme = BiasScheme.v_half_write(xbar.n_rows, xbar.n_cols, row, col,
                                      pulse.v_write)
@@ -485,14 +541,17 @@ def sneak_margin(xbar: Crossbar, row: int, col: int,
     sol = solve_network(xbar, scheme)
     v_sel = abs(float(sol.device_v[row, col]))
     i_sel = abs(float(sol.device_i[row, col]))
-    mask = np.ones_like(sol.device_v, dtype=bool)
-    mask[row, col] = False
     if xbar.n_rows == 1 or xbar.n_cols == 1:
         # no closed sneak loop exists; whatever the solver left on the
         # unselected cells is residual-level noise, not a sneak current
-        mask[:] = False
-    v_sneak = float(np.max(np.abs(sol.device_v[mask]))) if mask.any() else 0.0
-    i_sneak = float(np.max(np.abs(sol.device_i[mask]))) if mask.any() else 0.0
+        v_sneak = i_sneak = 0.0
+    else:
+        # the largest |v| and |i| over the unselected cells: zeroing the
+        # selected cell's entry leaves the maximum of the others, which
+        # are all >= 0
+        v_abs, i_abs = np.abs(sol.device_v), np.abs(sol.device_i)
+        v_abs[row, col] = i_abs[row, col] = 0.0
+        v_sneak, i_sneak = float(v_abs.max()), float(i_abs.max())
     v_margin = v_sel / v_sneak if v_sneak > 0 else math.inf
     i_margin = i_sel / i_sneak if i_sneak > 0 else math.inf
     return SneakReport(i_selected=i_sel, i_sneak_worst=i_sneak,
