@@ -322,13 +322,6 @@ def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     n_devices = cfg.d2d.n_devices
     sigma = cfg.variation.sigma_d2d
-    # Device k's offset is sample_device's on child k of the seed's spawn,
-    # bit for bit. sample_d2d_offsets draws the population in one array
-    # pass of PCG64 seeding and the ziggurat's first draw; the ~1.5 % of
-    # draws that pass cannot show exact (strip 1, draws near a strip's
-    # acceptance bound) take numpy's own per-device Generator.
-    # Both states of every device are read in one call at [device]
-    # v_read_v and t_kelvin, so every resistance equals read_state's.
     offsets = sample_d2d_offsets(sigma, seed, n_devices)
     _, (r_hrs, r_lrs) = _trace_read(bundle.v_read, bundle.t_kelvin, p,
                                     [[0.0], [1.0]], offsets)
@@ -338,7 +331,7 @@ def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
                        "r_lrs_ohms"], rows, {
         "n_devices": n_devices,
         "sigma_target": sigma,
-        "sigma_sample": float(np.std(offsets, ddof=1)) if len(offsets) > 1 else 0.0,
+        "sigma_sample": float(np.std(offsets, ddof=1)),
         "mean_sample": float(np.mean(offsets)),
     }
 
@@ -359,7 +352,7 @@ def cmd_scaling(cfg: SimConfig, bundle, seed: int) -> _Table:
                            "r_on_ohms", "write_energy_pj"], rows, {
         "areas_um2": list(sec.areas_um2),
         "pulse": {"v_write": sec.v_write_v, "t_width_s": sec.t_width_s},
-        "r_times_area_const": rows[0][3] * sec.areas_um2[0] if rows else None,
+        "r_times_area_const": rows[0][3] * sec.areas_um2[0],
     }
 
 

@@ -947,6 +947,7 @@ def memory_window(v_write, r_ohms) -> WindowReport:
     the rising-R crossing is the positive coercive voltage, the falling-R
     crossing the negative one. The last crossing of each kind wins, so a
     loop that starts pristine settles onto its steady branches first.
+    A non-finite v_write, or an r_ohms outside (0, inf), is a ValueError.
     """
     vs = np.asarray(v_write, dtype=float)
     rs = np.asarray(r_ohms, dtype=float)
@@ -955,6 +956,12 @@ def memory_window(v_write, r_ohms) -> WindowReport:
                          f"got shapes {vs.shape} and {rs.shape}")
     if len(vs) < 2:
         raise ValueError(f"a trace needs at least 2 points, got {len(vs)}")
+    for name, xs, ok, what in (("v_write", vs, np.isfinite(vs), "finite"),
+                               ("r_ohms", rs, (rs > 0.0) & (rs < math.inf),
+                                "finite and positive")):
+        if not ok.all():
+            k = int(ok.argmin())
+            raise ValueError(f"{name}[{k}] = {float(xs[k])} is not {what}")
     logr = np.array([math.log10(r) for r in rs.tolist()])
     mid = 0.5 * (logr.max() + logr.min())
     if logr.max() - logr.min() < 0.1:

@@ -86,7 +86,7 @@ def normalized_conductance(p: ConductionParams, w, d2d_log10=0.0):
 def weight_for_conductance(p: ConductionParams, u):
     """Inverse of normalized_conductance at zero variation offset."""
     u = np.asarray(u)
-    if np.any(u < 0) or np.any(u > 1):
+    if not np.all((u >= 0) & (u <= 1)):
         raise ValueError("normalized conductance must lie in [0, 1]")
     return np.log1p(u * (p.g_lrs - 1.0)) / math.log(p.g_lrs)
 

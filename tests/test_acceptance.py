@@ -60,6 +60,7 @@ from ftjsim.extraction import (
     fit_update_a,
 )
 from ftjsim.inference import map_weights, mvm_charge, mvm_error_mc
+from oracle import gauss_seidel
 
 T = 300.0
 TEMPS = (300.0, 320.0, 340.0, 360.0)
@@ -237,51 +238,6 @@ def test_criterion_10_write_energy_sub_pj(capfd):
         "model-wide gap, kept red on purpose.")
 
 
-def _gauss_seidel_oracle(xbar, scheme, t=T, max_sweeps=200):
-    """Brute-force nodal solve sharing no code with the Newton path.
-
-    Sweeps the floating lines, zeroing each line's KCL residual with a
-    bracketed scalar root solve, until the potential vector stops moving.
-    Net outflow of a floating row rises monotonically with its potential
-    (and a column's net inflow falls), so every 1-D zero is bracketed by
-    the driven-voltage range.
-    """
-    from scipy.optimize import brentq
-
-    nr, nc = xbar.n_rows, xbar.n_cols
-    driven = [v for v in list(scheme.rows) + list(scheme.cols)
-              if v is not None]
-    lo, hi = min(driven) - 1.0, max(driven) + 1.0
-    row_v = np.array([v if v is not None else (lo + hi) / 2
-                      for v in scheme.rows])
-    col_v = np.array([v if v is not None else (lo + hi) / 2
-                      for v in scheme.cols])
-
-    def row_net(i, v):
-        row_v[i] = v
-        return sum(current_total(row_v[i] - col_v[j], t, xbar.params,
-                                 xbar.state(i, j)) for j in range(nc))
-
-    def col_net(j, v):
-        col_v[j] = v
-        return sum(current_total(row_v[i] - col_v[j], t, xbar.params,
-                                 xbar.state(i, j)) for i in range(nr))
-
-    for _ in range(max_sweeps):
-        before = np.concatenate([row_v, col_v]).copy()
-        for i in range(nr):
-            if scheme.rows[i] is None:
-                row_v[i] = brentq(lambda v: row_net(i, v), lo, hi,
-                                  xtol=1e-16, rtol=8.9e-16)
-        for j in range(nc):
-            if scheme.cols[j] is None:
-                col_v[j] = brentq(lambda v: col_net(j, v), lo, hi,
-                                  xtol=1e-16, rtol=8.9e-16)
-        if np.abs(np.concatenate([row_v, col_v]) - before).max() < 1e-15:
-            break
-    return row_v, col_v
-
-
 def test_criterion_11_solver_matches_oracle(capfd):
     t0 = time.perf_counter()
     p = default_params()
@@ -289,7 +245,7 @@ def test_criterion_11_solver_matches_oracle(capfd):
         np.array([[1.0, 0.0, 0.5], [0.2, 1.0, 0.0], [0.0, 0.8, 1.0]]))
     scheme = BiasScheme.read_select(3, 3, 1, 1, 0.5)
     sol = solve_network(xbar, scheme, tol=1e-20)
-    row_v, col_v = _gauss_seidel_oracle(xbar, scheme)
+    row_v, col_v = gauss_seidel(xbar, scheme)
     dev = max(float(np.abs(sol.row_v - row_v).max()),
               float(np.abs(sol.col_v - col_v).max()))
     rel = dev / max(abs(float(v)) for v in np.concatenate([row_v, col_v]))

@@ -1,172 +1,16 @@
-"""The CLI's trace commands against their per-train or per-point reference.
-
-cmd_scheme, cmd_cdf and cmd_fit_a open one device._pulser per command and
-run every train of it through device._train on that one noise stream;
-scheme and cdf then read all their traces in one device._trace_read call.
-The references below are the same commands with each train one run_scheme
-call on its own stream. cmd_hysteresis is checked against the per-point
-loop of the device tests, one replace and one scalar read per grid point,
-with memory_window run over Python floats. Rows and payloads must agree by
-float.hex, cell type included, and the generators must end in the same
-state.
+"""The CLI's trace commands against oracle.py's per-train or per-point
+forms: scheme, cdf and fitA run every train on one noise stream, where the
+oracle runs each pulse by pulse on its own pass; hysteresis and retention
+read each point once. Rows and payloads must agree by float.hex, cell type
+included, and the generators must end in the same state.
 """
 
-from dataclasses import asdict, replace
-from unittest import mock
-
-import numpy as np
 import pytest
 
 from ftjsim import cli
-from ftjsim.conduction import V_READ
-from ftjsim.config import _loop_legs, build_model, parse_config
-from ftjsim.device import (SCHEME_KINDS, T_WIDTH_DEFAULT, V_DEP_DEFAULT,
-                           V_POT_DEFAULT, DeviceState, PulseScheme,
-                           memory_window, preset_scheme, read_state,
-                           run_scheme)
-from ftjsim.extraction import cdf_levels, fit_update_a
-from test_device import _reference_dc_write_loop
-
-
-def _reference_scheme(cfg, bundle, rng):
-    p, m = bundle.params, bundle.update
-    sec = cfg.scheme
-    state = DeviceState(w=0.0)
-    rows = []
-    for cycle in range(1, sec.n_cycles + 1):
-        index = 0
-        for polarity in ("pot", "dep"):
-            scheme = preset_scheme(sec.kind, polarity,
-                                   alt_amplitudes=sec.alt_amplitudes)
-            trace = run_scheme(state, scheme, m, p, v_read=V_READ,
-                               t=bundle.t_kelvin, rng=rng)
-            for pulse, w, r in zip(scheme.pulses(), trace.w.tolist(),
-                                   trace.r_ohms.tolist()):
-                rows.append((cycle, index, pulse.v_write, pulse.t_width, w, r))
-                index += 1
-            state = replace(state, w=float(trace.w[-1]),
-                            last_polarity=-1 if polarity == "pot" else 1)
-    return "trace.csv", ["cycle", "pulse_index", "v_write_volts", "t_width_s",
-                         "w", "r_ohms_0p3v"], rows, {
-        "kind": sec.kind,
-        "cycles": sec.n_cycles,
-        "alt_amplitudes": sec.alt_amplitudes,
-        "c2c_rel": m.c2c_rel,
-        "final_w": rows[-1][4],
-    }
-
-
-def _reference_cdf(cfg, bundle, rng):
-    p, m = bundle.params, bundle.update
-    cycles = cfg.cdf.n_cycles
-    scheme = preset_scheme("amplitude_ramp", "dep")
-    n = scheme.n_pulses
-    traces = np.zeros((cycles, n + 1))
-    s0 = DeviceState(w=1.0)
-    traces[:, 0] = read_state(s0, p, v_read=V_READ,
-                              t=bundle.t_kelvin).r_ohms
-    for k in range(cycles):
-        trace = run_scheme(s0, scheme, m, p, v_read=V_READ,
-                           t=bundle.t_kelvin, rng=rng)
-        traces[k, 1:] = trace.r_ohms
-    report = cdf_levels(traces)
-    rows = zip(range(n + 1), report.medians.tolist(), report.iqrs.tolist())
-    return "cdf.csv", ["pulse_index", "median_r_ohms", "iqr_r_ohms"], rows, {
-        "cycles": cycles,
-        "scheme": "amplitude_ramp depression",
-        "read_v": V_READ,
-        "c2c_rel": m.c2c_rel,
-        "n_levels": report.n_levels,
-        "pooled_iqr_ohms": report.pooled_iqr,
-    }
-
-
-def _reference_fit_a(cfg, bundle, rng):
-    p = bundle.params
-    m = replace(bundle.update, c2c_rel=0.0)
-    kind = cfg.fit_a.kind
-    shape = m.shape_for(kind)
-    n = m.n_full
-    if kind == "amplitude_ramp":
-        pot, dep = (PulseScheme("amplitude_ramp", n, v, v_step=0.0,
-                                width=T_WIDTH_DEFAULT)
-                    for v in (V_POT_DEFAULT, V_DEP_DEFAULT))
-    else:
-        pot, dep = preset_scheme(kind, "pot"), preset_scheme(kind, "dep")
-    pot_w = run_scheme(DeviceState(w=0.0), pot, m, p).w.tolist()
-    dep_w = run_scheme(DeviceState(w=1.0), dep, m, p).w.tolist()
-    fit_pot = fit_update_a(np.arange(1, len(pot_w) + 1), pot_w)
-    fit_dep = fit_update_a(np.arange(1, len(dep_w) + 1),
-                           [1.0 - w for w in dep_w])
-    rows = [
-        ("a_pot", fit_pot.a, float("nan")),
-        ("a_dep", fit_dep.a, float("nan")),
-        ("amplitude_pot", fit_pot.amplitude, float("nan")),
-        ("amplitude_dep", fit_dep.amplitude, float("nan")),
-    ]
-    return "fit.csv", ["param", "value", "stderr"], rows, {
-        "kind": kind,
-        "model_a": {"a_pot": shape.a_pot, "a_dep": shape.a_dep},
-        "fit": {"a_pot": fit_pot.a, "a_dep": fit_dep.a,
-                "rss_pot": fit_pot.rss, "rss_dep": fit_dep.rss,
-                "at_bound": fit_pot.at_bound or fit_dep.at_bound},
-    }
-
-
-def _reference_hysteresis(cfg, bundle, rng):
-    sec = cfg.hysteresis
-    grid = [0.0]
-    for a, b, n in _loop_legs(sec):
-        grid += np.linspace(a, b, n + 1)[1:].tolist()
-    w, i, r = _reference_dc_write_loop(DeviceState(w=0.0), grid,
-                                       bundle.params, bundle.v_read,
-                                       bundle.t_kelvin)
-    rows = list(zip(grid, w, i, r))
-    return "loop.csv", ["v_write_volts", "w", "i_amps", "r_ohms"], rows, {
-        "sweep": asdict(sec),
-        "read": {"v_read": bundle.v_read, "t_kelvin": bundle.t_kelvin},
-        "window": asdict(memory_window(grid, r)),
-    }
-
-
-_REFERENCES = {"scheme": _reference_scheme, "cdf": _reference_cdf,
-               "fitA": _reference_fit_a, "hysteresis": _reference_hysteresis}
-
-
-def _exact(obj):
-    """A table or payload with every float as its hex and every scalar
-    tagged with its type, so equality is bit for bit."""
-    if isinstance(obj, dict):
-        return {k: _exact(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, zip)):
-        return [_exact(v) for v in obj]
-    if type(obj) is float:
-        return "float", obj.hex()
-    return type(obj).__name__, obj
-
-
-def _command_run(command, cfg, bundle, seed):
-    """(exact table, end states of every generator it made) of the CLI
-    handler."""
-    made = []
-    default_rng = np.random.default_rng
-
-    def spy(*args, **kwargs):
-        made.append(default_rng(*args, **kwargs))
-        return made[-1]
-
-    with mock.patch.object(np.random, "default_rng", spy):
-        table = _exact(cli._HANDLERS[command](cfg, bundle, seed))
-    return table, [g.bit_generator.state for g in made]
-
-
-def _reference_run(command, cfg, bundle, seed):
-    """(exact table, generator end states) of the reference; the handlers
-    that draw make one generator, default_rng(seed)."""
-    rng = np.random.default_rng(seed)
-    table = _exact(_REFERENCES[command](cfg, bundle, rng))
-    draws = command in ("scheme", "cdf")
-    return table, [rng.bit_generator.state] if draws else []
+from ftjsim.config import build_model, parse_config
+from ftjsim.device import SCHEME_KINDS
+from oracle import command_run, reference_run
 
 
 _CONFIGS = {
@@ -189,8 +33,8 @@ _CONFIGS = {
 def test_train_commands_equal_the_per_train_reference(command, text, seed):
     cfg = parse_config(text)
     bundle = build_model(cfg)
-    assert _command_run(command, cfg, bundle, seed) \
-        == _reference_run(command, cfg, bundle, seed)
+    assert command_run(command, cfg, bundle, seed) \
+        == reference_run(command, cfg, bundle, seed)
 
 
 @pytest.mark.parametrize("text", [
@@ -209,8 +53,23 @@ def test_hysteresis_equals_the_per_point_reference(text):
     temperatures; it draws nothing."""
     cfg = parse_config(text)
     bundle = build_model(cfg)
-    run = _command_run("hysteresis", cfg, bundle, 0)
-    assert run == _reference_run("hysteresis", cfg, bundle, 0)
+    run = command_run("hysteresis", cfg, bundle, 0)
+    assert run == reference_run("hysteresis", cfg, bundle, 0)
+    assert run[1] == []
+
+
+@pytest.mark.parametrize("t_kelvin", [300.0, 350.0])
+@pytest.mark.parametrize("v_read", [0.3, 0.1])
+@pytest.mark.parametrize("rate", [0.0, 1e-6, 1e-3])
+def test_retention_equals_the_per_point_reference(rate, v_read, t_kelvin):
+    """cmd_retention's rows and payload equal one retention_evolve and one
+    scalar read per hold time and start state, by float.hex and cell
+    type; it draws nothing."""
+    cfg = parse_config(f"[retention]\ndrift_rate_per_s = {rate!r}\n[device]\n"
+                       f"v_read_v = {v_read!r}\nt_kelvin = {t_kelvin!r}\n")
+    bundle = build_model(cfg)
+    run = command_run("retention", cfg, bundle, 0)
+    assert run == reference_run("retention", cfg, bundle, 0)
     assert run[1] == []
 
 

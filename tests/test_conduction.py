@@ -34,6 +34,7 @@ from ftjsim.conduction import (
     state_multiplier,
 )
 from ftjsim.device import DeviceState
+from oracle import hexes, multiplier
 
 LRS = DeviceState(w=1.0)
 HRS = DeviceState(w=0.0)
@@ -129,11 +130,6 @@ def test_state_multiplier():
 
 # --- Exactness guard: the broadcasting multiplier against float ** ---------
 
-def _float_multiplier(p, w, d):
-    """Python-float reference: g_lrs ** w * 10.0 ** (-d)."""
-    return p.g_lrs ** w * 10.0 ** (-d)
-
-
 # (w shape, d2d_log10 shape) pairs that broadcast, scalars included
 _BROADCAST_SHAPES = (((), ()), ((5,), ()), ((), (4,)), ((3, 1), (4,)),
                      ((2, 3), (2, 3)), ((4, 1), (1, 3)))
@@ -167,11 +163,11 @@ def test_state_multiplier_equals_float_arithmetic_bit_for_bit(case):
     ws, ds = np.broadcast_arrays(w, d)
     assert np.shape(got) == ws.shape
     pairs = list(zip(ws.ravel().tolist(), ds.ravel().tolist()))
-    ref = [_float_multiplier(p, wi, di).hex() for wi, di in pairs]
-    assert [x.hex() for x in np.ravel(got).tolist()] == ref
+    ref = hexes([multiplier(p, wi, di) for wi, di in pairs])
+    assert hexes(np.ravel(got)) == ref
     scalar = [state_multiplier(p, wi, di) for wi, di in pairs]
     assert all(type(x) is float for x in scalar)
-    assert [x.hex() for x in scalar] == ref
+    assert hexes(scalar) == ref
 
 
 def test_state_multiplier_names_the_first_offset_past_float_range():
@@ -183,7 +179,7 @@ def test_state_multiplier_names_the_first_offset_past_float_range():
     message = ("d2d_log10 = -400.0 is outside float range: the state "
                "multiplier 10**(-d2d_log10) overflows")
     with pytest.raises(OverflowError):
-        _float_multiplier(p, 0.5, -400.0)
+        multiplier(p, 0.5, -400.0)
     cases = ((0.5, -400.0), (0.5, d), ([[0.0], [1.0]], d.ravel()))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -197,7 +193,7 @@ def test_state_multiplier_names_the_first_offset_past_float_range():
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         assert state_multiplier(p, [0.0, 1.0], -308.0).tolist() == [
-            _float_multiplier(p, 0.0, -308.0), math.inf]
+            multiplier(p, 0.0, -308.0), math.inf]
 
 
 def test_state_multiplier_array_overflow_is_named_under_warnings_as_errors():
@@ -221,8 +217,7 @@ def test_list_and_tuple_inputs_equal_ndarray_inputs():
 
     def same(got, ref):
         assert isinstance(got, np.ndarray)
-        assert [x.hex() for x in np.ravel(got).tolist()] == \
-            [x.hex() for x in np.ravel(ref).tolist()]
+        assert hexes(np.ravel(got)) == hexes(np.ravel(ref))
 
     for seq in (list, tuple):
         for fn in (current_ohmic, current_pf, current_total_g,
@@ -392,7 +387,7 @@ def test_figures_of_merit_equal_the_five_scalar_calls(r_on, ratio, reach, t,
                                  selection=selection)
     p = calibrate(targets, ConductionParams(area=area), t=t)
     got = _figures_of_merit(p, t)
-    assert [x.hex() for x in got] == [x.hex() for x in _five_call_figures(p, t)]
+    assert hexes(got) == hexes(_five_call_figures(p, t))
 
 
 def test_figures_of_merit_is_one_kernel_call(monkeypatch):

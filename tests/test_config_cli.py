@@ -29,7 +29,8 @@ from ftjsim.config import (
     emit_config,
     parse_config,
 )
-from ftjsim.device import SCHEME_KINDS, read_state, sample_device
+from ftjsim.device import SCHEME_KINDS, DeviceState, read_state
+from oracle import d2d_draws, read
 
 
 def test_empty_config_is_all_defaults():
@@ -150,7 +151,6 @@ def test_fit_a_section_name():
 
 def test_build_model_calibrated_hits_targets():
     from ftjsim.conduction import current_total
-    from ftjsim.device import DeviceState
     cfg = parse_config("[device]\nr_on_ohms = 2e8\non_off = 9\nselection = 50\n")
     bundle = build_model(cfg)
     lrs = DeviceState(w=1.0)
@@ -889,7 +889,6 @@ def test_cli_iv_rows_equal_scalar_reads():
     """The iv table reads each temperature's grid in one kernel call; every
     row's current must equal a scalar current_total read bit for bit."""
     from ftjsim.conduction import current_total
-    from ftjsim.device import DeviceState
 
     cfg = parse_config("[iv]\nt_list_k = 280, 300, 355.5\nv_min_v = 0.001\n"
                        "v_max_v = 0.9\nn_points = 400\nstate_w = 0.37\n"
@@ -946,19 +945,19 @@ D2D_HEADER = ["device_index", "d2d_log10", "r_hrs_ohms", "r_lrs_ohms"]
 
 
 def _d2d_samples(cfg, seed):
-    bundle = build_model(cfg)
-    children = np.random.SeedSequence(seed).spawn(cfg.d2d.n_devices)
-    return bundle, [sample_device(bundle.params, cfg.variation.sigma_d2d, child)
-                    for child in children]
+    """The model and the pristine devices of oracle.py's per-device draw."""
+    return build_model(cfg), [
+        DeviceState(w=0.0, d2d_log10=d)
+        for d in d2d_draws(cfg.variation.sigma_d2d, seed, cfg.d2d.n_devices)]
 
 
 def _reference_d2d(cfg, seed, out):
-    """The per-device d2d loop: two read_state calls per sampled device at
+    """The per-device d2d loop: two scalar reads per sampled device at
     [device] v_read_v and t_kelvin, written with the CLI's own writers."""
     bundle, states = _d2d_samples(cfg, seed)
     p, v, t = bundle.params, bundle.v_read, bundle.t_kelvin
-    rows = [(idx, s.d2d_log10, read_state(s, p, v, t).r_ohms,
-             read_state(replace(s, w=1.0), p, v, t).r_ohms)
+    rows = [(idx, s.d2d_log10, read(s, p, v, t)[1],
+             read(replace(s, w=1.0), p, v, t)[1])
             for idx, s in enumerate(states)]
     (out / "d2d.csv").write_bytes(cli._csv_text(D2D_HEADER, rows).encode())
     offsets = np.array([s.d2d_log10 for s in states])

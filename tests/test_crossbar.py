@@ -1,7 +1,7 @@
 """Passive-array network solve, bias schemes, sneak margins, disturb."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,13 +21,13 @@ from ftjsim.crossbar import (
     build_crossbar,
     mvm_read,
     sneak_margin,
-    WriteReport,
     solve_network,
     write_v_half,
 )
-from ftjsim.device import (DeviceState, PulseSpec, apply_pulse,
-                           default_update_model, sample_device, write_energy)
+from ftjsim.device import (DeviceState, PulseSpec, default_update_model,
+                           write_energy)
 from ftjsim.extraction import Sweep
+from oracle import d2d_draws, gauss_seidel, hexes, v_half
 
 T = 300.0
 
@@ -41,13 +41,6 @@ def p():
 def p_ohmic():
     """Linear comparator: trap emission removed, same R_on."""
     return calibrate(CalibrationTargets(r_on_ohms=1e8, on_off=1.0, selection=2.0))
-
-
-def _crossbar_of(states, p, t_kelvin=T):
-    """A Crossbar holding a nested grid of DeviceStates."""
-    return Crossbar(params=p, t_kelvin=t_kelvin, **{
-        f.name: [[getattr(s, f.name) for s in row] for row in states]
-        for f in fields(DeviceState)})
 
 
 def _kcl_residual(xbar, sol, t=T):
@@ -97,49 +90,6 @@ def test_two_by_two_ohmic_divider(p_ohmic):
     assert report.i_selected == pytest.approx(i_direct, rel=1e-12)
 
 
-def _gauss_seidel_oracle(xbar, scheme, t=T, max_sweeps=200):
-    """Independent brute-force nodal solve: sweep the floating lines one
-    at a time, zeroing each line's KCL residual by a bracketed 1-D root
-    solve, until the whole potential vector stops moving.
-
-    A floating row's net outflow rises monotonically with its potential
-    and a floating column's net inflow falls as its rises, so each
-    one-dimensional zero is bracketed by the driven-voltage range. Slow
-    and simple on purpose; shares no code with the Newton solver.
-    """
-    from scipy.optimize import brentq
-
-    nr, nc = xbar.n_rows, xbar.n_cols
-    driven = [v for v in list(scheme.rows) + list(scheme.cols) if v is not None]
-    lo, hi = min(driven) - 1.0, max(driven) + 1.0
-    row_v = np.array([v if v is not None else (lo + hi) / 2 for v in scheme.rows])
-    col_v = np.array([v if v is not None else (lo + hi) / 2 for v in scheme.cols])
-
-    def row_net(i, v):
-        row_v[i] = v
-        return sum(current_total(row_v[i] - col_v[j], t, xbar.params,
-                                 xbar.state(i, j)) for j in range(nc))
-
-    def col_net(j, v):
-        col_v[j] = v
-        return sum(current_total(row_v[i] - col_v[j], t, xbar.params,
-                                 xbar.state(i, j)) for i in range(nr))
-
-    for _ in range(max_sweeps):
-        before = np.concatenate([row_v, col_v]).copy()
-        for i in range(nr):
-            if scheme.rows[i] is None:
-                row_v[i] = brentq(lambda v: row_net(i, v), lo, hi,
-                                  xtol=1e-16, rtol=8.9e-16)
-        for j in range(nc):
-            if scheme.cols[j] is None:
-                col_v[j] = brentq(lambda v: col_net(j, v), lo, hi,
-                                  xtol=1e-16, rtol=8.9e-16)
-        if np.abs(np.concatenate([row_v, col_v]) - before).max() < 1e-15:
-            break
-    return row_v, col_v
-
-
 def test_newton_matches_brute_force_oracle(p):
     xbar = build_crossbar(3, 3, p, sigma_d2d=0.1, seed=11)
     w = np.array([[1.0, 0.0, 0.5], [0.2, 1.0, 0.0], [0.0, 0.8, 1.0]])
@@ -148,7 +98,7 @@ def test_newton_matches_brute_force_oracle(p):
     # tight tolerance for the comparison: the default 1e-12 A residual
     # corresponds to microvolt-scale node uncertainty at nA conductances
     sol = solve_network(xbar, scheme, tol=1e-20)
-    row_v, col_v = _gauss_seidel_oracle(xbar, scheme)
+    row_v, col_v = gauss_seidel(xbar, scheme)
     np.testing.assert_allclose(sol.row_v, row_v, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(sol.col_v, col_v, rtol=1e-9, atol=1e-12)
     # the default-tolerance solve must still satisfy KCL to spec
@@ -337,21 +287,11 @@ def test_build_crossbar_reproducible(p):
 
 
 def _reference_build_crossbar(n_rows, n_cols, p, sigma_d2d, seed, t_kelvin=T):
-    """build_crossbar as a per-cell loop: one spawned child and one
-    sample_device call per cell, row-major. Spawning advances a
-    SeedSequence passed in."""
-    ss = (seed if isinstance(seed, np.random.SeedSequence)
-          else np.random.SeedSequence(seed))
-    children = ss.spawn(n_rows * n_cols)
-    states = tuple(
-        tuple(sample_device(p, sigma_d2d, children[r * n_cols + c])
-              for c in range(n_cols))
-        for r in range(n_rows))
-    return _crossbar_of(states, p, t_kelvin)
-
-
-def _offset_bits(xbar):
-    return [d.hex() for d in xbar.d2d_log10.ravel().tolist()]
+    """build_crossbar from oracle.py's per-device draw, one spawned child
+    per cell, row-major. Spawning advances a SeedSequence passed in."""
+    offsets = d2d_draws(sigma_d2d, seed, n_rows * n_cols)
+    return Crossbar(w=np.zeros((n_rows, n_cols)), params=p, t_kelvin=t_kelvin,
+                    d2d_log10=np.reshape(offsets, (n_rows, n_cols)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -370,7 +310,7 @@ def test_build_crossbar_equals_per_cell_spawn_loop(nr, nc, sigma, root, path,
     got = build_crossbar(nr, nc, p, sigma, make(), t_kelvin=310.0)
     ref = _reference_build_crossbar(nr, nc, p, sigma, make(), t_kelvin=310.0)
     assert got == ref
-    assert _offset_bits(got) == _offset_bits(ref)
+    assert hexes(got.d2d_log10) == hexes(ref.d2d_log10)
 
 
 def test_build_crossbar_does_not_advance_a_seed_sequence(p):
@@ -684,41 +624,7 @@ def test_mvm_read_bit_identical_to_scalar_reference(array, seed):
 
 # --- Bit-identity guard: write_v_half against the per-cell loop ------------
 #
-# The reference is the object path write_v_half used to take: one
-# DeviceState per biased cell, its energy from the validated scalar
-# current_total, then apply_pulse, in row-major order on the shared
-# generator.
-
-def _reference_write_v_half(xbar, row, col, pulse, m, rng=None):
-    nr, nc, t = xbar.n_rows, xbar.n_cols, xbar.t_kelvin
-    scheme = BiasScheme.v_half_write(nr, nc, row, col, pulse.v_write)
-    states = [[xbar.state(r, c) for c in range(nc)] for r in range(nr)]
-    disturbs = []
-    energy = 0.0
-    dw_sel = 0.0
-    for r in range(nr):
-        for c in range(nc):
-            if r != row and c != col:
-                continue
-            v_dev = scheme.rows[r] - scheme.cols[c]
-            if v_dev == 0.0:
-                continue
-            s = states[r][c]
-            energy += (abs(current_total(v_dev, t, xbar.params, s))
-                       * abs(v_dev) * pulse.t_width)
-            s_new = apply_pulse(s, PulseSpec(v_dev, pulse.t_width), m, rng=rng)
-            states[r][c] = s_new
-            dw = s_new.w - s.w
-            if r == row and c == col:
-                dw_sel = dw
-            elif dw != 0.0:
-                disturbs.append((r, c, dw))
-    report = WriteReport(
-        delta_w_selected=dw_sel, disturbs=tuple(disturbs),
-        max_disturb=max((abs(d[2]) for d in disturbs), default=0.0),
-        energy_joules=energy)
-    return _crossbar_of(states, xbar.params, t), report
-
+# The reference is oracle.py's per-cell object path on the shared generator.
 
 # Write amplitudes around the default onsets (-0.6 V, +0.8 V): sub-onset,
 # disturb-free (only the selected cell crosses), half-select disturbing
@@ -763,8 +669,7 @@ def test_write_v_half_bit_identical_to_per_cell_reference(case):
     rng_new = np.random.default_rng(seed + 1)
     rng_ref = np.random.default_rng(seed + 1)
     new_x, new_r = write_v_half(xbar, row, col, pulse, m, rng=rng_new)
-    ref_x, ref_r = _reference_write_v_half(xbar, row, col, pulse, m,
-                                           rng=rng_ref)
+    ref_x, ref_r = v_half(xbar, row, col, pulse, m, rng=rng_ref)
     assert new_x == ref_x
     assert new_r == ref_r
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state

@@ -12,15 +12,12 @@ from hypothesis import given, settings, strategies as st
 from ftjsim import device
 from ftjsim.conduction import current_total, default_params
 from ftjsim.device import (
-    DC_WIDTH,
     DeviceState,
     ENDURANCE_LIMIT,
     PulseScheme,
     PulseSpec,
     SCHEME_KINDS,
     Trace,
-    V_C_NEG,
-    V_C_POS,
     apply_pulse,
     dc_write_loop,
     default_update_model,
@@ -34,7 +31,8 @@ from ftjsim.device import (
     sample_device,
     write_energy,
 )
-from ftjsim.device import _ChildSeed, _spawn_state_words, _switch_level
+from ftjsim.device import _ChildSeed, _spawn_state_words
+from oracle import d2d_draws, dc_loop, hexes, pulse_train, trace_of
 
 POT = PulseSpec(-1.6, 50e-6)
 DEP = PulseSpec(2.4, 50e-6)
@@ -176,7 +174,7 @@ def test_lognormal_stream_equals_scalar_draws(k, c2c, seed, interrupt):
     except _Interrupt:
         pass
     expect = [ref.lognormal(mean=mean, sigma=sigma) for _ in range(k)]
-    assert _hex(got) == _hex(expect)
+    assert hexes(got) == hexes(expect)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -296,6 +294,11 @@ def test_traces_are_float64_arrays_of_one_length(p, m0):
     ([0.0, 1.0, 2.0], [1e8, 1e9], r"equal length, got shapes \(3,\) and \(2,\)"),
     ([0.0, 1.0], [1e8, 1e9, 1e8], r"equal length, got shapes \(2,\) and \(3,\)"),
     ([[0.0, 1.0]], [[1e8, 1e9]], "1-D of equal length"),
+    ([0.0, 1.0, 2.0], [1e8, math.nan, 1e9], r"r_ohms\[1\] = nan is not finite"),
+    ([0.0, math.nan, 2.0], [1e8, 1e9, 1e8], r"v_write\[1\] = nan is not finite"),
+    ([0.0, 1.0, 2.0], [1e8, math.inf, 1e8], r"r_ohms\[1\] = inf is not finite"),
+    ([0.0, 1.0, 2.0], [0.0, 1e9, 1e8], r"r_ohms\[0\] = 0.0 is not finite and pos"),
+    ([0.0, 1.0, 2.0], [1e8, 1e9, -1e9], r"r_ohms\[2\] = -1000000000.0 is not"),
 ])
 def test_memory_window_checks_its_trace(v_write, r_ohms, message):
     with pytest.raises(ValueError, match=message):
@@ -335,7 +338,6 @@ def test_endurance_boundary():
 
 
 def test_write_energy_formula(p):
-    from ftjsim.conduction import current_total
     s = DeviceState(w=0.0)
     pulse = PulseSpec(-1.6, 50e-6)
     expect = abs(current_total(-1.6, 300.0, p, s)) * 1.6 * 50e-6
@@ -385,10 +387,6 @@ def _seed_sequences(draw):
                 n_children_spawned=draw(st.sampled_from((0, 1, 7, 2**20))))
 
 
-def _hex(xs):
-    return [x.hex() for x in xs]
-
-
 @_GUARD
 @given(_seed_sequences(), st.integers(1, 300))
 def test_spawn_state_words_equal_numpy_children(kwargs, n):
@@ -428,18 +426,15 @@ def test_d2d_offsets_of_sibling_seeds_equal_default_rng(n, sigma):
         got = device._d2d_offsets(sigma, siblings, n)
         assert got.shape == (2, n)
         for row, ss in zip(got, siblings):
-            expect = [float(np.random.default_rng(c).normal(0.0, sigma))
-                      for c in ss.spawn(n)]
-            assert _hex(row.tolist()) == _hex(expect)
+            assert hexes(row) == hexes(d2d_draws(sigma, ss, n))
 
 
 @_GUARD
 @given(_seed_sequences(), st.integers(1, 1024), st.sampled_from((0.0, 0.1, 0.5)))
 def test_sample_d2d_offsets_equal_spawned_default_rng_draws(kwargs, n, sigma):
-    expect = [float(np.random.default_rng(c).normal(0.0, sigma))
-              for c in np.random.SeedSequence(**kwargs).spawn(n)]
     got = sample_d2d_offsets(sigma, np.random.SeedSequence(**kwargs), n)
-    assert _hex(got) == _hex(expect)
+    assert hexes(got) == hexes(
+        d2d_draws(sigma, np.random.SeedSequence(**kwargs), n))
 
 
 # Forced draws. A PCG64 whose state after one LCG step is r < 2**64 (high
@@ -503,8 +498,7 @@ def test_sample_d2d_offsets_equal_forced_and_spawned_draws(
     ki band of strip 0 and of any other strip, with a Generator on the
     forced state."""
     words = _spawn_state_words([np.random.SeedSequence(**kwargs)], n)
-    expect = [float(np.random.default_rng(c).normal(0.0, sigma))
-              for c in np.random.SeedSequence(**kwargs).spawn(n)]
+    expect = d2d_draws(sigma, np.random.SeedSequence(**kwargs), n)
     strips = [0] + data.draw(st.lists(st.integers(2, 255), min_size=2,
                                       max_size=2))
     forced += [(k / 10, strip, place, delta, k % 2)
@@ -525,7 +519,7 @@ def test_sample_d2d_offsets_equal_forced_and_spawned_draws(
     with mock.patch("ftjsim.device._spawn_state_words",
                     lambda seeds, count: words[:count].copy()):
         got = sample_d2d_offsets(sigma, np.random.SeedSequence(**kwargs), n)
-    assert _hex(got) == _hex(expect)
+    assert hexes(got) == hexes(expect)
 
 
 def test_vector_pass_is_on_and_runs_clean():
@@ -561,13 +555,12 @@ def _accepts_every_draw(bitgen, gen, r):
 def test_vector_pass_switches_off_when_numpy_draws_otherwise(name, fake):
     """A numpy whose PCG64 seeding or ziggurat acceptance differs from the
     model fails a table check, and every draw takes the per-device path."""
-    expect = [float(np.random.default_rng(c).normal(0.0, 0.1))
-              for c in np.random.SeedSequence(3).spawn(500)]
+    expect = d2d_draws(0.1, 3, 500)
     device._ziggurat_tables.cache_clear()
     try:
         with mock.patch.object(device, name, fake):
             assert device._ziggurat_tables() is None
-            assert _hex(sample_d2d_offsets(0.1, 3, 500)) == _hex(expect)
+            assert hexes(sample_d2d_offsets(0.1, 3, 500)) == hexes(expect)
     finally:
         device._ziggurat_tables.cache_clear()
 
@@ -577,7 +570,7 @@ def test_vector_pass_switches_off_when_numpy_draws_otherwise(name, fake):
 def test_sample_d2d_offsets_int_seed_equals_sample_device(p, seed):
     children = np.random.SeedSequence(seed).spawn(40)
     expect = [sample_device(p, 0.1, c).d2d_log10 for c in children]
-    assert _hex(sample_d2d_offsets(0.1, seed, 40)) == _hex(expect)
+    assert hexes(sample_d2d_offsets(0.1, seed, 40)) == hexes(expect)
     assert sample_d2d_offsets(0.1, seed, 0) == []
 
 
@@ -620,54 +613,15 @@ def test_state_validation():
 
 # --- Bit-identity guard: float-level pulse trains and sweeps -----------------
 #
-# The references below are the loops run_scheme and dc_write_loop replaced:
-# one apply_pulse or dataclasses.replace and one scalar current_total read
-# per pulse or grid point, collected as plain float lists in Trace's field
-# order. The float-level loops must reproduce every element of every field
-# by float.hex, and every generator draw.
-
-def _reference_read(state, p, v_read, t, trace):
-    """Append one state's w, current and resistance to trace's lists."""
-    i = current_total(v_read, t, p, state)
-    r = abs(v_read / i) if i != 0.0 else math.inf
-    for column, x in zip(trace, (state.w, i, r)):
-        column.append(x)
-
-
-def _reference_run_scheme(s, scheme, m, p, v_read, t, rng):
-    trace = ([], [], [])
-    state = s
-    for pulse in scheme.pulses():
-        state = apply_pulse(state, pulse, m, rng=rng, kind=scheme.kind)
-        _reference_read(state, p, v_read, t, trace)
-    return trace
-
-
-def _reference_dc_write_loop(s, v_grid, p, v_read, t):
-    trace = ([], [], [])
-    state = s
-    for v in np.asarray(v_grid, dtype=float):
-        if not np.isfinite(v):
-            raise ValueError("v_grid contains non-finite values")
-        pot_level = _switch_level((V_C_NEG - v) / DC_WIDTH)
-        dep_level = _switch_level((v - V_C_POS) / DC_WIDTH)
-        w = max(state.w, pot_level)
-        w = min(w, 1.0 - dep_level)
-        state = replace(state, w=w)
-        _reference_read(state, p, v_read, t, trace)
-    return trace
-
-
-def _hexes(columns):
-    """Each column of Python floats as its float.hex list."""
-    return [[x.hex() for x in column] for column in columns]
-
+# The references are oracle.py's per-pulse and per-point loops, one scalar
+# read each. The float-level loops must reproduce every element of every
+# Trace field by float.hex, and every generator draw.
 
 def _bits(result):
     """Every field of a Readout or a Trace, in order, element by element by
     float.hex; a Trace has no ==."""
-    return _hexes(np.atleast_1d(getattr(result, f.name)).tolist()
-                  for f in fields(result))
+    return [hexes(np.atleast_1d(getattr(result, f.name)))
+            for f in fields(result)]
 
 
 @dataclass(frozen=True)
@@ -734,8 +688,8 @@ def test_run_scheme_bit_identical_to_per_pulse_reference(s, scheme, c2c, n_full,
     m = default_update_model(n_full=n_full, c2c_rel=c2c)
     rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
     new = run_scheme(s, scheme, m, p, v_read=v_read, t=t, rng=rng_new)
-    ref = _reference_run_scheme(s, scheme, m, p, v_read, t, rng_ref)
-    assert _bits(new) == _hexes(ref)
+    ref = trace_of(pulse_train(s, scheme, m, rng_ref), p, v_read, t)
+    assert _bits(new) == [hexes(column) for column in ref]
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -746,8 +700,8 @@ def test_run_scheme_bit_identical_to_per_pulse_reference(s, scheme, c2c, n_full,
        _READ_V, _TEMPS)
 def test_dc_write_loop_bit_identical_to_per_point_reference(s, grid, v_read, t):
     p = default_params()
-    assert _bits(dc_write_loop(s, grid, p, v_read=v_read, t=t)) \
-        == _hexes(_reference_dc_write_loop(s, grid, p, v_read, t))
+    assert _bits(dc_write_loop(s, grid, p, v_read=v_read, t=t)) == [
+        hexes(column) for column in trace_of(dc_loop(s, grid), p, v_read, t)]
 
 
 def _reference_pulses(scheme):
@@ -813,9 +767,10 @@ def test_numpy_offset_past_float_range_is_named(p, run):
 def test_run_scheme_noise_without_generator_raises(p):
     m = default_update_model(c2c_rel=0.1)
     scheme = preset_scheme("amplitude_ramp", "pot")
-    for run in (run_scheme, _reference_run_scheme):
-        with pytest.raises(ValueError, match="explicit generator"):
-            run(DeviceState(w=0.0), scheme, m, p, 0.3, 300.0, None)
+    with pytest.raises(ValueError, match="explicit generator"):
+        run_scheme(DeviceState(w=0.0), scheme, m, p)
+    with pytest.raises(ValueError, match="explicit generator"):
+        pulse_train(DeviceState(w=0.0), scheme, m)
     # a broken device never pulses, so it needs no generator
     trace = run_scheme(DeviceState(w=0.4, broken=True), scheme, m, p)
     assert trace.w.tolist() == [0.4] * scheme.n_pulses
@@ -870,11 +825,9 @@ def test_trace_read_equals_per_state_reads(states, one_offset, v, t):
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         i, r = device._trace_read(v, t, p, ws, d2d)
-    ref = [current_total(v, t, p, DeviceState(w=w, d2d_log10=d))
-           for w, d in zip(ws, offsets)]
-    assert [x.hex() for x in i.tolist()] == [x.hex() for x in ref]
-    assert [x.hex() for x in r.tolist()] \
-        == [(abs(v / x) if x != 0.0 else math.inf).hex() for x in ref]
+    ref = trace_of([DeviceState(w=w, d2d_log10=d)
+                    for w, d in zip(ws, offsets)], p, v, t)
+    assert [hexes(i), hexes(r)] == [hexes(column) for column in ref[1:]]
 
 
 @pytest.mark.parametrize("v_read, t", [(math.nan, 300.0), (0.3, -1.0)])

@@ -1,7 +1,7 @@
 """Differential weight mapping, write-verify programming, analog MVM."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,11 +13,9 @@ from ftjsim.conduction import (current_total, default_params,
                                state_multiplier)
 from ftjsim.crossbar import Crossbar, build_crossbar, mvm_read
 from ftjsim.device import (SCHEME_KINDS, DeviceState, PulseSpec,
-                           T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
                            apply_pulse, default_update_model)
 from ftjsim.inference import (
     VERIFY_TOL_FRACTION,
-    ProgramReport,
     WeightMapping,
     map_weights,
     mvm_charge,
@@ -27,9 +25,10 @@ from ftjsim.inference import (
     state_conductance,
     weight_for_conductance,
 )
+from oracle import (V_VERIFY, benchmark_planes, crossbar_of, hexes,
+                    multiplier, program, programming_bits, pulse_law)
 
 V_READ_MVM = 0.1
-V_VERIFY = 0.3
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +49,12 @@ def test_normalized_conductance_round_trip(p):
     assert normalized_conductance(p, 1.0) == 1.0
 
 
+@pytest.mark.parametrize("u", [-0.1, 1.1, math.nan, [0.5, math.nan]])
+def test_weight_for_conductance_rejects_outside_unit_range(p, u):
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        weight_for_conductance(p, u)
+
+
 def test_conductance_helpers_array_equals_scalar_bit_for_bit(p):
     """Array inputs of normalized_conductance and state_conductance equal
     the per-element multiplier g_lrs ** w * 10.0 ** (-d) in Python floats,
@@ -59,7 +64,7 @@ def test_conductance_helpers_array_equals_scalar_bit_for_bit(p):
     d = rng.normal(0.0, 0.3, 1024)
     w_grid, d_grid = w.reshape(32, 32), d.reshape(32, 32)
     base = current_total(V_READ_MVM, 300.0, p, DeviceState(w=0.0)) / V_READ_MVM
-    g = [p.g_lrs ** wi * 10.0 ** (-di) for wi, di in zip(w.tolist(), d.tolist())]
+    g = [multiplier(p, wi, di) for wi, di in zip(w.tolist(), d.tolist())]
     u_ref = [((gi - 1.0) / (p.g_lrs - 1.0)).hex() for gi in g]
     c_ref = [(base * gi).hex() for gi in g]
     u = normalized_conductance(p, w_grid, d_grid)
@@ -320,99 +325,10 @@ def test_mvm_error_mc_reproducible(p):
 
 # --- Bit-identity guard: float-level paths against the per-pulse reference ---
 #
-# The references below are the implementations the float-level loops
-# replaced: one apply_pulse (dataclass state, curve helpers) and one scalar
-# current_total read per pulse, and one mvm_read per one-hot row. The new
-# paths must reproduce them bit for bit, generator draws included, because
-# the negative plane of mvm_error_mc programs from the same generator.
-
-def _reference_apply_pulse(s, pulse, m, rng=None, kind="amplitude_ramp"):
-    def forward(n, a, n_full):
-        return (1.0 - math.exp(-n / a)) / (1.0 - math.exp(-n_full / a))
-
-    def invert(x, a, n_full):
-        d = 1.0 - math.exp(-n_full / a)
-        return -a * math.log(1.0 - x * d)
-
-    if s.broken or pulse.t_width == 0.0:
-        return s
-    v = pulse.v_write
-    shape = m.shape_for(kind)
-    if v < m.v_on_pot:
-        polarity = -1
-    elif v > m.v_on_dep:
-        polarity = +1
-    else:
-        return s
-    if polarity < 0:
-        a, progress = shape.a_pot, s.w
-    else:
-        a, progress = shape.a_dep, 1.0 - s.w
-    n = invert(progress, a, m.n_full)
-    step = forward(n + 1.0, a, m.n_full) - progress
-    if m.c2c_rel > 0.0:
-        if rng is None:
-            raise ValueError("c2c_rel > 0 requires an explicit generator")
-        s2 = math.log(1.0 + m.c2c_rel ** 2)
-        step *= rng.lognormal(mean=-0.5 * s2, sigma=math.sqrt(s2))
-    if polarity < 0:
-        w_new = min(s.w + step, 1.0)
-    else:
-        w_new = max(s.w - step, 0.0)
-    cycles = s.cycles + (1 if (s.last_polarity != 0
-                               and polarity != s.last_polarity) else 0)
-    return replace(s, w=w_new, cycles=cycles, last_polarity=polarity)
-
-
-def _reference_trim_device(s, g_target, p, m, v_read, t, tol_g, rng,
-                           max_pulses):
-    pot = PulseSpec(V_POT_DEFAULT, T_WIDTH_DEFAULT)
-    dep = PulseSpec(V_DEP_DEFAULT, T_WIDTH_DEFAULT)
-    n = 0
-    g = current_total(v_read, t, p, s) / v_read
-    while abs(g - g_target) > tol_g and n < max_pulses:
-        pulse = pot if g < g_target else dep
-        s_new = _reference_apply_pulse(s, pulse, m, rng=rng,
-                                       kind="amplitude_ramp")
-        if s_new.w == s.w:
-            break
-        s = s_new
-        g = current_total(v_read, t, p, s) / v_read
-        n += 1
-    return s, n, abs(g - g_target)
-
-
-def _crossbar_of(states, p, t_kelvin):
-    """A Crossbar holding a nested grid of DeviceStates."""
-    return Crossbar(params=p, t_kelvin=t_kelvin, **{
-        f.name: [[getattr(s, f.name) for s in row] for row in states]
-        for f in fields(DeviceState)})
-
-
-def _reference_program(xbar, g_targets, m, tol_g, rng, v_read=V_VERIFY,
-                       max_pulses=None):
-    g_targets = np.asarray(g_targets, dtype=float)
-    t = xbar.t_kelvin
-    max_pulses = 3 * m.n_full if max_pulses is None else max_pulses
-    counts = np.zeros((xbar.n_rows, xbar.n_cols), dtype=int)
-    resid = np.zeros((xbar.n_rows, xbar.n_cols))
-    rows = []
-    for r in range(xbar.n_rows):
-        cells = []
-        for c in range(xbar.n_cols):
-            s, n, err = _reference_trim_device(
-                xbar.state(r, c), float(g_targets[r, c]), xbar.params, m,
-                v_read, t, tol_g, rng, max_pulses)
-            counts[r, c] = n
-            resid[r, c] = err
-            cells.append(s)
-        rows.append(tuple(cells))
-    report = ProgramReport(pulse_counts=counts, residual_g=resid,
-                           pulses_total=int(counts.sum()),
-                           max_residual_g=float(resid.max()),
-                           n_failed=int(np.sum(resid > tol_g)))
-    return _crossbar_of(rows, xbar.params, t), report
-
+# The references are oracle.py's per-pulse law and per-cell write-verify
+# and one mvm_read per one-hot row. The new paths must reproduce them bit
+# for bit, generator draws included: both planes of an mvm_error_mc trial
+# program from one generator.
 
 def _reference_mvm_charge(xbar, x, v_read=V_READ_MVM):
     x = np.asarray(x, dtype=float)
@@ -464,32 +380,12 @@ def _program_cases(draw):
                     last_polarity=int(rng.integers(-1, 2)),
                     broken=bool(rng.random() < 0.1))
             for c in range(nc)))
-    xbar = _crossbar_of(rows, p, t)
+    xbar = crossbar_of(rows, p, t)
     g_lo = state_conductance(p, 0.0, v_read=v_read, t=t)
     g_hi = state_conductance(p, 1.0, v_read=v_read, t=t)
     targets = g_lo + rng.uniform(-0.2, 1.2, (nr, nc)) * (g_hi - g_lo)
     tol = float(rng.uniform(0.005, 0.1)) * (g_hi - g_lo)
     return xbar, targets, m, tol, v_read, max_pulses, seed
-
-
-def _hex(a):
-    return [x.hex() for x in np.ravel(a).tolist()]
-
-
-def _assert_same_programming(new, ref, rng_new, rng_ref):
-    """Two (Crossbar, ProgramReport) results and their generators agree:
-    floats by float.hex, counts and flags exactly, and the generators'
-    end states."""
-    (new_x, new_r), (ref_x, ref_r) = new, ref
-    assert _hex(new_x.w) == _hex(ref_x.w)
-    assert new_x == ref_x
-    assert np.array_equal(new_r.pulse_counts, ref_r.pulse_counts)
-    assert new_r.pulse_counts.dtype == ref_r.pulse_counts.dtype
-    assert _hex(new_r.residual_g) == _hex(ref_r.residual_g)
-    assert new_r.pulses_total == ref_r.pulses_total
-    assert new_r.max_residual_g.hex() == ref_r.max_residual_g.hex()
-    assert new_r.n_failed == ref_r.n_failed
-    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 @_GUARD
@@ -500,39 +396,21 @@ def test_program_write_verify_bit_identical_to_per_pulse_reference(case):
     rng_ref = np.random.default_rng(seed + 1)
     new = program_write_verify(xbar, targets, m, tol, rng_new,
                                v_read=v_read, max_pulses=max_pulses)
-    ref = _reference_program(xbar, targets, m, tol, rng_ref,
-                             v_read=v_read, max_pulses=max_pulses)
-    _assert_same_programming(new, ref, rng_new, rng_ref)
-
-
-def _benchmark_planes(seed, p):
-    """The two 8x8 planes of one mvm_error_mc trial at sigma_d2d = 0.1,
-    with their verify targets and tol_g built as mvm_error_mc builds them,
-    and the trial's programming generator seed."""
-    w = np.random.default_rng(seed).uniform(-1.0, 1.0, (8, 8))
-    mapping = map_weights(w, 11, p)
-    gv_min = float(state_conductance(p, 0.0, V_VERIFY))
-    gv_max = float(state_conductance(p, 1.0, V_VERIFY))
-    tol = VERIFY_TOL_FRACTION * mapping.level_spacing * (gv_max - gv_min)
-    (child,) = np.random.SeedSequence(seed).spawn(1)
-    s_pos, s_neg, s_prog, _ = child.spawn(4)
-    planes = [(build_crossbar(8, 8, p, 0.1, s_plane),
-               gv_min + u * (gv_max - gv_min))
-              for s_plane, u in ((s_pos, mapping.u_pos),
-                                 (s_neg, mapping.u_neg))]
-    return planes, tol, s_prog
+    ref = program(xbar, targets, m, tol, rng_ref, v_read=v_read,
+                  max_pulses=max_pulses)
+    assert programming_bits(new, rng_new) == programming_bits(ref, rng_ref)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_program_write_verify_equals_reference_on_benchmark_planes(p, m, seed):
     """Twenty benchmark-shaped planes (ten trials of two) trim to the
     per-pulse reference's bits, the shared generator included."""
-    planes, tol, s_prog = _benchmark_planes(seed, p)
+    planes, tol, s_prog = benchmark_planes(seed, p)
     rng_new, rng_ref = np.random.default_rng(s_prog), np.random.default_rng(s_prog)
     for xbar, targets in planes:
         new = program_write_verify(xbar, targets, m, tol, rng_new)
-        ref = _reference_program(xbar, targets, m, tol, rng_ref)
-        _assert_same_programming(new, ref, rng_new, rng_ref)
+        ref = program(xbar, targets, m, tol, rng_ref)
+        assert programming_bits(new, rng_new) == programming_bits(ref, rng_ref)
         assert new[1].pulses_total > 0
 
 
@@ -597,7 +475,7 @@ def test_apply_pulse_bit_identical_to_reference(w, cycles, last, broken, v,
     pulse = PulseSpec(v, 50e-6)
     rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
     assert apply_pulse(s, pulse, m, rng_new, kind) \
-        == _reference_apply_pulse(s, pulse, m, rng_ref, kind)
+        == pulse_law(s, pulse, m, rng_ref, kind)
     assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
@@ -736,7 +614,7 @@ def _assert_equals_reference(stats, expect):
     """Every field of an MvmErrorStats against the reference's, floats by
     float.hex."""
     errors, pulses, failed, median, lo, hi = expect
-    assert _hex(stats.rel_errors) == [e.hex() for e in errors]
+    assert hexes(stats.rel_errors) == [e.hex() for e in errors]
     assert stats.pulses.tolist() == pulses
     assert stats.failed_cells.tolist() == failed
     assert [stats.median.hex(), stats.ci_low.hex(), stats.ci_high.hex()] == [
@@ -832,7 +710,7 @@ def test_mvm_error_mc_takes_numpy_integer_trials():
     w = np.array([[0.5, -0.25], [0.75, 0.0]])
     a = mvm_error_mc(w, sigma_d2d=0.1, n_trials=np.int64(2), seed=3)
     b = mvm_error_mc(w, sigma_d2d=0.1, n_trials=2, seed=3)
-    assert _hex(a.rel_errors) == _hex(b.rel_errors)
+    assert hexes(a.rel_errors) == hexes(b.rel_errors)
 
 
 # mvm_error_mc(w, sigma_d2d=0.1, n_trials=3, seed=seed) with write-verify
@@ -855,7 +733,7 @@ def test_mvm_error_mc_write_verify_pinned(seed):
     w = np.random.default_rng(seed).uniform(-1.0, 1.0, (8, 8))
     stats = mvm_error_mc(w, sigma_d2d=0.1, n_trials=3, seed=seed,
                          programming="write_verify", decoder="calibrated")
-    assert (_hex(stats.rel_errors), stats.pulses.tolist(),
+    assert (hexes(stats.rel_errors), stats.pulses.tolist(),
             stats.failed_cells.tolist()) == _PINNED_MVM_MC[seed]
 
 
