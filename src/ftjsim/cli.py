@@ -4,17 +4,24 @@ Every analysis command reads one optional INI config, runs a deterministic
 simulation seeded from --seed, and writes one CSV table plus a JSON
 metadata sidecar, <command>.json, into --out. Each command's handler maps
 (cfg, bundle, seed) to (csv_name, header, rows, payload) and writes
-nothing; main writes both files, stamping the payload through _meta, so a
-command that fails writes no file. Handlers return exact int, float or
-str cells, one type per column, and plain Python payloads; _csv_text
-renders each table with one "%d"/"%.12g"/"%s" line template and rejects
-any other cell before main opens either file. The pulse-train commands
-(scheme, cdf, fitA) open one device._pulser per command and run each
-train through device._train in floats, building only the cells they
+nothing. Handlers return exact int, float or str cells, one type per
+column, and plain Python payloads; rows may be lazy. main renders the
+payload, stamped through _meta, first. It then streams the table through
+_csv_blocks, which reads, checks and renders _CSV_BLOCK rows at a time
+with one "%d"/"%.12g"/"%s" line template, into <csv_name>.part in --out,
+writes the sidecar, and renames the part over <csv_name> after the last
+block (_write_files). Any failure removes the part, the sidecar and the
+directories main made, so a command that fails leaves --out as it found
+it. The pulse-train
+commands (scheme, cdf, fitA) open one device._pulser per command and run
+each train through device._train in floats, building only the cells they
 write; one noise stream per command draws what one per train would.
-No read decides a pulse: scheme and cdf read all their traces, retention
-each start state's hold and d2d its population in one device._trace_read
-call each; fitA reads nothing.
+No read decides a pulse: scheme and cdf read all their traces and
+retention each start state's hold in one device._trace_read call each.
+d2d is a block pipeline: its offsets, the one array that grows with
+n_devices, come from device._d2d_offsets in blocks, and its rows are read
+one _trace_read call per CSV block as main writes them; fitA reads
+nothing.
 Output bytes are reproducible for a given (config, seed, version): no
 timestamps, no machine identifiers, and all floats rendered with a fixed
 format.
@@ -28,10 +35,12 @@ takes a non-negative integer. The argument parser is built once per
 process, on the first main call, and reused by every later call; importing
 the module builds none.
 
-Exit codes: 0 success, 1 usage error, 2 configuration error (a malformed
-file or a value outside a limit, all found when the config is parsed), 3
-numerical failure (calibration, a network solve, or any float error,
-RuntimeError or ValueError while the model is built or a command runs).
+Exit codes: 0 success, 1 usage error (an OSError while --out or a file in
+it is made, written or renamed is one), 2 configuration error (a
+malformed file or a value outside a limit, all found when the config is
+parsed), 3 numerical failure (calibration, a network solve, or any float
+error, RuntimeError or ValueError while the model is built, a command
+runs or its rows are read).
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ import json
 import math
 import sys
 from collections.abc import Iterable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -58,9 +67,9 @@ from .config import (ConfigError, SimConfig, _loop_legs, build_model, emit_confi
 from .constants import K_B, Q_E
 from .crossbar import build_crossbar, sneak_margin, write_v_half
 from .device import (T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
-                     DeviceState, PulseSpec, PulseScheme, _pulser,
-                     _trace_read, _train, dc_write_loop, memory_window,
-                     preset_scheme, retention_evolve, sample_d2d_offsets,
+                     DeviceState, PulseSpec, PulseScheme, _d2d_offsets,
+                     _pulser, _trace_read, _train, dc_write_loop,
+                     memory_window, preset_scheme, retention_evolve,
                      write_energy)
 from .extraction import (OHMIC_WINDOW, PF_WINDOW, Sweep, cdf_levels,
                          discriminate_tunneling, extract_ohmic, extract_pf,
@@ -95,7 +104,12 @@ def _jsonable(obj):
 
 _CELL_FORMATS = {int: "%d", float: "%.12g", str: "%s"}
 _QUOTED = frozenset(',"\r\n')  # a label holding one would need CSV quoting
-_CSV_BLOCK = 4096  # rows checked, rendered and written together
+# Rows read, checked, rendered and written together. Reading and rendering
+# CLI d2d's 10000 rows took 13.4-14.4 ms at minimum (21 interleaved runs,
+# 2-CPU x86_64 box) at every size from 512 to 16384, so the size only
+# bounds memory: d2d at n_devices = 200000 peaked at 3.1 MiB under
+# tracemalloc from 1024 to 4096 and at 4.6 MiB at 8192.
+_CSV_BLOCK = 2048
 
 
 def _line_template(block: list[tuple], width: int) -> str:
@@ -103,7 +117,7 @@ def _line_template(block: list[tuple], width: int) -> str:
     cells, each column exactly int, float or str. Raises ValueError for a
     row of another width or a label that is empty or needs quoting, and
     TypeError for a column of mixed or other types."""
-    if any(len(row) != width for row in block):
+    if set(map(len, block)) != {width}:
         raise ValueError(f"every CSV row must have {width} cells")
     cells = []
     for j, column in enumerate(zip(*block)):
@@ -119,23 +133,38 @@ def _line_template(block: list[tuple], width: int) -> str:
     return ",".join(cells) + "\r\n"
 
 
-def _csv_text(header, rows) -> str:
-    """The CSV text of a table. The header is one row of labels. Rows are
-    checked and rendered in blocks of _CSV_BLOCK; the first block's
+class _RowsError(Exception):
+    """An error that a table's rows raised as they were read, its cause:
+    main reports it as it reports the handler's own."""
+
+
+def _csv_blocks(header, rows):
+    """The CSV text of a table, as the header line and then one string per
+    block of _CSV_BLOCK rows. The header is one row of labels. Each block
+    is read, checked and rendered in turn, so a lazy table reads its cells
+    as it is written; a RuntimeError, ArithmeticError or ValueError that
+    reading the rows raises comes out as _RowsError. The first block's
     template is the table's, and every block must match."""
     header = tuple(header)
     if not all(type(label) is str for label in header):
         raise TypeError("every CSV header cell must be a str")
-    parts = [_line_template([header], len(header)) % header]
+    yield _line_template([header], len(header)) % header
     template = None
     rows = iter(rows)
-    while block := [tuple(row) for row in itertools.islice(rows, _CSV_BLOCK)]:
+    while True:
+        try:
+            block = list(map(tuple, itertools.islice(rows, _CSV_BLOCK)))
+        except (RuntimeError, ArithmeticError, ValueError) as exc:
+            raise _RowsError from exc
+        if not block:
+            return
         line = _line_template(block, len(header))
         template = template or line
         if line != template:
             raise TypeError("a CSV column's cell type changed between rows")
-        parts.append("".join([template % row for row in block]))
-    return "".join(parts)
+        # one format over the block: the same text as one per row
+        yield (template * len(block)) % tuple(
+            itertools.chain.from_iterable(block))
 
 
 def _json_text(payload: dict) -> str:
@@ -322,11 +351,19 @@ def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     n_devices = cfg.d2d.n_devices
     sigma = cfg.variation.sigma_d2d
-    offsets = sample_d2d_offsets(sigma, seed, n_devices)
-    _, (r_hrs, r_lrs) = _trace_read(bundle.v_read, bundle.t_kelvin, p,
-                                    [[0.0], [1.0]], offsets)
-    rows = zip(range(n_devices), offsets, r_hrs.tolist(), r_lrs.tolist())
-    offsets = np.array(offsets)
+    offsets = _d2d_offsets(sigma, [seed], n_devices)[0]
+
+    def block_rows(start):
+        block = offsets[start:start + _CSV_BLOCK]
+        _, (r_hrs, r_lrs) = _trace_read(bundle.v_read, bundle.t_kelvin, p,
+                                        [[0.0], [1.0]], block)
+        return zip(range(start, start + len(block)), block.tolist(),
+                   r_hrs.tolist(), r_lrs.tolist())
+
+    # one read per CSV block, as main writes it: only the offsets grow
+    # with n_devices
+    rows = itertools.chain.from_iterable(
+        map(block_rows, range(0, n_devices, _CSV_BLOCK)))
     return "d2d.csv", ["device_index", "d2d_log10", "r_hrs_ohms",
                        "r_lrs_ohms"], rows, {
         "n_devices": n_devices,
@@ -514,6 +551,41 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _write_files(out: Path, csv_path: Path, csv_blocks, json_path: Path,
+                 json_text: str) -> None:
+    """Create out if it is missing, stream csv_blocks into csv_path.part,
+    write json_text to json_path, and then rename the part over csv_path.
+    On any failure the part, the sidecar and the directories made here
+    are removed, and the error is raised on. So a table that fails while
+    it streams leaves out as it was."""
+    made = []
+    if not out.is_dir():
+        for parent in (out, *out.parents):
+            if parent.exists():
+                break
+            made.append(parent)
+    part = csv_path.with_name(f"{csv_path.name}.part")
+    written = []
+    try:
+        if made:
+            out.mkdir(parents=True, exist_ok=True)
+        with open(part, "w", newline="", encoding="utf-8") as fh:
+            written.append(part)
+            fh.writelines(csv_blocks)
+        with open(json_path, "w", newline="", encoding="utf-8") as fh:
+            written.append(json_path)
+            fh.write(json_text)
+        part.replace(csv_path)
+    except BaseException:
+        for path in written:
+            with suppress(OSError):
+                path.unlink()
+        for directory in made:
+            with suppress(OSError):
+                directory.rmdir()
+        raise
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -554,20 +626,21 @@ def main(argv=None) -> int:
     except (RuntimeError, ArithmeticError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    # both files are rendered before either is written, so a cell outside
-    # the writers' domain leaves no file behind
-    csv_path, json_path = out / csv_name, out / f"{command}.json"
-    csv_text = _csv_text(header, rows)
+    # the JSON is rendered before any file is opened; the CSV is rendered
+    # and written block by block, and the rows' reads run under the
+    # handlers' float policy
     json_text = _json_text(_meta(command, cfg, args.seed, payload))
-    if not out.is_dir():
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"usage error: --out {out}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    for path, text in ((csv_path, csv_text), (json_path, json_text)):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+    csv_path, json_path = out / csv_name, out / f"{command}.json"
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            _write_files(out, csv_path, _csv_blocks(header, rows),
+                         json_path, json_text)
+    except OSError as exc:
+        print(f"usage error: --out {out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except _RowsError as exc:
+        print(f"numerical error: {exc.__cause__}", file=sys.stderr)
+        return EXIT_NUMERICAL
     print(f"wrote {csv_path}\nwrote {json_path}")
     return EXIT_OK
 

@@ -369,29 +369,28 @@ def _uint32_words(x) -> list[int]:
     return [word for item in x for word in _uint32_words(item)]
 
 
-def _spawn_state_words(seeds, n: int) -> np.ndarray:
-    """(len(seeds) * n, 4) uint64 array of one row block per SeedSequence
-    in seeds: row k * n + i equals
-    seeds[k].spawn(n)[i].generate_state(4, np.uint64), without spawning.
+def _child_words(seeds):
+    """words(start, n) -> the (len(seeds) * n, 4) uint64 array whose row
+    k * n + i equals seeds[k].spawn(start + n)[start + i]
+    .generate_state(4, np.uint64), without spawning.
 
     Child i's assembled entropy is its parent's run entropy padded to
     pool_size, then the parent's spawn_key, then i. Only the last word
     differs between a parent's children, and the hash constants depend
     only on how many words were hashed, not on their values. So each
-    parent's prefix is hashed once in scalars, and the last word and the
-    output hash run over every pool word of every child of every parent
-    at once. Child indices start at each parent's n_children_spawned, as
-    in spawn; the parents are not changed. Parents of different pool
-    sizes take one pass each.
+    parent's prefix is hashed once, here, in scalars, and each words call
+    runs the last word and the output hash over every pool word of its
+    children of every parent at once. Child indices count from each
+    parent's n_children_spawned, as in spawn; the parents are not changed.
+    Parents of different pool sizes take one pass each.
     """
     if len({ss.pool_size for ss in seeds}) > 1:
-        return np.concatenate([_spawn_state_words([ss], n) for ss in seeds])
+        parts = [_child_words([ss]) for ss in seeds]
+        return lambda start, n: np.concatenate([part(start, n)
+                                                for part in parts])
     size = seeds[0].pool_size
-    pools, consts, index = [], [], []
+    pools, consts = [], []
     for ss in seeds:
-        start = ss.n_children_spawned
-        if start + n > 2 ** 32:
-            raise ValueError("child indices must stay below 2**32")
         run = _uint32_words(ss.entropy)
         prefix = run + [0] * (size - len(run)) + _uint32_words(ss.spawn_key)
         # mix_entropy over the prefix: fill the pool, mix it with itself,
@@ -413,28 +412,51 @@ def _spawn_state_words(seeds, n: int) -> np.ndarray:
         pools.append(pool)
         # the hash constant each pool word mixes the last word in with
         consts.append([h * _MULT_A ** k & _MASK32 for k in range(size)])
-        index.append(np.arange(start, start + n, dtype=np.uint32))
+    spawned = [ss.n_children_spawned for ss in seeds]
 
-    def per_pool_word(columns):
-        """Parent k's size values over its n children, as a (size, rows)
-        uint32 array, or (size, 1) when the parents share them."""
-        if all(column == columns[0] for column in columns):
-            return np.array(columns[0], dtype=np.uint32)[:, None]
-        return np.repeat(np.array(columns, dtype=np.uint32).T, n, axis=1)
+    def columns(values) -> np.ndarray:
+        """Parent k's size values as column k of a uint32 array, or one
+        column when the parents share them."""
+        if all(column == values[0] for column in values):
+            values = values[:1]
+        return np.array(values, dtype=np.uint32).T
 
-    # The last entropy word, the child index, mixed into every pool word of
-    # every child at once: one row per pool word, one column per child.
-    hashed, _ = _hashmix(np.concatenate(index), per_pool_word(consts))
-    pool = _mix(per_pool_word(pools), hashed)
-    # generate_state(4, np.uint64): eight uint32 words cycled from the pool,
-    # each hashed with the next of the fixed output constants, read as
-    # little-endian pairs.
-    word = pool.take(np.arange(8) % size, axis=0)
-    word ^= _OUT_HASH[:-1]
-    word *= _OUT_HASH[1:]
-    word = word ^ word >> _XSHIFT
-    out = np.ascontiguousarray(word.T, dtype="<u4").view("<u8")
-    return out.astype(np.uint64, copy=False)
+    pools, consts = columns(pools), columns(consts)
+
+    def per_child(values: np.ndarray, n: int) -> np.ndarray:
+        """A (size, rows) array of each parent's column over its n
+        children, or the one shared column."""
+        if values.shape[1] == 1:
+            return values
+        return np.repeat(values, n, axis=1)
+
+    def words(start: int, n: int) -> np.ndarray:
+        if max(spawned) + start + n > 2 ** 32:
+            raise ValueError("child indices must stay below 2**32")
+        index = np.concatenate([np.arange(s + start, s + start + n,
+                                          dtype=np.uint32) for s in spawned])
+        # The last entropy word, the child index, mixed into every pool
+        # word of every child at once: one row per pool word, one column
+        # per child.
+        hashed, _ = _hashmix(index, per_child(consts, n))
+        pool = _mix(per_child(pools, n), hashed)
+        # generate_state(4, np.uint64): eight uint32 words cycled from the
+        # pool, each hashed with the next of the fixed output constants,
+        # read as little-endian pairs.
+        word = pool.take(np.arange(8) % size, axis=0)
+        word ^= _OUT_HASH[:-1]
+        word *= _OUT_HASH[1:]
+        word = word ^ word >> _XSHIFT
+        out = np.ascontiguousarray(word.T, dtype="<u4").view("<u8")
+        return out.astype(np.uint64, copy=False)
+
+    return words
+
+
+def _spawn_state_words(seeds, n: int) -> np.ndarray:
+    """_child_words(seeds)(0, n): the state words of the next n children
+    of each SeedSequence of seeds, in one row block per seed."""
+    return _child_words(seeds)(0, n)
 
 
 class _ChildSeed(np.random.bit_generator.ISeedSequence):
@@ -558,13 +580,20 @@ def _ziggurat_tables():
     return np.array(wi), np.array(limit, dtype=np.uint64)
 
 
-# Below this population, summed over the seeds of one pass, the per-device
+# Below this population, summed over the seeds of one call, the per-device
 # Generator is about as fast as the vector pass. Medians of 200 calls on
 # one mvm_error_mc trial's two sibling seeds, 2-CPU x86_64 box, per-device
 # against vector: 0.31 against 0.32 ms at n = 32, 0.37 against 0.33 ms at
 # n = 40, 0.54 against 0.40 ms at n = 64, 0.91 against 0.45 ms at n = 128.
 _VECTOR_MIN_N = 40
-_BLOCK = 8192
+# Children per seed in one pass of _d2d_offsets. Per-block costs (the
+# array calls of a pass, about 0.1 ms) fall as blocks grow, and the
+# temporaries grow with them. Medians of 101 interleaved calls at n =
+# 10000 and of 5 at n = 10**6, one seed, 2-CPU x86_64 box, with the
+# tracemalloc peak beyond the result: 1024 took 2.62 and 265 ms (0.20
+# MiB), 2048 2.08 and 204 ms (0.40 MiB), 4096 1.99 and 163 ms (0.71 MiB),
+# 8192 2.22 and 166 ms (1.32 MiB), 16384 2.54 and 160 ms (2.64 MiB).
+_BLOCK = 4096
 
 
 def _child_normal(words: np.ndarray, sigma_d2d: float) -> float:
@@ -577,18 +606,18 @@ def sample_d2d_offsets(sigma_d2d: float, seed, n: int) -> list[float]:
     spawned child of the seed (an int or a SeedSequence).
 
     Offset i equals sample_device(p, sigma_d2d, children[i]).d2d_log10 for
-    children = SeedSequence(seed).spawn(n), bit for bit. The children's
-    seed words come from one vectorized pass of numpy's SeedSequence hash;
-    _d2d_offsets draws the children of several sibling seeds in one pass.
-    From a private, measured population size up, one array pass then
-    seeds every child's PCG64 and takes its first output, and applies the
-    ziggurat's first-draw acceptance, as numpy's Generator.normal does:
-    offset = 0.0 + sigma_d2d * x. A draw the pass cannot show exact (in
-    strip 1, at or above the strip's acceptance estimate, or one the
-    ziggurat would reject) takes numpy's own PCG64 and normal on its
-    child's words, about 1.5 % of draws, as does every draw of a smaller
-    population or of a numpy whose draws fail the checks of
-    _ziggurat_tables. A SeedSequence passed in is read from its current
+    children = SeedSequence(seed).spawn(n), bit for bit. _d2d_offsets
+    draws the children, of several sibling seeds at once, in blocks of
+    _BLOCK per seed. A block's seed words come from one vectorized pass of
+    numpy's SeedSequence hash. From a private, measured population size
+    up, one array pass then seeds every child's PCG64 and takes its first
+    output, and applies the ziggurat's first-draw acceptance, as numpy's
+    Generator.normal does: offset = 0.0 + sigma_d2d * x. A draw the pass
+    cannot show exact (in strip 1, at or above the strip's acceptance
+    estimate, or one the ziggurat would reject) takes numpy's own PCG64
+    and normal on its child's words, about 1.5 % of draws, as does every
+    draw of a smaller population or of a numpy whose draws fail the
+    checks of _ziggurat_tables. A SeedSequence passed in is read from its current
     spawn count, which this does not advance.
     """
     return _d2d_offsets(sigma_d2d, [seed], n)[0].tolist()
@@ -596,26 +625,30 @@ def sample_d2d_offsets(sigma_d2d: float, seed, n: int) -> list[float]:
 
 def _d2d_offsets(sigma_d2d: float, seeds, n: int) -> np.ndarray:
     """sample_d2d_offsets for each seed of seeds at once: a (len(seeds),
-    n) float64 array whose row k is seed k's offsets, from one pass over
-    the summed population."""
+    n) float64 array whose row k is seed k's offsets. Each block of
+    _BLOCK children of every seed takes one pass: seed words, first
+    outputs, the ziggurat and the fallbacks. So only the result grows
+    with n, and an mvm_error_mc pair is one pass."""
     _check_sigma_d2d(sigma_d2d)
-    words = _spawn_state_words(
+    child_words = _child_words(
         [seed if isinstance(seed, np.random.SeedSequence)
-         else np.random.SeedSequence(seed) for seed in seeds], n)
-    total = len(words)
-    tables = _ziggurat_tables() if total >= _VECTOR_MIN_N else None
-    if tables is None:
-        offsets = np.array([_child_normal(row, sigma_d2d) for row in words],
-                           dtype=float)
-    else:
-        # Blocks keep the limb temporaries small enough to stay in cache.
-        raw = np.concatenate([_pcg64_first_outputs(words[k:k + _BLOCK])
-                              for k in range(0, total, _BLOCK)])
-        x, exact = _ziggurat_fast_path(raw, *tables)
-        offsets = 0.0 + sigma_d2d * x
-        for i in np.flatnonzero(~exact).tolist():
-            offsets[i] = _child_normal(words[i], sigma_d2d)
-    return offsets.reshape(len(seeds), n)
+         else np.random.SeedSequence(seed) for seed in seeds])
+    tables = _ziggurat_tables() if len(seeds) * n >= _VECTOR_MIN_N else None
+    out = np.empty((len(seeds), n))
+    for start in range(0, n, _BLOCK):
+        count = min(_BLOCK, n - start)
+        words = child_words(start, count)
+        if tables is None:
+            offsets = np.array([_child_normal(row, sigma_d2d)
+                                for row in words], dtype=float)
+        else:
+            x, exact = _ziggurat_fast_path(_pcg64_first_outputs(words),
+                                           *tables)
+            offsets = 0.0 + sigma_d2d * x
+            for i in np.flatnonzero(~exact).tolist():
+                offsets[i] = _child_normal(words[i], sigma_d2d)
+        out[:, start:start + count] = offsets.reshape(len(seeds), count)
+    return out
 
 
 # The lognormal factors come in blocks of 1, 2, 4, ... up to this size.

@@ -35,11 +35,11 @@ own t_kelvin.
 
 mvm_error_mc validates once, at entry, and builds no Crossbar. Each
 trial holds its differential pair as one stacked (2, n_rows, n_cols)
-state, the positive plane first: one device._d2d_offsets pass draws
-both planes' offsets from the trial's two sibling seeds, one _trimmer
-block programs them, one crossbar._array_current call reads them, and
-one _line_sums call gives the decoder-calibration (all-ones) and the
-input charge of both planes.
+state, the positive plane first: one device._d2d_offsets call draws
+both planes' offsets from the trial's two sibling seeds (one pass up to
+4096 cells a plane), one _trimmer block programs them, one
+crossbar._array_current call reads them, and one _line_sums call gives
+the decoder-calibration (all-ones) and the input charge of both planes.
 
 The conductance helpers take their multipliers from one broadcast
 conduction.state_multiplier call, and every MVM read bias passes
@@ -336,7 +336,7 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     n_trials must be a positive integer. It, sigma_d2d, t and v_read
     (which obeys mvm_charge's limits) are checked before any draw. Each
     trial holds its pair as one stacked (2, n_rows, n_cols) state, the
-    positive plane first: one _d2d_offsets pass draws both planes'
+    positive plane first: one _d2d_offsets call draws both planes'
     offsets, which must be finite and inside float range, as a Crossbar
     checks them; one _trimmer block programs both; one _array_current
     call reads both; and one _line_sums call gives the all-ones and the

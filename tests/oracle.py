@@ -63,6 +63,14 @@ def d2d_draws(sigma, seed, n):
             for _ in range(n)]
 
 
+def d2d_draw(sigma, seed, i):
+    """d2d_draws(sigma, seed, i + 1)[i] for an int seed, without its
+    elder siblings: spawn makes child i of SeedSequence(seed) as
+    SeedSequence(seed, spawn_key=(i,))."""
+    child = np.random.SeedSequence(seed, spawn_key=(i,))
+    return float(np.random.default_rng(child).normal(0.0, sigma))
+
+
 def pulse_law(s, pulse, m, rng=None, kind="amplitude_ramp"):
     """One write pulse on a DeviceState, from the update curves: invert
     the polarity's curve at the current progress, advance one count, times

@@ -9,14 +9,18 @@ a mismatch or raises. Every sweep runs; the exit status is 1 if any
 failed. The seeds and sizes are the constants below.
 """
 
+import contextlib
+import io
 import math
 import sys
+import tempfile
 import traceback
+from pathlib import Path
 
 import numpy as np
 
 import oracle
-from ftjsim import conduction, device
+from ftjsim import cli, conduction, device
 from ftjsim.config import SimConfig, build_model, parse_config
 from ftjsim.inference import program_write_verify
 
@@ -34,10 +38,13 @@ def _differ(got, expect):
 
 
 def d2d():
-    """sample_d2d_offsets draws a population in one vector pass and sends
-    the draws it cannot show exact to numpy's per-device Generator. For
-    seeds 0-3, 200000 offsets must equal oracle.d2d_draws by float.hex;
-    the share of draws that took the per-device path is printed.
+    """sample_d2d_offsets draws a population in vector passes, one per
+    block, and sends the draws it cannot show exact to numpy's per-device
+    Generator. For seeds 0-3, 200000 offsets must equal oracle.d2d_draws
+    by float.hex; the share of draws that took the per-device path is
+    printed. At seed 0, the d2d command's 200000-row table, streamed in
+    blocks, must equal the per-device table, two scalar reads per drawn
+    offset, byte for byte.
     mvm_error_mc draws the two 8x8 planes of a trial, its s_pos and s_neg
     siblings, in one pass; for the first trial at seeds 0-199, each of the
     128 offsets must equal the oracle's draw on its sibling's child, and
@@ -48,8 +55,12 @@ def d2d():
         print("::error::the vector pass is off on this numpy")
         ok = False
     for seed in D2D_SEEDS:
-        bad = _differ(device.sample_d2d_offsets(0.1, seed, D2D_N),
-                      oracle.d2d_draws(0.1, seed, D2D_N))
+        expect = oracle.d2d_draws(0.1, seed, D2D_N)
+        bad = _differ(device.sample_d2d_offsets(0.1, seed, D2D_N), expect)
+        if seed == 0 and not _d2d_table_equals_reference(seed, expect):
+            print(f"::error::seed {seed}: d2d.csv differs from the "
+                  f"per-device table")
+            ok = False
         if tables is not None:
             words = device._spawn_state_words([np.random.SeedSequence(seed)],
                                               D2D_N)
@@ -71,6 +82,29 @@ def d2d():
     if bad:
         print("::error::a sibling pass differs from default_rng")
     return ok and not bad
+
+
+def _d2d_table_equals_reference(seed, offsets):
+    """Run the d2d command at len(offsets) devices and compare its table
+    with one written from offsets by two scalar reads per device."""
+    model = build_model(SimConfig())
+    p, v, t = model.params, model.v_read, model.t_kelvin
+    rows = ["device_index,d2d_log10,r_hrs_ohms,r_lrs_ohms\r\n"]
+    for i, d in enumerate(offsets):
+        hrs, lrs = (oracle.read(device.DeviceState(w=w, d2d_log10=d), p, v,
+                                t)[1] for w in (0.0, 1.0))
+        rows.append("%d,%.12g,%.12g,%.12g\r\n" % (i, d, hrs, lrs))
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = Path(tmp) / "run.ini"
+        ini.write_text(f"[d2d]\nn_devices = {len(offsets)}\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["d2d", "--config", str(ini), "--out", tmp,
+                             "--seed", str(seed)])
+        same = code == 0 and ((Path(tmp) / "d2d.csv").read_bytes()
+                              == "".join(rows).encode())
+    print(f"seed {seed}: d2d command exit {code}, "
+          f"table {'equal' if same else 'differs'}")
+    return same
 
 
 def noise():

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ftjsim import cli, config, crossbar
+from ftjsim import cli, config, crossbar, device
 from ftjsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from ftjsim.conduction import CalibrationError
 from ftjsim.config import (
@@ -30,7 +31,7 @@ from ftjsim.config import (
     parse_config,
 )
 from ftjsim.device import SCHEME_KINDS, DeviceState, read_state
-from oracle import d2d_draws, read
+from oracle import d2d_draw, d2d_draws, read
 
 
 def test_empty_config_is_all_defaults():
@@ -944,6 +945,11 @@ def test_cli_handlers_do_not_mutate_config(tmp_path):
 D2D_HEADER = ["device_index", "d2d_log10", "r_hrs_ohms", "r_lrs_ohms"]
 
 
+def _csv_text(header, rows) -> str:
+    """The whole CSV text that main streams, block by block."""
+    return "".join(cli._csv_blocks(header, rows))
+
+
 def _d2d_samples(cfg, seed):
     """The model and the pristine devices of oracle.py's per-device draw."""
     return build_model(cfg), [
@@ -959,7 +965,7 @@ def _reference_d2d(cfg, seed, out):
     rows = [(idx, s.d2d_log10, read(s, p, v, t)[1],
              read(replace(s, w=1.0), p, v, t)[1])
             for idx, s in enumerate(states)]
-    (out / "d2d.csv").write_bytes(cli._csv_text(D2D_HEADER, rows).encode())
+    (out / "d2d.csv").write_bytes(_csv_text(D2D_HEADER, rows).encode())
     offsets = np.array([s.d2d_log10 for s in states])
     (out / "d2d.json").write_bytes(cli._json_text(cli._meta("d2d", cfg, seed, {
         "n_devices": len(states),
@@ -990,6 +996,56 @@ def test_cli_d2d_matches_per_device_reference(tmp_path, text):
         _reference_d2d(cfg, seed, ref)
         for name in ("d2d.csv", "d2d.json"):
             assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_cli_d2d_across_blocks_matches_per_device_reference(tmp_path):
+    """A population of 2 _BLOCK + 1 devices crosses the edges of the draw
+    blocks and of the CSV blocks, and still writes the per-device bytes."""
+    text = f"[d2d]\nn_devices = {2 * device._BLOCK + 1}\n"
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    ref.mkdir()
+    assert main(["d2d", "--config", str(ini), "--out", str(new),
+                 "--seed", "5"]) == EXIT_OK
+    _reference_d2d(parse_config(text), 5, ref)
+    for name in ("d2d.csv", "d2d.json"):
+        assert (new / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_cli_d2d_streams_in_fixed_memory(tmp_path):
+    """d2d at 200000 devices holds its offsets and one block at a time, so
+    tracemalloc's peak stays under 8 MiB. The rows at every block edge,
+    and the first and last, equal the per-device reference's."""
+    n, seed = 200_000, 2
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[d2d]\nn_devices = {n}\n")
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["d2d", "--config", str(ini), "--out", str(out),
+                     "--seed", str(seed)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 8 * 2**20, peak
+    lines = (out / "d2d.csv").read_bytes().decode().split("\r\n")
+    assert len(lines) == n + 2 and lines[0] == ",".join(D2D_HEADER)
+    assert lines[-1] == ""
+    bundle = build_model(SimConfig())
+    p, v, t = bundle.params, bundle.v_read, bundle.t_kelvin
+    edges = {0, n - 1}
+    for block in (cli._CSV_BLOCK, device._BLOCK):
+        for start in range(block, n, block):
+            edges |= {start - 1, start}
+    for i in sorted(edges):
+        s = DeviceState(w=0.0, d2d_log10=d2d_draw(0.1, seed, i))
+        row = (i, s.d2d_log10, read(s, p, v, t)[1],
+               read(replace(s, w=1.0), p, v, t)[1])
+        assert lines[i + 1] == "%d,%.12g,%.12g,%.12g" % row, i
+    payload = json.loads((out / "d2d.json").read_text())
+    assert payload["n_devices"] == n
 
 
 def _needs_no_quoting(label) -> bool:
@@ -1032,7 +1088,7 @@ _RICH = parse_config("[device]\nt_kelvin = 340\n[xbar]\nn_rows = 3\n"
 def test_handlers_hand_main_exact_python_cells(command, cfg):
     """Every table a handler hands main is rectangular, with exact int,
     float or str cells, one type per column, and labels that need no
-    quoting; its payload holds plain Python values. So _csv_text renders
+    quoting; its payload holds plain Python values. So _csv_blocks renders
     each table with one line template and _json_text writes the payload
     as it is. xbar.csv has one row per cell, all ints and floats."""
     try:
@@ -1098,7 +1154,7 @@ def _assert_same_csv_bytes(header, rows):
     with tempfile.TemporaryDirectory() as tmp:
         ref = _reference_write_csv(Path(tmp) / "ref.csv", header, rows)
         # the CLI passes one-shot iterators as well as lists
-        assert cli._csv_text(header, iter(rows)).encode() == ref.read_bytes()
+        assert _csv_text(header, iter(rows)).encode() == ref.read_bytes()
 
 
 _LABELS = st.text(st.characters(blacklist_characters=',"\r\n',
@@ -1113,7 +1169,7 @@ _COLUMNS = (
 
 @st.composite
 def _tables(draw):
-    """A table in _csv_text's domain: labels free of the characters
+    """A table in _csv_blocks's domain: labels free of the characters
     csv.writer quotes, and one cell strategy per column."""
     header = draw(st.lists(_LABELS, max_size=5))
     cells = [draw(st.sampled_from(_COLUMNS)) for _ in header]
@@ -1174,7 +1230,7 @@ def test_write_csv_rejects_cells_outside_its_domain(header, rows, error):
     for block in (1, 4096):
         with mock.patch.object(cli, "_CSV_BLOCK", block), \
                 pytest.raises(error):
-            cli._csv_text(header, iter(rows))
+            _csv_text(header, iter(rows))
 
 
 @pytest.mark.parametrize("rows, payload, error", [
@@ -1184,11 +1240,78 @@ def test_write_csv_rejects_cells_outside_its_domain(header, rows, error):
 ], ids=["csv-cell", "json-non-finite", "json-np-int"])
 def test_main_writes_no_file_for_a_cell_outside_the_writers_domain(
         tmp_path, rows, payload, error):
-    """main renders the CSV and the JSON before it opens either file, so a
-    handler that hands over a cell the writers reject leaves nothing."""
+    """A handler that hands over a cell the writers reject leaves nothing:
+    main renders the JSON before it opens a file, and a CSV that fails
+    mid-stream is removed with the directory main made for it."""
     def handler(cfg, bundle, seed):
         return "t.csv", ["x"], rows, payload
     out = tmp_path / "out"
     with mock.patch.dict(cli._HANDLERS, iv=handler), pytest.raises(error):
         main(["iv", "--out", str(out)])
     assert not out.exists()
+
+
+def _third_block_fails(kind):
+    """A handler whose rows fail in their third CSV block: a cell outside
+    the writer's domain, or a float error while a lazy table reads."""
+    def rows():
+        for i in range(3 * cli._CSV_BLOCK):
+            if i == 2 * cli._CSV_BLOCK + 5:
+                if kind == "cell":
+                    yield (i, np.float64(0.5))
+                    continue
+                np.float64(1.0) / np.float64(0.0)  # divide raises in main
+            yield (i, 0.5)
+
+    def handler(cfg, bundle, seed):
+        return "t.csv", ["index", "value"], rows(), {"n": 1}
+    return handler
+
+
+def _listing(root):
+    return sorted((str(path.relative_to(root)),
+                   path.read_bytes() if path.is_file() else None)
+                  for path in root.rglob("*"))
+
+
+@pytest.mark.parametrize("kind", ["cell", "float"])
+@pytest.mark.parametrize("place", ["new", "existing"])
+def test_main_leaves_out_as_it_found_it_when_a_stream_fails(
+        tmp_path, capsys, kind, place):
+    """A CSV stream that fails in its third block leaves --out as it was:
+    no CSV, no JSON, no .part file, the earlier outputs unchanged, and
+    none of the directories main made. A float error there exits 3 with
+    the handler's message; a bad cell raises as it does when rendered."""
+    out = tmp_path / "a" / "b" if place == "new" else tmp_path / "out"
+    if place == "existing":
+        out.mkdir()
+        (out / "t.csv").write_text("old table\n")
+        (out / "iv.json").write_text("old sidecar\n")
+    before = _listing(tmp_path)
+    with mock.patch.dict(cli._HANDLERS, iv=_third_block_fails(kind)):
+        if kind == "cell":
+            with pytest.raises(TypeError):
+                main(["iv", "--out", str(out)])
+        else:
+            assert main(["iv", "--out", str(out)]) == EXIT_NUMERICAL
+            err = capsys.readouterr().err
+            assert err.startswith("numerical error: ") and "divide" in err
+    assert _listing(tmp_path) == before
+    assert "wrote" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("blocked", ["bench.json", "bench.csv",
+                                     "bench.csv.part"])
+def test_main_exits_1_when_a_file_cannot_be_written(tmp_path, capsys,
+                                                    blocked):
+    """A directory where main writes or renames a file is a usage error:
+    exit 1 naming --out, no traceback, and no CSV, JSON or .part file of
+    this run left behind."""
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    before = _listing(tmp_path)
+    assert main(["bench", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: --out {out}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert _listing(tmp_path) == before

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ftjsim import device
 from ftjsim.conduction import current_total, default_params
+from ftjsim.crossbar import build_crossbar
 from ftjsim.device import (
     DeviceState,
     ENDURANCE_LIMIT,
@@ -388,14 +389,18 @@ def _seed_sequences(draw):
 
 
 @_GUARD
-@given(_seed_sequences(), st.integers(1, 300))
-def test_spawn_state_words_equal_numpy_children(kwargs, n):
+@given(_seed_sequences(), st.integers(1, 300), st.integers(0, 40))
+def test_spawn_state_words_equal_numpy_children(kwargs, n, start):
+    """The next n children, and children start .. start + n - 1 as
+    _d2d_offsets takes a block."""
     ss = np.random.SeedSequence(**kwargs)
     expect = [c.generate_state(4, np.uint64)
-              for c in np.random.SeedSequence(**kwargs).spawn(n)]
+              for c in np.random.SeedSequence(**kwargs).spawn(start + n)]
     words = _spawn_state_words([ss], n)
     assert words.dtype == np.uint64 and words.shape == (n, 4)
-    np.testing.assert_array_equal(words, expect)
+    np.testing.assert_array_equal(words, expect[:n])
+    np.testing.assert_array_equal(device._child_words([ss])(start, n),
+                                  expect[start:])
     assert ss.n_children_spawned == kwargs["n_children_spawned"]
 
 
@@ -427,6 +432,46 @@ def test_d2d_offsets_of_sibling_seeds_equal_default_rng(n, sigma):
         assert got.shape == (2, n)
         for row, ss in zip(got, siblings):
             assert hexes(row) == hexes(d2d_draws(sigma, ss, n))
+
+
+# The kinds of seed a population is drawn from: an int, a SeedSequence
+# with a spawn key that has spawned before, and an mvm_error_mc trial's
+# (s_pos, s_neg) pair. Each call builds new objects.
+_SEED_KINDS = {
+    "int": lambda: [2**40 + 3],
+    "spawned": lambda: [np.random.SeedSequence(9, spawn_key=(2, 5),
+                                               n_children_spawned=7)],
+    "siblings": lambda: np.random.SeedSequence(5).spawn(1)[0].spawn(4)[:2],
+}
+
+
+@pytest.fixture(scope="module")
+def blocked_reference():
+    """oracle.py's per-device draws of 2 _BLOCK + 1 children of each seed
+    of each kind; a smaller population's draws are their prefix."""
+    n = 2 * device._BLOCK + 1
+    return {kind: [d2d_draws(0.1, seed, n) for seed in seeds()]
+            for kind, seeds in _SEED_KINDS.items()}
+
+
+@pytest.mark.parametrize("kind", list(_SEED_KINDS))
+@pytest.mark.parametrize("extra", [-1, 0, 1, device._BLOCK + 1],
+                         ids=["block-1", "block", "block+1", "2block+1"])
+def test_blocked_draws_equal_per_device_draws(p, blocked_reference, kind,
+                                              extra):
+    """Populations on both sides of each block edge: _d2d_offsets over
+    all seeds at once, and sample_d2d_offsets and build_crossbar on each
+    seed, equal the per-device draws bit for bit."""
+    n = device._BLOCK + extra
+    expect = [hexes(draws[:n]) for draws in blocked_reference[kind]]
+    got = device._d2d_offsets(0.1, _SEED_KINDS[kind](), n)
+    assert got.shape == (len(expect), n)
+    assert [hexes(row) for row in got] == expect
+    for seed, want in zip(_SEED_KINDS[kind](), expect):
+        assert hexes(sample_d2d_offsets(0.1, seed, n)) == want
+    for seed, want in zip(_SEED_KINDS[kind](), expect):
+        xbar = build_crossbar(1, n, p, sigma_d2d=0.1, seed=seed)
+        assert hexes(xbar.d2d_log10) == want
 
 
 @_GUARD
@@ -516,8 +561,9 @@ def test_sample_d2d_offsets_equal_forced_and_spawned_draws(
         words[i] = row
         assert np.random.PCG64(_ChildSeed(words[i])).random_raw() == r
         expect[i] = float(_forced_generator(r, inc).normal(0.0, sigma))
-    with mock.patch("ftjsim.device._spawn_state_words",
-                    lambda seeds, count: words[:count].copy()):
+    with mock.patch("ftjsim.device._child_words",
+                    lambda seeds: lambda start, count:
+                    words[start:start + count].copy()):
         got = sample_d2d_offsets(sigma, np.random.SeedSequence(**kwargs), n)
     assert hexes(got) == hexes(expect)
 

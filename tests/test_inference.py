@@ -665,25 +665,30 @@ def test_mvm_error_mc_equals_reference_across_shapes(
 
 def test_mvm_error_mc_trial_is_one_mirror_pass_and_no_crossbar():
     """Each trial draws both planes' offsets in one mirror pass (one
-    _d2d_offsets call, one seed-word pass) and builds no Crossbar."""
-    offsets, words = [], []
-    real_offsets, real_words = device._d2d_offsets, device._spawn_state_words
+    _d2d_offsets call, one seed-word pass over both seeds) and builds no
+    Crossbar."""
+    offsets, parents, passes = [], [], []
+    real_offsets, real_child_words = device._d2d_offsets, device._child_words
 
     def count(calls, fn):
         return lambda *args: calls.append(args) or fn(*args)
+
+    def child_words(seeds):
+        parents.append(seeds)
+        return count(passes, real_child_words(seeds))
     w = np.random.default_rng(1).uniform(-1.0, 1.0, (8, 8))
     with mock.patch("ftjsim.inference._d2d_offsets",
                     count(offsets, real_offsets)), \
-            mock.patch("ftjsim.device._spawn_state_words",
-                       count(words, real_words)), \
+            mock.patch("ftjsim.device._child_words", child_words), \
             mock.patch.object(Crossbar, "__post_init__",
                               side_effect=AssertionError("Crossbar built")):
         for programming in ("write_verify", "ideal"):
             mvm_error_mc(w, sigma_d2d=0.1, n_trials=3, seed=4,
                          programming=programming)
-    assert len(offsets) == len(words) == 6
+    assert len(offsets) == len(parents) == len(passes) == 6
     assert [len(args[1]) for args in offsets] == [2] * 6  # (s_pos, s_neg)
-    assert [len(args[0]) for args in words] == [2] * 6
+    assert [len(seeds) for seeds in parents] == [2] * 6
+    assert passes == [(0, 64)] * 6
 
 
 @pytest.mark.parametrize("programming", ["write_verify", "ideal"])
