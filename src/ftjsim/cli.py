@@ -2,38 +2,32 @@
 
 Every analysis command reads one optional INI config, runs a deterministic
 simulation seeded from --seed, and writes one CSV table plus a JSON
-metadata sidecar, <command>.json, into --out. Each command's handler maps
-(cfg, bundle, seed) to (csv_name, header, rows, payload) and writes
-nothing. Handlers return exact int, float or str cells, one type per
-column, and plain Python payloads; rows may be lazy. main renders the
-payload, stamped through _meta, first. It then streams the table through
-_csv_blocks, which reads, checks and renders _CSV_BLOCK rows at a time
-with one "%d"/"%.12g"/"%s" line template, into <csv_name>.part in --out,
-writes the sidecar, and renames the part over <csv_name> after the last
-block (_write_files). Any failure removes the part, the sidecar and the
-directories main made, so a command that fails leaves --out as it found
-it. The pulse-train
-commands (scheme, cdf, fitA) open one device._pulser per command and run
-each train through device._train in floats, building only the cells they
-write; one noise stream per command draws what one per train would.
-No read decides a pulse: scheme and cdf read all their traces and
-retention each start state's hold in one device._trace_read call each.
-d2d is a block pipeline: its offsets, the one array that grows with
-n_devices, come from device._d2d_offsets in blocks, and its rows are read
-one _trace_read call per CSV block as main writes them; fitA reads
-nothing.
-Output bytes are reproducible for a given (config, seed, version): no
-timestamps, no machine identifiers, and all floats rendered with a fixed
-format.
-Experiment knobs live in per-command config sections, so the command line
-carries only the run plumbing:
+metadata sidecar, <command>.json, into --out. Experiment knobs live in
+per-command config sections, so the command line carries only the run
+plumbing:
 
     ftjsim --command iv --config run.ini --out results --seed 7
 
 (the command may also be given positionally: `ftjsim iv ...`). --seed
 takes a non-negative integer. The argument parser is built once per
-process, on the first main call, and reused by every later call; importing
-the module builds none.
+process, on the first main call; importing the module builds none.
+
+The write contract. Each command's handler maps (cfg, bundle, seed) to
+(csv_name, header, rows, payload) and writes nothing. Handlers return
+exact int, float or str cells, one type per column, and plain Python
+payloads. Rows may be lazy: d2d reads its rows one block at a time as
+main writes them, so only its offsets grow with n_devices. main renders
+the payload, stamped through _meta, first. It then streams the table
+through _csv_blocks, which reads, checks and renders _CSV_BLOCK rows at
+a time with one "%d"/"%.12g"/"%s" line template, into <csv_name>.part in
+--out, writes the sidecar, and renames the part over <csv_name> after
+the last block (_write_files). A row of another width, a label that is
+empty or would need quoting, or a column of mixed or other types raises,
+so the bytes are those csv.writer writes. Any failure removes the part,
+the sidecar and the directories main made: a command that fails leaves
+--out as it found it. Output bytes are reproducible for a given (config,
+seed, version): no timestamps, no machine identifiers, and all floats
+rendered with a fixed format.
 
 Exit codes: 0 success, 1 usage error (an OSError while --out or a file in
 it is made, written or renamed is one), 2 configuration error (a

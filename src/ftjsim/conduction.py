@@ -15,30 +15,21 @@ by construction. Negative bias is handled by odd symmetry, I(-v) = -I(v).
 The current functions come in two forms. The g-level kernels
 (current_ohmic, current_pf, current_total_g, differential_conductance_g)
 take the multiplier g directly and broadcast over arrays of biases and
-multipliers, so a whole crossbar is one call. current_total and
-differential_conductance take one device state and are thin wrappers that
-compute its multiplier first. Every public kernel validates its bias and
-temperature on each call, over the whole array at once, and then composes
-the private channel terms (_bias_terms, _ohmic, _pf, _total, _conductance),
-where each formula is written. One input-kind rule holds for every public
-function: an ndarray, list or tuple input gives an ndarray, and all-scalar
-input gives a float. Callers that validate once and evaluate many times
-compose those terms directly: the crossbar Newton solve repeats _bias_terms
-and _total op for op into buffers it allocates once per solve, with
-ga * ohm_c taken once, and passes each accepted point's terms to
-_conductance for the Jacobian; its test against the scalar kernels holds it
-to their bits. Every read of a device state goes through the public
-kernels, a trace of many states in one current_total_g call, with one
-exception: device._trimmer's write-verify loop, whose every read decides
-its next pulse, composes the read inline in Python floats. _read_terms
-gives it the checked per-bias terms, with the Poole-Frenkel ones folded
-into one factor, and it equals the public kernels bit for bit.
+multipliers. current_total and differential_conductance take one device
+state and compute its multiplier first. Every public kernel validates its
+bias and temperature on each call, over the whole array at once, and then
+composes the private channel terms (_bias_terms, _ohmic, _pf, _total,
+_conductance), where each formula is written. An ndarray, list or tuple
+input gives an ndarray, and all-scalar input gives a float. Two callers
+validate once and compose the terms directly, each keeping these
+kernels' bits: crossbar's array read kernel, and device's write-verify
+trim. Their module docstrings say how.
 
 state_multiplier is the one multiplier of the public API: float ** on
 scalars, and on arrays a broadcast np.float_power, which calls the C
-library's pow() per element as float ** does. The trim folds the same
-float ** form into each read. All of them give the same bits and raise
-the same OverflowError (_shift_overflow) for an offset past float range.
+library's pow() per element as float ** does. Both give the same bits
+and raise the same OverflowError (_shift_overflow) for an offset past
+float range.
 
 A separate direct-tunneling expression (trapezoidal barrier, low and
 intermediate bias) is provided purely for mechanism discrimination; it is

@@ -122,14 +122,19 @@ class HysteresisConfig:
     step_v: float = 0.025
 
 
-# Loop grid point limit: a run at the limit spends about 0.15 s sweeping and
-# reading (1.5 us a point) and 0.14 s rendering its CSV, on 2 x86_64 vCPUs.
+# Loop grid point limit. A run at the limit (step_v = 0.00011201, 99991
+# points) took 0.5-1.0 s and peaked at 70 MiB, measured as the count bounds
+# below are.
 _LOOP_POINT_LIMIT = 100_000
 
 # (section, what is counted, the count, its bound) for each count key, each
-# bound far above its default. A run at a bound takes about 5 s (iv,
-# retention, d2d at 270 MiB peak) or under 3 s (the others; cdf about
-# 1.3 s) on a 2-vCPU x86_64 machine.
+# bound far above its default. What a run at each bound costs, as ftjsim
+# in a fresh process (wall time over three runs, peak RSS), on a 2-vCPU
+# Intel Xeon VM with Python 3.11.7 and numpy 2.4.6: iv (50000 points at
+# four temperatures) 0.6-1.1 s, 73 MiB; retention 0.5-0.6 s, 70 MiB;
+# arrhenius (250000 points at four temperatures) 0.4-0.6 s, 81 MiB; d2d
+# 2.0-2.3 s, 52 MiB; cdf 0.9-1.4 s, 79 MiB; scheme 0.7-1.0 s, 72 MiB; fitA
+# at the n_full bound 0.4-0.6 s, 45 MiB.
 _COUNT_LIMITS = (
     ("iv", "n_points * len(t_list_k)",
      lambda c: c.iv.n_points * len(c.iv.t_list_k), 200_000),

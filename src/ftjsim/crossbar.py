@@ -12,45 +12,34 @@ Floating lines settle where Kirchhoff's current law balances the
 nonlinear device currents, which a damped Newton iteration solves to
 machine precision.
 
-Reads are evaluated on arrays. Each call of solve_network, mvm_read,
-mvm_charge or write_v_half builds the per-cell state-multiplier grid
-g[r, c] once, in one broadcast call of conduction.state_multiplier
-(nothing is cached between calls), and composes conduction's private
-channel terms on the whole device-voltage grid rv[:, None] - cv[None, :].
-mvm_read, write_v_half, inference.mvm_charge and inference.mvm_error_mc
-share one read kernel, _array_current, which takes the cell arrays (w,
-d2d_log10) of any shape, so mvm_error_mc reads a trial's two planes as
-one stacked array. solve_network checks its driven potentials and builds,
-once per call, everything a Newton point repeats: the free-line index
-arrays, the potential, grid and residual buffers, one Jacobian whose
-diagonal is a strided view, and the product ga * ohm_c. Each point then
-writes its iterate into the potential buffer, evaluates the channel
-terms and currents of the device-voltage grid into the grid buffers, op
-for op as conduction's _bias_terms and _total do, and takes the residual
-from the currents' left-to-right line sums; each iteration builds the
-conductance grid from the accepted point's terms for its Jacobian only.
-The results are bit-identical to evaluating each cell with the scalar
-current_total: state_multiplier calls the C library's pow() per element,
-as float ** does, the terms keep the kernels' order of operations, and
-line currents and Jacobian diagonals are summed left to right
-(_line_sums, _sums_into) instead of by numpy's pairwise reduction.
-mvm_read and inference's MVM reads share one read-regime check,
-_check_mvm_bias.
+The array read kernel. A read of many cells is one evaluation on arrays.
+Each call of solve_network, mvm_read, write_v_half, inference.mvm_charge
+or inference.mvm_error_mc builds the state-multiplier grid g[r, c] in one
+broadcast call of conduction.state_multiplier (nothing is cached between
+calls) and composes conduction's private channel terms on the whole
+device-voltage grid. The reads at fixed potentials share _array_current,
+which takes cell arrays (w, d2d_log10) of any shape, so a trial of
+mvm_error_mc reads its two planes as one stacked array. solve_network
+builds, once per call, everything a Newton point repeats: the free-line
+index arrays, the potential, grid and residual buffers, one Jacobian
+whose diagonal is a strided view, and ga * ohm_c. Each point writes its
+iterate into the potential buffer and evaluates the grid
+rv[:, None] - cv[None, :] op for op as conduction's _bias_terms and
+_total do; each iteration builds the conductance grid from the accepted
+point's terms for its Jacobian only. The results are bit-identical to
+evaluating each cell with the scalar current_total: state_multiplier
+calls the C library's pow() per element, as float ** does, the terms keep
+the kernels' order of operations, and line currents, Jacobian diagonals
+and charges are summed left to right (_line_sums, _sums_into) instead of
+by numpy's pairwise reduction. The MVM reads share one read-regime
+check, _check_mvm_bias.
 
-build_crossbar draws every cell's device-to-device offset in one call of
-sample_d2d_offsets's array form, device._d2d_offsets, with one seed:
-cell (r, c) takes the draw of child r * n_cols + c of the seed's
-SeedSequence spawn, bit-identical to a sample_device call on that child,
-without building the children; above a small private size, one array
-pass of PCG64 seeding and the ziggurat's first draw serves about 98.5 %
-of cells.
-with_weights, write_v_half and inference.program_write_verify return a
-new array with the changed fields; write_v_half steps only the
-n_rows + n_cols - 1 biased cells, in floats with device._pulser's step,
-the general form of the pulse update law, and takes their pre-pulse
-currents from one _array_current call on the V/2 device-voltage grid.
-The only read outside these array calls is inference's write-verify
-trim, whose every reading decides its next pulse.
+build_crossbar takes the cells' offsets from device's d2d draw, cell
+(r, c) taking child r * n_cols + c. with_weights, write_v_half and
+inference.program_write_verify return a new array with the changed
+fields; write_v_half steps only the n_rows + n_cols - 1 biased cells with
+device._pulser's step. Device's write-verify trim is the one read of an
+array outside this kernel.
 
 The device nonlinearity is what makes select-free operation possible:
 sneak-path devices sit at a fraction of the read voltage where the
@@ -196,15 +185,10 @@ def build_crossbar(n_rows: int, n_cols: int, p: ConductionParams,
 
     Cell (r, c) takes the variation offset of child r * n_cols + c of the
     seed's SeedSequence spawn, so the array is reproducible and individual
-    cells are statistically independent; each offset equals sample_device
-    on that child, bit for bit. All offsets come from one call of
-    sample_d2d_offsets's array form, with one seed: above a small private
-    size it seeds every child's PCG64 and takes the ziggurat's first draw
-    in one array pass, and sends the draws it cannot show exact, about
-    1.5 %, to numpy's own per-device Generator. The seed is an int or a
-    SeedSequence. A SeedSequence is read from its current spawn count,
-    which is not advanced, so two builds from the same object give the
-    same array.
+    cells are statistically independent; the offsets come from device's
+    d2d draw. The seed is an int or a SeedSequence. A SeedSequence is read
+    from its current spawn count, which is not advanced, so two builds
+    from the same object give the same array.
     """
     if n_rows < 1 or n_cols < 1:
         raise ValueError("array dimensions must be positive")

@@ -12,30 +12,49 @@ scheme and polarity. Cycle-to-cycle noise multiplies each step by a
 mean-one lognormal factor. DC writes switch through a logistic transition
 centered on the coercive voltages.
 
-_update_law owns the pulse update law's constants: each polarity's curve
-shape and normalization, and the noise factor's mean and sigma. The law
-has two forms built from them, each pinned bit for bit, generator end
-state included, to an independent per-pulse reference in the tests.
-_pulser is a context manager whose float-level step holds every rule:
-apply_pulse is one step on a DeviceState, and crossbar.write_v_half
-checks its inputs once and takes the same step in plain floats. _train
-is the one pulse-train loop: with an open step it returns each pulse's w
-as floats. run_scheme is _train and one trace read, returned as one
-Trace of arrays; the CLI's scheme, cdf and fitA commands call _train once
-per train inside one _pulser block per command. _trimmer is the per-cell
-write-verify loop of inference, with the amplitude_ramp law, the noise
-factor and the verify read inline. Both draw their lognormal factors in
-blocks (_lognormal_stream), and on exit the generator is re-synced to
-where one scalar draw per noisy pulse leaves it, so one block over many
-trains or cells draws what one block each would.
+The pulse law. _update_law owns its constants: each polarity's curve
+shape and normalization, and the noise factor's mean and sigma. _pulser
+is a context manager whose float-level step holds every rule: apply_pulse
+is one step on a DeviceState, and crossbar.write_v_half takes the same
+step in plain floats. _train is the one pulse-train loop, which
+run_scheme and the CLI's scheme, cdf and fitA commands run. Lognormal
+factors are drawn in blocks (_lognormal_stream), and on exit the
+generator is re-synced to where one scalar draw per noisy pulse leaves
+it. No read of a train, a DC sweep or a retention hold decides a pulse,
+so each trace is read after its loop in one _trace_read call of
+conduction.current_total_g, which also owns the resistance |v/i|, inf at
+zero current; read_state reads one state with current_total.
 
-conduction.current_total_g is the one read kernel. No read of a train, a
-DC sweep or a retention hold decides a pulse, so each trace is read
-after its loop in one _trace_read call, which also owns the resistance
-|v/i|, inf at zero current; read_state reads one state with
-current_total. Only the trim, whose every reading decides its next
-pulse, reads inline in floats. So states, reads and generator draws
-equal applying and reading pulse by pulse.
+The write-verify trim. _trimmer is the per-cell loop of
+inference.program_write_verify and mvm_error_mc: while a cell reads more
+than tol_g from its target, it takes one amplitude_ramp pulse of the law
+and reads again, with the law, the noise factor and the verify read
+inline in Python floats. It is the one read outside the array kernel,
+since each reading decides the next pulse: ((g * area) * ohm_c) * v +
+(g * area) * pf_k with g = g_lrs ** w * 10 ** (-d2d_log10), the per-bias
+terms from conduction._read_terms, equal to current_total bit for bit.
+One _trimmer block covers a whole array, or both planes of a trial. The
+step and the trim are each pinned bit for bit, generator end state
+included, to an independent per-pulse reference in the tests.
+
+The d2d draw. Device k of a population takes the offset d2d_log10 ~
+N(0, sigma_d2d) that sample_device draws on child k of
+SeedSequence(seed).spawn(n), bit for bit, without building the children.
+_d2d_offsets draws the children of one or more seeds in blocks of _BLOCK
+per seed, so only the result grows with n; sample_d2d_offsets,
+crossbar.build_crossbar, CLI d2d and inference.mvm_error_mc (a trial's
+two sibling seeds) all draw through it. Each block takes one vectorized
+pass of SeedSequence's hash for the seed words, one pass of PCG64 seeding
+on 32-bit limbs for each child's first output (O'Neill, HMC-CS-2014-0905),
+and the first-draw acceptance of numpy's 256-strip ziggurat (Marsaglia &
+Tsang, J. Stat. Softw. 5(8), 2000): offset = 0.0 + sigma_d2d * x. A draw
+the pass cannot show exact (strip 1, or at or above 1 - 1e-9 of its
+strip's acceptance estimate), about 1.5 % of draws, takes numpy's own
+PCG64 and normal on its child's words, as does every draw of a call
+whose population, summed over its seeds, is below _VECTOR_MIN_N.
+_ziggurat_tables reads the strip widths once per process by forced draws
+and checks each strip's bound; if a check fails, every draw takes that
+per-device path.
 """
 
 from __future__ import annotations
@@ -606,19 +625,9 @@ def sample_d2d_offsets(sigma_d2d: float, seed, n: int) -> list[float]:
     spawned child of the seed (an int or a SeedSequence).
 
     Offset i equals sample_device(p, sigma_d2d, children[i]).d2d_log10 for
-    children = SeedSequence(seed).spawn(n), bit for bit. _d2d_offsets
-    draws the children, of several sibling seeds at once, in blocks of
-    _BLOCK per seed. A block's seed words come from one vectorized pass of
-    numpy's SeedSequence hash. From a private, measured population size
-    up, one array pass then seeds every child's PCG64 and takes its first
-    output, and applies the ziggurat's first-draw acceptance, as numpy's
-    Generator.normal does: offset = 0.0 + sigma_d2d * x. A draw the pass
-    cannot show exact (in strip 1, at or above the strip's acceptance
-    estimate, or one the ziggurat would reject) takes numpy's own PCG64
-    and normal on its child's words, about 1.5 % of draws, as does every
-    draw of a smaller population or of a numpy whose draws fail the
-    checks of _ziggurat_tables. A SeedSequence passed in is read from its current
-    spawn count, which this does not advance.
+    children = SeedSequence(seed).spawn(n), bit for bit, by the d2d draw
+    of the module docstring. A SeedSequence passed in is read from its
+    current spawn count, which this does not advance.
     """
     return _d2d_offsets(sigma_d2d, [seed], n)[0].tolist()
 
@@ -766,14 +775,9 @@ def _trimmer(m: UpdateModel, rng: np.random.Generator | None,
     on a pulse that leaves w where it was, which is not counted and keeps
     cycles and last.
 
-    The law's constants come from _update_law and the read's per-bias
-    terms from conduction._read_terms. The pulse law and the noise factor
-    run inline in the same float operations as _pulser's step, and the
-    read in those of conduction.current_total, so each trim equals
-    stepping and reading pulse by pulse bit for bit, generator draws
-    included. This is the one read outside the array kernel: each reading
-    decides the next pulse. The bias and temperature are checked on
-    entry, before any draw.
+    The law and the read run in the same float operations as _pulser's
+    step and conduction.current_total (see the module docstring). The
+    bias and temperature are checked on entry, before any draw.
     """
     (_, a_pot, span_pot), (_, a_dep, span_dep), noise = _update_law(
         m, "amplitude_ramp")

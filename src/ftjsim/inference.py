@@ -7,39 +7,25 @@ fixed read bias weighted by the input entries, so the read nonlinearity
 never mixes into the result and the ideal product is recovered exactly up
 to weight quantization. A scalar decoder gain, calibrated once per
 programmed pair with an all-ones vector, converts integrated charge back
-to weight units. The charge MVM is one kernel read of the whole array at
-the read bias, with each column's x-weighted currents summed over rows
-left to right, which is bit-identical to accumulating the one-hot reads.
+to weight units. The charge MVM is one call of crossbar's array read
+kernel, whose docstring says how it keeps the one-hot reads' bits.
 
 Programming either writes the target state directly ("ideal") or runs a
 write-verify loop ("write_verify") that trims each device with
 alternating potentiation and depression pulses until its measured
 conductance lands within tolerance of the target. Because verification
 reads the actual current, the loop absorbs device-to-device spread up to
-the rail limits. The loop validates its inputs once at entry and then
-trims each cell in Python floats with device._trimmer, one loop that
-holds the pulse law, the noise factor and the verify read inline. The
-update law's constants have one owner, device._update_law, and two
-pinned forms: _pulser's step (which apply_pulse takes) and the trim. The
-verify read is the one float-level read of the package, since each
-reading decides the next pulse; every other read is an array call of
-the one current kernel. Its per-bias terms come from
-conduction._read_terms. One _trimmer block covers the whole array, and in
-mvm_error_mc both planes of a trial: its noise factors are drawn in
-blocks and the generator is re-synced exactly on exit, so the loop
-matches pulse-by-pulse application and current_total reads bit for bit,
-generator draws and end state included. program_write_verify and
-mvm_error_mc share the input checks (_check_program) and the per-cell
-body on cell arrays (_program). Programming and reads run at the array's
-own t_kelvin.
+the rail limits. The inputs are checked once (_check_program); the loop
+is device's write-verify trim, described there. program_write_verify and
+mvm_error_mc share the per-cell body on cell arrays (_program).
+Programming and reads run at the array's own t_kelvin.
 
 mvm_error_mc validates once, at entry, and builds no Crossbar. Each
 trial holds its differential pair as one stacked (2, n_rows, n_cols)
-state, the positive plane first: one device._d2d_offsets call draws
-both planes' offsets from the trial's two sibling seeds (one pass up to
-4096 cells a plane), one _trimmer block programs them, one
-crossbar._array_current call reads them, and one _line_sums call gives
-the decoder-calibration (all-ones) and the input charge of both planes.
+state, the positive plane first, and takes each step once for both
+planes: device's d2d draw on the trial's two sibling seeds, one trim
+block, one read of crossbar's kernel, and one _line_sums call for the
+decoder calibration (all-ones) and the input charge.
 
 The conductance helpers take their multipliers from one broadcast
 conduction.state_multiplier call, and every MVM read bias passes
@@ -207,12 +193,9 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     the model's full-switching pulse count.
 
     The targets must be finite and max_pulses a non-negative integer;
-    the inputs are checked once, before any draw. The loop then runs in
-    Python floats in device._trimmer, which holds the update law of
-    device._pulser's step (the same constants, from device._update_law),
-    the noise factor and conduction's float read inline. States, pulse
-    counts, residuals and the generator's draws are those of applying and
-    reading pulse by pulse.
+    the inputs are checked once, before any draw. The loop is device's
+    write-verify trim: states, pulse counts, residuals and the
+    generator's draws are those of applying and reading pulse by pulse.
     """
     g_targets, max_pulses = _check_program((xbar.n_rows, xbar.n_cols),
                                            g_targets, m, tol_g, v_read,
@@ -335,12 +318,9 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
 
     n_trials must be a positive integer. It, sigma_d2d, t and v_read
     (which obeys mvm_charge's limits) are checked before any draw. Each
-    trial holds its pair as one stacked (2, n_rows, n_cols) state, the
-    positive plane first: one _d2d_offsets call draws both planes'
-    offsets, which must be finite and inside float range, as a Crossbar
-    checks them; one _trimmer block programs both; one _array_current
-    call reads both; and one _line_sums call gives the all-ones and the
-    input charge of both planes. Every value is bit-identical to two
+    trial holds its pair as one stacked (2, n_rows, n_cols) state (see
+    the module docstring); its offsets must be finite and inside float
+    range, as a Crossbar checks them. Every value is bit-identical to two
     build_crossbar, two program_write_verify and four mvm_charge calls.
     With one trial, median, ci_low and ci_high are its error.
     """

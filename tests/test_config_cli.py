@@ -1013,22 +1013,40 @@ def test_cli_d2d_across_blocks_matches_per_device_reference(tmp_path):
         assert (new / name).read_bytes() == (ref / name).read_bytes(), name
 
 
-def test_cli_d2d_streams_in_fixed_memory(tmp_path):
-    """d2d at 200000 devices holds its offsets and one block at a time, so
-    tracemalloc's peak stays under 8 MiB. The rows at every block edge,
-    and the first and last, equal the per-device reference's."""
-    n, seed = 200_000, 2
-    ini = tmp_path / "run.ini"
+def _d2d_run(tmp_path, n: int, seed: int, traced: bool):
+    """Run d2d at n devices into its own --out; return the out directory
+    and tracemalloc's peak in bytes (0 when not traced)."""
+    where = tmp_path / f"{n}-{int(traced)}"
+    where.mkdir()
+    ini = where / "run.ini"
     ini.write_text(f"[d2d]\nn_devices = {n}\n")
-    out = tmp_path / "out"
+    args = ["d2d", "--config", str(ini), "--out", str(where / "out"),
+            "--seed", str(seed)]
+    if not traced:
+        assert main(args) == EXIT_OK
+        return where / "out", 0
     tracemalloc.start()
     try:
-        code = main(["d2d", "--config", str(ini), "--out", str(out),
-                     "--seed", str(seed)])
+        code = main(args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == EXIT_OK
+    return where / "out", peak
+
+
+def test_cli_d2d_streams_in_fixed_memory(tmp_path):
+    """d2d holds its float64 offsets and one block at a time. The offsets
+    and np.std's one temporary of their size cost 16 bytes a device; a
+    table held as row tuples costs about 190. So after an untraced warm-up
+    run, tracemalloc's peak at 60000 devices exceeds the peak at 20000 by
+    under 32 bytes a device, and stays under 8 MiB. The rows at every
+    block edge, and the first and last, equal the per-device reference's."""
+    small, n, seed = 20_000, 60_000, 2
+    _d2d_run(tmp_path, 3 * cli._CSV_BLOCK, seed, traced=False)
+    _, peak_small = _d2d_run(tmp_path, small, seed, traced=True)
+    out, peak = _d2d_run(tmp_path, n, seed, traced=True)
+    assert (peak - peak_small) / (n - small) < 32, (peak_small, peak)
     assert peak < 8 * 2**20, peak
     lines = (out / "d2d.csv").read_bytes().decode().split("\r\n")
     assert len(lines) == n + 2 and lines[0] == ",".join(D2D_HEADER)
