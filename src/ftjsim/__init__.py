@@ -57,6 +57,7 @@ from .device import (
     Trace,
     UpdateModel,
     UpdateShape,
+    WindowReport,
     apply_pulse,
     dc_write_loop,
     default_update_model,

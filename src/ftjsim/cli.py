@@ -13,28 +13,33 @@ takes a non-negative integer. The argument parser is built once per
 process, on the first main call; importing the module builds none.
 
 The write contract. Each command's handler maps (cfg, bundle, seed) to
-(csv_name, header, rows, payload) and writes nothing. Handlers return
-exact int, float or str cells, one type per column, and plain Python
-payloads. Rows may be lazy: d2d reads its rows one block at a time as
-main writes them, so only its offsets grow with n_devices. main renders
-the payload, stamped through _meta, first. It then streams the table
-through _csv_blocks, which reads, checks and renders _CSV_BLOCK rows at
-a time with one "%d"/"%.12g"/"%s" line template, into <csv_name>.part in
---out, writes the sidecar, and renames the part over <csv_name> after
-the last block (_write_files). A row of another width, a label that is
-empty or would need quoting, or a column of mixed or other types raises,
-so the bytes are those csv.writer writes. Any failure removes the part,
-the sidecar and the directories main made: a command that fails leaves
---out as it found it. Output bytes are reproducible for a given (config,
-seed, version): no timestamps, no machine identifiers, and all floats
-rendered with a fixed format.
+(csv_name, header, blocks, payload) and writes nothing. The payload holds
+plain Python values. The table is a sequence of blocks, each one 1-D
+column per header label, and a column's dtype sets its format: "%d" for
+an int64 array, "%.12g" for a float64 array and "%s" for a list of str
+labels. Tables that grow with the config come in _CSV_BLOCK-row slices,
+and d2d reads each block only as main writes it, so only its offsets grow
+with n_devices. main renders the payload, stamped through _meta, first.
+It then streams the table through _csv_blocks, which renders each block
+in one format with the line template of the first block's column kinds,
+into <csv_name>.part in --out, writes the sidecar, and renames the part
+over <csv_name> after the last block (_write_files). What raises, so that
+the bytes are those csv.writer writes: TypeError for a header label that
+is not a str, a column of another dtype or type, or a column whose kind
+changes between blocks; ValueError for a block wider or narrower than the
+header, columns of unequal length, an array that is not 1-D, and a label
+that is empty or needs quoting. Any failure removes the part, the sidecar
+and the directories main made: a command that fails leaves --out as it
+found it. Output bytes are reproducible for a given (config, seed,
+version): no timestamps, no machine identifiers, and all floats rendered
+with a fixed format.
 
 Exit codes: 0 success, 1 usage error (an OSError while --out or a file in
 it is made, written or renamed is one), 2 configuration error (a
 malformed file or a value outside a limit, all found when the config is
 parsed), 3 numerical failure (calibration, a network solve, or any float
 error, RuntimeError or ValueError while the model is built, a command
-runs or its rows are read).
+runs or its blocks are read).
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -74,7 +78,7 @@ EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_Table = tuple[str, list[str], Iterable, dict]  # csv_name, header, rows, payload
+_Table = tuple[str, list[str], Iterable, dict]  # csv_name, header, blocks, payload
 
 
 class _UsageError(Exception):
@@ -96,69 +100,83 @@ def _jsonable(obj):
     return obj
 
 
-_CELL_FORMATS = {int: "%d", float: "%.12g", str: "%s"}
+_FORMATS = {np.dtype(np.int64): "%d", np.dtype(np.float64): "%.12g"}
 _QUOTED = frozenset(',"\r\n')  # a label holding one would need CSV quoting
 # Rows read, checked, rendered and written together. Reading and rendering
-# CLI d2d's 10000 rows took 13.4-14.4 ms at minimum (21 interleaved runs,
+# CLI d2d's 10000 rows took 11.2-12.5 ms at minimum (21 interleaved runs,
 # 2-CPU x86_64 box) at every size from 512 to 16384, so the size only
 # bounds memory: d2d at n_devices = 200000 peaked at 3.1 MiB under
-# tracemalloc from 1024 to 4096 and at 4.6 MiB at 8192.
+# tracemalloc from 1024 to 4096 and at 4.2 MiB at 8192.
 _CSV_BLOCK = 2048
 
 
-def _line_template(block: list[tuple], width: int) -> str:
-    """The "%d"/"%.12g"/"%s" line template of a block of rows of `width`
-    cells, each column exactly int, float or str. Raises ValueError for a
-    row of another width or a label that is empty or needs quoting, and
-    TypeError for a column of mixed or other types."""
-    if set(map(len, block)) != {width}:
-        raise ValueError(f"every CSV row must have {width} cells")
-    cells = []
-    for j, column in enumerate(zip(*block)):
-        kinds = set(map(type, column))
-        if len(kinds) != 1 or not kinds <= _CELL_FORMATS.keys():
-            names = sorted(k.__name__ for k in kinds)
-            raise TypeError(f"CSV column {j} must hold exactly one of int, "
-                            f"float or str, got {names}")
-        if str in kinds and not all(s and _QUOTED.isdisjoint(s)
-                                    for s in column):
-            raise ValueError(f"CSV column {j} holds a label that needs quoting")
-        cells.append(_CELL_FORMATS[kinds.pop()])
-    return ",".join(cells) + "\r\n"
+def _slices(*columns):
+    """Equal-length columns as blocks of _CSV_BLOCK rows."""
+    return ([c[start:start + _CSV_BLOCK] for c in columns]
+            for start in range(0, len(columns[0]), _CSV_BLOCK))
+
+
+def _cells(what: str, column) -> tuple[str, list]:
+    """A column (the CSV's `what`) as (its "%d"/"%.12g"/"%s" cell format,
+    its cells as a list). Raises TypeError for a column of another dtype
+    or type, and ValueError for an array that is not 1-D or a label that
+    is empty or needs quoting."""
+    if type(column) is list:
+        if not all(type(label) is str for label in column):
+            raise TypeError(f"the CSV {what} holds a label that is not a str")
+        if not all(label and _QUOTED.isdisjoint(label) for label in column):
+            raise ValueError(f"the CSV {what} holds a label that needs quoting")
+        return "%s", column
+    if type(column) is not np.ndarray or column.dtype not in _FORMATS:
+        raise TypeError(f"the CSV {what} must be an int64 or float64 array "
+                        f"or a list of str, got "
+                        f"{getattr(column, 'dtype', type(column).__name__)}")
+    if column.ndim != 1:
+        raise ValueError(f"the CSV {what} has shape {column.shape}, not 1-D")
+    return _FORMATS[column.dtype], column.tolist()
 
 
 class _RowsError(Exception):
-    """An error that a table's rows raised as they were read, its cause:
+    """An error that a table's blocks raised as they were read, its cause:
     main reports it as it reports the handler's own."""
 
 
-def _csv_blocks(header, rows):
+def _csv_blocks(header, blocks):
     """The CSV text of a table, as the header line and then one string per
-    block of _CSV_BLOCK rows. The header is one row of labels. Each block
-    is read, checked and rendered in turn, so a lazy table reads its cells
+    block of columns. The header is a sequence of labels. Each block is
+    read, checked and rendered in turn, so a lazy table reads its columns
     as it is written; a RuntimeError, ArithmeticError or ValueError that
-    reading the rows raises comes out as _RowsError. The first block's
-    template is the table's, and every block must match."""
-    header = tuple(header)
-    if not all(type(label) is str for label in header):
-        raise TypeError("every CSV header cell must be a str")
-    yield _line_template([header], len(header)) % header
-    template = None
-    rows = iter(rows)
+    reading a block raises comes out as _RowsError. The first block's
+    column kinds set the table's line template, and every block must
+    match it."""
+    _, header = _cells("header", list(header))
+    yield ",".join(header) + "\r\n"
+    width, template = len(header), None
+    blocks = iter(blocks)
     while True:
         try:
-            block = list(map(tuple, itertools.islice(rows, _CSV_BLOCK)))
+            block = next(blocks)
+        except StopIteration:
+            return
         except (RuntimeError, ArithmeticError, ValueError) as exc:
             raise _RowsError from exc
-        if not block:
-            return
-        line = _line_template(block, len(header))
+        if len(block) != width:
+            raise ValueError(f"a CSV block has {len(block)} columns, "
+                             f"the header {width}")
+        columns = [_cells(f"column {j}", column)
+                   for j, column in enumerate(block)]
+        line = ",".join(kind for kind, _ in columns) + "\r\n"
         template = template or line
         if line != template:
-            raise TypeError("a CSV column's cell type changed between rows")
+            raise TypeError("a CSV column's kind changed between blocks")
+        n = len(columns[0][1]) if columns else 0
+        if any(len(cells) != n for _, cells in columns):
+            raise ValueError("a CSV block's columns differ in length")
+        flat = [None] * (n * width)
+        for j, (_, cells) in enumerate(columns):
+            flat[j::width] = cells
         # one format over the block: the same text as one per row
-        yield (template * len(block)) % tuple(
-            itertools.chain.from_iterable(block))
+        yield (template * n) % tuple(flat)
 
 
 def _json_text(payload: dict) -> str:
@@ -204,14 +222,21 @@ def cmd_iv(cfg: SimConfig, bundle, seed: int) -> _Table:
     else:
         grid = np.linspace(sec.v_min_v, sec.v_max_v, sec.n_points)
     state = DeviceState(w=sec.state_w)
-    rows = []
+    currents = []
     for t in sec.t_list_k:
         with _t_list_entry(t):
-            currents = current_total(grid, t, p, state).tolist()
-        rows.extend((v, t, sec.state_w, i, i / p.area)
-                    for v, i in zip(grid.tolist(), currents))
+            currents.append(current_total(grid, t, p, state))
+
+    def block(t, v, i):
+        # as float division: inf past float range, and no error
+        with np.errstate(over="ignore"):
+            j = i / p.area
+        return v, np.full(len(v), t), np.full(len(v), sec.state_w), i, j
+
+    blocks = (block(t, v, i) for t, i_t in zip(sec.t_list_k, currents)
+              for v, i in _slices(grid, i_t))
     return "iv.csv", ["v_volts", "t_kelvin", "state_w", "i_amps",
-                      "j_a_per_m2"], rows, {
+                      "j_a_per_m2"], blocks, {
         "temps_kelvin": list(sec.t_list_k),
         "grid": {"v_min_v": sec.v_min_v, "v_max_v": sec.v_max_v,
                  "n_points": sec.n_points, "log_grid": sec.log_grid},
@@ -227,9 +252,8 @@ def cmd_hysteresis(cfg: SimConfig, bundle, seed: int) -> _Table:
                                      for a, b, n in _loop_legs(sec)])
     trace = dc_write_loop(DeviceState(w=0.0), grid, p,
                           v_read=bundle.v_read, t=bundle.t_kelvin)
-    rows = list(zip(grid.tolist(), trace.w.tolist(), trace.i_amps.tolist(),
-                    trace.r_ohms.tolist()))
-    return "loop.csv", ["v_write_volts", "w", "i_amps", "r_ohms"], rows, {
+    blocks = _slices(grid, trace.w, trace.i_amps, trace.r_ohms)
+    return "loop.csv", ["v_write_volts", "w", "i_amps", "r_ohms"], blocks, {
         "sweep": asdict(sec),
         "read": {"v_read": bundle.v_read, "t_kelvin": bundle.t_kelvin},
         "window": asdict(memory_window(grid, trace.r_ohms)),
@@ -242,26 +266,30 @@ def cmd_scheme(cfg: SimConfig, bundle, seed: int) -> _Table:
     trains = [(last, preset_scheme(sec.kind, polarity,
                                    alt_amplitudes=sec.alt_amplitudes).pulses())
               for last, polarity in ((-1, "pot"), (1, "dep"))]
-    cycle_pulses = list(enumerate(trains[0][1] + trains[1][1]))
+    pulses = trains[0][1] + trains[1][1]
     state = DeviceState(w=0.0)
-    cells, ws = [], []
+    ws = []
     with _pulser(m, sec.kind, np.random.default_rng(seed)) as step:
-        for cycle in range(1, sec.n_cycles + 1):
+        for _ in range(sec.n_cycles):
             for last, train in trains:
                 ws += _train(step, state, train)
                 # each train restarts from the start state's cycles
                 state = replace(state, w=ws[-1], last_polarity=last)
-            cells.extend((cycle, index, pulse.v_write, pulse.t_width)
-                         for index, pulse in cycle_pulses)
     _, r = _trace_read(V_READ, bundle.t_kelvin, p, ws)
-    rows = [(*cell, w, r_ohms) for cell, w, r_ohms in zip(cells, ws, r.tolist())]
+    n = len(pulses)
+    blocks = _slices(
+        np.repeat(np.arange(1, sec.n_cycles + 1, dtype=np.int64), n),
+        np.tile(np.arange(n, dtype=np.int64), sec.n_cycles),
+        np.tile([pulse.v_write for pulse in pulses], sec.n_cycles),
+        np.tile([pulse.t_width for pulse in pulses], sec.n_cycles),
+        np.array(ws), r)
     return "trace.csv", ["cycle", "pulse_index", "v_write_volts", "t_width_s",
-                         "w", "r_ohms_0p3v"], rows, {
+                         "w", "r_ohms_0p3v"], blocks, {
         "kind": sec.kind,
         "cycles": sec.n_cycles,
         "alt_amplitudes": sec.alt_amplitudes,
         "c2c_rel": m.c2c_rel,
-        "final_w": rows[-1][4],
+        "final_w": ws[-1],
     }
 
 
@@ -283,13 +311,11 @@ def cmd_fit_a(cfg: SimConfig, bundle, seed: int) -> _Table:
     fit_pot = fit_update_a(np.arange(1, len(pot_w) + 1), pot_w)
     fit_dep = fit_update_a(np.arange(1, len(dep_w) + 1),
                            [1.0 - w for w in dep_w])
-    rows = [
-        ("a_pot", fit_pot.a, math.nan),
-        ("a_dep", fit_dep.a, math.nan),
-        ("amplitude_pot", fit_pot.amplitude, math.nan),
-        ("amplitude_dep", fit_dep.amplitude, math.nan),
-    ]
-    return "fit.csv", ["param", "value", "stderr"], rows, {
+    blocks = [(["a_pot", "a_dep", "amplitude_pot", "amplitude_dep"],
+               np.array([fit_pot.a, fit_dep.a, fit_pot.amplitude,
+                         fit_dep.amplitude]),
+               np.full(4, math.nan))]
+    return "fit.csv", ["param", "value", "stderr"], blocks, {
         "kind": kind,
         "model_a": {"a_pot": shape.a_pot, "a_dep": shape.a_dep},
         "fit": {"a_pot": fit_pot.a, "a_dep": fit_dep.a,
@@ -309,8 +335,9 @@ def cmd_cdf(cfg: SimConfig, bundle, seed: int) -> _Table:
         ws = [[s0.w, *_train(step, s0, train)] for _ in range(cycles)]
     _, traces = _trace_read(V_READ, bundle.t_kelvin, p, ws)
     report = cdf_levels(traces)
-    rows = zip(range(n + 1), report.medians.tolist(), report.iqrs.tolist())
-    return "cdf.csv", ["pulse_index", "median_r_ohms", "iqr_r_ohms"], rows, {
+    blocks = _slices(np.arange(n + 1, dtype=np.int64), report.medians,
+                     report.iqrs)
+    return "cdf.csv", ["pulse_index", "median_r_ohms", "iqr_r_ohms"], blocks, {
         "cycles": cycles,
         "scheme": "amplitude_ramp depression",
         "read_v": V_READ,
@@ -323,18 +350,19 @@ def cmd_cdf(cfg: SimConfig, bundle, seed: int) -> _Table:
 def cmd_retention(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     sec = cfg.retention
-    times = np.geomspace(sec.t_min_s, sec.t_max_s, sec.n_points).tolist()
-    rows = []
+    times = np.geomspace(sec.t_min_s, sec.t_max_s, sec.n_points)
+    blocks = []
     finals = {}
     for label, w0 in (("lrs", 1.0), ("hrs", 0.0)):
         s0 = DeviceState(w=w0)
-        ws = [retention_evolve(s0, t_s, sec.drift_rate_per_s).w
-              for t_s in times]
+        ws = np.fromiter((retention_evolve(s0, t_s, sec.drift_rate_per_s).w
+                          for t_s in times.tolist()), float, len(times))
         _, r = _trace_read(bundle.v_read, bundle.t_kelvin, p, ws)
-        rows.extend(zip(itertools.repeat(label), times, ws, r.tolist()))
-        finals[label] = rows[-1][3]
+        blocks += ([[label] * len(t), t, w, r_ohms]
+                   for t, w, r_ohms in _slices(times, ws, r))
+        finals[label] = float(r[-1])
     return "retention.csv", ["start_state", "t_seconds", "w",
-                             "r_ohms"], rows, {
+                             "r_ohms"], blocks, {
         "drift_rate_per_s": sec.drift_rate_per_s,
         "horizon_s": sec.t_max_s,
         "final_ratio": finals["hrs"] / finals["lrs"],
@@ -347,19 +375,18 @@ def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
     sigma = cfg.variation.sigma_d2d
     offsets = _d2d_offsets(sigma, [seed], n_devices)[0]
 
-    def block_rows(start):
-        block = offsets[start:start + _CSV_BLOCK]
+    def block(start):
+        d2d_log10 = offsets[start:start + _CSV_BLOCK]
         _, (r_hrs, r_lrs) = _trace_read(bundle.v_read, bundle.t_kelvin, p,
-                                        [[0.0], [1.0]], block)
-        return zip(range(start, start + len(block)), block.tolist(),
-                   r_hrs.tolist(), r_lrs.tolist())
+                                        [[0.0], [1.0]], d2d_log10)
+        index = np.arange(start, start + len(d2d_log10), dtype=np.int64)
+        return index, d2d_log10, r_hrs, r_lrs
 
     # one read per CSV block, as main writes it: only the offsets grow
     # with n_devices
-    rows = itertools.chain.from_iterable(
-        map(block_rows, range(0, n_devices, _CSV_BLOCK)))
+    blocks = map(block, range(0, n_devices, _CSV_BLOCK))
     return "d2d.csv", ["device_index", "d2d_log10", "r_hrs_ohms",
-                       "r_lrs_ohms"], rows, {
+                       "r_lrs_ohms"], blocks, {
         "n_devices": n_devices,
         "sigma_target": sigma,
         "sigma_sample": float(np.std(offsets, ddof=1)),
@@ -380,7 +407,8 @@ def cmd_scaling(cfg: SimConfig, bundle, seed: int) -> _Table:
         rows.append((a_um2, i_read, i_read / pa.area, V_READ / i_read,
                      e_j * 1e12))
     return "scaling.csv", ["area_um2", "i_read_amps", "j_read_a_per_m2",
-                           "r_on_ohms", "write_energy_pj"], rows, {
+                           "r_on_ohms", "write_energy_pj"], [
+        list(np.array(rows).T)], {
         "areas_um2": list(sec.areas_um2),
         "pulse": {"v_write": sec.v_write_v, "t_width_s": sec.t_width_s},
         "r_times_area_const": rows[0][3] * sec.areas_um2[0],
@@ -416,7 +444,9 @@ def cmd_arrhenius(cfg: SimConfig, bundle, seed: int) -> _Table:
     for sweep, fit in zip(pf_sweeps, pf.per_temperature):
         rows.append((f"pf_slope_{int(sweep.t_kelvin)}k", fit.slope,
                      fit.stderr_slope))
-    return "fit.csv", ["param", "value", "stderr"], rows, {
+    labels, values, stderrs = zip(*rows)
+    blocks = [(list(labels), np.array(values), np.array(stderrs))]
+    return "fit.csv", ["param", "value", "stderr"], blocks, {
         "temps_kelvin": temps,
         "windows": {"ohmic_v": list(OHMIC_WINDOW),
                     "trap_emission_v": list(PF_WINDOW)},
@@ -444,14 +474,15 @@ def cmd_xbar(cfg: SimConfig, bundle, seed: int) -> _Table:
     xbar = xbar.with_weights(w)
     report = sneak_margin(xbar, 0, 0, sec.v_read_v)
     sol = report.solution
-    w, v, i = xbar.w.tolist(), sol.device_v.tolist(), sol.device_i.tolist()
-    rows = [(r, c, w[r][c], v[r][c], i[r][c])
-            for r in range(sec.n_rows) for c in range(sec.n_cols)]
+    blocks = _slices(
+        np.repeat(np.arange(sec.n_rows, dtype=np.int64), sec.n_cols),
+        np.tile(np.arange(sec.n_cols, dtype=np.int64), sec.n_rows),
+        xbar.w.ravel(), sol.device_v.ravel(), sol.device_i.ravel())
     rng = np.random.default_rng(seed)
     pulse = PulseSpec(sec.v_write_v, sec.t_width_s)
     _, wrep = write_v_half(xbar, 0, 0, pulse, m, rng=rng)
     return "xbar.csv", ["row", "col", "w", "v_device_volts",
-                        "i_device_amps"], rows, {
+                        "i_device_amps"], blocks, {
         "shape": [sec.n_rows, sec.n_cols],
         "sigma_d2d": sigma,
         "read": {"v_read": sec.v_read_v,
@@ -477,16 +508,17 @@ def cmd_bench(cfg: SimConfig, bundle, seed: int) -> _Table:
     shape = m.shape_for("amplitude_ramp")
     pulse = PulseSpec(V_POT_DEFAULT, T_WIDTH_DEFAULT)
     energy_j = write_energy(pulse, hrs, p, t=t)
-    rows = [
-        *_figures(p, t).items(),
-        ("a_pot", shape.a_pot),
-        ("a_dep", shape.a_dep),
-        ("nl_pot", -m.n_full / shape.a_pot),
-        ("nl_dep", m.n_full / shape.a_dep),
-        ("c2c_pct", 100.0 * m.c2c_rel),
-        ("energy_per_pulse_pj", energy_j * 1e12),
-    ]
-    return "bench.csv", ["metric", "value"], rows, {
+    metrics = {
+        **_figures(p, t),
+        "a_pot": shape.a_pot,
+        "a_dep": shape.a_dep,
+        "nl_pot": -m.n_full / shape.a_pot,
+        "nl_dep": m.n_full / shape.a_dep,
+        "c2c_pct": 100.0 * m.c2c_rel,
+        "energy_per_pulse_pj": energy_j * 1e12,
+    }
+    blocks = [(list(metrics), np.array(list(metrics.values())))]
+    return "bench.csv", ["metric", "value"], blocks, {
         "t_kelvin": t,
         "pulse": {"v_write": pulse.v_write, "t_width_s": pulse.t_width,
                   "start_state": "hrs"},
@@ -615,19 +647,19 @@ def main(argv=None) -> int:
         # a float overflow, invalid operation or division by zero inside a
         # command is a numerical failure, not a warning beside a bad table
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            csv_name, header, rows, payload = _HANDLERS[command](
+            csv_name, header, blocks, payload = _HANDLERS[command](
                 cfg, bundle, args.seed)
     except (RuntimeError, ArithmeticError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     # the JSON is rendered before any file is opened; the CSV is rendered
-    # and written block by block, and the rows' reads run under the
+    # and written block by block, and the blocks' reads run under the
     # handlers' float policy
     json_text = _json_text(_meta(command, cfg, args.seed, payload))
     csv_path, json_path = out / csv_name, out / f"{command}.json"
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _write_files(out, csv_path, _csv_blocks(header, rows),
+            _write_files(out, csv_path, _csv_blocks(header, blocks),
                          json_path, json_text)
     except OSError as exc:
         print(f"usage error: --out {out}: {exc}", file=sys.stderr)

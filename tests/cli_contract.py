@@ -26,6 +26,9 @@ from ftjsim.config import SimConfig, emit_config
 COMMANDS = ("iv", "hysteresis", "scheme", "fitA", "cdf", "retention", "d2d",
             "scaling", "arrhenius", "xbar", "bench")
 D2D_MAX, D2D_RSS_MIB = 1_000_000, 128
+# iv's 200000-row bound as 50000 points at four temperatures; iv held as
+# float64 arrays peaked at 41.2 MiB RSS there, and as row tuples at 73.3
+IV_POINTS, IV_TEMPS, IV_RSS_MIB = 50_000, 4, 56
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [str(Path(__file__).resolve().parents[1] / "src"),
      *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -34,7 +37,9 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 class Run:
     """One finished `python -W error -m ftjsim.cli ...` process: its exit
     code, stdout, stderr and peak RSS in MiB (its own ru_maxrss, read
-    with os.wait4, so no other child counts)."""
+    with os.wait4, so no other child counts). The child is spawned from
+    this process's memory, so its ru_maxrss is at least this process's
+    own peak: the cases that cap it run first, before this one grows."""
 
     def __init__(self, *args):
         with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
@@ -73,6 +78,16 @@ def _write(tmp: Path, name: str, text: str | bytes) -> str:
     else:
         path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _lines(path: Path) -> int:
+    """The line count of a file, read in 1 MiB chunks, so this process
+    never holds a whole table (see Run)."""
+    lines = 0
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            lines += chunk.count(b"\n")
+    return lines
 
 
 def commands(tmp: Path) -> bool:
@@ -215,11 +230,7 @@ def d2d_at_the_maximum(tmp: Path) -> bool:
     out = tmp / "max-d2d"
     ini = _write(tmp, "max.ini", f"[d2d]\nn_devices = {D2D_MAX}\n")
     run = Run("d2d", "--config", ini, "--out", str(out), "--seed", "0")
-    lines = 0
-    if run.code == 0:
-        with open(out / "d2d.csv", "rb") as fh:
-            while chunk := fh.read(1 << 20):
-                lines += chunk.count(b"\n")
+    lines = _lines(out / "d2d.csv") if run.code == 0 else 0
     print(f"d2d at {D2D_MAX} devices: exit {run.code}, {lines} lines, "
           f"peak RSS {run.rss_mib:.1f} MiB")
     return (_check(run.code == 0 and lines == D2D_MAX + 1,
@@ -232,8 +243,31 @@ def d2d_at_the_maximum(tmp: Path) -> bool:
                      f"MiB RSS, over {D2D_RSS_MIB} MiB"))
 
 
-CASES = (commands, out_names_a_file, config_limits, comment,
-         help_lists_commands, bad_seed_and_encoding, d2d_at_the_maximum)
+def iv_at_the_maximum(tmp: Path) -> bool:
+    """[iv] n_points = 50000 over four temperatures, the 200000 rows the
+    config accepts: iv holds each temperature's currents as one float64
+    array and hands main its table in fixed blocks, so it exits 0, writes
+    a header and 200000 rows, and peaks at no more than 56 MiB RSS."""
+    rows = IV_POINTS * IV_TEMPS
+    out = tmp / "max-iv"
+    ini = _write(tmp, "max.ini", f"[iv]\nn_points = {IV_POINTS}\n"
+                 "t_list_k = 250, 300, 350, 400\n")
+    run = Run("iv", "--config", ini, "--out", str(out), "--seed", "0")
+    lines = _lines(out / "iv.csv") if run.code == 0 else 0
+    print(f"iv at {rows} rows: exit {run.code}, {lines} lines, "
+          f"peak RSS {run.rss_mib:.1f} MiB")
+    return (_check(run.code == 0 and lines == rows + 1,
+                   f"iv writes {rows} rows",
+                   f"iv at {rows} rows exited {run.code} with {lines} "
+                   f"lines: {run.last_line()}")
+            & _check(run.rss_mib <= IV_RSS_MIB,
+                     f"iv peaks under {IV_RSS_MIB} MiB",
+                     f"iv at {rows} rows peaked at {run.rss_mib:.1f} MiB "
+                     f"RSS, over {IV_RSS_MIB} MiB"))
+
+
+CASES = (d2d_at_the_maximum, iv_at_the_maximum, commands, out_names_a_file,
+         config_limits, comment, help_lists_commands, bad_seed_and_encoding)
 
 
 def main():

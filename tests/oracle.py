@@ -420,9 +420,18 @@ def exact(obj):
     return type(obj).__name__, obj
 
 
+def rows_of(blocks):
+    """A handler's table of column blocks as a list of row tuples of
+    Python cells: int64 and float64 columns through tolist, labels as
+    they are."""
+    return [row for block in blocks for row in zip(*(
+        column if isinstance(column, list) else column.tolist()
+        for column in block))]
+
+
 def command_run(command, cfg, bundle, seed):
     """(exact table, end states of every generator it made) of the CLI
-    handler."""
+    handler, its column blocks read as rows."""
     made = []
     default_rng = np.random.default_rng
 
@@ -431,7 +440,9 @@ def command_run(command, cfg, bundle, seed):
         return made[-1]
 
     with mock.patch.object(np.random, "default_rng", spy):
-        table = exact(cli._HANDLERS[command](cfg, bundle, seed))
+        name, header, blocks, payload = cli._HANDLERS[command](cfg, bundle,
+                                                                seed)
+        table = exact((name, header, rows_of(blocks), payload))
     return table, [g.bit_generator.state for g in made]
 
 

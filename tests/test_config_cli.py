@@ -31,7 +31,7 @@ from ftjsim.config import (
     parse_config,
 )
 from ftjsim.device import SCHEME_KINDS, DeviceState, read_state
-from oracle import d2d_draw, d2d_draws, read
+from oracle import d2d_draw, d2d_draws, read, rows_of
 
 
 def test_empty_config_is_all_defaults():
@@ -735,9 +735,9 @@ def test_hysteresis_grid_past_its_limit_is_a_config_error(
 def test_hysteresis_grid_limit_counts_the_built_grid(text):
     """The parse-time count is the length of the grid the command sweeps."""
     cfg = parse_config(text)
-    _, _, rows, _ = cli.cmd_hysteresis(cfg, build_model(cfg), 0)
-    assert len(rows) == 1 + sum(n for _, _, n in
-                                config._loop_legs(cfg.hysteresis))
+    _, _, blocks, _ = cli.cmd_hysteresis(cfg, build_model(cfg), 0)
+    assert len(rows_of(blocks)) == 1 + sum(
+        n for _, _, n in config._loop_legs(cfg.hysteresis))
 
 
 def test_hysteresis_grid_limit_edge():
@@ -896,7 +896,8 @@ def test_cli_iv_rows_equal_scalar_reads():
                        "log_grid = true\n")
     bundle = build_model(cfg)
     p, state = bundle.params, DeviceState(w=0.37)
-    _, _, rows, _ = cli.cmd_iv(cfg, bundle, 0)
+    _, _, blocks, _ = cli.cmd_iv(cfg, bundle, 0)
+    rows = rows_of(blocks)
     assert len(rows) == 3 * 400
     for v, t, w, i, j in rows:
         ref = current_total(v, t, p, state)
@@ -945,9 +946,9 @@ def test_cli_handlers_do_not_mutate_config(tmp_path):
 D2D_HEADER = ["device_index", "d2d_log10", "r_hrs_ohms", "r_lrs_ohms"]
 
 
-def _csv_text(header, rows) -> str:
+def _csv_text(header, blocks) -> str:
     """The whole CSV text that main streams, block by block."""
-    return "".join(cli._csv_blocks(header, rows))
+    return "".join(cli._csv_blocks(header, blocks))
 
 
 def _d2d_samples(cfg, seed):
@@ -959,13 +960,14 @@ def _d2d_samples(cfg, seed):
 
 def _reference_d2d(cfg, seed, out):
     """The per-device d2d loop: two scalar reads per sampled device at
-    [device] v_read_v and t_kelvin, written with the CLI's own writers."""
+    [device] v_read_v and t_kelvin, its table written by csv.writer cell
+    by cell and its sidecar by the CLI's own writer."""
     bundle, states = _d2d_samples(cfg, seed)
     p, v, t = bundle.params, bundle.v_read, bundle.t_kelvin
     rows = [(idx, s.d2d_log10, read(s, p, v, t)[1],
              read(replace(s, w=1.0), p, v, t)[1])
             for idx, s in enumerate(states)]
-    (out / "d2d.csv").write_bytes(_csv_text(D2D_HEADER, rows).encode())
+    _reference_write_csv(out / "d2d.csv", D2D_HEADER, rows)
     offsets = np.array([s.d2d_log10 for s in states])
     (out / "d2d.json").write_bytes(cli._json_text(cli._meta("d2d", cfg, seed, {
         "n_devices": len(states),
@@ -1013,14 +1015,13 @@ def test_cli_d2d_across_blocks_matches_per_device_reference(tmp_path):
         assert (new / name).read_bytes() == (ref / name).read_bytes(), name
 
 
-def _d2d_run(tmp_path, n: int, seed: int, traced: bool):
-    """Run d2d at n devices into its own --out; return the out directory
-    and tracemalloc's peak in bytes (0 when not traced)."""
-    where = tmp_path / f"{n}-{int(traced)}"
+def _peak_run(where, command: str, text: str, seed: int, traced: bool):
+    """Run command with config text into where/out; return the out
+    directory and tracemalloc's peak in bytes (0 when not traced)."""
     where.mkdir()
     ini = where / "run.ini"
-    ini.write_text(f"[d2d]\nn_devices = {n}\n")
-    args = ["d2d", "--config", str(ini), "--out", str(where / "out"),
+    ini.write_text(text)
+    args = [command, "--config", str(ini), "--out", str(where / "out"),
             "--seed", str(seed)]
     if not traced:
         assert main(args) == EXIT_OK
@@ -1033,6 +1034,13 @@ def _d2d_run(tmp_path, n: int, seed: int, traced: bool):
         tracemalloc.stop()
     assert code == EXIT_OK
     return where / "out", peak
+
+
+def _d2d_run(tmp_path, n: int, seed: int, traced: bool):
+    """Run d2d at n devices into its own --out; return the out directory
+    and tracemalloc's peak in bytes (0 when not traced)."""
+    return _peak_run(tmp_path / f"{n}-{int(traced)}", "d2d",
+                     f"[d2d]\nn_devices = {n}\n", seed, traced)
 
 
 def test_cli_d2d_streams_in_fixed_memory(tmp_path):
@@ -1064,6 +1072,40 @@ def test_cli_d2d_streams_in_fixed_memory(tmp_path):
         assert lines[i + 1] == "%d,%.12g,%.12g,%.12g" % row, i
     payload = json.loads((out / "d2d.json").read_text())
     assert payload["n_devices"] == n
+
+
+# a config of `rows` table rows, and the table, per command
+_GROWING = {
+    "iv": (lambda rows: f"[iv]\nn_points = {rows // 4}\n"
+           "t_list_k = 250, 300, 350, 400\n", "iv.csv"),
+    "retention": (lambda rows: f"[retention]\nn_points = {rows // 2}\n",
+                  "retention.csv"),
+}
+
+
+@pytest.mark.parametrize("command", list(_GROWING))
+def test_cli_iv_and_retention_stream_in_fixed_memory(tmp_path, command):
+    """iv holds each temperature's float64 currents, and retention each
+    start state's float64 w and resistances, and both hand them to main
+    in _CSV_BLOCK-row slices. After an untraced warm-up, tracemalloc's
+    peak grew by 11-21 bytes a row for iv (its currents and one
+    temperature's kernel temporaries) and by 38-40 for retention (its
+    arrays and the hold times as Python floats) from 20000 to 200000
+    rows, where tables held as row tuples grew by 136-166. So the peak at
+    60000 rows exceeds the peak at 20000 by under 64 bytes a row and
+    stays under 8 MiB, and the table holds every row."""
+    config_of, csv_name = _GROWING[command]
+    small, n = 20_000, 60_000
+    _peak_run(tmp_path / "warm", command, config_of(3 * cli._CSV_BLOCK), 0,
+              traced=False)
+    _, peak_small = _peak_run(tmp_path / "small", command, config_of(small),
+                              0, traced=True)
+    out, peak = _peak_run(tmp_path / "large", command, config_of(n), 0,
+                          traced=True)
+    assert (peak - peak_small) / (n - small) < 64, (peak_small, peak)
+    assert peak < 8 * 2**20, peak
+    lines = (out / csv_name).read_bytes().split(b"\r\n")
+    assert len(lines) == n + 2 and lines[-1] == b""
 
 
 def _needs_no_quoting(label) -> bool:
@@ -1104,32 +1146,47 @@ _RICH = parse_config("[device]\nt_kelvin = 340\n[xbar]\nn_rows = 3\n"
 @example(cfg=_XBAR_3X5)
 @example(cfg=_RICH)
 def test_handlers_hand_main_exact_python_cells(command, cfg):
-    """Every table a handler hands main is rectangular, with exact int,
-    float or str cells, one type per column, and labels that need no
-    quoting; its payload holds plain Python values. So _csv_blocks renders
-    each table with one line template and _json_text writes the payload
-    as it is. xbar.csv has one row per cell, all ints and floats."""
+    """Every table a handler hands main is a sequence of blocks of at most
+    _CSV_BLOCK rows, each one 1-D column per header label of one length:
+    an int64 or float64 array, or a list of str labels that need no
+    quoting, each column of one kind in every block. Its header labels
+    need no quoting and its payload holds plain Python values. So
+    _csv_blocks renders each table with one line template and _json_text
+    writes the payload as it is. xbar.csv has one row per cell, its two
+    index columns int64 and the rest float64."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            _, header, rows, payload = cli._HANDLERS[command](
+            _, header, blocks, payload = cli._HANDLERS[command](
                 cfg, build_model(cfg), 0)
-            rows = [tuple(row) for row in rows]
+            blocks = [list(block) for block in blocks]
     except _NO_TABLE:
         # the explicit examples must each produce a table
         assert cfg not in (SimConfig(), _XBAR_3X5, _RICH)
         return
-    assert rows
+    assert blocks
     assert all(type(h) is str and _needs_no_quoting(h) for h in header)
-    assert {len(row) for row in rows} == {len(header)}
-    for column in zip(*rows):
-        kinds = {type(x) for x in column}
-        assert len(kinds) == 1 and kinds <= {int, float, str}, kinds
-        if str in kinds:
-            assert all(map(_needs_no_quoting, column)), column
+    table_kinds = None
+    for block in blocks:
+        assert len(block) == len(header)
+        assert len({len(column) for column in block}) == 1
+        assert 0 < len(block[0]) <= cli._CSV_BLOCK
+        kinds = []
+        for column in block:
+            if type(column) is list:
+                assert all(type(x) is str and _needs_no_quoting(x)
+                           for x in column), column
+                kinds.append(str)
+            else:
+                assert type(column) is np.ndarray and column.ndim == 1
+                assert column.dtype in (np.int64, np.float64), column.dtype
+                kinds.append(column.dtype)
+        table_kinds = table_kinds or kinds
+        assert kinds == table_kinds
     assert _plain(payload)
     if command == "xbar":
-        assert len(rows) == cfg.xbar.n_rows * cfg.xbar.n_cols
-        assert {type(x) for row in rows for x in row} == {int, float}
+        assert sum(len(block[0]) for block in blocks) \
+            == cfg.xbar.n_rows * cfg.xbar.n_cols
+        assert table_kinds == [np.int64] * 2 + [np.float64] * 3
 
 
 def test_cli_d2d_reads_at_config_temperature(tmp_path):
@@ -1168,48 +1225,70 @@ def _reference_write_csv(path, header, rows):
     return path
 
 
-def _assert_same_csv_bytes(header, rows):
+def _assert_same_csv_bytes(header, blocks):
     with tempfile.TemporaryDirectory() as tmp:
-        ref = _reference_write_csv(Path(tmp) / "ref.csv", header, rows)
+        ref = _reference_write_csv(Path(tmp) / "ref.csv", header,
+                                   rows_of(blocks))
         # the CLI passes one-shot iterators as well as lists
-        assert _csv_text(header, iter(rows)).encode() == ref.read_bytes()
+        assert _csv_text(header, iter(blocks)).encode() == ref.read_bytes()
+
+
+def _split(columns, size):
+    """Equal-length columns as blocks of size rows; no block if there is
+    no column."""
+    n = len(columns[0]) if columns else 0
+    return [[c[start:start + size] for c in columns]
+            for start in range(0, n, size)]
 
 
 _LABELS = st.text(st.characters(blacklist_characters=',"\r\n',
                                 blacklist_categories=("Cs",)),
                   min_size=1, max_size=6)
+# every int a handler emits fits int64, so the domain stops there
 _COLUMNS = (
-    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
-    st.integers(-2**100, 2**100),
-    _LABELS,
+    (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+     np.float64),
+    (st.integers(-2**63, 2**63 - 1), np.int64),
+    (_LABELS, list),
 )
 
 
 @st.composite
 def _tables(draw):
-    """A table in _csv_blocks's domain: labels free of the characters
-    csv.writer quotes, and one cell strategy per column."""
+    """A table in _csv_blocks's domain, as its header and its columns:
+    labels free of the characters csv.writer quotes, and one cell
+    strategy per column, floats with nan, infinities, subnormals and
+    -0.0."""
     header = draw(st.lists(_LABELS, max_size=5))
-    cells = [draw(st.sampled_from(_COLUMNS)) for _ in header]
-    return header, draw(st.lists(st.tuples(*cells), max_size=25))
+    n = draw(st.integers(0, 25))
+    columns = []
+    for _ in header:
+        cells, kind = draw(st.sampled_from(_COLUMNS))
+        cells = draw(st.lists(cells, min_size=n, max_size=n))
+        columns.append(cells if kind is list else np.array(cells, kind))
+    return header, columns
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_tables())
 def test_write_csv_bytes_equal_per_cell_writer(table):
-    _assert_same_csv_bytes(*table)
+    header, columns = table
+    _assert_same_csv_bytes(header, _split(columns, 4096))
 
 
-@pytest.mark.parametrize("header, rows", [
+@pytest.mark.parametrize("header, blocks", [
     (["a"], []),
-    ([], [(), ()]),
-    (list("abcdefg"), [(0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
-                        1 / 3)]),
-    (list("abcd"), [(10**30, -10**30, 0, -1)]),
-    ([" a b", "%s", "\u00e9\t;"], [("lrs", "%d", " x"), ("hrs", "%%", "y ")]),
-], ids=["empty", "no-columns", "floats", "ints", "labels"])
-def test_write_csv_bytes_equal_per_cell_writer_on_edge_tables(header, rows):
-    _assert_same_csv_bytes(header, rows)
+    (["a"], [[np.array([])]]),
+    ([], [[]]),
+    (list("abcdefg"), [[np.array([x]) for x in (
+        0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1 / 3)]]),
+    (list("abcd"), [[np.array([x], np.int64)
+                     for x in (2**63 - 1, -2**63, 0, -1)]]),
+    ([" a b", "%s", "\u00e9\t;"], [[["lrs", "hrs"], ["%d", "%%"],
+                                     [" x", "y "]]]),
+], ids=["empty", "empty-block", "no-columns", "floats", "ints", "labels"])
+def test_write_csv_bytes_equal_per_cell_writer_on_edge_tables(header, blocks):
+    _assert_same_csv_bytes(header, blocks)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3])
@@ -1217,52 +1296,59 @@ def test_write_csv_bytes_equal_per_cell_writer_on_edge_tables(header, rows):
 @given(_tables())
 def test_write_csv_bytes_equal_per_cell_writer_across_blocks(block, table):
     """Small blocks split each table into many templated writes."""
-    with mock.patch.object(cli, "_CSV_BLOCK", block):
-        _assert_same_csv_bytes(*table)
+    header, columns = table
+    _assert_same_csv_bytes(header, _split(columns, block))
 
 
-@pytest.mark.parametrize("header, rows, error", [
-    (["x"], [(np.float64(1.5),)], TypeError),
-    (["x"], [(np.int64(7),)], TypeError),
-    (["x"], [(True,)], TypeError),
-    (["x"], [(np.bool_(False),)], TypeError),
-    (["x"], [(1,), (1.0,)], TypeError),
-    (["x"], [(0.5,), ("half",)], TypeError),
-    (["x", "y"], [(1.0, 2.0), (3.0,)], ValueError),
-    (["x"], [(1.0, 2.0)], ValueError),
-    (["x"], [()], ValueError),
-    (["x"], [("a,b",)], ValueError),
-    (["x"], [('say "hi"',)], ValueError),
-    (["x"], [("two\nlines",)], ValueError),
-    (["x"], [("cr\r",)], ValueError),
-    (["x", "y"], [("", 1.0)], ValueError),
+@pytest.mark.parametrize("header, blocks, error", [
+    (["x"], [[[np.float64(1.5)]]], TypeError),
+    (["x"], [[[np.int64(7)]]], TypeError),
+    (["x"], [[[True]]], TypeError),
+    (["x"], [[np.array([False])]], TypeError),
+    (["x"], [[np.array([1])], [np.array([1.0])]], TypeError),
+    (["x"], [[np.array([0.5])], [["half"]]], TypeError),
+    (["x"], [[np.array([1, 1.0], dtype=object)]], TypeError),
+    (["x"], [[np.array([1.5], dtype=np.float32)]], TypeError),
+    (["x"], [[(1.5,)]], TypeError),
+    (["x", "y"], [[np.array([1.0, 3.0]), np.array([2.0])]], ValueError),
+    (["x"], [[np.array([1.0]), np.array([2.0])]], ValueError),
+    (["x"], [[]], ValueError),
+    (["x"], [[np.ones((1, 1))]], ValueError),
+    (["x"], [[["a,b"]]], ValueError),
+    (["x"], [[['say "hi"']]], ValueError),
+    (["x"], [[["two\nlines"]]], ValueError),
+    (["x"], [[["cr\r"]]], ValueError),
+    (["x", "y"], [[[""], np.array([1.0])]], ValueError),
     (["a,b"], [], ValueError),
     ([""], [], ValueError),
     ([1], [], TypeError),
     ([np.str_("x")], [], TypeError),
 ], ids=["np-float64", "np-int64", "bool", "np-bool", "int-then-float",
-        "float-then-str", "ragged", "wider-than-header", "empty-row",
-        "comma", "quote", "newline", "carriage-return", "empty-label",
-        "header-comma", "header-empty", "header-int", "header-np-str"])
-def test_write_csv_rejects_cells_outside_its_domain(header, rows, error):
-    for block in (1, 4096):
-        with mock.patch.object(cli, "_CSV_BLOCK", block), \
-                pytest.raises(error):
-            _csv_text(header, iter(rows))
+        "float-then-str", "object", "float32", "tuple", "ragged",
+        "wider-than-header", "empty-row", "two-d", "comma", "quote",
+        "newline", "carriage-return", "empty-label", "header-comma",
+        "header-empty", "header-int", "header-np-str"])
+def test_write_csv_rejects_cells_outside_its_domain(header, blocks, error):
+    """Each column is checked as a whole: a list column must hold str
+    labels, an array must be a 1-D int64 or float64 one, every block must
+    hold one column per label, all of one length, and a column keeps its
+    kind from block to block."""
+    with pytest.raises(error):
+        _csv_text(header, iter(blocks))
 
 
-@pytest.mark.parametrize("rows, payload, error", [
-    (iter([(1.0,), (np.float64(2.0),)]), {}, TypeError),
-    ([(1.0,)], {"x": np.float64(math.inf)}, ValueError),
-    ([(1.0,)], {"x": np.int64(7)}, TypeError),
+@pytest.mark.parametrize("blocks, payload, error", [
+    (iter([[np.array([1.0])], [np.array([2.0], np.float32)]]), {}, TypeError),
+    ([[np.array([1.0])]], {"x": np.float64(math.inf)}, ValueError),
+    ([[np.array([1.0])]], {"x": np.int64(7)}, TypeError),
 ], ids=["csv-cell", "json-non-finite", "json-np-int"])
 def test_main_writes_no_file_for_a_cell_outside_the_writers_domain(
-        tmp_path, rows, payload, error):
+        tmp_path, blocks, payload, error):
     """A handler that hands over a cell the writers reject leaves nothing:
     main renders the JSON before it opens a file, and a CSV that fails
     mid-stream is removed with the directory main made for it."""
     def handler(cfg, bundle, seed):
-        return "t.csv", ["x"], rows, payload
+        return "t.csv", ["x"], blocks, payload
     out = tmp_path / "out"
     with mock.patch.dict(cli._HANDLERS, iv=handler), pytest.raises(error):
         main(["iv", "--out", str(out)])
@@ -1270,19 +1356,23 @@ def test_main_writes_no_file_for_a_cell_outside_the_writers_domain(
 
 
 def _third_block_fails(kind):
-    """A handler whose rows fail in their third CSV block: a cell outside
-    the writer's domain, or a float error while a lazy table reads."""
-    def rows():
-        for i in range(3 * cli._CSV_BLOCK):
-            if i == 2 * cli._CSV_BLOCK + 5:
+    """A handler whose lazy table fails in its third CSV block: a value
+    column of a dtype outside the writer's domain, or a float error while
+    the block is read."""
+    def blocks():
+        for b in range(3):
+            index = np.arange(b * cli._CSV_BLOCK, (b + 1) * cli._CSV_BLOCK,
+                              dtype=np.int64)
+            value = np.full(cli._CSV_BLOCK, 0.5)
+            if b == 2:
                 if kind == "cell":
-                    yield (i, np.float64(0.5))
-                    continue
-                np.float64(1.0) / np.float64(0.0)  # divide raises in main
-            yield (i, 0.5)
+                    value = value.astype(np.float32)
+                else:
+                    np.float64(1.0) / np.float64(0.0)  # divide raises in main
+            yield index, value
 
     def handler(cfg, bundle, seed):
-        return "t.csv", ["index", "value"], rows(), {"n": 1}
+        return "t.csv", ["index", "value"], blocks(), {"n": 1}
     return handler
 
 

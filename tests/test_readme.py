@@ -152,6 +152,7 @@ def test_readme_lists_the_public_api_by_module():
         names = getattr(ftjsim, module).__all__
         named = set(re.findall(r"`(\w+)`", bullets[module]))
         assert [n for n in names if n not in named] == [], module
+        assert [n for n in names if not hasattr(ftjsim, n)] == [], module
         listed |= set(names)
     assert public - listed == set()
 
