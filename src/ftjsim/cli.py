@@ -23,7 +23,11 @@ with n_devices. main renders the payload, stamped through _meta, first.
 It then streams the table through _csv_blocks, which renders each block
 in one format with the line template of the first block's column kinds,
 into <csv_name>.part in --out, writes the sidecar, and renames the part
-over <csv_name> after the last block (_write_files). What raises, so that
+over <csv_name> after the last block (_write_files). A block of at least
+_ARRAY_ROWS rows and no label column is rendered instead by the array
+pass, _number_text, which lays out the text of all its numbers in numpy
+arrays at once; each value it cannot show exact takes Python's own
+"%.12g" % x, so the bytes are the template's. What raises, so that
 the bytes are those csv.writer writes: TypeError for a header label that
 is not a str, a column of another dtype or type, or a column whose kind
 changes between blocks; ValueError for a block wider or narrower than the
@@ -103,11 +107,20 @@ def _jsonable(obj):
 _FORMATS = {np.dtype(np.int64): "%d", np.dtype(np.float64): "%.12g"}
 _QUOTED = frozenset(',"\r\n')  # a label holding one would need CSV quoting
 # Rows read, checked, rendered and written together. Reading and rendering
-# CLI d2d's 10000 rows took 11.2-12.5 ms at minimum (21 interleaved runs,
-# 2-CPU x86_64 box) at every size from 512 to 16384, so the size only
-# bounds memory: d2d at n_devices = 200000 peaked at 3.1 MiB under
-# tracemalloc from 1024 to 4096 and at 4.2 MiB at 8192.
+# CLI d2d's 10000 rows, through the array pass, took 9.3-14.0 ms at
+# minimum at 2048 and 4096 rows a block, 10.8-16 ms at 1024, 8192 and
+# 16384, and 13-19 ms at 512 (two sets of 21 interleaved runs, 2-CPU
+# x86_64 box). d2d at n_devices = 200000 peaked at 3.1 MiB under
+# tracemalloc from 512 to 2048 rows a block, 3.7 MiB at 4096 and 5.8 MiB
+# at 8192.
 _CSV_BLOCK = 2048
+# Blocks of at least this many rows and no label column are rendered by
+# the array pass, _number_text, and the rest by the one-format template.
+# The pass makes about 70 numpy calls a block, so it breaks even with the
+# template between 192 and 320 rows of the hysteresis, scheme and d2d
+# tables; at 384 rows it took 0.85-0.95 of the template's time (medians
+# of 300 interleaved renders, 2-CPU x86_64 box).
+_ARRAY_ROWS = 384
 
 
 def _slices(*columns):
@@ -116,11 +129,11 @@ def _slices(*columns):
             for start in range(0, len(columns[0]), _CSV_BLOCK))
 
 
-def _cells(what: str, column) -> tuple[str, list]:
+def _cells(what: str, column) -> tuple[str, list | np.ndarray]:
     """A column (the CSV's `what`) as (its "%d"/"%.12g"/"%s" cell format,
-    its cells as a list). Raises TypeError for a column of another dtype
-    or type, and ValueError for an array that is not 1-D or a label that
-    is empty or needs quoting."""
+    the column). Raises TypeError for a column of another dtype or type,
+    and ValueError for an array that is not 1-D or a label that is empty
+    or needs quoting."""
     if type(column) is list:
         if not all(type(label) is str for label in column):
             raise TypeError(f"the CSV {what} holds a label that is not a str")
@@ -133,7 +146,165 @@ def _cells(what: str, column) -> tuple[str, list]:
                         f"{getattr(column, 'dtype', type(column).__name__)}")
     if column.ndim != 1:
         raise ValueError(f"the CSV {what} has shape {column.shape}, not 1-D")
-    return _FORMATS[column.dtype], column.tolist()
+    return _FORMATS[column.dtype], column
+
+
+# --- the array pass: "%d" and "%.12g" text for a block of number columns ----
+#
+# Each value is laid out in a lane of little-endian 64-bit words, NUL where
+# it has no character, and the last byte of each lane holds the separator
+# after it. The lanes of a block fill one buffer in row order, and one
+# translate strips the NULs. A float's lane is five words: its sign and a
+# "0.000"-style head, three words of four digits each with a slot for the
+# point behind every digit, and an "e+308"-style tail. An int's lane is
+# words of four digits, the first always a leading zero that holds the sign.
+#
+# A float's 12 significant digits are D = round(|x| * 10**(11 - e)) for e =
+# floor(log10|x|). The scale is 10**(22 i), rounded, times an exact 10**j,
+# rounded again, so the product is off by at most three roundings: under
+# 3.4e-4 for a product below 1e12. The pass keeps a value only when the
+# product lies in [1e11, 1e12 - 0.5) and at least _HALF_MARGIN from a half.
+# Its rounding is then the exact value's, and e is its exponent, or D is
+# 10**11 at e. Every other value (0, -0.0, subnormals and exponents below
+# _E_MIN, nan, inf, near-ties, a log10 off by one) takes "%.12g" into its
+# lane.
+
+_E_MIN, _E_MAX = -296, 308
+_HALF_MARGIN = 1e-3
+
+
+@functools.cache
+def _number_tables():
+    """The array pass's lookup tables, built on its first block: about
+    1 ms on a 2-CPU x86_64 box."""
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    coarse = np.array([float(f"1e{22 * i}") for i in range(-14, 14)])
+    fine = np.array([float(10 ** j) for j in range(22)])
+    scale = (coarse[:, None] * fine).ravel()[11 - e + 22 * 14]
+    # a word of four digits by its value, each digit followed by a '.'
+    tens, ones = np.divmod(np.arange(100, dtype=np.uint64), np.uint64(10))
+    pair = tens + 48 | ones + 48 << np.uint64(16) | np.uint64(0x2E002E00)
+    words = (pair[:, None] | pair << np.uint64(32)).ravel()
+    # digits up to the last nonzero one, of two digits and of four
+    two = (ones > 0) * np.uint64(1) + (tens + ones > 0)
+    last = np.where(two > 0, two + 2, two[:, None]).ravel().astype(np.uint8)
+    fixed = (e >= -4) & (e < 12)
+    # digits before the point: e + 1, none for "0.0...", 1 in exponent form
+    lead = np.where(fixed, np.maximum(e + 1, 0), 1)
+    # the float digit-word masks by (lead, digits up to the last nonzero
+    # one): the digits up to the larger of the two, and the point after
+    # the lead digits if a digit follows it
+    q = np.arange(13)[:, None, None]
+    kept = np.arange(13)[None, :, None]
+    p = np.arange(12)
+    masks = np.empty((13, 13, 12, 2), np.uint8)
+    masks[..., 0] = (p < np.maximum(kept, q)) * 255
+    masks[..., 1] = ((p == q - 1) & (kept > q)) * 255
+    heads = np.frombuffer(b"".join(
+        (b"\0" + prefix).ljust(8, b"\0") for prefix in
+        (b"", b"0.", b"0.0", b"0.00", b"0.000")), "<u8")
+    m = np.abs(e).astype(np.uint64)
+    tail = (ord("e") | np.where(e < 0, ord("-"), ord("+")).astype(np.uint64)
+            << np.uint64(8) | np.where(m >= 100, m // 100 + 48, 0)
+            << np.uint64(16) | (m // 10 % 10 + 48) << np.uint64(24)
+            | (m % 10 + 48) << np.uint64(32))
+    tail[fixed] = 0
+    return {"scale": scale, "words": words, "last": last,
+            "lead13": lead * 13,
+            "masks": masks.reshape(13 * 13, 24).view("<u8"),
+            "head": heads[np.where(fixed & (e < 0), -e, 0)], "tail": tail,
+            # an int word's last k digits, k = 0..4
+            "low": np.array([sum(0xff << 16 * d for d in range(4 - k, 4))
+                             for k in range(5)], "<u8"),
+            "pow10": np.array([10 ** k for k in range(1, 20)], np.uint64)}
+
+
+def _float_lanes(x, lanes):
+    """Lay (n, m) float64 values into (n, m, 5) word lanes as "%.12g"."""
+    t = _number_tables()
+    a = np.abs(x)
+    ei = np.floor(np.log10(a)).astype(np.intp)
+    ei -= _E_MIN
+    np.clip(ei, 0, len(t["scale"]) - 1, out=ei)
+    s = a * t["scale"][ei]
+    d = np.rint(s)
+    ok = (s >= 1e11) & (d < 1e12) & (np.abs(s - d) < 0.5 - _HALF_MARGIN)
+    d[~ok] = 1e11
+    # D's three words of four digits, exact in float64
+    chunks = np.empty(x.shape + (3,))
+    np.floor(d / 1e8, out=chunks[..., 0])
+    d -= chunks[..., 0] * 1e8
+    np.floor(d / 1e4, out=chunks[..., 1])
+    np.subtract(d, chunks[..., 1] * 1e4, out=chunks[..., 2])
+    chunks = chunks.astype(np.intp)
+    last = t["last"][chunks]
+    kept = np.maximum(np.maximum(
+        last[..., 0], np.where(last[..., 1], last[..., 1] + 4, 0)),
+        np.where(last[..., 2], last[..., 2] + 8, 0))
+    np.bitwise_or(t["head"][ei], np.signbit(x) * np.uint64(ord("-")),
+                  out=lanes[..., 0])
+    np.bitwise_and(t["words"][chunks],
+                   t["masks"].take(t["lead13"][ei] + kept, axis=0),
+                   out=lanes[..., 1:4])
+    lanes[..., 4] = t["tail"][ei]
+    if not ok.all():
+        bad = ~ok
+        lanes.view(np.uint8)[bad] = np.frombuffer("".join(
+            ("%.12g" % v).ljust(40, "\0") for v in x[bad].tolist()
+        ).encode("ascii"), np.uint8).reshape(-1, 40)
+
+
+def _int_words(v) -> int:
+    """The words of an int lane wide enough for every value in v."""
+    widest = max(-int(v.min()), int(v.max()))
+    return len(str(widest)) // 4 + 1
+
+
+def _int_lanes(v, lanes):
+    """Lay (n, m) int64 values into (n, m, k) word lanes as "%d"."""
+    t = _number_tables()
+    neg = v < 0
+    mag = v.view(np.uint64).copy()
+    np.negative(mag, out=mag, where=neg)
+    digits = np.searchsorted(t["pow10"], mag, side="right") + 1
+    k = lanes.shape[-1]
+    for j in range(k - 1, -1, -1):
+        mag, chunk = np.divmod(mag, np.uint64(10000))
+        lanes[..., j] = t["words"][chunk.astype(np.intp)]
+    lanes &= t["low"][np.clip(digits[..., None] - 4 * np.arange(k - 1, -1, -1),
+                              0, 4)]
+    lanes[..., 0] |= neg * np.uint64(ord("-"))
+
+
+def _number_text(columns) -> str:
+    """The CSV text of a block of equal-length int64 and float64 columns,
+    byte for byte the one-format template's."""
+    runs = []  # adjacent columns of one dtype: [dtype, columns]
+    for column in columns:
+        if runs and runs[-1][0] == column.dtype:
+            runs[-1][1].append(column)
+        else:
+            runs.append([column.dtype, [column]])
+    laid, width = [], 0
+    for dtype, run in runs:
+        x = np.column_stack(run)
+        k = 5 if dtype == np.float64 else _int_words(x)
+        laid.append((x, width, k))
+        width += len(run) * k
+    n = len(columns[0])
+    text = bytearray(n * (width + 1) * 8)
+    out = np.frombuffer(text, "<u8").reshape(n, width + 1)
+    # main writes under errstate(raise), and log10 of 0 or nan is no error
+    # here: such a value takes "%.12g"
+    with np.errstate(all="ignore"):
+        for x, start, k in laid:
+            lay = _float_lanes if x.dtype == np.float64 else _int_lanes
+            lay(x, out[:, start:start + x.shape[1] * k].reshape(n, -1, k))
+    ends = np.cumsum([k for x, _, k in laid for _ in range(x.shape[1])])
+    out[:, ends[:-1] - 1] |= np.uint64(ord(",") << 56)
+    out[:, -2] |= np.uint64(ord("\r") << 56)
+    out[:, -1] = ord("\n")
+    return text.translate(None, b"\0").decode("ascii")
 
 
 class _RowsError(Exception):
@@ -172,9 +343,12 @@ def _csv_blocks(header, blocks):
         n = len(columns[0][1]) if columns else 0
         if any(len(cells) != n for _, cells in columns):
             raise ValueError("a CSV block's columns differ in length")
+        if n >= _ARRAY_ROWS and "%s" not in template:
+            yield _number_text([cells for _, cells in columns])
+            continue
         flat = [None] * (n * width)
         for j, (_, cells) in enumerate(columns):
-            flat[j::width] = cells
+            flat[j::width] = cells if type(cells) is list else cells.tolist()
         # one format over the block: the same text as one per row
         yield (template * n) % tuple(flat)
 

@@ -317,7 +317,7 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
     ohm_c, pf_c, theta = _coeffs(xbar.params, xbar.t_kelvin)
     ga = xbar.multipliers() * xbar.params.area
     ga_ohm = ga * ohm_c  # _total's ga * ohm_c
-    x = np.full(n_free, float(np.mean(driven)))
+    x = np.full(n_free, float(np.add.reduce(driven) / len(driven)))
     # per-solve buffers: every point overwrites them, so after the loop
     # they hold the accepted point; the solution keeps dv and di alone
     dv, di = np.empty((2, nr, nc))

@@ -34,22 +34,38 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
      *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
+# A bare interpreter that spawns the command, waits for it with os.wait4
+# and writes "<exit code> <ru_maxrss in KiB>" to the descriptor named by
+# its first argument. A child's ru_maxrss starts from the memory it was
+# spawned from; this one is spawned from the launcher's, not from this
+# process's, which has numpy loaded and grows with the cases.
+_LAUNCHER = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[2:]],
+                     os.environ)
+_, status, usage = os.wait4(pid, 0)
+os.write(int(sys.argv[1]),
+         b"%d %d" % (os.waitstatus_to_exitcode(status), usage.ru_maxrss))
+"""
+
+
 class Run:
     """One finished `python -W error -m ftjsim.cli ...` process: its exit
-    code, stdout, stderr and peak RSS in MiB (its own ru_maxrss, read
-    with os.wait4, so no other child counts). The child is spawned from
-    this process's memory, so its ru_maxrss is at least this process's
-    own peak: the cases that cap it run first, before this one grows."""
+    code, stdout, stderr and peak RSS in MiB. The process is started by
+    _LAUNCHER, which reads its own ru_maxrss, so the peak is the
+    command's wherever the case runs."""
 
     def __init__(self, *args):
-        with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-            proc = subprocess.Popen(
-                [sys.executable, "-W", "error", "-m", "ftjsim.cli", *args],
-                stdout=out, stderr=err, env=ENV)
-            _, status, usage = os.wait4(proc.pid, 0)
-            # reaped here, so Popen must not wait for it again
-            proc.returncode = self.code = os.waitstatus_to_exitcode(status)
-            self.rss_mib = usage.ru_maxrss / 1024
+        with (tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err,
+              tempfile.TemporaryFile() as report):
+            subprocess.run(
+                [sys.executable, "-c", _LAUNCHER, str(report.fileno()),
+                 "-W", "error", "-m", "ftjsim.cli", *args],
+                stdout=out, stderr=err, env=ENV, pass_fds=[report.fileno()],
+                check=True)
+            report.seek(0)
+            self.code, maxrss_kib = map(int, report.read().split())
+            self.rss_mib = maxrss_kib / 1024
             out.seek(0)
             err.seek(0)
             self.stdout = out.read().decode("utf-8", "replace")
@@ -81,8 +97,7 @@ def _write(tmp: Path, name: str, text: str | bytes) -> str:
 
 
 def _lines(path: Path) -> int:
-    """The line count of a file, read in 1 MiB chunks, so this process
-    never holds a whole table (see Run)."""
+    """The line count of a file, read in 1 MiB chunks."""
     lines = 0
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
@@ -266,7 +281,7 @@ def iv_at_the_maximum(tmp: Path) -> bool:
                      f"RSS, over {IV_RSS_MIB} MiB"))
 
 
-CASES = (d2d_at_the_maximum, iv_at_the_maximum, commands, out_names_a_file,
+CASES = (commands, d2d_at_the_maximum, iv_at_the_maximum, out_names_a_file,
          config_limits, comment, help_lists_commands, bad_seed_and_encoding)
 
 

@@ -1,6 +1,6 @@
-"""The exactness sweeps: ftjsim's fast paths against numpy's scalar draws
-and oracle.py's scalar model, over more seeds than tier-1 runs. From the
-repository root, with no options:
+"""The exactness sweeps: ftjsim's fast paths against numpy's scalar draws,
+oracle.py's scalar model and Python's number formatting, over more seeds
+and values than tier-1 runs. From the repository root, with no options:
 
     PYTHONPATH=src python -W error tests/sweeps.py
 
@@ -29,6 +29,7 @@ TRIAL_SEEDS = range(200)  # mvm_error_mc trials: d2d pairs, write-verify
 NOISE_SEEDS, NOISE_C2C, NOISE_N = range(4), (0.05, 0.1, 0.3), 100000
 TRAIN_SEEDS = range(200)
 MULTIPLIER_SEEDS, MULTIPLIER_N = range(4), 250000
+NUMBER_SEEDS, NUMBER_N, NUMBER_BLOCK = range(4), 250000, 65536
 
 
 def _differ(got, expect):
@@ -239,7 +240,62 @@ def multiplier():
     return ok
 
 
-SWEEPS = (d2d, noise, write_verify, pulse_trains, multiplier)
+def _number_lines_differ(column, form) -> int:
+    """How many lines of the array pass's text for column differ from
+    form % value, rendered NUMBER_BLOCK values at a time."""
+    bad = 0
+    for start in range(0, len(column), NUMBER_BLOCK):
+        part = column[start:start + NUMBER_BLOCK]
+        got = cli._number_text([part]).split("\r\n")[:-1]
+        bad += sum(line != form % v for line, v in zip(got, part.tolist()))
+        bad += abs(len(got) - len(part))
+    return bad
+
+
+def csv_numbers():
+    """The CLI writes blocks of number columns through the array pass,
+    cli._number_text, which must write each float64 as "%.12g" % x and
+    each int64 as "%d" % v. For seeds 0-3 it is compared on 250000 random
+    float64 bit patterns (nan, infinities and subnormals among them), on
+    250000 doubles nearest a 13-digit decimal ending in 5 (ties and
+    near-ties at the 12th digit) and on 250000 random int64 values. Once,
+    it is compared on every power of ten from 1e-320 to 1e308 and its
+    neighbours within 3 ulps, of both signs. The mismatch counts are
+    printed."""
+    bad = 0
+    for seed in NUMBER_SEEDS:
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, NUMBER_N, dtype=np.uint64,
+                            endpoint=False).view(np.float64)
+        digits = rng.integers(10**11, 10**12, NUMBER_N).tolist()
+        exps = rng.integers(-300, 291, NUMBER_N).tolist()
+        ties = np.array([float(f"{d}5e{e}") for d, e in zip(digits, exps)])
+        ints = rng.integers(-2**63, 2**63 - 1, NUMBER_N, endpoint=True)
+        counts = [_number_lines_differ(bits, "%.12g"),
+                  _number_lines_differ(ties, "%.12g"),
+                  _number_lines_differ(ints, "%d")]
+        print(f"seed {seed}: {counts[0]} of {NUMBER_N} bit patterns, "
+              f"{counts[1]} of {NUMBER_N} near-ties, {counts[2]} of "
+              f"{NUMBER_N} ints differ")
+        bad += sum(counts)
+    tens = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    near = [tens]
+    for toward in (math.inf, -math.inf):
+        step = tens
+        for _ in range(3):
+            step = np.nextafter(step, toward)
+            near.append(step)
+    near = np.concatenate(near + [-v for v in near])
+    powers = _number_lines_differ(near, "%.12g")
+    print(f"powers of ten 1e-320-1e308 within 3 ulps: {powers} of "
+          f"{len(near)} differ")
+    bad += powers
+    if bad:
+        print("::error::the array pass differs from Python's formatting")
+    return not bad
+
+
+SWEEPS = (d2d, noise, write_verify, pulse_trains, multiplier, csv_numbers)
 
 
 def main():

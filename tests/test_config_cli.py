@@ -1300,6 +1300,87 @@ def test_write_csv_bytes_equal_per_cell_writer_across_blocks(block, table):
     _assert_same_csv_bytes(header, _split(columns, block))
 
 
+# --- the array pass against Python's formatter ------------------------------
+
+_FLOAT_EDGES = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    sys.float_info.min, math.nextafter(sys.float_info.min, 0.0),
+    sys.float_info.max, -sys.float_info.max,
+    1e11, 1e12, math.nextafter(1e11, 0.0), math.nextafter(1e12, 0.0),
+    99999999999.5, 999999999999.5, 0.5, 2.5, 1e-4, 1e-5, 1e-297, 1e-296,
+    1e16, 123456789012345678.0]
+
+
+def _near_ten_power(k: int, ulps: int) -> float:
+    """The double nearest 10**k, moved by ulps of its ulp."""
+    ten = float(f"1e{k}")
+    return ten + ulps * math.ulp(ten)
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(_FLOAT_EDGES),
+    # the double nearest a 13-digit decimal ending in 5: a tie at the 12th
+    # digit where it is exact (k + 0.5), and a near-tie elsewhere
+    st.builds(lambda digits, e: float(f"{digits}5e{e}"),
+              st.integers(10**11, 10**12 - 1), st.integers(-300, 290)),
+    # a power of ten and its neighbours within three ulps
+    st.builds(_near_ten_power, st.integers(-320, 308), st.integers(-3, 3)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_FLOATS, min_size=1, max_size=40),
+       st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
+@example(_FLOAT_EDGES, [-2**63, 2**63 - 1, 0, -1, 9999, 10000, -10**18])
+def test_number_text_equals_python_formatting(floats, ints):
+    """_number_text, the array pass, writes each float64 as "%.12g" % x
+    and each int64 as "%d" % v: nan, infinities, -0.0, subnormals, the
+    largest floats, powers of ten and their neighbours, and ties and
+    near-ties at the 12th digit among the floats, and the whole int64
+    range."""
+    assert cli._number_text([np.array(floats)]) == "".join(
+        "%.12g\r\n" % x for x in floats)
+    assert cli._number_text([np.array(ints, np.int64)]) == "".join(
+        "%d\r\n" % v for v in ints)
+
+
+@st.composite
+def _long_tables(draw):
+    """A table long enough to reach the array pass: int64 and float64
+    columns drawn from a seed, each at a drawn scale, the floats with edge
+    values at drawn rows, and maybe a column of drawn labels."""
+    n = draw(st.integers(cli._ARRAY_ROWS, cli._ARRAY_ROWS + 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            high = 10 ** draw(st.integers(1, 18))
+            columns.append(rng.integers(-high, high, n))
+            continue
+        column = rng.normal(size=n) * 10.0 ** draw(st.integers(-30, 30))
+        for row in draw(st.lists(st.integers(0, n - 1), max_size=8)):
+            column[row] = draw(st.sampled_from(_FLOAT_EDGES))
+        columns.append(column)
+    if draw(st.booleans()):
+        labels = draw(st.lists(_LABELS, min_size=1, max_size=3))
+        columns.insert(draw(st.integers(0, len(columns))),
+                       [labels[i % len(labels)] for i in range(n)])
+    return [f"c{j}" for j in range(len(columns))], columns
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_long_tables(), st.booleans())
+def test_write_csv_bytes_equal_per_cell_writer_on_long_blocks(table, whole):
+    """A block of number columns with at least _ARRAY_ROWS rows takes the
+    array pass, and a shorter one or one with a label column the
+    template; either way the table is what per-cell csv.writer rows
+    write. The table goes as one block, or as one block of _ARRAY_ROWS
+    rows and the rest."""
+    header, columns = table
+    _assert_same_csv_bytes(header, _split(
+        columns, len(columns[0]) if whole else cli._ARRAY_ROWS))
+
+
 @pytest.mark.parametrize("header, blocks, error", [
     (["x"], [[[np.float64(1.5)]]], TypeError),
     (["x"], [[[np.int64(7)]]], TypeError),
