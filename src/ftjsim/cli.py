@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -255,7 +256,8 @@ def _float_lanes(x, lanes):
 
 
 def _int_words(v) -> int:
-    """The words of an int lane wide enough for every value in v."""
+    """How many words an int lane needs for every value in v: four digits
+    a word, and one digit more than the widest value has, for the sign."""
     widest = max(-int(v.min()), int(v.max()))
     return len(str(widest)) // 4 + 1
 
@@ -279,18 +281,13 @@ def _int_lanes(v, lanes):
 def _number_text(columns) -> str:
     """The CSV text of a block of equal-length int64 and float64 columns,
     byte for byte the one-format template's."""
-    runs = []  # adjacent columns of one dtype: [dtype, columns]
-    for column in columns:
-        if runs and runs[-1][0] == column.dtype:
-            runs[-1][1].append(column)
-        else:
-            runs.append([column.dtype, [column]])
+    # per run of columns of one dtype: (values, first word, words a lane)
     laid, width = [], 0
-    for dtype, run in runs:
-        x = np.column_stack(run)
+    for dtype, run in itertools.groupby(columns, key=lambda c: c.dtype):
+        x = np.column_stack(list(run))
         k = 5 if dtype == np.float64 else _int_words(x)
         laid.append((x, width, k))
-        width += len(run) * k
+        width += x.shape[1] * k
     n = len(columns[0])
     text = bytearray(n * (width + 1) * 8)
     out = np.frombuffer(text, "<u8").reshape(n, width + 1)
