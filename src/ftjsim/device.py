@@ -43,18 +43,21 @@ SeedSequence(seed).spawn(n), bit for bit, without building the children.
 _d2d_offsets draws the children of one or more seeds in blocks of _BLOCK
 per seed, so only the result grows with n; sample_d2d_offsets,
 crossbar.build_crossbar, CLI d2d and inference.mvm_error_mc (a trial's
-two sibling seeds) all draw through it. Each block takes one vectorized
-pass of SeedSequence's hash for the seed words, one pass of PCG64 seeding
-on 32-bit limbs for each child's first output (O'Neill, HMC-CS-2014-0905),
-and the first-draw acceptance of numpy's 256-strip ziggurat (Marsaglia &
-Tsang, J. Stat. Softw. 5(8), 2000): offset = 0.0 + sigma_d2d * x. A draw
-the pass cannot show exact (strip 1, or at or above 1 - 1e-9 of its
-strip's acceptance estimate), about 1.5 % of draws, takes numpy's own
-PCG64 and normal on its child's words, as does every draw of a call
-whose population, summed over its seeds, is below _VECTOR_MIN_N.
-_ziggurat_tables reads the strip widths once per process by forced draws
-and checks each strip's bound; if a check fails, every draw takes that
-per-device path.
+two sibling seeds) all draw through it. numpy supplies each parent's
+entropy pool as SeedSequence.pool, and the hash constant its children
+mix their last word with is closed-form: a prefix of L words hashed into
+a pool of s words takes s * L hashmix calls. Each block takes one
+vectorized pass of that last word and SeedSequence's output hash for the
+seed words, one pass of PCG64 seeding on 32-bit limbs for each child's
+first output (O'Neill, HMC-CS-2014-0905), and the first-draw acceptance
+of numpy's 256-strip ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8),
+2000): offset = 0.0 + sigma_d2d * x. A draw the pass cannot show exact
+(strip 1, or at or above 1 - 1e-9 of its strip's acceptance estimate),
+about 1.5 % of draws, takes numpy's own PCG64 and normal on its child's
+words, as does every draw of a call whose population, summed over its
+seeds, is below _VECTOR_MIN_N. _ziggurat_tables reads the strip widths
+once per process by forced draws and checks each strip's bound; if a
+check fails, every draw takes that per-device path.
 """
 
 from __future__ import annotations
@@ -342,7 +345,7 @@ def sample_device(p: ConductionParams, sigma_d2d: float, seed) -> DeviceState:
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), in uint32
-# arithmetic. The helpers below take Python ints or uint32 arrays.
+# arithmetic. _hashmix and _mix take uint32 arrays.
 _MASK32 = 0xFFFFFFFF
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -394,57 +397,37 @@ def _child_words(seeds):
     .generate_state(4, np.uint64), without spawning.
 
     Child i's assembled entropy is its parent's run entropy padded to
-    pool_size, then the parent's spawn_key, then i. Only the last word
-    differs between a parent's children, and the hash constants depend
-    only on how many words were hashed, not on their values. So each
-    parent's prefix is hashed once, here, in scalars, and each words call
-    runs the last word and the output hash over every pool word of its
-    children of every parent at once. Child indices count from each
-    parent's n_children_spawned, as in spawn; the parents are not changed.
-    Parents of different pool sizes take one pass each.
+    pool_size s, then the parent's spawn_key, then i. That prefix of L =
+    max(run words, s) + spawn-key words is what the parent's own pool
+    already hashes (zero padding and the hash running out over an empty
+    pool word are the same step), so numpy supplies it as SeedSequence
+    .pool. The hash constant depends only on how many words were hashed:
+    the prefix takes s * L hashmix calls (s to fill the pool, s * (s - 1)
+    to mix it with itself, s per word past the pool), each a multiply by
+    _MULT_A, so pool word k mixes in the last word with _INIT_A * _MULT_A
+    ** (s * L + k). Each words call runs the last word and the output
+    hash over every pool word of its children of every parent at once.
+    Child indices count from each parent's n_children_spawned, as in
+    spawn; the parents are not changed. Parents of different pool sizes
+    take one pass each.
     """
     if len({ss.pool_size for ss in seeds}) > 1:
         parts = [_child_words([ss]) for ss in seeds]
         return lambda start, n: np.concatenate([part(start, n)
                                                 for part in parts])
     size = seeds[0].pool_size
-    pools, consts = [], []
-    for ss in seeds:
-        run = _uint32_words(ss.entropy)
-        prefix = run + [0] * (size - len(run)) + _uint32_words(ss.spawn_key)
-        # mix_entropy over the prefix: fill the pool, mix it with itself,
-        # then mix in the remaining prefix words.
-        h = _INIT_A
-        pool = []
-        for word in prefix[:size]:
-            word, h = _hashmix(word, h)
-            pool.append(word)
-        for src in range(size):
-            for dst in range(size):
-                if src != dst:
-                    hashed, h = _hashmix(pool[src], h)
-                    pool[dst] = _mix(pool[dst], hashed)
-        for word in prefix[size:]:
-            for dst in range(size):
-                hashed, h = _hashmix(word, h)
-                pool[dst] = _mix(pool[dst], hashed)
-        pools.append(pool)
-        # the hash constant each pool word mixes the last word in with
-        consts.append([h * _MULT_A ** k & _MASK32 for k in range(size)])
+    # Parent k's pool and hash constants as column k of (size, parents).
+    pools = np.array([ss.pool for ss in seeds], dtype=np.uint32).T
+    hashed = [size * (max(len(_uint32_words(ss.entropy)), size)
+                      + len(_uint32_words(ss.spawn_key))) for ss in seeds]
+    consts = np.array([[_INIT_A * pow(_MULT_A, h + k, 1 << 32) & _MASK32
+                        for h in hashed] for k in range(size)],
+                      dtype=np.uint32)
     spawned = [ss.n_children_spawned for ss in seeds]
-
-    def columns(values) -> np.ndarray:
-        """Parent k's size values as column k of a uint32 array, or one
-        column when the parents share them."""
-        if all(column == values[0] for column in values):
-            values = values[:1]
-        return np.array(values, dtype=np.uint32).T
-
-    pools, consts = columns(pools), columns(consts)
 
     def per_child(values: np.ndarray, n: int) -> np.ndarray:
         """A (size, rows) array of each parent's column over its n
-        children, or the one shared column."""
+        children, or a lone parent's column."""
         if values.shape[1] == 1:
             return values
         return np.repeat(values, n, axis=1)
@@ -601,9 +584,10 @@ def _ziggurat_tables():
 
 # Below this population, summed over the seeds of one call, the per-device
 # Generator is about as fast as the vector pass. Medians of 200 calls on
-# one mvm_error_mc trial's two sibling seeds, 2-CPU x86_64 box, per-device
-# against vector: 0.31 against 0.32 ms at n = 32, 0.37 against 0.33 ms at
-# n = 40, 0.54 against 0.40 ms at n = 64, 0.91 against 0.45 ms at n = 128.
+# one mvm_error_mc trial's two sibling seeds, 2-CPU x86_64 box, numpy
+# 2.4.6, per-device against vector: 0.067 against 0.068 ms at n = 32,
+# 0.078 against 0.069 ms at n = 40, 0.110 against 0.072 ms at n = 64,
+# 0.195 against 0.079 ms at n = 128.
 _VECTOR_MIN_N = 40
 # Children per seed in one pass of _d2d_offsets. Per-block costs (the
 # array calls of a pass, about 0.1 ms) fall as blocks grow, and the

@@ -778,23 +778,27 @@ _KEYS = [(name, key, kind, getattr(section_cls(), key))
          for name, (_, section_cls, types) in config._SCHEMA.items()
          for key, kind in types.items()]
 _EXTREMES = (0.0, -1.0, 1e-300, 1e300, -1e300)
+# Either sign of 1e-200 to 1e200, log-uniform: the factor a float is
+# drawn at, times its default.
+_SCALES = st.tuples(st.floats(-200.0, 200.0), st.sampled_from((1.0, -1.0))
+                    ).map(lambda es: es[1] * 10.0 ** es[0])
 
 
 def _any_value(kind, default):
     """A value of the key's schema type, valid or not: float-range
-    extremes, and either sign of 0.1 to 10 times the default. Ints stop
-    at 40 so that a draw runs in milliseconds."""
+    extremes, and any scale of _SCALES times the default (of 1 for a
+    tuple's items). Ints stop at 40 so that a draw runs in
+    milliseconds."""
     if kind is bool:
         return st.booleans()
     if kind is int:
         return st.integers(-2, 40)
     if kind is float:
-        scaled = st.tuples(st.floats(0.1, 10.0), st.sampled_from((1.0, -1.0)))
-        return st.one_of(st.sampled_from(_EXTREMES), scaled.map(
-            lambda fs: fs[0] * fs[1] * (default or 1.0)))
+        return st.one_of(st.sampled_from(_EXTREMES),
+                         _SCALES.map(lambda f: f * (default or 1.0)))
     if kind is tuple:
-        return st.lists(st.one_of(st.sampled_from(_EXTREMES),
-                                  st.floats(1e-3, 1e4)), max_size=5).map(tuple)
+        return st.lists(st.one_of(st.sampled_from(_EXTREMES), _SCALES),
+                        max_size=5).map(tuple)
     return st.one_of(st.sampled_from(SCHEME_KINDS),
                      st.text("abcxyz_", min_size=1, max_size=8))
 
