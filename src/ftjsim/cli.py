@@ -14,36 +14,36 @@ process, on the first main call; importing the module builds none.
 
 The write contract. Each command's handler maps (cfg, bundle, seed) to
 (csv_name, header, blocks, payload) and writes nothing. The payload holds
-plain Python values. The table is a sequence of blocks, each one 1-D
-column per header label, and a column's dtype sets its format: "%d" for
-an int64 array, "%.12g" for a float64 array and "%s" for a list of str
-labels. Tables that grow with the config come in _CSV_BLOCK-row slices,
-and d2d reads each block only as main writes it, so only its offsets grow
-with n_devices. main renders the payload, stamped through _meta, first.
-It then streams the table through _csv_blocks, which renders each block
-in one format with the line template of the first block's column kinds,
-into <csv_name>.part in --out, writes the sidecar, and renames the part
-over <csv_name> after the last block (_write_files). A block of at least
+plain Python values. The header is a list of str labels, and the table a
+sequence of blocks, each one 1-D column per header label, all of one
+length. A column's dtype sets its format: "%d" for an int64 array,
+"%.12g" for a float64 array and "%s" for a list of str labels. A column
+keeps its kind in every block, and no label needs CSV quoting. The
+writer trusts this domain and checks none of it:
+test_handlers_hand_main_exact_python_cells pins it for every handler over
+drawn configs, and checks that each handler's table renders to the bytes
+csv.writer writes cell by cell. Tables that grow with the config come in
+_CSV_BLOCK-row slices, and d2d reads each block only as main writes it,
+so only its offsets grow with n_devices. main renders the payload,
+stamped through _meta, first. It then streams the table through
+_csv_blocks, which renders each block in one format string, into
+<csv_name>.part in --out, writes the sidecar, and renames the part over
+<csv_name> after the last block (_write_files). A block of at least
 _ARRAY_ROWS rows and no label column is rendered instead by the array
 pass, _number_text, which lays out the text of all its numbers in numpy
 arrays at once; each value it cannot show exact takes Python's own
-"%.12g" % x, so the bytes are the template's. What raises, so that
-the bytes are those csv.writer writes: TypeError for a header label that
-is not a str, a column of another dtype or type, or a column whose kind
-changes between blocks; ValueError for a block wider or narrower than the
-header, columns of unequal length, an array that is not 1-D, and a label
-that is empty or needs quoting. Any failure removes the part, the sidecar
-and the directories main made: a command that fails leaves --out as it
-found it. Output bytes are reproducible for a given (config, seed,
-version): no timestamps, no machine identifiers, and all floats rendered
-with a fixed format.
+"%.12g" % x, so the bytes are the format string's. Any failure removes
+the part, the sidecar and the directories main made: a command that
+fails leaves --out as it found it. Output bytes are reproducible for a
+given (config, seed, version): no timestamps, no machine identifiers,
+and all floats rendered with a fixed format.
 
 Exit codes: 0 success, 1 usage error (an OSError while --out or a file in
 it is made, written or renamed is one), 2 configuration error (a
 malformed file or a value outside a limit, all found when the config is
 parsed), 3 numerical failure (calibration, a network solve, or any float
 error, RuntimeError or ValueError while the model is built, a command
-runs or its blocks are read).
+runs or its table streams).
 """
 
 from __future__ import annotations
@@ -106,8 +106,7 @@ def _jsonable(obj):
 
 
 _FORMATS = {np.dtype(np.int64): "%d", np.dtype(np.float64): "%.12g"}
-_QUOTED = frozenset(',"\r\n')  # a label holding one would need CSV quoting
-# Rows read, checked, rendered and written together. Reading and rendering
+# Rows read, rendered and written together. Reading and rendering
 # CLI d2d's 10000 rows, through the array pass, took 9.3-14.0 ms at
 # minimum at 2048 and 4096 rows a block, 10.8-16 ms at 1024, 8192 and
 # 16384, and 13-19 ms at 512 (two sets of 21 interleaved runs, 2-CPU
@@ -116,10 +115,10 @@ _QUOTED = frozenset(',"\r\n')  # a label holding one would need CSV quoting
 # at 8192.
 _CSV_BLOCK = 2048
 # Blocks of at least this many rows and no label column are rendered by
-# the array pass, _number_text, and the rest by the one-format template.
-# The pass makes about 70 numpy calls a block, so it breaks even with the
-# template between 192 and 320 rows of the hysteresis, scheme and d2d
-# tables; at 384 rows it took 0.85-0.95 of the template's time (medians
+# the array pass, _number_text, and the rest by one format string. The
+# pass makes about 70 numpy calls a block, so it breaks even with the
+# format string between 192 and 320 rows of the hysteresis, scheme and d2d
+# tables; at 384 rows it took 0.85-0.95 of the format string's time (medians
 # of 300 interleaved renders, 2-CPU x86_64 box).
 _ARRAY_ROWS = 384
 
@@ -128,26 +127,6 @@ def _slices(*columns):
     """Equal-length columns as blocks of _CSV_BLOCK rows."""
     return ([c[start:start + _CSV_BLOCK] for c in columns]
             for start in range(0, len(columns[0]), _CSV_BLOCK))
-
-
-def _cells(what: str, column) -> tuple[str, list | np.ndarray]:
-    """A column (the CSV's `what`) as (its "%d"/"%.12g"/"%s" cell format,
-    the column). Raises TypeError for a column of another dtype or type,
-    and ValueError for an array that is not 1-D or a label that is empty
-    or needs quoting."""
-    if type(column) is list:
-        if not all(type(label) is str for label in column):
-            raise TypeError(f"the CSV {what} holds a label that is not a str")
-        if not all(label and _QUOTED.isdisjoint(label) for label in column):
-            raise ValueError(f"the CSV {what} holds a label that needs quoting")
-        return "%s", column
-    if type(column) is not np.ndarray or column.dtype not in _FORMATS:
-        raise TypeError(f"the CSV {what} must be an int64 or float64 array "
-                        f"or a list of str, got "
-                        f"{getattr(column, 'dtype', type(column).__name__)}")
-    if column.ndim != 1:
-        raise ValueError(f"the CSV {what} has shape {column.shape}, not 1-D")
-    return _FORMATS[column.dtype], column
 
 
 # --- the array pass: "%d" and "%.12g" text for a block of number columns ----
@@ -280,7 +259,7 @@ def _int_lanes(v, lanes):
 
 def _number_text(columns) -> str:
     """The CSV text of a block of equal-length int64 and float64 columns,
-    byte for byte the one-format template's."""
+    byte for byte the text of the block's format string."""
     # per run of columns of one dtype: (values, first word, words a lane)
     laid, width = [], 0
     for dtype, run in itertools.groupby(columns, key=lambda c: c.dtype):
@@ -304,50 +283,25 @@ def _number_text(columns) -> str:
     return text.translate(None, b"\0").decode("ascii")
 
 
-class _RowsError(Exception):
-    """An error that a table's blocks raised as they were read, its cause:
-    main reports it as it reports the handler's own."""
-
-
 def _csv_blocks(header, blocks):
-    """The CSV text of a table, as the header line and then one string per
-    block of columns. The header is a sequence of labels. Each block is
-    read, checked and rendered in turn, so a lazy table reads its columns
-    as it is written; a RuntimeError, ArithmeticError or ValueError that
-    reading a block raises comes out as _RowsError. The first block's
-    column kinds set the table's line template, and every block must
-    match it."""
-    _, header = _cells("header", list(header))
+    """The CSV text of a table in the write contract's domain, as the
+    header line and then one string per block of columns. Each block is
+    read and rendered in turn, so a lazy table reads its columns as it is
+    written."""
     yield ",".join(header) + "\r\n"
-    width, template = len(header), None
-    blocks = iter(blocks)
-    while True:
-        try:
-            block = next(blocks)
-        except StopIteration:
-            return
-        except (RuntimeError, ArithmeticError, ValueError) as exc:
-            raise _RowsError from exc
-        if len(block) != width:
-            raise ValueError(f"a CSV block has {len(block)} columns, "
-                             f"the header {width}")
-        columns = [_cells(f"column {j}", column)
-                   for j, column in enumerate(block)]
-        line = ",".join(kind for kind, _ in columns) + "\r\n"
-        template = template or line
-        if line != template:
-            raise TypeError("a CSV column's kind changed between blocks")
-        n = len(columns[0][1]) if columns else 0
-        if any(len(cells) != n for _, cells in columns):
-            raise ValueError("a CSV block's columns differ in length")
-        if n >= _ARRAY_ROWS and "%s" not in template:
-            yield _number_text([cells for _, cells in columns])
+    for block in blocks:
+        formats = ["%s" if type(column) is list else _FORMATS[column.dtype]
+                   for column in block]
+        n = len(block[0]) if block else 0
+        if n >= _ARRAY_ROWS and "%s" not in formats:
+            yield _number_text(block)
             continue
+        width = len(block)
         flat = [None] * (n * width)
-        for j, (_, cells) in enumerate(columns):
-            flat[j::width] = cells if type(cells) is list else cells.tolist()
+        for j, column in enumerate(block):
+            flat[j::width] = column if type(column) is list else column.tolist()
         # one format over the block: the same text as one per row
-        yield (template * n) % tuple(flat)
+        yield ((",".join(formats) + "\r\n") * n) % tuple(flat)
 
 
 def _json_text(payload: dict) -> str:
@@ -835,8 +789,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"usage error: --out {out}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _RowsError as exc:
-        print(f"numerical error: {exc.__cause__}", file=sys.stderr)
+    except (RuntimeError, ArithmeticError, ValueError) as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     print(f"wrote {csv_path}\nwrote {json_path}")
     return EXIT_OK

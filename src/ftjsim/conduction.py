@@ -20,10 +20,15 @@ state and compute its multiplier first. Every public kernel validates its
 bias and temperature on each call, over the whole array at once, and then
 composes the private channel terms (_bias_terms, _ohmic, _pf, _total,
 _conductance), where each formula is written. An ndarray, list or tuple
-input gives an ndarray, and all-scalar input gives a float. Two callers
-validate once and compose the terms directly, each keeping these
-kernels' bits: crossbar's array read kernel, and device's write-verify
-trim. Their module docstrings say how.
+input gives an ndarray, and all-scalar input gives a float. These
+public kernels are the checked boundary. _array_current is the one
+unchecked array read: current_total_g's ops on cell arrays (w,
+d2d_log10) of any shape, with no check of bias or temperature. Its
+callers check both once, before they call it: crossbar's reads at fixed
+potentials, inference's charge MVM and device's trace read. Crossbar's
+Newton solve and device's write-verify trim also compose the terms
+directly, each keeping these kernels' bits. Their module docstrings say
+how.
 
 state_multiplier is the one multiplier of the public API: float ** on
 scalars, and on arrays a broadcast np.float_power, which calls the C
@@ -375,6 +380,19 @@ def current_total_g(v, t: float, p: ConductionParams, g=1.0):
     va, ga, (ohm_c, pf_c, theta) = _checked(v, t, p, g)
     return _as_input_kind(
         _total(ga, va, _bias_terms(va, theta), ohm_c, pf_c), v, g)
+
+
+def _array_current(p: ConductionParams, t: float, w, d2d_log10, v):
+    """The one unchecked array read: the currents of cells (w, d2d_log10),
+    any shape, at bias v (broadcast against them) and temperature t, as
+    an ndarray. It runs current_total_g's ops in its order on the
+    multipliers state_multiplier(p, w, d2d_log10), so each element has
+    current_total's bits, but it checks neither v nor t: its caller did.
+    The multipliers raise state_multiplier's named OverflowError."""
+    ohm_c, pf_c, theta = _coeffs(p, t)
+    v = np.asarray(v, dtype=float)
+    return _total(state_multiplier(p, w, d2d_log10) * p.area, v,
+                  _bias_terms(v, theta), ohm_c, pf_c)
 
 
 def _read_terms(v: float, t: float, p: ConductionParams):

@@ -17,8 +17,9 @@ Each call of solve_network, mvm_read, write_v_half, inference.mvm_charge
 or inference.mvm_error_mc builds the state-multiplier grid g[r, c] in one
 broadcast call of conduction.state_multiplier (nothing is cached between
 calls) and composes conduction's private channel terms on the whole
-device-voltage grid. The reads at fixed potentials share _array_current,
-which takes cell arrays (w, d2d_log10) of any shape, so a trial of
+device-voltage grid. The reads at fixed potentials call conduction's
+_array_current, the one unchecked array read, after checking the bias
+once. It takes cell arrays (w, d2d_log10) of any shape, so a trial of
 mvm_error_mc reads its two planes as one stacked array. solve_network
 builds, once per call, everything a Newton point repeats: the free-line
 index arrays, the potential, grid and residual buffers, one Jacobian
@@ -39,7 +40,7 @@ build_crossbar takes the cells' offsets from device's d2d draw, cell
 inference.program_write_verify return a new array with the changed
 fields; write_v_half steps only the n_rows + n_cols - 1 biased cells with
 device._pulser's step. Device's write-verify trim is the one read of an
-array outside this kernel.
+array that does not go through _array_current.
 
 The device nonlinearity is what makes select-free operation possible:
 sneak-path devices sit at a fraction of the read voltage where the
@@ -54,8 +55,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conduction import (ConductionParams, T_REF, _bias_terms, _coeffs,
-                         _conductance, _total, check_bias, check_temperature,
+from .conduction import (ConductionParams, T_REF, _array_current, _coeffs,
+                         _conductance, check_bias, check_temperature,
                          state_multiplier)
 from .device import (DeviceState, PulseSpec, UpdateModel, _check_cells,
                      _d2d_offsets, _pulser)
@@ -426,18 +427,6 @@ def mvm_read(xbar: Crossbar, v_in) -> np.ndarray:
     _check_mvm_bias(v_in)
     return _line_sums(_array_current(xbar.params, xbar.t_kelvin, xbar.w,
                                      xbar.d2d_log10, v_in[:, None]), axis=0)
-
-
-def _array_current(p: ConductionParams, t: float, w: np.ndarray,
-                   d2d_log10: np.ndarray, v) -> np.ndarray:
-    """Device currents of the cells (w, d2d_log10), any shape, at bias v
-    (broadcast against them) and temperature t, composed from the channel
-    terms without re-checking: the caller checked v and t. The
-    multipliers raise state_multiplier's named OverflowError."""
-    ohm_c, pf_c, theta = _coeffs(p, t)
-    v = np.asarray(v, dtype=float)
-    return _total(state_multiplier(p, w, d2d_log10) * p.area, v,
-                  _bias_terms(v, theta), ohm_c, pf_c)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,10 @@ factors are drawn in blocks (_lognormal_stream), and on exit the
 generator is re-synced to where one scalar draw per noisy pulse leaves
 it. No read of a train, a DC sweep or a retention hold decides a pulse,
 so each trace is read after its loop in one _trace_read call of
-conduction.current_total_g, which also owns the resistance |v/i|, inf at
-zero current; read_state reads one state with current_total.
+conduction._array_current. Its bias and temperature are checked once,
+by _check_read before the loop or by the config parse for a CLI command.
+_trace_read also owns the resistance |v/i|, inf at zero current;
+read_state reads one state with current_total.
 
 The write-verify trim. _trimmer is the per-cell loop of
 inference.program_write_verify and mvm_error_mc: while a cell reads more
@@ -69,9 +71,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conduction import (ConductionParams, Readout, T_REF, V_READ, _checked,
-                         _read_terms, _shift_overflow, current_total,
-                         current_total_g, state_multiplier)
+from .conduction import (ConductionParams, Readout, T_REF, V_READ,
+                         _array_current, _checked, _read_terms,
+                         _shift_overflow, current_total, state_multiplier)
 
 __all__ = [
     "DeviceState",
@@ -377,13 +379,12 @@ def _mix(x, y):
 def _uint32_words(x) -> list[int]:
     """SeedSequence's coercion of entropy or a spawn key to uint32 words:
     an int becomes its base-2**32 digits, least significant first (0 is one
-    word); a sequence becomes the concatenation of its items' words."""
+    word); a sequence becomes the concatenation of its items' words. x
+    comes from a built SeedSequence, which has rejected negative items."""
     if isinstance(x, str):  # an item of sequence entropy, e.g. ["0x1f", 9]
         x = int(x, 16 if x.startswith("0x") else 10)
     if isinstance(x, (int, np.integer)):
         n = int(x)
-        if n < 0:
-            raise ValueError("expected non-negative integer")
         words = [n & _MASK32]
         while n := n >> 32:
             words.append(n & _MASK32)
@@ -852,12 +853,13 @@ def _check_read(v_read: float, t: float, p: ConductionParams,
 
 def _trace_read(v_read: float, t: float, p: ConductionParams, ws,
                 d2d_log10=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Read states at one bias in one kernel call: the currents
-    current_total_g(v_read, t, p, state_multiplier(p, ws, d2d_log10)) and
-    the resistances |v_read / i|, inf at zero current, as ndarrays, each
-    element equal to read_state's. The division ignores every float error
-    whatever errstate the caller set, as float division does."""
-    i = current_total_g(v_read, t, p, state_multiplier(p, ws, d2d_log10))
+    """Read states at one bias in one conduction._array_current call: the
+    currents and the resistances |v_read / i|, inf at zero current, as
+    ndarrays, each element equal to read_state's. Nothing is checked
+    here: _check_read or the config parse checked v_read and t. The
+    division ignores every float error whatever errstate the caller set,
+    as float division does."""
+    i = _array_current(p, t, ws, d2d_log10, v_read)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.where(i != 0.0, np.abs(v_read / i), math.inf)
     return i, r

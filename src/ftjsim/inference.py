@@ -40,9 +40,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, T_REF, V_ONOFF, V_READ,
-                         check_temperature, current_total, default_params,
-                         state_multiplier)
-from .crossbar import Crossbar, _array_current, _check_mvm_bias, _line_sums
+                         _array_current, check_temperature, current_total,
+                         default_params, state_multiplier)
+from .crossbar import Crossbar, _check_mvm_bias, _line_sums
 from .device import (DeviceState, UpdateModel, _check_cells, _check_sigma_d2d,
                      _d2d_offsets, _trimmer, default_update_model)
 

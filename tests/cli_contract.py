@@ -196,6 +196,21 @@ def config_limits(tmp: Path) -> bool:
     return ok
 
 
+def d2d_fails_while_streaming(tmp: Path) -> bool:
+    """[variation] sigma_d2d = 200 draws an offset whose state multiplier
+    overflows. d2d reads each block only as main writes it, so the first
+    block's read fails while the table streams: exit 3 naming the offset
+    as outside float range, no traceback, and no --out."""
+    out = tmp / "wide-d2d"
+    run = Run("d2d", "--config",
+              _write(tmp, "wide.ini", "[variation]\nsigma_d2d = 200\n"),
+              "--out", str(out), "--seed", "0")
+    return _check(_fails_cleanly(run, 3, out)
+                  and "is outside float range" in run.last_line(),
+                  "d2d with sigma_d2d = 200 exits 3 while it streams",
+                  f"ftjsim d2d with wide.ini exited {run.code}: "
+                  f"{run.last_line()}")
+
 def comment(tmp: Path) -> bool:
     """A value followed by a ';' comment that holds a '#' parses:
     n_points = 5 ; five # points gives iv.csv a header and 5 rows."""
@@ -282,7 +297,8 @@ def iv_at_the_maximum(tmp: Path) -> bool:
 
 
 CASES = (commands, d2d_at_the_maximum, iv_at_the_maximum, out_names_a_file,
-         config_limits, comment, help_lists_commands, bad_seed_and_encoding)
+         config_limits, d2d_fails_while_streaming, comment,
+         help_lists_commands, bad_seed_and_encoding)
 
 
 def main():
