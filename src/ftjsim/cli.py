@@ -26,13 +26,13 @@ csv.writer writes cell by cell. Tables that grow with the config come in
 _CSV_BLOCK-row slices, and d2d reads each block only as main writes it,
 so only its offsets grow with n_devices. main renders the payload,
 stamped through _meta, first. It then streams the table through
-_csv_blocks, which renders each block in one format string, into
+_csv_blocks, which renders each block in one format, its template, into
 <csv_name>.part in --out, writes the sidecar, and renames the part over
 <csv_name> after the last block (_write_files). A block of at least
 _ARRAY_ROWS rows and no label column is rendered instead by the array
 pass, _number_text, which lays out the text of all its numbers in numpy
 arrays at once; each value it cannot show exact takes Python's own
-"%.12g" % x, so the bytes are the format string's. Any failure removes
+"%.12g" % x, so the bytes are the template's. Any failure removes
 the part, the sidecar and the directories main made: a command that
 fails leaves --out as it found it. Output bytes are reproducible for a
 given (config, seed, version): no timestamps, no machine identifiers,
@@ -115,10 +115,10 @@ _FORMATS = {np.dtype(np.int64): "%d", np.dtype(np.float64): "%.12g"}
 # at 8192.
 _CSV_BLOCK = 2048
 # Blocks of at least this many rows and no label column are rendered by
-# the array pass, _number_text, and the rest by one format string. The
-# pass makes about 70 numpy calls a block, so it breaks even with the
-# format string between 192 and 320 rows of the hysteresis, scheme and d2d
-# tables; at 384 rows it took 0.85-0.95 of the format string's time (medians
+# the array pass, _number_text, and the rest by the one-format template.
+# The pass makes about 70 numpy calls a block, so it breaks even with the
+# template between 192 and 320 rows of the hysteresis, scheme and d2d
+# tables; at 384 rows it took 0.85-0.95 of the template's time (medians
 # of 300 interleaved renders, 2-CPU x86_64 box).
 _ARRAY_ROWS = 384
 
@@ -259,7 +259,7 @@ def _int_lanes(v, lanes):
 
 def _number_text(columns) -> str:
     """The CSV text of a block of equal-length int64 and float64 columns,
-    byte for byte the text of the block's format string."""
+    byte for byte the one-format template's."""
     # per run of columns of one dtype: (values, first word, words a lane)
     laid, width = [], 0
     for dtype, run in itertools.groupby(columns, key=lambda c: c.dtype):
@@ -290,16 +290,17 @@ def _csv_blocks(header, blocks):
     written."""
     yield ",".join(header) + "\r\n"
     for block in blocks:
-        formats = ["%s" if type(column) is list else _FORMATS[column.dtype]
-                   for column in block]
+        # looked up first, so a column of another dtype raises this
+        # KeyError rather than a float error inside the array pass
+        formats = ["%s" if type(c) is list else _FORMATS[c.dtype]
+                   for c in block]
         n = len(block[0]) if block else 0
         if n >= _ARRAY_ROWS and "%s" not in formats:
             yield _number_text(block)
             continue
-        width = len(block)
-        flat = [None] * (n * width)
-        for j, column in enumerate(block):
-            flat[j::width] = column if type(column) is list else column.tolist()
+        flat = [None] * (n * len(block))
+        for j, c in enumerate(block):
+            flat[j::len(block)] = c if type(c) is list else c.tolist()
         # one format over the block: the same text as one per row
         yield ((",".join(formats) + "\r\n") * n) % tuple(flat)
 

@@ -20,15 +20,13 @@ state and compute its multiplier first. Every public kernel validates its
 bias and temperature on each call, over the whole array at once, and then
 composes the private channel terms (_bias_terms, _ohmic, _pf, _total,
 _conductance), where each formula is written. An ndarray, list or tuple
-input gives an ndarray, and all-scalar input gives a float. These
-public kernels are the checked boundary. _array_current is the one
-unchecked array read: current_total_g's ops on cell arrays (w,
-d2d_log10) of any shape, with no check of bias or temperature. Its
-callers check both once, before they call it: crossbar's reads at fixed
-potentials, inference's charge MVM and device's trace read. Crossbar's
-Newton solve and device's write-verify trim also compose the terms
-directly, each keeping these kernels' bits. Their module docstrings say
-how.
+input gives an ndarray, and all-scalar input gives a float. These are
+the checked boundary. _array_current is the one unchecked array read,
+current_total_g's ops on cell arrays (w, d2d_log10) of any shape, for
+callers that check bias and temperature once: crossbar's fixed-potential
+reads, inference's charge MVM and device's trace read. Crossbar's Newton
+solve and device's write-verify trim compose the terms directly, each
+keeping these kernels' bits. Their module docstrings say how.
 
 state_multiplier is the one multiplier of the public API: float ** on
 scalars, and on arrays a broadcast np.float_power, which calls the C
@@ -383,12 +381,10 @@ def current_total_g(v, t: float, p: ConductionParams, g=1.0):
 
 
 def _array_current(p: ConductionParams, t: float, w, d2d_log10, v):
-    """The one unchecked array read: the currents of cells (w, d2d_log10),
-    any shape, at bias v (broadcast against them) and temperature t, as
-    an ndarray. It runs current_total_g's ops in its order on the
-    multipliers state_multiplier(p, w, d2d_log10), so each element has
-    current_total's bits, but it checks neither v nor t: its caller did.
-    The multipliers raise state_multiplier's named OverflowError."""
+    """Currents of cells (w, d2d_log10), any shape, at bias v (broadcast
+    against them) and temperature t: current_total_g's ops without its
+    checks, as an ndarray. The caller checked v and t; the multipliers
+    raise state_multiplier's named OverflowError."""
     ohm_c, pf_c, theta = _coeffs(p, t)
     v = np.asarray(v, dtype=float)
     return _total(state_multiplier(p, w, d2d_log10) * p.area, v,

@@ -21,11 +21,9 @@ run_scheme and the CLI's scheme, cdf and fitA commands run. Lognormal
 factors are drawn in blocks (_lognormal_stream), and on exit the
 generator is re-synced to where one scalar draw per noisy pulse leaves
 it. No read of a train, a DC sweep or a retention hold decides a pulse,
-so each trace is read after its loop in one _trace_read call of
-conduction._array_current. Its bias and temperature are checked once,
-by _check_read before the loop or by the config parse for a CLI command.
-_trace_read also owns the resistance |v/i|, inf at zero current;
-read_state reads one state with current_total.
+so each trace is read after its loop by _trace_read, in one call of
+conduction._array_current, and _check_read or the config parse checks the
+read first; read_state reads one state with current_total.
 
 The write-verify trim. _trimmer is the per-cell loop of
 inference.program_write_verify and mvm_error_mc: while a cell reads more
@@ -853,12 +851,11 @@ def _check_read(v_read: float, t: float, p: ConductionParams,
 
 def _trace_read(v_read: float, t: float, p: ConductionParams, ws,
                 d2d_log10=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Read states at one bias in one conduction._array_current call: the
-    currents and the resistances |v_read / i|, inf at zero current, as
-    ndarrays, each element equal to read_state's. Nothing is checked
-    here: _check_read or the config parse checked v_read and t. The
-    division ignores every float error whatever errstate the caller set,
-    as float division does."""
+    """Read states at one bias in one conduction._array_current call, with
+    v_read and t checked by the caller: the currents and the resistances
+    |v_read / i|, inf at zero current, as ndarrays, each element equal to
+    read_state's. The division ignores every float error whatever
+    errstate the caller set, as float division does."""
     i = _array_current(p, t, ws, d2d_log10, v_read)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.where(i != 0.0, np.abs(v_read / i), math.inf)
