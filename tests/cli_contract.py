@@ -211,6 +211,7 @@ def d2d_fails_while_streaming(tmp: Path) -> bool:
                   f"ftjsim d2d with wide.ini exited {run.code}: "
                   f"{run.last_line()}")
 
+
 def comment(tmp: Path) -> bool:
     """A value followed by a ';' comment that holds a '#' parses:
     n_points = 5 ; five # points gives iv.csv a header and 5 rows."""
