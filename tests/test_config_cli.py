@@ -1387,6 +1387,50 @@ def test_write_csv_bytes_equal_per_cell_writer_on_long_blocks(table, whole):
         columns, len(columns[0]) if whole else cli._ARRAY_ROWS))
 
 
+@pytest.mark.parametrize("rows", [1, cli._ARRAY_ROWS],
+                         ids=["template", "array-pass"])
+@pytest.mark.parametrize("dtype", [
+    np.float32, np.float16, np.int8, np.int32, np.uint64, np.bool_,
+    np.complex128, object, "U3",
+], ids=["float32", "float16", "int8", "int32", "uint64", "bool",
+        "complex128", "object", "str"])
+def test_write_csv_raises_the_format_lookup_for_a_column_of_another_dtype(
+        dtype, rows):
+    """A column of a dtype with no format in _FORMATS raises the KeyError
+    of the format lookup. The lookup runs before the array-pass test, so
+    under main's float policy a long block of such a column never reaches
+    _number_text."""
+    blocks = [[np.arange(rows, dtype=np.int64),
+               np.full(rows, 0.5).astype(dtype)]]
+    with np.errstate(over="raise", invalid="raise", divide="raise"), \
+            pytest.raises(KeyError):
+        _csv_text(["index", "value"], iter(blocks))
+
+
+@pytest.mark.parametrize("error", [
+    FloatingPointError, OverflowError, ZeroDivisionError, ValueError,
+    np.linalg.LinAlgError, RuntimeError,
+], ids=lambda error: error.__name__)
+def test_main_exits_3_on_a_numerical_failure_while_the_table_streams(
+        tmp_path, capsys, error):
+    """A float error, RuntimeError or ValueError raised while a block of
+    the table is read exits 3 with its message and no traceback, and
+    leaves no --out behind."""
+    def blocks():
+        yield [np.array([1.0])]
+        raise error("the second block failed")
+
+    def handler(cfg, bundle, seed):
+        return "t.csv", ["x"], blocks(), {}
+    out = tmp_path / "out"
+    with mock.patch.dict(cli._HANDLERS, iv=handler):
+        assert main(["iv", "--out", str(out)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == "numerical error: the second block failed\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("blocks, payload, error", [
     (iter([[np.array([1.0])], [np.array([2.0], np.float32)]]), {}, KeyError),
     ([[np.array([1.0])]], {"x": np.float64(math.inf)}, ValueError),
