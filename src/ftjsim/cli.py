@@ -754,6 +754,8 @@ def main(argv=None) -> int:
             raise _UsageError(
                 f"unknown command {command!r}; expected one of "
                 f"{', '.join(_HANDLERS)}")
+        if "\0" in args.out:
+            raise _UsageError(f"--out {args.out!r} contains a NUL byte")
         out = Path(args.out)
         if out.exists() and not out.is_dir():
             raise _UsageError(f"--out {out} is not a directory")

@@ -563,9 +563,7 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
             "range: the Ohmic channel underflows to zero", _NO_RESIDUALS)
 
     if sel < 2.0 - 1e-9:
-        best = ConductionParams(d_fe=skel.d_fe, area=skel.area, phi_pf=skel.phi_pf,
-                                eps_r=skel.eps_r, ea_ohm=skel.ea_ohm,
-                                c_pf=0.0, c_ohm=1.0, tun=skel.tun, g_lrs=g_lrs)
+        best = replace(skel, c_pf=0.0, c_ohm=1.0, g_lrs=g_lrs)
         raise CalibrationError(
             "selection target below the Ohmic limit of 2",
             _target_residuals(best, targets, t))
@@ -573,7 +571,7 @@ def calibrate(targets: CalibrationTargets = DEFAULT_TARGETS,
     if abs(sel - 2.0) <= 1e-9:
         # Pure-Ohmic limit: the linear channel alone gives exactly 2.
         c_ohm = (V_READ / targets.r_on_ohms) / (g_lrs * skel.area * shape_ohm(V_READ))
-        return replace(skel, eps_r=skel.eps_r, c_pf=0.0, c_ohm=c_ohm, g_lrs=g_lrs)
+        return replace(skel, c_pf=0.0, c_ohm=c_ohm, g_lrs=g_lrs)
 
     f = lambda e: _selection_of_eps(e, t) - sel
     if sel_max - sel < 0.0:

@@ -28,9 +28,10 @@ import math
 import re
 from dataclasses import dataclass, field, fields, replace
 
-from .conduction import (DEFAULT_EA_OHM, DEFAULT_PHI_PF, T_REF, V_READ,
-                         CalibrationTargets, ConductionParams, TunnelBarrier,
-                         calibrate, check_temperature)
+from .conduction import (DEFAULT_AREA, DEFAULT_D_FE, DEFAULT_EA_OHM,
+                         DEFAULT_PHI_PF, T_REF, V_READ, CalibrationTargets,
+                         ConductionParams, TunnelBarrier, calibrate,
+                         check_temperature)
 from .crossbar import _check_solve_lines
 from .device import (C2C_REL_DEFAULT, N_FULL_DEFAULT, T_WIDTH_DEFAULT,
                      V_C_NEG, V_C_POS, V_DEP_DEFAULT, V_POT_DEFAULT,
@@ -66,8 +67,8 @@ class DeviceConfig:
     """[device]: stack geometry, channel parameters, calibration targets,
     and the read conditions shared by every command."""
 
-    d_fe_nm: float = 4.9
-    area_um2: float = 14400.0
+    d_fe_nm: float = DEFAULT_D_FE * 1e9
+    area_um2: float = DEFAULT_AREA * 1e12
     phi_pf_ev: float = DEFAULT_PHI_PF
     ea_ohm_ev: float = DEFAULT_EA_OHM
     eps_r: float = ConductionParams.eps_r

@@ -39,8 +39,9 @@ build_crossbar takes the cells' offsets from device's d2d draw, cell
 (r, c) taking child r * n_cols + c. with_weights, write_v_half and
 inference.program_write_verify return a new array with the changed
 fields; write_v_half steps only the n_rows + n_cols - 1 biased cells with
-device._pulser's step. Device's write-verify trim is the one read of an
-array that does not go through _array_current.
+device._pulser's step, which leaves a cell at 0 V unchanged without a
+draw, as zero lies between the onsets. Device's write-verify trim is the
+one read of an array that does not go through _array_current.
 
 The device nonlinearity is what makes select-free operation possible:
 sneak-path devices sit at a fraction of the read voltage where the
@@ -467,13 +468,10 @@ def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
     with _pulser(m, "amplitude_ramp", rng) as step:
         for r, c in [(r, c) for r in range(xbar.n_rows)
                      for c in (range(xbar.n_cols) if r == row else (col,))]:
-            v_dev = v[r][c]
-            if v_dev == 0.0:
-                continue
             w0 = float(w[r, c])
             w[r, c], cycles[r, c], last[r, c] = step(
                 w0, int(cycles[r, c]), int(last[r, c]),
-                bool(xbar.broken[r, c]), v_dev, t_width)
+                bool(xbar.broken[r, c]), v[r][c], t_width)
             dw = float(w[r, c]) - w0
             if r == row and c == col:
                 dw_sel = dw

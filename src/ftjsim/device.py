@@ -26,22 +26,23 @@ conduction._array_current, and _check_read or the config parse checks the
 read first; read_state reads one state with current_total.
 
 The write-verify trim. _trimmer is the per-cell loop of
-inference.program_write_verify and mvm_error_mc: while a cell reads more
+inference._program, the one write-verify entry: while a cell reads more
 than tol_g from its target, it takes one amplitude_ramp pulse of the law
 and reads again, with the law, the noise factor and the verify read
 inline in Python floats. It is the one read outside the array kernel,
 since each reading decides the next pulse: ((g * area) * ohm_c) * v +
 (g * area) * pf_k with g = g_lrs ** w * 10 ** (-d2d_log10), the per-bias
 terms from conduction._read_terms, equal to current_total bit for bit.
-One _trimmer block covers a whole array, or both planes of a trial. The
-step and the trim are each pinned bit for bit, generator end state
-included, to an independent per-pulse reference in the tests.
+_program checks every offset's float range, then opens one _trimmer
+block for a whole array, or both planes of a trial. The step and the
+trim are each pinned bit for bit, generator end state included, to an
+independent per-pulse reference in the tests.
 
 The d2d draw. Device k of a population takes the offset d2d_log10 ~
 N(0, sigma_d2d) that sample_device draws on child k of
 SeedSequence(seed).spawn(n), bit for bit, without building the children.
-_d2d_offsets draws the children of one or more seeds in blocks of _BLOCK
-per seed, so only the result grows with n; sample_d2d_offsets,
+_d2d_offsets draws the children of one seed, or sibling seeds, in blocks
+of _BLOCK per seed, so only the result grows with n; sample_d2d_offsets,
 crossbar.build_crossbar, CLI d2d and inference.mvm_error_mc (a trial's
 two sibling seeds) all draw through it. numpy supplies each parent's
 entropy pool as SeedSequence.pool, and the hash constant its children
@@ -70,8 +71,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conduction import (ConductionParams, Readout, T_REF, V_READ,
-                         _array_current, _checked, _read_terms,
-                         _shift_overflow, current_total, state_multiplier)
+                         _array_current, _checked, _read_terms, current_total,
+                         state_multiplier)
 
 __all__ = [
     "DeviceState",
@@ -407,13 +408,9 @@ def _child_words(seeds):
     ** (s * L + k). Each words call runs the last word and the output
     hash over every pool word of its children of every parent at once.
     Child indices count from each parent's n_children_spawned, as in
-    spawn; the parents are not changed. Parents of different pool sizes
-    take one pass each.
+    spawn; the parents are not changed. The parents share one pool size:
+    each caller passes one seed, or siblings of one spawn.
     """
-    if len({ss.pool_size for ss in seeds}) > 1:
-        parts = [_child_words([ss]) for ss in seeds]
-        return lambda start, n: np.concatenate([part(start, n)
-                                                for part in parts])
     size = seeds[0].pool_size
     # Parent k's pool and hash constants as column k of (size, parents).
     pools = np.array([ss.pool for ss in seeds], dtype=np.uint32).T
@@ -452,12 +449,6 @@ def _child_words(seeds):
         return out.astype(np.uint64, copy=False)
 
     return words
-
-
-def _spawn_state_words(seeds, n: int) -> np.ndarray:
-    """_child_words(seeds)(0, n): the state words of the next n children
-    of each SeedSequence of seeds, in one row block per seed."""
-    return _child_words(seeds)(0, n)
 
 
 class _ChildSeed(np.random.bit_generator.ISeedSequence):
@@ -562,7 +553,7 @@ def _ziggurat_tables():
     accepted and the one 1e-9 above the estimate is not. Strip 1 (limit 0)
     and draws at or above limit take the per-device path.
     """
-    sample = _spawn_state_words([np.random.SeedSequence(0)], 8)
+    sample = _child_words([np.random.SeedSequence(0)])(0, 8)
     if not all(int(raw) == np.random.PCG64(_ChildSeed(words)).random_raw()
                for raw, words in zip(_pcg64_first_outputs(sample), sample)):
         return None
@@ -760,7 +751,8 @@ def _trimmer(m: UpdateModel, rng: np.random.Generator | None,
 
     The law and the read run in the same float operations as _pulser's
     step and conduction.current_total (see the module docstring). The
-    bias and temperature are checked on entry, before any draw.
+    bias and temperature are checked on entry, before any draw; the
+    offsets, by inference._program before it enters.
     """
     (_, a_pot, span_pot), (_, a_dep, span_dep), noise = _update_law(
         m, "amplitude_ramp")
@@ -770,10 +762,7 @@ def _trimmer(m: UpdateModel, rng: np.random.Generator | None,
     g_lrs, area, log, exp = p.g_lrs, p.area, math.log, math.exp
 
     def trim(w, d2d_log10, cycles, last, broken, target):
-        try:
-            shift = 10.0 ** (-d2d_log10)
-        except OverflowError:
-            raise _shift_overflow(d2d_log10) from None
+        shift = 10.0 ** (-d2d_log10)
         ga = g_lrs ** w * shift * area
         g = (ga * ohm_c * v + ga * pf_k) / v
         n = 0

@@ -15,16 +15,16 @@ write-verify loop ("write_verify") that trims each device with
 alternating potentiation and depression pulses until its measured
 conductance lands within tolerance of the target. Because verification
 reads the actual current, the loop absorbs device-to-device spread up to
-the rail limits. The inputs are checked once (_check_program); the loop
-is device's write-verify trim, described there. program_write_verify and
-mvm_error_mc share the per-cell body on cell arrays (_program).
-Programming and reads run at the array's own t_kelvin.
+the rail limits. Programming and reads run at the array's own t_kelvin.
+_program is the one write-verify entry, on _check_program's inputs:
+before any draw it checks every offset's float range in one
+state_multiplier call, then runs device's write-verify trim.
 
 mvm_error_mc validates once, at entry, and builds no Crossbar. Each
 trial holds its differential pair as one stacked (2, n_rows, n_cols)
 state, the positive plane first, and takes each step once for both
-planes: device's d2d draw on the trial's two sibling seeds, one trim
-block, one read of crossbar's kernel, and one _line_sums call for the
+planes: device's d2d draw on the trial's two sibling seeds, one _program
+call, one read of crossbar's kernel, and one _line_sums call for the
 decoder calibration (all-ones) and the input charge.
 
 The conductance helpers take their multipliers from one broadcast
@@ -192,19 +192,18 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     onset; such a pulse is not counted. max_pulses defaults to three times
     the model's full-switching pulse count.
 
-    The targets must be finite and max_pulses a non-negative integer;
-    the inputs are checked once, before any draw. The loop is device's
-    write-verify trim: states, pulse counts, residuals and the
-    generator's draws are those of applying and reading pulse by pulse.
+    The targets must be finite, max_pulses a non-negative integer and
+    every offset inside float range; all are checked before any draw.
+    The loop is device's write-verify trim: states, pulse counts,
+    residuals and draws are those of applying and reading pulse by pulse.
     """
     g_targets, max_pulses = _check_program((xbar.n_rows, xbar.n_cols),
                                            g_targets, m, tol_g, v_read,
                                            max_pulses)
-    with _trimmer(m, rng, xbar.params, xbar.t_kelvin, v_read, tol_g,
-                  max_pulses) as trim:
-        w, cycles, last, report = _program(
-            trim, xbar.w, xbar.d2d_log10, xbar.cycles, xbar.last_polarity,
-            xbar.broken, g_targets, tol_g)
+    w, cycles, last, report = _program(
+        m, rng, xbar.params, xbar.t_kelvin, v_read, tol_g, max_pulses,
+        xbar.w, xbar.d2d_log10, xbar.cycles, xbar.last_polarity, xbar.broken,
+        g_targets)
     return replace(xbar, w=w, cycles=cycles, last_polarity=last), report
 
 
@@ -232,18 +231,22 @@ def _check_program(shape: tuple, g_targets, m: UpdateModel, tol_g: float,
     return g_targets, int(max_pulses)
 
 
-def _program(trim, w: np.ndarray, d2d_log10: np.ndarray, cycles: np.ndarray,
-             last: np.ndarray, broken: np.ndarray, g_targets: np.ndarray,
-             tol_g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    ProgramReport]:
-    """program_write_verify's body on checked cell arrays of the targets'
-    shape, with an open _trimmer's trim: the cells trimmed in row-major
-    order, as (w, cycles, last_polarity, report)."""
+def _program(m: UpdateModel, rng: np.random.Generator | None,
+             p: ConductionParams, t: float, v_read: float, tol_g: float,
+             max_pulses: int, w: np.ndarray, d2d_log10: np.ndarray,
+             cycles: np.ndarray, last: np.ndarray, broken: np.ndarray,
+             g_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray, ProgramReport]:
+    """program_write_verify's body on _check_program's outputs and finite
+    cell arrays of the targets' shape: offsets checked, then one _trimmer
+    block in row-major order, as (w, cycles, last_polarity, report)."""
+    state_multiplier(p, 0.0, d2d_log10)
     shape = g_targets.shape
     cells = zip(w.ravel().tolist(), d2d_log10.ravel().tolist(),
                 cycles.ravel().tolist(), last.ravel().tolist(),
                 broken.ravel().tolist(), g_targets.ravel().tolist())
-    trimmed = [trim(*cell) for cell in cells]
+    with _trimmer(m, rng, p, t, v_read, tol_g, max_pulses) as trim:
+        trimmed = [trim(*cell) for cell in cells]
     w, cycles, last, counts, resid = (np.reshape(column, shape)
                                       for column in zip(*trimmed))
     report = ProgramReport(pulse_counts=counts, residual_g=resid,
@@ -320,8 +323,8 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     (which obeys mvm_charge's limits) are checked before any draw. Each
     trial holds its pair as one stacked (2, n_rows, n_cols) state (see
     the module docstring); its offsets must be finite and inside float
-    range, as a Crossbar checks them. Every value is bit-identical to two
-    build_crossbar, two program_write_verify and four mvm_charge calls.
+    range. Every value is bit-identical to two build_crossbar, two
+    program_write_verify and four mvm_charge calls.
     With one trial, median, ci_low and ci_high are its error.
     """
     if programming not in ("write_verify", "ideal"):
@@ -374,18 +377,15 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
         s_pos, s_neg, s_prog, s_x = child.spawn(4)
         d2d = _d2d_offsets(sigma_d2d, (s_pos, s_neg),
                            n_rows * n_cols).reshape(shape)
-        # a Crossbar's offset checks on both planes, before any pulse,
-        # then the float range of each offset's shift
+        # a Crossbar's offset checks on both planes, before any pulse
         _check_cells(0.0, d2d, 0)
-        state_multiplier(p, 0.0, d2d)
         if programming == "ideal":
             w_planes = w_ideal
         else:
-            # both planes in one _trimmer block: one noise stream per trial
-            with _trimmer(m, np.random.default_rng(s_prog), p, t, v_verify,
-                          tol_g, max_pulses) as trim:
-                w_planes, _, _, report = _program(
-                    trim, w_0, d2d, count_0, count_0, unbroken, gv, tol_g)
+            # both planes in one _program call: one noise stream per trial
+            w_planes, _, _, report = _program(
+                m, np.random.default_rng(s_prog), p, t, v_verify, tol_g,
+                max_pulses, w_0, d2d, count_0, count_0, unbroken, gv)
             pulses[trial] = report.pulses_total
             failed[trial] = report.n_failed
         currents = _array_current(p, t, w_planes, d2d, v_read)

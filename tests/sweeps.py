@@ -63,8 +63,8 @@ def d2d():
                   f"per-device table")
             ok = False
         if tables is not None:
-            words = device._spawn_state_words([np.random.SeedSequence(seed)],
-                                              D2D_N)
+            words = device._child_words([np.random.SeedSequence(seed)])(
+                0, D2D_N)
             _, exact = device._ziggurat_fast_path(
                 device._pcg64_first_outputs(words), *tables)
             print(f"seed {seed}: fallback share {1 - exact.mean():.4f}")

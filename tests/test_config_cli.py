@@ -366,6 +366,10 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["iv", "--command", "bench"]) == EXIT_USAGE
     out = capsys.readouterr()
     assert "usage error" in out.err
+    # a command line cannot carry a NUL byte, but a main(argv) caller can
+    assert main(["bench", "--out", str(tmp_path / "x\0y")]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_positional_and_flag_agree(tmp_path):

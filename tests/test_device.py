@@ -32,7 +32,7 @@ from ftjsim.device import (
     sample_device,
     write_energy,
 )
-from ftjsim.device import _ChildSeed, _spawn_state_words
+from ftjsim.device import _ChildSeed, _child_words
 from oracle import d2d_draws, dc_loop, hexes, pulse_train, trace_of
 
 POT = PulseSpec(-1.6, 50e-6)
@@ -396,24 +396,28 @@ def test_spawn_state_words_equal_numpy_children(kwargs, n, start):
     ss = np.random.SeedSequence(**kwargs)
     expect = [c.generate_state(4, np.uint64)
               for c in np.random.SeedSequence(**kwargs).spawn(start + n)]
-    words = _spawn_state_words([ss], n)
+    words = _child_words([ss])(0, n)
     assert words.dtype == np.uint64 and words.shape == (n, 4)
     np.testing.assert_array_equal(words, expect[:n])
-    np.testing.assert_array_equal(device._child_words([ss])(start, n),
+    np.testing.assert_array_equal(_child_words([ss])(start, n),
                                   expect[start:])
     assert ss.n_children_spawned == kwargs["n_children_spawned"]
 
 
 @_GUARD
-@given(st.lists(_seed_sequences(), min_size=1, max_size=4), st.integers(0, 80))
-def test_spawn_state_words_of_several_seeds_in_one_pass(seeds, n):
-    """One pass over several parents, of any entropy, spawn key, spawn
-    count and pool size, gives each parent's children as one row block."""
+@given(st.lists(_seed_sequences(), min_size=1, max_size=4),
+       st.sampled_from((4, 8)), st.integers(0, 80))
+def test_spawn_state_words_of_several_seeds_in_one_pass(seeds, pool_size,
+                                                         n):
+    """One pass over several parents of one pool size, of any entropy,
+    spawn key and spawn count, gives each parent's children as one row
+    block."""
+    seeds = [dict(kwargs, pool_size=pool_size) for kwargs in seeds]
     parents = [np.random.SeedSequence(**kwargs) for kwargs in seeds]
     expect = [c.generate_state(4, np.uint64)
               for kwargs in seeds
               for c in np.random.SeedSequence(**kwargs).spawn(n)]
-    words = _spawn_state_words(parents, n)
+    words = _child_words(parents)(0, n)
     assert words.dtype == np.uint64 and words.shape == (len(seeds) * n, 4)
     np.testing.assert_array_equal(words, np.reshape(expect, (-1, 4)))
     assert [ss.n_children_spawned for ss in parents] == [
@@ -542,7 +546,7 @@ def test_sample_d2d_offsets_equal_forced_and_spawned_draws(
     forced ones, at the edges of strips 0 and 1 and on both sides of the
     ki band of strip 0 and of any other strip, with a Generator on the
     forced state."""
-    words = _spawn_state_words([np.random.SeedSequence(**kwargs)], n)
+    words = _child_words([np.random.SeedSequence(**kwargs)])(0, n)
     expect = d2d_draws(sigma, np.random.SeedSequence(**kwargs), n)
     strips = [0] + data.draw(st.lists(st.integers(2, 255), min_size=2,
                                       max_size=2))
@@ -577,7 +581,7 @@ def test_vector_pass_is_on_and_runs_clean():
         warnings.simplefilter("error")
         tables = device._ziggurat_tables()
         assert tables is not None
-        words = _spawn_state_words([np.random.SeedSequence(7)], 10000)
+        words = _child_words([np.random.SeedSequence(7)])(0, 10000)
         _, exact = device._ziggurat_fast_path(
             device._pcg64_first_outputs(words), *tables)
         assert 0 < np.count_nonzero(~exact) < 500
@@ -625,9 +629,9 @@ def test_spawn_state_words_child_index_limit():
     expect = np.random.SeedSequence(9, spawn_key=(2**32 - 1,)).generate_state(
         4, np.uint64)
     last = np.random.SeedSequence(9, n_children_spawned=2**32 - 1)
-    np.testing.assert_array_equal(_spawn_state_words([last], 1), [expect])
+    np.testing.assert_array_equal(_child_words([last])(0, 1), [expect])
     with pytest.raises(ValueError, match="2\\*\\*32"):
-        _spawn_state_words([last], 2)
+        _child_words([last])(0, 2)
 
 
 @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])

@@ -428,15 +428,23 @@ def test_program_rejects_non_finite_targets_before_any_draw(p, m, bad):
     assert rng.bit_generator.state == before
 
 
-def test_program_names_an_offset_past_float_range(p, m):
-    """The trim's read raises state_multiplier's OverflowError."""
-    xbar = Crossbar(w=[[0.5]], d2d_log10=[[-400.0]], params=p)
+@pytest.mark.parametrize("d2d", [[[-400.0]], [[0.0, -400.0]]],
+                         ids=["lone-cell", "second-cell"])
+def test_program_names_an_offset_past_float_range(p, m, d2d):
+    """An offset past float range anywhere in the array raises
+    state_multiplier's named OverflowError before any draw, though the
+    noisy trim of a cell before it would draw."""
+    shape = np.shape(d2d)
+    xbar = Crossbar(w=np.full(shape, 0.5), d2d_log10=d2d, params=p)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
     with pytest.raises(OverflowError) as kernel:
         state_multiplier(p, 0.5, -400.0)
     with pytest.raises(OverflowError) as trim:
-        program_write_verify(xbar, np.ones((1, 1)), m, 1e-9,
-                             np.random.default_rng(0))
+        program_write_verify(xbar, np.ones(shape), replace(m, c2c_rel=0.1),
+                             1e-9, rng)
     assert str(trim.value) == str(kernel.value)
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("bad", [-1, 2.0, 3.5, True, "3"])
