@@ -71,9 +71,8 @@ from .constants import K_B, Q_E
 from .crossbar import build_crossbar, sneak_margin, write_v_half
 from .device import (T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
                      DeviceState, PulseSpec, PulseScheme, _d2d_offsets,
-                     _pulser, _trace_read, _train, dc_write_loop,
-                     memory_window, preset_scheme, retention_evolve,
-                     write_energy)
+                     _trace_read, _trains, dc_write_loop, memory_window,
+                     preset_scheme, retention_evolve, write_energy)
 from .extraction import (OHMIC_WINDOW, PF_WINDOW, Sweep, cdf_levels,
                          discriminate_tunneling, extract_ohmic, extract_pf,
                          fit_update_a)
@@ -389,18 +388,13 @@ def cmd_hysteresis(cfg: SimConfig, bundle, seed: int) -> _Table:
 def cmd_scheme(cfg: SimConfig, bundle, seed: int) -> _Table:
     p, m = bundle.params, bundle.update
     sec = cfg.scheme
-    trains = [(last, preset_scheme(sec.kind, polarity,
-                                   alt_amplitudes=sec.alt_amplitudes).pulses())
-              for last, polarity in ((-1, "pot"), (1, "dep"))]
-    pulses = trains[0][1] + trains[1][1]
-    state = DeviceState(w=0.0)
-    ws = []
-    with _pulser(m, sec.kind, np.random.default_rng(seed)) as step:
-        for _ in range(sec.n_cycles):
-            for last, train in trains:
-                ws += _train(step, state, train)
-                # each train restarts from the start state's cycles
-                state = replace(state, w=ws[-1], last_polarity=last)
+    pulses = [pulse for polarity in ("pot", "dep")
+              for pulse in preset_scheme(
+                  sec.kind, polarity,
+                  alt_amplitudes=sec.alt_amplitudes).pulses()]
+    # w depends only on w and the pulse, so the cycles run as one train
+    [(ws, _, _)] = _trains(m, sec.kind, np.random.default_rng(seed),
+                           [(0.0, 0, 0, False, pulses * sec.n_cycles)])
     _, r = _trace_read(V_READ, bundle.t_kelvin, p, ws)
     n = len(pulses)
     blocks = _slices(
@@ -431,9 +425,8 @@ def cmd_fit_a(cfg: SimConfig, bundle, seed: int) -> _Table:
                     for v in (V_POT_DEFAULT, V_DEP_DEFAULT))
     else:
         pot, dep = preset_scheme(kind, "pot"), preset_scheme(kind, "dep")
-    with _pulser(m, kind, None) as step:
-        pot_w = _train(step, DeviceState(w=0.0), pot.pulses())
-        dep_w = _train(step, DeviceState(w=1.0), dep.pulses())
+    (pot_w, _, _), (dep_w, _, _) = _trains(m, kind, None, [
+        (0.0, 0, 0, False, pot.pulses()), (1.0, 0, 0, False, dep.pulses())])
     fit_pot = fit_update_a(np.arange(1, len(pot_w) + 1), pot_w)
     fit_dep = fit_update_a(np.arange(1, len(dep_w) + 1),
                            [1.0 - w for w in dep_w])
@@ -455,10 +448,12 @@ def cmd_cdf(cfg: SimConfig, bundle, seed: int) -> _Table:
     cycles = cfg.cdf.n_cycles
     train = preset_scheme("amplitude_ramp", "dep").pulses()
     n = len(train)
-    s0 = DeviceState(w=1.0)
-    # every cycle starts from the same pristine state, read as column 0
-    with _pulser(m, "amplitude_ramp", np.random.default_rng(seed)) as step:
-        ws = [[s0.w, *_train(step, s0, train)] for _ in range(cycles)]
+    # every cycle starts from the same pristine w = 1, read as column 0
+    ws = np.empty((cycles, n + 1))
+    ws[:, 0] = 1.0
+    ws[:, 1:] = [run for run, _, _ in _trains(
+        m, "amplitude_ramp", np.random.default_rng(seed),
+        [(1.0, 0, 0, False, train)] * cycles)]
     _, traces = _trace_read(V_READ, bundle.t_kelvin, p, ws)
     report = cdf_levels(traces)
     blocks = _slices(np.arange(n + 1, dtype=np.int64), report.medians,

@@ -38,9 +38,9 @@ check, _check_mvm_bias.
 build_crossbar takes the cells' offsets from device's d2d draw, cell
 (r, c) taking child r * n_cols + c. with_weights, write_v_half and
 inference.program_write_verify return a new array with the changed
-fields; write_v_half steps only the n_rows + n_cols - 1 biased cells with
-device._pulser's step, which leaves a cell at 0 V unchanged without a
-draw, as zero lies between the onsets. Device's write-verify trim is the
+fields; write_v_half pulses only the n_rows + n_cols - 1 biased cells, as
+one one-pulse device._trains train each; the law leaves a cell at 0 V
+unchanged without a draw, as zero lies between the onsets. Device's write-verify trim is the
 one read of an array that does not go through _array_current.
 
 The device nonlinearity is what makes select-free operation possible:
@@ -60,7 +60,7 @@ from .conduction import (ConductionParams, T_REF, _array_current, _coeffs,
                          _conductance, check_bias, check_temperature,
                          state_multiplier)
 from .device import (DeviceState, PulseSpec, UpdateModel, _check_cells,
-                     _d2d_offsets, _pulser)
+                     _d2d_offsets, _trains)
 
 __all__ = [
     "Crossbar",
@@ -461,24 +461,27 @@ def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
     v = np.subtract.outer(scheme.rows, scheme.cols)
     i = _array_current(xbar.params, xbar.t_kelvin, xbar.w, xbar.d2d_log10, v)
     energy = float(_line_sums((np.abs(i) * np.abs(v) * t_width).ravel(), 0))
-    v = v.tolist()
+    cells = [r * xbar.n_cols + c for r in range(xbar.n_rows)
+             for c in (range(xbar.n_cols) if r == row else (col,))]
+    at = np.array(cells)  # the biased cells' flat indices, row-major
+    w0, vs = xbar.w.take(at).tolist(), v.take(at).tolist()
+    specs = {x: (PulseSpec(x, t_width),) for x in set(vs)}
+    runs = _trains(m, "amplitude_ramp", rng, zip(
+        w0, xbar.cycles.take(at).tolist(), xbar.last_polarity.take(at).tolist(),
+        xbar.broken.take(at).tolist(), map(specs.__getitem__, vs)))
+    trains, cycles1, last1 = zip(*runs)
+    w1 = [w for [w] in trains]
     w, cycles, last = (xbar.w.copy(), xbar.cycles.copy(),
                        xbar.last_polarity.copy())
-    disturbs, dw_sel = [], 0.0
-    with _pulser(m, "amplitude_ramp", rng) as step:
-        for r, c in [(r, c) for r in range(xbar.n_rows)
-                     for c in (range(xbar.n_cols) if r == row else (col,))]:
-            w0 = float(w[r, c])
-            w[r, c], cycles[r, c], last[r, c] = step(
-                w0, int(cycles[r, c]), int(last[r, c]),
-                bool(xbar.broken[r, c]), v[r][c], t_width)
-            dw = float(w[r, c]) - w0
-            if r == row and c == col:
-                dw_sel = dw
-            elif dw != 0.0:
-                disturbs.append((r, c, dw))
+    w.put(at, w1)
+    cycles.put(at, cycles1)
+    last.put(at, last1)
+    dw = [b - a for a, b in zip(w0, w1)]
+    # the selected cell follows one cell of each row above it
+    disturbs = tuple((*divmod(k, xbar.n_cols), d) for k, d in zip(cells, dw)
+                     if d != 0.0 and k != cells[row + col])
     return replace(xbar, w=w, cycles=cycles, last_polarity=last), WriteReport(
-        delta_w_selected=dw_sel, disturbs=tuple(disturbs),
+        delta_w_selected=dw[row + col], disturbs=disturbs,
         max_disturb=max((abs(d[2]) for d in disturbs), default=0.0),
         energy_joules=energy)
 

@@ -13,30 +13,31 @@ mean-one lognormal factor. DC writes switch through a logistic transition
 centered on the coercive voltages.
 
 The pulse law. _update_law owns its constants: each polarity's curve
-shape and normalization, and the noise factor's mean and sigma. _pulser
-is a context manager whose float-level step holds every rule: apply_pulse
-is one step on a DeviceState, and crossbar.write_v_half takes the same
-step in plain floats. _train is the one pulse-train loop, which
-run_scheme and the CLI's scheme, cdf and fitA commands run. Lognormal
-factors are drawn in blocks (_lognormal_stream), and on exit the
-generator is re-synced to where one scalar draw per noisy pulse leaves
-it. No read of a train, a DC sweep or a retention hold decides a pulse,
-so each trace is read after its loop by _trace_read, in one call of
-conduction._array_current, and _check_read or the config parse checks the
-read first; read_state reads one state with current_total.
+shape and normalization, and the noise factor's mean and sigma. _trains
+holds every rule in plain floats: it runs pulse trains in order on one
+noise stream, each from its own (w, cycles, last, broken). apply_pulse
+and run_scheme run one train, crossbar.write_v_half one one-pulse train
+per biased cell, and the CLI's scheme, cdf and fitA commands their trains
+in one call. Lognormal factors are drawn in blocks (_lognormal_stream),
+and on exit the generator is re-synced to where one scalar draw per noisy
+pulse leaves it. No read of a train, a DC sweep or a retention hold
+decides a pulse, so each trace is read after its loop by _trace_read, in
+one call of conduction._array_current, and _check_read or the config
+parse checks the read first; read_state reads one state with
+current_total.
 
-The write-verify trim. _trimmer is the per-cell loop of
-inference._program, the one write-verify entry: while a cell reads more
-than tol_g from its target, it takes one amplitude_ramp pulse of the law
-and reads again, with the law, the noise factor and the verify read
-inline in Python floats. It is the one read outside the array kernel,
-since each reading decides the next pulse: ((g * area) * ohm_c) * v +
-(g * area) * pf_k with g = g_lrs ** w * 10 ** (-d2d_log10), the per-bias
-terms from conduction._read_terms, equal to current_total bit for bit.
-_program checks every offset's float range, then opens one _trimmer
-block for a whole array, or both planes of a trial. The step and the
-trim are each pinned bit for bit, generator end state included, to an
-independent per-pulse reference in the tests.
+The write-verify trim. _trim is the cell loop of inference._program, the
+one write-verify entry: while a cell reads more than tol_g from its
+target, it takes one amplitude_ramp pulse of the law and reads again,
+with the law, the noise factor and the verify read inline in Python
+floats. It is the one read outside the array kernel, since each reading
+decides the next pulse: ((g * area) * ohm_c) * v + (g * area) * pf_k
+with g = g_lrs ** w * 10 ** (-d2d_log10), the per-bias terms from
+conduction._read_terms, equal to current_total bit for bit. _program
+checks every offset's float range, then makes one _trim call for a whole
+array, or both planes of a trial. The trains and the trim are each pinned
+bit for bit, generator end state included, to an independent per-pulse
+reference in the tests.
 
 The d2d draw. Device k of a population takes the offset d2d_log10 ~
 N(0, sigma_d2d) that sample_device draws on child k of
@@ -292,10 +293,10 @@ class PulseScheme:
                 else:
                     v = self.v_start + k * (self.v_max - self.v_start) / (self.n_pulses - 1)
                 out.append(PulseSpec(v, self.width_start * self.width_ratio ** k))
-        object.__setattr__(self, "_train", tuple(out))
+        object.__setattr__(self, "_specs", tuple(out))
 
     def pulses(self) -> tuple[PulseSpec, ...]:
-        return self._train
+        return self._specs
 
 
 def preset_scheme(kind: str, polarity: str, alt_amplitudes: bool = False) -> PulseScheme:
@@ -689,70 +690,72 @@ def _update_law(m: UpdateModel, kind: str):
     return pot, dep, (-0.5 * s2, math.sqrt(s2))
 
 
-@contextlib.contextmanager
-def _pulser(m: UpdateModel, kind: str, rng: np.random.Generator | None):
-    """The pulse update law of one scheme kind. Entered as
-    `with _pulser(m, kind, rng) as step:`, it yields
-    step(w, cycles, last, broken, v_write, t_width) -> (w, cycles, last)
-    in plain floats.
+def _trains(m: UpdateModel, kind: str, rng: np.random.Generator | None,
+            trains) -> list:
+    """The pulse update law of one scheme kind, run over trains in order
+    on one noise stream. Each train is (w, cycles, last, broken, pulses)
+    in plain floats, pulses a sequence of PulseSpec; each gives back
+    (ws, cycles, last): w after each pulse as a list of Python floats and
+    the train's final cycles and last polarity.
 
     A broken device, a zero-width pulse and an amplitude between the onsets
-    are no-ops. Otherwise step inverts the polarity's curve at the current
-    progress, advances one count times one mean-one lognormal factor
-    (c2c_rel > 0), clamps at the rail, counts a reversal as a cycle, and
-    sets last to -1 after potentiation, +1 after depression. The factors
-    come from _lognormal_stream, so the generator ends where one scalar
-    rng.lognormal call per noisy pulse leaves it, however the block exits.
-    A noisy pulse without a generator raises ValueError when it is taken.
+    are no-ops. Otherwise the pulse inverts the polarity's curve at the
+    current progress, advances one count times one mean-one lognormal
+    factor (c2c_rel > 0), clamps at the rail, counts a reversal as a cycle,
+    and sets last to -1 after potentiation, +1 after depression. The
+    factors come from _lognormal_stream, so the generator ends where one
+    scalar rng.lognormal call per noisy pulse leaves it, however the loop
+    exits. A noisy pulse without a generator raises ValueError when it is
+    taken.
     """
     pot, dep, noise = _update_law(m, kind)
     v_on_pot, v_on_dep, noisy = m.v_on_pot, m.v_on_dep, m.c2c_rel > 0.0
-
-    def step(w, cycles, last, broken, v_write, t_width):
-        if broken or t_width == 0.0:
-            return w, cycles, last
-        if v_write < v_on_pot:
-            (polarity, a, span), progress = pot, w
-        elif v_write > v_on_dep:
-            (polarity, a, span), progress = dep, 1.0 - w
-        else:
-            return w, cycles, last
-        n = -a * math.log(1.0 - progress * span)
-        dw = (1.0 - math.exp(-(n + 1.0) / a)) / span - progress
-        if noisy:
-            dw *= (block or refill()).pop()
-        if last != 0 and polarity != last:
-            cycles += 1
-        w = min(w + dw, 1.0) if polarity < 0 else max(w - dw, 0.0)
-        return w, cycles, polarity
-
+    log, exp = math.log, math.exp
+    runs = []
     with _lognormal_stream(rng, *noise) as (block, refill):
-        yield step
+        for w, cycles, last, broken, pulses in trains:
+            ws = []
+            for pulse in pulses:
+                v = pulse.v_write
+                if (not broken and pulse.t_width != 0.0
+                        and (v < v_on_pot or v > v_on_dep)):
+                    (polarity, a, span), progress = (
+                        (pot, w) if v < v_on_pot else (dep, 1.0 - w))
+                    n = -a * log(1.0 - progress * span)
+                    dw = (1.0 - exp(-(n + 1.0) / a)) / span - progress
+                    if noisy:
+                        dw *= (block or refill()).pop()
+                    if last != 0 and polarity != last:
+                        cycles += 1
+                    w = min(w + dw, 1.0) if polarity < 0 else max(w - dw, 0.0)
+                    last = polarity
+                ws.append(w)
+            runs.append((ws, cycles, last))
+    return runs
 
 
-@contextlib.contextmanager
-def _trimmer(m: UpdateModel, rng: np.random.Generator | None,
-             p: ConductionParams, t: float, v_read: float, tol_g: float,
-             max_pulses: int):
-    """Write-verify of one cell at a time. Entered as
-    `with _trimmer(m, rng, p, t, v_read, tol_g, max_pulses) as trim:`,
-    it yields trim(w, d2d_log10, cycles, last, broken, target) ->
-    (w, cycles, last, pulses, residual) in plain floats, where target and
-    residual are chordal conductances at the verify bias v_read.
+def _trim(m: UpdateModel, rng: np.random.Generator | None,
+          p: ConductionParams, t: float, v_read: float, tol_g: float,
+          max_pulses: int, cells) -> list:
+    """Write-verify of cells, one at a time in order on one noise stream.
+    Each cell is (w, d2d_log10, cycles, last, broken, target) in plain
+    floats and gives back (w, cycles, last, pulses, residual), where
+    target and residual are chordal conductances at the verify bias
+    v_read.
 
-    trim reads the cell and, while the reading is more than tol_g from
-    target and fewer than max_pulses pulses were taken, applies one
-    amplitude_ramp pulse of _pulser's law, V_POT_DEFAULT below the target
+    The cell is read and, while the reading is more than tol_g from
+    target and fewer than max_pulses pulses were taken, takes one
+    amplitude_ramp pulse of _trains's law, V_POT_DEFAULT below the target
     and V_DEP_DEFAULT above it, both T_WIDTH_DEFAULT wide (so no pulse is
-    a zero-width no-op), and reads again. It stops early without a draw
+    a zero-width no-op), and is read again. It stops early without a draw
     on a broken cell or an amplitude below its onset, and after the draw
     on a pulse that leaves w where it was, which is not counted and keeps
     cycles and last.
 
-    The law and the read run in the same float operations as _pulser's
-    step and conduction.current_total (see the module docstring). The
-    bias and temperature are checked on entry, before any draw; the
-    offsets, by inference._program before it enters.
+    The law and the read run in the same float operations as _trains and
+    conduction.current_total (see the module docstring). The bias and
+    temperature are checked before any draw; the offsets, by
+    inference._program before the call.
     """
     (_, a_pot, span_pot), (_, a_dep, span_dep), noise = _update_law(
         m, "amplitude_ramp")
@@ -760,46 +763,45 @@ def _trimmer(m: UpdateModel, rng: np.random.Generator | None,
     noisy = m.c2c_rel > 0.0
     v, ohm_c, pf_k = _read_terms(v_read, t, p)
     g_lrs, area, log, exp = p.g_lrs, p.area, math.log, math.exp
-
-    def trim(w, d2d_log10, cycles, last, broken, target):
-        shift = 10.0 ** (-d2d_log10)
-        ga = g_lrs ** w * shift * area
-        g = (ga * ohm_c * v + ga * pf_k) / v
-        n = 0
-        while abs(g - target) > tol_g and n < max_pulses and not broken:
-            if g < target:
-                if not pot_on:
-                    break
-                x = -a_pot * log(1.0 - w * span_pot)
-                dw = (1.0 - exp(-(x + 1.0) / a_pot)) / span_pot - w
-                if noisy:
-                    dw *= (block or refill()).pop()
-                moved, polarity = w + dw, -1
-                if moved > 1.0:  # min(w + dw, 1.0), as step clamps
-                    moved = 1.0
-            else:
-                if not dep_on:
-                    break
-                progress = 1.0 - w
-                x = -a_dep * log(1.0 - progress * span_dep)
-                dw = (1.0 - exp(-(x + 1.0) / a_dep)) / span_dep - progress
-                if noisy:
-                    dw *= (block or refill()).pop()
-                moved, polarity = w - dw, +1
-                if moved < 0.0:  # max(w - dw, 0.0)
-                    moved = 0.0
-            if moved == w:
-                break  # pinned at a rail
-            if last != 0 and polarity != last:
-                cycles += 1
-            w, last = moved, polarity
+    trimmed = []
+    with _lognormal_stream(rng, *noise) as (block, refill):
+        for w, d2d_log10, cycles, last, broken, target in cells:
+            shift = 10.0 ** (-d2d_log10)
             ga = g_lrs ** w * shift * area
             g = (ga * ohm_c * v + ga * pf_k) / v
-            n += 1
-        return w, cycles, last, n, abs(g - target)
-
-    with _lognormal_stream(rng, *noise) as (block, refill):
-        yield trim
+            n = 0
+            while abs(g - target) > tol_g and n < max_pulses and not broken:
+                if g < target:
+                    if not pot_on:
+                        break
+                    x = -a_pot * log(1.0 - w * span_pot)
+                    dw = (1.0 - exp(-(x + 1.0) / a_pot)) / span_pot - w
+                    if noisy:
+                        dw *= (block or refill()).pop()
+                    moved, polarity = w + dw, -1
+                    if moved > 1.0:  # min(w + dw, 1.0), as _trains clamps
+                        moved = 1.0
+                else:
+                    if not dep_on:
+                        break
+                    progress = 1.0 - w
+                    x = -a_dep * log(1.0 - progress * span_dep)
+                    dw = (1.0 - exp(-(x + 1.0) / a_dep)) / span_dep - progress
+                    if noisy:
+                        dw *= (block or refill()).pop()
+                    moved, polarity = w - dw, +1
+                    if moved < 0.0:  # max(w - dw, 0.0)
+                        moved = 0.0
+                if moved == w:
+                    break  # pinned at a rail
+                if last != 0 and polarity != last:
+                    cycles += 1
+                w, last = moved, polarity
+                ga = g_lrs ** w * shift * area
+                g = (ga * ohm_c * v + ga * pf_k) / v
+                n += 1
+            trimmed.append((w, cycles, last, n, abs(g - target)))
+    return trimmed
 
 
 def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
@@ -812,9 +814,8 @@ def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
     multiplied by mean-one lognormal noise with relative spread c2c_rel.
     Sub-threshold pulses and broken devices return s itself.
     """
-    with _pulser(m, kind, rng) as step:
-        w, cycles, last = step(s.w, s.cycles, s.last_polarity, s.broken,
-                               pulse.v_write, pulse.t_width)
+    [([w], cycles, last)] = _trains(
+        m, kind, rng, [(s.w, s.cycles, s.last_polarity, s.broken, (pulse,))])
     if (w, cycles, last) == (s.w, s.cycles, s.last_polarity):
         return s
     return replace(s, w=w, cycles=cycles, last_polarity=last)
@@ -851,20 +852,6 @@ def _trace_read(v_read: float, t: float, p: ConductionParams, ws,
     return i, r
 
 
-def _train(step, s: DeviceState, pulses) -> list:
-    """One pulse train at float level: from state s, take step (an open
-    _pulser's) for each PulseSpec. Returns each pulse's w as a list of
-    Python floats. Trains that share one step draw their noise from one
-    stream."""
-    w, cycles, last, broken = s.w, s.cycles, s.last_polarity, s.broken
-    ws = []
-    for pulse in pulses:
-        w, cycles, last = step(w, cycles, last, broken, pulse.v_write,
-                               pulse.t_width)
-        ws.append(w)
-    return ws
-
-
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A pulse-train or DC-sweep trace as float64 arrays of one length:
@@ -883,12 +870,12 @@ def run_scheme(s: DeviceState, scheme: PulseScheme, m: UpdateModel,
     per pulse of scheme.pulses().
 
     The read is checked before any pulse or generator draw. The train runs
-    in floats through _train and is read in one _trace_read call, so every
-    step, read and draw equals applying and reading pulse by pulse.
+    in floats as one _trains train and is read in one _trace_read call, so
+    every step, read and draw equals applying and reading pulse by pulse.
     """
     _check_read(v_read, t, p, s.d2d_log10)
-    with _pulser(m, scheme.kind, rng) as step:
-        ws = _train(step, s, scheme.pulses())
+    [(ws, _, _)] = _trains(m, scheme.kind, rng, [
+        (s.w, s.cycles, s.last_polarity, s.broken, scheme.pulses())])
     return Trace(np.array(ws, dtype=float),
                  *_trace_read(v_read, t, p, ws, s.d2d_log10))
 

@@ -18,7 +18,7 @@ reads the actual current, the loop absorbs device-to-device spread up to
 the rail limits. Programming and reads run at the array's own t_kelvin.
 _program is the one write-verify entry, on _check_program's inputs:
 before any draw it checks every offset's float range in one
-state_multiplier call, then runs device's write-verify trim.
+state_multiplier call, then trims every cell in one device._trim call.
 
 mvm_error_mc validates once, at entry, and builds no Crossbar. Each
 trial holds its differential pair as one stacked (2, n_rows, n_cols)
@@ -44,7 +44,7 @@ from .conduction import (ConductionParams, T_REF, V_ONOFF, V_READ,
                          default_params, state_multiplier)
 from .crossbar import Crossbar, _check_mvm_bias, _line_sums
 from .device import (DeviceState, UpdateModel, _check_cells, _check_sigma_d2d,
-                     _d2d_offsets, _trimmer, default_update_model)
+                     _d2d_offsets, _trim, default_update_model)
 
 __all__ = [
     "WeightMapping",
@@ -238,15 +238,14 @@ def _program(m: UpdateModel, rng: np.random.Generator | None,
              g_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray, ProgramReport]:
     """program_write_verify's body on _check_program's outputs and finite
-    cell arrays of the targets' shape: offsets checked, then one _trimmer
-    block in row-major order, as (w, cycles, last_polarity, report)."""
+    cell arrays of the targets' shape: offsets checked, then one _trim
+    call in row-major order, as (w, cycles, last_polarity, report)."""
     state_multiplier(p, 0.0, d2d_log10)
     shape = g_targets.shape
     cells = zip(w.ravel().tolist(), d2d_log10.ravel().tolist(),
                 cycles.ravel().tolist(), last.ravel().tolist(),
                 broken.ravel().tolist(), g_targets.ravel().tolist())
-    with _trimmer(m, rng, p, t, v_read, tol_g, max_pulses) as trim:
-        trimmed = [trim(*cell) for cell in cells]
+    trimmed = _trim(m, rng, p, t, v_read, tol_g, max_pulses, cells)
     w, cycles, last, counts, resid = (np.reshape(column, shape)
                                       for column in zip(*trimmed))
     report = ProgramReport(pulse_counts=counts, residual_g=resid,

@@ -29,6 +29,13 @@ D2D_MAX, D2D_RSS_MIB = 1_000_000, 128
 # iv's 200000-row bound as 50000 points at four temperatures; iv held as
 # float64 arrays peaked at 41.2 MiB RSS there, and as row tuples at 73.3
 IV_POINTS, IV_TEMPS, IV_RSS_MIB = 50_000, 4, 56
+# The trace commands at their n_cycles bounds: scheme's 1000 cycles of the
+# default 130-pulse pair, and cdf's 10000 trains. On 2 vCPUs under Python
+# 3.11.7 and numpy 2.4.6, scheme run train by train peaked at 48.8 MiB RSS
+# and cdf holding its states as nested lists at 75.1 MiB; as one train
+# and one float64 array they peak at 48.5 and 68.1 MiB.
+SCHEME_CYCLES, SCHEME_ROWS, SCHEME_RSS_MIB = 1_000, 130_000, 64
+CDF_CYCLES, CDF_ROWS, CDF_RSS_MIB = 10_000, 66, 96
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [str(Path(__file__).resolve().parents[1] / "src"),
      *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -253,25 +260,32 @@ def bad_seed_and_encoding(tmp: Path) -> bool:
     return ok
 
 
+def _at_the_maximum(tmp: Path, cmd: str, text: str, table: str, rows: int,
+                    cap: float) -> bool:
+    """Run cmd from a config of text: it must exit 0, write a header and
+    rows rows to table, and peak at no more than cap MiB RSS."""
+    out = tmp / f"max-{cmd}"
+    ini = _write(tmp, f"max-{cmd}.ini", text)
+    run = Run(cmd, "--config", ini, "--out", str(out), "--seed", "0")
+    lines = _lines(out / table) if run.code == 0 else 0
+    print(f"{cmd} at {rows} rows: exit {run.code}, {lines} lines, "
+          f"peak RSS {run.rss_mib:.1f} MiB")
+    return (_check(run.code == 0 and lines == rows + 1,
+                   f"{cmd} writes {rows} rows",
+                   f"{cmd} at {rows} rows exited {run.code} with {lines} "
+                   f"lines: {run.last_line()}")
+            & _check(run.rss_mib <= cap, f"{cmd} peaks under {cap} MiB",
+                     f"{cmd} at {rows} rows peaked at {run.rss_mib:.1f} MiB "
+                     f"RSS, over {cap} MiB"))
+
+
 def d2d_at_the_maximum(tmp: Path) -> bool:
     """[d2d] n_devices = 1000000, the largest population the config
     accepts: d2d streams its table in fixed blocks and only its float64
     offsets grow with n_devices, so it exits 0, writes a header and
     1000000 rows, and peaks at no more than 128 MiB RSS."""
-    out = tmp / "max-d2d"
-    ini = _write(tmp, "max.ini", f"[d2d]\nn_devices = {D2D_MAX}\n")
-    run = Run("d2d", "--config", ini, "--out", str(out), "--seed", "0")
-    lines = _lines(out / "d2d.csv") if run.code == 0 else 0
-    print(f"d2d at {D2D_MAX} devices: exit {run.code}, {lines} lines, "
-          f"peak RSS {run.rss_mib:.1f} MiB")
-    return (_check(run.code == 0 and lines == D2D_MAX + 1,
-                   f"d2d writes {D2D_MAX} rows",
-                   f"d2d at {D2D_MAX} devices exited {run.code} with "
-                   f"{lines} lines: {run.last_line()}")
-            & _check(run.rss_mib <= D2D_RSS_MIB,
-                     f"d2d peaks under {D2D_RSS_MIB} MiB",
-                     f"d2d at {D2D_MAX} devices peaked at {run.rss_mib:.1f} "
-                     f"MiB RSS, over {D2D_RSS_MIB} MiB"))
+    return _at_the_maximum(tmp, "d2d", f"[d2d]\nn_devices = {D2D_MAX}\n",
+                           "d2d.csv", D2D_MAX, D2D_RSS_MIB)
 
 
 def iv_at_the_maximum(tmp: Path) -> bool:
@@ -279,25 +293,31 @@ def iv_at_the_maximum(tmp: Path) -> bool:
     config accepts: iv holds each temperature's currents as one float64
     array and hands main its table in fixed blocks, so it exits 0, writes
     a header and 200000 rows, and peaks at no more than 56 MiB RSS."""
-    rows = IV_POINTS * IV_TEMPS
-    out = tmp / "max-iv"
-    ini = _write(tmp, "max.ini", f"[iv]\nn_points = {IV_POINTS}\n"
-                 "t_list_k = 250, 300, 350, 400\n")
-    run = Run("iv", "--config", ini, "--out", str(out), "--seed", "0")
-    lines = _lines(out / "iv.csv") if run.code == 0 else 0
-    print(f"iv at {rows} rows: exit {run.code}, {lines} lines, "
-          f"peak RSS {run.rss_mib:.1f} MiB")
-    return (_check(run.code == 0 and lines == rows + 1,
-                   f"iv writes {rows} rows",
-                   f"iv at {rows} rows exited {run.code} with {lines} "
-                   f"lines: {run.last_line()}")
-            & _check(run.rss_mib <= IV_RSS_MIB,
-                     f"iv peaks under {IV_RSS_MIB} MiB",
-                     f"iv at {rows} rows peaked at {run.rss_mib:.1f} MiB "
-                     f"RSS, over {IV_RSS_MIB} MiB"))
+    return _at_the_maximum(tmp, "iv", f"[iv]\nn_points = {IV_POINTS}\n"
+                           "t_list_k = 250, 300, 350, 400\n", "iv.csv",
+                           IV_POINTS * IV_TEMPS, IV_RSS_MIB)
 
 
-CASES = (commands, d2d_at_the_maximum, iv_at_the_maximum, out_names_a_file,
+def scheme_at_the_maximum(tmp: Path) -> bool:
+    """[scheme] n_cycles = 1000, the most cycles the config accepts: scheme
+    runs its 130000 pulses as one train and hands main its table in
+    fixed blocks, so it exits 0, writes a header and 130000 rows, and
+    peaks at no more than 64 MiB RSS."""
+    return _at_the_maximum(tmp, "scheme",
+                           f"[scheme]\nn_cycles = {SCHEME_CYCLES}\n",
+                           "trace.csv", SCHEME_ROWS, SCHEME_RSS_MIB)
+
+
+def cdf_at_the_maximum(tmp: Path) -> bool:
+    """[cdf] n_cycles = 10000, the most trains the config accepts: cdf
+    holds its 10000 x 66 states as one float64 array, so it exits 0,
+    writes a header and 66 rows, and peaks at no more than 96 MiB RSS."""
+    return _at_the_maximum(tmp, "cdf", f"[cdf]\nn_cycles = {CDF_CYCLES}\n",
+                           "cdf.csv", CDF_ROWS, CDF_RSS_MIB)
+
+
+CASES = (commands, d2d_at_the_maximum, iv_at_the_maximum,
+         scheme_at_the_maximum, cdf_at_the_maximum, out_names_a_file,
          config_limits, d2d_fails_while_streaming, comment,
          help_lists_commands, bad_seed_and_encoding)
 

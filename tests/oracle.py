@@ -4,7 +4,7 @@ collected as tests.
 
 Each form restates, once and one scalar step at a time, a loop that a fast
 path of ftjsim must reproduce bit for bit. None calls a path it checks:
-apply_pulse, run_scheme, dc_write_loop, _pulser, _trimmer, _train,
+apply_pulse, run_scheme, dc_write_loop, _trains, _trim,
 _lognormal_stream, _trace_read, _d2d_offsets, sample_d2d_offsets,
 program_write_verify or write_v_half. They build on the scalar kernel
 current_total, the record types, _switch_level, retention_evolve,

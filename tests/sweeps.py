@@ -111,11 +111,11 @@ def _d2d_table_equals_reference(seed, offsets):
 def noise():
     """The pulse law draws its cycle-to-cycle factors in blocks and, on
     exit, re-syncs the generator to where one scalar draw per pulse
-    leaves it. The pulse step and the write-verify trim both read a factor
-    as (block or refill()).pop(); so does this sweep. For seeds 0-3 and
-    c2c_rel 0.05, 0.1 and 0.3, 100000 block-drawn factors must equal
-    scalar rng.lognormal calls by float.hex, and the generators must end
-    in the same state."""
+    leaves it. device._trains and the write-verify trim device._trim both
+    read a factor as (block or refill()).pop(); so does this sweep. For
+    seeds 0-3 and c2c_rel 0.05, 0.1 and 0.3, 100000 block-drawn factors
+    must equal scalar rng.lognormal calls by float.hex, and the
+    generators must end in the same state."""
     ok = True
     for seed in NOISE_SEEDS:
         for c2c in NOISE_C2C:
@@ -163,15 +163,43 @@ def write_verify():
     return not bad
 
 
+def _scheme_text(rng):
+    """A drawn [scheme]/[update] config: any kind, alt_amplitudes, 1-20
+    cycles, c2c_rel 0, 0.1 or 0.3, and each onset at its default, at a
+    uniform draw that cuts a ramp part way, or past every preset pulse of
+    its polarity (-3.0 V, 3.5 V), so whole trains fall below threshold."""
+    kind = device.SCHEME_KINDS[rng.integers(3)]
+    alt = ("false", "true")[rng.integers(2)]
+    n_cycles = int(rng.integers(1, 21))
+    c2c = (0.0, 0.1, 0.3)[rng.integers(3)]
+    v_pot = (device.V_C_NEG, rng.uniform(-2.6, -0.05), -3.0)[rng.integers(3)]
+    v_dep = (device.V_C_POS, rng.uniform(0.05, 3.3), 3.5)[rng.integers(3)]
+    return (f"[scheme]\nkind = {kind}\nalt_amplitudes = {alt}\n"
+            f"n_cycles = {n_cycles}\n[update]\nc2c_rel = {c2c!r}\n"
+            f"v_on_pot_v = {float(v_pot)!r}\nv_on_dep_v = {float(v_dep)!r}\n")
+
+
+def _hysteresis_text(rng):
+    """A drawn [hysteresis]/[device] config: loop legs, step_v, the read
+    bias and the temperature."""
+    v_neg, v_pos, step, v_read, t = (
+        rng.uniform(lo, hi) for lo, hi in
+        ((0.95, 3.0), (1.15, 3.5), (0.002, 0.1), (0.01, 0.6),
+         (200.0, 400.0)))
+    return (f"[hysteresis]\nv_neg_v = {v_neg!r}\nv_pos_v = {v_pos!r}\n"
+            f"step_v = {step!r}\n[device]\nv_read_v = {v_read!r}\n"
+            f"t_kelvin = {t!r}\n")
+
+
 def pulse_trains():
-    """cdf and scheme run every train of a command through one noise
-    stream. For seeds 0-199 at the default config, each command's table
-    and payload must equal oracle.py's per-train form by float.hex and
-    cell type, and the generators must end in the same state. Over 200
-    configs drawn from seeds 0-199 (loop legs, step_v, the read bias and
-    the temperature), hysteresis's table and payload, memory window
-    included, must equal oracle.py's per-point form the same way. Each
-    command's mismatch count is printed."""
+    """cdf runs its trains through one noise stream, and scheme runs its
+    cycles as one train. For seeds 0-199 at the default config, each
+    command's table and payload must equal oracle.py's per-train form by
+    float.hex and cell type, and the generators must end in the same
+    state. So must scheme's over 200 configs drawn from seeds 0-199 by
+    _scheme_text, each run at its seed, and hysteresis's, memory window
+    included, against oracle.py's per-point form over 200 configs drawn
+    by _hysteresis_text. Each command's mismatch count is printed."""
     def differs(command, cfg, bundle, seed):
         return (oracle.command_run(command, cfg, bundle, seed)
                 != oracle.reference_run(command, cfg, bundle, seed))
@@ -187,23 +215,17 @@ def pulse_trains():
                       "per-train reference")
                 bad += 1
         print(f"{command}: {bad - before} of {len(TRAIN_SEEDS)} runs differ")
-    before = bad
-    for seed in TRAIN_SEEDS:
-        rng = np.random.default_rng(seed)
-        v_neg, v_pos, step, v_read, t = (
-            rng.uniform(lo, hi) for lo, hi in
-            ((0.95, 3.0), (1.15, 3.5), (0.002, 0.1), (0.01, 0.6),
-             (200.0, 400.0)))
-        drawn = parse_config(
-            f"[hysteresis]\nv_neg_v = {v_neg!r}\nv_pos_v = {v_pos!r}\n"
-            f"step_v = {step!r}\n[device]\nv_read_v = {v_read!r}\n"
-            f"t_kelvin = {t!r}\n")
-        if differs("hysteresis", drawn, build_model(drawn), seed):
-            print(f"::error::hysteresis config seed {seed}: differs from the "
-                  "per-point reference")
-            bad += 1
-    print(f"hysteresis: {bad - before} of {len(TRAIN_SEEDS)} drawn configs "
-          "differ")
+    for command, text in (("scheme", _scheme_text),
+                          ("hysteresis", _hysteresis_text)):
+        before = bad
+        for seed in TRAIN_SEEDS:
+            drawn = parse_config(text(np.random.default_rng(seed)))
+            if differs(command, drawn, build_model(drawn), seed):
+                print(f"::error::{command} config seed {seed}: differs from "
+                      "the oracle's form")
+                bad += 1
+        print(f"{command}: {bad - before} of {len(TRAIN_SEEDS)} drawn configs "
+              "differ")
     return not bad
 
 

@@ -1,15 +1,18 @@
 """The CLI's trace commands against oracle.py's per-train or per-point
-forms: scheme, cdf and fitA run every train on one noise stream, where the
-oracle runs each pulse by pulse on its own pass; hysteresis and retention
-read each point once. Rows and payloads must agree by float.hex, cell type
-included, and the generators must end in the same state.
+forms: cdf and fitA run every train on one noise stream, and scheme runs
+its n_cycles potentiation and depression trains as one train, where the
+oracle runs each train pulse by pulse on its own pass; hysteresis and
+retention read each point once. Rows and payloads must agree by
+float.hex, cell type included, and the generators must end in the same
+state.
 """
 
+import numpy as np
 import pytest
 
 from ftjsim import cli
 from ftjsim.config import build_model, parse_config
-from ftjsim.device import SCHEME_KINDS
+from ftjsim.device import SCHEME_KINDS, preset_scheme
 from oracle import command_run, reference_run
 
 
@@ -73,25 +76,40 @@ def test_retention_equals_the_per_point_reference(rate, v_read, t_kelvin):
     assert run[1] == []
 
 
+
 @pytest.mark.parametrize("text", ["", "[update]\nv_on_pot_v = -3.0\n"])
 def test_scheme_trains_restart_from_the_start_state(monkeypatch, text):
-    """Each train after the first starts where the one before it ended in
-    w, with cycles back at the start state's 0 and last_polarity forced to
-    -1 after potentiation and +1 after depression, as the per-train form
-    does, also when no pulse of the train moved the state (v_on_pot_v =
-    -3.0 puts every potentiation pulse below its onset)."""
-    starts, ends = [], []
-    train = cli._train
+    """scheme's one train gives the w of the per-train form on the same
+    noise stream: each train after the first starts where the one before
+    it ended in w, with cycles back at the start state's 0 and
+    last_polarity forced to -1 after potentiation and +1 after
+    depression, also when no pulse of the train moved the state
+    (v_on_pot_v = -3.0 puts every potentiation pulse below its onset)."""
+    calls = []
+    trains = cli._trains
 
-    def spy(step, s, pulses):
-        starts.append((s.w, s.cycles, s.last_polarity))
-        ws = train(step, s, pulses)
-        ends.append(ws[-1])
-        return ws
+    def spy(m, kind, rng, runs):
+        out = trains(m, kind, rng, runs)
+        calls.append((rng, runs, out))
+        return out
 
-    monkeypatch.setattr(cli, "_train", spy)
+    monkeypatch.setattr(cli, "_trains", spy)
     cfg = parse_config("[scheme]\nn_cycles = 3\n" + text)
-    cli.cmd_scheme(cfg, build_model(cfg), 0)
-    assert [(cycles, last) for _, cycles, last in starts] \
-        == [(0, 0)] + [(0, -1), (0, 1)] * 2 + [(0, -1)]
-    assert [w for w, _, _ in starts] == [0.0] + ends[:-1]
+    bundle = build_model(cfg)
+    cli.cmd_scheme(cfg, bundle, 0)
+    [(rng, [(w, cycles, last, broken, _)], [(ws, _, _)])] = calls
+    assert (w, cycles, last, broken) == (0.0, 0, 0, False)
+
+    sec = cfg.scheme
+    per_train = [(forced, preset_scheme(
+        sec.kind, polarity, alt_amplitudes=sec.alt_amplitudes).pulses())
+        for forced, polarity in ((-1, "pot"), (1, "dep"))] * sec.n_cycles
+    reference_rng = np.random.default_rng(0)
+    expected = []
+    for forced, train in per_train:
+        [(run, _, _)] = trains(bundle.update, sec.kind, reference_rng,
+                               [(w, 0, last, False, train)])
+        expected += run
+        w, last = run[-1], forced
+    assert [x.hex() for x in ws] == [x.hex() for x in expected]
+    assert rng.bit_generator.state == reference_rng.bit_generator.state

@@ -790,7 +790,7 @@ def test_drawn_pulses_equal_per_call_construction(scheme):
     assert list(scheme.pulses()) == _reference_pulses(scheme)
     twin = replace(scheme)
     assert twin == scheme and hash(twin) == hash(scheme)
-    assert twin.pulses() == scheme.pulses() and "_train" not in repr(scheme)
+    assert twin.pulses() == scheme.pulses() and "_specs" not in repr(scheme)
     shorter = replace(scheme, n_pulses=max(1, scheme.n_pulses // 2))
     assert list(shorter.pulses()) == _reference_pulses(shorter)
 

@@ -769,7 +769,7 @@ def test_mvm_error_mc_checks_the_read_before_any_draw(kwargs, fragment):
     def forbidden(*args, **kwargs):
         raise AssertionError("called before the inputs were checked")
     with mock.patch("ftjsim.inference._d2d_offsets", forbidden), \
-            mock.patch("ftjsim.inference._trimmer", forbidden), \
+            mock.patch("ftjsim.inference._trim", forbidden), \
             mock.patch("numpy.random.default_rng", forbidden), \
             mock.patch("numpy.random.SeedSequence", forbidden):
         with pytest.raises(ValueError, match=fragment):
