@@ -88,8 +88,9 @@ V_SELECT = 0.5               # self-selection figure of merit, V
 T_REF = 300.0                # reference temperature, K
 
 # Third calibration constraint: the two channels carry equal current at
-# this bias, the geometric midpoint between the Ohmic and trap-emission
-# fitting windows. Pins the otherwise-free channel split.
+# this bias, the arithmetic midpoint between the Ohmic window's top
+# (0.1 V) and the trap-emission window's bottom (0.2 V). Pins the
+# otherwise-free channel split.
 V_CROSSOVER = 0.15
 
 # Solver bracket for the relative permittivity search.
@@ -430,10 +431,8 @@ def on_off(p: ConductionParams, t: float = T_REF, v_read: float = V_ONOFF) -> fl
     Equal to g_lrs for every bias and temperature because the state
     multiplier is common to both channels.
     """
-    from .device import DeviceState
-
-    i_on = current_total(v_read, t, p, DeviceState(w=1.0))
-    i_off = current_total(v_read, t, p, DeviceState(w=0.0))
+    i_on = current_total_g(v_read, t, p, state_multiplier(p, 1.0))
+    i_off = current_total_g(v_read, t, p, state_multiplier(p, 0.0))
     return i_on / i_off
 
 

@@ -2,8 +2,8 @@
 
 An array is a grid of independent device states sharing one conduction
 parameter set and one temperature, t_kelvin. Crossbar stores each
-DeviceState field (w, d2d_log10, cycles, broken, last_polarity) as one
-read-only n_rows x n_cols ndarray, and checks the fields and the
+DeviceState field as one read-only n_rows x n_cols ndarray of the
+field's annotated type, and checks the fields and the
 temperature once, as array checks, when the array is built; state(r, c)
 returns one cell as a DeviceState. Every read, solve and write runs at
 the array's temperature. Rows and columns are ideal wires (no line
@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -95,9 +96,8 @@ def _check_mvm_bias(v) -> None:
     check_bias(v)
 
 
-# per-cell storage fields and their dtypes
-_CELLS = (("w", float), ("d2d_log10", float), ("cycles", int),
-          ("broken", bool), ("last_polarity", int))
+# per-cell storage fields and their dtypes, in DeviceState's order
+_CELLS = tuple(get_type_hints(DeviceState).items())
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,11 +156,8 @@ class Crossbar:
 
     def state(self, r: int, c: int) -> DeviceState:
         """Cell (r, c) as a single-device DeviceState."""
-        return DeviceState(w=float(self.w[r, c]),
-                           d2d_log10=float(self.d2d_log10[r, c]),
-                           cycles=int(self.cycles[r, c]),
-                           broken=bool(self.broken[r, c]),
-                           last_polarity=int(self.last_polarity[r, c]))
+        return DeviceState(**{name: dtype(getattr(self, name)[r, c])
+                              for name, dtype in _CELLS})
 
     def weights(self) -> np.ndarray:
         return self.w.copy()

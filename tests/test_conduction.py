@@ -108,13 +108,15 @@ def test_zero_bias_zero_current():
 
 def test_on_off_equals_g_lrs_everywhere():
     """The state multiplier is common to both channels, so the ON/OFF
-    ratio must equal g_lrs independent of bias and temperature."""
+    ratio must equal g_lrs independent of bias and temperature, and
+    on_off must give the bits of the current_total ratio."""
     p = default_params()
     for t in (280.0, 300.0, 350.0, 400.0):
         for v in (0.05, 0.1, 0.3):
             ratio = (current_total(v, t, p, LRS)
                      / current_total(v, t, p, HRS))
             assert ratio == pytest.approx(p.g_lrs, rel=1e-12)
+            assert on_off(p, t, v).hex() == ratio.hex()
     assert on_off(p) == pytest.approx(10.0, rel=1e-12)
 
 
@@ -359,6 +361,28 @@ def test_figures_of_merit_meet_the_calibration_targets():
     assert figures == (V_READ / current_total(V_READ, T_REF, p, LRS), on_off(p),
                        self_selection_ratio(0.5, T_REF, p, LRS))
     assert figures == pytest.approx((1e8, 10.0, 40.0), rel=0.01)
+
+
+# ROADMAP item 3: calibrate solves the selection target at DEFAULT_D_FE,
+# not at the skeleton's film thickness, so the post-check fails off it.
+_SELECTION_AT_DEFAULT_D_FE = pytest.mark.xfail(
+    strict=True, raises=CalibrationError,
+    reason="calibrate solves eps_r at the default film thickness")
+
+
+@pytest.mark.parametrize("d_fe_nm", [
+    pytest.param(3.0, marks=_SELECTION_AT_DEFAULT_D_FE),
+    4.9,
+    pytest.param(10.0, marks=_SELECTION_AT_DEFAULT_D_FE),
+])
+def test_calibrate_meets_the_targets_at_the_skeleton_thickness(d_fe_nm):
+    """calibrate meets all three targets within 1 % for a skeleton at the
+    film thickness a config's [device] d_fe_nm gives it. Today 3 and
+    10 nm raise with selection residuals of 1.57 and -0.644."""
+    targets = CalibrationTargets()
+    p = calibrate(targets, ConductionParams(d_fe=d_fe_nm * 1e-9))
+    assert _figures_of_merit(p, T_REF) == pytest.approx(
+        (targets.r_on_ohms, targets.on_off, targets.selection), rel=0.01)
 
 
 def _five_call_figures(p, t):

@@ -343,6 +343,25 @@ def test_crossbar_weight_round_trip(p):
         build_crossbar(2, 2, p, t_kelvin=-1.0)
 
 
+def test_cells_follow_the_device_state_schema(p):
+    """Crossbar stores each DeviceState field, in DeviceState's order, as
+    one array whose dtype is the field's annotated type, and state(r, c)
+    gives each cell back with those types."""
+    dtypes = {"w": np.float64, "d2d_log10": np.float64, "cycles": np.int64,
+              "broken": np.bool_, "last_polarity": np.int64}
+    assert [name for name, _ in crossbar._CELLS] == [
+        f.name for f in fields(DeviceState)] == list(dtypes)
+    xbar = build_crossbar(2, 3, p, sigma_d2d=0.1, seed=4)
+    assert {name: getattr(xbar, name).dtype for name in dtypes} == {
+        name: np.dtype(d) for name, d in dtypes.items()}
+    for r in range(2):
+        for c in range(3):
+            s = xbar.state(r, c)
+            for name, kind in crossbar._CELLS:
+                assert type(getattr(s, name)) is kind
+                assert getattr(s, name) == getattr(xbar, name)[r, c]
+
+
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
 def test_temperature_limit_has_one_message(p, t):
     """Crossbar and extraction's Sweep reject a temperature through
