@@ -393,8 +393,8 @@ def cmd_scheme(cfg: SimConfig, bundle, seed: int) -> _Table:
                   sec.kind, polarity,
                   alt_amplitudes=sec.alt_amplitudes).pulses()]
     # w depends only on w and the pulse, so the cycles run as one train
-    [(ws, _, _)] = _trains(m, sec.kind, np.random.default_rng(seed),
-                           [(0.0, 0, 0, False, pulses * sec.n_cycles)])
+    [ws] = _trains(m, sec.kind, np.random.default_rng(seed),
+                   [(0.0, pulses * sec.n_cycles)])
     _, r = _trace_read(V_READ, bundle.t_kelvin, p, ws)
     n = len(pulses)
     blocks = _slices(
@@ -425,8 +425,8 @@ def cmd_fit_a(cfg: SimConfig, bundle, seed: int) -> _Table:
                     for v in (V_POT_DEFAULT, V_DEP_DEFAULT))
     else:
         pot, dep = preset_scheme(kind, "pot"), preset_scheme(kind, "dep")
-    (pot_w, _, _), (dep_w, _, _) = _trains(m, kind, None, [
-        (0.0, 0, 0, False, pot.pulses()), (1.0, 0, 0, False, dep.pulses())])
+    pot_w, dep_w = _trains(m, kind, None, [(0.0, pot.pulses()),
+                                           (1.0, dep.pulses())])
     fit_pot = fit_update_a(np.arange(1, len(pot_w) + 1), pot_w)
     fit_dep = fit_update_a(np.arange(1, len(dep_w) + 1),
                            [1.0 - w for w in dep_w])
@@ -451,9 +451,8 @@ def cmd_cdf(cfg: SimConfig, bundle, seed: int) -> _Table:
     # every cycle starts from the same pristine w = 1, read as column 0
     ws = np.empty((cycles, n + 1))
     ws[:, 0] = 1.0
-    ws[:, 1:] = [run for run, _, _ in _trains(
-        m, "amplitude_ramp", np.random.default_rng(seed),
-        [(1.0, 0, 0, False, train)] * cycles)]
+    ws[:, 1:] = _trains(m, "amplitude_ramp", np.random.default_rng(seed),
+                        [(1.0, train)] * cycles)
     _, traces = _trace_read(V_READ, bundle.t_kelvin, p, ws)
     report = cdf_levels(traces)
     blocks = _slices(np.arange(n + 1, dtype=np.int64), report.medians,

@@ -38,7 +38,7 @@ check, _check_mvm_bias.
 build_crossbar takes the cells' offsets from device's d2d draw, cell
 (r, c) taking child r * n_cols + c. with_weights, write_v_half and
 inference.program_write_verify return a new array with the changed
-fields; write_v_half pulses only the n_rows + n_cols - 1 biased cells, as
+weights; write_v_half pulses only the n_rows + n_cols - 1 biased cells, as
 one one-pulse device._trains train each; the law leaves a cell at 0 V
 unchanged without a draw, as zero lies between the onsets. Device's write-verify trim is the
 one read of an array that does not go through _array_current.
@@ -105,20 +105,16 @@ class Crossbar:
     """Array of device states over shared conduction parameters at one
     operating temperature.
 
-    Each cell field of DeviceState is stored as one read-only n_rows x
-    n_cols array: w and d2d_log10 are required, the pulse history
-    (cycles, broken, last_polarity) defaults to pristine. The arrays are
-    copied and checked once, here, with DeviceState's limits; state(r, c)
-    returns one cell as a DeviceState.
+    Each cell field of DeviceState, w and d2d_log10, is stored as one
+    read-only n_rows x n_cols array. The arrays are copied and checked
+    once, here, with DeviceState's limits; state(r, c) returns one cell as
+    a DeviceState.
     """
 
     w: np.ndarray
     d2d_log10: np.ndarray
     params: ConductionParams
     t_kelvin: float = T_REF
-    cycles: np.ndarray | None = None
-    broken: np.ndarray | None = None
-    last_polarity: np.ndarray | None = None
 
     def __post_init__(self):
         shape = np.shape(self.w)
@@ -126,15 +122,13 @@ class Crossbar:
             raise ValueError("crossbar must be a 2-D grid with at least one "
                              f"row and column, got shape {shape}")
         for name, dtype in _CELLS:
-            value = getattr(self, name)
-            a = (np.zeros(shape, dtype) if value is None
-                 else np.array(value, dtype=dtype))
+            a = np.array(getattr(self, name), dtype=dtype)
             if a.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, "
                                  f"got {a.shape}")
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        _check_cells(self.w, self.d2d_log10, self.cycles)
+        _check_cells(self.w, self.d2d_log10)
         check_temperature(self.t_kelvin)
 
     def __eq__(self, other):
@@ -169,7 +163,7 @@ class Crossbar:
 
     def with_weights(self, w) -> "Crossbar":
         """New array with the given w matrix, keeping each device's
-        variation offset and history."""
+        variation offset."""
         w = np.asarray(w, dtype=float)
         if w.shape != self.w.shape:
             raise ValueError(f"weight matrix must have shape "
@@ -463,21 +457,15 @@ def write_v_half(xbar: Crossbar, row: int, col: int, pulse: PulseSpec,
     at = np.array(cells)  # the biased cells' flat indices, row-major
     w0, vs = xbar.w.take(at).tolist(), v.take(at).tolist()
     specs = {x: (PulseSpec(x, t_width),) for x in set(vs)}
-    runs = _trains(m, "amplitude_ramp", rng, zip(
-        w0, xbar.cycles.take(at).tolist(), xbar.last_polarity.take(at).tolist(),
-        xbar.broken.take(at).tolist(), map(specs.__getitem__, vs)))
-    trains, cycles1, last1 = zip(*runs)
-    w1 = [w for [w] in trains]
-    w, cycles, last = (xbar.w.copy(), xbar.cycles.copy(),
-                       xbar.last_polarity.copy())
+    w1 = [w for [w] in _trains(m, "amplitude_ramp", rng,
+                               zip(w0, map(specs.__getitem__, vs)))]
+    w = xbar.w.copy()
     w.put(at, w1)
-    cycles.put(at, cycles1)
-    last.put(at, last1)
     dw = [b - a for a, b in zip(w0, w1)]
     # the selected cell follows one cell of each row above it
     disturbs = tuple((*divmod(k, xbar.n_cols), d) for k, d in zip(cells, dw)
                      if d != 0.0 and k != cells[row + col])
-    return replace(xbar, w=w, cycles=cycles, last_polarity=last), WriteReport(
+    return replace(xbar, w=w), WriteReport(
         delta_w_selected=dw[row + col], disturbs=disturbs,
         max_disturb=max((abs(d[2]) for d in disturbs), default=0.0),
         energy_joules=energy)

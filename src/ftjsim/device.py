@@ -15,8 +15,7 @@ centered on the coercive voltages.
 The pulse law. _update_law owns its constants: each polarity's curve
 shape and normalization, and the noise factor's mean and sigma. _trains
 holds every rule in plain floats: it runs pulse trains in order on one
-noise stream, each from its own (w, cycles, last, broken). apply_pulse
-and run_scheme run one train, crossbar.write_v_half one one-pulse train
+noise stream, each from its own w. apply_pulse and run_scheme run one train, crossbar.write_v_half one one-pulse train
 per biased cell, and the CLI's scheme, cdf and fitA commands their trains
 in one call. Lognormal factors are drawn in blocks (_lognormal_stream),
 and on exit the generator is re-synced to where one scalar draw per noisy
@@ -30,7 +29,8 @@ The write-verify trim. _trim is the cell loop of inference._program, the
 one write-verify entry: while a cell reads more than tol_g from its
 target, it takes one amplitude_ramp pulse of the law and reads again,
 with the law, the noise factor and the verify read inline in Python
-floats. It is the one read outside the array kernel, since each reading
+floats, one inner loop per pulse direction. It is the one read outside
+the array kernel, since each reading
 decides the next pulse: ((g * area) * ohm_c) * v + (g * area) * pf_k
 with g = g_lrs ** w * 10 ** (-d2d_log10), the per-bias terms from
 conduction._read_terms, equal to current_total bit for bit. _program
@@ -91,7 +91,6 @@ __all__ = [
     "dc_write_loop",
     "memory_window",
     "retention_evolve",
-    "endurance_register",
     "write_energy",
     "default_update_model",
     "preset_scheme",
@@ -115,8 +114,6 @@ C2C_REL_DEFAULT = 0.10
 NL_SHARP = 4.3
 NL_GENTLE = 1.9
 
-ENDURANCE_LIMIT = 10_000_000_000
-
 # Preset write pulses (benchmark row): 50 us, -1.6 V potentiation,
 # +2.4 V depression. The alternate constant-field pair is steeper.
 T_WIDTH_DEFAULT = 50e-6
@@ -132,23 +129,16 @@ class DeviceState:
 
     w: normalized polarization in [0, 1].
     d2d_log10: device-to-device offset applied to log10 resistance.
-    cycles: polarity reversals seen so far.
-    broken: endurance flag; a broken device no longer switches.
-    last_polarity: -1 after a potentiation pulse, +1 after a depression
-    pulse, 0 for a pristine device. Used to count reversals.
     """
 
     w: float
     d2d_log10: float = 0.0
-    cycles: int = 0
-    broken: bool = False
-    last_polarity: int = 0
 
     def __post_init__(self):
-        _check_cells(self.w, self.d2d_log10, self.cycles)
+        _check_cells(self.w, self.d2d_log10)
 
 
-def _check_cells(w, d2d_log10, cycles) -> None:
+def _check_cells(w, d2d_log10) -> None:
     """DeviceState's limits on one device's numbers or a Crossbar's arrays."""
     def every(test) -> bool:
         return test if isinstance(test, bool) else bool(test.all())
@@ -158,8 +148,6 @@ def _check_cells(w, d2d_log10, cycles) -> None:
                          f"{np.asarray(w)[np.logical_not(inside)][0]}")
     if not every(abs(d2d_log10) < math.inf):
         raise ValueError("d2d_log10 must be finite")
-    if not every(cycles >= 0):
-        raise ValueError("cycles must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -693,44 +681,38 @@ def _update_law(m: UpdateModel, kind: str):
 def _trains(m: UpdateModel, kind: str, rng: np.random.Generator | None,
             trains) -> list:
     """The pulse update law of one scheme kind, run over trains in order
-    on one noise stream. Each train is (w, cycles, last, broken, pulses)
-    in plain floats, pulses a sequence of PulseSpec; each gives back
-    (ws, cycles, last): w after each pulse as a list of Python floats and
-    the train's final cycles and last polarity.
+    on one noise stream. Each train is (w, pulses), w a plain float and
+    pulses a sequence of PulseSpec; each gives back w after each pulse as
+    a list of Python floats.
 
-    A broken device, a zero-width pulse and an amplitude between the onsets
-    are no-ops. Otherwise the pulse inverts the polarity's curve at the
-    current progress, advances one count times one mean-one lognormal
-    factor (c2c_rel > 0), clamps at the rail, counts a reversal as a cycle,
-    and sets last to -1 after potentiation, +1 after depression. The
-    factors come from _lognormal_stream, so the generator ends where one
-    scalar rng.lognormal call per noisy pulse leaves it, however the loop
-    exits. A noisy pulse without a generator raises ValueError when it is
-    taken.
+    A zero-width pulse and an amplitude between the onsets are no-ops,
+    which hand w back as it came. Otherwise the pulse inverts the
+    polarity's curve at the current progress, advances one count times
+    one mean-one lognormal factor (c2c_rel > 0) and clamps at the rail.
+    The factors come from _lognormal_stream, so the generator ends where
+    one scalar rng.lognormal call per noisy pulse leaves it, however the
+    loop exits. A noisy pulse without a generator raises ValueError when
+    it is taken.
     """
     pot, dep, noise = _update_law(m, kind)
     v_on_pot, v_on_dep, noisy = m.v_on_pot, m.v_on_dep, m.c2c_rel > 0.0
     log, exp = math.log, math.exp
     runs = []
     with _lognormal_stream(rng, *noise) as (block, refill):
-        for w, cycles, last, broken, pulses in trains:
+        for w, pulses in trains:
             ws = []
             for pulse in pulses:
                 v = pulse.v_write
-                if (not broken and pulse.t_width != 0.0
-                        and (v < v_on_pot or v > v_on_dep)):
+                if pulse.t_width != 0.0 and (v < v_on_pot or v > v_on_dep):
                     (polarity, a, span), progress = (
                         (pot, w) if v < v_on_pot else (dep, 1.0 - w))
                     n = -a * log(1.0 - progress * span)
                     dw = (1.0 - exp(-(n + 1.0) / a)) / span - progress
                     if noisy:
                         dw *= (block or refill()).pop()
-                    if last != 0 and polarity != last:
-                        cycles += 1
                     w = min(w + dw, 1.0) if polarity < 0 else max(w - dw, 0.0)
-                    last = polarity
                 ws.append(w)
-            runs.append((ws, cycles, last))
+            runs.append(ws)
     return runs
 
 
@@ -738,24 +720,24 @@ def _trim(m: UpdateModel, rng: np.random.Generator | None,
           p: ConductionParams, t: float, v_read: float, tol_g: float,
           max_pulses: int, cells) -> list:
     """Write-verify of cells, one at a time in order on one noise stream.
-    Each cell is (w, d2d_log10, cycles, last, broken, target) in plain
-    floats and gives back (w, cycles, last, pulses, residual), where
-    target and residual are chordal conductances at the verify bias
-    v_read.
+    Each cell is (w, d2d_log10, target) in plain floats and gives back
+    (w, pulses, residual), where target and residual are chordal
+    conductances at the verify bias v_read.
 
     The cell is read and, while the reading is more than tol_g from
     target and fewer than max_pulses pulses were taken, takes one
     amplitude_ramp pulse of _trains's law, V_POT_DEFAULT below the target
     and V_DEP_DEFAULT above it, both T_WIDTH_DEFAULT wide (so no pulse is
     a zero-width no-op), and is read again. It stops early without a draw
-    on a broken cell or an amplitude below its onset, and after the draw
-    on a pulse that leaves w where it was, which is not counted and keeps
-    cycles and last.
+    on an amplitude below its onset, and after the draw on a pulse that
+    leaves w where it was, which is not counted.
 
-    The law and the read run in the same float operations as _trains and
-    conduction.current_total (see the module docstring). The bias and
-    temperature are checked before any draw; the offsets, by
-    inference._program before the call.
+    Each direction runs in its own inner loop, keyed on d = g - target:
+    d < -tol_g is |d| > tol_g with g below target, d > tol_g the other
+    branch, and a NaN leaves both. The law and the read run in the same
+    float operations as _trains and conduction.current_total (see the
+    module docstring). The bias and temperature are checked before any
+    draw; the offsets, by inference._program before the call.
     """
     (_, a_pot, span_pot), (_, a_dep, span_dep), noise = _update_law(
         m, "amplitude_ramp")
@@ -765,42 +747,55 @@ def _trim(m: UpdateModel, rng: np.random.Generator | None,
     g_lrs, area, log, exp = p.g_lrs, p.area, math.log, math.exp
     trimmed = []
     with _lognormal_stream(rng, *noise) as (block, refill):
-        for w, d2d_log10, cycles, last, broken, target in cells:
+        for w, d2d_log10, target in cells:
             shift = 10.0 ** (-d2d_log10)
             ga = g_lrs ** w * shift * area
             g = (ga * ohm_c * v + ga * pf_k) / v
+            d = g - target
             n = 0
-            while abs(g - target) > tol_g and n < max_pulses and not broken:
-                if g < target:
-                    if not pot_on:
-                        break
-                    x = -a_pot * log(1.0 - w * span_pot)
-                    dw = (1.0 - exp(-(x + 1.0) / a_pot)) / span_pot - w
-                    if noisy:
-                        dw *= (block or refill()).pop()
-                    moved, polarity = w + dw, -1
-                    if moved > 1.0:  # min(w + dw, 1.0), as _trains clamps
-                        moved = 1.0
-                else:
-                    if not dep_on:
-                        break
-                    progress = 1.0 - w
-                    x = -a_dep * log(1.0 - progress * span_dep)
-                    dw = (1.0 - exp(-(x + 1.0) / a_dep)) / span_dep - progress
-                    if noisy:
-                        dw *= (block or refill()).pop()
-                    moved, polarity = w - dw, +1
-                    if moved < 0.0:  # max(w - dw, 0.0)
-                        moved = 0.0
-                if moved == w:
-                    break  # pinned at a rail
-                if last != 0 and polarity != last:
-                    cycles += 1
-                w, last = moved, polarity
-                ga = g_lrs ** w * shift * area
-                g = (ga * ohm_c * v + ga * pf_k) / v
-                n += 1
-            trimmed.append((w, cycles, last, n, abs(g - target)))
+            # each inner loop ends by its own test, going on to the other
+            # direction or the cap, or by a break for a pinned cell
+            while n < max_pulses:
+                if d < -tol_g and pot_on:
+                    while n < max_pulses and d < -tol_g:
+                        x = -a_pot * log(1.0 - w * span_pot)
+                        dw = (1.0 - exp(-(x + 1.0) / a_pot)) / span_pot - w
+                        if noisy:
+                            dw *= (block or refill()).pop()
+                        moved = w + dw
+                        if moved > 1.0:  # min(w + dw, 1.0), as _trains clamps
+                            moved = 1.0
+                        if moved == w:
+                            break  # pinned at a rail
+                        w = moved
+                        ga = g_lrs ** w * shift * area
+                        g = (ga * ohm_c * v + ga * pf_k) / v
+                        d = g - target
+                        n += 1
+                    else:
+                        continue
+                elif d > tol_g and dep_on:
+                    while n < max_pulses and d > tol_g:
+                        progress = 1.0 - w
+                        x = -a_dep * log(1.0 - progress * span_dep)
+                        dw = ((1.0 - exp(-(x + 1.0) / a_dep)) / span_dep
+                              - progress)
+                        if noisy:
+                            dw *= (block or refill()).pop()
+                        moved = w - dw
+                        if moved < 0.0:  # max(w - dw, 0.0)
+                            moved = 0.0
+                        if moved == w:
+                            break  # pinned at a rail
+                        w = moved
+                        ga = g_lrs ** w * shift * area
+                        g = (ga * ohm_c * v + ga * pf_k) / v
+                        d = g - target
+                        n += 1
+                    else:
+                        continue
+                break
+            trimmed.append((w, n, abs(d)))
     return trimmed
 
 
@@ -812,13 +807,11 @@ def apply_pulse(s: DeviceState, pulse: PulseSpec, m: UpdateModel,
     Above-onset pulses advance the state by one equivalent count along the
     potentiation or depression curve for the given scheme kind; the step is
     multiplied by mean-one lognormal noise with relative spread c2c_rel.
-    Sub-threshold pulses and broken devices return s itself.
+    Sub-threshold and zero-width pulses return s itself.
     """
-    [([w], cycles, last)] = _trains(
-        m, kind, rng, [(s.w, s.cycles, s.last_polarity, s.broken, (pulse,))])
-    if (w, cycles, last) == (s.w, s.cycles, s.last_polarity):
-        return s
-    return replace(s, w=w, cycles=cycles, last_polarity=last)
+    [[w]] = _trains(m, kind, rng, [(s.w, (pulse,))])
+    # _trains hands a no-op pulse's w back as the same object
+    return s if w is s.w else replace(s, w=w)
 
 
 def read_state(s: DeviceState, p: ConductionParams,
@@ -874,8 +867,7 @@ def run_scheme(s: DeviceState, scheme: PulseScheme, m: UpdateModel,
     every step, read and draw equals applying and reading pulse by pulse.
     """
     _check_read(v_read, t, p, s.d2d_log10)
-    [(ws, _, _)] = _trains(m, scheme.kind, rng, [
-        (s.w, s.cycles, s.last_polarity, s.broken, scheme.pulses())])
+    [ws] = _trains(m, scheme.kind, rng, [(s.w, scheme.pulses())])
     return Trace(np.array(ws, dtype=float),
                  *_trace_read(v_read, t, p, ws, s.d2d_log10))
 
@@ -980,7 +972,7 @@ def memory_window(v_write, r_ohms) -> WindowReport:
                         window_volts=float(v_plus - v_minus))
 
 
-# --- Retention, endurance, energy ------------------------------------------
+# --- Retention and energy --------------------------------------------------
 
 def retention_evolve(s: DeviceState, dt_seconds: float,
                      drift_rate: float = 0.0) -> DeviceState:
@@ -994,15 +986,6 @@ def retention_evolve(s: DeviceState, dt_seconds: float,
         return s
     w = 0.5 + (s.w - 0.5) * math.exp(-drift_rate * dt_seconds)
     return replace(s, w=w)
-
-
-def endurance_register(s: DeviceState, n_cycles: int) -> DeviceState:
-    """Account for n_cycles polarity reversals; past the endurance limit
-    the device is flagged broken and its state freezes."""
-    if n_cycles < 0:
-        raise ValueError("n_cycles must be >= 0")
-    cycles = s.cycles + n_cycles
-    return replace(s, cycles=cycles, broken=s.broken or cycles > ENDURANCE_LIMIT)
 
 
 def write_energy(pulse: PulseSpec, s: DeviceState, p: ConductionParams,

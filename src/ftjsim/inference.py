@@ -20,12 +20,15 @@ _program is the one write-verify entry, on _check_program's inputs:
 before any draw it checks every offset's float range in one
 state_multiplier call, then trims every cell in one device._trim call.
 
-mvm_error_mc validates once, at entry, and builds no Crossbar. Each
-trial holds its differential pair as one stacked (2, n_rows, n_cols)
-state, the positive plane first, and takes each step once for both
-planes: device's d2d draw on the trial's two sibling seeds, one _program
-call, one read of crossbar's kernel, and one _line_sums call for the
-decoder calibration (all-ones) and the input charge.
+mvm_error_mc validates once, at entry, and builds no Crossbar and no
+WeightMapping: it takes map_weights' levels from _quantize and each
+bias's conductance window from _window, the two helpers map_weights is
+made of. Each trial holds its differential pair as one stacked (2,
+n_rows, n_cols) state, the positive plane first, and takes each step
+once for both planes: device's d2d draw on the trial's two sibling
+seeds, one _program call, one read of crossbar's kernel, and one
+_line_sums call for the decoder calibration (all-ones) and the input
+charge.
 
 The conductance helpers take their multipliers from one broadcast
 conduction.state_multiplier call, and every MVM read bias passes
@@ -128,16 +131,9 @@ class WeightMapping:
         return self.u_pos - self.u_neg
 
 
-def map_weights(wmat, n_levels: int, p: ConductionParams,
-                v_read: float = V_ONOFF, t: float = T_REF) -> WeightMapping:
-    """Quantize a signed weight matrix onto the differential grid.
-
-    Weights must lie in [-1, 1]. Positive entries land on the positive
-    plane, negative entries on the negative plane; the other plane stays
-    at the HRS. Levels are uniform in normalized conductance, so the
-    decoded weight error is at most half a level spacing per entry and
-    w = 0 maps to an equal pair.
-    """
+def _quantize(wmat, n_levels: int):
+    """map_weights' checks and levels: (the weights as a float array,
+    u_pos, u_neg)."""
     w = np.asarray(wmat, dtype=float)
     if w.ndim != 2:
         raise ValueError("weight matrix must be 2-D")
@@ -150,8 +146,30 @@ def map_weights(wmat, n_levels: int, p: ConductionParams,
     steps = n_levels - 1
     u_pos = np.round(np.clip(w, 0.0, 1.0) * steps) / steps
     u_neg = np.round(np.clip(-w, 0.0, 1.0) * steps) / steps
-    g_min = float(state_conductance(p, 0.0, v_read, t))
-    g_max = float(state_conductance(p, 1.0, v_read, t))
+    return w, u_pos, u_neg
+
+
+def _window(p: ConductionParams, v_read: float, t: float
+            ) -> tuple[float, float]:
+    """(g_min, g_max): state_conductance at w = 0 and 1 as floats, from
+    one pristine read."""
+    base = current_total(v_read, t, p, DeviceState(w=0.0)) / v_read
+    return (float(base * state_multiplier(p, 0.0)),
+            float(base * state_multiplier(p, 1.0)))
+
+
+def map_weights(wmat, n_levels: int, p: ConductionParams,
+                v_read: float = V_ONOFF, t: float = T_REF) -> WeightMapping:
+    """Quantize a signed weight matrix onto the differential grid.
+
+    Weights must lie in [-1, 1]. Positive entries land on the positive
+    plane, negative entries on the negative plane; the other plane stays
+    at the HRS. Levels are uniform in normalized conductance, so the
+    decoded weight error is at most half a level spacing per entry and
+    w = 0 maps to an equal pair.
+    """
+    _, u_pos, u_neg = _quantize(wmat, n_levels)
+    g_min, g_max = _window(p, v_read, t)
     return WeightMapping(
         n_levels=n_levels, v_read=v_read, g_min=g_min, g_max=g_max,
         w_pos=weight_for_conductance(p, u_pos),
@@ -188,8 +206,8 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     cell's variation offset is compensated where its state range allows; a
     target beyond a cell's own rails shows up in the per-cell residuals
     rather than raising. A cell stops early when a pulse would leave it
-    where it was: pinned at a rail, broken, or a write amplitude below its
-    onset; such a pulse is not counted. max_pulses defaults to three times
+    where it was: pinned at a rail, or a write amplitude below its onset;
+    such a pulse is not counted. max_pulses defaults to three times
     the model's full-switching pulse count.
 
     The targets must be finite, max_pulses a non-negative integer and
@@ -200,11 +218,9 @@ def program_write_verify(xbar: Crossbar, g_targets, m: UpdateModel,
     g_targets, max_pulses = _check_program((xbar.n_rows, xbar.n_cols),
                                            g_targets, m, tol_g, v_read,
                                            max_pulses)
-    w, cycles, last, report = _program(
-        m, rng, xbar.params, xbar.t_kelvin, v_read, tol_g, max_pulses,
-        xbar.w, xbar.d2d_log10, xbar.cycles, xbar.last_polarity, xbar.broken,
-        g_targets)
-    return replace(xbar, w=w, cycles=cycles, last_polarity=last), report
+    w, report = _program(m, rng, xbar.params, xbar.t_kelvin, v_read, tol_g,
+                         max_pulses, xbar.w, xbar.d2d_log10, g_targets)
+    return replace(xbar, w=w), report
 
 
 def _check_program(shape: tuple, g_targets, m: UpdateModel, tol_g: float,
@@ -234,25 +250,22 @@ def _check_program(shape: tuple, g_targets, m: UpdateModel, tol_g: float,
 def _program(m: UpdateModel, rng: np.random.Generator | None,
              p: ConductionParams, t: float, v_read: float, tol_g: float,
              max_pulses: int, w: np.ndarray, d2d_log10: np.ndarray,
-             cycles: np.ndarray, last: np.ndarray, broken: np.ndarray,
-             g_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                             np.ndarray, ProgramReport]:
+             g_targets: np.ndarray) -> tuple[np.ndarray, ProgramReport]:
     """program_write_verify's body on _check_program's outputs and finite
     cell arrays of the targets' shape: offsets checked, then one _trim
-    call in row-major order, as (w, cycles, last_polarity, report)."""
+    call in row-major order, as (w, report)."""
     state_multiplier(p, 0.0, d2d_log10)
     shape = g_targets.shape
     cells = zip(w.ravel().tolist(), d2d_log10.ravel().tolist(),
-                cycles.ravel().tolist(), last.ravel().tolist(),
-                broken.ravel().tolist(), g_targets.ravel().tolist())
+                g_targets.ravel().tolist())
     trimmed = _trim(m, rng, p, t, v_read, tol_g, max_pulses, cells)
-    w, cycles, last, counts, resid = (np.reshape(column, shape)
-                                      for column in zip(*trimmed))
+    w, counts, resid = (np.reshape(column, shape)
+                        for column in zip(*trimmed))
     report = ProgramReport(pulse_counts=counts, residual_g=resid,
                            pulses_total=int(counts.sum()),
                            max_residual_g=float(resid.max()),
                            n_failed=int(np.sum(resid > tol_g)))
-    return w, cycles, last, report
+    return w, report
 
 
 def mvm_charge(xbar: Crossbar, x, v_read: float = V_ONOFF) -> np.ndarray:
@@ -341,8 +354,8 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     m = m if m is not None else default_update_model()
     if c2c_rel is not None:
         m = replace(m, c2c_rel=float(c2c_rel))
-    w = np.asarray(wmat, dtype=float)
-    mapping = map_weights(w, n_levels, p, v_read=v_read, t=t)
+    w, u_pos, u_neg = _quantize(wmat, n_levels)
+    g_min, g_max = _window(p, v_read, t)
     n_rows, n_cols = w.shape
     shape = (2, n_rows, n_cols)
     if x_inputs is not None:
@@ -353,20 +366,19 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
             raise ValueError("x_inputs contains non-finite values")
 
     # Write-verify targets live at the verify bias, not the read bias.
-    gv_min = float(state_conductance(p, 0.0, v_verify, t))
-    gv_max = float(state_conductance(p, 1.0, v_verify, t))
-    gv = gv_min + np.stack([mapping.u_pos, mapping.u_neg]) * (gv_max - gv_min)
-    tol_g = VERIFY_TOL_FRACTION * mapping.level_spacing * (gv_max - gv_min)
+    u = np.stack([u_pos, u_neg])
+    gv_min, gv_max = _window(p, v_verify, t)
+    gv = gv_min + u * (gv_max - gv_min)
+    # WeightMapping.level_spacing
+    tol_g = VERIFY_TOL_FRACTION * (1.0 / (n_levels - 1)) * (gv_max - gv_min)
     if programming == "write_verify":
         gv, max_pulses = _check_program(shape, gv, m, tol_g, v_verify, None)
-        # the pristine cells' w, cycles and last_polarity, and broken
-        w_0, count_0, unbroken = (np.zeros(shape), np.zeros(shape, int),
-                                  np.zeros(shape, bool))
+        w_0 = np.zeros(shape)  # the pristine cells
     else:
-        w_ideal = np.stack([mapping.w_pos, mapping.w_neg])
+        w_ideal = weight_for_conductance(p, u)
     ones = np.ones(n_rows)
     y_ones = ones @ w
-    alpha_exact = 1.0 / (v_read * (mapping.g_max - mapping.g_min))
+    alpha_exact = 1.0 / (v_read * (g_max - g_min))
 
     errors = np.zeros(n_trials)
     pulses = np.zeros(n_trials, dtype=int)
@@ -377,14 +389,14 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
         d2d = _d2d_offsets(sigma_d2d, (s_pos, s_neg),
                            n_rows * n_cols).reshape(shape)
         # a Crossbar's offset checks on both planes, before any pulse
-        _check_cells(0.0, d2d, 0)
+        _check_cells(0.0, d2d)
         if programming == "ideal":
             w_planes = w_ideal
         else:
             # both planes in one _program call: one noise stream per trial
-            w_planes, _, _, report = _program(
+            w_planes, report = _program(
                 m, np.random.default_rng(s_prog), p, t, v_verify, tol_g,
-                max_pulses, w_0, d2d, count_0, count_0, unbroken, gv)
+                max_pulses, w_0, d2d, gv)
             pulses[trial] = report.pulses_total
             failed[trial] = report.n_failed
         currents = _array_current(p, t, w_planes, d2d, v_read)

@@ -74,9 +74,9 @@ def d2d_draw(sigma, seed, i):
 def pulse_law(s, pulse, m, rng=None, kind="amplitude_ramp"):
     """One write pulse on a DeviceState, from the update curves: invert
     the polarity's curve at the current progress, advance one count, times
-    one scalar mean-one rng.lognormal factor when c2c_rel > 0, clamp at the
-    rail and count a reversal as a cycle. A broken device, a zero-width
-    pulse and an amplitude between the onsets return s."""
+    one scalar mean-one rng.lognormal factor when c2c_rel > 0 and clamp at
+    the rail. A zero-width pulse and an amplitude between the onsets
+    return s."""
     def forward(n, a, n_full):
         return (1.0 - math.exp(-n / a)) / (1.0 - math.exp(-n_full / a))
 
@@ -84,7 +84,7 @@ def pulse_law(s, pulse, m, rng=None, kind="amplitude_ramp"):
         d = 1.0 - math.exp(-n_full / a)
         return -a * math.log(1.0 - x * d)
 
-    if s.broken or pulse.t_width == 0.0:
+    if pulse.t_width == 0.0:
         return s
     v = pulse.v_write
     shape = m.shape_for(kind)
@@ -102,9 +102,7 @@ def pulse_law(s, pulse, m, rng=None, kind="amplitude_ramp"):
         s2 = math.log(1.0 + m.c2c_rel ** 2)
         step *= rng.lognormal(mean=-0.5 * s2, sigma=math.sqrt(s2))
     w_new = min(s.w + step, 1.0) if polarity < 0 else max(s.w - step, 0.0)
-    cycles = s.cycles + (1 if (s.last_polarity != 0
-                               and polarity != s.last_polarity) else 0)
-    return replace(s, w=w_new, cycles=cycles, last_polarity=polarity)
+    return replace(s, w=w_new)
 
 
 def pulse_train(s, scheme, m, rng=None):
@@ -305,8 +303,7 @@ def scheme_command(cfg, bundle, rng):
             for pulse, w, r in zip(scheme.pulses(), ws, rs):
                 rows.append((cycle, index, pulse.v_write, pulse.t_width, w, r))
                 index += 1
-            state = replace(state, w=ws[-1],
-                            last_polarity=-1 if polarity == "pot" else 1)
+            state = replace(state, w=ws[-1])
     return "trace.csv", ["cycle", "pulse_index", "v_write_volts", "t_width_s",
                          "w", "r_ohms_0p3v"], rows, {
         "kind": sec.kind,

@@ -285,7 +285,7 @@ def test_criterion_12_nonlinear_sneak_suppression(capfd):
 def test_criterion_13_retention_identity(capfd):
     t0 = time.perf_counter()
     eleven_days = 11 * 24 * 3600.0
-    s = DeviceState(w=1.0, d2d_log10=0.02, cycles=5)
+    s = DeviceState(w=1.0, d2d_log10=0.02)
     out = retention_evolve(s, eleven_days)
     ok = out is s
     _verdict(capfd, 13, ok, t0, 1.0,

@@ -81,9 +81,7 @@ def test_retention_equals_the_per_point_reference(rate, v_read, t_kelvin):
 def test_scheme_trains_restart_from_the_start_state(monkeypatch, text):
     """scheme's one train gives the w of the per-train form on the same
     noise stream: each train after the first starts where the one before
-    it ended in w, with cycles back at the start state's 0 and
-    last_polarity forced to -1 after potentiation and +1 after
-    depression, also when no pulse of the train moved the state
+    it ended, also when no pulse of the train moved the state
     (v_on_pot_v = -3.0 puts every potentiation pulse below its onset)."""
     calls = []
     trains = cli._trains
@@ -97,19 +95,18 @@ def test_scheme_trains_restart_from_the_start_state(monkeypatch, text):
     cfg = parse_config("[scheme]\nn_cycles = 3\n" + text)
     bundle = build_model(cfg)
     cli.cmd_scheme(cfg, bundle, 0)
-    [(rng, [(w, cycles, last, broken, _)], [(ws, _, _)])] = calls
-    assert (w, cycles, last, broken) == (0.0, 0, 0, False)
+    [(rng, [(w, _)], [ws])] = calls
+    assert w == 0.0
 
     sec = cfg.scheme
-    per_train = [(forced, preset_scheme(
-        sec.kind, polarity, alt_amplitudes=sec.alt_amplitudes).pulses())
-        for forced, polarity in ((-1, "pot"), (1, "dep"))] * sec.n_cycles
+    per_train = [preset_scheme(sec.kind, polarity,
+                               alt_amplitudes=sec.alt_amplitudes).pulses()
+                 for polarity in ("pot", "dep")] * sec.n_cycles
     reference_rng = np.random.default_rng(0)
     expected = []
-    for forced, train in per_train:
-        [(run, _, _)] = trains(bundle.update, sec.kind, reference_rng,
-                               [(w, 0, last, False, train)])
+    for train in per_train:
+        [run] = trains(bundle.update, sec.kind, reference_rng, [(w, train)])
         expected += run
-        w, last = run[-1], forced
+        w = run[-1]
     assert [x.hex() for x in ws] == [x.hex() for x in expected]
     assert rng.bit_generator.state == reference_rng.bit_generator.state

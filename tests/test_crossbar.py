@@ -347,8 +347,7 @@ def test_cells_follow_the_device_state_schema(p):
     """Crossbar stores each DeviceState field, in DeviceState's order, as
     one array whose dtype is the field's annotated type, and state(r, c)
     gives each cell back with those types."""
-    dtypes = {"w": np.float64, "d2d_log10": np.float64, "cycles": np.int64,
-              "broken": np.bool_, "last_polarity": np.int64}
+    dtypes = {"w": np.float64, "d2d_log10": np.float64}
     assert [name for name, _ in crossbar._CELLS] == [
         f.name for f in fields(DeviceState)] == list(dtypes)
     xbar = build_crossbar(2, 3, p, sigma_d2d=0.1, seed=4)
@@ -663,9 +662,9 @@ _WRITE_AMPLITUDES = st.one_of(
 
 @st.composite
 def _write_cases(draw):
-    """A random array with device variation, pulse history and broken
-    cells at a random temperature, a selected cell, a write pulse and an
-    update model with or without cycle-to-cycle noise."""
+    """A random array with device variation and random states at a random
+    temperature, a selected cell, a write pulse and an update model with
+    or without cycle-to-cycle noise."""
     nr = draw(st.integers(1, 10))
     nc = draw(st.integers(1, 10))
     sigma = draw(st.floats(0.0, 0.3))
@@ -677,12 +676,7 @@ def _write_cases(draw):
     rng = np.random.default_rng(seed)
     xbar = build_crossbar(nr, nc, default_params(), sigma_d2d=sigma,
                           seed=seed, t_kelvin=t)
-    xbar = Crossbar(
-        w=rng.uniform(0.0, 1.0, (nr, nc)), d2d_log10=xbar.d2d_log10,
-        params=xbar.params, t_kelvin=t,
-        cycles=rng.integers(0, 4, (nr, nc)),
-        broken=rng.random((nr, nc)) < 0.1,
-        last_polarity=rng.integers(-1, 2, (nr, nc)))
+    xbar = xbar.with_weights(rng.uniform(0.0, 1.0, (nr, nc)))
     row, col = int(rng.integers(nr)), int(rng.integers(nc))
     return (xbar, row, col, PulseSpec(v_write, t_width),
             default_update_model(c2c_rel=c2c), seed)

@@ -14,7 +14,6 @@ from ftjsim.conduction import current_total, default_params
 from ftjsim.crossbar import build_crossbar
 from ftjsim.device import (
     DeviceState,
-    ENDURANCE_LIMIT,
     PulseScheme,
     PulseSpec,
     SCHEME_KINDS,
@@ -22,7 +21,6 @@ from ftjsim.device import (
     apply_pulse,
     dc_write_loop,
     default_update_model,
-    endurance_register,
     memory_window,
     preset_scheme,
     read_state,
@@ -82,11 +80,6 @@ def test_zero_width_pulse_is_noop(m0):
     assert write_energy(PulseSpec(-1.6, 0.0), s, default_params()) == 0.0
 
 
-def test_broken_device_does_not_switch(m0):
-    s = DeviceState(w=0.3, broken=True)
-    assert apply_pulse(s, POT, m0) is s
-
-
 def test_full_train_saturates(m0):
     s = DeviceState(w=0.0)
     for _ in range(m0.n_full):
@@ -105,18 +98,6 @@ def test_steps_shrink_along_the_curve(m0):
         deltas.append(s2.w - s.w)
         s = s2
     assert all(d2 < d1 for d1, d2 in zip(deltas, deltas[1:]))
-
-
-def test_polarity_reversal_counts_cycles(m0):
-    s = DeviceState(w=0.5)
-    s = apply_pulse(s, POT, m0)
-    assert s.cycles == 0 and s.last_polarity == -1
-    s = apply_pulse(s, DEP, m0)
-    assert s.cycles == 1 and s.last_polarity == 1
-    s = apply_pulse(s, DEP, m0)
-    assert s.cycles == 1
-    s = apply_pulse(s, POT, m0)
-    assert s.cycles == 2
 
 
 def test_c2c_noise_scale():
@@ -326,16 +307,6 @@ def test_retention_validation():
         retention_evolve(DeviceState(w=1.0), -1.0)
     with pytest.raises(ValueError):
         retention_evolve(DeviceState(w=1.0), 1.0, drift_rate=-1e-9)
-
-
-def test_endurance_boundary():
-    s = DeviceState(w=1.0)
-    s = endurance_register(s, ENDURANCE_LIMIT)
-    assert not s.broken
-    s = endurance_register(s, 1)
-    assert s.broken
-    # broken is sticky
-    assert endurance_register(s, 0).broken
 
 
 def test_write_energy_formula(p):
@@ -657,8 +628,6 @@ def test_state_validation():
         DeviceState(w=-0.1)
     with pytest.raises(ValueError):
         DeviceState(w=0.5, d2d_log10=float("inf"))
-    with pytest.raises(ValueError):
-        DeviceState(w=0.5, cycles=-1)
 
 
 # --- Bit-identity guard: float-level pulse trains and sweeps -----------------
@@ -694,10 +663,7 @@ _TEMPS = st.floats(250.0, 340.0)
 def _states(draw):
     return DeviceState(w=draw(st.one_of(st.sampled_from([0.0, 1.0]),
                                         st.floats(0.0, 1.0))),
-                       d2d_log10=draw(st.floats(-0.5, 0.5)),
-                       cycles=draw(st.integers(0, 5)),
-                       broken=draw(st.integers(0, 9)) == 0,
-                       last_polarity=draw(st.integers(-1, 1)))
+                       d2d_log10=draw(st.floats(-0.5, 0.5)))
 
 
 @st.composite
@@ -821,9 +787,6 @@ def test_run_scheme_noise_without_generator_raises(p):
         run_scheme(DeviceState(w=0.0), scheme, m, p)
     with pytest.raises(ValueError, match="explicit generator"):
         pulse_train(DeviceState(w=0.0), scheme, m)
-    # a broken device never pulses, so it needs no generator
-    trace = run_scheme(DeviceState(w=0.4, broken=True), scheme, m, p)
-    assert trace.w.tolist() == [0.4] * scheme.n_pulses
 
 
 @pytest.mark.parametrize("v_read, t", [(math.nan, 300.0), (math.inf, 300.0),

@@ -6,9 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ftjsim import device
+from ftjsim import device, inference
 from ftjsim.conduction import (current_total, default_params,
                                state_multiplier)
 from ftjsim.crossbar import Crossbar, build_crossbar, mvm_read
@@ -25,7 +25,8 @@ from ftjsim.inference import (
     state_conductance,
     weight_for_conductance,
 )
-from oracle import (V_VERIFY, benchmark_planes, crossbar_of, hexes,
+import oracle
+from oracle import (V_VERIFY, benchmark_planes, hexes,
                     multiplier, program, programming_bits, pulse_law)
 
 V_READ_MVM = 0.1
@@ -143,6 +144,48 @@ def test_weight_mapping_invariants(p):
                       u_pos=np.zeros((1, 1)), u_neg=np.zeros((1, 1)),
                       g_pos=np.full((1, 1), 1.5e-9),
                       g_neg=np.full((1, 1), 1.5e-9))
+
+
+# signed weights at rounding ties and signed zeros: w * 10 is 0.5 and 1.5
+# at 11 levels, and w = +-0.5 is a tie at 2
+_TIES = np.array([[0.05, -0.05, 0.15, -0.15], [-0.0, 0.0, 0.5, -1.0]])
+
+
+@pytest.mark.parametrize("n_levels, u_pos, u_neg", [
+    (11, [[0.0, 0.0, 0.2, 0.0], [-0.0, 0.0, 0.5, 0.0]],
+     [[0.0, 0.0, 0.0, 0.2], [0.0, -0.0, 0.0, 1.0]]),
+    (2, [[0.0, 0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0]],
+     [[0.0, 0.0, 0.0, 0.0], [0.0, -0.0, 0.0, 1.0]])])
+@pytest.mark.parametrize("v_read, t", [(0.1, 300.0), (-0.25, 330.0),
+                                       (0.3, 250.0)])
+def test_map_weights_and_the_shared_helpers_agree_bit_for_bit(
+        p, n_levels, u_pos, u_neg, v_read, t):
+    """mvm_error_mc takes map_weights' levels from _quantize and its
+    conductance window from _window. The levels round half to even and
+    keep a zero's sign, and the window is state_conductance at w = 0 and
+    1, as floats."""
+    mapping = map_weights(_TIES, n_levels, p, v_read=v_read, t=t)
+    w, q_pos, q_neg = inference._quantize(_TIES, n_levels)
+    g_min, g_max = inference._window(p, v_read, t)
+    assert hexes(w) == hexes(_TIES)
+    assert hexes(q_pos) == hexes(mapping.u_pos) == hexes(np.array(u_pos))
+    assert hexes(q_neg) == hexes(mapping.u_neg) == hexes(np.array(u_neg))
+    assert type(g_min) is type(g_max) is float
+    assert [g_min.hex(), g_max.hex()] == [mapping.g_min.hex(),
+                                          mapping.g_max.hex()] == [
+        float(state_conductance(p, x, v_read, t)).hex() for x in (0.0, 1.0)]
+
+
+@pytest.mark.parametrize("wmat, n_levels", [
+    ([[1.2]], 11), ([[math.nan]], 11), ([0.5, 0.5], 11), ([[0.5]], 1)],
+    ids=["outside", "nan", "1-D", "one-level"])
+def test_mvm_error_mc_checks_the_weights_as_map_weights_does(p, wmat,
+                                                             n_levels):
+    with pytest.raises(ValueError) as mapped:
+        map_weights(wmat, n_levels, p)
+    with pytest.raises(ValueError) as trial:
+        mvm_error_mc(wmat, n_levels=n_levels, n_trials=1)
+    assert str(trial.value) == str(mapped.value)
 
 
 # --- write-verify programming ------------------------------------------------
@@ -348,13 +391,12 @@ _GUARD = settings(max_examples=150, deadline=None, derandomize=True,
 
 @st.composite
 def _program_cases(draw):
-    """A random array with device variation, pulse history, broken cells
-    and cells at either rail, targets inside and beyond the conductance
-    range, and a random update model, verify bias, temperature and pulse
-    cap. An onset past a write amplitude (v_on_pot = -2.0 or
-    v_on_dep = 3.0) puts that polarity's pulses below their onset, so
-    every early exit of the trim is drawn: a broken cell, a pulse below
-    its onset and a pulse that leaves a cell at its rail."""
+    """A random array with device variation and cells at either rail,
+    targets inside and beyond the conductance range, and a random update
+    model, verify bias, temperature and pulse cap. An onset past a write
+    amplitude (v_on_pot = -2.0 or v_on_dep = 3.0) puts that polarity's
+    pulses below their onset, so every early exit of the trim is drawn: a
+    pulse below its onset and a pulse that leaves a cell at its rail."""
     nr = draw(st.integers(1, 10))
     nc = draw(st.integers(1, 10))
     sigma = draw(st.floats(0.0, 0.5))
@@ -371,16 +413,9 @@ def _program_cases(draw):
     m = replace(default_update_model(n_full=n_full, c2c_rel=c2c),
                 v_on_pot=v_on_pot, v_on_dep=v_on_dep)
     xbar = build_crossbar(nr, nc, p, sigma_d2d=sigma, seed=seed, t_kelvin=t)
-    rows = []
-    for r in range(nr):
-        rows.append(tuple(
-            replace(xbar.state(r, c), w=float(rng.choice(
-                        [0.0, 1.0, rng.uniform()], p=[0.15, 0.15, 0.7])),
-                    cycles=int(rng.integers(0, 4)),
-                    last_polarity=int(rng.integers(-1, 2)),
-                    broken=bool(rng.random() < 0.1))
-            for c in range(nc)))
-    xbar = crossbar_of(rows, p, t)
+    xbar = xbar.with_weights([[float(rng.choice([0.0, 1.0, rng.uniform()],
+                                                p=[0.15, 0.15, 0.7]))
+                               for c in range(nc)] for r in range(nr)])
     g_lo = state_conductance(p, 0.0, v_read=v_read, t=t)
     g_hi = state_conductance(p, 1.0, v_read=v_read, t=t)
     targets = g_lo + rng.uniform(-0.2, 1.2, (nr, nc)) * (g_hi - g_lo)
@@ -388,8 +423,110 @@ def _program_cases(draw):
     return xbar, targets, m, tol, v_read, max_pulses, seed
 
 
+def _traced_program(case):
+    """oracle.program on a case, with each cell's pulses as (direction,
+    moved) pairs, -1 for potentiation and +1 for depression, and its
+    report. A read that follows no moving pulse starts the next cell."""
+    xbar, targets, m, tol, v_read, max_pulses, seed = case
+    cells, after_move = [], [False]
+    law, kernel = oracle.pulse_law, oracle.current_total
+
+    def pulse(s, spec, m, rng=None, kind="amplitude_ramp"):
+        after = law(s, spec, m, rng=rng, kind=kind)
+        cells[-1].append((-1 if spec.v_write < 0 else 1, after.w != s.w))
+        after_move[0] = after.w != s.w
+        return after
+
+    def read(*args):
+        if not after_move[0]:
+            cells.append([])
+        after_move[0] = False
+        return kernel(*args)
+
+    with mock.patch.object(oracle, "pulse_law", pulse), \
+            mock.patch.object(oracle, "current_total", read):
+        _, report = program(xbar, targets, m, tol,
+                            np.random.default_rng(seed + 1), v_read=v_read,
+                            max_pulses=max_pulses)
+    return cells, report
+
+
+def _trim_case(w, targets, tol, c2c=0.0, max_pulses=None, seed=0):
+    """A hand-built case of the property below: one row of pristine-offset
+    cells at states w, their targets and tol in siemens at V_VERIFY."""
+    return (build_crossbar(1, len(w), _P).with_weights([w]),
+            np.array([targets], dtype=float), default_update_model(c2c_rel=c2c),
+            tol, V_VERIFY, max_pulses, seed)
+
+
+def _edge_case(w, k):
+    """A noiseless cell that reads exactly tol_g from its target after k
+    pulses: g_k, the oracle's reading after k pulses from w toward the far
+    rail, is tol_g, and the target is 2 g_k below it (potentiation) or 0
+    above it (depression). Both differences are exact, so the trim stops
+    there."""
+    far = [[2 * _G_HI if w == 0.0 else 0.0]]
+    xbar, _ = program(build_crossbar(1, 1, _P).with_weights([[w]]), far,
+                      default_update_model(c2c_rel=0.0), 1e-30, None,
+                      max_pulses=k)
+    g_k = current_total(V_VERIFY, 300.0, _P, xbar.state(0, 0)) / V_VERIFY
+    return _trim_case([w], [2 * g_k if w == 0.0 else 0.0], g_k)
+
+
+_P = default_params()
+_G_LO, _G_HI = (float(state_conductance(_P, w, v_read=V_VERIFY))
+                for w in (0.0, 1.0))
+_SPAN = _G_HI - _G_LO
+# the split trim's hand-built cases: a noiseless cell that reverses
+# direction again and again; the pulse cap landing mid-run, in a
+# potentiation run and in a depression run; a cell that ends pinned at its
+# rail after a drawn pulse that is not counted, between cells that reverse,
+# on one noise stream; and a reading exactly tol_g from the target, in
+# each direction
+_TRIM_CASES = {
+    "reversals": _trim_case([0.0], [_G_LO + 0.5 * _SPAN], 1e-3 * _SPAN),
+    "cap_mid_run": _trim_case([0.0, 1.0], [_G_LO + 0.9 * _SPAN,
+                                           _G_LO + 0.1 * _SPAN],
+                              1e-3 * _SPAN, c2c=0.1, max_pulses=5),
+    "pinned": _trim_case([0.45, 0.6, 0.5],
+                         [_G_LO + 0.3 * _SPAN, 1.5 * _G_HI,
+                          _G_LO + 0.55 * _SPAN], 2e-3 * _SPAN, c2c=0.1),
+    "edge_pot": _edge_case(0.0, 3),
+    "edge_dep": _edge_case(1.0, 3),
+}
+
+
+def test_split_trim_cases_take_their_paths():
+    """Each hand-built case drives the trim down the path it is named for,
+    in the per-pulse reference."""
+    cells, _ = _traced_program(_TRIM_CASES["reversals"])
+    [pulses] = cells
+    turns = sum(a[0] != b[0] for a, b in zip(pulses, pulses[1:]))
+    assert turns >= 2
+
+    cells, report = _traced_program(_TRIM_CASES["cap_mid_run"])
+    assert [[d for d, _ in pulses] for pulses in cells] == [[-1] * 5, [1] * 5]
+    assert report.pulse_counts.tolist() == [[5, 5]] and report.n_failed == 2
+
+    cells, report = _traced_program(_TRIM_CASES["pinned"])
+    first, pinned, last = cells
+    assert any(a[0] != b[0] for a, b in zip(first, first[1:]))
+    assert pinned[-1] == (-1, False) and all(moved for _, moved in pinned[:-1])
+    assert report.pulse_counts[0, 1] == len(pinned) - 1 and last
+
+    for name, direction in (("edge_pot", -1), ("edge_dep", 1)):
+        cells, report = _traced_program(_TRIM_CASES[name])
+        assert cells == [[(direction, True)] * 3]
+        assert report.residual_g[0, 0] == _TRIM_CASES[name][3]  # tol_g
+
+
 @_GUARD
 @given(_program_cases())
+@example(_TRIM_CASES["reversals"])
+@example(_TRIM_CASES["cap_mid_run"])
+@example(_TRIM_CASES["pinned"])
+@example(_TRIM_CASES["edge_pot"])
+@example(_TRIM_CASES["edge_dep"])
 def test_program_write_verify_bit_identical_to_per_pulse_reference(case):
     xbar, targets, m, tol, v_read, max_pulses, seed = case
     rng_new = np.random.default_rng(seed + 1)
@@ -472,13 +609,11 @@ def test_program_takes_a_numpy_integer_pulse_cap(p, m):
 
 
 @_GUARD
-@given(st.floats(0.0, 1.0), st.integers(0, 3), st.integers(-1, 1),
-       st.booleans(), st.floats(-3.5, 3.5), st.sampled_from(SCHEME_KINDS),
-       st.sampled_from([0.0, 0.1, 0.5]), st.integers(0, 2**32 - 1))
-def test_apply_pulse_bit_identical_to_reference(w, cycles, last, broken, v,
-                                                kind, c2c, seed):
-    s = DeviceState(w=w, d2d_log10=0.1, cycles=cycles, broken=broken,
-                    last_polarity=last)
+@given(st.floats(0.0, 1.0), st.floats(-3.5, 3.5),
+       st.sampled_from(SCHEME_KINDS), st.sampled_from([0.0, 0.1, 0.5]),
+       st.integers(0, 2**32 - 1))
+def test_apply_pulse_bit_identical_to_reference(w, v, kind, c2c, seed):
+    s = DeviceState(w=w, d2d_log10=0.1)
     m = default_update_model(c2c_rel=c2c)
     pulse = PulseSpec(v, 50e-6)
     rng_new, rng_ref = (np.random.default_rng(seed) for _ in range(2))
