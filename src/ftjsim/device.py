@@ -29,8 +29,7 @@ The write-verify trim. _trim is the cell loop of inference._program, the
 one write-verify entry: while a cell reads more than tol_g from its
 target, it takes one amplitude_ramp pulse of the law and reads again,
 with the law, the noise factor and the verify read inline in Python
-floats, one inner loop per pulse direction. It is the one read outside
-the array kernel, since each reading
+floats. It is the one read outside the array kernel, since each reading
 decides the next pulse: ((g * area) * ohm_c) * v + (g * area) * pf_k
 with g = g_lrs ** w * 10 ** (-d2d_log10), the per-bias terms from
 conduction._read_terms, equal to current_total bit for bit. _program
@@ -732,12 +731,12 @@ def _trim(m: UpdateModel, rng: np.random.Generator | None,
     on an amplitude below its onset, and after the draw on a pulse that
     leaves w where it was, which is not counted.
 
-    Each direction runs in its own inner loop, keyed on d = g - target:
-    d < -tol_g is |d| > tol_g with g below target, d > tol_g the other
-    branch, and a NaN leaves both. The law and the read run in the same
-    float operations as _trains and conduction.current_total (see the
-    module docstring). The bias and temperature are checked before any
-    draw; the offsets, by inference._program before the call.
+    The direction is keyed on d = g - target: d < -tol_g is |d| > tol_g
+    with g below target, d > tol_g the other branch, and a NaN takes
+    neither. The law and the read run in the same float operations as
+    _trains and conduction.current_total (see the module docstring). The
+    bias and temperature are checked before any draw; the offsets, by
+    inference._program before the call.
     """
     (_, a_pot, span_pot), (_, a_dep, span_dep), noise = _update_law(
         m, "amplitude_ramp")
@@ -753,48 +752,33 @@ def _trim(m: UpdateModel, rng: np.random.Generator | None,
             g = (ga * ohm_c * v + ga * pf_k) / v
             d = g - target
             n = 0
-            # each inner loop ends by its own test, going on to the other
-            # direction or the cap, or by a break for a pinned cell
             while n < max_pulses:
                 if d < -tol_g and pot_on:
-                    while n < max_pulses and d < -tol_g:
-                        x = -a_pot * log(1.0 - w * span_pot)
-                        dw = (1.0 - exp(-(x + 1.0) / a_pot)) / span_pot - w
-                        if noisy:
-                            dw *= (block or refill()).pop()
-                        moved = w + dw
-                        if moved > 1.0:  # min(w + dw, 1.0), as _trains clamps
-                            moved = 1.0
-                        if moved == w:
-                            break  # pinned at a rail
-                        w = moved
-                        ga = g_lrs ** w * shift * area
-                        g = (ga * ohm_c * v + ga * pf_k) / v
-                        d = g - target
-                        n += 1
-                    else:
-                        continue
+                    x = -a_pot * log(1.0 - w * span_pot)
+                    dw = (1.0 - exp(-(x + 1.0) / a_pot)) / span_pot - w
+                    if noisy:
+                        dw *= (block or refill()).pop()
+                    moved = w + dw
+                    if moved > 1.0:  # min(w + dw, 1.0), as _trains clamps
+                        moved = 1.0
                 elif d > tol_g and dep_on:
-                    while n < max_pulses and d > tol_g:
-                        progress = 1.0 - w
-                        x = -a_dep * log(1.0 - progress * span_dep)
-                        dw = ((1.0 - exp(-(x + 1.0) / a_dep)) / span_dep
-                              - progress)
-                        if noisy:
-                            dw *= (block or refill()).pop()
-                        moved = w - dw
-                        if moved < 0.0:  # max(w - dw, 0.0)
-                            moved = 0.0
-                        if moved == w:
-                            break  # pinned at a rail
-                        w = moved
-                        ga = g_lrs ** w * shift * area
-                        g = (ga * ohm_c * v + ga * pf_k) / v
-                        d = g - target
-                        n += 1
-                    else:
-                        continue
-                break
+                    progress = 1.0 - w
+                    x = -a_dep * log(1.0 - progress * span_dep)
+                    dw = (1.0 - exp(-(x + 1.0) / a_dep)) / span_dep - progress
+                    if noisy:
+                        dw *= (block or refill()).pop()
+                    moved = w - dw
+                    if moved < 0.0:  # max(w - dw, 0.0)
+                        moved = 0.0
+                else:
+                    break
+                if moved == w:
+                    break  # pinned at a rail
+                w = moved
+                ga = g_lrs ** w * shift * area
+                g = (ga * ohm_c * v + ga * pf_k) / v
+                d = g - target
+                n += 1
             trimmed.append((w, n, abs(d)))
     return trimmed
 

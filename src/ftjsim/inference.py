@@ -88,8 +88,18 @@ def state_conductance(p: ConductionParams, w, v_read: float = V_ONOFF,
     so this is the pristine-state chordal conductance scaled by that
     multiplier. w and d2d_log10 broadcast; a float for scalar input.
     """
-    base = current_total(v_read, t, p, DeviceState(w=0.0)) / v_read
-    return base * state_multiplier(p, w, d2d_log10)
+    return _pristine_g(p, v_read, t) * state_multiplier(p, w, d2d_log10)
+
+
+def _pristine_g(p: ConductionParams, v_read: float, t: float) -> float:
+    """Chordal conductance of the pristine state (w = 0, no offset), the
+    base every state's conductance scales."""
+    return current_total(v_read, t, p, DeviceState(w=0.0)) / v_read
+
+
+def _level_spacing(n_levels: int) -> float:
+    """Grid pitch in normalized conductance (= weight units)."""
+    return 1.0 / (n_levels - 1)
 
 
 @dataclass(frozen=True)
@@ -125,7 +135,7 @@ class WeightMapping:
     @property
     def level_spacing(self) -> float:
         """Grid pitch in normalized conductance (= weight units)."""
-        return 1.0 / (self.n_levels - 1)
+        return _level_spacing(self.n_levels)
 
     def decoded(self) -> np.ndarray:
         return self.u_pos - self.u_neg
@@ -152,10 +162,13 @@ def _quantize(wmat, n_levels: int):
 def _window(p: ConductionParams, v_read: float, t: float
             ) -> tuple[float, float]:
     """(g_min, g_max): state_conductance at w = 0 and 1 as floats, from
-    one pristine read."""
-    base = current_total(v_read, t, p, DeviceState(w=0.0)) / v_read
-    return (float(base * state_multiplier(p, 0.0)),
-            float(base * state_multiplier(p, 1.0)))
+    one pristine read. Raises ValueError unless g_min < g_max."""
+    base = _pristine_g(p, v_read, t)
+    g_min = float(base * state_multiplier(p, 0.0))
+    g_max = float(base * state_multiplier(p, 1.0))
+    if not g_min < g_max:
+        raise ValueError("g_min must be below g_max")
+    return g_min, g_max
 
 
 def map_weights(wmat, n_levels: int, p: ConductionParams,
@@ -369,8 +382,7 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     u = np.stack([u_pos, u_neg])
     gv_min, gv_max = _window(p, v_verify, t)
     gv = gv_min + u * (gv_max - gv_min)
-    # WeightMapping.level_spacing
-    tol_g = VERIFY_TOL_FRACTION * (1.0 / (n_levels - 1)) * (gv_max - gv_min)
+    tol_g = VERIFY_TOL_FRACTION * _level_spacing(n_levels) * (gv_max - gv_min)
     if programming == "write_verify":
         gv, max_pulses = _check_program(shape, gv, m, tol_g, v_verify, None)
         w_0 = np.zeros(shape)  # the pristine cells

@@ -188,6 +188,18 @@ def test_mvm_error_mc_checks_the_weights_as_map_weights_does(p, wmat,
     assert str(trial.value) == str(mapped.value)
 
 
+@pytest.mark.parametrize("programming", ["write_verify", "ideal"])
+def test_mvm_error_mc_checks_the_window_as_map_weights_does(p, programming):
+    """g_lrs = 1 leaves no conductance window: map_weights and every
+    programming mode of mvm_error_mc raise the same ValueError."""
+    flat = replace(p, g_lrs=1.0)
+    with pytest.raises(ValueError, match="g_min must be below g_max") as mapped:
+        map_weights([[0.5]], 11, flat)
+    with pytest.raises(ValueError) as trial:
+        mvm_error_mc([[0.5]], n_trials=1, p=flat, programming=programming)
+    assert str(trial.value) == str(mapped.value)
+
+
 # --- write-verify programming ------------------------------------------------
 
 def test_program_already_on_target_is_free(p, m):
@@ -477,7 +489,7 @@ _P = default_params()
 _G_LO, _G_HI = (float(state_conductance(_P, w, v_read=V_VERIFY))
                 for w in (0.0, 1.0))
 _SPAN = _G_HI - _G_LO
-# the split trim's hand-built cases: a noiseless cell that reverses
+# the trim's hand-built cases: a noiseless cell that reverses
 # direction again and again; the pulse cap landing mid-run, in a
 # potentiation run and in a depression run; a cell that ends pinned at its
 # rail after a drawn pulse that is not counted, between cells that reverse,
@@ -496,7 +508,7 @@ _TRIM_CASES = {
 }
 
 
-def test_split_trim_cases_take_their_paths():
+def test_trim_cases_take_their_paths():
     """Each hand-built case drives the trim down the path it is named for,
     in the per-pulse reference."""
     cells, _ = _traced_program(_TRIM_CASES["reversals"])
