@@ -59,23 +59,15 @@ from collections.abc import Iterable
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__
-from .conduction import (V_READ, _figures_of_merit, current_total,
-                         current_tunneling)
-from .config import (ConfigError, SimConfig, _loop_legs, build_model, emit_config,
-                     load_config)
+from . import __version__, conduction, config, crossbar, device, extraction
 from .constants import K_B, Q_E
-from .crossbar import build_crossbar, sneak_margin, write_v_half
-from .device import (T_WIDTH_DEFAULT, V_DEP_DEFAULT, V_POT_DEFAULT,
-                     DeviceState, PulseSpec, PulseScheme, _d2d_offsets,
-                     _trace_read, _trains, dc_write_loop, memory_window,
-                     preset_scheme, retention_evolve, write_energy)
-from .extraction import (OHMIC_WINDOW, PF_WINDOW, Sweep, cdf_levels,
-                         discriminate_tunneling, extract_ohmic, extract_pf,
-                         fit_update_a)
+
+if TYPE_CHECKING:
+    from .config import SimConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -316,14 +308,15 @@ def _meta(command: str, cfg: SimConfig, seed: int, payload: dict) -> dict:
         "command": command,
         "seed": seed,
         "version": __version__,
-        "config_sha256": hashlib.sha256(emit_config(cfg).encode()).hexdigest(),
+        "config_sha256": hashlib.sha256(
+            config.emit_config(cfg).encode()).hexdigest(),
     }
     base.update(payload)
     return base
 
 
 def _figures(p, t: float) -> dict:
-    r_on, ratio, selection = _figures_of_merit(p, t)
+    r_on, ratio, selection = conduction._figures_of_merit(p, t)
     return {"on_off_0p1v": ratio, "r_on_ohms_0p3v": r_on,
             "selection_0p5v": selection}
 
@@ -346,11 +339,11 @@ def cmd_iv(cfg: SimConfig, bundle, seed: int) -> _Table:
         grid = np.geomspace(sec.v_min_v, sec.v_max_v, sec.n_points)
     else:
         grid = np.linspace(sec.v_min_v, sec.v_max_v, sec.n_points)
-    state = DeviceState(w=sec.state_w)
+    state = device.DeviceState(w=sec.state_w)
     currents = []
     for t in sec.t_list_k:
         with _t_list_entry(t):
-            currents.append(current_total(grid, t, p, state))
+            currents.append(conduction.current_total(grid, t, p, state))
 
     def block(t, v, i):
         # as float division: inf past float range, and no error
@@ -374,14 +367,14 @@ def cmd_hysteresis(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     sec = cfg.hysteresis
     grid = np.concatenate([[0.0]] + [np.linspace(a, b, n + 1)[1:]
-                                     for a, b, n in _loop_legs(sec)])
-    trace = dc_write_loop(DeviceState(w=0.0), grid, p,
-                          v_read=bundle.v_read, t=bundle.t_kelvin)
+                                     for a, b, n in config._loop_legs(sec)])
+    trace = device.dc_write_loop(device.DeviceState(w=0.0), grid, p,
+                                 v_read=bundle.v_read, t=bundle.t_kelvin)
     blocks = _slices(grid, trace.w, trace.i_amps, trace.r_ohms)
     return "loop.csv", ["v_write_volts", "w", "i_amps", "r_ohms"], blocks, {
         "sweep": asdict(sec),
         "read": {"v_read": bundle.v_read, "t_kelvin": bundle.t_kelvin},
-        "window": asdict(memory_window(grid, trace.r_ohms)),
+        "window": asdict(device.memory_window(grid, trace.r_ohms)),
     }
 
 
@@ -389,13 +382,13 @@ def cmd_scheme(cfg: SimConfig, bundle, seed: int) -> _Table:
     p, m = bundle.params, bundle.update
     sec = cfg.scheme
     pulses = [pulse for polarity in ("pot", "dep")
-              for pulse in preset_scheme(
+              for pulse in device.preset_scheme(
                   sec.kind, polarity,
                   alt_amplitudes=sec.alt_amplitudes).pulses()]
     # w depends only on w and the pulse, so the cycles run as one train
-    [ws] = _trains(m, sec.kind, np.random.default_rng(seed),
-                   [(0.0, pulses * sec.n_cycles)])
-    _, r = _trace_read(V_READ, bundle.t_kelvin, p, ws)
+    [ws] = device._trains(m, sec.kind, np.random.default_rng(seed),
+                          [(0.0, pulses * sec.n_cycles)])
+    _, r = device._trace_read(conduction.V_READ, bundle.t_kelvin, p, ws)
     n = len(pulses)
     blocks = _slices(
         np.repeat(np.arange(1, sec.n_cycles + 1, dtype=np.int64), n),
@@ -420,16 +413,17 @@ def cmd_fit_a(cfg: SimConfig, bundle, seed: int) -> _Table:
     n = m.n_full
     if kind == "amplitude_ramp":
         # constant above-onset train: every pulse advances exactly one count
-        pot, dep = (PulseScheme("amplitude_ramp", n, v, v_step=0.0,
-                                width=T_WIDTH_DEFAULT)
-                    for v in (V_POT_DEFAULT, V_DEP_DEFAULT))
+        pot, dep = (device.PulseScheme("amplitude_ramp", n, v, v_step=0.0,
+                                       width=device.T_WIDTH_DEFAULT)
+                    for v in (device.V_POT_DEFAULT, device.V_DEP_DEFAULT))
     else:
-        pot, dep = preset_scheme(kind, "pot"), preset_scheme(kind, "dep")
-    pot_w, dep_w = _trains(m, kind, None, [(0.0, pot.pulses()),
-                                           (1.0, dep.pulses())])
-    fit_pot = fit_update_a(np.arange(1, len(pot_w) + 1), pot_w)
-    fit_dep = fit_update_a(np.arange(1, len(dep_w) + 1),
-                           [1.0 - w for w in dep_w])
+        pot = device.preset_scheme(kind, "pot")
+        dep = device.preset_scheme(kind, "dep")
+    pot_w, dep_w = device._trains(m, kind, None, [(0.0, pot.pulses()),
+                                                  (1.0, dep.pulses())])
+    fit_pot = extraction.fit_update_a(np.arange(1, len(pot_w) + 1), pot_w)
+    fit_dep = extraction.fit_update_a(np.arange(1, len(dep_w) + 1),
+                                      [1.0 - w for w in dep_w])
     blocks = [(["a_pot", "a_dep", "amplitude_pot", "amplitude_dep"],
                np.array([fit_pot.a, fit_dep.a, fit_pot.amplitude,
                          fit_dep.amplitude]),
@@ -446,21 +440,22 @@ def cmd_fit_a(cfg: SimConfig, bundle, seed: int) -> _Table:
 def cmd_cdf(cfg: SimConfig, bundle, seed: int) -> _Table:
     p, m = bundle.params, bundle.update
     cycles = cfg.cdf.n_cycles
-    train = preset_scheme("amplitude_ramp", "dep").pulses()
+    train = device.preset_scheme("amplitude_ramp", "dep").pulses()
     n = len(train)
     # every cycle starts from the same pristine w = 1, read as column 0
     ws = np.empty((cycles, n + 1))
     ws[:, 0] = 1.0
-    ws[:, 1:] = _trains(m, "amplitude_ramp", np.random.default_rng(seed),
-                        [(1.0, train)] * cycles)
-    _, traces = _trace_read(V_READ, bundle.t_kelvin, p, ws)
-    report = cdf_levels(traces)
+    ws[:, 1:] = device._trains(m, "amplitude_ramp",
+                               np.random.default_rng(seed),
+                               [(1.0, train)] * cycles)
+    _, traces = device._trace_read(conduction.V_READ, bundle.t_kelvin, p, ws)
+    report = extraction.cdf_levels(traces)
     blocks = _slices(np.arange(n + 1, dtype=np.int64), report.medians,
                      report.iqrs)
     return "cdf.csv", ["pulse_index", "median_r_ohms", "iqr_r_ohms"], blocks, {
         "cycles": cycles,
         "scheme": "amplitude_ramp depression",
-        "read_v": V_READ,
+        "read_v": conduction.V_READ,
         "c2c_rel": m.c2c_rel,
         "n_levels": report.n_levels,
         "pooled_iqr_ohms": report.pooled_iqr,
@@ -474,10 +469,11 @@ def cmd_retention(cfg: SimConfig, bundle, seed: int) -> _Table:
     blocks = []
     finals = {}
     for label, w0 in (("lrs", 1.0), ("hrs", 0.0)):
-        s0 = DeviceState(w=w0)
-        ws = np.fromiter((retention_evolve(s0, t_s, sec.drift_rate_per_s).w
+        s0 = device.DeviceState(w=w0)
+        ws = np.fromiter((device.retention_evolve(s0, t_s,
+                                                  sec.drift_rate_per_s).w
                           for t_s in times.tolist()), float, len(times))
-        _, r = _trace_read(bundle.v_read, bundle.t_kelvin, p, ws)
+        _, r = device._trace_read(bundle.v_read, bundle.t_kelvin, p, ws)
         blocks += ([[label] * len(t), t, w, r_ohms]
                    for t, w, r_ohms in _slices(times, ws, r))
         finals[label] = float(r[-1])
@@ -493,12 +489,12 @@ def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     n_devices = cfg.d2d.n_devices
     sigma = cfg.variation.sigma_d2d
-    offsets = _d2d_offsets(sigma, [seed], n_devices)[0]
+    offsets = device._d2d_offsets(sigma, [seed], n_devices)[0]
 
     def block(start):
         d2d_log10 = offsets[start:start + _CSV_BLOCK]
-        _, (r_hrs, r_lrs) = _trace_read(bundle.v_read, bundle.t_kelvin, p,
-                                        [[0.0], [1.0]], d2d_log10)
+        _, (r_hrs, r_lrs) = device._trace_read(
+            bundle.v_read, bundle.t_kelvin, p, [[0.0], [1.0]], d2d_log10)
         index = np.arange(start, start + len(d2d_log10), dtype=np.int64)
         return index, d2d_log10, r_hrs, r_lrs
 
@@ -517,15 +513,16 @@ def cmd_d2d(cfg: SimConfig, bundle, seed: int) -> _Table:
 def cmd_scaling(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     sec = cfg.scaling
-    pulse = PulseSpec(sec.v_write_v, sec.t_width_s)
+    pulse = device.PulseSpec(sec.v_write_v, sec.t_width_s)
     rows = []
     for a_um2 in sec.areas_um2:
         pa = replace(p, area=a_um2 * 1e-12)
-        lrs = DeviceState(w=1.0)
-        i_read = current_total(V_READ, bundle.t_kelvin, pa, lrs)
-        e_j = write_energy(pulse, lrs, pa, t=bundle.t_kelvin)
-        rows.append((a_um2, i_read, i_read / pa.area, V_READ / i_read,
-                     e_j * 1e12))
+        lrs = device.DeviceState(w=1.0)
+        i_read = conduction.current_total(conduction.V_READ, bundle.t_kelvin,
+                                          pa, lrs)
+        e_j = device.write_energy(pulse, lrs, pa, t=bundle.t_kelvin)
+        rows.append((a_um2, i_read, i_read / pa.area,
+                     conduction.V_READ / i_read, e_j * 1e12))
     return "scaling.csv", ["area_um2", "i_read_amps", "j_read_a_per_m2",
                            "r_on_ohms", "write_energy_pj"], [
         list(np.array(rows).T)], {
@@ -539,19 +536,22 @@ def cmd_arrhenius(cfg: SimConfig, bundle, seed: int) -> _Table:
     p = bundle.params
     sec = cfg.arrhenius
     temps = list(sec.t_list_k)
-    lrs = DeviceState(w=1.0)
-    ohm_v = np.linspace(*OHMIC_WINDOW, sec.n_points)
-    pf_v = np.linspace(*PF_WINDOW, sec.n_points)
+    lrs = device.DeviceState(w=1.0)
+    ohm_v = np.linspace(*extraction.OHMIC_WINDOW, sec.n_points)
+    pf_v = np.linspace(*extraction.PF_WINDOW, sec.n_points)
     ohm_sweeps, pf_sweeps = [], []
     for v, sweeps in ((ohm_v, ohm_sweeps), (pf_v, pf_sweeps)):
         for t in temps:
             with _t_list_entry(t):
-                sweeps.append(Sweep(v, current_total(v, t, p, lrs), t))
-    pf = extract_pf(pf_sweeps, d_fe=p.d_fe)
-    ohm = extract_ohmic(ohm_sweeps)
-    verdict_dev = discriminate_tunneling(pf_sweeps)
-    tun_sweeps = [Sweep(pf_v, current_tunneling(pf_v, p), t) for t in temps]
-    verdict_tun = discriminate_tunneling(tun_sweeps)
+                sweeps.append(extraction.Sweep(
+                    v, conduction.current_total(v, t, p, lrs), t))
+    pf = extraction.extract_pf(pf_sweeps, d_fe=p.d_fe)
+    ohm = extraction.extract_ohmic(ohm_sweeps)
+    verdict_dev = extraction.discriminate_tunneling(pf_sweeps)
+    tun_sweeps = [
+        extraction.Sweep(pf_v, conduction.current_tunneling(pf_v, p), t)
+        for t in temps]
+    verdict_tun = extraction.discriminate_tunneling(tun_sweeps)
     k_over_q = K_B / Q_E
     rows = [
         ("eps_r", pf.eps_r,
@@ -568,8 +568,8 @@ def cmd_arrhenius(cfg: SimConfig, bundle, seed: int) -> _Table:
     blocks = [(list(labels), np.array(values), np.array(stderrs))]
     return "fit.csv", ["param", "value", "stderr"], blocks, {
         "temps_kelvin": temps,
-        "windows": {"ohmic_v": list(OHMIC_WINDOW),
-                    "trap_emission_v": list(PF_WINDOW)},
+        "windows": {"ohmic_v": list(extraction.OHMIC_WINDOW),
+                    "trap_emission_v": list(extraction.PF_WINDOW)},
         "model_values": {"eps_r": p.eps_r, "phi_pf_ev": p.phi_pf,
                          "ea_ohm_ev": p.ea_ohm},
         "mechanism": {
@@ -587,20 +587,20 @@ def cmd_xbar(cfg: SimConfig, bundle, seed: int) -> _Table:
     p, m = bundle.params, bundle.update
     sec = cfg.xbar
     sigma = cfg.variation.sigma_d2d
-    xbar = build_crossbar(sec.n_rows, sec.n_cols, p, sigma, seed,
-                          t_kelvin=bundle.t_kelvin)
+    xbar = crossbar.build_crossbar(sec.n_rows, sec.n_cols, p, sigma, seed,
+                                   t_kelvin=bundle.t_kelvin)
     w = np.ones((sec.n_rows, sec.n_cols))
     w[0, 0] = 0.0  # worst case: every sneak path is low-resistance
     xbar = xbar.with_weights(w)
-    report = sneak_margin(xbar, 0, 0, sec.v_read_v)
+    report = crossbar.sneak_margin(xbar, 0, 0, sec.v_read_v)
     sol = report.solution
     blocks = _slices(
         np.repeat(np.arange(sec.n_rows, dtype=np.int64), sec.n_cols),
         np.tile(np.arange(sec.n_cols, dtype=np.int64), sec.n_rows),
         xbar.w.ravel(), sol.device_v.ravel(), sol.device_i.ravel())
     rng = np.random.default_rng(seed)
-    pulse = PulseSpec(sec.v_write_v, sec.t_width_s)
-    _, wrep = write_v_half(xbar, 0, 0, pulse, m, rng=rng)
+    pulse = device.PulseSpec(sec.v_write_v, sec.t_width_s)
+    _, wrep = crossbar.write_v_half(xbar, 0, 0, pulse, m, rng=rng)
     return "xbar.csv", ["row", "col", "w", "v_device_volts",
                         "i_device_amps"], blocks, {
         "shape": [sec.n_rows, sec.n_cols],
@@ -624,10 +624,10 @@ def cmd_bench(cfg: SimConfig, bundle, seed: int) -> _Table:
     """Figure-of-merit summary table for the calibrated model."""
     p, m = bundle.params, bundle.update
     t = bundle.t_kelvin
-    hrs = DeviceState(w=0.0)
+    hrs = device.DeviceState(w=0.0)
     shape = m.shape_for("amplitude_ramp")
-    pulse = PulseSpec(V_POT_DEFAULT, T_WIDTH_DEFAULT)
-    energy_j = write_energy(pulse, hrs, p, t=t)
+    pulse = device.PulseSpec(device.V_POT_DEFAULT, device.T_WIDTH_DEFAULT)
+    energy_j = device.write_energy(pulse, hrs, p, t=t)
     metrics = {
         **_figures(p, t),
         "a_pot": shape.a_pot,
@@ -758,14 +758,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        cfg = load_config(args.config) if args.config else SimConfig()
-    except (ConfigError, OSError) as exc:
+        cfg = (config.load_config(args.config) if args.config
+               else config.SimConfig())
+    except (config.ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     # parse owns every config limit, so what fails from here on is numerical
     try:
-        bundle = build_model(cfg)
+        bundle = config.build_model(cfg)
         # a float overflow, invalid operation or division by zero inside a
         # command is a numerical failure, not a warning beside a bad table
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -397,7 +397,7 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
     failed = np.zeros(n_trials, dtype=int)
     root = np.random.SeedSequence(seed)
     for trial, child in enumerate(root.spawn(n_trials)):
-        s_pos, s_neg, s_prog, s_x = child.spawn(4)
+        s_pos, s_neg, s_prog = child.spawn(3)
         d2d = _d2d_offsets(sigma_d2d, (s_pos, s_neg),
                            n_rows * n_cols).reshape(shape)
         # a Crossbar's offset checks on both planes, before any pulse
@@ -412,8 +412,10 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
             pulses[trial] = report.pulses_total
             failed[trial] = report.n_failed
         currents = _array_current(p, t, w_planes, d2d, v_read)
+        # the input's child, spawn key (..., 3), only when it is drawn
         x = (x_inputs if x_inputs is not None
-             else np.random.default_rng(s_x).uniform(0.0, 1.0, n_rows))
+             else np.random.default_rng(child.spawn(1)[0]).uniform(
+                 0.0, 1.0, n_rows))
         # charges as (input, plane, column), all-ones input first
         q = _line_sums(np.stack([ones, x])[:, None, :, None] * currents,
                        axis=2)

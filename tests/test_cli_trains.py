@@ -10,7 +10,7 @@ state.
 import numpy as np
 import pytest
 
-from ftjsim import cli
+from ftjsim import cli, device
 from ftjsim.config import build_model, parse_config
 from ftjsim.device import SCHEME_KINDS, preset_scheme
 from oracle import command_run, reference_run
@@ -84,14 +84,14 @@ def test_scheme_trains_restart_from_the_start_state(monkeypatch, text):
     it ended, also when no pulse of the train moved the state
     (v_on_pot_v = -3.0 puts every potentiation pulse below its onset)."""
     calls = []
-    trains = cli._trains
+    trains = device._trains
 
     def spy(m, kind, rng, runs):
         out = trains(m, kind, rng, runs)
         calls.append((rng, runs, out))
         return out
 
-    monkeypatch.setattr(cli, "_trains", spy)
+    monkeypatch.setattr(device, "_trains", spy)
     cfg = parse_config("[scheme]\nn_cycles = 3\n" + text)
     bundle = build_model(cfg)
     cli.cmd_scheme(cfg, bundle, 0)

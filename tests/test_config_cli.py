@@ -1,5 +1,6 @@
 """INI config parsing, model building, CLI exit codes, output determinism."""
 
+import ast
 import csv
 import io
 import json
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ftjsim
 from ftjsim import cli, config, crossbar, device
 from ftjsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from ftjsim.conduction import CalibrationError
@@ -495,12 +497,7 @@ def test_cli_parser_is_built_on_first_use_only():
         "cli.main(['bogus'])\n"
         "info = cli._build_parser.cache_info()\n"
         "print(before, info.currsize, info.misses)\n")
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True, env={
-                             **os.environ,
-                             "PYTHONPATH": os.pathsep.join(filter(None, path))})
-    assert run.stdout.split() == ["0", "1", "1"]
+    assert _fresh(script).split() == ["0", "1", "1"]
 
 
 @pytest.mark.parametrize("text", [
@@ -887,21 +884,112 @@ def test_cli_outputs_are_deterministic(tmp_path, command):
         assert runs["a"][table] != runs["c"][table]
 
 
+def _fresh(script: str) -> str:
+    """The output of script, run in a fresh interpreter on this ftjsim."""
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, env={
+                              **os.environ,
+                              "PYTHONPATH": os.pathsep.join(filter(None, path))
+                          }).stdout
+
+
+def _modules_run(script: str) -> tuple[list[str], list[str]]:
+    """script's output lines in a fresh interpreter, and the ftjsim modules
+    whose code it ran: the files of the code objects that the exec audit
+    event reports."""
+    out = _fresh(
+        "import sys\n"
+        "from pathlib import Path\n"
+        "ran = set()\n"
+        "sys.addaudithook(lambda event, args: ran.add(args[0].co_filename)\n"
+        "                 if event == 'exec' else None)\n"
+        + script +
+        "\nprint(sorted(Path(f).stem for f in ran\n"
+        "             if Path(f).parent.name == 'ftjsim'))\n")
+    *lines, ran = out.splitlines()
+    return lines, ast.literal_eval(ran)
+
+
 def test_cli_commands_load_no_scipy(tmp_path):
     """scipy is a test-only dependency: all 11 commands, run in a fresh
-    interpreter, load no scipy module."""
-    script = (
-        "import sys\n"
+    interpreter, load no scipy module. None of them runs inference's
+    code either."""
+    lines, ran = _modules_run(
         "from ftjsim import cli\n"
         "for command in cli._HANDLERS:\n"
         f"    assert cli.main([command, '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, check=True, env={
-                             **os.environ,
-                             "PYTHONPATH": os.pathsep.join(filter(None, path))})
-    assert run.stdout.splitlines()[-1] == "[]"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert lines[-1] == "[]"
+    assert ran == ["__init__", "cli", "conduction", "config", "constants",
+                   "crossbar", "device", "extraction"]
+
+
+def test_importing_ftjsim_and_its_cli_runs_no_layer():
+    """Each layer runs on first use: importing the package and the CLI,
+    in either form, runs none of the six."""
+    assert _modules_run("import ftjsim, ftjsim.cli\n"
+                        "from ftjsim import cli")[1] == [
+        "__init__", "cli", "constants"]
+
+
+def test_a_crossbar_read_runs_only_the_layers_under_it():
+    """An array read never runs config, extraction or inference."""
+    assert _modules_run(
+        "import ftjsim\n"
+        "xbar = ftjsim.crossbar.build_crossbar(\n"
+        "    8, 8, ftjsim.conduction.default_params(), seed=0)\n"
+        "ftjsim.crossbar.sneak_margin(xbar, 0, 0, 0.5)")[1] == [
+        "__init__", "conduction", "constants", "crossbar", "device"]
+
+
+_LAYERS = ("conduction", "config", "crossbar", "device", "extraction",
+           "inference")
+
+
+def _public_names() -> set[str]:
+    return {name for layer in _LAYERS
+            for name in getattr(ftjsim, layer).__all__}
+
+
+def test_dir_lists_every_public_name_before_any_layer_loads():
+    """dir(ftjsim) is where test_readme_lists_the_public_api_by_module
+    takes the public names from: in a fresh interpreter, before any
+    attribute access, it holds every layer's __all__ and the modules."""
+    listed = ast.literal_eval(_fresh("import ftjsim\n"
+                                     "print(dir(ftjsim))").splitlines()[-1])
+    assert {*_public_names(), *_LAYERS, "constants"} - set(listed) == set()
+
+
+def test_star_import_binds_every_public_name_and_layer():
+    """`from ftjsim import *` binds what the package's star imports of
+    the six layers bound: every __all__ name, the layers and constants."""
+    bound = ast.literal_eval(_fresh(
+        "from ftjsim import *\n"
+        "print(sorted(n for n in globals() if not n.startswith('_')))"
+    ).splitlines()[-1])
+    assert sorted(bound) == sorted({*_public_names(), *_LAYERS, "constants"})
+
+
+def test_public_names_are_their_layers_objects(monkeypatch):
+    """ftjsim.<name> is ftjsim.<layer>.<name>; a name that two layers
+    export resolves to the later layer's, as the star imports bound it."""
+    owner = {name: layer for layer in _LAYERS
+             for name in getattr(ftjsim, layer).__all__}
+    for name, layer in owner.items():
+        assert getattr(ftjsim, name) is getattr(getattr(ftjsim, layer),
+                                                name), name
+    later = object()
+    monkeypatch.setattr(ftjsim.inference, "__all__",
+                        [*ftjsim.inference.__all__, "build_crossbar"])
+    monkeypatch.setattr(ftjsim.inference, "build_crossbar", later,
+                        raising=False)
+    assert ftjsim.build_crossbar is later
+
+
+def test_unknown_package_attribute_names_itself():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        ftjsim.no_such_name  # noqa: B018
 
 
 def test_cli_iv_zero_grid_gives_zero_current(tmp_path):
