@@ -17,9 +17,11 @@ attribute access to it, so a process that only reads arrays never runs
 ``config``, ``extraction`` or ``inference``. Each lazy layer is in
 ``sys.modules`` from the start, so code that looks a layer up there, as the
 benchmark's tracer (perfbench/tracer.py) does, finds it before its first
-use. A re-exported name, ``ftjsim.build_crossbar``, loads the layers it is
-searched in. ``dir(ftjsim)``, ``from ftjsim import *`` and the tracer read
-every layer's __all__ and so load every layer.
+use. No name is in two layers' __all__. A re-exported name,
+``ftjsim.build_crossbar``, is searched for in import order, so a name of
+conduction, device, crossbar or inference loads that layer and the layers
+it imports alone. ``dir(ftjsim)``, ``from ftjsim import *`` and the tracer
+read every layer's __all__ and so load every layer.
 """
 
 import os as _os
@@ -28,10 +30,10 @@ from importlib import util as _util
 
 __version__ = "0.1.0"
 
-# The order of the star imports this package once made: a name that two
-# layers export resolves to the later layer's.
-_LAYERS = ("conduction", "config", "crossbar", "device", "extraction",
-           "inference")
+# The import graph's order: each of the first four imports every layer
+# before it, so searching for one of their names loads no other layer.
+_LAYERS = ("conduction", "device", "crossbar", "inference", "extraction",
+           "config")
 
 
 def _lazy(layer: str):
@@ -43,7 +45,7 @@ def _lazy(layer: str):
     return module
 
 
-conduction, config, crossbar, device, extraction, inference = map(_lazy,
+conduction, device, crossbar, inference, extraction, config = map(_lazy,
                                                                   _LAYERS)
 
 
@@ -59,7 +61,7 @@ def __getattr__(name: str):
     # `from ftjsim import cli` asks here before it imports a submodule,
     # which no layer exports: answer without loading the layers
     if not _os.path.isfile(_os.path.join(__path__[0], f"{name}.py")):
-        for layer in reversed(_LAYERS):
+        for layer in _LAYERS:
             module = globals()[layer]
             if name in module.__all__:
                 return getattr(module, name)

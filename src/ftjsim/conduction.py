@@ -25,8 +25,10 @@ the checked boundary. _array_current is the one unchecked array read,
 current_total_g's ops on cell arrays (w, d2d_log10) of any shape, for
 callers that check bias and temperature once: crossbar's fixed-potential
 reads, inference's charge MVM and device's trace read. Crossbar's Newton
-solve and device's write-verify trim compose the terms directly, each
-keeping these kernels' bits. Their module docstrings say how.
+solve composes the kernels too: _bias_terms and _total at each point, and
+_conductance for its Jacobian. Device's write-verify trim is the one
+restatement of the terms, in Python floats for speed and with these
+kernels' bits; its module docstring says how.
 
 state_multiplier is the one multiplier of the public API: float ** on
 scalars, and on arrays a broadcast np.float_power, which calls the C

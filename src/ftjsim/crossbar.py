@@ -22,12 +22,12 @@ _array_current, the one unchecked array read, after checking the bias
 once. It takes cell arrays (w, d2d_log10) of any shape, so a trial of
 mvm_error_mc reads its two planes as one stacked array. solve_network
 builds, once per call, everything a Newton point repeats: the free-line
-index arrays, the potential, grid and residual buffers, one Jacobian
-whose diagonal is a strided view, and ga * ohm_c. Each point writes its
-iterate into the potential buffer and evaluates the grid
-rv[:, None] - cv[None, :] op for op as conduction's _bias_terms and
-_total do; each iteration builds the conductance grid from the accepted
-point's terms for its Jacobian only. The results are bit-identical to
+index arrays, the potential, grid and residual buffers, and one Jacobian
+whose diagonal is a strided view. Each point writes its iterate into the
+potential buffer and reads the grid rv[:, None] - cv[None, :] through
+conduction's _bias_terms and _total, as _array_current does; each
+iteration builds the conductance grid from the accepted point's terms
+with _conductance, for its Jacobian only. The results are bit-identical to
 evaluating each cell with the scalar current_total: state_multiplier
 calls the C library's pow() per element, as float ** does, the terms keep
 the kernels' order of operations, and line currents, Jacobian diagonals
@@ -40,8 +40,9 @@ build_crossbar takes the cells' offsets from device's d2d draw, cell
 inference.program_write_verify return a new array with the changed
 weights; write_v_half pulses only the n_rows + n_cols - 1 biased cells, as
 one one-pulse device._trains train each; the law leaves a cell at 0 V
-unchanged without a draw, as zero lies between the onsets. Device's write-verify trim is the
-one read of an array that does not go through _array_current.
+unchanged without a draw, as zero lies between the onsets. Device's
+write-verify trim is the one read of an array that restates conduction's
+terms instead of composing its kernels.
 
 The device nonlinearity is what makes select-free operation possible:
 sneak-path devices sit at a fraction of the read voltage where the
@@ -57,9 +58,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .conduction import (ConductionParams, T_REF, _array_current, _coeffs,
-                         _conductance, check_bias, check_temperature,
-                         state_multiplier)
+from .conduction import (ConductionParams, T_REF, _array_current,
+                         _bias_terms, _coeffs, _conductance, _total,
+                         check_bias, check_temperature, state_multiplier)
 from .device import (DeviceState, PulseSpec, UpdateModel, _check_cells,
                      _d2d_offsets, _trains)
 
@@ -277,12 +278,12 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
 
     The driven potentials are checked once per call; the temperature was
     checked when the array was built. Each call lays out, once, the
-    free-line indexes, the potential and grid buffers, the Jacobian and
-    its diagonal view, and the product ga * ohm_c. Each Newton point then
-    writes its iterate into the potential buffer, evaluates the channel
-    terms of the device-voltage grid into the grid buffers, and takes the
-    residual from the currents' left-to-right line sums; the buffers end
-    up holding the accepted point, which the solution returns. Only an
+    free-line indexes, the potential and grid buffers, and the Jacobian
+    and its diagonal view. Each Newton point then writes its iterate into
+    the potential buffer, reads the device-voltage grid through
+    conduction's _bias_terms and _total, and takes the residual from the
+    currents' left-to-right line sums; the last point evaluated is the
+    accepted one, which the solution returns. Only an
     accepted point that has not converged builds a Jacobian: its
     conductance grid comes from that point's terms, and its diagonals are
     the grid's line sums.
@@ -309,13 +310,11 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
     fr, fc = free[:n_fr], free[n_fr:] - nr
     ohm_c, pf_c, theta = _coeffs(xbar.params, xbar.t_kelvin)
     ga = xbar.multipliers() * xbar.params.area
-    ga_ohm = ga * ohm_c  # _total's ga * ohm_c
     x = np.full(n_free, float(np.add.reduce(driven) / len(driven)))
     # per-solve buffers: every point overwrites them, so after the loop
-    # they hold the accepted point; the solution keeps dv and di alone
-    dv, di = np.empty((2, nr, nc))
-    mag, rt, sign, e, pf, ga_sign, running = np.empty((7, nr, nc))
-    terms = (sign, mag, rt, e)
+    # they hold the accepted point, as do terms and di
+    dv, running = np.empty((2, nr, nc))
+    terms = di = None
     col_sums = np.empty(nc)
     f = np.empty(n_free)
     f_rows, f_cols = f[:n_fr], f[n_fr:]
@@ -335,21 +334,13 @@ def solve_network(xbar: Crossbar, scheme: BiasScheme,
 
     def point(xv):
         """The residual norm at one iterate, with the potentials, device
-        voltages, bias terms, currents and residual left in the
-        buffers. The terms and currents are conduction._bias_terms and
-        _total op for op."""
+        voltages and residual left in the buffers and the bias terms and
+        currents in terms and di."""
+        nonlocal terms, di
         lines[free] = xv
         np.subtract(rv_col, cv, out=dv)
-        np.abs(dv, out=mag)
-        np.sqrt(mag, out=rt)
-        np.sign(dv, out=sign)
-        np.exp(np.multiply(theta, rt, out=e), out=e)
-        np.multiply(ga_ohm, dv, out=di)
-        np.multiply(pf_c, mag, out=pf)
-        np.multiply(pf, e, out=pf)
-        np.multiply(ga, sign, out=ga_sign)
-        np.multiply(ga_sign, pf, out=pf)
-        np.add(di, pf, out=di)
+        terms = _bias_terms(dv, theta)
+        di = _total(ga, dv, terms, ohm_c, pf_c)
         _sums_into(di, running, col_sums)
         running.take(row_ends, out=f_rows, mode="clip")
         col_sums.take(fc, out=f_cols, mode="clip")

@@ -93,8 +93,19 @@ def state_conductance(p: ConductionParams, w, v_read: float = V_ONOFF,
 
 def _pristine_g(p: ConductionParams, v_read: float, t: float) -> float:
     """Chordal conductance of the pristine state (w = 0, no offset), the
-    base every state's conductance scales."""
+    base every state's conductance scales. A zero bias raises ValueError."""
+    if v_read == 0:
+        raise ValueError(f"read bias must be nonzero, got {v_read!r}")
     return current_total(v_read, t, p, DeviceState(w=0.0)) / v_read
+
+
+def _check_count(name: str, value, least: int, kind: str) -> int:
+    """value as an int; a bool, a non-integer or a value below least
+    raises ValueError: "<name> must be <kind>, got <value>"."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def _level_spacing(n_levels: int) -> float:
@@ -124,8 +135,7 @@ class WeightMapping:
     g_neg: np.ndarray
 
     def __post_init__(self):
-        if self.n_levels < 2:
-            raise ValueError("n_levels must be >= 2")
+        _check_count("n_levels", self.n_levels, 2, "an integer >= 2")
         if not self.g_min < self.g_max:
             raise ValueError("g_min must be below g_max")
         for g in (self.g_pos, self.g_neg):
@@ -151,9 +161,7 @@ def _quantize(wmat, n_levels: int):
         raise ValueError("weight matrix contains non-finite values")
     if np.any(np.abs(w) > 1.0):
         raise ValueError("weights must lie in [-1, 1]")
-    if n_levels < 2:
-        raise ValueError("n_levels must be >= 2")
-    steps = n_levels - 1
+    steps = _check_count("n_levels", n_levels, 2, "an integer >= 2") - 1
     u_pos = np.round(np.clip(w, 0.0, 1.0) * steps) / steps
     u_neg = np.round(np.clip(-w, 0.0, 1.0) * steps) / steps
     return w, u_pos, u_neg
@@ -179,7 +187,8 @@ def map_weights(wmat, n_levels: int, p: ConductionParams,
     plane, negative entries on the negative plane; the other plane stays
     at the HRS. Levels are uniform in normalized conductance, so the
     decoded weight error is at most half a level spacing per entry and
-    w = 0 maps to an equal pair.
+    w = 0 maps to an equal pair. n_levels must be an integer >= 2 and
+    v_read nonzero.
     """
     _, u_pos, u_neg = _quantize(wmat, n_levels)
     g_min, g_max = _window(p, v_read, t)
@@ -253,11 +262,8 @@ def _check_program(shape: tuple, g_targets, m: UpdateModel, tol_g: float,
         raise ValueError("verify bias must be nonzero")
     if max_pulses is None:
         return g_targets, 3 * m.n_full
-    if (isinstance(max_pulses, bool)
-            or not isinstance(max_pulses, (int, np.integer)) or max_pulses < 0):
-        raise ValueError("max_pulses must be a non-negative integer, got "
-                         f"{max_pulses!r}")
-    return g_targets, int(max_pulses)
+    return g_targets, _check_count("max_pulses", max_pulses, 0,
+                                   "a non-negative integer")
 
 
 def _program(m: UpdateModel, rng: np.random.Generator | None,
@@ -356,10 +362,7 @@ def mvm_error_mc(wmat, x_inputs=None, n_levels: int = 11,
         raise ValueError(f"unknown programming mode {programming!r}")
     if decoder not in ("calibrated", "exact"):
         raise ValueError(f"unknown decoder mode {decoder!r}")
-    if (isinstance(n_trials, bool)
-            or not isinstance(n_trials, (int, np.integer)) or n_trials < 1):
-        raise ValueError(f"n_trials must be a positive integer, got "
-                         f"{n_trials!r}")
+    _check_count("n_trials", n_trials, 1, "a positive integer")
     _check_sigma_d2d(sigma_d2d)
     check_temperature(t)
     _check_mvm_bias(v_read)

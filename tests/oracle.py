@@ -6,10 +6,10 @@ Each form restates, once and one scalar step at a time, a loop that a fast
 path of ftjsim must reproduce bit for bit. None calls a path it checks:
 apply_pulse, run_scheme, dc_write_loop, _trains, _trim,
 _lognormal_stream, _trace_read, _d2d_offsets, sample_d2d_offsets,
-program_write_verify or write_v_half. They build on the scalar kernel
-current_total, the record types, _switch_level, retention_evolve,
-memory_window, the extraction fits, and build_crossbar and the CLI's grids
-for inputs.
+program_write_verify, write_v_half or solve_network. They build on the
+scalar kernels current_total and differential_conductance, the record
+types, _switch_level, retention_evolve, memory_window, the extraction
+fits, and build_crossbar and the CLI's grids for inputs.
 """
 
 import math
@@ -19,9 +19,11 @@ from unittest import mock
 import numpy as np
 
 from ftjsim import cli
-from ftjsim.conduction import T_REF, V_READ, current_total
+from ftjsim.conduction import (T_REF, V_READ, current_total,
+                               differential_conductance)
 from ftjsim.config import _loop_legs
-from ftjsim.crossbar import BiasScheme, Crossbar, WriteReport, build_crossbar
+from ftjsim.crossbar import (NEWTON_MAX_ITER, NEWTON_TOL, BiasScheme, Crossbar,
+                             NetworkSolution, WriteReport, build_crossbar)
 from ftjsim.device import (DC_WIDTH, T_WIDTH_DEFAULT, V_C_NEG, V_C_POS,
                            V_DEP_DEFAULT, V_POT_DEFAULT, DeviceState,
                            PulseScheme, PulseSpec, _switch_level,
@@ -237,6 +239,102 @@ def v_half(xbar, row, col, pulse, m, rng=None):
         max_disturb=max((abs(d[2]) for d in disturbs), default=0.0),
         energy_joules=energy)
     return crossbar_of(states, xbar.params, t), report
+
+
+def seq_sum(values):
+    """Left-to-right float sum from zero, as sum() computes it up to
+    Python 3.11 (3.12 switched float sum() to compensated summation)."""
+    acc = 0
+    for v in values:
+        acc = acc + v
+    return acc
+
+
+def reference_solve(xbar, scheme, tol=NEWTON_TOL):
+    """solve_network's damped Newton solve, one scalar current_total or
+    differential_conductance call per device, each line's currents
+    summed left to right from zero. A NetworkSolution that the array
+    solve must equal by bytes."""
+    nr, nc = xbar.n_rows, xbar.n_cols
+    p, t = xbar.params, xbar.t_kelvin
+    driven = [float(v) for v in list(scheme.rows) + list(scheme.cols)
+              if v is not None]
+    free_rows = [r for r, v in enumerate(scheme.rows) if v is None]
+    free_cols = [c for c, v in enumerate(scheme.cols) if v is None]
+    n_free = len(free_rows) + len(free_cols)
+    row_v = np.array([0.0 if v is None else float(v) for v in scheme.rows])
+    col_v = np.array([0.0 if v is None else float(v) for v in scheme.cols])
+    x = np.full(n_free, float(np.mean(driven)))
+
+    def assemble(xv):
+        rv = row_v.copy()
+        cv = col_v.copy()
+        for k, r in enumerate(free_rows):
+            rv[r] = xv[k]
+        for k, c in enumerate(free_cols):
+            cv[c] = xv[len(free_rows) + k]
+        return rv, cv
+
+    def residual(xv):
+        rv, cv = assemble(xv)
+        f = np.zeros(n_free)
+        for k, r in enumerate(free_rows):
+            f[k] = seq_sum(current_total(rv[r] - cv[c], t, p, xbar.state(r, c))
+                            for c in range(nc))
+        for k, c in enumerate(free_cols):
+            f[len(free_rows) + k] = seq_sum(
+                current_total(rv[r] - cv[c], t, p, xbar.state(r, c))
+                for r in range(nr))
+        return f, rv, cv
+
+    def device_grid(rv, cv):
+        dv = rv[:, None] - cv[None, :]
+        di = np.array([[current_total(dv[r, c], t, p, xbar.state(r, c))
+                        for c in range(nc)] for r in range(nr)])
+        return dv, di
+
+    if n_free == 0:
+        rv, cv = assemble(x)
+        dv, di = device_grid(rv, cv)
+        return NetworkSolution(rv, cv, dv, di, di.sum(axis=1), di.sum(axis=0),
+                               iterations=0, residual=0.0)
+
+    f, rv, cv = residual(x)
+    it = 0
+    while np.max(np.abs(f)) > tol:
+        if it >= NEWTON_MAX_ITER:
+            raise RuntimeError("network solve did not converge")
+        jac = np.zeros((n_free, n_free))
+        col_index = {c: len(free_rows) + k for k, c in enumerate(free_cols)}
+        row_index = {r: k for k, r in enumerate(free_rows)}
+        for k, r in enumerate(free_rows):
+            for c in range(nc):
+                gdev = differential_conductance(rv[r] - cv[c], t, p, xbar.state(r, c))
+                jac[k, k] += gdev
+                if c in col_index:
+                    jac[k, col_index[c]] -= gdev
+        for k, c in enumerate(free_cols):
+            kk = len(free_rows) + k
+            for r in range(nr):
+                gdev = differential_conductance(rv[r] - cv[c], t, p, xbar.state(r, c))
+                jac[kk, kk] -= gdev
+                if r in row_index:
+                    jac[kk, row_index[r]] += gdev
+        step = np.linalg.solve(jac, -f)
+        norm0 = np.max(np.abs(f))
+        lam = 1.0
+        for _ in range(40):
+            f_new, rv, cv = residual(x + lam * step)
+            if np.max(np.abs(f_new)) < norm0:
+                break
+            lam *= 0.5
+        x = x + lam * step
+        f, rv, cv = residual(x)
+        it += 1
+    dv, di = device_grid(rv, cv)
+    return NetworkSolution(row_v=rv, col_v=cv, device_v=dv, device_i=di,
+                           row_i=di.sum(axis=1), col_i=di.sum(axis=0),
+                           iterations=it, residual=float(np.max(np.abs(f))))
 
 
 def gauss_seidel(xbar, scheme, t=T_REF, max_sweeps=200):

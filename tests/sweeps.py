@@ -15,6 +15,7 @@ import math
 import sys
 import tempfile
 import traceback
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,8 @@ import numpy as np
 import oracle
 from ftjsim import cli, conduction, device
 from ftjsim.config import SimConfig, build_model, parse_config
+from ftjsim.crossbar import (MAX_SOLVE_DIM, BiasScheme, NetworkSolution,
+                             build_crossbar, solve_network)
 from ftjsim.inference import program_write_verify
 
 D2D_SEEDS, D2D_N = range(4), 200000
@@ -30,6 +33,8 @@ NOISE_SEEDS, NOISE_C2C, NOISE_N = range(4), (0.05, 0.1, 0.3), 100000
 TRAIN_SEEDS = range(200)
 MULTIPLIER_SEEDS, MULTIPLIER_N = range(4), 250000
 NUMBER_SEEDS, NUMBER_N, NUMBER_BLOCK = range(4), 250000, 65536
+NETWORK_SEEDS = range(300)
+NETWORK_PATTERNS = ("read_select", "float_rows", "float_cols", "float_mask")
 
 
 def _differ(got, expect):
@@ -262,6 +267,74 @@ def multiplier():
     return ok
 
 
+def _network_case(seed):
+    """seed's array and scheme: 1-64 rows and columns, each side
+    log-uniform up to 2 ** 6.5 and capped at 64 (so about one side in
+    thirteen has 64 lines), with d2d spread, uniform weights and a drawn
+    temperature, under pattern seed % 4. read_select reads a drawn cell at
+    +-0.1-1 V; the others drive each line at -0.6-0.6 V and float 80 % of
+    the rows, 80 % of the columns, or half of both, with one column driven
+    at 0 V if every line floats."""
+    rng = np.random.default_rng(seed)
+    nr, nc = (min(round(2.0 ** rng.uniform(0.0, 6.5)), MAX_SOLVE_DIM)
+              for _ in range(2))
+    xbar = build_crossbar(nr, nc, conduction.default_params(),
+                          sigma_d2d=rng.uniform(0.01, 0.3), seed=seed,
+                          t_kelvin=rng.uniform(200.0, 450.0))
+    xbar = xbar.with_weights(rng.uniform(0.0, 1.0, (nr, nc)))
+    pattern = NETWORK_PATTERNS[seed % len(NETWORK_PATTERNS)]
+    row, col = int(rng.integers(nr)), int(rng.integers(nc))
+    if pattern == "read_select":
+        v = float(rng.choice([-1.0, 1.0])) * rng.uniform(0.1, 1.0)
+        return xbar, BiasScheme.read_select(nr, nc, row, col, v)
+    rows = rng.uniform(-0.6, 0.6, nr).tolist()
+    cols = rng.uniform(-0.6, 0.6, nc).tolist()
+    share_rows, share_cols = {"float_rows": (0.8, 0.0),
+                              "float_cols": (0.0, 0.8),
+                              "float_mask": (0.5, 0.5)}[pattern]
+    rows = [None if rng.random() < share_rows else v for v in rows]
+    cols = [None if rng.random() < share_cols else v for v in cols]
+    if all(v is None for v in rows + cols):
+        cols[col] = 0.0
+    return xbar, BiasScheme(rows=tuple(rows), cols=tuple(cols))
+
+
+def _solution_bytes(solve, xbar, scheme):
+    """solve's iteration count and every field of its NetworkSolution as
+    (dtype, shape, bytes), or the type of the RuntimeError or ValueError
+    it raised."""
+    try:
+        sol = solve(xbar, scheme)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc)
+    arrays = (np.asarray(getattr(sol, f.name))
+              for f in fields(NetworkSolution))
+    return sol.iterations, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def network():
+    """solve_network reads each Newton point through conduction's array
+    kernel. For seeds 0-299 it solves _network_case's array and scheme,
+    and oracle.reference_solve (one scalar current_total per device,
+    summed left to right) does the same. Every field of the two solutions
+    must agree by its bytes, or both must raise the same error. The
+    mismatch count and the Newton iterations are printed."""
+    bad = iterations = 0
+    for seed in NETWORK_SEEDS:
+        xbar, scheme = _network_case(seed)
+        new, ref = (_solution_bytes(solve, xbar, scheme) for solve in
+                    (solve_network, oracle.reference_solve))
+        if new != ref:
+            print(f"::error::seed {seed}: a {xbar.n_rows}x{xbar.n_cols} "
+                  "solve differs from the scalar reference")
+            bad += 1
+        elif not isinstance(new, type):
+            iterations += new[0]
+    print(f"{bad} of {len(NETWORK_SEEDS)} solves differ "
+          f"({iterations} Newton iterations)")
+    return not bad
+
+
 def _number_lines_differ(column, form) -> int:
     """How many lines of the array pass's text for column differ from
     form % value, rendered NUMBER_BLOCK values at a time."""
@@ -317,7 +390,8 @@ def csv_numbers():
     return not bad
 
 
-SWEEPS = (d2d, noise, write_verify, pulse_trains, multiplier, csv_numbers)
+SWEEPS = (d2d, noise, write_verify, pulse_trains, multiplier, network,
+          csv_numbers)
 
 
 def main():

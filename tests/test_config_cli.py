@@ -971,20 +971,29 @@ def test_star_import_binds_every_public_name_and_layer():
     assert sorted(bound) == sorted({*_public_names(), *_LAYERS, "constants"})
 
 
-def test_public_names_are_their_layers_objects(monkeypatch):
-    """ftjsim.<name> is ftjsim.<layer>.<name>; a name that two layers
-    export resolves to the later layer's, as the star imports bound it."""
+def test_no_name_is_in_two_layers_public_lists():
+    names = [name for layer in _LAYERS
+             for name in getattr(ftjsim, layer).__all__]
+    assert len(names) == len(set(names))
+
+
+def test_public_names_are_their_layers_objects():
+    """ftjsim.<name> is ftjsim.<layer>.<name>."""
     owner = {name: layer for layer in _LAYERS
              for name in getattr(ftjsim, layer).__all__}
     for name, layer in owner.items():
         assert getattr(ftjsim, name) is getattr(getattr(ftjsim, layer),
                                                 name), name
-    later = object()
-    monkeypatch.setattr(ftjsim.inference, "__all__",
-                        [*ftjsim.inference.__all__, "build_crossbar"])
-    monkeypatch.setattr(ftjsim.inference, "build_crossbar", later,
-                        raising=False)
-    assert ftjsim.build_crossbar is later
+
+
+@pytest.mark.parametrize("name, ran", [
+    ("build_crossbar", ["conduction", "constants", "crossbar", "device"]),
+    ("default_params", ["conduction", "constants"])])
+def test_a_public_name_runs_only_its_layer_and_those_it_imports(name, ran):
+    """ftjsim.<name> searches the layers in import order: a crossbar name
+    never runs inference, extraction or config."""
+    assert _modules_run(f"import ftjsim\nftjsim.{name}")[1] == [
+        "__init__", *ran]
 
 
 def test_unknown_package_attribute_names_itself():

@@ -15,8 +15,6 @@ from ftjsim.crossbar import (
     BiasScheme,
     Crossbar,
     MAX_SOLVE_DIM,
-    NEWTON_MAX_ITER,
-    NEWTON_TOL,
     NetworkSolution,
     build_crossbar,
     mvm_read,
@@ -27,7 +25,8 @@ from ftjsim.crossbar import (
 from ftjsim.device import (DeviceState, PulseSpec, default_update_model,
                            write_energy)
 from ftjsim.extraction import Sweep
-from oracle import d2d_draws, gauss_seidel, hexes, v_half
+from oracle import (d2d_draws, gauss_seidel, hexes, reference_solve, seq_sum,
+                    v_half)
 
 T = 300.0
 
@@ -392,108 +391,16 @@ def test_solution_jacobian_consistency(p):
 
 # --- Bit-identity guard: array reads against the scalar-loop reference -----
 #
-# The reference below is the per-cell implementation the array reads
-# replaced: one scalar kernel call per device, summed left to right. The
-# array path must reproduce it bit for bit, because CLI sidecars hold
-# full-repr floats from these solves.
-
-def _seq_sum(values):
-    """Left-to-right float sum from zero, as sum() computes it up to
-    Python 3.11 (3.12 switched float sum() to compensated summation)."""
-    acc = 0
-    for v in values:
-        acc = acc + v
-    return acc
-
-
-def _reference_solve(xbar, scheme, tol=NEWTON_TOL):
-    nr, nc = xbar.n_rows, xbar.n_cols
-    p, t = xbar.params, xbar.t_kelvin
-    driven = [float(v) for v in list(scheme.rows) + list(scheme.cols)
-              if v is not None]
-    free_rows = [r for r, v in enumerate(scheme.rows) if v is None]
-    free_cols = [c for c, v in enumerate(scheme.cols) if v is None]
-    n_free = len(free_rows) + len(free_cols)
-    row_v = np.array([0.0 if v is None else float(v) for v in scheme.rows])
-    col_v = np.array([0.0 if v is None else float(v) for v in scheme.cols])
-    x = np.full(n_free, float(np.mean(driven)))
-
-    def assemble(xv):
-        rv = row_v.copy()
-        cv = col_v.copy()
-        for k, r in enumerate(free_rows):
-            rv[r] = xv[k]
-        for k, c in enumerate(free_cols):
-            cv[c] = xv[len(free_rows) + k]
-        return rv, cv
-
-    def residual(xv):
-        rv, cv = assemble(xv)
-        f = np.zeros(n_free)
-        for k, r in enumerate(free_rows):
-            f[k] = _seq_sum(current_total(rv[r] - cv[c], t, p, xbar.state(r, c))
-                            for c in range(nc))
-        for k, c in enumerate(free_cols):
-            f[len(free_rows) + k] = _seq_sum(
-                current_total(rv[r] - cv[c], t, p, xbar.state(r, c))
-                for r in range(nr))
-        return f, rv, cv
-
-    def device_grid(rv, cv):
-        dv = rv[:, None] - cv[None, :]
-        di = np.array([[current_total(dv[r, c], t, p, xbar.state(r, c))
-                        for c in range(nc)] for r in range(nr)])
-        return dv, di
-
-    if n_free == 0:
-        rv, cv = assemble(x)
-        dv, di = device_grid(rv, cv)
-        return NetworkSolution(rv, cv, dv, di, di.sum(axis=1), di.sum(axis=0),
-                               iterations=0, residual=0.0)
-
-    f, rv, cv = residual(x)
-    it = 0
-    while np.max(np.abs(f)) > tol:
-        if it >= NEWTON_MAX_ITER:
-            raise RuntimeError("network solve did not converge")
-        jac = np.zeros((n_free, n_free))
-        col_index = {c: len(free_rows) + k for k, c in enumerate(free_cols)}
-        row_index = {r: k for k, r in enumerate(free_rows)}
-        for k, r in enumerate(free_rows):
-            for c in range(nc):
-                gdev = differential_conductance(rv[r] - cv[c], t, p, xbar.state(r, c))
-                jac[k, k] += gdev
-                if c in col_index:
-                    jac[k, col_index[c]] -= gdev
-        for k, c in enumerate(free_cols):
-            kk = len(free_rows) + k
-            for r in range(nr):
-                gdev = differential_conductance(rv[r] - cv[c], t, p, xbar.state(r, c))
-                jac[kk, kk] -= gdev
-                if r in row_index:
-                    jac[kk, row_index[r]] += gdev
-        step = np.linalg.solve(jac, -f)
-        norm0 = np.max(np.abs(f))
-        lam = 1.0
-        for _ in range(40):
-            f_new, rv, cv = residual(x + lam * step)
-            if np.max(np.abs(f_new)) < norm0:
-                break
-            lam *= 0.5
-        x = x + lam * step
-        f, rv, cv = residual(x)
-        it += 1
-    dv, di = device_grid(rv, cv)
-    return NetworkSolution(row_v=rv, col_v=cv, device_v=dv, device_i=di,
-                           row_i=di.sum(axis=1), col_i=di.sum(axis=0),
-                           iterations=it, residual=float(np.max(np.abs(f))))
-
+# The references, oracle.reference_solve and the one below, are the
+# per-cell implementation the array reads replaced: one scalar kernel call
+# per device, summed left to right. The array path must reproduce them bit
+# for bit, because CLI sidecars hold full-repr floats from these solves.
 
 def _reference_mvm_read(xbar, v_in):
     out = np.zeros(xbar.n_cols)
     t = xbar.t_kelvin
     for c in range(xbar.n_cols):
-        out[c] = _seq_sum(current_total(v_in[r], t, xbar.params, xbar.state(r, c))
+        out[c] = seq_sum(current_total(v_in[r], t, xbar.params, xbar.state(r, c))
                           for r in range(xbar.n_rows))
     return out
 
@@ -590,7 +497,7 @@ def test_solve_network_bit_identical_to_scalar_reference(case):
     """Every array by its bytes, so a signed zero counts too."""
     xbar, scheme = case
     new = _outcome(solve_network, xbar, scheme)
-    ref = _outcome(_reference_solve, xbar, scheme)
+    ref = _outcome(reference_solve, xbar, scheme)
     if isinstance(ref, type):
         assert new is ref
         return
@@ -622,9 +529,9 @@ def test_solve_line_sums_run_left_to_right(nr, nc, seed):
     rows = (running[:, -1] + 0.0).tolist()
     cols = (col_sums + 0.0).tolist()
     assert [x.hex() for x in rows] == [
-        _seq_sum(line).hex() for line in grid.tolist()]
+        seq_sum(line).hex() for line in grid.tolist()]
     assert [x.hex() for x in cols] == [
-        _seq_sum(line).hex() for line in grid.T.tolist()]
+        seq_sum(line).hex() for line in grid.T.tolist()]
 
 
 @_GUARD

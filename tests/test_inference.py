@@ -177,8 +177,9 @@ def test_map_weights_and_the_shared_helpers_agree_bit_for_bit(
 
 
 @pytest.mark.parametrize("wmat, n_levels", [
-    ([[1.2]], 11), ([[math.nan]], 11), ([0.5, 0.5], 11), ([[0.5]], 1)],
-    ids=["outside", "nan", "1-D", "one-level"])
+    ([[1.2]], 11), ([[math.nan]], 11), ([0.5, 0.5], 11), ([[0.5]], 1),
+    ([[0.5]], 3.5), ([[0.5]], True)],
+    ids=["outside", "nan", "1-D", "one-level", "fractional", "bool"])
 def test_mvm_error_mc_checks_the_weights_as_map_weights_does(p, wmat,
                                                              n_levels):
     with pytest.raises(ValueError) as mapped:
@@ -186,6 +187,17 @@ def test_mvm_error_mc_checks_the_weights_as_map_weights_does(p, wmat,
     with pytest.raises(ValueError) as trial:
         mvm_error_mc(wmat, n_levels=n_levels, n_trials=1)
     assert str(trial.value) == str(mapped.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: map_weights([[0.5]], 11, p, v_read=0.0),
+    lambda p: state_conductance(p, 0.5, v_read=0.0),
+    lambda p: mvm_error_mc([[0.5]], n_trials=1, v_read=0.0),
+    lambda p: mvm_error_mc([[0.5]], n_trials=1, v_verify=0.0)],
+    ids=["map_weights", "state_conductance", "mvm_v_read", "mvm_v_verify"])
+def test_a_zero_read_bias_raises_a_value_error_naming_it(p, call):
+    with pytest.raises(ValueError, match="read bias must be nonzero, got 0.0"):
+        call(p)
 
 
 @pytest.mark.parametrize("programming", ["write_verify", "ideal"])
